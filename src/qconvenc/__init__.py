@@ -1,12 +1,13 @@
 """Encoder synthesis and simulation for quantum convolutional codes."""
 
-from .pauli import PauliOperator, multiply, symplectic_product, tensor, weight
+from .pauli import PauliOperator, tensor
 from .circuit import (
     CliffordCircuit,
     CliffordGate,
     SymplecticMap,
     apply_circuit,
     apply_gate,
+    as_symplectic,
     circuit_from_json,
     circuit_to_json,
     circuit_to_symplectic,
@@ -43,25 +44,19 @@ from .simulate import (
     DepolarizingChannel,
     SimulationResult,
     Simulator,
-    TurboChain,
-    build_serial_turbo,
     estimate_wer,
-    extract_syndrome,
     sample_error,
-    viterbi_decode,
 )
 
 __all__ = [
     "PauliOperator",
-    "symplectic_product",
     "tensor",
-    "weight",
-    "multiply",
     "CliffordGate",
     "CliffordCircuit",
     "SymplecticMap",
     "apply_circuit",
     "apply_gate",
+    "as_symplectic",
     "circuit_from_json",
     "circuit_to_json",
     "circuit_to_symplectic",
@@ -97,11 +92,7 @@ __all__ = [
     "windowed_roundtrip_failures",
     "DepolarizingChannel",
     "sample_error",
-    "extract_syndrome",
     "Simulator",
-    "viterbi_decode",
     "SimulationResult",
     "estimate_wer",
-    "TurboChain",
-    "build_serial_turbo",
 ]

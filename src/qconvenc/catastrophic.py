@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
-from .circuit import CliffordCircuit, SymplecticMap, circuit_to_symplectic
+from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
 from .errors import CompletionSearchExhausted
 from .pauli import PauliOperator, tensor
 from .skeleton import MemoryAssignment, TransformationSkeleton
@@ -31,6 +31,7 @@ from .synthesis import PartialMap, check_consistency, complete_to_symplectic, sy
 
 __all__ = [
     "ENUM_CAP",
+    "MAX_CANDIDATES",
     "ZeroWeightEdge",
     "ZeroWeightGraph",
     "zero_weight_graph",
@@ -44,6 +45,12 @@ __all__ = [
 
 # full-enumeration limit on memory qubits (4^10 ~ 1e6 graph nodes)
 ENUM_CAP = 10
+
+# default completion search budget (leaf checks) for every caller
+MAX_CANDIDATES = 20000
+
+# widest candidate space one completion direction may enumerate (2^16 outputs)
+_MAX_BRANCH_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -76,15 +83,8 @@ class ZeroWeightGraph:
     direction: str
     edges: Dict[int, ZeroWeightEdge] = field(repr=False)
 
-    def edge_from(self, state: PauliOperator) -> Optional[ZeroWeightEdge]:
-        return self.edges.get(state.vec())
-
     def next_state(self, edge: ZeroWeightEdge) -> PauliOperator:
         return edge.before if self.direction == "encoder" else edge.after
-
-
-def _as_map(c: Union[CliffordCircuit, SymplecticMap]) -> SymplecticMap:
-    return circuit_to_symplectic(c) if isinstance(c, CliffordCircuit) else c
 
 
 def _encoder_edge(inv: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
@@ -116,7 +116,7 @@ def zero_weight_graph(
     m: int,
     direction: str = "encoder",
 ) -> ZeroWeightGraph:
-    smap = _as_map(c)
+    smap = as_symplectic(c)
     if smap.width != m + n:
         raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
     if m > ENUM_CAP:
@@ -179,14 +179,12 @@ def _scan_cycles(
             if edge is None:
                 break
             nxt = graph.next_state(edge).vec()
+            pos[cur] = len(path)
+            path.append(edge)
             if allowed is not None and nxt not in allowed:
                 # cycle states all lie in the admissible commutant, so a
                 # trajectory that leaves it can never close up
-                pos[cur] = len(path)
-                path.append(edge)
                 break
-            pos[cur] = len(path)
-            path.append(edge)
             cur = nxt
         done.update(pos)
     return None
@@ -202,10 +200,9 @@ def _verdict(
     k: int,
     m: int,
     direction: str,
-    enum_cap: int,
     admissible: Optional[Sequence[PauliOperator]],
 ) -> CatastrophicityVerdict:
-    if m <= enum_cap:
+    if m <= ENUM_CAP:
         graph = zero_weight_graph(c, n, k, m, direction)
         bad = _scan_cycles(graph)
         if bad is None:
@@ -216,7 +213,7 @@ def _verdict(
             True, direction, note="memory above enumeration cap; admissible subgroup trivial"
         )
     return CatastrophicityVerdict(
-        None, direction, note=f"memory {m} above enumeration cap {enum_cap}"
+        None, direction, note=f"memory {m} above enumeration cap {ENUM_CAP}"
     )
 
 
@@ -226,10 +223,9 @@ def is_noncatastrophic(
     k: int,
     m: int,
     *,
-    enum_cap: int = ENUM_CAP,
     admissible: Optional[Sequence[PauliOperator]] = None,
 ) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "encoder", enum_cap, admissible)
+    return _verdict(c, n, k, m, "encoder", admissible)
 
 
 def is_noncatastrophic_decoder(
@@ -238,10 +234,9 @@ def is_noncatastrophic_decoder(
     k: int,
     m: int,
     *,
-    enum_cap: int = ENUM_CAP,
     admissible: Optional[Sequence[PauliOperator]] = None,
 ) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "decoder", enum_cap, admissible)
+    return _verdict(c, n, k, m, "decoder", admissible)
 
 
 def admissible_cycle_states(
@@ -285,12 +280,11 @@ def complete_noncatastrophic(
     skeleton: TransformationSkeleton,
     assignment: MemoryAssignment,
     *,
-    enum_cap: int = ENUM_CAP,
-    max_candidates: int = 20000,
-    max_branch_bits: int = 16,
-) -> CliffordCircuit:
+    max_candidates: int = MAX_CANDIDATES,
+) -> Tuple[CliffordCircuit, CatastrophicityVerdict]:
     """Extend p with rows for unfixed memory directions until the
-    synthesized encoder is non-catastrophic.
+    synthesized encoder is non-catastrophic; returns the circuit and the
+    verdict of its unrestricted re-check.
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are walked in
@@ -344,7 +338,7 @@ def complete_noncatastrophic(
         if v0 is None:
             return None
         null = gf2.nullspace(constraint_rows, 2 * w)
-        if len(null) > max_branch_bits:
+        if len(null) > _MAX_BRANCH_BITS:
             raise CompletionSearchExhausted(
                 f"candidate space at direction {level + 1} has 2^{len(null)} "
                 "elements; refusing to enumerate",
@@ -368,13 +362,13 @@ def complete_noncatastrophic(
             "every consistent completion is catastrophic", admissible=gens
         )
     circuit = synthesize_circuit(smap)
-    final = is_noncatastrophic(circuit, n, k, m, enum_cap=enum_cap, admissible=gens)
+    final = is_noncatastrophic(smap, n, k, m, admissible=gens)
     if final.non_catastrophic is not True:
         raise CompletionSearchExhausted(
             "restricted scan accepted a completion the full scan rejects",
             admissible=gens,
         )
-    return circuit
+    return circuit, final
 
 
 def _affine_span(base: int, null: List[int]) -> List[int]:

@@ -25,6 +25,7 @@ __all__ = [
     "apply_gate",
     "apply_circuit",
     "circuit_to_symplectic",
+    "as_symplectic",
     "parse_circuit",
     "circuit_to_text",
     "circuit_to_json",
@@ -59,6 +60,8 @@ class CliffordCircuit:
     gates: Tuple[CliffordGate, ...]
 
     def __post_init__(self):
+        if self.width < 0:
+            raise ParseError(f"circuit width {self.width} is negative")
         for g in self.gates:
             if max(g.qubits) > self.width:
                 raise ParseError(f"gate {g} exceeds circuit width {self.width}")
@@ -163,6 +166,16 @@ def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:
     return SymplecticMap(w, tuple(rows))
 
 
+def as_symplectic(encoder) -> SymplecticMap:
+    """The symplectic map of a circuit, of a map itself, or of a synthesis
+    or decoder result (which carries its map)."""
+    if isinstance(encoder, SymplecticMap):
+        return encoder
+    if isinstance(encoder, CliffordCircuit):
+        return circuit_to_symplectic(encoder)
+    return encoder.map
+
+
 def parse_circuit(text: str, width: int | None = None) -> CliffordCircuit:
     """Parse gate-per-line text; '# width: N' comments fix the width."""
     gates: List[CliffordGate] = []
@@ -212,10 +225,25 @@ def circuit_to_json(
     return json.dumps(doc, indent=2)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def circuit_from_json(text: str) -> CliffordCircuit:
-    doc = json.loads(text)
-    gates = tuple(CliffordGate(g[0], tuple(g[1:])) for g in doc["gates"])
-    return CliffordCircuit(doc["width"], gates)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON circuit: {exc}") from exc
+    if not (isinstance(doc, dict) and _is_int(doc.get("width"))
+            and isinstance(doc.get("gates"), list)):
+        raise ParseError('a JSON circuit needs an integer "width" and a "gates" list')
+    gates = []
+    for g in doc["gates"]:
+        if not (isinstance(g, list) and g and isinstance(g[0], str)
+                and all(_is_int(q) for q in g[1:])):
+            raise ParseError(f"bad JSON gate {g!r}: want [kind, qubit, ...]")
+        gates.append(CliffordGate(g[0], tuple(g[1:])))
+    return CliffordCircuit(doc["width"], tuple(gates))
 
 
 def wire_roles(n: int, k: int, m: int, direction: str) -> Tuple[List[str], List[str]]:

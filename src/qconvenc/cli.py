@@ -18,12 +18,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .catastrophic import is_noncatastrophic
+from .catastrophic import MAX_CANDIDATES, is_noncatastrophic
 from .circuit import (
     CliffordCircuit,
+    as_symplectic,
     circuit_from_json,
     circuit_to_json,
     circuit_to_text,
@@ -59,24 +59,6 @@ EX_DATA = 65
 EX_INTERNAL = 70
 
 _WORKERS_ENV = "QCONVENC_WORKERS"
-
-
-@dataclass
-class JobConfig:
-    command: str
-    code: str = ""
-    encoder: Optional[str] = None
-    out: Optional[str] = None
-    as_json: bool = False
-    witness: bool = False
-    skeleton: bool = False
-    p: List[float] = field(default_factory=list)
-    frames: int = 0
-    trials: int = 0
-    seed: int = 0
-    workers: Optional[int] = None
-    gnuplot: bool = False
-    max_candidates: int = 20000
 
 
 class _UsageError(Exception):
@@ -119,8 +101,8 @@ def _verdict_word(flag: Optional[bool]) -> str:
     return "non-catastrophic" if flag else "catastrophic"
 
 
-def _emit(report: dict, config: JobConfig) -> None:
-    if config.as_json:
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.as_json:
         print(json.dumps(report, indent=2))
     else:
         for key, value in report.items():
@@ -152,8 +134,8 @@ def _render_witness(witness) -> List[str]:
     return lines
 
 
-def _cmd_info(config: JobConfig) -> int:
-    code = _read_code(config.code)
+def _cmd_info(args: argparse.Namespace) -> int:
+    code = _read_code(args.code)
     report = {
         "n": code.n,
         "k": code.k,
@@ -161,13 +143,13 @@ def _cmd_info(config: JobConfig) -> int:
         "generators": [g.to_string() for g in code.generators],
         "valid": True,
     }
-    _emit(report, config)
+    _emit(report, args)
     return EX_OK
 
 
-def _cmd_synthesize(config: JobConfig) -> int:
-    code = _read_code(config.code)
-    result = synthesize_encoder(code, max_candidates=config.max_candidates)
+def _cmd_synthesize(args: argparse.Namespace) -> int:
+    code = _read_code(args.code)
+    result = synthesize_encoder(code, max_candidates=args.max_candidates)
     report = {
         "n": code.n,
         "k": code.k,
@@ -176,23 +158,23 @@ def _cmd_synthesize(config: JobConfig) -> int:
         "gates": len(result.circuit),
         "verdict": _verdict_word(result.verdict.non_catastrophic),
     }
-    if config.out:
-        _write_circuit(config.out, result.circuit, code.n, code.k, result.memory, "encoder")
-        report["circuit_file"] = config.out
-    if config.skeleton:
+    if args.out:
+        _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "encoder")
+        report["circuit_file"] = args.out
+    if args.skeleton:
         report["skeleton"] = _render_skeleton(result.skeleton)
-        if not config.as_json:
+        if not args.as_json:
             report["skeleton"] = "\n" + "\n".join(report["skeleton"])
-    _emit(report, config)
+    _emit(report, args)
     return EX_OK
 
 
-def _cmd_check(config: JobConfig) -> int:
-    code = _read_code(config.code)
-    circuit = _read_circuit(config.encoder)
-    assignment = verify_encoder(code, circuit)  # raises on a broken circuit
+def _cmd_check(args: argparse.Namespace) -> int:
+    code = _read_code(args.code)
+    smap = as_symplectic(_read_circuit(args.encoder))
+    assignment = verify_encoder(code, smap)  # raises on a broken circuit
     matrix = skeleton_commutation_matrix(build_skeleton(code))
-    verdict = is_noncatastrophic(circuit, code.n, code.k, assignment.m)
+    verdict = is_noncatastrophic(smap, code.n, code.k, assignment.m)
     report = {
         "rows_verified": True,
         "memory": assignment.m,
@@ -202,32 +184,32 @@ def _cmd_check(config: JobConfig) -> int:
     if verdict.note:
         report["note"] = verdict.note
     lines = None
-    if config.witness and verdict.witness is not None:
+    if args.witness and verdict.witness is not None:
         lines = _render_witness(verdict.witness)
-        report["witness"] = lines if config.as_json else "\n" + "\n".join(lines)
-    _emit(report, config)
+        report["witness"] = lines if args.as_json else "\n" + "\n".join(lines)
+    _emit(report, args)
     if verdict.non_catastrophic is None:
         return EX_INCONCLUSIVE
     return EX_OK if verdict.non_catastrophic else EX_CATASTROPHIC
 
 
-def _cmd_derive_decoder(config: JobConfig) -> int:
-    code = _read_code(config.code)
-    circuit = _read_circuit(config.encoder)
-    verify_encoder(code, circuit)
-    result = derive_online_decoder(code, circuit)
+def _cmd_derive_decoder(args: argparse.Namespace) -> int:
+    code = _read_code(args.code)
+    smap = as_symplectic(_read_circuit(args.encoder))
+    verify_encoder(code, smap)
+    result = derive_online_decoder(code, smap)
     report = {
         "decoder_memory": result.memory,
         "gates": len(result.circuit),
         "verdict": _verdict_word(result.verdict.non_catastrophic),
     }
-    if config.out:
-        _write_circuit(config.out, result.circuit, code.n, code.k, result.memory, "decoder")
-        report["circuit_file"] = config.out
-    if config.skeleton:
+    if args.out:
+        _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "decoder")
+        report["circuit_file"] = args.out
+    if args.skeleton:
         rendered = _render_skeleton(result.skeleton)
-        report["skeleton"] = rendered if config.as_json else "\n" + "\n".join(rendered)
-    _emit(report, config)
+        report["skeleton"] = rendered if args.as_json else "\n" + "\n".join(rendered)
+    _emit(report, args)
     return EX_OK
 
 
@@ -241,15 +223,15 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 """
 
 
-def _cmd_simulate(config: JobConfig) -> int:
-    code = _read_code(config.code)
-    circuit = _read_circuit(config.encoder)
-    verify_encoder(code, circuit)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    code = _read_code(args.code)
+    smap = as_symplectic(_read_circuit(args.encoder))
+    verify_encoder(code, smap)
     rows = []
-    for p in config.p:
+    for p in args.p:
         res = estimate_wer(
-            code, circuit, p, config.frames, config.trials,
-            seed=config.seed, workers=config.workers,
+            code, smap, p, args.frames, args.trials,
+            seed=args.seed, workers=args.workers,
         )
         rows.append(res)
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
@@ -257,23 +239,23 @@ def _cmd_simulate(config: JobConfig) -> int:
         [r.p, r.frames, r.trials, r.failures, r.word_error_rate, r.confidence_halfwidth, r.seed]
         for r in rows
     ]
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(table)
-    if config.as_json:
+    if args.as_json:
         print(json.dumps([dict(zip(header, row)) for row in table], indent=2))
     else:
         print(",".join(header))
         for row in table:
             print(",".join(str(v) for v in row))
-    if config.gnuplot:
-        if not config.out:
+    if args.gnuplot:
+        if not args.out:
             raise _UsageError("--gnuplot needs --out (the script references the CSV)")
-        script = config.out + ".gp"
+        script = args.out + ".gp"
         with open(script, "w") as fh:
-            fh.write(_GNUPLOT_TEMPLATE.format(csv=config.out))
+            fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
         print(f"gnuplot script: {script}", file=sys.stderr)
     return EX_OK
 
@@ -287,10 +269,10 @@ _COMMANDS = {
 }
 
 
-def run(config: JobConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one job; maps domain errors onto the documented exit codes."""
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -319,6 +301,16 @@ def _float_list(text: str) -> List[float]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qconvenc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -338,8 +330,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the encoder circuit here (.json for JSON)")
     p.add_argument("--skeleton", action="store_true",
                    help="also print the transformation rows with memory slots")
-    p.add_argument("--max-candidates", type=int, default=20000,
-                   help="completion search budget (default 20000)")
+    p.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES,
+                   help="completion search budget (default %(default)s)")
 
     p = sub.add_parser("check", help="verify a circuit against a code")
     common(p, encoder=True)
@@ -356,11 +348,13 @@ def build_parser() -> _Parser:
     common(p, encoder=True)
     p.add_argument("--p", required=True, type=_float_list,
                    help="comma-separated depolarizing probabilities")
-    p.add_argument("--frames", required=True, type=int, help="window length N")
-    p.add_argument("--trials", required=True, type=int, help="trials per point")
+    p.add_argument("--frames", required=True, type=_positive_int, help="window length N")
+    p.add_argument("--trials", required=True, type=_positive_int, help="trials per point")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ[_WORKERS_ENV]) if os.environ.get(_WORKERS_ENV) else None,
+    # argparse runs a string default through type= only when the flag is
+    # absent, so a bad environment value is a usage error of `simulate` alone
+    p.add_argument("--workers", type=_positive_int,
+                   default=os.environ.get(_WORKERS_ENV) or None,
                    help=f"worker processes (default ${_WORKERS_ENV} or serial)")
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--gnuplot", action="store_true",
@@ -372,18 +366,11 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    fields = vars(ns).copy()
-    if "p" in fields and fields["p"] is not None and fields["command"] == "simulate":
-        if fields["frames"] < 1 or fields["trials"] < 1:
-            print("usage error: --frames and --trials must be positive", file=sys.stderr)
-            return EX_USAGE
-    known = {f for f in JobConfig.__dataclass_fields__}
-    config = JobConfig(**{k: v for k, v in fields.items() if k in known and v is not None})
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

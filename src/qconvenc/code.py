@@ -133,7 +133,9 @@ def validate(code: ConvolutionalCode) -> None:
                     raise CodeValidationError(b, a, shift)
 
 
-_POLY_TERM = re.compile(r"^(1|D(\^\d+)?)$")
+# at most three exponent digits: the degree becomes a bit position, so an
+# absurd exponent would allocate its whole bit mask before any check ran
+_POLY_TERM = re.compile(r"^(1|D(\^\d{1,3})?)$")
 
 
 def parse_polynomial(text: str) -> int:
@@ -228,9 +230,12 @@ def parse_code(text: str) -> ConvolutionalCode:
             polys = [parse_polynomial(p) for p in line[5:].split(",") if p.strip()]
             continue
         try:
-            gens.append(FramedPauliSequence.from_string(line, n))
+            gen = FramedPauliSequence.from_string(line, n)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if not gen.span:
+            raise ParseError(f"line {lineno}: generator is the identity")
+        gens.append(gen)
     if polys is not None:
         if gens:
             raise ParseError("give either a poly: row or generator lines, not both")
@@ -239,6 +244,10 @@ def parse_code(text: str) -> ConvolutionalCode:
         return from_classical_polynomial(polys)
     if n is None:
         raise ParseError("missing n= header")
+    if not gens:
+        raise ParseError("code has no generator lines")
+    if any(g.frame_width != n for g in gens):
+        raise ParseError(f"generator frame widths disagree with the header n={n}")
     code = ConvolutionalCode(n, tuple(gens))
     validate(code)
     return code

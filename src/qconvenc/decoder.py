@@ -13,10 +13,10 @@ relax back to the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .catastrophic import CatastrophicityVerdict, is_noncatastrophic_decoder
-from .circuit import CliffordCircuit, SymplecticMap, circuit_to_symplectic
+from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
 from .pauli import PauliOperator, tensor
@@ -37,8 +37,6 @@ __all__ = [
     "build_decoder_skeleton",
     "DecoderResult",
     "derive_online_decoder",
-    "embed_map",
-    "stream_map",
     "windowed_roundtrip_failures",
 ]
 
@@ -79,12 +77,7 @@ def encoded_logical_operators(
     c: Union[CliffordCircuit, SymplecticMap], code: ConvolutionalCode
 ) -> LogicalOperatorSet:
     """Images of each unencoded info-wire X and Z under the encoder."""
-    if isinstance(c, CliffordCircuit):
-        smap = circuit_to_symplectic(c)
-    elif isinstance(c, SymplecticMap):
-        smap = c
-    else:
-        smap = c.map  # synthesis results carry their map
+    smap = as_symplectic(c)
     n, k = code.n, code.k
     m = smap.width - n
     if m < 0:
@@ -159,68 +152,9 @@ def derive_online_decoder(
     if assignment is None:
         assignment = assign_memory(matrix)
     rows = partial_rows(skel, assignment)
-    _, circuit = complete_and_synthesize(PartialMap.from_operators(rows))
-    verdict = is_noncatastrophic_decoder(circuit, code.n, code.k, assignment.m)
+    smap, circuit = complete_and_synthesize(PartialMap.from_operators(rows))
+    verdict = is_noncatastrophic_decoder(smap, code.n, code.k, assignment.m)
     return DecoderResult(code, logicals, skel, matrix, assignment, circuit, verdict)
-
-
-def embed_map(
-    smap: SymplecticMap, total: int, wires_in: Sequence[int], wires_out: Sequence[int]
-) -> SymplecticMap:
-    """smap lifted to a register of `total` wires (all positions 1-based).
-
-    Input wire wires_in[j] feeds the small map's input j; its output j
-    lands on wires_out[j]; untouched wires pass through.  The two wire
-    lists must cover the same set.
-    """
-    sw = smap.width
-    if len(wires_in) != sw or len(wires_out) != sw:
-        raise ValueError("wire lists must match the small map's width")
-    if set(wires_in) != set(wires_out):
-        raise ValueError("input and output wire sets must coincide")
-
-    def place(svec: int) -> int:
-        big = 0
-        for j in range(sw):
-            w = wires_out[j] - 1
-            if (svec >> j) & 1:
-                big |= 1 << w
-            if (svec >> (sw + j)) & 1:
-                big |= 1 << (total + w)
-        return big
-
-    rows = []
-    pos = {w: j for j, w in enumerate(wires_in)}
-    for i in range(2 * total):
-        wire = i % total + 1
-        j = pos.get(wire)
-        if j is None:
-            rows.append(1 << i)
-        else:
-            small_index = j if i < total else sw + j
-            rows.append(place(smap.rows[small_index]))
-    return SymplecticMap(total, tuple(rows))
-
-
-def stream_map(
-    frame_map: SymplecticMap, m: int, n: int, nframes: int, direction: str
-) -> SymplecticMap:
-    """The per-frame map applied across a window of nframes frames.
-
-    Register layout: memory on wires 1..m, frame t on the following n-wire
-    blocks.  Encoders read (memory, frame) and write (frame, memory);
-    decoders the same — only the interpretation of the frame block differs.
-    """
-    if frame_map.width != m + n:
-        raise ValueError("frame map width must be memory + frame size")
-    total = m + n * nframes
-    mem_wires = list(range(1, m + 1))
-    big = SymplecticMap.identity(total)
-    for t in range(nframes):
-        frame_wires = [m + n * t + i for i in range(1, n + 1)]
-        step = embed_map(frame_map, total, mem_wires + frame_wires, frame_wires + mem_wires)
-        big = big.compose(step)
-    return big
 
 
 def windowed_roundtrip_failures(
@@ -235,81 +169,69 @@ def windowed_roundtrip_failures(
     decoded target at frame t + span - 1 (the decoder emits at the end of
     the operator's span): exact match on the info coordinates, anything
     Z-only tolerated on the syndrome coordinates, and both memory
-    registers back at the identity.
+    registers back at the identity.  Every probe is streamed through the
+    encoder and then the decoder one frame at a time, as on the wire.
     """
     n, k = code.n, code.k
-    emap = circuit_to_symplectic(encoder) if isinstance(encoder, CliffordCircuit) else encoder
+    emap = as_symplectic(encoder)
+    dmap = decoder.map
     m_enc = emap.width - n
     m_dec = decoder.memory
-    total = m_enc + m_dec + n * nframes
-    mem_e = list(range(1, m_enc + 1))
-    mem_d = list(range(m_enc + 1, m_enc + m_dec + 1))
-    composed = SymplecticMap.identity(total)
-    dmap = decoder.map
-    for t in range(nframes):
-        frame_wires = [m_enc + m_dec + n * t + i for i in range(1, n + 1)]
-        composed = composed.compose(
-            embed_map(emap, total, mem_e + frame_wires, frame_wires + mem_e)
-        )
-        composed = composed.compose(
-            embed_map(dmap, total, mem_d + frame_wires, frame_wires + mem_d)
-        )
 
-    def frame_part(p: PauliOperator, t: int) -> PauliOperator:
-        lo = m_enc + m_dec + n * t
-        return p.part(lo, lo + n)
-
-    cases: List[Tuple[str, PauliOperator, PauliOperator, int]] = []
+    # (label, unencoded probe, span); each probe must come back decoded as itself
+    cases: List[Tuple[str, PauliOperator, int]] = []
     for a, gen in enumerate(code.generators, 1):
-        cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"),
-                      PauliOperator.single(n, a - 1, "Z"), gen.span))
+        cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span))
     for j, (ex, ez) in enumerate(decoder.logicals.pairs, 1):
         wire = n - k + j - 1
-        cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"),
-                      PauliOperator.single(n, wire, "X"), ex.span))
-        cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"),
-                      PauliOperator.single(n, wire, "Z"), ez.span))
+        cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"), ex.span))
+        cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"), ez.span))
+
+    def stream(src: PauliOperator, t: int) -> Tuple[List[PauliOperator], bool]:
+        """Decoded frames of src fed at frame t, and whether both memories
+        end the window at the identity."""
+        mem_e = PauliOperator.identity(m_enc)
+        mem_d = PauliOperator.identity(m_dec)
+        frames: List[PauliOperator] = []
+        for s in range(nframes):
+            fed = src if s == t else PauliOperator.identity(n)
+            out = emap.apply(mem_e.tensor(fed))
+            mem_e = out.part(n, n + m_enc)
+            out = dmap.apply(mem_d.tensor(out.part(0, n)))
+            mem_d = out.part(n, n + m_dec)
+            frames.append(out.part(0, n))
+        return frames, mem_e.is_identity() and mem_d.is_identity()
 
     failures: List[str] = []
-    ident_mem = PauliOperator.identity(m_enc + m_dec)
     for t in range(nframes):
-        for label, src, decoded, span in cases:
+        for label, src, span in cases:
             t_out = t + span - 1
             if t_out >= nframes:
                 continue
-            lo = m_enc + m_dec + n * t
-            big_in = PauliOperator(total, src.x << lo, src.z << lo)
-            img = composed.apply(big_in)
-            if not img.part(0, m_enc + m_dec).is_identity():
+            frames, restored = stream(src, t)
+            if not restored:
                 failures.append(f"{label} frame {t + 1}: memory not restored")
                 continue
-            ok = True
-            for s in range(nframes):
-                fp = frame_part(img, s)
+            for s, fp in enumerate(frames):
                 info = fp.part(n - k, n)
                 synd = fp.part(0, n - k)
-                want = decoded.part(n - k, n) if s == t_out else PauliOperator.identity(k)
+                want = src.part(n - k, n) if s == t_out else PauliOperator.identity(k)
                 if info != want:
-                    ok = False
                     failures.append(
                         f"{label} frame {t + 1}: info at frame {s + 1} is "
                         f"{info.to_string()}, wanted {want.to_string()}"
                     )
                     break
                 if synd.x:
-                    ok = False
                     failures.append(
                         f"{label} frame {t + 1}: X content on syndrome wires at frame {s + 1}"
                     )
                     break
-                if s == t_out and decoded.part(0, n - k) != synd and label.startswith("ancilla"):
+                if s == t_out and src.part(0, n - k) != synd and label.startswith("ancilla"):
                     # the decoded ancilla Z must actually appear
-                    ok = False
                     failures.append(
                         f"{label} frame {t + 1}: syndrome at frame {s + 1} is "
-                        f"{synd.to_string()}, wanted {decoded.part(0, n - k).to_string()}"
+                        f"{synd.to_string()}, wanted {src.part(0, n - k).to_string()}"
                     )
                     break
-            if not ok:
-                continue
     return failures

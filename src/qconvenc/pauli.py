@@ -13,16 +13,12 @@ is 0 exactly when P and Q commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import ParseError
 from .gf2 import parity
 
 __all__ = [
     "PauliOperator",
-    "symplectic_product",
-    "weight",
-    "multiply",
     "tensor",
 ]
 
@@ -116,28 +112,8 @@ class PauliOperator:
         mask = (1 << width) - 1
         return PauliOperator(width, v & mask, (v >> width) & mask)
 
-    def permute(self, perm: Iterable[int]) -> "PauliOperator":
-        """Move qubit i to position perm[i]."""
-        x = z = 0
-        for i, j in enumerate(perm):
-            x |= ((self.x >> i) & 1) << j
-            z |= ((self.z >> i) & 1) << j
-        return PauliOperator(self.width, x, z)
-
     def __str__(self) -> str:
         return self.to_string()
-
-
-def symplectic_product(a: PauliOperator, b: PauliOperator) -> int:
-    return a.sp(b)
-
-
-def weight(a: PauliOperator) -> int:
-    return a.weight()
-
-
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    return a * b
 
 
 def tensor(*parts: PauliOperator) -> PauliOperator:

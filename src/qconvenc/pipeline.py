@@ -6,12 +6,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .catastrophic import (
+    MAX_CANDIDATES,
     CatastrophicityVerdict,
-    admissible_cycle_states,
     complete_noncatastrophic,
-    is_noncatastrophic,
 )
-from .circuit import CliffordCircuit, SymplecticMap, circuit_to_symplectic
+from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
 from .code import ConvolutionalCode, validate
 from .errors import MapConsistencyError
 from .pauli import PauliOperator
@@ -55,7 +54,7 @@ def synthesize_encoder(
     *,
     assignment: Optional[MemoryAssignment] = None,
     completion_rows: Optional[Sequence[Tuple[PauliOperator, PauliOperator]]] = None,
-    max_candidates: int = 20000,
+    max_candidates: int = MAX_CANDIDATES,
 ) -> EncoderSynthesis:
     """Synthesize a minimal-memory non-catastrophic encoder for the code.
 
@@ -89,12 +88,8 @@ def synthesize_encoder(
                 )
         rows = rows + list(completion_rows)
     partial = PartialMap.from_operators(rows)
-    circuit = complete_noncatastrophic(
+    circuit, verdict = complete_noncatastrophic(
         partial, skeleton, assignment, max_candidates=max_candidates
-    )
-    gens = admissible_cycle_states(skeleton, assignment)
-    verdict = is_noncatastrophic(
-        circuit, code.n, code.k, assignment.m, admissible=gens
     )
     return EncoderSynthesis(code, skeleton, matrix, assignment, circuit, verdict)
 
@@ -110,12 +105,7 @@ def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
     the first failing row otherwise.
     """
     validate(code)
-    if isinstance(encoder, CliffordCircuit):
-        smap = circuit_to_symplectic(encoder)
-    elif isinstance(encoder, SymplecticMap):
-        smap = encoder
-    else:
-        smap = encoder.map
+    smap = as_symplectic(encoder)
     n = code.n
     m = smap.width - n
     if m < 0:

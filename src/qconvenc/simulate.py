@@ -27,29 +27,24 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import CliffordCircuit, SymplecticMap, circuit_to_symplectic
+from .circuit import SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
-from .decoder import DecoderResult, embed_map, stream_map
+from .decoder import DecoderResult
 from .errors import TrellisError
-from .pauli import PauliOperator, tensor
+from .pauli import PauliOperator
 
 __all__ = [
     "DepolarizingChannel",
     "sample_error",
     "syndrome_by_products",
-    "extract_syndrome",
     "syndrome_by_decoder",
     "Simulator",
-    "viterbi_decode",
     "SimulationResult",
     "estimate_wer",
-    "TurboChain",
-    "build_serial_turbo",
 ]
 
 _INF = 1 << 40
@@ -79,14 +74,6 @@ def sample_error(ch: DepolarizingChannel, length: int, rng: np.random.Generator)
         if k != 0:
             z |= 1 << int(i)
     return PauliOperator(length, x, z)
-
-
-def _as_map(encoder) -> SymplecticMap:
-    if isinstance(encoder, SymplecticMap):
-        return encoder
-    if isinstance(encoder, CliffordCircuit):
-        return circuit_to_symplectic(encoder)
-    return encoder.map  # synthesis results carry their map
 
 
 def _infer_frames(code: ConvolutionalCode, error: PauliOperator, nframes: Optional[int]) -> int:
@@ -147,27 +134,6 @@ def _pullback_frames(
         rev.append(out.part(m, m + n))
     rev.reverse()
     return rev
-
-
-def extract_syndrome(
-    encoder: Union[CliffordCircuit, SymplecticMap],
-    code: ConvolutionalCode,
-    error: PauliOperator,
-    nframes: Optional[int] = None,
-) -> Tuple[int, ...]:
-    """Syndrome via the frame-wise inverse encoder.
-
-    The per-frame ancilla X-components of the pulled-back error are the
-    syndrome bits, matching syndrome_by_products bit for bit.
-    """
-    smap = _as_map(encoder)
-    n, k = code.n, code.k
-    m = smap.width - n
-    nframes = _infer_frames(code, error, nframes)
-    bits: List[int] = []
-    for u in _pullback_frames(smap.inverse(), m, n, error, nframes):
-        bits.extend((u.x >> a) & 1 for a in range(n - k))
-    return tuple(bits)
 
 
 def syndrome_by_decoder(
@@ -234,7 +200,7 @@ class Simulator:
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
-        smap = _as_map(encoder)
+        smap = as_symplectic(encoder)
         n, k = code.n, code.k
         m = smap.width - n
         if m < 0:
@@ -364,17 +330,6 @@ class Simulator:
         return False
 
 
-def viterbi_decode(sim: Simulator, syndrome: Sequence[int], p: float) -> PauliOperator:
-    """Most likely error with this syndrome at depolarizing rate p.
-
-    Valid for p < 3/4, where likelihood strictly decreases with weight and
-    the weight metric realizes maximum likelihood exactly.
-    """
-    if not 0.0 <= p < 0.75:
-        raise ValueError("weight metric is maximum-likelihood only for p < 3/4")
-    return sim.decode(syndrome)
-
-
 # -- Monte Carlo ------------------------------------------------------------
 
 
@@ -442,107 +397,3 @@ def estimate_wer(
     wer = failures / trials
     half = 1.96 * math.sqrt(wer * (1.0 - wer) / trials)
     return SimulationResult(p, nframes, trials, failures, wer, half, seed)
-
-
-# -- serial turbo construction ----------------------------------------------
-
-
-def _permutation_map(total: int, dest: Dict[int, int]) -> SymplecticMap:
-    """Content of wire w moves to wire dest[w]; unlisted wires stay put."""
-    rows = []
-    for i in range(2 * total):
-        wire = i % total + 1
-        d = dest.get(wire, wire)
-        rows.append(1 << (d - 1 + (total if i >= total else 0)))
-    return SymplecticMap(total, tuple(rows))
-
-
-@dataclass(frozen=True)
-class TurboChain:
-    """Serial concatenation: outer stream, interleave, inner stream.
-
-    The combined register is (outer memory, outer frames, inner memory,
-    inner frames); the interleaver swaps the outer physical stream onto
-    the inner info wires.  Structural only — no decoder is attached.
-    """
-
-    outer_code: ConvolutionalCode
-    outer_map: SymplecticMap
-    interleaver: Tuple[int, ...]
-    outer_frames: int
-    inner_code: Optional[ConvolutionalCode] = None
-    inner_map: Optional[SymplecticMap] = None
-    inner_frames: int = 0
-
-    @property
-    def rate(self) -> Fraction:
-        r = Fraction(self.outer_code.k, self.outer_code.n)
-        if self.inner_code is not None:
-            r *= Fraction(self.inner_code.k, self.inner_code.n)
-        return r
-
-    def encode_map(self) -> SymplecticMap:
-        no = self.outer_code.n
-        mo = self.outer_map.width - no
-        stream_len = no * self.outer_frames
-        outer = stream_map(self.outer_map, mo, no, self.outer_frames, "encoder")
-        if self.inner_code is None:
-            dest = {mo + self.interleaver[i] + 1: mo + i + 1 for i in range(stream_len)}
-            return outer.compose(_permutation_map(outer.width, dest))
-        ni, ki = self.inner_code.n, self.inner_code.k
-        mi = self.inner_map.width - ni
-        total = mo + stream_len + mi + ni * self.inner_frames
-        base_inner = mo + stream_len
-        swaps: Dict[int, int] = {}
-        for slot in range(ki * self.inner_frames):
-            frame, r = divmod(slot, ki)
-            info_wire = base_inner + mi + frame * ni + (ni - ki) + r + 1
-            stream_wire = mo + self.interleaver[slot] + 1
-            swaps[stream_wire] = info_wire
-            swaps[info_wire] = stream_wire
-        inner_wires = list(range(base_inner + 1, total + 1))
-        steps = [
-            embed_map(outer, total, list(range(1, mo + stream_len + 1)),
-                      list(range(1, mo + stream_len + 1))),
-            _permutation_map(total, swaps),
-            embed_map(
-                stream_map(self.inner_map, mi, ni, self.inner_frames, "encoder"),
-                total, inner_wires, inner_wires,
-            ),
-        ]
-        combined = SymplecticMap.identity(total)
-        for s in steps:
-            combined = combined.compose(s)
-        return combined
-
-
-def _code_and_map(stage) -> Tuple[ConvolutionalCode, SymplecticMap]:
-    if isinstance(stage, tuple):
-        code, enc = stage
-        return code, _as_map(enc)
-    return stage.code, stage.map
-
-
-def build_serial_turbo(outer, interleaver: Sequence[int], inner=None) -> TurboChain:
-    """Chain two encoders through an interleaver over one block.
-
-    `interleaver[i]` names the outer-stream qubit (0-based) feeding inner
-    info slot i; its length fixes the block: a whole number of outer
-    frames whose output is a whole number of inner info loads.
-    """
-    ocode, omap = _code_and_map(outer)
-    perm = tuple(int(i) for i in interleaver)
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("interleaver must be a permutation of 0..len-1")
-    if len(perm) == 0 or len(perm) % ocode.n:
-        raise ValueError("interleaver length must be a whole number of outer frames")
-    oframes = len(perm) // ocode.n
-    if inner is None:
-        return TurboChain(ocode, omap, perm, oframes)
-    icode, imap = _code_and_map(inner)
-    if len(perm) % icode.k:
-        raise ValueError(
-            f"outer stream of {len(perm)} qubits is not a whole number of "
-            f"inner info loads of {icode.k}"
-        )
-    return TurboChain(ocode, omap, perm, oframes, icode, imap, len(perm) // icode.k)

@@ -40,7 +40,7 @@ from qconvenc.library import (
     fgg_transformation_rows,
 )
 from qconvenc.pipeline import synthesize_encoder, verify_encoder
-from qconvenc.simulate import Simulator, estimate_wer, place_at_frame, viterbi_decode
+from qconvenc.simulate import Simulator, estimate_wer, place_at_frame
 from qconvenc.skeleton import (
     MemoryAssignment,
     build_skeleton,
@@ -228,7 +228,7 @@ def test_10_simulation_ml_wer_ordering_and_determinism():
     np.minimum.at(best, synd, wt)
     for s in range(64):
         bits = tuple((s >> i) & 1 for i in range(6))
-        est = viterbi_decode(sim, bits, 0.05)
+        est = sim.decode(bits)
         assert tuple(sim.syndrome(est, nframes)) == bits
         assert est.weight() == best[s], s
 

@@ -269,9 +269,10 @@ def test_completion_search_finds_rate_third_encoder():
     skel = build_skeleton(FGG_CODE)
     asg = assign_memory(skeleton_commutation_matrix(skel))
     partial = PartialMap.from_operators(partial_rows(skel, asg))
-    circ = complete_noncatastrophic(partial, skel, asg)
+    circ, verdict = complete_noncatastrophic(partial, skel, asg)
     v = is_noncatastrophic(circ, 3, 1, 1)
     assert v.non_catastrophic
+    assert verdict == v
 
 
 def test_css_completion_rows_noncatastrophic(gr_synthesis):

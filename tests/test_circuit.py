@@ -158,3 +158,27 @@ def test_wire_roles_both_directions():
     ins, outs = wire_roles(3, 1, 2, "decoder")
     assert ins == ["mem", "mem", "phys", "phys", "phys"]
     assert outs == ["anc", "anc", "info", "mem", "mem"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '{"gates": []}',  # missing width
+        '{"width": 3}',  # missing gates
+        '{"width": "3", "gates": []}',
+        '{"width": true, "gates": []}',
+        '{"width": -1, "gates": []}',
+        '{"width": 3, "gates": "H 1"}',
+        '{"width": 3, "gates": [[]]}',
+        '{"width": 3, "gates": [["H"]]}',
+        '{"width": 3, "gates": [[1, 2]]}',
+        '{"width": 3, "gates": [["H", "1"]]}',
+        '{"width": 3, "gates": [["H", 1.0]]}',
+        '{"width": 2, "gates": [["CNOT", 1, 3]]}',
+    ],
+)
+def test_json_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        circuit_from_json(text)

@@ -304,6 +304,63 @@ def test_simulate_workers_env_matches_serial(files, capsys, tmp_path, monkeypatc
     assert serial_csv.read_text() == par_csv.read_text()
 
 
+@pytest.mark.parametrize(
+    "text", ['{"width": 4, "gates": [["H", 1]', '{"width": 4}', '{"width": 4, "gates": [["H"]]}']
+)
+def test_malformed_json_circuit_is_data_error(files, capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run_cli(
+        capsys, "check", "--code", str(files / "fgg.qcc"), "--encoder", str(bad)
+    )
+    assert code == 65
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["n=3\n", "n=3\nIII\n", "n=3\nXXX|XZY\nIII|III\n"])
+@pytest.mark.parametrize("command", ["info", "synthesize"])
+def test_empty_or_identity_code_is_data_error(capsys, tmp_path, text, command):
+    path = tmp_path / "empty.qcc"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, command, "--code", str(path))
+    assert code == 65
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--frames", "0"), ("--trials", "-2"), ("--frames", "x")])
+def test_simulate_rejects_bad_counts(files, capsys, flag, value):
+    counts = {"--frames": "3", "--trials": "20", flag: value}
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"),
+        "--encoder", str(files / "fgg_enc.circ"), "--p", "0.05",
+        *(item for pair in counts.items() for item in pair),
+    )
+    assert code == 64
+    assert flag in err
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_bad_workers_env_fails_simulate_only(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("QCONVENC_WORKERS", value)
+    assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"),
+        "--encoder", str(files / "fgg_enc.circ"),
+        "--p", "0.05", "--frames", "3", "--trials", "20",
+    )
+    assert code == 64
+    assert "--workers" in err
+    # an explicit flag overrides the environment
+    assert run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"),
+        "--encoder", str(files / "fgg_enc.circ"),
+        "--p", "0.05", "--frames", "3", "--trials", "20", "--workers", "1",
+    )[0] == 0
+
+
 def test_module_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "qconvenc.cli", "info", "--code", str(files / "fgg.qcc")],

@@ -123,3 +123,21 @@ def test_parse_rejects_malformed():
         parse_code("n=3\nXX|XX\n")  # frame width disagrees with header
     with pytest.raises(ParseError):
         parse_code("n=2\npoly: 1+D\n")  # needs an even split of rows... or n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n",  # no generator lines
+        "n=3\n# only a comment\n",
+        "n=3\nIII\n",  # all-identity generator
+        "n=3\nXXX|XZY\nIII|III\n",
+        "n=2\n|\n",  # empty frame list under a known width
+        "XX\nn=3\n",  # header after a generator of another width
+        "n=2\nXX\nn=3\nXXX\n",  # second header changes the width
+        "poly: 1+D^1000\n",  # exponent beyond three digits
+    ],
+)
+def test_parse_rejects_empty_identity_and_ragged_codes(text):
+    with pytest.raises(ParseError):
+        parse_code(text)

@@ -4,12 +4,14 @@ import pytest
 
 from qconvenc import (
     MemoryAssignment,
+    is_noncatastrophic,
     PauliOperator,
     apply_circuit,
     parse_code,
     synthesize_encoder,
     verify_encoder,
 )
+from qconvenc import catastrophic
 from qconvenc.circuit import CliffordCircuit
 from qconvenc.errors import MapConsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE, GR_COMPLETION_ROWS, GR_MEMORY_CHOICE
@@ -103,3 +105,24 @@ def test_default_pipeline_on_tiny_code():
     assert syn.memory == 1
     assert syn.verdict.non_catastrophic
     verify_encoder(syn.code, syn.circuit)
+
+
+def test_synthesis_scans_the_state_graph_once(monkeypatch):
+    # the full 4^m zero-weight scan is the costly part of a GR synthesis;
+    # the completion search's final re-check supplies the reported verdict
+    built = []
+    real = catastrophic.zero_weight_graph
+
+    def counting(*args, **kwargs):
+        built.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catastrophic, "zero_weight_graph", counting)
+    syn = synthesize_encoder(
+        GR_CODE,
+        assignment=MemoryAssignment(6, GR_MEMORY_CHOICE),
+        completion_rows=GR_COMPLETION_ROWS,
+    )
+    assert built == [6]
+    monkeypatch.undo()
+    assert syn.verdict == is_noncatastrophic(syn.circuit, GR_CODE.n, GR_CODE.k, 6)

@@ -14,14 +14,11 @@ from qconvenc.decoder import encoded_logical_operators
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
-    build_serial_turbo,
     estimate_wer,
-    extract_syndrome,
     place_at_frame,
     sample_error,
     syndrome_by_decoder,
     syndrome_by_products,
-    viterbi_decode,
 )
 
 P = PauliOperator.from_string
@@ -117,16 +114,15 @@ def test_single_error_syndrome_by_hand():
     assert bits[0] == 0 and bits[1] == 1  # X vs XXX silent, X vs ZZZ loud
 
 
-def test_syndrome_routes_agree(fgg_reference_encoder, fgg_decoder, fgg_simulator):
+def test_syndrome_routes_agree(fgg_decoder, fgg_simulator):
     rng = np.random.default_rng(7)
     nframes = 4
     for _ in range(100):
         e = sample_error(DepolarizingChannel(0.3), 3 * nframes, rng)
         s1 = syndrome_by_products(FGG_CODE, e, nframes)
-        s2 = extract_syndrome(fgg_reference_encoder, FGG_CODE, e, nframes)
-        s3 = fgg_simulator.syndrome(e, nframes)
-        s4 = syndrome_by_decoder(fgg_decoder, e, nframes)
-        assert s1 == s2 == s3 == s4
+        s2 = fgg_simulator.syndrome(e, nframes)
+        s3 = syndrome_by_decoder(fgg_decoder, e, nframes)
+        assert s1 == s2 == s3
 
 
 def test_syndrome_is_linear(fgg_simulator):
@@ -149,7 +145,7 @@ def test_trellis_equals_exhaustive_ml(fgg_simulator, exhaustive_ml):
     best_w, best_key = exhaustive_ml
     for s in range(1 << (2 * N3)):
         bits = tuple((s >> i) & 1 for i in range(2 * N3))
-        est = viterbi_decode(fgg_simulator, bits, 0.05)
+        est = fgg_simulator.decode(bits)
         assert syndrome_by_products(FGG_CODE, est, N3) == bits
         assert est.weight() == best_w[s]
         assert lexkey(est.x, est.z, W3) == best_key[s]
@@ -162,11 +158,12 @@ def test_decode_is_encoder_independent(fgg_simulator, fgg_synthesis):
         assert fgg_simulator.decode(bits) == other.decode(bits)
 
 
-def test_viterbi_rejects_bad_probability(fgg_simulator):
+def test_viterbi_rejects_bad_probability(fgg_reference_encoder):
+    # the weight metric is maximum likelihood only for 0 <= p < 3/4
     with pytest.raises(ValueError):
-        viterbi_decode(fgg_simulator, (0,) * 6, 0.75)
+        estimate_wer(FGG_CODE, fgg_reference_encoder, 0.75, 3, 1)
     with pytest.raises(ValueError):
-        viterbi_decode(fgg_simulator, (0,) * 6, -0.01)
+        estimate_wer(FGG_CODE, fgg_reference_encoder, -0.01, 3, 1)
 
 
 def test_decode_rejects_wrong_length(fgg_simulator):
@@ -247,46 +244,3 @@ def test_wer_seed_changes_draws(fgg_reference_encoder):
     assert a.seed != b.seed
     # same seed reproduces exactly
     assert a == estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=1)
-
-
-def test_turbo_rate_and_width(fgg_reference_encoder):
-    outer = (FGG_CODE, fgg_reference_encoder)
-    turbo = build_serial_turbo(outer, list(range(9)), outer)
-    assert str(turbo.rate) == "1/9"
-    em = turbo.encode_map()
-    assert em.is_symplectic()
-    rng = np.random.default_rng(12)
-    v = int(rng.integers(1, 1 << 60))
-    p = PauliOperator.from_vec(em.width, v % (1 << (2 * em.width)))
-    assert em.inverse().apply(em.apply(p)) == p
-
-
-def test_turbo_outer_only_matches_outer(fgg_reference_encoder):
-    solo = build_serial_turbo((FGG_CODE, fgg_reference_encoder), list(range(9)))
-    assert str(solo.rate) == "1/3"
-    em = solo.encode_map()
-    assert em.width == 1 + 9  # outer memory + three 3-qubit frames
-    assert em.is_symplectic()
-
-
-def test_turbo_random_interleaver_roundtrip(fgg_reference_encoder):
-    rng = np.random.default_rng(13)
-    outer = (FGG_CODE, fgg_reference_encoder)
-    perm = [int(i) for i in rng.permutation(9)]
-    turbo = build_serial_turbo(outer, perm, outer)
-    em = turbo.encode_map()
-    for _ in range(5):
-        p = PauliOperator(
-            em.width,
-            int(rng.integers(0, 1 << em.width)),
-            int(rng.integers(0, 1 << em.width)),
-        )
-        assert em.inverse().apply(em.apply(p)) == p
-
-
-def test_turbo_validates_interleaver(fgg_reference_encoder):
-    outer = (FGG_CODE, fgg_reference_encoder)
-    with pytest.raises(ValueError):
-        build_serial_turbo(outer, [0, 0, 1])  # not a permutation
-    with pytest.raises(ValueError):
-        build_serial_turbo(outer, list(range(4)))  # not a whole frame count
