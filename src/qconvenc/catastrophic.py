@@ -3,9 +3,9 @@
 A streamed encoder is catastrophic when some input stream that never stops
 carrying logical content produces only finitely many non-identity physical
 frames.  Any such stream eventually loops through memory states while
-emitting identity frames, so the test is: restrict the memory state
-diagram to transitions whose physical side is the identity and look for a
-cycle with positive logical weight.
+emitting identity frames, so the criterion (Grassl and Roetteler, ISIT
+2006) is: restrict the memory state diagram to transitions whose physical
+side is the identity and look for a cycle with positive logical weight.
 
 For an encoder the physical side is the *output*, so edges are found by
 pulling (identity physical, target memory) back through the inverse map;
@@ -15,12 +15,28 @@ received *input* and edges are forward images of (memory, identity).  In
 both directions ancilla/syndrome coordinates must stay in {I, Z}: those
 wires hold prepared or measured |0> states, so X content there would make
 the transition unrealizable.
+
+Each of these transitions is GF(2)-linear in the 2m-bit memory state s it
+is keyed by: it leads to the state T s, puts A s on the X part of the
+ancilla/syndrome wires and L s on the info wires, and it exists exactly
+when A s = 0.  So the diagram is decided by linear algebra instead of a
+walk over the 4^m states.  A state whose whole T-trajectory keeps A = 0
+lies in V, the largest T-stable subspace of ker A.  T maps V into itself,
+and V splits (Fitting) into a part T eventually sends to 0 and the
+periodic part P = T^dim V (V), on which T is invertible.  Every state of
+P therefore returns to itself, and a state on a cycle is a power of T
+applied to itself, so it lies in P: the zero-weight cycles are exactly the
+T-orbits in P.  The map is catastrophic exactly when L is nonzero on P,
+that is on some basis vector b of P, and the T-orbit of b is a witness.
+
+`zero_weight_graph` still enumerates the whole diagram, for display; no
+verdict uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
@@ -83,9 +99,6 @@ class ZeroWeightGraph:
     direction: str
     edges: Dict[int, ZeroWeightEdge] = field(repr=False)
 
-    def next_state(self, edge: ZeroWeightEdge) -> PauliOperator:
-        return edge.before if self.direction == "encoder" else edge.after
-
 
 def _encoder_edge(inv: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
     after = PauliOperator.from_vec(m, state_vec)
@@ -138,105 +151,102 @@ def zero_weight_graph(
 
 @dataclass(frozen=True)
 class CatastrophicityVerdict:
-    """non_catastrophic is None when the question was left undecided
-    (memory above the enumeration cap without a trivial admissible
-    subgroup).  A witness cycle, in forward-time order, is attached
-    exactly when the answer is 'catastrophic'."""
+    """A witness cycle, in forward-time order, is attached exactly when
+    the answer is 'catastrophic'."""
 
-    non_catastrophic: Optional[bool]
+    non_catastrophic: bool
     direction: str
     witness: Optional[Tuple[ZeroWeightEdge, ...]] = None
-    note: str = ""
 
     def __post_init__(self):
         if (self.non_catastrophic is False) != (self.witness is not None):
             raise ValueError("witness must be present exactly for catastrophic verdicts")
 
 
-def _scan_cycles(
-    graph: ZeroWeightGraph,
-    states: Optional[Iterable[int]] = None,
-) -> Optional[Tuple[ZeroWeightEdge, ...]]:
-    """First positive-logical-weight cycle found, in iteration order."""
-    allowed = None if states is None else set(states)
-    starts = range(1 << (2 * graph.m)) if allowed is None else sorted(allowed)
-    done: set = set()
-    for s0 in starts:
-        if s0 in done:
-            continue
-        pos: Dict[int, int] = {}
-        path: List[ZeroWeightEdge] = []
-        cur = s0
-        while True:
-            if cur in done:
-                break
-            if cur in pos:
-                cycle = tuple(path[pos[cur]:])
-                if sum(e.logical_weight for e in cycle) > 0:
-                    return cycle
-                break
-            edge = graph.edges.get(cur)
-            if edge is None:
-                break
-            nxt = graph.next_state(edge).vec()
-            pos[cur] = len(path)
-            path.append(edge)
-            if allowed is not None and nxt not in allowed:
-                # cycle states all lie in the admissible commutant, so a
-                # trajectory that leaves it can never close up
-                break
-            cur = nxt
-        done.update(pos)
+def _field(v: int, w: int, lo: int, size: int) -> int:
+    """Packed vector of qubits [lo, lo + size) of a packed width-w vector."""
+    mask = (1 << size) - 1
+    return ((v >> lo) & mask) | (((v >> (w + lo)) & mask) << size)
+
+
+def _transpose(images: List[int], nbits: int) -> List[int]:
+    return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
+
+
+def _cycle_state(
+    edge_map: SymplecticMap, n: int, k: int, m: int, direction: str
+) -> Optional[Tuple[int, List[int]]]:
+    """A memory state on a zero-weight cycle with nonzero info part, and the
+    images of T; None when no such state exists.
+
+    `edge_map` is the inverse map for an encoder and the map itself for a
+    decoder.  Its rows for memory X_i and Z_i (output wires n + i for an
+    encoder, input wires i for a decoder) are the edges keyed by those
+    basis states, so T, A and L are read off them without applying the map.
+    """
+    w = m + n
+    if direction == "encoder":  # preimage layout (memory, ancilla, info)
+        src, mem, anc, info = n, 0, m, m + n - k
+    else:  # image layout (syndrome, info, memory)
+        src, mem, anc, info = 0, n, 0, n - k
+    ts, xs, ls = [], [], []
+    for i in [*range(src, src + m), *range(w + src, w + src + m)]:
+        r = edge_map.rows[i]
+        ts.append(_field(r, w, mem, m))
+        xs.append((r >> anc) & ((1 << (n - k)) - 1))
+        ls.append(_field(r, w, info, k))
+    # V, the largest T-stable subspace of ker A, is the common kernel of
+    # A, A T, ..., A T^(2m-1) (Cayley-Hamilton bounds the powers needed)
+    pull = _transpose(ts, 2 * m)
+    funcs = frontier = _transpose(xs, n - k)
+    for _ in range(2 * m - 1):
+        frontier = gf2.matmul(frontier, pull)
+        funcs = funcs + frontier
+    basis = gf2.nullspace(funcs, 2 * m)
+    # the images T^j(V) shrink until T is invertible on them: the periodic part P
+    while True:
+        image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
+        if len(image) == len(basis):
+            break
+        basis = image
+    for b, lb in zip(basis, gf2.matmul(basis, ls)):
+        if lb:
+            return b, ts
     return None
 
 
-def _orient_forward(graph: ZeroWeightGraph, cycle: Tuple[ZeroWeightEdge, ...]) -> Tuple[ZeroWeightEdge, ...]:
-    return tuple(reversed(cycle)) if graph.direction == "encoder" else cycle
-
-
 def _verdict(
-    c: Union[CliffordCircuit, SymplecticMap],
-    n: int,
-    k: int,
-    m: int,
-    direction: str,
-    admissible: Optional[Sequence[PauliOperator]],
+    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int, direction: str
 ) -> CatastrophicityVerdict:
-    if m <= ENUM_CAP:
-        graph = zero_weight_graph(c, n, k, m, direction)
-        bad = _scan_cycles(graph)
-        if bad is None:
-            return CatastrophicityVerdict(True, direction)
-        return CatastrophicityVerdict(False, direction, _orient_forward(graph, bad))
-    if admissible is not None and all(g.is_identity() for g in admissible):
-        return CatastrophicityVerdict(
-            True, direction, note="memory above enumeration cap; admissible subgroup trivial"
-        )
-    return CatastrophicityVerdict(
-        None, direction, note=f"memory {m} above enumeration cap {ENUM_CAP}"
-    )
+    smap = as_symplectic(c)
+    if smap.width != m + n:
+        raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
+    edge_map = smap.inverse() if direction == "encoder" else smap
+    found = _cycle_state(edge_map, n, k, m, direction)
+    if found is None:
+        return CatastrophicityVerdict(True, direction)
+    b, ts = found
+    orbit = [b]
+    while (s := gf2.matmul(orbit[-1:], ts)[0]) != b:
+        orbit.append(s)
+    if direction == "encoder":
+        # the edge keyed by s leads back in time to T s: reverse for forward order
+        cycle = tuple(_encoder_edge(edge_map, n, k, m, s) for s in reversed(orbit))
+    else:
+        cycle = tuple(_decoder_edge(edge_map, n, k, m, s) for s in orbit)
+    return CatastrophicityVerdict(False, direction, cycle)
 
 
 def is_noncatastrophic(
-    c: Union[CliffordCircuit, SymplecticMap],
-    n: int,
-    k: int,
-    m: int,
-    *,
-    admissible: Optional[Sequence[PauliOperator]] = None,
+    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int
 ) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "encoder", admissible)
+    return _verdict(c, n, k, m, "encoder")
 
 
 def is_noncatastrophic_decoder(
-    c: Union[CliffordCircuit, SymplecticMap],
-    n: int,
-    k: int,
-    m: int,
-    *,
-    admissible: Optional[Sequence[PauliOperator]] = None,
+    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int
 ) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "decoder", admissible)
+    return _verdict(c, n, k, m, "decoder")
 
 
 def admissible_cycle_states(
@@ -271,10 +281,6 @@ def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[Pauli
     return [PauliOperator.from_vec(m, v) for v in sorted(elems)]
 
 
-def _mem_direction_vec(d: PauliOperator, n: int) -> int:
-    return tensor(d, PauliOperator.identity(n)).vec()
-
-
 def complete_noncatastrophic(
     p: PartialMap,
     skeleton: TransformationSkeleton,
@@ -284,44 +290,31 @@ def complete_noncatastrophic(
 ) -> Tuple[CliffordCircuit, CatastrophicityVerdict]:
     """Extend p with rows for unfixed memory directions until the
     synthesized encoder is non-catastrophic; returns the circuit and the
-    verdict of its unrestricted re-check.
+    verdict of its leaf check.
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are walked in
     increasing packed-vector order, depth-first, subject to the symplectic
-    products forced by all rows fixed so far.  Full completions are tested
-    via the admissible-subgroup-restricted cycle scan (exact, because all
-    cycle states lie in that subgroup), and the returned circuit is
-    re-verified with the unrestricted verdict.
+    products forced by all rows fixed so far.  Each full completion is
+    checked with the exact catastrophicity test.
     """
     check_consistency(p)
     n, k, m = skeleton.n, skeleton.k, assignment.m
     w = m + n
-    gens = admissible_cycle_states(skeleton, assignment)
-    admissible_vecs = [e.vec() for e in subgroup_elements(gens, m)]
 
     span = [row[0] for row in p.rows]
     directions: List[int] = []
-    for kind in ("X", "Z"):
-        for q in range(m):
-            u = _mem_direction_vec(PauliOperator.single(m, q, kind), n)
-            if not gf2.in_span(span + directions, u):
-                directions.append(u)
+    # memory X_q then Z_q on input wire q, as packed width-w vectors
+    for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
+        if not gf2.in_span(span + directions, u):
+            directions.append(u)
 
     budget = [max_candidates]
 
     def leaf_check(rows_acc: List[Tuple[int, int]]) -> Optional[SymplecticMap]:
         budget[0] -= 1
         smap = complete_to_symplectic(PartialMap(w, tuple(rows_acc)))
-        # probe only the admissible states: cycles cannot leave the commutant
-        inv = smap.inverse()
-        edges = {}
-        for s in admissible_vecs:
-            e = _encoder_edge(inv, n, k, m, s)
-            if e is not None:
-                edges[s] = e
-        graph = ZeroWeightGraph(m, n, k, "encoder", edges)
-        if _scan_cycles(graph, admissible_vecs) is None:
+        if _cycle_state(smap.inverse(), n, k, m, "encoder") is None:
             return smap
         return None
 
@@ -341,15 +334,13 @@ def complete_noncatastrophic(
         if len(null) > _MAX_BRANCH_BITS:
             raise CompletionSearchExhausted(
                 f"candidate space at direction {level + 1} has 2^{len(null)} "
-                "elements; refusing to enumerate",
-                admissible=gens,
+                "elements; refusing to enumerate"
             )
         cands = sorted(_affine_span(v0, null))
         for v in cands:
             if budget[0] <= 0:
                 raise CompletionSearchExhausted(
-                    f"no non-catastrophic completion within {max_candidates} candidates",
-                    admissible=gens,
+                    f"no non-catastrophic completion within {max_candidates} candidates"
                 )
             found = dfs(rows_acc + [(u, v)], level + 1)
             if found is not None:
@@ -358,17 +349,8 @@ def complete_noncatastrophic(
 
     smap = dfs(list(p.rows), 0)
     if smap is None:
-        raise CompletionSearchExhausted(
-            "every consistent completion is catastrophic", admissible=gens
-        )
-    circuit = synthesize_circuit(smap)
-    final = is_noncatastrophic(smap, n, k, m, admissible=gens)
-    if final.non_catastrophic is not True:
-        raise CompletionSearchExhausted(
-            "restricted scan accepted a completion the full scan rejects",
-            admissible=gens,
-        )
-    return circuit, final
+        raise CompletionSearchExhausted("every consistent completion is catastrophic")
+    return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
 
 
 def _affine_span(base: int, null: List[int]) -> List[int]:

@@ -5,10 +5,12 @@ minimal-memory encoder, `check` verifies a circuit against a code and
 settles catastrophicity, `derive-decoder` produces the matching online
 decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
-Exit codes: 0 success; 1 catastrophic verdict (check); 2 analysis
-inconclusive (verdict unknown, or completion search exhausted); 64 bad
-usage; 65 unreadable/invalid input data; 70 internal consistency
-violation (a circuit or skeleton that contradicts itself).
+Exit codes: 0 success; 1 catastrophic verdict (check, which always
+settles the verdict); 2 completion search exhausted (synthesize); 64 bad
+usage; 65 unreadable/invalid input data, including a circuit that does
+not realize its code and an encoder too wide for the simulate trellis; 70
+internal consistency violation (a skeleton or synthesis that contradicts
+itself).
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import csv
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .catastrophic import MAX_CANDIDATES, is_noncatastrophic
 from .circuit import (
     CliffordCircuit,
+    SymplecticMap,
     as_symplectic,
     circuit_from_json,
     circuit_to_json,
@@ -35,6 +38,7 @@ from .decoder import derive_online_decoder
 from .errors import (
     CodeValidationError,
     CompletionSearchExhausted,
+    InputDataError,
     MapConsistencyError,
     OrbitError,
     ParseError,
@@ -45,6 +49,7 @@ from .errors import (
 from .pipeline import synthesize_encoder, verify_encoder
 from .simulate import estimate_wer
 from .skeleton import (
+    MemoryAssignment,
     TransformationSkeleton,
     build_skeleton,
     minimal_memory,
@@ -85,6 +90,17 @@ def _read_circuit(path: str) -> CliffordCircuit:
     return parse_circuit(text)
 
 
+def _read_encoder(args: argparse.Namespace) -> Tuple[ConvolutionalCode, SymplecticMap, MemoryAssignment]:
+    """The code and the map of the encoder circuit checked against it."""
+    code = _read_code(args.code)
+    smap = as_symplectic(_read_circuit(args.encoder))
+    try:
+        assignment = verify_encoder(code, smap)
+    except MapConsistencyError as exc:  # a fault of the input, not of the package
+        raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
+    return code, smap, assignment
+
+
 def _write_circuit(path: str, circuit: CliffordCircuit, n: int, k: int, m: int, direction: str) -> None:
     if path.endswith(".json"):
         ins, outs = wire_roles(n, k, m, direction)
@@ -95,9 +111,7 @@ def _write_circuit(path: str, circuit: CliffordCircuit, n: int, k: int, m: int, 
         fh.write(payload)
 
 
-def _verdict_word(flag: Optional[bool]) -> str:
-    if flag is None:
-        return "unknown"
+def _verdict_word(flag: bool) -> str:
     return "non-catastrophic" if flag else "catastrophic"
 
 
@@ -170,9 +184,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    code = _read_code(args.code)
-    smap = as_symplectic(_read_circuit(args.encoder))
-    assignment = verify_encoder(code, smap)  # raises on a broken circuit
+    code, smap, assignment = _read_encoder(args)
     matrix = skeleton_commutation_matrix(build_skeleton(code))
     verdict = is_noncatastrophic(smap, code.n, code.k, assignment.m)
     report = {
@@ -181,22 +193,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "minimal_memory": minimal_memory(matrix),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
-    if verdict.note:
-        report["note"] = verdict.note
-    lines = None
     if args.witness and verdict.witness is not None:
         lines = _render_witness(verdict.witness)
         report["witness"] = lines if args.as_json else "\n" + "\n".join(lines)
     _emit(report, args)
-    if verdict.non_catastrophic is None:
-        return EX_INCONCLUSIVE
     return EX_OK if verdict.non_catastrophic else EX_CATASTROPHIC
 
 
 def _cmd_derive_decoder(args: argparse.Namespace) -> int:
-    code = _read_code(args.code)
-    smap = as_symplectic(_read_circuit(args.encoder))
-    verify_encoder(code, smap)
+    code, smap, _ = _read_encoder(args)
     result = derive_online_decoder(code, smap)
     report = {
         "decoder_memory": result.memory,
@@ -224,9 +229,7 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    code = _read_code(args.code)
-    smap = as_symplectic(_read_circuit(args.encoder))
-    verify_encoder(code, smap)
+    code, smap, _ = _read_encoder(args)
     rows = []
     for p in args.p:
         res = estimate_wer(
@@ -276,7 +279,7 @@ def run(args: argparse.Namespace) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, CodeValidationError, OSError) as exc:
+    except (ParseError, CodeValidationError, InputDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
     except CompletionSearchExhausted as exc:

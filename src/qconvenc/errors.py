@@ -11,6 +11,11 @@ class ParseError(QconvError):
     """Malformed Pauli string, circuit text or code file."""
 
 
+class InputDataError(QconvError, ValueError):
+    """Input that parses but cannot be used: a circuit that does not
+    realize its code, or an encoder too wide for the trellis."""
+
+
 class CodeValidationError(QconvError):
     """A framed generator set fails the shifted commutation requirement."""
 
@@ -45,7 +50,3 @@ class TrellisError(QconvError):
 
 class CompletionSearchExhausted(QconvError):
     """No non-catastrophic completion found within the search budget."""
-
-    def __init__(self, message: str, admissible=None):
-        self.admissible = admissible
-        super().__init__(message)

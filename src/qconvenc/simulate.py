@@ -34,7 +34,7 @@ import numpy as np
 from .circuit import SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .decoder import DecoderResult
-from .errors import TrellisError
+from .errors import InputDataError, TrellisError
 from .pauli import PauliOperator
 
 __all__ = [
@@ -206,7 +206,9 @@ class Simulator:
         if m < 0:
             raise ValueError("encoder narrower than one frame")
         if m + n > 12:
-            raise ValueError("trellis precompute enumerates 4^(m+n) branches; m+n capped at 12")
+            raise InputDataError(
+                f"the trellis enumerates 4^(m+n) branches; m + n = {m + n} exceeds the cap of 12"
+            )
         self.code = code
         self.smap = smap
         self.inv = smap.inverse()

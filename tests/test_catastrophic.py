@@ -1,9 +1,9 @@
 """Zero-weight cycle detection, cross-checked by exhaustive enumeration.
 
-The implementation walks the functional transition diagram; the oracle
-here rebuilds the full edge list by brute force over every (memory state,
-valid frame input) pair and decides catastrophicity by reachability, so
-the two routes share no code.
+The implementation decides catastrophicity by GF(2) linear algebra on the
+memory state; the oracle here rebuilds the full edge list by brute force
+over every (memory state, valid frame input) pair and decides by
+reachability, so the two routes share no code.
 """
 
 import random
@@ -145,6 +145,39 @@ def test_toy_cnot_encoder_catastrophic():
     assert sorted(heads) == sorted(tails)
 
 
+def assert_witness_cycle(smap, n, k, m, verdict):
+    """The witness is a cycle of edges the map realizes with an identity
+    physical side and X-free ancilla/syndrome wires, carrying logicals."""
+    w = verdict.witness
+    for e in w:
+        assert not e.ancilla.x
+        if verdict.direction == "encoder":
+            out = smap.apply(tensor(e.before, e.ancilla, e.logical))
+            assert out == tensor(PauliOperator.identity(n), e.after)
+        else:
+            out = smap.apply(tensor(e.before, PauliOperator.identity(n)))
+            assert out == tensor(e.ancilla, e.logical, e.after)
+    for i, e in enumerate(w):
+        assert e.after == w[(i + 1) % len(w)].before
+    assert sum(e.logical_weight for e in w) > 0
+
+
+@pytest.mark.parametrize("check", [is_noncatastrophic, is_noncatastrophic_decoder])
+def test_witness_is_a_long_cycle(check):
+    # the first seeded m = 2 map whose witness cycle has more than one edge
+    rng = random.Random(3)
+    m, n, k = 2, 2, 1
+    for _ in range(200):
+        smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rng))
+        v = check(smap, n, k, m)
+        if v.witness is not None and len(v.witness) > 1:
+            break
+    else:
+        pytest.fail("no multi-edge witness among the seeded maps")
+    assert not brute_force_noncatastrophic(smap, n, k, m, v.direction)
+    assert_witness_cycle(smap, n, k, m, v)
+
+
 def test_toy_cnot_decoder_catastrophic():
     v = is_noncatastrophic_decoder(TOY_CNOT, 1, 1, 1)
     assert not v.non_catastrophic
@@ -191,7 +224,7 @@ def test_verdicts_match_brute_force_corpus(
 
 def test_verdicts_match_brute_force_random():
     rng = random.Random(50)
-    shapes = [(1, 2, 1), (2, 2, 1), (2, 3, 2), (1, 1, 1), (2, 1, 1)]
+    shapes = [(1, 2, 1), (2, 2, 1), (2, 3, 2), (1, 1, 1), (2, 1, 1), (3, 2, 1), (4, 2, 1)]
     for trial in range(60):
         m, n, k = shapes[trial % len(shapes)]
         smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rng))

@@ -1,7 +1,8 @@
 """End-to-end command line checks, mostly in process through main().
 
-Exit codes under test: 0 ok, 1 catastrophic, 2 inconclusive, 64 usage,
-65 bad input data, 70 internal consistency violation.
+Exit codes under test: 0 ok, 1 catastrophic, 2 completion search
+exhausted, 64 usage, 65 bad input data (including a circuit that does not
+realize its code), 70 internal consistency violation.
 """
 
 import csv
@@ -12,9 +13,10 @@ import sys
 import pytest
 
 from conftest import CATASTROPHIC_CODE_TEXT
-from qconvenc import parse_circuit, render_code
+from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, render_code
+from qconvenc.circuit import circuit_to_text
 from qconvenc.cli import main
-from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, FGG_ENCODER_TEXT, GR_CODE
+from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, FGG_ENCODER, FGG_ENCODER_TEXT, GR_CODE
 from qconvenc.simulate import estimate_wer
 from qconvenc.synthesis import synthesize_circuit
 
@@ -32,6 +34,17 @@ def files(tmp_path_factory, catastrophic_encoder_map):
     ) + "\n")
     (d / "broken.qcc").write_text("n=3\nXX|XX\n")  # width 2 rows under n=3
     return d
+
+
+def padded_fgg(extra: int) -> str:
+    """The published FGG encoder with `extra` >= 3 idle memory qubits: its
+    gates act on wires 1 and extra+2..extra+4, then three swaps bring the
+    emitted frame to wires 1-3 and the memory to wire 4, leaving the idle
+    memory on wires 5 onwards."""
+    wire = {1: 1, 2: extra + 2, 3: extra + 3, 4: extra + 4}
+    gates = [CliffordGate(g.kind, tuple(wire[q] for q in g.qubits)) for g in FGG_ENCODER.gates]
+    gates += [CliffordGate("SWAP", (q, extra + q)) for q in (2, 3, 4)]
+    return circuit_to_text(CliffordCircuit(extra + 4, tuple(gates)))
 
 
 def run_cli(capsys, *argv):
@@ -141,7 +154,7 @@ def test_check_reference_encoder(files, capsys):
     assert "verdict: non-catastrophic" in out
 
 
-def test_check_broken_circuit_is_internal_error(files, capsys):
+def test_check_broken_circuit_is_data_error(files, capsys):
     lines = FGG_ENCODER_TEXT.strip().splitlines()
     bad = files / "fgg_bad.circ"
     bad.write_text("\n".join(lines[:-1]) + "\n")  # drop the final gate
@@ -149,8 +162,50 @@ def test_check_broken_circuit_is_internal_error(files, capsys):
         capsys,
         "check", "--code", str(files / "fgg.qcc"), "--encoder", str(bad),
     )
-    assert code == 70
-    assert "internal consistency violation" in err
+    assert code == 65
+    assert "error: input circuit does not realize the code: generator" in err
+
+
+@pytest.mark.parametrize("command", ["check", "derive-decoder", "simulate"])
+def test_circuit_not_realizing_code_is_data_error(files, capsys, tmp_path, command):
+    ident = tmp_path / "ident.circ"
+    ident.write_text("# width: 14\n")
+    extra = ["--p", "0.05", "--frames", "3", "--trials", "5"] if command == "simulate" else []
+    code, _, err = run_cli(
+        capsys, command, "--code", str(files / "fgg.qcc"), "--encoder", str(ident), *extra
+    )
+    assert code == 65
+    assert err.strip().splitlines() == [
+        "error: input circuit does not realize the code: generator 1, frame 1: "
+        "circuit emits III but the code requires XXX"
+    ]
+
+
+def test_check_settles_memory_above_old_enumeration_cap(capsys, files, tmp_path):
+    # eleven memory qubits used to exceed the state-graph cap and exit 2
+    enc = tmp_path / "fgg_m11.circ"
+    enc.write_text(padded_fgg(10))
+    code, out, _ = run_cli(
+        capsys, "check", "--json", "--code", str(files / "fgg.qcc"), "--encoder", str(enc)
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["memory"] == 11 and report["minimal_memory"] == 1
+    assert report["verdict"] == "non-catastrophic"
+    assert "note" not in report
+
+
+def test_simulate_above_trellis_cap_is_data_error(capsys, files, tmp_path):
+    enc = tmp_path / "fgg_w13.circ"
+    enc.write_text(padded_fgg(9))  # m + n = 10 + 3
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(enc),
+        "--p", "0.05", "--frames", "3", "--trials", "5",
+    )
+    assert code == 65
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "m + n = 13" in lines[0] and "cap of 12" in lines[0]
 
 
 def test_check_catastrophic_with_witness(files, capsys):

@@ -1,14 +1,22 @@
-"""Property tests for the input parsers: any text either parses or is
-refused with a documented input error, never with a stray exception."""
+"""Property tests for the inputs: any text either parses or is refused
+with a documented input error, and `check` on any small circuit exits with
+a documented code, never with a stray exception."""
 
+import contextlib
+import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconvenc.circuit import circuit_from_json
+from conftest import CATASTROPHIC_CODE_TEXT, GATE_KINDS
+from qconvenc.circuit import CliffordCircuit, CliffordGate, circuit_from_json, circuit_to_text, parse_circuit
+from qconvenc.cli import main
 from qconvenc.code import parse_code
 from qconvenc.errors import CodeValidationError, ParseError
+from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER
+from qconvenc.synthesis import synthesize_circuit
 
 # code files: header, generator and polynomial lines built from the
 # format's own alphabet, so most lines get past the first character
@@ -33,6 +41,16 @@ _CIRCUIT_DOC = st.fixed_dictionaries(
         "gates": st.lists(_GATE | _JSON, max_size=4) | _JSON,
     },
 )
+# gate-per-line circuits: gate words with qubit fields, width comments,
+# and free text
+_GATE_LINE = st.builds(
+    "{} {}".format,
+    st.sampled_from(["H", "P", "CNOT", "cz", "SWAP", "X", "#", ""]),
+    st.text(alphabet="0123456789-+ ", max_size=8),
+)
+_WIDTH_LINE = st.builds("# width{}".format, st.text(alphabet="0123456789-: x", max_size=6))
+_GATE_TEXT = st.lists(_GATE_LINE | _WIDTH_LINE | st.text(max_size=12), max_size=6).map("\n".join)
+
 _CIRCUIT_TEXT = st.one_of(st.text(max_size=40), _JSON.map(json.dumps), _CIRCUIT_DOC.map(json.dumps))
 
 
@@ -52,3 +70,54 @@ def test_circuit_from_json_succeeds_or_refuses(text):
         circuit_from_json(text)
     except (ParseError, CodeValidationError):
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GATE_TEXT)
+def test_parse_circuit_succeeds_or_refuses(text):
+    try:
+        parse_circuit(text)
+    except ParseError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def check_inputs(tmp_path_factory, catastrophic_encoder_map):
+    """A directory with both codes, and each code's known encoder."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "fgg.qcc").write_text(FGG_CODE_TEXT)
+    (d / "tiny.qcc").write_text(CATASTROPHIC_CODE_TEXT)
+    return d, {"fgg": FGG_ENCODER, "tiny": synthesize_circuit(catastrophic_encoder_map)}
+
+
+def _gate(kind, a, b, width):
+    if width < 2:
+        kind = "H" if kind in ("CNOT", "CZ", "SWAP") else kind
+    if kind in ("H", "P"):
+        return CliffordGate(kind, (a % width + 1,))
+    # the second qubit is a nonzero offset from the first, so they differ
+    return CliffordGate(kind, (a % width + 1, (a + 1 + b % (width - 1)) % width + 1))
+
+
+# a random circuit of width <= 8, or a known encoder cut short and followed
+# by random gates (some of these realize the code and reach the verdict)
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.sampled_from(["fgg", "tiny"]),
+    known=st.booleans(),
+    width=st.integers(0, 8),
+    keep=st.integers(0, 30),
+    extra=st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 7), st.integers(0, 7)), max_size=8),
+)
+def test_check_exits_with_documented_code(check_inputs, code, known, width, keep, extra):
+    d, encoders = check_inputs
+    base = encoders[code].gates[:keep] if known else ()
+    if known:
+        width = encoders[code].width
+    gates = base + tuple(_gate(kind, a, b, width) for kind, a, b in extra if width)
+    enc = d / f"{code}.circ"
+    enc.write_text(circuit_to_text(CliffordCircuit(width, gates)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["check", "--witness", "--code", str(d / f"{code}.qcc"), "--encoder", str(enc)])
+    assert status in (0, 1, 65), err.getvalue()

@@ -108,21 +108,22 @@ def test_default_pipeline_on_tiny_code():
 
 
 def test_synthesis_scans_the_state_graph_once(monkeypatch):
-    # the full 4^m zero-weight scan is the costly part of a GR synthesis;
-    # the completion search's final re-check supplies the reported verdict
+    # the completion search's leaf check is the exact linear-algebra test
+    # and supplies the reported verdict: neither the 4^m state graph nor the
+    # admissible subgroup is ever enumerated
     built = []
-    real = catastrophic.zero_weight_graph
 
-    def counting(*args, **kwargs):
-        built.append(args[3])
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(catastrophic, name)
+        return lambda *args, **kwargs: built.append(name) or real(*args, **kwargs)
 
-    monkeypatch.setattr(catastrophic, "zero_weight_graph", counting)
+    for name in ("zero_weight_graph", "subgroup_elements"):
+        monkeypatch.setattr(catastrophic, name, counting(name))
     syn = synthesize_encoder(
         GR_CODE,
         assignment=MemoryAssignment(6, GR_MEMORY_CHOICE),
         completion_rows=GR_COMPLETION_ROWS,
     )
-    assert built == [6]
+    assert built == []
     monkeypatch.undo()
     assert syn.verdict == is_noncatastrophic(syn.circuit, GR_CODE.n, GR_CODE.k, 6)
