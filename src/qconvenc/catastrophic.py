@@ -36,6 +36,7 @@ verdict uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
@@ -150,17 +151,46 @@ def zero_weight_graph(
 
 
 @dataclass(frozen=True)
+class _CycleSeed:
+    """A state b on a zero-weight cycle with nonzero info part, with the
+    edge map and the images `ts` of T that walk its orbit."""
+
+    edge_map: SymplecticMap
+    n: int
+    k: int
+    m: int
+    direction: str
+    b: int
+    ts: Tuple[int, ...]
+
+    def walk(self) -> Tuple[ZeroWeightEdge, ...]:
+        orbit = [self.b]
+        while (s := gf2.matmul(orbit[-1:], list(self.ts))[0]) != self.b:
+            orbit.append(s)
+        args = (self.edge_map, self.n, self.k, self.m)
+        if self.direction == "encoder":
+            # the edge keyed by s leads back in time to T s: reverse for forward order
+            return tuple(_encoder_edge(*args, s) for s in reversed(orbit))
+        return tuple(_decoder_edge(*args, s) for s in orbit)
+
+
+@dataclass(frozen=True)
 class CatastrophicityVerdict:
     """A witness cycle, in forward-time order, is attached exactly when
-    the answer is 'catastrophic'."""
+    the answer is 'catastrophic'.  Its T-orbit (up to 4^m - 1 edges) is
+    walked the first time `witness` is read."""
 
     non_catastrophic: bool
     direction: str
-    witness: Optional[Tuple[ZeroWeightEdge, ...]] = None
+    seed: Optional[_CycleSeed] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.non_catastrophic is False) != (self.witness is not None):
-            raise ValueError("witness must be present exactly for catastrophic verdicts")
+        if (self.non_catastrophic is False) != (self.seed is not None):
+            raise ValueError("a cycle must be present exactly for catastrophic verdicts")
+
+    @cached_property
+    def witness(self) -> Optional[Tuple[ZeroWeightEdge, ...]]:
+        return None if self.seed is None else self.seed.walk()
 
 
 def _field(v: int, w: int, lo: int, size: int) -> int:
@@ -226,15 +256,7 @@ def _verdict(
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
-    orbit = [b]
-    while (s := gf2.matmul(orbit[-1:], ts)[0]) != b:
-        orbit.append(s)
-    if direction == "encoder":
-        # the edge keyed by s leads back in time to T s: reverse for forward order
-        cycle = tuple(_encoder_edge(edge_map, n, k, m, s) for s in reversed(orbit))
-    else:
-        cycle = tuple(_decoder_edge(edge_map, n, k, m, s) for s in orbit)
-    return CatastrophicityVerdict(False, direction, cycle)
+    return CatastrophicityVerdict(False, direction, _CycleSeed(edge_map, n, k, m, direction, b, tuple(ts)))
 
 
 def is_noncatastrophic(

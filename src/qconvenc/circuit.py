@@ -34,6 +34,10 @@ __all__ = [
 
 _ARITY = {"H": 1, "P": 1, "CNOT": 2, "CZ": 2, "SWAP": 2}
 
+# widest circuit accepted: its symplectic matrix has 2 * width rows of
+# 2 * width bits, so a declared width is checked before anything is built
+MAX_WIDTH = 1024
+
 
 @dataclass(frozen=True)
 class CliffordGate:
@@ -62,6 +66,8 @@ class CliffordCircuit:
     def __post_init__(self):
         if self.width < 0:
             raise ParseError(f"circuit width {self.width} is negative")
+        if self.width > MAX_WIDTH:
+            raise ParseError(f"circuit width {self.width} exceeds the cap of {MAX_WIDTH} qubits")
         for g in self.gates:
             if max(g.qubits) > self.width:
                 raise ParseError(f"gate {g} exceeds circuit width {self.width}")

@@ -8,7 +8,8 @@ decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict); 2 completion search exhausted (synthesize); 64 bad
 usage; 65 unreadable/invalid input data, including a circuit that does
-not realize its code and an encoder too wide for the simulate trellis; 70
+not realize its code, a circuit wider than `circuit.MAX_WIDTH` and an
+encoder too wide for the simulate trellis; 70
 internal consistency violation (a skeleton or synthesis that contradicts
 itself).
 """
@@ -47,7 +48,7 @@ from .errors import (
     TrellisError,
 )
 from .pipeline import synthesize_encoder, verify_encoder
-from .simulate import estimate_wer
+from .simulate import Simulator, estimate_wer
 from .skeleton import (
     MemoryAssignment,
     TransformationSkeleton,
@@ -230,13 +231,11 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     code, smap, _ = _read_encoder(args)
-    rows = []
-    for p in args.p:
-        res = estimate_wer(
-            code, smap, p, args.frames, args.trials,
-            seed=args.seed, workers=args.workers,
-        )
-        rows.append(res)
+    sim = Simulator(code, smap)  # one trellis for every p
+    rows = [
+        estimate_wer(code, sim, p, args.frames, args.trials, seed=args.seed, workers=args.workers)
+        for p in args.p
+    ]
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
     table = [
         [r.p, r.frames, r.trials, r.failures, r.word_error_rate, r.confidence_halfwidth, r.seed]

@@ -248,6 +248,8 @@ def parse_code(text: str) -> ConvolutionalCode:
         raise ParseError("code has no generator lines")
     if any(g.frame_width != n for g in gens):
         raise ParseError(f"generator frame widths disagree with the header n={n}")
+    if len(gens) > n:
+        raise ParseError(f"{len(gens)} generators on n={n} qubits per frame leave k < 0")
     code = ConvolutionalCode(n, tuple(gens))
     validate(code)
     return code

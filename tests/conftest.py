@@ -73,6 +73,11 @@ def fgg_simulator(fgg_reference_encoder):
     return Simulator(FGG_CODE, fgg_reference_encoder)
 
 
+@pytest.fixture(scope="session")
+def gr_simulator(gr_synthesis):
+    return Simulator(GR_CODE, gr_synthesis.circuit)
+
+
 # A row-consistent encoder for the two-frame code below whose zero-weight
 # diagram has a logical self-loop at memory state Z: reading frames off the
 # wire never reveals the info stream entering through that loop.

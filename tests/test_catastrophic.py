@@ -322,3 +322,16 @@ def test_bare_css_search_exhausts_small_budget():
     partial = PartialMap.from_operators(partial_rows(skel, asg))
     with pytest.raises(CompletionSearchExhausted):
         complete_noncatastrophic(partial, skel, asg, max_candidates=50)
+
+
+def test_witness_is_walked_only_when_read(monkeypatch):
+    import qconvenc.catastrophic as cat
+
+    edges = []
+    real = cat._encoder_edge
+    monkeypatch.setattr(cat, "_encoder_edge", lambda *args: edges.append(args) or real(*args))
+    v = is_noncatastrophic(TOY_CNOT, 1, 1, 1)
+    assert not v.non_catastrophic and edges == []
+    witness = v.witness
+    assert len(edges) == len(witness) > 0
+    assert v.witness is witness  # walked once

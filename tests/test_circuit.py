@@ -23,6 +23,7 @@ from qconvenc import (
     parse_circuit,
     wire_roles,
 )
+from qconvenc.circuit import MAX_WIDTH
 from qconvenc.errors import ParseError
 from qconvenc.library import FGG_ENCODER, FGG_ENCODER_TEXT, fgg_transformation_rows
 
@@ -177,8 +178,17 @@ def test_wire_roles_both_directions():
         '{"width": 3, "gates": [["H", "1"]]}',
         '{"width": 3, "gates": [["H", 1.0]]}',
         '{"width": 2, "gates": [["CNOT", 1, 3]]}',
+        '{"width": 1000000000, "gates": []}',  # above MAX_WIDTH
     ],
 )
 def test_json_rejects_malformed(text):
     with pytest.raises(ParseError):
         circuit_from_json(text)
+
+
+def test_declared_width_is_capped():
+    # refused when the circuit is made, before any matrix is built
+    assert CliffordCircuit(MAX_WIDTH, ()).width == MAX_WIDTH
+    for text in ("# width: 1000000000\nH 1\n", f"# width: {MAX_WIDTH + 1}\n", f"H {MAX_WIDTH + 1}\n"):
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            parse_circuit(text)

@@ -372,7 +372,9 @@ def test_malformed_json_circuit_is_data_error(files, capsys, tmp_path, text):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("text", ["n=3\n", "n=3\nIII\n", "n=3\nXXX|XZY\nIII|III\n"])
+@pytest.mark.parametrize(
+    "text", ["n=3\n", "n=3\nIII\n", "n=3\nXXX|XZY\nIII|III\n", "n=1\nZ\nZ|Z\n"]
+)
 @pytest.mark.parametrize("command", ["info", "synthesize"])
 def test_empty_or_identity_code_is_data_error(capsys, tmp_path, text, command):
     path = tmp_path / "empty.qcc"
@@ -423,3 +425,49 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert "n: 3" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("huge.circ", "# width: 1000000000\nH 1\n"), ("huge.json", '{"width": 1000000000, "gates": [["H", 1]]}')],
+)
+def test_huge_declared_width_is_data_error(files, capsys, tmp_path, name, text):
+    enc = tmp_path / name
+    enc.write_text(text)
+    code, _, err = run_cli(capsys, "check", "--code", str(files / "fgg.qcc"), "--encoder", str(enc))
+    assert code == 65
+    assert err.strip().splitlines() == ["error: circuit width 1000000000 exceeds the cap of 1024 qubits"]
+
+
+def test_check_walks_the_witness_only_when_asked(files, capsys, monkeypatch):
+    import qconvenc.catastrophic as cat
+
+    edges = []
+    real = cat._encoder_edge
+    monkeypatch.setattr(cat, "_encoder_edge", lambda *args: edges.append(args) or real(*args))
+    args = ["check", "--code", str(files / "cat.qcc"), "--encoder", str(files / "cat_enc.circ")]
+    assert run_cli(capsys, *args)[0] == 1
+    assert edges == []
+    assert run_cli(capsys, *args, "--witness")[0] == 1
+    assert edges
+
+
+def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
+    import qconvenc.cli as cli
+
+    built = []
+
+    class CountingSimulator(cli.Simulator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "Simulator", CountingSimulator)
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"),
+        "--encoder", str(files / "fgg_enc.circ"),
+        "--p", "0.01,0.05,0.1", "--frames", "3", "--trials", "20",
+    )
+    assert code == 0 and len(out.strip().splitlines()) == 4
+    assert len(built) == 1

@@ -136,6 +136,7 @@ def test_parse_rejects_malformed():
         "XX\nn=3\n",  # header after a generator of another width
         "n=2\nXX\nn=3\nXXX\n",  # second header changes the width
         "poly: 1+D^1000\n",  # exponent beyond three digits
+        "n=1\nZ\nZ|Z\n",  # more generators than qubits per frame: k < 0
     ],
 )
 def test_parse_rejects_empty_identity_and_ragged_codes(text):

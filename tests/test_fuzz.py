@@ -1,6 +1,6 @@
 """Property tests for the inputs: any text either parses or is refused
-with a documented input error, and `check` on any small circuit exits with
-a documented code, never with a stray exception."""
+with a documented input error, and `check` and `simulate` on any small
+circuit exit with a documented code, never with a stray exception."""
 
 import contextlib
 import io
@@ -121,3 +121,34 @@ def test_check_exits_with_documented_code(check_inputs, code, known, width, keep
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(["check", "--witness", "--code", str(d / f"{code}.qcc"), "--encoder", str(enc)])
     assert status in (0, 1, 65), err.getvalue()
+
+
+# simulate on a random circuit of width <= 6 or a cut-short known encoder,
+# with window and probability arguments that are sometimes out of range
+@settings(max_examples=100, deadline=None)
+@given(
+    code=st.sampled_from(["fgg", "tiny"]),
+    known=st.booleans(),
+    width=st.integers(0, 6),
+    keep=st.integers(0, 30),
+    extra=st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 5), st.integers(0, 5)), max_size=6),
+    frames=st.integers(0, 3),
+    trials=st.integers(1, 4),
+    p=st.sampled_from(["0", "0.1", "0.5", "0.74", "0.75", "x"]),
+)
+def test_simulate_exits_with_documented_code(check_inputs, code, known, width, keep, extra, frames, trials, p):
+    d, encoders = check_inputs
+    base = encoders[code].gates[:keep] if known else ()
+    if known:
+        width = encoders[code].width
+    gates = base + tuple(_gate(kind, a, b, width) for kind, a, b in extra if width)
+    enc = d / f"{code}-sim.circ"
+    enc.write_text(circuit_to_text(CliffordCircuit(width, gates)))
+    argv = [
+        "simulate", "--code", str(d / f"{code}.qcc"), "--encoder", str(enc),
+        "--p", p, "--frames", str(frames), "--trials", str(trials), "--seed", "1", "--workers", "1",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 64, 65), err.getvalue()
