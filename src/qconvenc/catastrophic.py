@@ -256,7 +256,8 @@ def _verdict(
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
-    return CatastrophicityVerdict(False, direction, _CycleSeed(edge_map, n, k, m, direction, b, tuple(ts)))
+    seed = _CycleSeed(edge_map, n, k, m, direction, b, tuple(ts))
+    return CatastrophicityVerdict(False, direction, seed)
 
 
 def is_noncatastrophic(

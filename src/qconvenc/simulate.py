@@ -272,37 +272,36 @@ class Simulator:
 
     # -- launches -------------------------------------------------------------
 
-    def _response(self, vec: int, nframes: int) -> np.ndarray:
-        """Symplectic duals (Z bits then X bits) of the first nframes
-        physical frames the encoder emits for the unencoded frame `vec`
-        entering with identity memory, followed by identity frames."""
+    def _response(self, dirs: List[int], nframes: int) -> np.ndarray:
+        """Bits (lag, 2n, d): the symplectic dual (Z bits then X bits) of
+        the physical frame the encoder emits `lag` frames after the
+        unencoded frame dirs[d] enters with identity memory, followed by
+        identity frames."""
         n, m = self.n, self.m
         w = m + n
         nmask, mmask = (1 << n) - 1, (1 << m) - 1
-        out = np.zeros((nframes, 2 * n), dtype=np.uint8)
-        state = ((vec & nmask) << m) | ((vec >> n) << (w + m))
-        for s in range(nframes):
-            img = self.smap.apply_vec(state)
-            dual = ((img >> w) & nmask) | ((img & nmask) << n)
-            out[s] = (dual >> np.arange(2 * n)) & 1
-            state = ((img >> n) & mmask) | (((img >> (w + n)) & mmask) << w)
-            if not state:
-                break
+        out = np.zeros((nframes, 2 * n, len(dirs)), dtype=np.uint8)
+        for d, vec in enumerate(dirs):
+            state = ((vec & nmask) << m) | ((vec >> n) << (w + m))
+            for lag in range(nframes):
+                img = self.smap.apply_vec(state)
+                dual = ((img >> w) & nmask) | ((img & nmask) << n)
+                out[lag, :, d] = (dual >> np.arange(2 * n)) & 1
+                state = ((img >> n) & mmask) | (((img >> (w + n)) & mmask) << w)
+                if not state:
+                    break
         return out
 
     def _launches(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-lag response matrices (lags, 2n, directions) for the syndrome
-        (ancilla Z per generator) and for the failure test (info X and Z)."""
+        """Responses for the syndrome (ancilla Z per generator) and for the
+        failure test (info X and Z)."""
         cached = self._responses.get(nframes)
         if cached is None:
             n, k = self.n, self.k
             r = n - k
             synd = [1 << (n + a) for a in range(r)]
             logical = [1 << (r + j) for j in range(k)] + [1 << (n + r + j) for j in range(k)]
-            cached = tuple(
-                np.stack([self._response(v, nframes) for v in dirs], axis=-1)
-                for dirs in (synd, logical)
-            )
+            cached = (self._response(synd, nframes), self._response(logical, nframes))
             self._responses[nframes] = cached
         return cached
 
@@ -500,7 +499,6 @@ def estimate_wer(
     if workers is None or workers <= 1:
         failures = int(_trial_failures(sim, p, nframes, seed, 0, trials).sum())
     else:
-        sim._launches(nframes)  # computed once here, inherited by the workers
         step = max(1, -(-trials // (4 * workers)))
         bounds = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
         with ProcessPoolExecutor(

@@ -429,7 +429,10 @@ def test_module_entry_point(files):
 
 @pytest.mark.parametrize(
     "name, text",
-    [("huge.circ", "# width: 1000000000\nH 1\n"), ("huge.json", '{"width": 1000000000, "gates": [["H", 1]]}')],
+    [
+        ("huge.circ", "# width: 1000000000\nH 1\n"),
+        ("huge.json", '{"width": 1000000000, "gates": [["H", 1]]}'),
+    ],
 )
 def test_huge_declared_width_is_data_error(files, capsys, tmp_path, name, text):
     enc = tmp_path / name

@@ -16,6 +16,7 @@ from qconvenc.cli import main
 from qconvenc.code import parse_code
 from qconvenc.errors import CodeValidationError, ParseError
 from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER
+from qconvenc.pipeline import synthesize_encoder
 from qconvenc.synthesis import synthesize_circuit
 
 # code files: header, generator and polynomial lines built from the
@@ -81,13 +82,22 @@ def test_parse_circuit_succeeds_or_refuses(text):
         pass
 
 
+# a rate-0 code: no info wires, so no logical launches
+RATE_ZERO_CODE_TEXT = "n=2\nXX\nZZ\n"
+
+
 @pytest.fixture(scope="module")
 def check_inputs(tmp_path_factory, catastrophic_encoder_map):
-    """A directory with both codes, and each code's known encoder."""
+    """A directory with the codes, and each code's known encoder."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "fgg.qcc").write_text(FGG_CODE_TEXT)
     (d / "tiny.qcc").write_text(CATASTROPHIC_CODE_TEXT)
-    return d, {"fgg": FGG_ENCODER, "tiny": synthesize_circuit(catastrophic_encoder_map)}
+    (d / "rate0.qcc").write_text(RATE_ZERO_CODE_TEXT)
+    return d, {
+        "fgg": FGG_ENCODER,
+        "tiny": synthesize_circuit(catastrophic_encoder_map),
+        "rate0": synthesize_encoder(parse_code(RATE_ZERO_CODE_TEXT)).circuit,
+    }
 
 
 def _gate(kind, a, b, width):
@@ -123,15 +133,17 @@ def test_check_exits_with_documented_code(check_inputs, code, known, width, keep
     assert status in (0, 1, 65), err.getvalue()
 
 
-# simulate on a random circuit of width <= 6 or a cut-short known encoder,
-# with window and probability arguments that are sometimes out of range
+# simulate on a random circuit of width <= 6 or a known encoder, possibly
+# cut short, with window and probability arguments that are sometimes out of range
 @settings(max_examples=100, deadline=None)
 @given(
-    code=st.sampled_from(["fgg", "tiny"]),
+    code=st.sampled_from(["fgg", "tiny", "rate0"]),
     known=st.booleans(),
     width=st.integers(0, 6),
     keep=st.integers(0, 30),
-    extra=st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 5), st.integers(0, 5)), max_size=6),
+    # often no extra gate, so that whole known encoders reach the trellis
+    extra=st.just([])
+    | st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 5), st.integers(0, 5)), max_size=6),
     frames=st.integers(0, 3),
     trials=st.integers(1, 4),
     p=st.sampled_from(["0", "0.1", "0.5", "0.74", "0.75", "x"]),

@@ -10,7 +10,7 @@ test against a frame-by-frame pullback through the inverse encoder.
 import numpy as np
 import pytest
 
-from qconvenc import PauliOperator
+from qconvenc import PauliOperator, parse_code, synthesize_encoder
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 from qconvenc.simulate import (
@@ -376,3 +376,12 @@ def test_estimate_wer_reuses_a_simulator(fgg_reference_encoder, fgg_simulator, g
     assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 200, seed=3) == fresh
     with pytest.raises(ValueError):
         estimate_wer(FGG_CODE, gr_simulator, 0.05, 6, 200, seed=3)
+
+
+def test_rate_zero_code_never_fails():
+    # no info wires: the failure test has no logical launches to check
+    code = parse_code("n=2\nXX\nZZ\n")
+    encoder = synthesize_encoder(code).circuit
+    for workers in (1, 2):
+        r = estimate_wer(code, encoder, 0.3, 4, 40, seed=1, workers=workers)
+        assert r.failures == 0
