@@ -29,6 +29,18 @@ applied to itself, so it lies in P: the zero-weight cycles are exactly the
 T-orbits in P.  The map is catastrophic exactly when L is nonzero on P,
 that is on some basis vector b of P, and the T-orbit of b is a witness.
 
+An encoder's edges are preimages, but no inverse is needed to read them.
+M is symplectic, so sp(M u, M v) = sp(u, v), and coordinate X_q of the
+preimage of y is sp(M^-1 y, Z_q) = sp(y, M Z_q); coordinate Z_q is
+sp(y, M X_q).  T and A therefore come from the images of the memory X's
+and Z's and of the ancilla Z's alone.  L needs no info image either: a
+state b of P lies in ker A, so the preimage of y_b = (I, b) is made of
+memory, ancilla Z and info parts, and L b = 0 exactly when y_b lies in the
+span of M(memory X, Z) and M(ancilla Z).  The completion search uses
+this: every leaf fixes those images (as the same XOR combinations of its
+rows at every leaf), so a leaf is decided without completing it to a full
+map, and only the accepted leaf is completed and synthesized.
+
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
 """
@@ -40,8 +52,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
-from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
-from .errors import CompletionSearchExhausted
+from .circuit import CliffordCircuit, SymplecticMap, _dual, as_symplectic
+from .errors import CompletionSearchExhausted, MapConsistencyError
 from .pauli import PauliOperator, tensor
 from .skeleton import MemoryAssignment, TransformationSkeleton
 from .synthesis import PartialMap, check_consistency, complete_to_symplectic, synthesize_circuit
@@ -153,9 +165,9 @@ def zero_weight_graph(
 @dataclass(frozen=True)
 class _CycleSeed:
     """A state b on a zero-weight cycle with nonzero info part, with the
-    edge map and the images `ts` of T that walk its orbit."""
+    map and the images `ts` of T that walk its orbit."""
 
-    edge_map: SymplecticMap
+    smap: SymplecticMap
     n: int
     k: int
     m: int
@@ -167,10 +179,11 @@ class _CycleSeed:
         orbit = [self.b]
         while (s := gf2.matmul(orbit[-1:], list(self.ts))[0]) != self.b:
             orbit.append(s)
-        args = (self.edge_map, self.n, self.k, self.m)
         if self.direction == "encoder":
+            args = (self.smap.inverse(), self.n, self.k, self.m)
             # the edge keyed by s leads back in time to T s: reverse for forward order
             return tuple(_encoder_edge(*args, s) for s in reversed(orbit))
+        args = (self.smap, self.n, self.k, self.m)
         return tuple(_decoder_edge(*args, s) for s in orbit)
 
 
@@ -203,32 +216,13 @@ def _transpose(images: List[int], nbits: int) -> List[int]:
     return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
 
 
-def _cycle_state(
-    edge_map: SymplecticMap, n: int, k: int, m: int, direction: str
-) -> Optional[Tuple[int, List[int]]]:
-    """A memory state on a zero-weight cycle with nonzero info part, and the
-    images of T; None when no such state exists.
-
-    `edge_map` is the inverse map for an encoder and the map itself for a
-    decoder.  Its rows for memory X_i and Z_i (output wires n + i for an
-    encoder, input wires i for a decoder) are the edges keyed by those
-    basis states, so T, A and L are read off them without applying the map.
-    """
-    w = m + n
-    if direction == "encoder":  # preimage layout (memory, ancilla, info)
-        src, mem, anc, info = n, 0, m, m + n - k
-    else:  # image layout (syndrome, info, memory)
-        src, mem, anc, info = 0, n, 0, n - k
-    ts, xs, ls = [], [], []
-    for i in [*range(src, src + m), *range(w + src, w + src + m)]:
-        r = edge_map.rows[i]
-        ts.append(_field(r, w, mem, m))
-        xs.append((r >> anc) & ((1 << (n - k)) - 1))
-        ls.append(_field(r, w, info, k))
+def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> List[int]:
+    """Basis of P for the step T, given by the images `ts` of the 2m basis
+    states and by its transpose `pull`, and for the functionals `funcs`
+    whose common kernel is ker A."""
     # V, the largest T-stable subspace of ker A, is the common kernel of
     # A, A T, ..., A T^(2m-1) (Cayley-Hamilton bounds the powers needed)
-    pull = _transpose(ts, 2 * m)
-    funcs = frontier = _transpose(xs, n - k)
+    frontier = funcs
     for _ in range(2 * m - 1):
         frontier = gf2.matmul(frontier, pull)
         funcs = funcs + frontier
@@ -237,8 +231,50 @@ def _cycle_state(
     while True:
         image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
         if len(image) == len(basis):
-            break
+            return basis
         basis = image
+
+
+def _encoder_cycle_state(
+    images: List[int], n: int, k: int, m: int
+) -> Optional[Tuple[int, List[int]]]:
+    """A memory state on a zero-weight cycle with nonzero info part, and the
+    images of T; None when no such state exists.
+
+    `images` are the encoder's images of its memory inputs X_0..X_(m-1),
+    Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
+    not read (see the module docstring).
+    """
+    w = m + n
+    # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
+    # as functionals of the outgoing memory state these are dual images
+    duals = [_field(_dual(v, w), w, n, m) for v in images]
+    pull = duals[m:2 * m] + duals[:m]
+    ts = _transpose(pull, 2 * m)
+    basis = _periodic_part(ts, pull, duals[2 * m:], m)
+    if not basis:
+        return None
+    reduced, pivots = gf2.row_reduce(images)
+    low = (1 << m) - 1
+    for b in basis:
+        # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z)
+        if gf2.residue(reduced, pivots, ((b & low) << n) | ((b >> m) << (w + n))):
+            return b, ts
+    return None
+
+
+def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
+    """As `_encoder_cycle_state`, for a decoder map.  Its rows for memory
+    X_i and Z_i (input wires i) are the edges keyed by those basis states,
+    so T, A and L are read off them without applying the map."""
+    w = m + n
+    ts, xs, ls = [], [], []
+    for i in [*range(m), *range(w, w + m)]:
+        r = smap.rows[i]  # image layout (syndrome, info, memory)
+        ts.append(_field(r, w, n, m))
+        xs.append(r & ((1 << (n - k)) - 1))
+        ls.append(_field(r, w, n - k, k))
+    basis = _periodic_part(ts, _transpose(ts, 2 * m), _transpose(xs, n - k), m)
     for b, lb in zip(basis, gf2.matmul(basis, ls)):
         if lb:
             return b, ts
@@ -251,13 +287,22 @@ def _verdict(
     smap = as_symplectic(c)
     if smap.width != m + n:
         raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
-    edge_map = smap.inverse() if direction == "encoder" else smap
-    found = _cycle_state(edge_map, n, k, m, direction)
+    if direction == "encoder":
+        found = _encoder_cycle_state([smap.rows[i] for i in _encoder_reads(n, k, m)], n, k, m)
+    else:
+        found = _decoder_cycle_state(smap, n, k, m)
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
-    seed = _CycleSeed(edge_map, n, k, m, direction, b, tuple(ts))
+    seed = _CycleSeed(smap, n, k, m, direction, b, tuple(ts))
     return CatastrophicityVerdict(False, direction, seed)
+
+
+def _encoder_reads(n: int, k: int, m: int) -> List[int]:
+    """Row indices of the inputs `_encoder_cycle_state` reads: memory X's,
+    memory Z's, then ancilla Z's."""
+    w = m + n
+    return [*range(m), *range(w, w + m + n - k)]
 
 
 def is_noncatastrophic(
@@ -319,7 +364,8 @@ def complete_noncatastrophic(
     independent of p's input rows; candidate outputs for each are walked in
     increasing packed-vector order, depth-first, subject to the symplectic
     products forced by all rows fixed so far.  Each full completion is
-    checked with the exact catastrophicity test.
+    checked with the exact catastrophicity test, read from its rows alone;
+    only the accepted one is completed to a full map and synthesized.
     """
     check_consistency(p)
     n, k, m = skeleton.n, skeleton.k, assignment.m
@@ -331,49 +377,67 @@ def complete_noncatastrophic(
     for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
         if not gf2.in_span(span + directions, u):
             directions.append(u)
+    # every leaf has the inputs span + directions, so the inputs its check
+    # reads are the same XOR combinations of its rows at every leaf
+    coeffs = _combinations(span + directions, [1 << i for i in _encoder_reads(n, k, m)], w)
 
-    budget = [max_candidates]
+    tried = 0
 
-    def leaf_check(rows_acc: List[Tuple[int, int]]) -> Optional[SymplecticMap]:
-        budget[0] -= 1
-        smap = complete_to_symplectic(PartialMap(w, tuple(rows_acc)))
-        if _cycle_state(smap.inverse(), n, k, m, "encoder") is None:
-            return smap
-        return None
+    def exhausted(message: str) -> CompletionSearchExhausted:
+        return CompletionSearchExhausted(message, tried=tried, budget=max_candidates)
 
-    def dfs(rows_acc: List[Tuple[int, int]], level: int) -> Optional[SymplecticMap]:
+    def dfs(rows_acc: List[Tuple[int, int]], level: int) -> Optional[List[Tuple[int, int]]]:
+        nonlocal tried
         if level == len(directions):
-            return leaf_check(rows_acc)
+            tried += 1
+            return rows_acc if _leaf_cycle_state(rows_acc, coeffs, n, k, m) is None else None
         u = directions[level]
-        mask = (1 << w) - 1
-        constraint_rows = [((ro >> w) | ((ro & mask) << w)) for _, ro in rows_acc]
-        rhs = []
-        for ri, _ in rows_acc:
-            rhs.append(gf2.parity(((u & mask) & (ri >> w)) ^ ((u >> w) & (ri & mask))))
+        constraint_rows = [_dual(ro, w) for _, ro in rows_acc]
+        rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
         v0 = gf2.solve(constraint_rows, rhs, 2 * w)
         if v0 is None:
             return None
         null = gf2.nullspace(constraint_rows, 2 * w)
         if len(null) > _MAX_BRANCH_BITS:
-            raise CompletionSearchExhausted(
+            raise exhausted(
                 f"candidate space at direction {level + 1} has 2^{len(null)} "
                 "elements; refusing to enumerate"
             )
         cands = sorted(_affine_span(v0, null))
         for v in cands:
-            if budget[0] <= 0:
-                raise CompletionSearchExhausted(
-                    f"no non-catastrophic completion within {max_candidates} candidates"
-                )
+            if tried >= max_candidates:
+                raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
             found = dfs(rows_acc + [(u, v)], level + 1)
             if found is not None:
                 return found
         return None
 
-    smap = dfs(list(p.rows), 0)
-    if smap is None:
-        raise CompletionSearchExhausted("every consistent completion is catastrophic")
+    rows = dfs(list(p.rows), 0)
+    if rows is None:
+        raise exhausted("every consistent completion is catastrophic")
+    smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
     return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+
+
+def _combinations(inputs: List[int], targets: List[int], w: int) -> List[int]:
+    """For each target, the bitmask of the (independent) inputs whose XOR it
+    is, so that a map's image of it is the XOR of those rows' outputs."""
+    tagged = [u | (1 << (2 * w + i)) for i, u in enumerate(inputs)]
+    reduced, pivots = gf2.row_reduce(tagged)
+    out = []
+    for t in targets:
+        r = gf2.residue(reduced, pivots, t)
+        if r & ((1 << (2 * w)) - 1):
+            raise MapConsistencyError("the rows leave an ancilla Z input unmapped")
+        out.append(r >> (2 * w))
+    return out
+
+
+def _leaf_cycle_state(
+    rows: List[Tuple[int, int]], coeffs: List[int], n: int, k: int, m: int
+) -> Optional[Tuple[int, List[int]]]:
+    """`_encoder_cycle_state` of every completion of a search leaf's rows."""
+    return _encoder_cycle_state(gf2.matmul(coeffs, [out for _, out in rows]), n, k, m)
 
 
 def _affine_span(base: int, null: List[int]) -> List[int]:

@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .errors import ParseError
 from .gf2 import invert as gf2_invert
-from .gf2 import matmul
+from .gf2 import matmul, parity
 from .pauli import PauliOperator
 
 __all__ = [
@@ -118,6 +118,12 @@ def apply_circuit(circuit: CliffordCircuit, p: PauliOperator) -> PauliOperator:
     return p
 
 
+def _dual(v: int, width: int) -> int:
+    """Row r with parity(r & u) == sp(v, u) for every u."""
+    mask = (1 << width) - 1
+    return (v >> width) | ((v & mask) << width)
+
+
 @dataclass(frozen=True)
 class SymplecticMap:
     """2w x 2w GF(2) matrix; row i is the image of basis vector e_i."""
@@ -154,12 +160,11 @@ class SymplecticMap:
 
     def is_symplectic(self) -> bool:
         w = self.width
+        rows = self.rows
         for i in range(2 * w):
-            pi = PauliOperator.from_vec(w, self.rows[i])
+            d = _dual(rows[i], w)
             for j in range(i + 1, 2 * w):
-                pj = PauliOperator.from_vec(w, self.rows[j])
-                expected = 1 if abs(i - j) == w else 0
-                if pi.sp(pj) != expected:
+                if parity(rows[j] & d) != (j - i == w):
                     return False
         return True
 

@@ -8,8 +8,9 @@ decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict); 2 completion search exhausted (synthesize); 64 bad
 usage; 65 unreadable/invalid input data, including a circuit that does
-not realize its code, a circuit wider than `circuit.MAX_WIDTH` and an
-encoder too wide for the simulate trellis; 70
+not realize its code, a circuit wider than `circuit.MAX_WIDTH`, an
+encoder too wide for the simulate trellis and a code whose skeleton rows
+no encoder satisfies (synthesize); 70
 internal consistency violation (a skeleton or synthesis that contradicts
 itself).
 """

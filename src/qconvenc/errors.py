@@ -49,4 +49,10 @@ class TrellisError(QconvError):
 
 
 class CompletionSearchExhausted(QconvError):
-    """No non-catastrophic completion found within the search budget."""
+    """No non-catastrophic completion found within the search budget;
+    `tried` leaf checks were made out of `budget`."""
+
+    def __init__(self, message: str, *, tried: int, budget: int):
+        self.tried = tried
+        self.budget = budget
+        super().__init__(message)

@@ -14,6 +14,7 @@ __all__ = [
     "rank",
     "in_span",
     "row_reduce",
+    "residue",
     "solve",
     "nullspace",
     "invert",
@@ -22,7 +23,7 @@ __all__ = [
 
 
 def parity(v: int) -> int:
-    return bin(v).count("1") & 1
+    return v.bit_count() & 1
 
 
 def row_reduce(rows: List[int]) -> Tuple[List[int], List[int]]:
@@ -48,12 +49,17 @@ def rank(rows: List[int]) -> int:
     return len(row_reduce(rows)[0])
 
 
-def in_span(rows: List[int], v: int) -> bool:
-    reduced, pivots = row_reduce(rows)
+def residue(reduced: List[int], pivots: List[int], v: int) -> int:
+    """v with every pivot column of a `row_reduce` result cleared; zero
+    exactly when v lies in the span of the reduced rows."""
     for piv, r in zip(pivots, reduced):
         if (v >> piv) & 1:
             v ^= r
-    return v == 0
+    return v
+
+
+def in_span(rows: List[int], v: int) -> bool:
+    return residue(*row_reduce(rows), v) == 0
 
 
 def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[int]:

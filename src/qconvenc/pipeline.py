@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from . import gf2
 from .catastrophic import (
     MAX_CANDIDATES,
     CatastrophicityVerdict,
@@ -12,7 +13,7 @@ from .catastrophic import (
 )
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
 from .code import ConvolutionalCode, validate
-from .errors import MapConsistencyError
+from .errors import InputDataError, MapConsistencyError
 from .pauli import PauliOperator
 from .skeleton import (
     CommutationRequirement,
@@ -65,6 +66,7 @@ def synthesize_encoder(
     searched depth-first for a non-catastrophic completion.
     """
     validate(code)
+    _check_last_frames(code)
     skeleton = build_skeleton(code)
     matrix = skeleton_commutation_matrix(skeleton)
     if assignment is None:
@@ -92,6 +94,29 @@ def synthesize_encoder(
         partial, skeleton, assignment, max_candidates=max_candidates
     )
     return EncoderSynthesis(code, skeleton, matrix, assignment, circuit, verdict)
+
+
+def _check_last_frames(code: ConvolutionalCode) -> None:
+    """Refuse a code whose skeleton rows no encoder can satisfy.
+
+    The skeleton runs every generator over nu frames, and its row for frame
+    nu maps an independent input (a memory operator, or an ancilla Z when
+    nu = 1) to that frame with the memory back at the identity.  An
+    invertible map needs those frames to be independent, so a generator
+    shorter than nu, or a set of last frames with a product equal to the
+    identity, leaves no encoder.
+    """
+    for a, gen in enumerate(code.generators, 1):
+        if gen.span < code.nu:
+            raise InputDataError(
+                f"generator {a} spans {gen.span} frames, fewer than nu = {code.nu}; "
+                "the encoder skeleton needs every generator to span nu frames"
+            )
+    if gf2.rank([gen.frame(code.nu).vec() for gen in code.generators]) < len(code.generators):
+        raise InputDataError(
+            f"the generators' frames at nu = {code.nu} are linearly dependent, "
+            "so no encoder emits them"
+        )
 
 
 def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:

@@ -19,6 +19,7 @@ from .circuit import (
     CliffordCircuit,
     CliffordGate,
     SymplecticMap,
+    _dual,
     apply_gate,
     circuit_to_symplectic,
 )
@@ -36,14 +37,7 @@ __all__ = [
 
 
 def _sp(u: int, v: int, width: int) -> int:
-    mask = (1 << width) - 1
-    return gf2.parity(((u & mask) & (v >> width)) ^ ((u >> width) & (v & mask)))
-
-
-def _dual(v: int, width: int) -> int:
-    """Row r with parity(r & u) == sp(v, u) for every u."""
-    mask = (1 << width) - 1
-    return (v >> width) | ((v & mask) << width)
+    return gf2.parity(u & _dual(v, width))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ from qconvenc import (
     PauliOperator,
     SymplecticMap,
     circuit_to_symplectic,
+    gf2,
+    parse_code,
+    synthesize_encoder,
     tensor,
 )
 from qconvenc.catastrophic import (
@@ -42,7 +45,7 @@ from qconvenc.skeleton import (
     partial_rows,
     skeleton_commutation_matrix,
 )
-from qconvenc.synthesis import PartialMap
+from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
 from conftest import random_circuit
 
@@ -335,3 +338,118 @@ def test_witness_is_walked_only_when_read(monkeypatch):
     witness = v.witness
     assert len(edges) == len(witness) > 0
     assert v.witness is witness  # walked once
+
+
+# -- the completion search's leaf check against a full completion -----------
+
+
+def _cycle_state_of_inverse(inv: SymplecticMap, n: int, k: int, m: int):
+    """Oracle for a leaf: read T, A and L off the inverse of a full encoder
+    map, at its rows for the outgoing memory X_i and Z_i (output wires
+    n + i), and return the first basis state of the periodic part P with
+    nonzero info part, with the images of T; None when there is none."""
+    w = m + n
+
+    def field(v, lo, size):
+        mask = (1 << size) - 1
+        return ((v >> lo) & mask) | (((v >> (w + lo)) & mask) << size)
+
+    def transpose(rows, nbits):
+        return [sum(((r >> i) & 1) << j for j, r in enumerate(rows)) for i in range(nbits)]
+
+    ts, xs, ls = [], [], []
+    for i in [*range(n, w), *range(w + n, 2 * w)]:
+        r = inv.rows[i]  # preimage layout (memory, ancilla, info)
+        ts.append(field(r, 0, m))
+        xs.append((r >> m) & ((1 << (n - k)) - 1))
+        ls.append(field(r, m + n - k, k))
+    pull = transpose(ts, 2 * m)
+    funcs = frontier = transpose(xs, n - k)
+    for _ in range(2 * m - 1):
+        frontier = gf2.matmul(frontier, pull)
+        funcs = funcs + frontier
+    basis = gf2.nullspace(funcs, 2 * m)
+    while True:
+        image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
+        if len(image) == len(basis):
+            break
+        basis = image
+    for b, lb in zip(basis, gf2.matmul(basis, ls)):
+        if lb:
+            return b, ts
+    return None
+
+
+def _recorded_leaves(monkeypatch, code, **kwargs):
+    """Every leaf of the completion search for `code` with its result, and
+    the search's outcome (the synthesis, or the exhaustion error)."""
+    import qconvenc.catastrophic as cat
+
+    leaves = []
+    real = cat._leaf_cycle_state
+
+    def recording(rows, *args):
+        found = real(rows, *args)
+        leaves.append((list(rows), found))
+        return found
+
+    monkeypatch.setattr(cat, "_leaf_cycle_state", recording)
+    try:
+        outcome = synthesize_encoder(code, **kwargs)
+    except CompletionSearchExhausted as exc:
+        outcome = exc
+    monkeypatch.undo()
+    return leaves, outcome
+
+
+# small codes whose canonical assignment leaves memory directions free, so
+# that their searches reject catastrophic leaves before accepting one
+FREE_DIRECTION_CODES = ["n=2\nZX|ZI\n", "n=3\nIZI|IZX\n", "n=2\nYZ|YZ|XX\n"]
+
+
+@pytest.mark.parametrize("text", ["gr", *FREE_DIRECTION_CODES])
+def test_leaf_check_matches_full_completion(monkeypatch, text):
+    # the leaf check reads only the rows a leaf fixes; a full completion of
+    # those rows, inverted, must give the same verdict and witness state
+    code = GR_CODE if text == "gr" else parse_code(text)
+    leaves, outcome = _recorded_leaves(monkeypatch, code, max_candidates=400)
+    if text == "gr":
+        assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 400
+    else:
+        assert outcome.verdict.non_catastrophic and len(leaves) > 1
+    n, k = code.n, code.k
+    m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
+    rejected = 0
+    for rows, found in leaves:
+        want = _cycle_state_of_inverse(complete_to_symplectic(PartialMap(m + n, tuple(rows))).inverse(), n, k, m)
+        assert (found is None) == (want is None)
+        if found is not None:
+            assert found[0] == want[0] and list(found[1]) == list(want[1])
+            rejected += 1
+    # every leaf but an accepted last one is catastrophic
+    accepted = 0 if text == "gr" else 1
+    assert rejected == len(leaves) - accepted > 0
+
+
+def test_completion_builds_one_full_map(monkeypatch):
+    import qconvenc.catastrophic as cat
+
+    calls = []
+    real = cat.complete_to_symplectic
+    monkeypatch.setattr(cat, "complete_to_symplectic", lambda p: calls.append(p) or real(p))
+    for text in ["n=2\nZZ|IZ\n", *FREE_DIRECTION_CODES]:
+        calls.clear()
+        syn = synthesize_encoder(parse_code(text))
+        assert len(calls) == 1  # the accepted leaf only
+        assert syn.verdict == is_noncatastrophic(syn.circuit, syn.code.n, syn.code.k, syn.memory)
+    calls.clear()
+    with pytest.raises(CompletionSearchExhausted):
+        synthesize_encoder(GR_CODE, max_candidates=50)
+    assert calls == []
+
+
+def test_exhausted_search_reports_its_count():
+    with pytest.raises(CompletionSearchExhausted) as info:
+        synthesize_encoder(GR_CODE, max_candidates=50)
+    assert (info.value.tried, info.value.budget) == (50, 50)
+    assert "within 50 candidates" in str(info.value)

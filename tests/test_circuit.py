@@ -86,6 +86,25 @@ def test_apply_circuit_matches_matrix_route():
         assert m.is_symplectic()
 
 
+def test_is_symplectic_matches_pauli_products():
+    # packed-row check against pairwise products of the rows as operators,
+    # on symplectic maps and on copies with one bit flipped
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        w = rng.randrange(1, 5)
+        rows = list(circuit_to_symplectic(random_circuit(w, 12, rng)).rows)
+        if rng.random() < 0.5:
+            rows[rng.randrange(2 * w)] ^= 1 << rng.randrange(2 * w)
+        ops = [PauliOperator.from_vec(w, r) for r in rows]
+        want = all(
+            ops[i].sp(ops[j]) == (j - i == w) for i in range(2 * w) for j in range(i + 1, 2 * w)
+        )
+        assert SymplecticMap(w, tuple(rows)).is_symplectic() == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 def test_compose_is_sequential_application():
     rng = random.Random(21)
     c1 = random_circuit(3, 15, rng)

@@ -141,7 +141,7 @@ def test_synthesize_search_budget_exhaustion(files, capsys):
         capsys, "synthesize", "--code", str(files / "gr.qcc"), "--max-candidates", "5"
     )
     assert code == 2
-    assert "inconclusive" in err
+    assert "inconclusive" in err and "within 5 candidates" in err
 
 
 def test_check_reference_encoder(files, capsys):
@@ -382,6 +382,18 @@ def test_empty_or_identity_code_is_data_error(capsys, tmp_path, text, command):
     code, _, err = run_cli(capsys, command, "--code", str(path))
     assert code == 65
     assert "error:" in err
+
+
+# valid codes no encoder skeleton realizes: a generator shorter than the
+# others, two equal generators, and two generators that end in the same frame
+@pytest.mark.parametrize("text", ["n=2\nZY|YX\nYX\n", "n=2\nXX\nXX\n", "n=3\nZZZ|ZYY\nZXX|ZYY\n"])
+def test_unencodable_generators_are_data_error(capsys, tmp_path, text):
+    path = tmp_path / "code.qcc"
+    path.write_text(text)
+    assert run_cli(capsys, "info", "--code", str(path))[0] == 0
+    code, _, err = run_cli(capsys, "synthesize", "--code", str(path))
+    assert code == 65
+    assert err.startswith("error: ") and "nu = " in err
 
 
 @pytest.mark.parametrize("flag, value", [("--frames", "0"), ("--trials", "-2"), ("--frames", "x")])

@@ -1,22 +1,25 @@
 """Property tests for the inputs: any text either parses or is refused
-with a documented input error, and `check` and `simulate` on any small
-circuit exit with a documented code, never with a stray exception."""
+with a documented input error, `check` and `simulate` on any small
+circuit exit with a documented code, never with a stray exception, and
+`synthesize` on any small code writes a verified non-catastrophic encoder
+or exits with a documented code."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATASTROPHIC_CODE_TEXT, GATE_KINDS
+from qconvenc.catastrophic import is_noncatastrophic
 from qconvenc.circuit import CliffordCircuit, CliffordGate, circuit_from_json, circuit_to_text, parse_circuit
 from qconvenc.cli import main
 from qconvenc.code import parse_code
 from qconvenc.errors import CodeValidationError, ParseError
-from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER
-from qconvenc.pipeline import synthesize_encoder
+from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER, GR_CODE_TEXT
+from qconvenc.pipeline import synthesize_encoder, verify_encoder
 from qconvenc.synthesis import synthesize_circuit
 
 # code files: header, generator and polynomial lines built from the
@@ -164,3 +167,39 @@ def test_simulate_exits_with_documented_code(check_inputs, code, known, width, k
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
     assert status in (0, 64, 65), err.getvalue()
+
+
+# a code of 1 to n generators on n <= 3 qubits per frame, each 1 to 3
+# frames of Paulis (so some generators commute and some are refused)
+_SMALL_CODE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=3),
+        min_size=1,
+        max_size=n,
+    ).map(lambda gens: f"n={n}\n" + "".join("|".join(g) + "\n" for g in gens))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_SMALL_CODE | st.sampled_from([FGG_CODE_TEXT, CATASTROPHIC_CODE_TEXT, RATE_ZERO_CODE_TEXT, GR_CODE_TEXT]),
+    budget=st.integers(1, 50),
+    ext=st.sampled_from([".circ", ".json"]),
+    as_json=st.booleans(),
+)
+def test_synthesize_exits_with_documented_code(tmp_path_factory, text, budget, ext, as_json):
+    d = tmp_path_factory.mktemp("synth")
+    (d / "code.qcc").write_text(text)
+    out_path = d / f"enc{ext}"
+    argv = ["synthesize", "--code", str(d / "code.qcc"), "--max-candidates", str(budget), "--out", str(out_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv + ["--json"] * as_json)
+    event(f"exit {status}")
+    assert status in (0, 2, 65), err.getvalue()
+    if status == 0:
+        written = out_path.read_text()
+        circuit = circuit_from_json(written) if ext == ".json" else parse_circuit(written)
+        code = parse_code(text)
+        m = verify_encoder(code, circuit).m
+        assert is_noncatastrophic(circuit, code.n, code.k, m).non_catastrophic

@@ -68,6 +68,21 @@ def test_in_span_agrees_with_enumeration():
             assert gf2.in_span(rows, v) == (v in span)
 
 
+def test_residue_is_v_minus_its_span_component():
+    rng = random.Random(4)
+    for _ in range(50):
+        rows = [rng.getrandbits(6) for _ in range(rng.randrange(0, 4))]
+        reduced, pivots = gf2.row_reduce(rows)
+        span = {0}
+        for r in rows:
+            span |= {s ^ r for s in span}
+        for v in range(64):
+            res = gf2.residue(reduced, pivots, v)
+            assert (res ^ v) in span
+            assert (res == 0) == (v in span)
+            assert all(not (res >> p) & 1 for p in pivots)
+
+
 def test_solve_finds_combination():
     rng = random.Random(4)
     ncols = 6
