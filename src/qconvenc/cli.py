@@ -49,7 +49,7 @@ from .errors import (
     TrellisError,
 )
 from .pipeline import synthesize_encoder, verify_encoder
-from .simulate import Simulator, estimate_wer
+from .simulate import Simulator, estimate_wers
 from .skeleton import (
     MemoryAssignment,
     TransformationSkeleton,
@@ -232,11 +232,10 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     code, smap, _ = _read_encoder(args)
-    sim = Simulator(code, smap)  # one trellis for every p
-    rows = [
-        estimate_wer(code, sim, p, args.frames, args.trials, seed=args.seed, workers=args.workers)
-        for p in args.p
-    ]
+    sim = Simulator(code, smap)
+    rows = estimate_wers(
+        code, sim, args.p, args.frames, args.trials, seed=args.seed, workers=args.workers
+    )
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
     table = [
         [r.p, r.frames, r.trials, r.failures, r.word_error_rate, r.confidence_halfwidth, r.seed]

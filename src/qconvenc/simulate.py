@@ -34,11 +34,22 @@ is a set of regular arrays indexed by (syndrome chunk, branch, state):
 every (chunk, state) pair has exactly 4^n / 2^(n-k) branches, one per
 input frame with that ancilla X pattern, so the Viterbi backward pass is
 a gather followed by a `min` over the branch axis.
+
+Three exact shortcuts skip most of that pass on sparse syndromes.  A zero
+syndrome decodes to the identity, the one error of weight 0.  The
+backward metric at frame t depends only on the chunks from t on, so
+after a trial's last nonzero chunk it is read from tables of all-zero
+chunk runs, built once per window length.  Before a trial's first
+nonzero chunk, when some optimal path crosses the zero chunks emitting
+identity frames, that path is also lex-least, so those frames decode to
+the identity and their backward steps are skipped (the test is in
+`Simulator._viterbi_nonzero`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,6 +70,7 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "estimate_wer",
+    "estimate_wers",
 ]
 
 _INF = 1 << 30
@@ -200,6 +212,15 @@ def _frame_lex_keys(physx: np.ndarray, physz: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
+def _span(basis: Sequence[int]) -> np.ndarray:
+    """XOR of the basis vectors selected by each index's bits, bit i
+    selecting basis[i]."""
+    out = np.zeros(1, dtype=np.int32)
+    for vec in basis:
+        out = np.concatenate([out, out ^ vec])
+    return out
+
+
 class Simulator:
     """Precomputed trellis over the 4^m memory states of one encoder.
 
@@ -230,6 +251,7 @@ class Simulator:
         self.nbranches = 1 << (n + k)
         self._nokey = 1 << (2 * n)  # above every frame key
         self._responses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._zero: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._build_trellis()
 
     def _build_trellis(self) -> None:
@@ -238,33 +260,38 @@ class Simulator:
         r = n - k
         nmask = (1 << n) - 1
         mmask = (1 << m) - 1
-        # images of memory-only and frame-only inputs; a general input is
-        # their XOR since the map is linear over GF(2)
-        memimg = np.array(
-            [self.smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(self.nstates)],
-            dtype=np.int32,
-        )
+        # the map is linear over GF(2), so the image of an input is the XOR
+        # of the rows its bits select: memory states index X bits then Z
+        # bits of the memory wires, frames X bits then Z bits of the frame
+        rows = self.smap.rows
+        img = np.concatenate([_span(rows[:m] + rows[w : w + m]), _span(rows[m:w] + rows[w + m :])])
+        # split each image into its physical frame (X bits then Z bits) and
+        # its successor memory state; both are bit selections, so they too
+        # are XORs of the memory and frame parts
+        phys = (img & nmask) | (((img >> w) & nmask) << n)
+        succ = (((img >> n) & mmask) | (((img >> (w + n)) & mmask) << m)).astype(np.intp)
+        nst = self.nstates
+        physm, physf = phys[:nst], phys[nst:]
+        succm, succf = succ[:nst], succ[nst:]
+        # weight and lex key of every physical frame
+        codes = np.arange(1 << (2 * n))
+        wt = np.bitwise_count((codes | (codes >> n)) & nmask)
+        key = _frame_lex_keys(codes & nmask, codes >> n, n).astype(np.min_scalar_type(self._nokey))
         # branch j of chunk c is the input frame whose ancilla X bits spell
         # c, with info X bits j mod 2^k and Z bits j div 2^k
-        shape = (1 << r, self.nbranches, self.nstates)
+        shape = (1 << r, self.nbranches, nst)
         # successors are intp: np.take would convert a narrower index array
         # on every backward step
         self._dst = np.empty(shape, dtype=np.intp)
         self._wt = np.empty(shape, dtype=np.uint8)
-        self._key = np.empty(shape, dtype=np.min_scalar_type(self._nokey))
+        self._key = np.empty(shape, dtype=key.dtype)
+        j = np.arange(self.nbranches)
         for c in range(1 << r):
-            ux = c | ((np.arange(self.nbranches) & ((1 << k) - 1)) << r)
-            uz = np.arange(self.nbranches) >> k
-            frameimg = np.array(
-                [self.smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
-                dtype=np.int32,
-            )
-            outs = frameimg[:, None] ^ memimg[None, :]
-            physx = outs & nmask
-            physz = (outs >> w) & nmask
-            self._dst[c] = ((outs >> n) & mmask) | (((outs >> (w + n)) & mmask) << m)
-            self._wt[c] = np.bitwise_count(physx | physz)
-            self._key[c] = _frame_lex_keys(physx, physz, n)
+            frames = c | ((j & ((1 << k) - 1)) << r) | ((j >> k) << n)
+            np.bitwise_xor(succf[frames][:, None], succm[None, :], out=self._dst[c])
+            out = physf[frames][:, None] ^ physm[None, :]
+            self._wt[c] = wt[out]
+            self._key[c] = key[out]
 
     def _block_size(self, nframes: int) -> int:
         per_trial = max(self.nstates * self.nbranches, nframes * (self.nstates + 2 * self.n))
@@ -349,47 +376,109 @@ class Simulator:
         lo = (keys[:, :, None] >> shifts) & 1
         return np.concatenate([hi ^ lo, hi], axis=2).astype(np.uint8)
 
+    def _zero_tables(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Two (nframes + 1, states) tables for runs of all-zero syndrome
+        chunks: row j of the first is the least weight from each state
+        through j such frames to the pinned identity state; row j of the
+        second flags the states that j identity-emitting frames reach from
+        some state."""
+        cached = self._zero.get(nframes)
+        if cached is None:
+            suffix = np.empty((nframes + 1, self.nstates), dtype=np.int32)
+            suffix[0] = _INF
+            suffix[0, 0] = 0
+            for j in range(1, nframes + 1):
+                step = suffix[j - 1][self._dst[0]] + self._wt[0]
+                suffix[j] = np.minimum(step.min(axis=0), _INF)
+            branch, src = np.nonzero(self._wt[0] == 0)
+            dst = self._dst[0][branch, src]
+            reach = np.ones((nframes + 1, self.nstates), dtype=bool)
+            for j in range(1, nframes + 1):
+                reach[j] = False
+                reach[j][dst[reach[j - 1][src]]] = True
+            cached = self._zero[nframes] = (suffix, reach)
+        return cached
+
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
+        keys = np.zeros(chunks.shape, dtype=self._key.dtype)
+        # a zero syndrome decodes to the identity, the one error of weight 0
+        rows = np.flatnonzero(chunks.any(axis=1))
+        if rows.size:
+            keys[rows] = self._viterbi_nonzero(chunks[rows])
+        return keys
+
+    def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
         ntrials, nframes = chunks.shape
+        suffix, reach = self._zero_tables(nframes)
+        nonzero = chunks != 0
+        first = np.argmax(nonzero, axis=1)
+        last = nframes - 1 - np.argmax(nonzero[:, ::-1], axis=1)
         # beta[t][b, s]: least remaining weight of trial b from state s
-        # before frame t+1 to the pinned identity state after frame N
+        # before frame t+1 to the pinned identity state after frame N.  It
+        # depends only on chunks t+1..N, so after a trial's last nonzero
+        # chunk it is the all-zero-suffix table
         beta = np.empty((nframes + 1, ntrials, self.nstates), dtype=np.int32)
-        beta[nframes] = _INF
-        beta[nframes, :, 0] = 0
-        for t in range(nframes - 1, -1, -1):
+        beta[:] = suffix[::-1, None, :]
+        # start[b]: the frame the backward pass of trial b stops at and its
+        # forward walk begins at; the zero-prefix test below may reset it to 0
+        start = first.copy()
+        for t in range(last.max(), -1, -1):
+            if t < start.min():
+                break
+            live = (last >= t) & (start <= t)
             for c in range(len(self._dst)):
-                rows = np.flatnonzero(chunks[:, t] == c)
+                rows = np.flatnonzero(live & (chunks[:, t] == c))
                 if rows.size:
-                    step = np.take(beta[t + 1][rows], self._dst[c], axis=1)
+                    # successors are in range, so "wrap" only skips the bounds check
+                    step = np.take(beta[t + 1][rows], self._dst[c], axis=1, mode="wrap")
                     step += self._wt[c]
                     beta[t][rows] = np.minimum(step.min(axis=1), _INF)
-        best = beta[0].min(axis=1)
+            # Zero-prefix test at a trial's first nonzero chunk.  A path that
+            # emits identity frames through the zero chunks before it, and so
+            # ends in reach[t], costs its beta there; any other path pays at
+            # least 1 in the prefix.  When the cheapest of the former is at
+            # most 1 above the cheapest beta, it is optimal and, its prefix
+            # keys being 0, lex-least among optimal paths: the prefix frames
+            # decode to the identity and need no backward steps.
+            at = np.flatnonzero(first == t)
+            if t and at.size:
+                head = beta[t][at]
+                via = np.where(reach[t], head, _INF).min(axis=1)
+                start[at[via > head.min(axis=1) + 1]] = 0
+        # a trial's optimal paths from frame start[b] on: for start 0 all
+        # states qualify (reach[0] is every state), otherwise those an
+        # identity prefix reaches
+        head = np.where(reach[start], beta[start, np.arange(ntrials)], _INF)
+        best = head.min(axis=1)
         if (best >= _INF).any():
             raise TrellisError("no trellis path matches the syndrome")
-        # walk forward keeping every state still on an optimal path, and at
-        # each frame commit the lex-least emission available from any of them
-        alive = beta[0] == best[:, None]
+        # walk forward keeping every (trial, state) pair still on an optimal
+        # path, and at each frame commit the lex-least emission available
+        # from any of them; trial b joins the walk at frame start[b]
+        hb, hs = np.nonzero(head == best[:, None])
+        bi = si = np.empty(0, dtype=np.intp)
         remaining = best
-        keys = np.empty((ntrials, nframes), dtype=self._key.dtype)
+        keys = np.zeros((ntrials, nframes), dtype=self._key.dtype)
         even = sum(1 << (2 * q) for q in range(self.n))
-        for t in range(nframes):
-            bi, si = np.nonzero(alive)
+        for t in range(start.min(), nframes):
+            join = start[hb] == t
+            bi = np.concatenate([bi, hb[join]])
+            si = np.concatenate([si, hs[join]])
             ci = chunks[bi, t]
             dst = self._dst[ci, :, si]
             ok = self._wt[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
             cand = np.where(ok, self._key[ci, :, si], self._nokey)
-            rowmin = np.full(alive.shape, self._nokey, dtype=cand.dtype)
-            rowmin[bi, si] = cand.min(axis=1)
-            kmin = rowmin.min(axis=1)
+            kmin = np.where(start <= t, self._nokey, 0).astype(cand.dtype)
+            np.minimum.at(kmin, bi, cand.min(axis=1))
             if (kmin == self._nokey).any():
                 raise TrellisError("optimal path lost mid-trellis")
             pi, ji = np.nonzero(cand == kmin[bi, None])
-            alive = np.zeros_like(alive)
-            alive[bi[pi], dst[pi, ji]] = True
+            bi, si = np.divmod(np.unique(bi[pi] * self.nstates + dst[pi, ji]), self.nstates)
             keys[:, t] = kmin
             remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
-        if (remaining != 0).any() or not alive[:, 0].all():
+        # each trial ends on the identity state, once: the pairs are distinct
+        if (remaining != 0).any() or np.count_nonzero(si == 0) != ntrials:
             raise TrellisError("trellis walk did not terminate at the identity")
         return keys
 
@@ -456,17 +545,76 @@ def _run_trial(sim: Simulator, p: float, nframes: int, seed: int, trial: int) ->
     return bool(_trial_failures(sim, p, nframes, seed, trial, trial + 1)[0])
 
 
-_WORKER: Optional[Tuple[Simulator, float, int, int]] = None
+_WORKER: Optional[Tuple[Simulator, int, int]] = None
 
 
-def _worker_init(sim: Simulator, p: float, nframes: int, seed: int) -> None:
+def _worker_init(sim: Simulator, nframes: int, seed: int) -> None:
     global _WORKER
-    _WORKER = (sim, p, nframes, seed)
+    _WORKER = (sim, nframes, seed)
 
 
-def _worker_count(bounds: Tuple[int, int]) -> int:
-    sim, p, nframes, seed = _WORKER
-    return int(_trial_failures(sim, p, nframes, seed, *bounds).sum())
+def _worker_count(task: Tuple[float, int, int]) -> int:
+    sim, nframes, seed = _WORKER
+    p, lo, hi = task
+    return int(_trial_failures(sim, p, nframes, seed, lo, hi).sum())
+
+
+def estimate_wers(
+    code: ConvolutionalCode,
+    encoder,
+    ps: Sequence[float],
+    nframes: int,
+    trials: int,
+    seed: int = 0,
+    workers: Optional[int] = None,
+) -> List[SimulationResult]:
+    """Word error rates of weight-ML decoding over an nframes window, one
+    per depolarizing probability in `ps`.
+
+    `encoder` is anything `as_symplectic` accepts, or a `Simulator` built
+    for `code`, which is then reused instead of building the trellis
+    again.  Trial i draws its own generator from (seed, i), so results
+    are bit-identical for any worker count and block size.  With more
+    than one worker, every point runs through one process pool of at
+    most min(workers, tasks, CPUs) processes; the trials are cut into
+    tasks by the requested count alone.  The 95% halfwidth uses the
+    normal approximation.
+    """
+    ps = list(ps)
+    if not ps:
+        raise ValueError("need at least one probability")
+    for p in ps:
+        if not 0.0 <= p < 0.75:
+            raise ValueError("weight metric is maximum-likelihood only for p < 3/4")
+    if nframes < 1 or trials < 1:
+        raise ValueError("need at least one frame and one trial")
+    if isinstance(encoder, Simulator):
+        if encoder.code != code:
+            raise ValueError("the simulator was built for another code")
+        sim = encoder
+    else:
+        sim = Simulator(code, encoder)
+    # the per-window tables, built once here rather than in every worker
+    sim._launches(nframes)
+    sim._zero_tables(nframes)
+    if workers is None or workers <= 1:
+        counts = [int(_trial_failures(sim, p, nframes, seed, 0, trials).sum()) for p in ps]
+    else:
+        step = max(1, -(-trials // (4 * workers)))
+        tasks = [(p, lo, min(lo + step, trials)) for p in ps for lo in range(0, trials, step)]
+        procs = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(
+            max_workers=procs, initializer=_worker_init, initargs=(sim, nframes, seed)
+        ) as pool:
+            per_task = list(pool.map(_worker_count, tasks))
+        # every point has the same number of tasks, in order
+        counts = [int(c) for c in np.reshape(per_task, (len(ps), -1)).sum(axis=1)]
+    results = []
+    for p, failures in zip(ps, counts):
+        wer = failures / trials
+        half = 1.96 * math.sqrt(wer * (1.0 - wer) / trials)
+        results.append(SimulationResult(p, nframes, trials, failures, wer, half, seed))
+    return results
 
 
 def estimate_wer(
@@ -478,33 +626,6 @@ def estimate_wer(
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> SimulationResult:
-    """Word error rate of weight-ML decoding over an nframes window.
-
-    `encoder` is anything `as_symplectic` accepts, or a `Simulator` built
-    for `code`, which is then reused instead of building the trellis
-    again.  Trial i draws its own generator from (seed, i), so results
-    are bit-identical for any worker count and block size.  The 95%
-    halfwidth uses the normal approximation.
-    """
-    if not 0.0 <= p < 0.75:
-        raise ValueError("weight metric is maximum-likelihood only for p < 3/4")
-    if nframes < 1 or trials < 1:
-        raise ValueError("need at least one frame and one trial")
-    if isinstance(encoder, Simulator):
-        if encoder.code != code:
-            raise ValueError("the simulator was built for another code")
-        sim = encoder
-    else:
-        sim = Simulator(code, encoder)
-    if workers is None or workers <= 1:
-        failures = int(_trial_failures(sim, p, nframes, seed, 0, trials).sum())
-    else:
-        step = max(1, -(-trials // (4 * workers)))
-        bounds = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(sim, p, nframes, seed)
-        ) as pool:
-            failures = sum(pool.map(_worker_count, bounds))
-    wer = failures / trials
-    half = 1.96 * math.sqrt(wer * (1.0 - wer) / trials)
-    return SimulationResult(p, nframes, trials, failures, wer, half, seed)
+    """Word error rate at one depolarizing probability: `estimate_wers`
+    on a one-element list."""
+    return estimate_wers(code, encoder, [p], nframes, trials, seed, workers)[0]

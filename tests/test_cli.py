@@ -486,3 +486,25 @@ def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
     )
     assert code == 0 and len(out.strip().splitlines()) == 4
     assert len(built) == 1
+
+
+def test_simulate_runs_every_point_through_one_pool(files, capsys, monkeypatch):
+    import qconvenc.simulate as simulate
+
+    pools = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    args = [
+        "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
+        "--p", "0.01,0.05,0.1", "--frames", "4", "--trials", "60", "--seed", "4",
+    ]
+    code, serial, _ = run_cli(capsys, *args, "--workers", "1")
+    assert code == 0 and pools == []
+    code, parallel, _ = run_cli(capsys, *args, "--workers", "2")
+    assert code == 0 and len(pools) == 1
+    assert parallel == serial and len(serial.strip().splitlines()) == 4

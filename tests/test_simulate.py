@@ -9,16 +9,20 @@ test against a frame-by-frame pullback through the inverse encoder.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconvenc import PauliOperator, parse_code, synthesize_encoder
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
+import qconvenc.simulate as simulate_module
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
     _run_trial,
     _trial_failures,
     estimate_wer,
+    estimate_wers,
     place_at_frame,
     sample_error,
     syndrome_by_decoder,
@@ -105,6 +109,95 @@ def from_block(bits):
     x = sum(int(bits[i // n, i % n]) << i for i in range(n * nframes))
     z = sum(int(bits[i // n, n + i % n]) << i for i in range(n * nframes))
     return PauliOperator(n * nframes, x, z)
+
+
+def per_state_trellis(sim):
+    """The trellis tables built one state and one branch at a time, each
+    successor and emission taken from `apply_vec` on the whole input."""
+    n, k, m = sim.n, sim.k, sim.m
+    w = m + n
+    r = n - k
+    nmask = (1 << n) - 1
+    mmask = (1 << m) - 1
+    memimg = np.array(
+        [sim.smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(sim.nstates)],
+        dtype=np.int32,
+    )
+    shape = (1 << r, sim.nbranches, sim.nstates)
+    dst = np.empty(shape, dtype=np.intp)
+    wt = np.empty(shape, dtype=np.uint8)
+    key = np.empty(shape, dtype=np.min_scalar_type(1 << (2 * n)))
+    for c in range(1 << r):
+        ux = c | ((np.arange(sim.nbranches) & ((1 << k) - 1)) << r)
+        uz = np.arange(sim.nbranches) >> k
+        frameimg = np.array(
+            [sim.smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
+            dtype=np.int32,
+        )
+        outs = frameimg[:, None] ^ memimg[None, :]
+        physx = outs & nmask
+        physz = (outs >> w) & nmask
+        dst[c] = ((outs >> n) & mmask) | (((outs >> (w + n)) & mmask) << m)
+        wt[c] = np.bitwise_count(physx | physz)
+        key[c] = 0
+        for q in range(n):
+            xq = (physx >> q) & 1
+            zq = (physz >> q) & 1
+            key[c] |= ((2 * zq + (xq ^ zq)) << (2 * (n - 1 - q))).astype(key.dtype)
+    return dst, wt, key
+
+
+def full_viterbi_keys(sim, chunks):
+    """Frame keys of the decoded errors by the full backward pass over
+    every frame of every trial, then the dense lex-least forward walk."""
+    inf = 1 << 30
+    ntrials, nframes = chunks.shape
+    beta = np.empty((nframes + 1, ntrials, sim.nstates), dtype=np.int32)
+    beta[nframes] = inf
+    beta[nframes, :, 0] = 0
+    for t in range(nframes - 1, -1, -1):
+        for c in range(len(sim._dst)):
+            rows = np.flatnonzero(chunks[:, t] == c)
+            if rows.size:
+                step = np.take(beta[t + 1][rows], sim._dst[c], axis=1)
+                step += sim._wt[c]
+                beta[t][rows] = np.minimum(step.min(axis=1), inf)
+    best = beta[0].min(axis=1)
+    assert (best < inf).all()
+    alive = beta[0] == best[:, None]
+    remaining = best
+    nokey = 1 << (2 * sim.n)
+    keys = np.empty((ntrials, nframes), dtype=np.int64)
+    even = sum(1 << (2 * q) for q in range(sim.n))
+    for t in range(nframes):
+        bi, si = np.nonzero(alive)
+        ci = chunks[bi, t]
+        dst = sim._dst[ci, :, si]
+        ok = sim._wt[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
+        cand = np.where(ok, sim._key[ci, :, si].astype(np.int64), nokey)
+        rowmin = np.full(alive.shape, nokey, dtype=np.int64)
+        rowmin[bi, si] = cand.min(axis=1)
+        kmin = rowmin.min(axis=1)
+        assert (kmin < nokey).all()
+        pi, ji = np.nonzero(cand == kmin[bi, None])
+        alive = np.zeros_like(alive)
+        alive[bi[pi], dst[pi, ji]] = True
+        keys[:, t] = kmin
+        remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
+    assert (remaining == 0).all() and alive[:, 0].all()
+    return keys
+
+
+def assert_decode_matches_full_pass(sim, syndromes):
+    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    r = sim.n - sim.k
+    chunks = (syndromes.astype(np.intp) << np.arange(r)).sum(axis=2)
+    keys = full_viterbi_keys(sim, chunks)
+    shifts = 2 * (sim.n - 1 - np.arange(sim.n))
+    hi = (keys[:, :, None] >> (shifts + 1)) & 1
+    lo = (keys[:, :, None] >> shifts) & 1
+    want = np.concatenate([hi ^ lo, hi], axis=2)
+    assert (sim.decode_block(syndromes) == want).all()
 
 
 def all_syndromes(nbits, r):
@@ -385,3 +478,109 @@ def test_rate_zero_code_never_fails():
     for workers in (1, 2):
         r = estimate_wer(code, encoder, 0.3, 4, 40, seed=1, workers=workers)
         assert r.failures == 0
+
+
+@pytest.mark.parametrize("which", ["fgg", "gr"])
+def test_trellis_matches_per_state_build(request, which):
+    sim = request.getfixturevalue(f"{which}_simulator")
+    for got, want in zip((sim._dst, sim._wt, sim._key), per_state_trellis(sim)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda nframes: st.lists(
+            st.lists(st.integers(0, 3), min_size=nframes, max_size=nframes), min_size=1, max_size=6
+        )
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_fgg_decode_matches_full_backward_pass(fgg_simulator, rows, density):
+    # chunk values 0..3 spell the two syndrome bits; zero out a share of
+    # them so that all-zero trials, zero prefixes and zero suffixes occur
+    chunks = np.array(rows)
+    chunks[np.linspace(0, 1, chunks.size).reshape(chunks.shape) > density] = 0
+    syndromes = ((chunks[:, :, None] >> np.arange(2)) & 1).astype(np.uint8)
+    assert_decode_matches_full_pass(fgg_simulator, syndromes)
+
+
+def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_simulator):
+    assert_decode_matches_full_pass(fgg_simulator, all_syndromes(8, 2))
+
+
+def test_gr_decode_matches_full_backward_pass(gr_simulator):
+    rng = np.random.default_rng(13)
+    for nframes in (1, 2, 4):
+        blocks = [np.zeros((1, nframes, 2), dtype=np.uint8)]
+        for t in (0, nframes - 1):
+            for c in (1, 2, 3):
+                one = np.zeros((1, nframes, 2), dtype=np.uint8)
+                one[0, t] = (c >> np.arange(2)) & 1
+                blocks.append(one)
+        # zero and nonzero trials in one block, with spread-out chunks; at
+        # N = 4 some of them need the backward steps through a zero prefix
+        mixed = (rng.random((24, nframes, 2)) < 0.3).astype(np.uint8)
+        mixed[::3] = 0
+        blocks.append(mixed)
+        for block in blocks:
+            assert_decode_matches_full_pass(gr_simulator, block)
+
+
+def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_simulator, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the backward pass ran on a zero syndrome")
+
+    monkeypatch.setattr(fgg_simulator, "_viterbi_nonzero", fail)
+    est = fgg_simulator.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
+    assert est.shape == (5, 7, 6) and not est.any()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments and runs
+    the tasks in this process."""
+
+    made = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.tasks = []
+        RecordingPool.made.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, procs, tasks_per_p",
+    [(1_000_000, 64, 40, 20), (1_000_000, 3, 3, 20), (2, 64, 2, 7), (8, None, 1, 20)],
+)
+def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, tasks_per_p):
+    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(simulate_module, "_WORKER", None)
+    RecordingPool.made.clear()
+    ps = [0.05, 0.1]
+    rows = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, 20, seed=2, workers=workers)
+    (pool,) = RecordingPool.made
+    assert pool.max_workers == procs
+    # tasks are cut from the requested worker count, not the pool size
+    assert len(pool.tasks) == tasks_per_p * len(ps)
+    assert [t[0] for t in pool.tasks] == [p for p in ps for _ in range(tasks_per_p)]
+    assert rows == estimate_wers(FGG_CODE, fgg_simulator, ps, 4, 20, seed=2)
+
+
+def test_estimate_wers_validates_points(fgg_simulator):
+    with pytest.raises(ValueError):
+        estimate_wers(FGG_CODE, fgg_simulator, [], 4, 20)
+    with pytest.raises(ValueError):
+        estimate_wers(FGG_CODE, fgg_simulator, [0.05, 0.8], 4, 20)
