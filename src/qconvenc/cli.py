@@ -49,7 +49,7 @@ from .errors import (
     TrellisError,
 )
 from .pipeline import synthesize_encoder, verify_encoder
-from .simulate import Simulator, estimate_wers
+from .simulate import SEED_LIMIT, Simulator, estimate_wers
 from .skeleton import (
     MemoryAssignment,
     TransformationSkeleton,
@@ -313,6 +313,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"want an integer in [0, 2^128), got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qconvenc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -352,7 +362,7 @@ def build_parser() -> _Parser:
                    help="comma-separated depolarizing probabilities")
     p.add_argument("--frames", required=True, type=_positive_int, help="window length N")
     p.add_argument("--trials", required=True, type=_positive_int, help="trials per point")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2^128) (default 0)")
     # argparse runs a string default through type= only when the flag is
     # absent, so a bad environment value is a usage error of `simulate` alone
     p.add_argument("--workers", type=_positive_int,

@@ -71,9 +71,13 @@ __all__ = [
     "SimulationResult",
     "estimate_wer",
     "estimate_wers",
+    "SEED_LIMIT",
 ]
 
 _INF = 1 << 30
+
+# seeds key the Philox stream, whose keys lie in [0, 2^128)
+SEED_LIMIT = 1 << 128
 
 # Upper bound on the cells one block of trials touches: the backward pass
 # gathers trials x states x branches values per frame, and the block keeps
@@ -94,11 +98,11 @@ class DepolarizingChannel:
             raise ValueError("depolarizing probability must lie in [0, 1]")
 
 
-def _draw(p: float, length: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """X and Z bits of one depolarizing error on `length` qubits."""
-    hit = rng.random(length) < p
-    kind = rng.integers(0, 3, size=length)  # 0=X 1=Y 2=Z
-    return hit & (kind != 2), hit & (kind != 0)
+def _depolarize(u: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
+    """X and Z bits of a depolarizing error from one uniform in [0, 1) per
+    qubit: u < p hits, and floor(3u / p) picks X, Y or Z, each with
+    probability p/3."""
+    return u < 2 * p / 3, (u >= p / 3) & (u < p)
 
 
 def _pack(bits: np.ndarray) -> int:
@@ -113,18 +117,29 @@ def _unpack(v: int, length: int) -> np.ndarray:
 def sample_error(ch: DepolarizingChannel, length: int, rng: np.random.Generator) -> PauliOperator:
     if length < 1:
         raise ValueError("need at least one qubit")
-    x, z = _draw(ch.p, length, rng)
+    x, z = _depolarize(rng.random(length), ch.p)
     return PauliOperator(length, _pack(x), _pack(z))
 
 
+def _trial_counters(n: int, nframes: int) -> int:
+    """Philox counter values each trial owns: one 64-bit word per qubit,
+    four words per counter value."""
+    return -(-(n * nframes) // 4)
+
+
 def _sample_block(p: float, n: int, nframes: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Errors of trials lo..hi-1, trial i drawn from its own (seed, i) stream."""
-    out = np.empty((hi - lo, nframes, 2 * n), dtype=np.uint8)
-    for row, trial in enumerate(range(lo, hi)):
-        x, z = _draw(p, nframes * n, np.random.default_rng([seed, trial]))
-        out[row, :, :n] = x.reshape(nframes, n)
-        out[row, :, n:] = z.reshape(nframes, n)
-    return out
+    """Errors of trials lo..hi-1.  One Philox stream is keyed by the seed,
+    and trial i owns the counter range from i times `_trial_counters`, so
+    a block is one `advance` and one `random_raw` draw, and its trials do
+    not depend on where blocks start.  Each word becomes a uniform as
+    `Generator.random` makes it, from its top 53 bits."""
+    stride = _trial_counters(n, nframes)
+    bits = np.random.Philox(key=seed)
+    bits.advance(lo * stride)
+    raw = bits.random_raw((hi - lo) * 4 * stride).reshape(hi - lo, 4 * stride)
+    u = (raw[:, : n * nframes] >> 11) * 2.0**-53
+    x, z = _depolarize(u.reshape(hi - lo, nframes, n), p)
+    return np.concatenate([x, z], axis=2).astype(np.uint8)
 
 
 def _infer_frames(code: ConvolutionalCode, error: PauliOperator, nframes: Optional[int]) -> int:
@@ -573,8 +588,9 @@ def estimate_wers(
 
     `encoder` is anything `as_symplectic` accepts, or a `Simulator` built
     for `code`, which is then reused instead of building the trellis
-    again.  Trial i draws its own generator from (seed, i), so results
-    are bit-identical for any worker count and block size.  With more
+    again.  Trial i draws from its own counter range of one Philox
+    stream keyed by `seed`, in [0, SEED_LIMIT), so results are
+    bit-identical for any worker count and block size.  With more
     than one worker, every point runs through one process pool of at
     most min(workers, tasks, CPUs) processes; the trials are cut into
     tasks by the requested count alone.  The 95% halfwidth uses the
@@ -588,6 +604,8 @@ def estimate_wers(
             raise ValueError("weight metric is maximum-likelihood only for p < 3/4")
     if nframes < 1 or trials < 1:
         raise ValueError("need at least one frame and one trial")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError("the seed must lie in [0, 2^128)")
     if isinstance(encoder, Simulator):
         if encoder.code != code:
             raise ValueError("the simulator was built for another code")

@@ -508,3 +508,24 @@ def test_simulate_runs_every_point_through_one_pool(files, capsys, monkeypatch):
     code, parallel, _ = run_cli(capsys, *args, "--workers", "2")
     assert code == 0 and len(pools) == 1
     assert parallel == serial and len(serial.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128), "x"])
+def test_simulate_rejects_seeds_outside_the_key_range(files, capsys, seed):
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
+        "--p", "0.05", "--frames", "3", "--trials", "5", "--seed", seed,
+    )
+    assert code == 64
+    assert len(err.strip().splitlines()) == 1 and "--seed" in err
+
+
+def test_simulate_accepts_both_ends_of_the_key_range(files, capsys):
+    for seed in ("0", str(2**128 - 1)):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
+            "--p", "0.05", "--frames", "3", "--trials", "5", "--seed", seed,
+        )
+        assert code == 0 and out.strip().splitlines()[1].endswith("," + seed)

@@ -19,7 +19,10 @@ import qconvenc.simulate as simulate_module
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
+    SEED_LIMIT,
     _run_trial,
+    _sample_block,
+    _trial_counters,
     _trial_failures,
     estimate_wer,
     estimate_wers,
@@ -457,9 +460,12 @@ def test_block_failures_match_single_trials(request, which, nframes, p, trials):
         _trial_failures(sim, p, nframes, 5, 0, trials // 3).tolist()
         + _trial_failures(sim, p, nframes, 5, trials // 3, trials).tolist()
     )
-    # the scalar Pauli route over the same per-trial draws
+    # the scalar Pauli route over the same per-trial draws: trial t's
+    # counter range of the Philox stream keyed by the seed
     for t in range(trials):
-        e = sample_error(DepolarizingChannel(p), sim.n * nframes, np.random.default_rng([5, t]))
+        bits = np.random.Philox(key=5)
+        bits.advance(t * _trial_counters(sim.n, nframes))
+        e = sample_error(DepolarizingChannel(p), sim.n * nframes, np.random.Generator(bits))
         est = sim.decode(sim.syndrome(e, nframes))
         assert sim.carries_logical_error(e * est, nframes) == block[t]
 
@@ -584,3 +590,39 @@ def test_estimate_wers_validates_points(fgg_simulator):
         estimate_wers(FGG_CODE, fgg_simulator, [], 4, 20)
     with pytest.raises(ValueError):
         estimate_wers(FGG_CODE, fgg_simulator, [0.05, 0.8], 4, 20)
+
+
+@pytest.mark.parametrize("n, nframes", [(3, 6), (4, 5), (2, 1)])
+def test_sample_block_splits_anywhere(n, nframes):
+    whole = _sample_block(0.3, n, nframes, 9, 0, 40)
+    assert whole.shape == (40, nframes, 2 * n) and whole.any()
+    for cut in (1, 7, 39):
+        parts = [_sample_block(0.3, n, nframes, 9, 0, cut), _sample_block(0.3, n, nframes, 9, cut, 40)]
+        assert (np.concatenate(parts) == whole).all()
+    assert (_sample_block(0.3, n, nframes, 9, 13, 14)[0] == whole[13]).all()
+    assert not (_sample_block(0.3, n, nframes, 10, 0, 40) == whole).all()
+
+
+def test_sample_block_at_p_zero_is_the_identity():
+    assert not _sample_block(0.0, 3, 8, 1, 0, 50).any()
+
+
+@pytest.mark.parametrize("p", [0.03, 0.3, 0.74])
+def test_sample_block_kinds_have_probability_p_over_3(p):
+    errors = _sample_block(p, 4, 25, 21, 0, 1000)  # 10^5 qubits
+    x, z = errors[:, :, :4], errors[:, :, 4:]
+    qubits = x.size
+    sigma = (qubits * p / 3 * (1 - p / 3)) ** 0.5
+    for kind in (x & (1 - z), x & z, (1 - x) & z):
+        assert abs(int(kind.sum()) - qubits * p / 3) < 5 * sigma
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+def test_estimate_wer_rejects_seeds_outside_the_key_range(fgg_simulator, seed):
+    with pytest.raises(ValueError):
+        estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed)
+
+
+def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_simulator):
+    for seed in (0, SEED_LIMIT - 1):
+        assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed).seed == seed
