@@ -100,8 +100,8 @@ class DepolarizingChannel:
 
 def _depolarize(u: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
     """X and Z bits of a depolarizing error from one uniform in [0, 1) per
-    qubit: u < p hits, and floor(3u / p) picks X, Y or Z, each with
-    probability p/3."""
+    qubit: u < p hits, and floor(3u / p) picks X, Y or Z, so u below p/3
+    is X, below 2p/3 is Y and below p is Z, each with probability p/3."""
     return u < 2 * p / 3, (u >= p / 3) & (u < p)
 
 
