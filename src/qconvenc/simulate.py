@@ -489,7 +489,9 @@ class Simulator:
             if (kmin == self._nokey).any():
                 raise TrellisError("optimal path lost mid-trellis")
             pi, ji = np.nonzero(cand == kmin[bi, None])
-            bi, si = np.divmod(np.unique(bi[pi] * self.nstates + dst[pi, ji]), self.nstates)
+            nxt = np.zeros((ntrials, self.nstates), dtype=bool)
+            nxt[bi[pi], dst[pi, ji]] = True
+            bi, si = np.nonzero(nxt)
             keys[:, t] = kmin
             remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
         # each trial ends on the identity state, once: the pairs are distinct
