@@ -43,7 +43,8 @@ chunk runs, built once per window length.  Before a trial's first
 nonzero chunk, when some optimal path crosses the zero chunks emitting
 identity frames, that path is also lex-least, so those frames decode to
 the identity and their backward steps are skipped (the test is in
-`Simulator._viterbi_nonzero`).
+`Simulator._viterbi_nonzero`).  The forward walk stops once the path has
+no weight left: every later frame is the identity.
 """
 
 from __future__ import annotations
@@ -476,7 +477,9 @@ class Simulator:
         remaining = best
         keys = np.zeros((ntrials, nframes), dtype=self._key.dtype)
         even = sum(1 << (2 * q) for q in range(self.n))
-        for t in range(start.min(), nframes):
+        t = start.min()
+        # once no weight remains, every later frame is the identity, key 0
+        while t < nframes and remaining.any():
             join = start[hb] == t
             bi = np.concatenate([bi, hb[join]])
             si = np.concatenate([si, hs[join]])
@@ -494,8 +497,12 @@ class Simulator:
             bi, si = np.nonzero(nxt)
             keys[:, t] = kmin
             remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
-        # each trial ends on the identity state, once: the pairs are distinct
-        if (remaining != 0).any() or np.count_nonzero(si == 0) != ntrials:
+            t += 1
+        # each trial reaches the identity state through the frames left at
+        # no further weight (with none left, it is on the identity state)
+        ends = np.zeros(ntrials, dtype=bool)
+        ends[bi[suffix[nframes - t][si] == 0]] = True
+        if remaining.any() or not ends.all():
             raise TrellisError("trellis walk did not terminate at the identity")
         return keys
 

@@ -16,6 +16,7 @@ from qconvenc import PauliOperator, parse_code, synthesize_encoder
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
+from qconvenc.errors import TrellisError
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
@@ -626,3 +627,11 @@ def test_estimate_wer_rejects_seeds_outside_the_key_range(fgg_simulator, seed):
 def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_simulator):
     for seed in (0, SEED_LIMIT - 1):
         assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed).seed == seed
+
+
+def test_inconsistent_zero_tables_raise_trellis_error(fgg_reference_encoder):
+    sim = Simulator(FGG_CODE, fgg_reference_encoder)
+    suffix, _ = sim._zero_tables(4)
+    suffix[1:] = 0  # claims that every state reaches the identity for free
+    with pytest.raises(TrellisError):
+        sim.decode_block(all_syndromes(8, 2))
