@@ -4,7 +4,9 @@ The trellis decoder is held against a full exhaustive-ML enumeration of
 every 9-qubit error on a 3-frame FGG window and every 8-qubit error on a
 2-frame GR window, every syndrome route against direct symplectic
 products with shifted generators, and the batch syndrome and failure
-test against a frame-by-frame pullback through the inverse encoder.
+test against a frame-by-frame pullback through the inverse encoder.  The
+sparse-syndrome decoder is held against the full backward pass over
+every frame, and the trellis tables against a per-state build.
 """
 
 import numpy as np
