@@ -333,20 +333,15 @@ def admissible_cycle_states(
     m = assignment.m
     if m == 0:
         return []
-    duals = []
-    for op in assignment.operators:
-        v = op.vec()
-        duals.append((v >> m) | ((v & ((1 << m) - 1)) << m))
+    duals = [_dual(op.vec(), m) for op in assignment.operators]
     basis = gf2.nullspace(duals, 2 * m)
     return [PauliOperator.from_vec(m, v) for v in basis]
 
 
 def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[PauliOperator]:
     """All elements generated (phase-free, so just the GF(2) span)."""
-    elems = {0}
-    for g in generators:
-        elems |= {e ^ g.vec() for e in elems}
-    return [PauliOperator.from_vec(m, v) for v in sorted(elems)]
+    elems = sorted(set(gf2.span([g.vec() for g in generators])))
+    return [PauliOperator.from_vec(m, v) for v in elems]
 
 
 def complete_noncatastrophic(
@@ -403,8 +398,7 @@ def complete_noncatastrophic(
                 f"candidate space at direction {level + 1} has 2^{len(null)} "
                 "elements; refusing to enumerate"
             )
-        cands = sorted(_affine_span(v0, null))
-        for v in cands:
+        for v in sorted(v0 ^ x for x in gf2.span(null)):
             if tried >= max_candidates:
                 raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
             found = dfs(rows_acc + [(u, v)], level + 1)
@@ -438,10 +432,3 @@ def _leaf_cycle_state(
 ) -> Optional[Tuple[int, List[int]]]:
     """`_encoder_cycle_state` of every completion of a search leaf's rows."""
     return _encoder_cycle_state(gf2.matmul(coeffs, [out for _, out in rows]), n, k, m)
-
-
-def _affine_span(base: int, null: List[int]) -> List[int]:
-    out = [base]
-    for v in null:
-        out += [x ^ v for x in out]
-    return out

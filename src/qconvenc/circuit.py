@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import ParseError
 from .gf2 import invert as gf2_invert
@@ -76,46 +76,48 @@ class CliffordCircuit:
         return len(self.gates)
 
 
-def apply_gate(gate: CliffordGate, p: PauliOperator) -> PauliOperator:
-    x, z = p.x, p.z
+def _conjugate(gate: CliffordGate, vecs: List[int], width: int) -> None:
+    """Conjugate each packed width-`width` vector of `vecs` by `gate`, in
+    place.  Every gate is a short sequence of conditional bit flips
+    (source bit, flipped bit), each an XOR of one coordinate into another;
+    H and SWAP exchange coordinates by three such XORs."""
+    i = gate.qubits[0] - 1
+    xi, zi = i, width + i
     if gate.kind == "H":
-        i = gate.qubits[0] - 1
-        bi = 1 << i
-        xb, zb = x & bi, z & bi
-        x = (x & ~bi) | (bi if zb else 0)
-        z = (z & ~bi) | (bi if xb else 0)
+        flips = [(zi, xi), (xi, zi), (zi, xi)]
     elif gate.kind == "P":
-        i = gate.qubits[0] - 1
-        z ^= x & (1 << i)
-    elif gate.kind == "CNOT":
-        c, t = (q - 1 for q in gate.qubits)
-        if (x >> c) & 1:
-            x ^= 1 << t
-        if (z >> t) & 1:
-            z ^= 1 << c
-    elif gate.kind == "CZ":
-        i, j = (q - 1 for q in gate.qubits)
-        if (x >> i) & 1:
-            z ^= 1 << j
-        if (x >> j) & 1:
-            z ^= 1 << i
-    elif gate.kind == "SWAP":
-        i, j = (q - 1 for q in gate.qubits)
-        xi, xj = (x >> i) & 1, (x >> j) & 1
-        zi, zj = (z >> i) & 1, (z >> j) & 1
-        if xi != xj:
-            x ^= (1 << i) | (1 << j)
-        if zi != zj:
-            z ^= (1 << i) | (1 << j)
-    return PauliOperator(p.width, x, z)
+        flips = [(xi, zi)]
+    else:
+        j = gate.qubits[1] - 1
+        xj, zj = j, width + j
+        if gate.kind == "CNOT":
+            flips = [(xi, xj), (zj, zi)]
+        elif gate.kind == "CZ":
+            flips = [(xi, zj), (xj, zi)]
+        else:  # SWAP
+            flips = [(xi, xj), (xj, xi), (xi, xj), (zi, zj), (zj, zi), (zi, zj)]
+    for r, v in enumerate(vecs):
+        for src, dst in flips:
+            if (v >> src) & 1:
+                v ^= 1 << dst
+        vecs[r] = v
+
+
+def apply_gate(gate: CliffordGate, p: PauliOperator) -> PauliOperator:
+    if max(gate.qubits) > p.width:
+        raise ValueError(f"gate {gate} exceeds pauli width {p.width}")
+    vecs = [p.vec()]
+    _conjugate(gate, vecs, p.width)
+    return PauliOperator.from_vec(p.width, vecs[0])
 
 
 def apply_circuit(circuit: CliffordCircuit, p: PauliOperator) -> PauliOperator:
     if p.width != circuit.width:
         raise ValueError("pauli width does not match circuit width")
+    vecs = [p.vec()]
     for g in circuit.gates:
-        p = apply_gate(g, p)
-    return p
+        _conjugate(g, vecs, p.width)
+    return PauliOperator.from_vec(p.width, vecs[0])
 
 
 def _dual(v: int, width: int) -> int:
@@ -136,21 +138,14 @@ class SymplecticMap:
         return SymplecticMap(width, tuple(1 << i for i in range(2 * width)))
 
     def apply_vec(self, v: int) -> int:
-        acc = 0
-        i = 0
-        while v:
-            if v & 1:
-                acc ^= self.rows[i]
-            v >>= 1
-            i += 1
-        return acc
+        return matmul([v], self.rows)[0]
 
     def apply(self, p: PauliOperator) -> PauliOperator:
         return PauliOperator.from_vec(self.width, self.apply_vec(p.vec()))
 
     def compose(self, other: "SymplecticMap") -> "SymplecticMap":
         """self followed by other."""
-        return SymplecticMap(self.width, tuple(matmul(list(self.rows), list(other.rows))))
+        return SymplecticMap(self.width, tuple(matmul(self.rows, other.rows)))
 
     def inverse(self) -> "SymplecticMap":
         inv = gf2_invert(list(self.rows), 2 * self.width)
@@ -170,11 +165,10 @@ class SymplecticMap:
 
 
 def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:
-    w = circuit.width
-    rows = []
-    for i in range(2 * w):
-        rows.append(apply_circuit(circuit, PauliOperator.from_vec(w, 1 << i)).vec())
-    return SymplecticMap(w, tuple(rows))
+    rows = list(SymplecticMap.identity(circuit.width).rows)
+    for g in circuit.gates:
+        _conjugate(g, rows, circuit.width)
+    return SymplecticMap(circuit.width, tuple(rows))
 
 
 def as_symplectic(encoder) -> SymplecticMap:

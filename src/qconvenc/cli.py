@@ -35,7 +35,7 @@ from .circuit import (
     parse_circuit,
     wire_roles,
 )
-from .code import ConvolutionalCode, parse_code, validate
+from .code import ConvolutionalCode, parse_code
 from .decoder import derive_online_decoder
 from .errors import (
     CodeValidationError,
@@ -79,9 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_code(path: str) -> ConvolutionalCode:
     with open(path) as fh:
-        code = parse_code(fh.read())
-    validate(code)
-    return code
+        return parse_code(fh.read())
 
 
 def _read_circuit(path: str) -> CliffordCircuit:
@@ -123,6 +121,12 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     else:
         for key, value in report.items():
             print(f"{key}: {value}")
+
+
+def _text_block(lines: List[str], args: argparse.Namespace) -> List[str] | str:
+    """A multi-line report value: the list itself in JSON, else one block
+    of lines starting below its key."""
+    return lines if args.as_json else "\n" + "\n".join(lines)
 
 
 def _render_skeleton(skel: TransformationSkeleton) -> List[str]:
@@ -178,9 +182,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "encoder")
         report["circuit_file"] = args.out
     if args.skeleton:
-        report["skeleton"] = _render_skeleton(result.skeleton)
-        if not args.as_json:
-            report["skeleton"] = "\n" + "\n".join(report["skeleton"])
+        report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
     _emit(report, args)
     return EX_OK
 
@@ -196,8 +198,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:
-        lines = _render_witness(verdict.witness)
-        report["witness"] = lines if args.as_json else "\n" + "\n".join(lines)
+        report["witness"] = _text_block(_render_witness(verdict.witness), args)
     _emit(report, args)
     return EX_OK if verdict.non_catastrophic else EX_CATASTROPHIC
 
@@ -214,8 +215,7 @@ def _cmd_derive_decoder(args: argparse.Namespace) -> int:
         _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "decoder")
         report["circuit_file"] = args.out
     if args.skeleton:
-        rendered = _render_skeleton(result.skeleton)
-        report["skeleton"] = rendered if args.as_json else "\n" + "\n".join(rendered)
+        report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
     _emit(report, args)
     return EX_OK
 

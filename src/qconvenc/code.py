@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CodeValidationError, ParseError
+from .gf2 import parity
 from .pauli import PauliOperator
 
 __all__ = [
@@ -170,7 +171,7 @@ def _poly_row_self_orthogonal(polys: Sequence[int]) -> Optional[int]:
     for shift in range(degree):
         acc = 0
         for p in polys:
-            acc ^= bin(p & (p >> shift)).count("1") & 1
+            acc ^= parity(p & (p >> shift))
         if acc:
             return shift
     return None

@@ -135,9 +135,6 @@ class DecoderResult:
     def map(self) -> SymplecticMap:
         return circuit_to_symplectic(self.circuit)
 
-    def transformation_rows(self) -> List[Tuple[PauliOperator, PauliOperator]]:
-        return partial_rows(self.skeleton, self.assignment)
-
 
 def derive_online_decoder(
     code: ConvolutionalCode,

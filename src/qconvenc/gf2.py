@@ -7,7 +7,7 @@ solve and nullspace loops branch-light and allocation-free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "parity",
@@ -19,6 +19,7 @@ __all__ = [
     "nullspace",
     "invert",
     "matmul",
+    "span",
 ]
 
 
@@ -120,7 +121,7 @@ def invert(rows: List[int], n: int) -> Optional[List[int]]:
     return [aug[i] >> n for i in range(n)]
 
 
-def matmul(a: List[int], b: List[int]) -> List[int]:
+def matmul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Row-major product: row i of result = (row i of a) . b."""
     out = []
     for row in a:
@@ -132,4 +133,13 @@ def matmul(a: List[int], b: List[int]) -> List[int]:
             row >>= 1
             j += 1
         out.append(acc)
+    return out
+
+
+def span(basis: Sequence[int]) -> List[int]:
+    """Every XOR combination of `basis`: entry i is the XOR of the basis[j]
+    whose bit j is set in i."""
+    out = [0]
+    for v in basis:
+        out += [x ^ v for x in out]
     return out

@@ -8,7 +8,7 @@ built from a self-orthogonal classical generator row.
 from __future__ import annotations
 
 from .circuit import parse_circuit
-from .code import ConvolutionalCode, FramedPauliSequence, parse_code
+from .code import ConvolutionalCode, parse_code
 from .pauli import PauliOperator
 
 __all__ = [
@@ -112,7 +112,3 @@ def fgg_transformation_rows():
     return [
         (PauliOperator.from_string(a), PauliOperator.from_string(b)) for a, b in rows
     ]
-
-
-def _framed(s: str) -> FramedPauliSequence:
-    return FramedPauliSequence.from_string(s)

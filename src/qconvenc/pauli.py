@@ -22,7 +22,6 @@ __all__ = [
     "tensor",
 ]
 
-_CHARS = "IXYZ"  # index = x_bit + 2*z_bit -> I, X, Z, Y handled below
 _CODE = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
@@ -65,7 +64,7 @@ class PauliOperator:
     def char(self, i: int) -> str:
         xb = (self.x >> i) & 1
         zb = (self.z >> i) & 1
-        return "IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y"
+        return "IXZY"[xb + 2 * zb]
 
     def to_string(self, group: int | None = None) -> str:
         chars = []

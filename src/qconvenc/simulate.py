@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import gf2
 from .circuit import as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .decoder import DecoderResult
@@ -228,15 +229,6 @@ def _frame_lex_keys(physx: np.ndarray, physz: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _span(basis: Sequence[int]) -> np.ndarray:
-    """XOR of the basis vectors selected by each index's bits, bit i
-    selecting basis[i]."""
-    out = np.zeros(1, dtype=np.int32)
-    for vec in basis:
-        out = np.concatenate([out, out ^ vec])
-    return out
-
-
 class Simulator:
     """Precomputed trellis over the 4^m memory states of one encoder.
 
@@ -280,7 +272,9 @@ class Simulator:
         # of the rows its bits select: memory states index X bits then Z
         # bits of the memory wires, frames X bits then Z bits of the frame
         rows = self.smap.rows
-        img = np.concatenate([_span(rows[:m] + rows[w : w + m]), _span(rows[m:w] + rows[w + m :])])
+        img = np.array(
+            gf2.span(rows[:m] + rows[w : w + m]) + gf2.span(rows[m:w] + rows[w + m :]), dtype=np.int32
+        )
         # split each image into its physical frame (X bits then Z bits) and
         # its successor memory state; both are bit selections, so they too
         # are XORs of the memory and frame parts

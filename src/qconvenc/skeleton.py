@@ -22,11 +22,11 @@ per-frame inputs/outputs, produces decoder skeletons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2
-from .code import ConvolutionalCode, FramedPauliSequence
+from .code import ConvolutionalCode
 from .errors import SkeletonInconsistencyError
 from .pauli import PauliOperator
 
@@ -194,21 +194,18 @@ class GramSchmidtResult:
 
 
 def symplectic_gram_schmidt(matrix: CommutationRequirement) -> GramSchmidtResult:
-    p = matrix.size
+    return _gram_schmidt(matrix.rows)
+
+
+def _gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
+    """`symplectic_gram_schmidt` of the form whose Gram matrix has the
+    symmetric, zero-diagonal rows `gram`."""
 
     def form(u: int, v: int) -> int:
-        # bilinear form induced by M on GF(2) combinations of the unknowns
-        acc = 0
-        j = 0
-        vv = v
-        while vv:
-            if vv & 1:
-                acc ^= u & matrix.rows[j]
-            vv >>= 1
-            j += 1
-        return gf2.parity(acc)
+        # bilinear form induced by the Gram matrix on GF(2) combinations
+        return gf2.parity(u & gf2.matmul([v], gram)[0])
 
-    remaining = [(i, 1 << i) for i in range(p)]
+    remaining = [(i, 1 << i) for i in range(len(gram))]
     pair_rows: List[Tuple[int, int]] = []
     pair_labels: List[Tuple[int, int]] = []
     iso_rows: List[int] = []
@@ -278,27 +275,15 @@ def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
     p = matrix.size
     npairs = len(sgs.pairs)
     m = npairs + len(sgs.isotropic)
-    canonical: List[PauliOperator] = []
-    for r in range(npairs):
-        canonical.append(PauliOperator.single(m, r, "X"))
-        canonical.append(PauliOperator.single(m, r, "Z"))
-    for j in range(len(sgs.isotropic)):
-        canonical.append(PauliOperator.single(m, npairs + j, "Z"))
     if p == 0:
         return MemoryAssignment(0, ())
+    canonical: List[int] = []
+    for r in range(npairs):
+        canonical += [1 << r, 1 << (m + r)]
+    canonical += [1 << (m + npairs + j) for j in range(len(sgs.isotropic))]
     binv = gf2.invert(list(sgs.basis_change), p)
     assert binv is not None, "basis change must be invertible"
-    ops = []
-    for c in range(p):
-        op = PauliOperator.identity(m)
-        row = binv[c]
-        r = 0
-        while row:
-            if row & 1:
-                op = op * canonical[r]
-            row >>= 1
-            r += 1
-        ops.append(op)
+    ops = [PauliOperator.from_vec(m, v) for v in gf2.matmul(binv, canonical)]
     result = MemoryAssignment(m, tuple(ops))
     bad = check_assignment(matrix, result)
     assert bad is None, f"constructed assignment violates M at {bad}"

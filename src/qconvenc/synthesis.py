@@ -12,19 +12,20 @@ time, which keeps the gate count O(width^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import gf2
 from .circuit import (
     CliffordCircuit,
     CliffordGate,
     SymplecticMap,
+    _conjugate,
     _dual,
-    apply_gate,
     circuit_to_symplectic,
 )
 from .errors import MapConsistencyError, SynthesisError
 from .pauli import PauliOperator
+from .skeleton import _gram_schmidt
 
 __all__ = [
     "PartialMap",
@@ -114,32 +115,20 @@ def complete_to_symplectic(partial: PartialMap) -> SymplecticMap:
     """Deterministic full symplectic matrix agreeing with the rows."""
     check_consistency(partial)
     w = partial.width
-    work = list(partial.rows)
-    hyper: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []  # ((a, a'), (b, b'))
-    iso: List[Tuple[int, int]] = []
-    # symplectic Gram-Schmidt run jointly: every row operation is mirrored
-    # on the output side, so each transformed (input, output) pair is still
-    # a requirement the final map must satisfy.
-    while work:
-        u, uv = work.pop(0)
-        pidx = None
-        for i, (x, _) in enumerate(work):
-            if _sp(u, x, w):
-                pidx = i
-                break
-        if pidx is None:
-            iso.append((u, uv))
-            continue
-        v, vv = work.pop(pidx)
-        hyper.append(((u, uv), (v, vv)))
-        updated = []
-        for x, xv in work:
-            cu, cv = _sp(x, u, w), _sp(x, v, w)
-            updated.append((x ^ (v if cu else 0) ^ (u if cv else 0),
-                            xv ^ (vv if cu else 0) ^ (uv if cv else 0)))
-        work = updated
-    in_pairs = _complete_side([(a[0], b[0]) for a, b in hyper], [c[0] for c in iso], w)
-    out_pairs = _complete_side([(a[1], b[1]) for a, b in hyper], [c[1] for c in iso], w)
+    ins = [r[0] for r in partial.rows]
+    outs = [r[1] for r in partial.rows]
+    # symplectic Gram-Schmidt on the inputs' products; the same row
+    # operations on the outputs keep each transformed (input, output) pair
+    # a requirement the final map must satisfy
+    gram = [sum(_sp(a, b, w) << j for j, b in enumerate(ins)) for a in ins]
+    sgs = _gram_schmidt(gram)
+    paired = 2 * len(sgs.pairs)
+    sides = []
+    for vecs in (ins, outs):
+        basis = gf2.matmul(sgs.basis_change, vecs)
+        pairs = list(zip(basis[0:paired:2], basis[1:paired:2]))
+        sides.append(_complete_side(pairs, basis[paired:], w))
+    in_pairs, out_pairs = sides
     # basis rows ordered like the standard basis: X parts then Z parts
     a_rows = [p[0] for p in in_pairs] + [p[1] for p in in_pairs]
     b_rows = [p[0] for p in out_pairs] + [p[1] for p in out_pairs]
@@ -167,8 +156,7 @@ def _reduce_to_x(rows: List[int], q: int, width: int, lock_z_pivot: bool) -> Lis
     def emit(kind: str, *qubits: int) -> None:
         g = CliffordGate(kind, tuple(qubits))
         gates.append(g)
-        for i in range(2 * w):
-            rows[i] = apply_gate(g, PauliOperator.from_vec(w, rows[i])).vec()
+        _conjugate(g, rows, w)
 
     r = rows[q - 1]
 
@@ -225,14 +213,12 @@ def synthesize_circuit(target: SymplecticMap) -> CliffordCircuit:
         # fix e_{z_q} by conjugating with H(q): the inner reduction only
         # emits P/CNOT/CZ on pivot q, all of which leave e_{z_q} alone.
         hq = CliffordGate("H", (q,))
-        for i in range(2 * w):
-            rows[i] = apply_gate(hq, PauliOperator.from_vec(w, rows[i])).vec()
+        _conjugate(hq, rows, w)
         emitted.append(hq)
         rows[w + q - 1], rows[q - 1] = rows[q - 1], rows[w + q - 1]
         emitted += _reduce_to_x(rows, q, w, lock_z_pivot=True)
         rows[w + q - 1], rows[q - 1] = rows[q - 1], rows[w + q - 1]
-        for i in range(2 * w):
-            rows[i] = apply_gate(hq, PauliOperator.from_vec(w, rows[i])).vec()
+        _conjugate(hq, rows, w)
         emitted.append(hq)
     ident = SymplecticMap.identity(w)
     if tuple(rows) != ident.rows:

@@ -69,6 +69,12 @@ def test_gates_act_on_named_wires_only():
     assert apply_gate(CliffordGate("H", (2,)), P("IXIII")) == P("IZIII")
 
 
+def test_gate_wider_than_pauli_is_rejected():
+    # on packed vectors qubit 3 of a width-2 Pauli would alias a Z bit
+    with pytest.raises(ValueError):
+        apply_gate(CliffordGate("H", (3,)), P("ZI"))
+
+
 def test_double_hadamard_is_identity():
     c = CliffordCircuit(1, (CliffordGate("H", (1,)), CliffordGate("H", (1,))))
     m = circuit_to_symplectic(c)

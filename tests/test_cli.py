@@ -67,6 +67,25 @@ def test_info_json(files, capsys):
     assert report["generators"] == [g.to_string() for g in FGG_CODE.generators]
 
 
+def test_info_validates_the_code_once(files, capsys, monkeypatch):
+    import qconvenc.cli
+    import qconvenc.code
+
+    calls = []
+    real = qconvenc.code.validate
+
+    def counting(code):
+        calls.append(code)
+        real(code)
+
+    # patch the CLI's namespace too, so that a call made from there is counted
+    monkeypatch.setattr(qconvenc.code, "validate", counting)
+    monkeypatch.setattr(qconvenc.cli, "validate", counting, raising=False)
+    code, _, _ = run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_missing_file_is_data_error(files, capsys):
     code, _, err = run_cli(capsys, "info", "--code", str(files / "nope.qcc"))
     assert code == 65

@@ -12,6 +12,7 @@ from qconvenc import (
     PauliOperator,
     SymplecticMap,
     circuit_to_symplectic,
+    circuit_to_text,
     tensor,
 )
 from qconvenc.decoder import (
@@ -166,3 +167,40 @@ def test_windowed_roundtrip_catches_dropped_encoder_gate(fgg_reference_encoder, 
         broken = _drop_gate(fgg_reference_encoder, i)
         fails = windowed_roundtrip_failures(FGG_CODE, broken, fgg_decoder, 3)
         assert fails, (i, gates[i])
+
+
+FGG_DECODER_TEXT = """\
+# width: 5
+H 5
+H 5
+H 4
+CZ 4 5
+H 4
+H 3
+CZ 3 5
+CNOT 3 4
+P 3
+H 3
+P 3
+CZ 3 4
+CNOT 3 5
+CNOT 3 4
+H 2
+H 2
+CNOT 2 3
+H 2
+H 1
+P 1
+CZ 1 3
+CNOT 1 3
+P 1
+H 1
+SWAP 2 1
+CNOT 2 3
+P 2
+"""
+
+
+def test_fgg_decoder_gate_list_is_pinned(fgg_decoder):
+    # the online decoder of the published FGG encoder, gate for gate
+    assert circuit_to_text(fgg_decoder.circuit) == FGG_DECODER_TEXT

@@ -147,3 +147,17 @@ def test_matmul_against_bit_loops():
                 for t in range(4):
                     acc ^= ((a[i] >> t) & 1) & ((b[t] >> j) & 1)
                 assert ((c[i] >> j) & 1) == acc
+
+
+def test_span_against_subset_enumeration():
+    rng = random.Random(11)
+    for size in range(6):
+        basis = [rng.getrandbits(5) for _ in range(size)]
+        out = gf2.span(basis)
+        assert len(out) == 1 << size
+        for i, v in enumerate(out):
+            acc = 0
+            for j in range(size):
+                if (i >> j) & 1:
+                    acc ^= basis[j]
+            assert v == acc

@@ -12,7 +12,7 @@ from qconvenc import (
     verify_encoder,
 )
 from qconvenc import catastrophic
-from qconvenc.circuit import CliffordCircuit
+from qconvenc.circuit import CliffordCircuit, circuit_to_text
 from qconvenc.errors import MapConsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE, GR_COMPLETION_ROWS, GR_MEMORY_CHOICE
 
@@ -105,6 +105,62 @@ def test_default_pipeline_on_tiny_code():
     assert syn.memory == 1
     assert syn.verdict.non_catastrophic
     verify_encoder(syn.code, syn.circuit)
+
+
+# exact gate lists of the default syntheses: the search order, the
+# completion and the gate synthesis all decide them, and none may drift
+FGG_SYNTHESIS_TEXT = """\
+# width: 4
+H 4
+P 4
+H 4
+P 4
+H 3
+CZ 3 4
+H 3
+SWAP 4 3
+H 2
+CNOT 2 4
+CNOT 2 3
+P 2
+H 2
+P 2
+CZ 2 3
+CNOT 2 3
+P 2
+H 1
+P 1
+CZ 1 2
+CNOT 1 3
+CNOT 1 2
+H 1
+P 1
+CZ 1 3
+CZ 1 2
+CNOT 1 3
+"""
+
+TINY_SYNTHESIS_TEXT = """\
+# width: 3
+H 3
+H 3
+H 2
+CZ 2 3
+H 2
+H 1
+CZ 1 2
+H 1
+CNOT 1 2
+"""
+
+
+def test_fgg_synthesis_gate_list_is_pinned(fgg_synthesis):
+    assert circuit_to_text(fgg_synthesis.circuit) == FGG_SYNTHESIS_TEXT
+
+
+def test_tiny_code_synthesis_gate_list_is_pinned():
+    syn = synthesize_encoder(parse_code("n=2\nZZ|IZ\n"))
+    assert circuit_to_text(syn.circuit) == TINY_SYNTHESIS_TEXT
 
 
 def test_synthesis_scans_the_state_graph_once(monkeypatch):
