@@ -15,7 +15,7 @@ from .circuit import (
     parse_circuit,
     wire_roles,
 )
-from .code import ConvolutionalCode, FramedPauliSequence, parse_code, render_code, validate
+from .code import ConvolutionalCode, FramedPauliSequence, parse_code, validate
 from .skeleton import (
     MemoryAssignment,
     TransformationSkeleton,
@@ -67,7 +67,6 @@ __all__ = [
     "ConvolutionalCode",
     "FramedPauliSequence",
     "parse_code",
-    "render_code",
     "validate",
     "TransformationSkeleton",
     "MemoryAssignment",

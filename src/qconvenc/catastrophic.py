@@ -67,7 +67,6 @@ __all__ = [
     "CatastrophicityVerdict",
     "is_noncatastrophic",
     "is_noncatastrophic_decoder",
-    "admissible_cycle_states",
     "subgroup_elements",
     "complete_noncatastrophic",
 ]
@@ -315,27 +314,6 @@ def is_noncatastrophic_decoder(
     c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int
 ) -> CatastrophicityVerdict:
     return _verdict(c, n, k, m, "decoder")
-
-
-def admissible_cycle_states(
-    skeleton: TransformationSkeleton, assignment: MemoryAssignment
-) -> List[PauliOperator]:
-    """Generators of the memory subgroup that zero-weight cycles live in.
-
-    Every state on a zero-weight cycle commutes with every assigned memory
-    operator: iterating the boundary relation sp(state, g_{a,t}) =
-    sp(previous state, g_{a,t-1}) down to the identity boundary kills each
-    product in turn.  The commutant is returned as an independent
-    generator list (empty for the trivial subgroup).
-    """
-    if len(assignment.operators) != skeleton.unknown_count:
-        raise ValueError("assignment does not match the skeleton's unknown count")
-    m = assignment.m
-    if m == 0:
-        return []
-    duals = [_dual(op.vec(), m) for op in assignment.operators]
-    basis = gf2.nullspace(duals, 2 * m)
-    return [PauliOperator.from_vec(m, v) for v in basis]
 
 
 def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[PauliOperator]:

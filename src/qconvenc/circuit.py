@@ -143,10 +143,6 @@ class SymplecticMap:
     def apply(self, p: PauliOperator) -> PauliOperator:
         return PauliOperator.from_vec(self.width, self.apply_vec(p.vec()))
 
-    def compose(self, other: "SymplecticMap") -> "SymplecticMap":
-        """self followed by other."""
-        return SymplecticMap(self.width, tuple(matmul(self.rows, other.rows)))
-
     def inverse(self) -> "SymplecticMap":
         inv = gf2_invert(list(self.rows), 2 * self.width)
         if inv is None:

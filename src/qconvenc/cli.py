@@ -22,7 +22,7 @@ import csv
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catastrophic import MAX_CANDIDATES, is_noncatastrophic
 from .circuit import (
@@ -231,6 +231,8 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.gnuplot and not args.out:
+        raise _UsageError("--gnuplot needs --out (the script references the CSV)")
     code, smap, _ = _read_encoder(args)
     sim = Simulator(code, smap)
     rows = estimate_wers(
@@ -253,8 +255,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for row in table:
             print(",".join(str(v) for v in row))
     if args.gnuplot:
-        if not args.out:
-            raise _UsageError("--gnuplot needs --out (the script references the CSV)")
         script = args.out + ".gp"
         with open(script, "w") as fh:
             fh.write(_GNUPLOT_TEMPLATE.format(csv=args.out))
@@ -342,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the encoder circuit here (.json for JSON)")
     p.add_argument("--skeleton", action="store_true",
                    help="also print the transformation rows with memory slots")
-    p.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES,
+    p.add_argument("--max-candidates", type=_positive_int, default=MAX_CANDIDATES,
                    help="completion search budget (default %(default)s)")
 
     p = sub.add_parser("check", help="verify a circuit against a code")
@@ -375,8 +375,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# one parser per value of the variable that sets the --workers default,
+# built by the first `main` call that sees that value
+_PARSERS: Dict[Optional[str], _Parser] = {}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    workers = os.environ.get(_WORKERS_ENV) or None
+    parser = _PARSERS.get(workers)
+    if parser is None:
+        parser = _PARSERS[workers] = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -13,16 +13,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CodeValidationError, ParseError
-from .gf2 import parity
 from .pauli import PauliOperator
 
 __all__ = [
     "FramedPauliSequence",
     "ConvolutionalCode",
     "parse_code",
-    "render_code",
     "parse_polynomial",
-    "polynomial_to_text",
     "from_classical_polynomial",
     "validate",
 ]
@@ -72,24 +69,12 @@ class FramedPauliSequence:
             return self.frames[t - 1]
         return PauliOperator.identity(self.frame_width)
 
-    def as_pauli(self, nframes: int) -> PauliOperator:
-        """Flatten onto a window of `nframes` frames (must contain the span)."""
-        if nframes < self.span:
-            raise ValueError("window shorter than the sequence span")
-        out = PauliOperator.identity(0)
-        for t in range(1, nframes + 1):
-            out = out.tensor(self.frame(t))
-        return out
-
     def sp_at_shift(self, other: "FramedPauliSequence", shift: int) -> int:
         """Symplectic product of self with other delayed by `shift` frames."""
         acc = 0
         for t, f in enumerate(self.frames, 1):
             acc ^= f.sp(other.frame(t - shift))
         return acc
-
-    def weight(self) -> int:
-        return sum(f.weight() for f in self.frames)
 
     def to_string(self) -> str:
         if not self.frames:
@@ -102,6 +87,8 @@ class FramedPauliSequence:
 
 @dataclass(frozen=True)
 class ConvolutionalCode:
+    """A valid code: constructing one runs `validate`."""
+
     n: int
     generators: Tuple[FramedPauliSequence, ...]
 
@@ -109,6 +96,7 @@ class ConvolutionalCode:
         for g in self.generators:
             if g.frame_width != self.n:
                 raise ValueError("generator frame width differs from n")
+        validate(self)
 
     @property
     def k(self) -> int:
@@ -154,29 +142,6 @@ def parse_polynomial(text: str) -> int:
     return mask
 
 
-def polynomial_to_text(mask: int) -> str:
-    terms = []
-    t = 0
-    while mask:
-        if mask & 1:
-            terms.append("1" if t == 0 else ("D" if t == 1 else f"D^{t}"))
-        mask >>= 1
-        t += 1
-    return "+".join(terms) if terms else "0"
-
-
-def _poly_row_self_orthogonal(polys: Sequence[int]) -> Optional[int]:
-    """Return an offending shift if the row is not self-orthogonal, else None."""
-    degree = max(p.bit_length() for p in polys)
-    for shift in range(degree):
-        acc = 0
-        for p in polys:
-            acc ^= parity(p & (p >> shift))
-        if acc:
-            return shift
-    return None
-
-
 def from_classical_polynomial(polys: Sequence[int]) -> ConvolutionalCode:
     """CSS code from one self-orthogonal classical polynomial row.
 
@@ -187,9 +152,6 @@ def from_classical_polynomial(polys: Sequence[int]) -> ConvolutionalCode:
     n = len(polys)
     if n == 0 or all(p == 0 for p in polys):
         raise ParseError("polynomial row is empty")
-    bad = _poly_row_self_orthogonal(polys)
-    if bad is not None:
-        raise CodeValidationError(1, 2, bad)
     nframes = max(p.bit_length() for p in polys)
     frames_x = []
     frames_z = []
@@ -200,15 +162,13 @@ def from_classical_polynomial(polys: Sequence[int]) -> ConvolutionalCode:
                 x |= 1 << j
         frames_x.append(PauliOperator(n, x, 0))
         frames_z.append(PauliOperator(n, 0, x))
-    code = ConvolutionalCode(
+    return ConvolutionalCode(
         n,
         (
             FramedPauliSequence(n, tuple(frames_x)),
             FramedPauliSequence(n, tuple(frames_z)),
         ),
     )
-    validate(code)
-    return code
 
 
 def parse_code(text: str) -> ConvolutionalCode:
@@ -251,12 +211,4 @@ def parse_code(text: str) -> ConvolutionalCode:
         raise ParseError(f"generator frame widths disagree with the header n={n}")
     if len(gens) > n:
         raise ParseError(f"{len(gens)} generators on n={n} qubits per frame leave k < 0")
-    code = ConvolutionalCode(n, tuple(gens))
-    validate(code)
-    return code
-
-
-def render_code(code: ConvolutionalCode) -> str:
-    lines = [f"n={code.n}"]
-    lines += [g.to_string() for g in code.generators]
-    return "\n".join(lines) + "\n"
+    return ConvolutionalCode(n, tuple(gens))

@@ -98,17 +98,3 @@ GR_COMPLETION_ROWS = tuple(
         ("IIIIIX IIII", "XIII IXIZIZ"),
     )
 )
-
-
-def fgg_transformation_rows():
-    """The four (input, output) rows the FGG encoder must implement,
-    with memory choice g1 = X, g2 = Z."""
-    rows = [
-        ("I ZI I", "XXX X"),
-        ("I IZ I", "ZZZ Z"),
-        ("X II I", "XZY I"),
-        ("Z II I", "ZYX I"),
-    ]
-    return [
-        (PauliOperator.from_string(a), PauliOperator.from_string(b)) for a, b in rows
-    ]

@@ -12,7 +12,7 @@ from .catastrophic import (
     complete_noncatastrophic,
 )
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
-from .code import ConvolutionalCode, validate
+from .code import ConvolutionalCode
 from .errors import InputDataError, MapConsistencyError
 from .pauli import PauliOperator
 from .skeleton import (
@@ -65,7 +65,6 @@ def synthesize_encoder(
     canonical assignment is used and unfixed memory directions are
     searched depth-first for a non-catastrophic completion.
     """
-    validate(code)
     _check_last_frames(code)
     skeleton = build_skeleton(code)
     matrix = skeleton_commutation_matrix(skeleton)
@@ -129,7 +128,6 @@ def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
     states, in skeleton slot order); raises MapConsistencyError naming
     the first failing row otherwise.
     """
-    validate(code)
     smap = as_symplectic(encoder)
     n = code.n
     m = smap.width - n

@@ -60,7 +60,6 @@ import numpy as np
 from . import gf2
 from .circuit import as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
-from .decoder import DecoderResult
 from .errors import InputDataError, TrellisError
 from .pauli import PauliOperator
 
@@ -68,7 +67,6 @@ __all__ = [
     "DepolarizingChannel",
     "sample_error",
     "syndrome_by_products",
-    "syndrome_by_decoder",
     "Simulator",
     "SimulationResult",
     "estimate_wer",
@@ -182,40 +180,6 @@ def syndrome_by_products(
     for t in range(1, nframes + 1):
         for gen in code.generators:
             bits.append(error.sp(place_at_frame(gen, t, nframes)))
-    return tuple(bits)
-
-
-def syndrome_by_decoder(
-    decoder: DecoderResult, error: PauliOperator, nframes: Optional[int] = None
-) -> Tuple[int, ...]:
-    """Syndrome read off the streamed online decoder.
-
-    The bit for generator a launched at frame t appears as the X-component
-    on syndrome wire a after decoder application t + span_a - 1, so the
-    decoder runs past the window on identity frames until every in-window
-    launch has been read.
-    """
-    code = decoder.code
-    n, k = code.n, code.k
-    nframes = _infer_frames(code, error, nframes)
-    m = decoder.memory
-    dmap = decoder.map
-    spans = [g.span for g in code.generators]
-    napps = nframes + max(spans) - 1
-    mem = PauliOperator.identity(m)
-    anc_x: List[int] = []
-    for s in range(1, napps + 1):
-        if s <= nframes:
-            frame = error.part((s - 1) * n, s * n)
-        else:
-            frame = PauliOperator.identity(n)
-        out = dmap.apply(mem.tensor(frame))
-        anc_x.append(out.x & ((1 << (n - k)) - 1))
-        mem = out.part(n, n + m)
-    bits: List[int] = []
-    for t in range(1, nframes + 1):
-        for a, span in enumerate(spans, 1):
-            bits.append((anc_x[t + span - 2] >> (a - 1)) & 1)
     return tuple(bits)
 
 

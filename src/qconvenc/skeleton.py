@@ -35,7 +35,6 @@ __all__ = [
     "TransformationSkeleton",
     "build_skeleton",
     "CommutationRequirement",
-    "required_commutation_matrix",
     "skeleton_commutation_matrix",
     "GramSchmidtResult",
     "symplectic_gram_schmidt",
@@ -88,20 +87,6 @@ class TransformationSkeleton:
                     ids.append((i, t))
         return ids
 
-    def rows(self) -> List[Tuple[int, int]]:
-        """Display rows as (chain, frame) ordered t-major then chain."""
-        out = []
-        max_span = max((c.span for c in self.chains), default=0)
-        for t in range(1, max_span + 1):
-            for i, c in enumerate(self.chains, 1):
-                if t <= c.span:
-                    out.append((i, t))
-        return out
-
-    @property
-    def unknown_count(self) -> int:
-        return len(self.unknowns())
-
 
 def build_skeleton(code: ConvolutionalCode) -> TransformationSkeleton:
     """Encoder skeleton: (n-k)*nu rows, (n-k)*(nu-1) unknowns."""
@@ -127,14 +112,6 @@ class CommutationRequirement:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def anticommuting_pairs(self) -> List[Tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-            if self.entry(i, j)
-        ]
 
 
 def _telescope(ci: Chain, s: int, cj: Chain, t: int) -> int:
@@ -172,10 +149,6 @@ def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> Commutation
                 f"unknown {pos + 1} is forced to anticommute with itself"
             )
     return CommutationRequirement(size, tuple(rows), tuple(unknowns))
-
-
-def required_commutation_matrix(code: ConvolutionalCode) -> CommutationRequirement:
-    return skeleton_commutation_matrix(build_skeleton(code))
 
 
 @dataclass(frozen=True)

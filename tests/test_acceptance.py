@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symplectic
+from oracles import admissible_cycle_states, anticommuting_pairs, fgg_transformation_rows
 from test_catastrophic import TOY_CNOT, brute_force_noncatastrophic
 
 from qconvenc import (
@@ -21,7 +22,6 @@ from qconvenc import (
     parse_circuit,
 )
 from qconvenc.catastrophic import (
-    admissible_cycle_states,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
     subgroup_elements,
@@ -37,7 +37,6 @@ from qconvenc.library import (
     GR_MEMORY_CHOICE,
     GR_POLYNOMIAL_TEXT,
     FGG_DECODER_MEMORY_CHOICE,
-    fgg_transformation_rows,
 )
 from qconvenc.pipeline import synthesize_encoder, verify_encoder
 from qconvenc.simulate import Simulator, estimate_wer, place_at_frame
@@ -100,7 +99,7 @@ def test_03_fgg_noncatastrophic_identity_self_loop_only():
 def test_04_online_decoder_brackets_memory_and_verdict():
     decoder = derive_online_decoder(FGG_CODE, parse_circuit(FGG_ENCODER_TEXT))
     assert decoder.matrix.size == 4
-    assert decoder.matrix.anticommuting_pairs() == [(0, 1), (0, 3), (1, 3), (2, 3)]
+    assert anticommuting_pairs(decoder.matrix) == [(0, 1), (0, 3), (1, 3), (2, 3)]
     assert minimal_memory(decoder.matrix) == 2
     assert decoder.memory == 2
     published = MemoryAssignment(2, FGG_DECODER_MEMORY_CHOICE)
@@ -120,7 +119,7 @@ def test_05_gr_code_pairs_memory_and_completion():
     assert code.generators == GR_CODE.generators
     matrix = skeleton_commutation_matrix(build_skeleton(code))
     pair_labels = {
-        (matrix.labels[i], matrix.labels[j]) for i, j in matrix.anticommuting_pairs()
+        (matrix.labels[i], matrix.labels[j]) for i, j in anticommuting_pairs(matrix)
     }
     assert pair_labels == {((1, 2), (2, 3)), ((2, 2), (1, 3))}
     assert minimal_memory(matrix) == 6

@@ -23,7 +23,6 @@ from qconvenc import (
 )
 from qconvenc.catastrophic import (
     ENUM_CAP,
-    admissible_cycle_states,
     complete_noncatastrophic,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
@@ -48,6 +47,7 @@ from qconvenc.skeleton import (
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
 from conftest import random_circuit
+from oracles import admissible_cycle_states
 
 P = PauliOperator.from_string
 

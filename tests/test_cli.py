@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from conftest import CATASTROPHIC_CODE_TEXT
-from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, render_code
+from oracles import render_code
+from qconvenc import CliffordCircuit, CliffordGate, parse_circuit
 from qconvenc.circuit import circuit_to_text
 from qconvenc.cli import main
 from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, FGG_ENCODER, FGG_ENCODER_TEXT, GR_CODE
@@ -67,8 +68,8 @@ def test_info_json(files, capsys):
     assert report["generators"] == [g.to_string() for g in FGG_CODE.generators]
 
 
-def test_info_validates_the_code_once(files, capsys, monkeypatch):
-    import qconvenc.cli
+@pytest.mark.parametrize("command", ["info", "synthesize", "check", "derive-decoder", "simulate"])
+def test_command_validates_the_code_once(files, capsys, monkeypatch, command):
     import qconvenc.code
 
     calls = []
@@ -78,12 +79,39 @@ def test_info_validates_the_code_once(files, capsys, monkeypatch):
         calls.append(code)
         real(code)
 
-    # patch the CLI's namespace too, so that a call made from there is counted
-    monkeypatch.setattr(qconvenc.code, "validate", counting)
-    monkeypatch.setattr(qconvenc.cli, "validate", counting, raising=False)
-    code, _, _ = run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))
+    # patch every package namespace that holds the function, so that a call
+    # made through a `from .code import validate` copy is counted too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qconvenc" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    extra = [] if command in ("info", "synthesize") else ["--encoder", str(files / "fgg_enc.circ")]
+    if command == "simulate":
+        extra += ["--p", "0.05", "--frames", "3", "--trials", "10"]
+    code, _, _ = run_cli(capsys, command, "--code", str(files / "fgg.qcc"), *extra)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_main_builds_the_parser_once_per_environment(files, capsys, monkeypatch):
+    import qconvenc.cli
+
+    built = []
+    real = qconvenc.cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(qconvenc.cli, "build_parser", counting)
+    monkeypatch.setattr(qconvenc.cli, "_PARSERS", {})
+    monkeypatch.delenv("QCONVENC_WORKERS", raising=False)
+    for _ in range(2):
+        assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
+    assert len(built) == 1
+    # the variable sets the --workers default, so a new value needs its own parser
+    monkeypatch.setenv("QCONVENC_WORKERS", "2")
+    assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
+    assert len(built) == 2
 
 
 def test_missing_file_is_data_error(files, capsys):
@@ -142,6 +170,17 @@ def test_synthesize_skeleton_rendering(files, capsys):
     assert "generator 1 frame 1: (I , ZII) -> (XXX , m[1,1])" in out
     assert "generator 1 frame 2: (m[1,1] , III) -> (XZY , I)" in out
     assert "generator 2 frame 2: (m[2,1] , III) -> (ZYX , I)" in out
+
+
+@pytest.mark.parametrize("code_file", ["fgg.qcc", "gr.qcc"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_synthesize_rejects_bad_max_candidates(files, capsys, code_file, value):
+    code, out, err = run_cli(
+        capsys, "synthesize", "--code", str(files / code_file), "--max-candidates", value
+    )
+    assert code == 64
+    assert out == ""
+    assert "--max-candidates" in err and len(err.splitlines()) == 1
 
 
 def test_synthesize_json_report(files, capsys):
@@ -333,7 +372,7 @@ def test_simulate_gnuplot_writes_script(files, capsys, tmp_path):
 
 
 def test_simulate_gnuplot_requires_out(files, capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         "simulate", "--code", str(files / "fgg.qcc"),
         "--encoder", str(files / "fgg_enc.circ"),
@@ -341,6 +380,8 @@ def test_simulate_gnuplot_requires_out(files, capsys):
     )
     assert code == 64
     assert "--gnuplot needs --out" in err
+    # refused before the Monte Carlo runs, so no CSV reaches stdout
+    assert out == ""
 
 
 def test_simulate_rejects_p_outside_ml_range(files, capsys):

@@ -7,15 +7,15 @@ from qconvenc import (
     FramedPauliSequence,
     PauliOperator,
     parse_code,
-    render_code,
 )
 from qconvenc.code import (
     from_classical_polynomial,
     parse_polynomial,
-    polynomial_to_text,
 )
 from qconvenc.errors import CodeValidationError, ParseError
 from qconvenc.library import FGG_CODE_TEXT, GR_CODE_TEXT, GR_POLYNOMIAL_TEXT
+
+from oracles import as_pauli, polynomial_to_text, render_code
 
 P = PauliOperator.from_string
 F = FramedPauliSequence.from_string
@@ -44,6 +44,21 @@ def test_shift_commutation_violation_detected():
     assert sp_letters("XX", "IZ") == 1
     with pytest.raises(CodeValidationError):
         parse_code("n=2\nXX|XX\nZZ|IZ\n")
+
+
+def test_hand_built_code_validates_itself():
+    # the same pair as above, built without the parser
+    with pytest.raises(CodeValidationError) as info:
+        ConvolutionalCode(2, (F("XX|XX"), F("ZZ|IZ")))
+    assert (info.value.gen_a, info.value.gen_b, info.value.shift) == (1, 2, 0)
+
+
+@pytest.mark.parametrize("row, shift", [([0b1], 0), ([0b11], 1), ([0b101], 2), ([0b11, 0b101], 1)])
+def test_non_self_orthogonal_row_fails_first_pair(row, shift):
+    # the X-type generator meets its Z twin with odd overlap first at `shift`
+    with pytest.raises(CodeValidationError) as info:
+        from_classical_polynomial(row)
+    assert (info.value.gen_a, info.value.gen_b, info.value.shift) == (1, 2, shift)
 
 
 def test_polynomial_row_expands_to_css_frames():
@@ -91,16 +106,16 @@ def test_frame_out_of_span_is_identity():
 
 def test_as_pauli_flattens_onto_window():
     g = F("XZ|IY")
-    assert g.as_pauli(3) == P("XZIYII")
+    assert as_pauli(g, 3) == P("XZIYII")
     with pytest.raises(ValueError):
-        g.as_pauli(1)
+        as_pauli(g, 1)
 
 
 def test_sp_at_shift_matches_flattened_products():
     a, b = F("XXX|XZY"), F("ZZZ|ZYX")
     for shift in range(3):
         window = 6
-        lhs = a.as_pauli(window)
+        lhs = as_pauli(a, window)
         rhs_frames = [P("III")] * shift + [b.frame(t) for t in range(1, window - shift + 1)]
         rhs = PauliOperator.identity(0)
         for f in rhs_frames:

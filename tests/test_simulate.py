@@ -31,9 +31,10 @@ from qconvenc.simulate import (
     estimate_wers,
     place_at_frame,
     sample_error,
-    syndrome_by_decoder,
     syndrome_by_products,
 )
+
+from oracles import syndrome_by_decoder
 
 P = PauliOperator.from_string
 N3 = 3

@@ -11,7 +11,7 @@ from qconvenc import (
     circuit_to_symplectic,
 )
 from qconvenc.errors import MapConsistencyError
-from qconvenc.library import FGG_ENCODER, fgg_transformation_rows
+from qconvenc.library import FGG_ENCODER
 from qconvenc.synthesis import (
     PartialMap,
     check_consistency,
@@ -22,6 +22,7 @@ from qconvenc.synthesis import (
 )
 
 from conftest import random_symplectic
+from oracles import fgg_transformation_rows
 
 P = PauliOperator.from_string
 
