@@ -52,9 +52,9 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
-from .circuit import CliffordCircuit, SymplecticMap, _dual, as_symplectic
+from .circuit import CliffordCircuit, SymplecticMap, _dual, _field, _place, as_symplectic
 from .errors import CompletionSearchExhausted, MapConsistencyError
-from .pauli import PauliOperator, tensor
+from .pauli import PauliOperator
 from .skeleton import MemoryAssignment, TransformationSkeleton
 from .synthesis import PartialMap, check_consistency, complete_to_symplectic, synthesize_circuit
 
@@ -113,25 +113,25 @@ class ZeroWeightGraph:
 
 
 def _encoder_edge(inv: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
-    after = PauliOperator.from_vec(m, state_vec)
-    target = tensor(PauliOperator.identity(n), after)
-    pre = PauliOperator.from_vec(m + n, inv.apply_vec(target.vec()))
-    before = pre.part(0, m)
-    frame = pre.part(m, m + n)
+    w = m + n
+    pre = inv.apply_vec(_place(state_vec, m, n, w))
+    frame = PauliOperator.from_vec(n, _field(pre, w, m, n))
     anc = frame.part(0, n - k)
     if anc.x:
         return None
-    return ZeroWeightEdge(before, after, anc, frame.part(n - k, n))
+    before = PauliOperator.from_vec(m, _field(pre, w, 0, m))
+    return ZeroWeightEdge(before, PauliOperator.from_vec(m, state_vec), anc, frame.part(n - k, n))
 
 
 def _decoder_edge(smap: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
-    before = PauliOperator.from_vec(m, state_vec)
-    src = tensor(before, PauliOperator.identity(n))
-    out = PauliOperator.from_vec(m + n, smap.apply_vec(src.vec()))
+    frame, after = smap.step(n, state_vec, 0)
+    out = PauliOperator.from_vec(n, frame)
     synd = out.part(0, n - k)
     if synd.x:
         return None
-    return ZeroWeightEdge(before, out.part(n, n + m), synd, out.part(n - k, n))
+    return ZeroWeightEdge(
+        PauliOperator.from_vec(m, state_vec), PauliOperator.from_vec(m, after), synd, out.part(n - k, n)
+    )
 
 
 def zero_weight_graph(
@@ -205,12 +205,6 @@ class CatastrophicityVerdict:
         return None if self.seed is None else self.seed.walk()
 
 
-def _field(v: int, w: int, lo: int, size: int) -> int:
-    """Packed vector of qubits [lo, lo + size) of a packed width-w vector."""
-    mask = (1 << size) - 1
-    return ((v >> lo) & mask) | (((v >> (w + lo)) & mask) << size)
-
-
 def _transpose(images: List[int], nbits: int) -> List[int]:
     return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
 
@@ -254,10 +248,9 @@ def _encoder_cycle_state(
     if not basis:
         return None
     reduced, pivots = gf2.row_reduce(images)
-    low = (1 << m) - 1
     for b in basis:
         # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z)
-        if gf2.residue(reduced, pivots, ((b & low) << n) | ((b >> m) << (w + n))):
+        if gf2.residue(reduced, pivots, _place(b, m, n, w)):
             return b, ts
     return None
 

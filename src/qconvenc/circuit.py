@@ -26,6 +26,7 @@ __all__ = [
     "apply_circuit",
     "circuit_to_symplectic",
     "as_symplectic",
+    "gram",
     "parse_circuit",
     "circuit_to_text",
     "circuit_to_json",
@@ -126,6 +127,24 @@ def _dual(v: int, width: int) -> int:
     return (v >> width) | ((v & mask) << width)
 
 
+def gram(vecs: Sequence[int], width: int) -> List[int]:
+    """Symplectic Gram matrix of packed width-`width` vectors: bit j of row
+    i is sp(vecs[i], vecs[j])."""
+    duals = [_dual(v, width) for v in vecs]
+    return [sum(parity(d & u) << j for j, u in enumerate(vecs)) for d in duals]
+
+
+def _field(v: int, w: int, lo: int, size: int) -> int:
+    """Packed vector of qubits [lo, lo + size) of a packed width-w vector."""
+    mask = (1 << size) - 1
+    return ((v >> lo) & mask) | (((v >> (w + lo)) & mask) << size)
+
+
+def _place(v: int, size: int, lo: int, w: int) -> int:
+    """Packed width-size vector v on qubits [lo, lo + size) of width w."""
+    return ((v & ((1 << size) - 1)) << lo) | ((v >> size) << (w + lo))
+
+
 @dataclass(frozen=True)
 class SymplecticMap:
     """2w x 2w GF(2) matrix; row i is the image of basis vector e_i."""
@@ -151,13 +170,16 @@ class SymplecticMap:
 
     def is_symplectic(self) -> bool:
         w = self.width
-        rows = self.rows
-        for i in range(2 * w):
-            d = _dual(rows[i], w)
-            for j in range(i + 1, 2 * w):
-                if parity(rows[j] & d) != (j - i == w):
-                    return False
-        return True
+        return gram(self.rows, w) == [1 << ((i + w) % (2 * w)) for i in range(2 * w)]
+
+    def step(self, n: int, mem: int, frame: int) -> Tuple[int, int]:
+        """Stream one packed n-qubit frame in with packed memory `mem` (on the
+        first m input wires, as `wire_roles` lays them out); returns the
+        emitted frame (first n output wires) and the next memory (last m)."""
+        w = self.width
+        m = w - n
+        img = self.apply_vec(_place(mem, m, 0, w) | _place(frame, n, m, w))
+        return _field(img, w, 0, n), _field(img, w, n, m)
 
 
 def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:

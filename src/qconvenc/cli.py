@@ -9,10 +9,10 @@ Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict); 2 completion search exhausted (synthesize); 64 bad
 usage; 65 unreadable/invalid input data, including a circuit that does
 not realize its code, a circuit wider than `circuit.MAX_WIDTH`, an
-encoder too wide for the simulate trellis and a code whose skeleton rows
-no encoder satisfies (synthesize); 70
-internal consistency violation (a skeleton or synthesis that contradicts
-itself).
+encoder too wide for the simulate trellis, an encoder whose encoded
+logical never returns its memory to the identity (derive-decoder) and a
+code whose skeleton rows no encoder satisfies (synthesize); 70 internal
+consistency violation (a skeleton or synthesis that contradicts itself).
 """
 
 from __future__ import annotations
@@ -278,14 +278,14 @@ def run(args: argparse.Namespace) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, CodeValidationError, InputDataError, OSError) as exc:
+    except (ParseError, CodeValidationError, InputDataError, OrbitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
     except CompletionSearchExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EX_INCONCLUSIVE
     except (MapConsistencyError, SkeletonInconsistencyError, SynthesisError,
-            OrbitError, TrellisError) as exc:
+            TrellisError) as exc:
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return EX_INTERNAL
 

@@ -19,7 +19,7 @@ from .catastrophic import CatastrophicityVerdict, is_noncatastrophic_decoder
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
-from .pauli import PauliOperator, tensor
+from .pauli import PauliOperator
 from .skeleton import (
     Chain,
     CommutationRequirement,
@@ -55,22 +55,19 @@ class LogicalOperatorSet:
 
 def _propagate(smap: SymplecticMap, m: int, n: int, first_input: PauliOperator) -> FramedPauliSequence:
     """Frames emitted until the memory register returns to the identity."""
-    frames: List[PauliOperator] = []
-    out = smap.apply(tensor(PauliOperator.identity(m), first_input))
-    frames.append(out.part(0, n))
-    mem = out.part(n, n + m)
+    frame, mem = smap.step(n, 0, first_input.vec())
+    frames = [frame]
     seen = 0
-    while not mem.is_identity():
+    while mem:
         seen += 1
         if seen > (1 << (2 * m)):
             raise OrbitError(
                 f"memory orbit of {first_input.to_string()} never closes; "
-                f"stuck at {mem.to_string()}"
+                f"stuck at {PauliOperator.from_vec(m, mem).to_string()}"
             )
-        out = smap.apply(tensor(mem, PauliOperator.identity(n)))
-        frames.append(out.part(0, n))
-        mem = out.part(n, n + m)
-    return FramedPauliSequence(n, tuple(frames))
+        frame, mem = smap.step(n, mem, 0)
+        frames.append(frame)
+    return FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames))
 
 
 def encoded_logical_operators(
@@ -101,12 +98,7 @@ def build_decoder_skeleton(
     chains: List[Chain] = []
 
     def target_chain(label: str, seq: FramedPauliSequence, decoded: PauliOperator) -> Chain:
-        span = seq.span
-        ins = tuple(seq.frame(t) for t in range(1, span + 1))
-        outs = tuple(
-            decoded if t == span else PauliOperator.identity(n) for t in range(1, span + 1)
-        )
-        return Chain(label, ins, outs)
+        return Chain(label, seq.frames, (PauliOperator.identity(n),) * (seq.span - 1) + (decoded,))
 
     for j, (ex, ez) in enumerate(logicals.pairs, 1):
         info_wire = n - k + j - 1
@@ -172,8 +164,6 @@ def windowed_roundtrip_failures(
     n, k = code.n, code.k
     emap = as_symplectic(encoder)
     dmap = decoder.map
-    m_enc = emap.width - n
-    m_dec = decoder.memory
 
     # (label, unencoded probe, span); each probe must come back decoded as itself
     cases: List[Tuple[str, PauliOperator, int]] = []
@@ -187,17 +177,13 @@ def windowed_roundtrip_failures(
     def stream(src: PauliOperator, t: int) -> Tuple[List[PauliOperator], bool]:
         """Decoded frames of src fed at frame t, and whether both memories
         end the window at the identity."""
-        mem_e = PauliOperator.identity(m_enc)
-        mem_d = PauliOperator.identity(m_dec)
+        mem_e = mem_d = 0
         frames: List[PauliOperator] = []
         for s in range(nframes):
-            fed = src if s == t else PauliOperator.identity(n)
-            out = emap.apply(mem_e.tensor(fed))
-            mem_e = out.part(n, n + m_enc)
-            out = dmap.apply(mem_d.tensor(out.part(0, n)))
-            mem_d = out.part(n, n + m_dec)
-            frames.append(out.part(0, n))
-        return frames, mem_e.is_identity() and mem_d.is_identity()
+            sent, mem_e = emap.step(n, mem_e, src.vec() if s == t else 0)
+            out, mem_d = dmap.step(n, mem_d, sent)
+            frames.append(PauliOperator.from_vec(n, out))
+        return frames, not (mem_e or mem_d)
 
     failures: List[str] = []
     for t in range(nframes):

@@ -41,7 +41,7 @@ class SynthesisError(QconvError):
 
 
 class OrbitError(QconvError):
-    """Memory orbit of a propagated operator does not close."""
+    """Memory orbit of a propagated operator does not close (bad input)."""
 
 
 class TrellisError(QconvError):

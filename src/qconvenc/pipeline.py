@@ -98,24 +98,15 @@ def synthesize_encoder(
 def _check_last_frames(code: ConvolutionalCode) -> None:
     """Refuse a code whose skeleton rows no encoder can satisfy.
 
-    The skeleton runs every generator over nu frames, and its row for frame
-    nu maps an independent input (a memory operator, or an ancilla Z when
-    nu = 1) to that frame with the memory back at the identity.  An
-    invertible map needs those frames to be independent, so a generator
-    shorter than nu, or a set of last frames with a product equal to the
-    identity, leaves no encoder.
+    Each generator runs over its own span, and the non-final rows emit
+    independent memory operators, so the rows' outputs are independent,
+    as an invertible map needs, exactly when the generators' last frames are.
     """
-    for a, gen in enumerate(code.generators, 1):
-        if gen.span < code.nu:
-            raise InputDataError(
-                f"generator {a} spans {gen.span} frames, fewer than nu = {code.nu}; "
-                "the encoder skeleton needs every generator to span nu frames"
-            )
-    if gf2.rank([gen.frame(code.nu).vec() for gen in code.generators]) < len(code.generators):
-        raise InputDataError(
-            f"the generators' frames at nu = {code.nu} are linearly dependent, "
-            "so no encoder emits them"
-        )
+    spans = [gen.span for gen in code.generators]
+    if gf2.rank([gen.frames[-1].vec() for gen in code.generators]) < len(spans):
+        where = (f"frames at nu = {code.nu}" if min(spans) == code.nu else
+                 f"last frames (spans {', '.join(map(str, spans))}; nu = {code.nu})")
+        raise InputDataError(f"the generators' {where} are linearly dependent, so no encoder emits them")
 
 
 def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
@@ -137,27 +128,23 @@ def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
         )
     derived = {}
     for a, gen in enumerate(code.generators, 1):
-        mem = PauliOperator.identity(m)
+        mem = 0
         for t in range(1, gen.span + 1):
-            if t == 1:
-                fed = PauliOperator.single(n, a - 1, "Z")
-            else:
-                fed = PauliOperator.identity(n)
-            out = smap.apply(mem.tensor(fed))
-            frame = out.part(0, n)
-            mem = out.part(n, n + m)
-            if frame != gen.frame(t):
+            # frame 1 feeds Z on ancilla wire a, later frames the identity
+            fed = 1 << (n + a - 1) if t == 1 else 0
+            frame, mem = smap.step(n, mem, fed)
+            if frame != gen.frame(t).vec():
                 raise MapConsistencyError(
                     f"generator {a}, frame {t}: circuit emits "
-                    f"{frame.to_string()} but the code requires "
+                    f"{PauliOperator.from_vec(n, frame).to_string()} but the code requires "
                     f"{gen.frame(t).to_string()}"
                 )
             if t < gen.span:
-                derived[(a, t)] = mem
-        if not mem.is_identity():
+                derived[(a, t)] = PauliOperator.from_vec(m, mem)
+        if mem:
             raise MapConsistencyError(
-                f"generator {a}: memory left at {mem.to_string()} instead of "
-                f"the identity after frame {gen.span}"
+                f"generator {a}: memory left at {PauliOperator.from_vec(m, mem).to_string()} "
+                f"instead of the identity after frame {gen.span}"
             )
     skeleton = build_skeleton(code)
     return MemoryAssignment(m, tuple(derived[slot] for slot in skeleton.unknowns()))

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .circuit import as_symplectic
+from .circuit import _dual, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import InputDataError, TrellisError
 from .pauli import PauliOperator
@@ -278,19 +278,15 @@ class Simulator:
         the physical frame the encoder emits `lag` frames after the
         unencoded frame dirs[d] enters with identity memory, followed by
         identity frames."""
-        n, m = self.n, self.m
-        w = m + n
-        nmask, mmask = (1 << n) - 1, (1 << m) - 1
+        n = self.n
         out = np.zeros((nframes, 2 * n, len(dirs)), dtype=np.uint8)
         for d, vec in enumerate(dirs):
-            state = ((vec & nmask) << m) | ((vec >> n) << (w + m))
+            frame, mem = self.smap.step(n, 0, vec)
             for lag in range(nframes):
-                img = self.smap.apply_vec(state)
-                dual = ((img >> w) & nmask) | ((img & nmask) << n)
-                out[lag, :, d] = (dual >> np.arange(2 * n)) & 1
-                state = ((img >> n) & mmask) | (((img >> (w + n)) & mmask) << w)
-                if not state:
+                out[lag, :, d] = (_dual(frame, n) >> np.arange(2 * n)) & 1
+                if not mem:
                     break
+                frame, mem = self.smap.step(n, mem, 0)
         return out
 
     def _launches(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:

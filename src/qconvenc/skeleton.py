@@ -1,7 +1,7 @@
 """Encoder skeletons, memory commutation requirements and assignments.
 
-An encoder for a code with constraint length nu is pinned down, up to the
-choice of memory operators, by one row per (generator, frame): frame 1
+An encoder for a code is pinned down, up to the choice of memory
+operators, by one row per (generator, frame of its span): frame 1
 consumes Z on the generator's ancilla wire, later frames consume identity,
 every frame emits that generator's frame on the physical wires, and
 unknown memory operators g_{a,t} sit at the frame boundaries (identity
@@ -14,10 +14,11 @@ identity boundary gives
     sp(g_{a,s}, g_{b,t}) =
         sum_{r=0..min(s,t)-1} sp(IN_a[s-r], IN_b[t-r]) + sp(OUT_a[s-r], OUT_b[t-r])
 
-and reaching the opposite boundary (one index at the full span) must give
-zero, which is checked explicitly; a nonzero value there means no encoder
-with this row structure exists.  The same machinery, with different
-per-frame inputs/outputs, produces decoder skeletons.
+the symplectic product of the two slots' histories, their chains'
+(input, output) frames packed newest first.  Reaching the opposite
+boundary (one index at the full span) must give zero, which is checked
+explicitly; a nonzero value there means no encoder with this row
+structure exists.  Decoder skeletons differ only in their frames.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import gf2
+from .circuit import gram
 from .code import ConvolutionalCode
 from .errors import SkeletonInconsistencyError
 from .pauli import PauliOperator
@@ -79,26 +81,21 @@ class TransformationSkeleton:
     def unknowns(self) -> List[Tuple[int, int]]:
         """Unknown memory slots as (chain index, boundary t), both 1-based,
         ordered t-major then chain (g1 = chain1 t1, g2 = chain2 t1, ...)."""
-        ids = []
-        max_span = max((c.span for c in self.chains), default=0)
-        for t in range(1, max_span):
-            for i, c in enumerate(self.chains, 1):
-                if t < c.span:
-                    ids.append((i, t))
-        return ids
+        ids = [(i, t) for i, c in enumerate(self.chains, 1) for t in range(1, c.span)]
+        return sorted(ids, key=lambda slot: (slot[1], slot[0]))
 
 
 def build_skeleton(code: ConvolutionalCode) -> TransformationSkeleton:
-    """Encoder skeleton: (n-k)*nu rows, (n-k)*(nu-1) unknowns."""
-    n, k, nu = code.n, code.k, code.nu
+    """Encoder skeleton: one row per generator frame, and span - 1
+    unknowns per generator."""
+    n, k = code.n, code.k
     chains = []
     for a, gen in enumerate(code.generators, 1):
         # within the n physical input wires the layout is (anc 1..n-k, info),
         # so ancilla a is 0-based position a-1; only frame 1 consumes it.
-        ins = [PauliOperator.single(n, a - 1, "Z") if t == 1 else PauliOperator.identity(n)
-               for t in range(1, nu + 1)]
-        outs = [gen.frame(t) for t in range(1, nu + 1)]
-        chains.append(Chain(f"generator {a}", tuple(ins), tuple(outs)))
+        ins = [PauliOperator.single(n, a - 1, "Z")]
+        ins += [PauliOperator.identity(n)] * (gen.span - 1)
+        chains.append(Chain(f"generator {a}", tuple(ins), gen.frames))
     return TransformationSkeleton(n, k, "encoder", tuple(chains))
 
 
@@ -114,41 +111,43 @@ class CommutationRequirement:
         return (self.rows[i] >> j) & 1
 
 
-def _telescope(ci: Chain, s: int, cj: Chain, t: int) -> int:
-    acc = 0
-    for r in range(min(s, t)):
-        acc ^= ci.inputs[s - 1 - r].sp(cj.inputs[t - 1 - r])
-        acc ^= ci.outputs[s - 1 - r].sp(cj.outputs[t - 1 - r])
-    return acc
-
-
 def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> CommutationRequirement:
-    unknowns = skeleton.unknowns()
-    chains = skeleton.chains
-    index = {u: pos for pos, u in enumerate(unknowns)}
-    size = len(unknowns)
-    rows = [0] * size
-    for (i, s), pi in index.items():
-        for (j, t), pj in index.items():
-            if _telescope(chains[i - 1], s, chains[j - 1], t):
-                rows[pi] |= 1 << pj
+    # each slot's history, chain-major: its chain's (input, output) frames
+    # t..1, newest first, 2n qubits per frame
+    n = skeleton.n
+    width = 2 * n * max((c.span for c in skeleton.chains), default=0)
+    hist = {}
+    for i, c in enumerate(skeleton.chains, 1):
+        x = z = 0
+        for t, (fin, fout) in enumerate(zip(c.inputs, c.outputs), 1):
+            x = (x << 2 * n) | fin.x | (fout.x << n)
+            z = (z << 2 * n) | fin.z | (fout.z << n)
+            hist[(i, t)] = x | (z << width)
+    slots = list(hist)
+    products = dict(zip(slots, gram(list(hist.values()), width)))
     # boundary consistency: with one side at its full span the memory is
     # identity, so the telescoped product must vanish; otherwise the row
     # structure admits no Clifford realization.
-    for i, ci in enumerate(chains, 1):
-        for j, cj in enumerate(chains, 1):
-            for t in range(1, cj.span + 1):
-                if _telescope(ci, ci.span, cj, t):
-                    raise SkeletonInconsistencyError(
-                        f"boundary product of chain {i} (span {ci.span}) with "
-                        f"chain {j} at frame {t} is forced to 1"
-                    )
-    for pos in range(size):
-        if (rows[pos] >> pos) & 1:
+    for i, ci in enumerate(skeleton.chains, 1):
+        row = products.get((i, ci.span), 0)
+        if row:
+            j, t = slots[(row & -row).bit_length() - 1]
             raise SkeletonInconsistencyError(
-                f"unknown {pos + 1} is forced to anticommute with itself"
+                f"boundary product of chain {i} (span {ci.span}) with "
+                f"chain {j} at frame {t} is forced to 1"
             )
-    return CommutationRequirement(size, tuple(rows), tuple(unknowns))
+    unknowns = skeleton.unknowns()
+    rows = gram([hist[u] for u in unknowns], width)
+    return CommutationRequirement(len(unknowns), tuple(rows), tuple(unknowns))
+
+
+def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """The first (i, j), i < j, where symmetric bit matrices a and b differ."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        diff = (ra ^ rb) >> (i + 1)
+        if diff:
+            return i, i + (diff & -diff).bit_length()
+    return None
 
 
 @dataclass(frozen=True)
@@ -227,14 +226,11 @@ def check_assignment(matrix: CommutationRequirement, assignment: MemoryAssignmen
     ops = assignment.operators
     if len(ops) != matrix.size:
         raise ValueError("assignment size differs from the requirement")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if ops[i].sp(ops[j]) != matrix.entry(i, j):
-                return (i, j)
-    if gf2.rank([op.vec() for op in ops]) != len(ops):
-        dep = len(ops) - 1
-        return (dep, dep)
-    return None
+    vecs = [op.vec() for op in ops]
+    bad = _first_mismatch(gram(vecs, assignment.m), matrix.rows)
+    if bad is None and gf2.rank(vecs) != len(ops):
+        bad = (len(ops) - 1,) * 2
+    return bad
 
 
 def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
@@ -272,8 +268,6 @@ def partial_rows(
     the output; the boundary memory operators (t = 0 and t = span) are the
     identity.
     """
-    from .pauli import tensor
-
     lookup = dict(zip(skeleton.unknowns(), assignment.operators))
     m = assignment.m
     ident = PauliOperator.identity(m)
@@ -282,7 +276,5 @@ def partial_rows(
         for t in range(1, chain.span + 1):
             gin = lookup.get((i, t - 1), ident)
             gout = lookup.get((i, t), ident)
-            rows.append(
-                (tensor(gin, chain.inputs[t - 1]), tensor(chain.outputs[t - 1], gout))
-            )
+            rows.append((gin.tensor(chain.inputs[t - 1]), chain.outputs[t - 1].tensor(gout)))
     return rows

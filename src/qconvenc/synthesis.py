@@ -22,10 +22,11 @@ from .circuit import (
     _conjugate,
     _dual,
     circuit_to_symplectic,
+    gram,
 )
 from .errors import MapConsistencyError, SynthesisError
 from .pauli import PauliOperator
-from .skeleton import _gram_schmidt
+from .skeleton import _first_mismatch, _gram_schmidt
 
 __all__ = [
     "PartialMap",
@@ -35,10 +36,6 @@ __all__ = [
     "complete_and_synthesize",
     "gate_count_bound",
 ]
-
-
-def _sp(u: int, v: int, width: int) -> int:
-    return gf2.parity(u & _dual(v, width))
 
 
 @dataclass(frozen=True)
@@ -68,15 +65,15 @@ def check_consistency(partial: PartialMap) -> None:
         raise MapConsistencyError("input rows are linearly dependent")
     if gf2.rank(outs) != len(outs):
         raise MapConsistencyError("output rows are linearly dependent")
-    for i in range(len(ins)):
-        for j in range(i + 1, len(ins)):
-            a = _sp(ins[i], ins[j], w)
-            b = _sp(outs[i], outs[j], w)
-            if a != b:
-                raise MapConsistencyError(
-                    f"rows {i + 1} and {j + 1} have symplectic product "
-                    f"{a} on inputs but {b} on outputs"
-                )
+    gin = gram(ins, w)
+    bad = _first_mismatch(gin, gram(outs, w))
+    if bad is not None:
+        i, j = bad
+        a = (gin[i] >> j) & 1
+        raise MapConsistencyError(
+            f"rows {i + 1} and {j + 1} have symplectic product "
+            f"{a} on inputs but {a ^ 1} on outputs"
+        )
 
 
 def _solve_partner(placed: List[int], c: int, width: int) -> int:
@@ -120,8 +117,7 @@ def complete_to_symplectic(partial: PartialMap) -> SymplecticMap:
     # symplectic Gram-Schmidt on the inputs' products; the same row
     # operations on the outputs keep each transformed (input, output) pair
     # a requirement the final map must satisfy
-    gram = [sum(_sp(a, b, w) << j for j, b in enumerate(ins)) for a in ins]
-    sgs = _gram_schmidt(gram)
+    sgs = _gram_schmidt(gram(ins, w))
     paired = 2 * len(sgs.pairs)
     sides = []
     for vecs in (ins, outs):

@@ -3,8 +3,9 @@
 Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
-zero-weight cycles, a code's text form, and small views of skeletons,
-requirement matrices and maps.  The library does not export them; the
+zero-weight cycles, the skeleton products telescoped frame by frame, a
+code's text form, and small views of skeletons, requirement matrices and
+maps.  The library does not export them; the
 commands never reach them.
 """
 
@@ -19,6 +20,7 @@ from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
 from qconvenc.simulate import _infer_frames
 from qconvenc.skeleton import (
+    Chain,
     CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
@@ -153,3 +155,35 @@ def skeleton_rows(skeleton: TransformationSkeleton) -> List[Tuple[int, int]]:
 def compose(first: SymplecticMap, then: SymplecticMap) -> SymplecticMap:
     """`first` followed by `then`."""
     return SymplecticMap(first.width, tuple(gf2.matmul(first.rows, then.rows)))
+
+
+def telescope(ci: Chain, s: int, cj: Chain, t: int) -> int:
+    """The forced product sp(g_{i,s}, g_{j,t}) of two skeleton slots, summed
+    frame by frame down to the identity boundary."""
+    acc = 0
+    for r in range(min(s, t)):
+        acc ^= ci.inputs[s - 1 - r].sp(cj.inputs[t - 1 - r])
+        acc ^= ci.outputs[s - 1 - r].sp(cj.outputs[t - 1 - r])
+    return acc
+
+
+def telescoped_requirement(
+    skeleton: TransformationSkeleton,
+) -> Tuple[List[int], List[Tuple[int, int, int]]]:
+    """The unknowns' product rows by `telescope`, and every (chain i, chain
+    j, frame t) whose boundary product with chain i at its full span is 1,
+    in (i, j, t) order."""
+    chains = skeleton.chains
+    unknowns = skeleton.unknowns()
+    rows = [
+        sum(telescope(chains[i - 1], s, chains[j - 1], t) << col for col, (j, t) in enumerate(unknowns))
+        for i, s in unknowns
+    ]
+    bad = [
+        (i, j, t)
+        for i, ci in enumerate(chains, 1)
+        for j, cj in enumerate(chains, 1)
+        for t in range(1, cj.span + 1)
+        if telescope(ci, ci.span, cj, t)
+    ]
+    return rows, bad

@@ -23,7 +23,7 @@ from qconvenc import (
     parse_circuit,
     wire_roles,
 )
-from qconvenc.circuit import MAX_WIDTH
+from qconvenc.circuit import MAX_WIDTH, gram
 from qconvenc.errors import ParseError
 from qconvenc.library import FGG_ENCODER, FGG_ENCODER_TEXT
 
@@ -110,6 +110,27 @@ def test_is_symplectic_matches_pauli_products():
         assert SymplecticMap(w, tuple(rows)).is_symplectic() == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_gram_matches_pauli_products():
+    rng = random.Random(23)
+    for _ in range(100):
+        w = rng.randrange(0, 5)
+        ops = [PauliOperator(w, rng.getrandbits(w), rng.getrandbits(w)) for _ in range(rng.randrange(0, 7))]
+        rows = gram([op.vec() for op in ops], w)
+        assert rows == [sum(a.sp(b) << j for j, b in enumerate(ops)) for a in ops]
+
+
+def test_step_matches_tensor_apply_part():
+    # memory on the first m input wires and the last m output wires
+    rng = random.Random(24)
+    for _ in range(100):
+        n, m = rng.randrange(1, 4), rng.randrange(0, 4)
+        smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rng))
+        mem = PauliOperator(m, rng.getrandbits(m), rng.getrandbits(m))
+        frame = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n))
+        out = smap.apply(mem.tensor(frame))
+        assert smap.step(n, mem.vec(), frame.vec()) == (out.part(0, n).vec(), out.part(n, n + m).vec())
 
 
 def test_compose_is_sequential_application():

@@ -444,8 +444,10 @@ def test_empty_or_identity_code_is_data_error(capsys, tmp_path, text, command):
     assert "error:" in err
 
 
-# valid codes no encoder skeleton realizes: a generator shorter than the
-# others, two equal generators, and two generators that end in the same frame
+# valid codes no encoder skeleton realizes, because the generators' last
+# frames are dependent: a short generator whose only frame equals the
+# other's last, two equal generators, and two generators that end in the
+# same frame
 @pytest.mark.parametrize("text", ["n=2\nZY|YX\nYX\n", "n=2\nXX\nXX\n", "n=3\nZZZ|ZYY\nZXX|ZYY\n"])
 def test_unencodable_generators_are_data_error(capsys, tmp_path, text):
     path = tmp_path / "code.qcc"
@@ -454,6 +456,64 @@ def test_unencodable_generators_are_data_error(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "synthesize", "--code", str(path))
     assert code == 65
     assert err.startswith("error: ") and "nu = " in err
+
+
+# a code with a generator shorter than the other, and a valid one-memory
+# encoder for it; its skeleton runs each generator over its own span
+SHORT_CODE_TEXT = "n=2\nIX|IX\nXI\n"
+SHORT_ENCODER_TEXT = "# width: 3\n" + "\n".join(
+    ["H 3", "H 3", "H 3", "H 2", "H 2", "SWAP 3 2", "H 3", "H 1", "CZ 1 3", "H 1", "SWAP 2 1"]
+) + "\n"
+
+
+@pytest.fixture
+def short_files(tmp_path):
+    (tmp_path / "short.qcc").write_text(SHORT_CODE_TEXT)
+    (tmp_path / "short.circ").write_text(SHORT_ENCODER_TEXT)
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", ["check", "derive-decoder", "simulate"])
+def test_short_generator_encoder_is_accepted(capsys, short_files, command):
+    extra = ["--p", "0.05", "--frames", "4", "--trials", "20", "--workers", "1"] if command == "simulate" else []
+    code, _, err = run_cli(
+        capsys, command, "--code", str(short_files / "short.qcc"),
+        "--encoder", str(short_files / "short.circ"), *extra,
+    )
+    assert code == 0, err
+
+
+def test_short_generator_check_reports_minimal_memory(capsys, short_files):
+    code, out, _ = run_cli(
+        capsys, "check", "--json", "--code", str(short_files / "short.qcc"),
+        "--encoder", str(short_files / "short.circ"),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["memory"] == 1 and report["minimal_memory"] == 1
+
+
+def test_short_generator_code_synthesizes(capsys, short_files):
+    out_path = short_files / "enc.circ"
+    code, out, err = run_cli(
+        capsys, "synthesize", "--code", str(short_files / "short.qcc"), "--out", str(out_path)
+    )
+    assert code == 0, err
+    assert "memory: 1" in out
+    code, out, _ = run_cli(
+        capsys, "check", "--code", str(short_files / "short.qcc"), "--encoder", str(out_path)
+    )
+    assert code == 0 and "verdict: non-catastrophic" in out
+
+
+def test_derive_decoder_on_non_closing_logical_is_data_error(files, capsys):
+    # the catastrophic encoder's logical Z leaves the memory at X for good
+    code, _, err = run_cli(
+        capsys, "derive-decoder", "--code", str(files / "cat.qcc"),
+        "--encoder", str(files / "cat_enc.circ"),
+    )
+    assert code == 65
+    assert err.strip().splitlines() == ["error: memory orbit of IZ never closes; stuck at X"]
 
 
 @pytest.mark.parametrize("flag, value", [("--frames", "0"), ("--trials", "-2"), ("--frames", "x")])

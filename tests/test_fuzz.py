@@ -1,8 +1,9 @@
 """Property tests for the inputs: any text either parses or is refused
-with a documented input error, `check` and `simulate` on any small
-circuit exit with a documented code, never with a stray exception, and
-`synthesize` on any small code writes a verified non-catastrophic encoder
-or exits with a documented code."""
+with a documented input error, `info` on any code text, and `check`,
+`derive-decoder` and `simulate` on any small circuit, exit with a
+documented code, never with a stray exception, and `synthesize` on any
+small code writes a verified non-catastrophic minimal-memory encoder
+that `check` accepts, or exits with a documented code."""
 
 import contextlib
 import io
@@ -31,6 +32,16 @@ _CODE_LINE = st.one_of(
     st.text(max_size=12),
 )
 _CODE_TEXT = st.lists(_CODE_LINE, max_size=5).map("\n".join)
+
+# a code of 1 to n generators on n <= 3 qubits per frame, each 1 to 3
+# frames of Paulis (so some generators commute and some are refused)
+_SMALL_CODE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=3),
+        min_size=1,
+        max_size=n,
+    ).map(lambda gens: f"n={n}\n" + "".join("|".join(g) + "\n" for g in gens))
+)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=True) | st.text(max_size=5),
@@ -65,6 +76,18 @@ def test_parse_code_succeeds_or_refuses(text):
         parse_code(text)
     except (ParseError, CodeValidationError):
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_CODE_TEXT | _SMALL_CODE, as_json=st.booleans())
+def test_info_exits_with_documented_code(tmp_path_factory, text, as_json):
+    path = tmp_path_factory.mktemp("info") / "code.qcc"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["info", "--code", str(path)] + ["--json"] * as_json)
+    event(f"exit {status}")
+    assert status in (0, 65), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,6 +159,38 @@ def test_check_exits_with_documented_code(check_inputs, code, known, width, keep
     assert status in (0, 1, 65), err.getvalue()
 
 
+# derive-decoder on the same kinds of circuit as check, and on the rate-0
+# code; the catastrophic code's encoders never close a logical's orbit.
+# Exit 70 is accepted only for the known decoder-skeleton defect: each
+# decoder chain emits at the end of its own span, so chains of different
+# spans can force a boundary product (ROADMAP item 1, a common delay)
+@settings(max_examples=100, deadline=None)
+@given(
+    code=st.sampled_from(["fgg", "tiny", "rate0"]),
+    known=st.booleans(),
+    width=st.integers(0, 6),
+    keep=st.integers(0, 30),
+    extra=st.just([])
+    | st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 5), st.integers(0, 5)), max_size=6),
+    as_json=st.booleans(),
+)
+def test_derive_decoder_exits_with_documented_code(check_inputs, code, known, width, keep, extra, as_json):
+    d, encoders = check_inputs
+    base = encoders[code].gates[:keep] if known else ()
+    if known:
+        width = encoders[code].width
+    gates = base + tuple(_gate(kind, a, b, width) for kind, a, b in extra if width)
+    enc = d / f"{code}-dec.circ"
+    enc.write_text(circuit_to_text(CliffordCircuit(width, gates)))
+    argv = ["derive-decoder", "--code", str(d / f"{code}.qcc"), "--encoder", str(enc), "--skeleton"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv + ["--json"] * as_json)
+    event(f"exit {status}")
+    known_defect = status == 70 and "boundary product of chain" in err.getvalue()
+    assert status in (0, 65) or known_defect, err.getvalue()
+
+
 # simulate on a random circuit of width <= 6 or a known encoder, possibly
 # cut short, with window and probability arguments that are sometimes out of range
 @settings(max_examples=100, deadline=None)
@@ -169,17 +224,6 @@ def test_simulate_exits_with_documented_code(check_inputs, code, known, width, k
     assert status in (0, 64, 65), err.getvalue()
 
 
-# a code of 1 to n generators on n <= 3 qubits per frame, each 1 to 3
-# frames of Paulis (so some generators commute and some are refused)
-_SMALL_CODE = st.integers(1, 3).flatmap(
-    lambda n: st.lists(
-        st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), min_size=1, max_size=3),
-        min_size=1,
-        max_size=n,
-    ).map(lambda gens: f"n={n}\n" + "".join("|".join(g) + "\n" for g in gens))
-)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     text=_SMALL_CODE | st.sampled_from([FGG_CODE_TEXT, CATASTROPHIC_CODE_TEXT, RATE_ZERO_CODE_TEXT, GR_CODE_TEXT]),
@@ -203,3 +247,9 @@ def test_synthesize_exits_with_documented_code(tmp_path_factory, text, budget, e
         code = parse_code(text)
         m = verify_encoder(code, circuit).m
         assert is_noncatastrophic(circuit, code.n, code.k, m).non_catastrophic
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(["check", "--json", "--code", str(d / "code.qcc"), "--encoder", str(out_path)])
+        assert status == 0, err.getvalue()
+        report = json.loads(out.getvalue())
+        assert report["memory"] == report["minimal_memory"] == m

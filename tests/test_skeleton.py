@@ -9,13 +9,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconvenc import PauliOperator, parse_code
+from qconvenc.decoder import build_decoder_skeleton, encoded_logical_operators
 from qconvenc.errors import SkeletonInconsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.skeleton import (
+    Chain,
     CommutationRequirement,
     MemoryAssignment,
+    TransformationSkeleton,
     assign_memory,
     build_skeleton,
     check_assignment,
@@ -25,7 +30,7 @@ from qconvenc.skeleton import (
     symplectic_gram_schmidt,
 )
 
-from oracles import anticommuting_pairs, required_commutation_matrix, skeleton_rows
+from oracles import anticommuting_pairs, required_commutation_matrix, skeleton_rows, telescoped_requirement
 
 P = PauliOperator.from_string
 
@@ -226,9 +231,69 @@ def test_inconsistent_row_structure_rejected():
     # valid codes always telescope to zero at the boundary, so force the
     # failure with hand-built chains: reaching the final identity memory
     # would require sp(Z, X) = 0, which is false
-    from qconvenc.skeleton import Chain, TransformationSkeleton
+    from qconvenc.skeleton import TransformationSkeleton
 
     chain = Chain("bad", (P("Z"), P("I")), (P("X"), P("Z")))
     skel = TransformationSkeleton(1, 0, "encoder", (chain,))
     with pytest.raises(SkeletonInconsistencyError):
         skeleton_commutation_matrix(skel)
+
+
+def assert_matches_telescope(skel):
+    """skeleton_commutation_matrix agrees with the frame-by-frame formula:
+    the same rows, or a refusal naming the first forced boundary product."""
+    rows, bad = telescoped_requirement(skel)
+    if bad:
+        i, j, t = bad[0]
+        span = skel.chains[i - 1].span
+        with pytest.raises(SkeletonInconsistencyError) as exc:
+            skeleton_commutation_matrix(skel)
+        assert str(exc.value) == (
+            f"boundary product of chain {i} (span {span}) with chain {j} at frame {t} is forced to 1"
+        )
+    else:
+        mat = skeleton_commutation_matrix(skel)
+        assert list(mat.rows) == rows
+        assert mat.labels == tuple(skel.unknowns())
+
+
+@pytest.mark.parametrize("code", [FGG_CODE, GR_CODE], ids=["fgg", "gr"])
+def test_encoder_matrix_matches_telescope(code):
+    assert_matches_telescope(build_skeleton(code))
+
+
+def test_decoder_matrices_match_telescope(fgg_decoder, gr_code, gr_synthesis):
+    assert_matches_telescope(fgg_decoder.skeleton)
+    # the GR decoder skeleton is refused at a boundary: the refusal must too
+    gr_skel = build_decoder_skeleton(encoded_logical_operators(gr_synthesis.circuit, gr_code), gr_code)
+    assert telescoped_requirement(gr_skel)[1]
+    assert_matches_telescope(gr_skel)
+
+
+_FRAME = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_CHAIN = st.integers(1, 4).flatmap(
+    lambda span: st.tuples(st.lists(_FRAME, min_size=span, max_size=span),
+                           st.lists(_FRAME, min_size=span, max_size=span))
+)
+
+
+# chains of unequal spans on two-qubit frames, with arbitrary inputs and
+# outputs, so that both the matrix and the boundary refusal are exercised
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CHAIN, min_size=1, max_size=4))
+def test_unequal_span_matrix_matches_telescope(chains):
+    def frames(fs):
+        return tuple(PauliOperator(2, x, z) for x, z in fs)
+
+    skel = TransformationSkeleton(
+        2, 0, "decoder", tuple(Chain(f"c{i}", frames(a), frames(b)) for i, (a, b) in enumerate(chains))
+    )
+    assert_matches_telescope(skel)
+
+
+def test_short_generator_runs_over_its_own_span():
+    code = parse_code("n=2\nIX|IX\nXI\n")
+    skel = build_skeleton(code)
+    assert [c.span for c in skel.chains] == [2, 1]
+    assert skel.unknowns() == [(1, 1)]
+    assert minimal_memory(skeleton_commutation_matrix(skel)) == 1
