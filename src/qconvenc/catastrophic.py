@@ -39,7 +39,12 @@ memory, ancilla Z and info parts, and L b = 0 exactly when y_b lies in the
 span of M(memory X, Z) and M(ancilla Z).  The completion search uses
 this: every leaf fixes those images (as the same XOR combinations of its
 rows at every leaf), so a leaf is decided without completing it to a full
-map, and only the accepted leaf is completed and synthesized.
+map, and only the accepted leaf is completed and synthesized.  The leaves
+under one last-level node differ only in the last direction's output v,
+which enters just the images whose combination uses that row: the others
+are reduced once per node.  T and A, hence P, depend only on the images'
+dual memory fields, which recur across siblings and nodes, so one search
+computes P once per distinct value.
 
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .circuit import CliffordCircuit, SymplecticMap, _dual, _field, _place, as_symplectic
@@ -228,35 +233,43 @@ def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> 
         basis = image
 
 
-def _encoder_cycle_state(
-    images: List[int], n: int, k: int, m: int
-) -> Optional[Tuple[int, List[int]]]:
-    """A memory state on a zero-weight cycle with nonzero info part, and the
-    images of T; None when no such state exists.
+def _cycle_states(
+    images: List[int], varying: Sequence[int], candidates: Iterable[int], n: int, k: int, m: int,
+    memo: dict,
+) -> Iterator[Optional[Tuple[int, Tuple[int, ...]]]]:
+    """For each candidate v, in order: a memory state on a zero-weight cycle
+    with nonzero info part and the images of T, or None when there is none,
+    for the encoder images `images` with v XORed into those at `varying`.
 
     `images` are the encoder's images of its memory inputs X_0..X_(m-1),
     Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
-    not read (see the module docstring).
+    not read (see the module docstring).  `memo` maps the images' dual
+    memory fields, which fix T and A, to the images of T and a basis of P.
     """
     w = m + n
     # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
     # as functionals of the outgoing memory state these are dual images
     duals = [_field(_dual(v, w), w, n, m) for v in images]
-    pull = duals[m:2 * m] + duals[:m]
-    ts = _transpose(pull, 2 * m)
-    basis = _periodic_part(ts, pull, duals[2 * m:], m)
-    if not basis:
-        return None
-    reduced, pivots = gf2.row_reduce(images)
-    for b in basis:
+    fixed = gf2.row_reduce([v for i, v in enumerate(images) if i not in varying])
+    for v in candidates:
+        dv = _field(_dual(v, w), w, n, m)
+        key = tuple(d ^ dv if i in varying else d for i, d in enumerate(duals))
+        if key not in memo:
+            pull = list(key[m:2 * m] + key[:m])
+            ts = _transpose(pull, 2 * m)
+            memo[key] = tuple(ts), _periodic_part(ts, pull, list(key[2 * m:]), m)
+        ts, basis = memo[key]
+        # y lies in span(images) exactly when its residue modulo the fixed
+        # images lies in the span of the varying images' residues
+        moving = gf2.row_reduce([gf2.residue(*fixed, images[i] ^ v) for i in varying])
         # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z)
-        if gf2.residue(reduced, pivots, _place(b, m, n, w)):
-            return b, ts
-    return None
+        placed = (gf2.residue(*fixed, _place(b, m, n, w)) for b in basis)
+        found = next((b for b, y in zip(basis, placed) if gf2.residue(*moving, y)), None)
+        yield None if found is None else (found, ts)
 
 
 def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
-    """As `_encoder_cycle_state`, for a decoder map.  Its rows for memory
+    """As `_cycle_states` for one candidate, for a decoder map.  Its rows for memory
     X_i and Z_i (input wires i) are the edges keyed by those basis states,
     so T, A and L are read off them without applying the map."""
     w = m + n
@@ -280,7 +293,8 @@ def _verdict(
     if smap.width != m + n:
         raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
     if direction == "encoder":
-        found = _encoder_cycle_state([smap.rows[i] for i in _encoder_reads(n, k, m)], n, k, m)
+        images = [smap.rows[i] for i in _encoder_reads(n, k, m)]
+        found = next(_cycle_states(images, (), [0], n, k, m, {}))
     else:
         found = _decoder_cycle_state(smap, n, k, m)
     if found is None:
@@ -291,7 +305,7 @@ def _verdict(
 
 
 def _encoder_reads(n: int, k: int, m: int) -> List[int]:
-    """Row indices of the inputs `_encoder_cycle_state` reads: memory X's,
+    """Row indices of the inputs `_cycle_states` reads: memory X's,
     memory Z's, then ancilla Z's."""
     w = m + n
     return [*range(m), *range(w, w + m + n - k)]
@@ -331,7 +345,9 @@ def complete_noncatastrophic(
     increasing packed-vector order, depth-first, subject to the symplectic
     products forced by all rows fixed so far.  Each full completion is
     checked with the exact catastrophicity test, read from its rows alone;
-    only the accepted one is completed to a full map and synthesized.
+    only the accepted one is completed to a full map and synthesized.  The
+    leaves of a last-level node are checked together, in order and within
+    the budget, with P memoized per search (see the module docstring).
     """
     check_consistency(p)
     n, k, m = skeleton.n, skeleton.k, assignment.m
@@ -347,6 +363,11 @@ def complete_noncatastrophic(
     # reads are the same XOR combinations of its rows at every leaf
     coeffs = _combinations(span + directions, [1 << i for i in _encoder_reads(n, k, m)], w)
 
+    # the leaves under one last-level node differ only in the last row's
+    # output v, which enters the images whose combination uses that row
+    last = len(span) + len(directions) - 1
+    varying = [i for i, c in enumerate(coeffs) if directions and (c >> last) & 1]
+    memo: dict = {}  # one per search: the last-level nodes share their dynamics
     tried = 0
 
     def exhausted(message: str) -> CompletionSearchExhausted:
@@ -354,9 +375,10 @@ def complete_noncatastrophic(
 
     def dfs(rows_acc: List[Tuple[int, int]], level: int) -> Optional[List[Tuple[int, int]]]:
         nonlocal tried
-        if level == len(directions):
+        if level == len(directions):  # no free direction: the rows are the one leaf
             tried += 1
-            return rows_acc if _leaf_cycle_state(rows_acc, coeffs, n, k, m) is None else None
+            states = _cycle_states(_leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo)
+            return rows_acc if next(states) is None else None
         u = directions[level]
         constraint_rows = [_dual(ro, w) for _, ro in rows_acc]
         rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
@@ -369,11 +391,18 @@ def complete_noncatastrophic(
                 f"candidate space at direction {level + 1} has 2^{len(null)} "
                 "elements; refusing to enumerate"
             )
-        for v in sorted(v0 ^ x for x in gf2.span(null)):
+        candidates = sorted(v0 ^ x for x in gf2.span(null))
+        leaves = level == len(directions) - 1
+        if leaves:  # decided together, lazily, in step with the budget
+            states = _cycle_states(_leaf_images(coeffs, rows_acc), varying, candidates, n, k, m, memo)
+        for v in candidates:
             if tried >= max_candidates:
                 raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
-            found = dfs(rows_acc + [(u, v)], level + 1)
-            if found is not None:
+            if leaves:
+                tried += 1
+                if next(states) is None:
+                    return rows_acc + [(u, v)]
+            elif (found := dfs(rows_acc + [(u, v)], level + 1)) is not None:
                 return found
         return None
 
@@ -382,6 +411,12 @@ def complete_noncatastrophic(
         raise exhausted("every consistent completion is catastrophic")
     smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
     return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+
+
+def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:
+    """The images a leaf check reads, from the rows of a leaf, or of a
+    last-level node with the last direction's output taken as 0."""
+    return gf2.matmul(coeffs, [out for _, out in rows] + [0])
 
 
 def _combinations(inputs: List[int], targets: List[int], w: int) -> List[int]:
@@ -397,9 +432,3 @@ def _combinations(inputs: List[int], targets: List[int], w: int) -> List[int]:
         out.append(r >> (2 * w))
     return out
 
-
-def _leaf_cycle_state(
-    rows: List[Tuple[int, int]], coeffs: List[int], n: int, k: int, m: int
-) -> Optional[Tuple[int, List[int]]]:
-    """`_encoder_cycle_state` of every completion of a search leaf's rows."""
-    return _encoder_cycle_state(gf2.matmul(coeffs, [out for _, out in rows]), n, k, m)

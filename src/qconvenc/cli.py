@@ -6,7 +6,8 @@ settles catastrophicity, `derive-decoder` produces the matching online
 decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
-settles the verdict); 2 completion search exhausted (synthesize); 64 bad
+settles the verdict); 2 completion search exhausted (synthesize, which
+with --json also reports tried, budget and reason on stdout); 64 bad
 usage; 65 unreadable/invalid input data, including a circuit that does
 not realize its code, a circuit wider than `circuit.MAX_WIDTH`, an
 encoder too wide for the simulate trellis, an encoder whose encoded
@@ -283,6 +284,9 @@ def run(args: argparse.Namespace) -> int:
         return EX_DATA
     except CompletionSearchExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        if args.as_json:
+            _emit({"verdict": "inconclusive", "tried": exc.tried,
+                   "budget": exc.budget, "reason": str(exc)}, args)
         return EX_INCONCLUSIVE
     except (MapConsistencyError, SkeletonInconsistencyError, SynthesisError,
             TrellisError) as exc:

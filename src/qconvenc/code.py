@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CodeValidationError, ParseError
+from .gf2 import parity
 from .pauli import PauliOperator
 
 __all__ = [
@@ -69,13 +70,6 @@ class FramedPauliSequence:
             return self.frames[t - 1]
         return PauliOperator.identity(self.frame_width)
 
-    def sp_at_shift(self, other: "FramedPauliSequence", shift: int) -> int:
-        """Symplectic product of self with other delayed by `shift` frames."""
-        acc = 0
-        for t, f in enumerate(self.frames, 1):
-            acc ^= f.sp(other.frame(t - shift))
-        return acc
-
     def to_string(self) -> str:
         if not self.frames:
             return "I" * self.frame_width
@@ -110,15 +104,18 @@ class ConvolutionalCode:
 
 def validate(code: ConvolutionalCode) -> None:
     """Raise CodeValidationError unless all generators commute at all shifts."""
-    nu = code.nu
-    for a, ga in enumerate(code.generators, 1):
-        for b, gb in enumerate(code.generators, 1):
-            if b < a:
-                continue
-            for shift in range(nu):
-                if ga.sp_at_shift(gb, shift):
+    n = code.n
+    # each generator packed as (x, z), frame t on bits [t n, (t + 1) n): a delay
+    # of `shift` frames is a left shift by shift n bits
+    packed = [(sum(f.x << (t * n) for t, f in enumerate(g.frames)),
+               sum(f.z << (t * n) for t, f in enumerate(g.frames))) for g in code.generators]
+    for a, (xa, za) in enumerate(packed, 1):
+        for b, (xb, zb) in enumerate(packed[a - 1:], a):
+            for shift in range(code.nu):
+                s = shift * n
+                if parity((xa & (zb << s)) ^ (za & (xb << s))):
                     raise CodeValidationError(a, b, shift)
-                if shift and gb.sp_at_shift(ga, shift):
+                if shift and parity((xb & (za << s)) ^ (zb & (xa << s))):
                     raise CodeValidationError(b, a, shift)
 
 

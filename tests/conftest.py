@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from qconvenc import (
     CliffordCircuit,
@@ -95,6 +96,20 @@ def catastrophic_code():
 def catastrophic_encoder_map():
     return SymplecticMap(3, tuple(P(s).vec() for s in _CATASTROPHIC_ROWS))
 
+
+# (n, generator lines): 1 to n generators on n <= 3 qubits per frame, each
+# 1 to 3 frames drawn letter by letter; many of these codes are invalid
+SMALL_GENERATORS = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n).map("".join),
+                     min_size=1, max_size=3).map("|".join),
+            min_size=1,
+            max_size=n,
+        ),
+    )
+)
 
 GATE_KINDS = ("H", "P", "CNOT", "CZ", "SWAP")
 

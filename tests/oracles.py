@@ -3,9 +3,10 @@
 Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
-zero-weight cycles, the skeleton products telescoped frame by frame, a
-code's text form, and small views of skeletons, requirement matrices and
-maps.  The library does not export them; the
+zero-weight cycles, one encoder's cycle state computed from scratch, the
+shifted products of framed sequences frame by frame, the skeleton
+products telescoped frame by frame, a code's text form, and small views
+of skeletons, requirement matrices and maps.  The library does not export them; the
 commands never reach them.
 """
 
@@ -14,7 +15,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from qconvenc import gf2
-from qconvenc.circuit import SymplecticMap, _dual
+from qconvenc.catastrophic import _periodic_part, _transpose
+from qconvenc.circuit import SymplecticMap, _dual, _field, _place
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
@@ -84,6 +86,23 @@ def admissible_cycle_states(
     return [PauliOperator.from_vec(m, v) for v in basis]
 
 
+def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
+    """The leaf check of one encoder, everything computed afresh: from its
+    images of the memory X's, memory Z's and ancilla Z's, a memory state on
+    a zero-weight cycle with nonzero info part and the images of T, or None.
+    The completion search shares this work between sibling leaves."""
+    w = m + n
+    duals = [_field(_dual(v, w), w, n, m) for v in images]
+    pull = duals[m:2 * m] + duals[:m]
+    ts = _transpose(pull, 2 * m)
+    basis = _periodic_part(ts, pull, duals[2 * m:], m)
+    reduced, pivots = gf2.row_reduce(images)
+    for b in basis:
+        if gf2.residue(reduced, pivots, _place(b, m, n, w)):
+            return b, ts
+    return None
+
+
 def polynomial_to_text(mask: int) -> str:
     """Inverse of `parse_polynomial`: bit t of the mask is the coefficient of D^t."""
     terms = []
@@ -111,6 +130,31 @@ def as_pauli(seq: FramedPauliSequence, nframes: int) -> PauliOperator:
     for t in range(1, nframes + 1):
         out = out.tensor(seq.frame(t))
     return out
+
+
+def sp_at_shift(a: FramedPauliSequence, b: FramedPauliSequence, shift: int) -> int:
+    """Symplectic product of a with b delayed by `shift` frames, frame by frame."""
+    acc = 0
+    for t, f in enumerate(a.frames, 1):
+        acc ^= f.sp(b.frame(t - shift))
+    return acc
+
+
+def first_anticommuting_shift(
+    generators: Tuple[FramedPauliSequence, ...], nu: int
+) -> Optional[Tuple[int, int, int]]:
+    """The (a, b, shift) that `code.validate` reports first, found by
+    `sp_at_shift` in its order; None when every pair commutes."""
+    for a, ga in enumerate(generators, 1):
+        for b, gb in enumerate(generators, 1):
+            if b < a:
+                continue
+            for shift in range(nu):
+                if sp_at_shift(ga, gb, shift):
+                    return a, b, shift
+                if shift and sp_at_shift(gb, ga, shift):
+                    return b, a, shift
+    return None
 
 
 def fgg_transformation_rows() -> List[Tuple[PauliOperator, PauliOperator]]:

@@ -7,8 +7,11 @@ reachability, so the two routes share no code.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qconvenc import (
     CliffordCircuit,
@@ -23,15 +26,20 @@ from qconvenc import (
 )
 from qconvenc.catastrophic import (
     ENUM_CAP,
+    _combinations,
+    _cycle_states,
+    _encoder_reads,
     complete_noncatastrophic,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
     subgroup_elements,
     zero_weight_graph,
 )
-from qconvenc.errors import CompletionSearchExhausted
+from qconvenc.cli import main
+from qconvenc.errors import CodeValidationError, CompletionSearchExhausted, InputDataError, ParseError
 from qconvenc.library import (
     FGG_CODE,
+    FGG_CODE_TEXT,
     FGG_ENCODER,
     GR_CODE,
     GR_COMPLETION_ROWS,
@@ -46,8 +54,8 @@ from qconvenc.skeleton import (
 )
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
-from conftest import random_circuit
-from oracles import admissible_cycle_states
+from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit
+from oracles import admissible_cycle_states, encoder_cycle_state
 
 P = PauliOperator.from_string
 
@@ -380,26 +388,51 @@ def _cycle_state_of_inverse(inv: SymplecticMap, n: int, k: int, m: int):
     return None
 
 
-def _recorded_leaves(monkeypatch, code, **kwargs):
-    """Every leaf of the completion search for `code` with its result, and
-    the search's outcome (the synthesis, or the exhaustion error)."""
+def _recorded_leaves(code, **kwargs):
+    """Every leaf of the completion search for `code`, as its rows with the
+    state its check returned, and the search's outcome (the synthesis, or
+    the exhaustion error).  Leaves are recorded as `_cycle_states` decides
+    them; the rows of each node come from its `_leaf_images` call."""
     import qconvenc.catastrophic as cat
 
-    leaves = []
-    real = cat._leaf_cycle_state
+    leaves, node = [], []
+    real_images, real_states = cat._leaf_images, cat._cycle_states
 
-    def recording(rows, *args):
-        found = real(rows, *args)
-        leaves.append((list(rows), found))
-        return found
+    def images(coeffs, rows):
+        node[:] = rows
+        return real_images(coeffs, rows)
 
-    monkeypatch.setattr(cat, "_leaf_cycle_state", recording)
-    try:
-        outcome = synthesize_encoder(code, **kwargs)
-    except CompletionSearchExhausted as exc:
-        outcome = exc
-    monkeypatch.undo()
+    def states(images, varying, candidates, n, k, m, memo):
+        rows, w = list(node), m + n
+        if varying:
+            # a last-level node: its leaves add a row for the last direction,
+            # the first canonical memory X or Z outside the node's inputs
+            inputs = [ri for ri, _ in rows]
+            memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
+            u = next(d for d in memory if not gf2.in_span(inputs, d))
+        for v, found in zip(candidates, real_states(images, varying, candidates, n, k, m, memo)):
+            leaves.append((rows + [(u, v)] if varying else rows, found))
+            yield found
+
+    with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, "_cycle_states", states):
+        try:
+            outcome = synthesize_encoder(code, **kwargs)
+        except CompletionSearchExhausted as exc:
+            outcome = exc
     return leaves, outcome
+
+
+def _assert_leaves_match_one_leaf_checks(code, leaves):
+    n, k = code.n, code.k
+    m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
+    reads = [1 << i for i in _encoder_reads(n, k, m)]
+    for rows, found in leaves:
+        # the images the leaf check reads, combined afresh from the leaf's rows
+        coeffs = _combinations([ri for ri, _ in rows], reads, m + n)
+        want = encoder_cycle_state(gf2.matmul(coeffs, [ro for _, ro in rows]), n, k, m)
+        assert (found is None) == (want is None)
+        if found is not None:
+            assert found[0] == want[0] and list(found[1]) == list(want[1])
 
 
 # small codes whose canonical assignment leaves memory directions free, so
@@ -408,11 +441,11 @@ FREE_DIRECTION_CODES = ["n=2\nZX|ZI\n", "n=3\nIZI|IZX\n", "n=2\nYZ|YZ|XX\n"]
 
 
 @pytest.mark.parametrize("text", ["gr", *FREE_DIRECTION_CODES])
-def test_leaf_check_matches_full_completion(monkeypatch, text):
+def test_leaf_check_matches_full_completion(text):
     # the leaf check reads only the rows a leaf fixes; a full completion of
     # those rows, inverted, must give the same verdict and witness state
     code = GR_CODE if text == "gr" else parse_code(text)
-    leaves, outcome = _recorded_leaves(monkeypatch, code, max_candidates=400)
+    leaves, outcome = _recorded_leaves(code, max_candidates=400)
     if text == "gr":
         assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 400
     else:
@@ -429,6 +462,76 @@ def test_leaf_check_matches_full_completion(monkeypatch, text):
     # every leaf but an accepted last one is catastrophic
     accepted = 0 if text == "gr" else 1
     assert rejected == len(leaves) - accepted > 0
+    # and deciding siblings together changes no leaf's state
+    _assert_leaves_match_one_leaf_checks(code, leaves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_GENERATORS)
+def test_sibling_leaves_match_one_leaf_checks_on_small_codes(drawn):
+    n, lines = drawn
+    try:
+        code = parse_code(f"n={n}\n" + "".join(line + "\n" for line in lines))
+    except (ParseError, CodeValidationError):
+        return
+    try:
+        leaves, _ = _recorded_leaves(code, max_candidates=200)
+    except InputDataError:  # dependent last frames: refused before any search
+        return
+    event("one leaf" if len(leaves) == 1 else "several leaves")
+    _assert_leaves_match_one_leaf_checks(code, leaves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
+    # any images, any rows that vary, any candidates: every state must be
+    # the one computed afresh, and one memo serves every call
+    k = min(k, n - 1)
+    w, reads = m + n, 2 * m + n - k
+    memo = {}
+    for _ in range(3):
+        images = [rnd.getrandbits(2 * w) for _ in range(reads)]
+        varying = sorted(rnd.sample(range(reads), rnd.randint(0, reads)))
+        candidates = [rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 6))] if varying else [0]
+        for v, found in zip(candidates, _cycle_states(images, varying, candidates, n, k, m, memo)):
+            want = encoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m)
+            assert (found is None) == (want is None)
+            if found is not None:
+                assert found[0] == want[0] and list(found[1]) == list(want[1])
+
+
+# the circuit files `synthesize --out` writes, as the width line and the
+# gates; they change only if the search order or gate synthesis does
+SYNTHESIZED_CIRCUITS = {
+    FGG_CODE_TEXT: (
+        "# width: 4",
+        "H 4, P 4, H 4, P 4, H 3, CZ 3 4, H 3, SWAP 4 3, H 2, CNOT 2 4, CNOT 2 3, P 2, H 2, "
+        "P 2, CZ 2 3, CNOT 2 3, P 2, H 1, P 1, CZ 1 2, CNOT 1 3, CNOT 1 2, H 1, P 1, CZ 1 3, "
+        "CZ 1 2, CNOT 1 3",
+    ),
+    CATASTROPHIC_CODE_TEXT: ("# width: 3", "H 3, H 3, H 2, CZ 2 3, H 2, H 1, CZ 1 2, H 1, CNOT 1 2"),
+    FREE_DIRECTION_CODES[0]: ("# width: 3", "H 3, H 3, H 2, CNOT 2 3, H 2, SWAP 3 2, H 1, H 1, CZ 1 2"),
+    FREE_DIRECTION_CODES[1]: (
+        "# width: 4",
+        "H 4, H 4, H 4, H 3, H 3, H 2, CZ 2 4, H 2, SWAP 4 2, H 1, CZ 1 2, H 1, SWAP 3 1, H 3",
+    ),
+    FREE_DIRECTION_CODES[2]: (
+        "# width: 4",
+        "H 4, H 4, H 3, CZ 3 4, H 3, H 2, CNOT 2 4, P 2, H 2, SWAP 4 2, P 4, H 1, P 1, CZ 1 4, "
+        "CZ 1 2, CNOT 1 4, H 1, SWAP 4 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(SYNTHESIZED_CIRCUITS))
+def test_synthesize_writes_the_pinned_circuit(tmp_path, capsys, text):
+    (tmp_path / "code.qcc").write_text(text)
+    out = tmp_path / "enc.circ"
+    assert main(["synthesize", "--code", str(tmp_path / "code.qcc"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    width, gates = SYNTHESIZED_CIRCUITS[text]
+    assert out.read_text() == "\n".join([width, *gates.split(", ")]) + "\n"
 
 
 def test_completion_builds_one_full_map(monkeypatch):

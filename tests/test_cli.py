@@ -195,11 +195,28 @@ def test_synthesize_json_report(files, capsys):
 
 
 def test_synthesize_search_budget_exhaustion(files, capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "synthesize", "--code", str(files / "gr.qcc"), "--max-candidates", "5"
     )
-    assert code == 2
+    assert code == 2 and out == ""
     assert "inconclusive" in err and "within 5 candidates" in err
+
+
+def test_synthesize_json_reports_an_exhausted_search(files, capsys, tmp_path):
+    out_file = tmp_path / "enc.circ"
+    code, out, err = run_cli(
+        capsys, "synthesize", "--json", "--code", str(files / "gr.qcc"),
+        "--max-candidates", "5", "--out", str(out_file),
+    )
+    assert code == 2
+    assert err == "inconclusive: no non-catastrophic completion within 5 candidates\n"
+    assert json.loads(out) == {
+        "verdict": "inconclusive",
+        "tried": 5,
+        "budget": 5,
+        "reason": "no non-catastrophic completion within 5 candidates",
+    }
+    assert not out_file.exists()
 
 
 def test_check_reference_encoder(files, capsys):

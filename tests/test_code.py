@@ -1,6 +1,7 @@
 """Code files, framed sequences, polynomial input and validity checking."""
 
 import pytest
+from hypothesis import given, settings
 
 from qconvenc import (
     ConvolutionalCode,
@@ -15,7 +16,8 @@ from qconvenc.code import (
 from qconvenc.errors import CodeValidationError, ParseError
 from qconvenc.library import FGG_CODE_TEXT, GR_CODE_TEXT, GR_POLYNOMIAL_TEXT
 
-from oracles import as_pauli, polynomial_to_text, render_code
+from conftest import SMALL_GENERATORS
+from oracles import as_pauli, first_anticommuting_shift, polynomial_to_text, render_code, sp_at_shift
 
 P = PauliOperator.from_string
 F = FramedPauliSequence.from_string
@@ -59,6 +61,20 @@ def test_non_self_orthogonal_row_fails_first_pair(row, shift):
     with pytest.raises(CodeValidationError) as info:
         from_classical_polynomial(row)
     assert (info.value.gen_a, info.value.gen_b, info.value.shift) == (1, 2, shift)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SMALL_GENERATORS)
+def test_validate_reports_the_first_pair_of_the_framewise_products(drawn):
+    n, lines = drawn
+    gens = tuple(F(line, n) for line in lines)
+    want = first_anticommuting_shift(gens, max((g.span for g in gens), default=1))
+    if want is None:
+        ConvolutionalCode(n, gens)
+        return
+    with pytest.raises(CodeValidationError) as info:
+        ConvolutionalCode(n, gens)
+    assert (info.value.gen_a, info.value.gen_b, info.value.shift) == want
 
 
 def test_polynomial_row_expands_to_css_frames():
@@ -120,7 +136,7 @@ def test_sp_at_shift_matches_flattened_products():
         rhs = PauliOperator.identity(0)
         for f in rhs_frames:
             rhs = rhs.tensor(f)
-        assert a.sp_at_shift(b, shift) == lhs.sp(rhs)
+        assert sp_at_shift(a, b, shift) == lhs.sp(rhs)
 
 
 def test_render_parse_round_trip():
