@@ -211,7 +211,16 @@ class CatastrophicityVerdict:
 
 
 def _transpose(images: List[int], nbits: int) -> List[int]:
-    return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
+    """Row i holds bit i of every image: bit j of it is bit i of images[j]."""
+    rows = [0] * nbits
+    mask = (1 << nbits) - 1
+    for j, img in enumerate(images):
+        img &= mask
+        while img:
+            low = img & -img
+            rows[low.bit_length() - 1] |= 1 << j
+            img ^= low
+    return rows
 
 
 def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> List[int]:

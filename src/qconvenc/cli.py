@@ -91,15 +91,19 @@ def _read_circuit(path: str) -> CliffordCircuit:
     return parse_circuit(text)
 
 
-def _read_encoder(args: argparse.Namespace) -> Tuple[ConvolutionalCode, SymplecticMap, MemoryAssignment]:
-    """The code and the map of the encoder circuit checked against it."""
+def _read_encoder(
+    args: argparse.Namespace,
+) -> Tuple[ConvolutionalCode, SymplecticMap, MemoryAssignment, TransformationSkeleton]:
+    """The code, the map of the encoder circuit checked against it, the
+    memory assignment the circuit realizes and the code's skeleton."""
     code = _read_code(args.code)
     smap = as_symplectic(_read_circuit(args.encoder))
+    skeleton = build_skeleton(code)
     try:
-        assignment = verify_encoder(code, smap)
+        assignment = verify_encoder(code, smap, skeleton)
     except MapConsistencyError as exc:  # a fault of the input, not of the package
         raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
-    return code, smap, assignment
+    return code, smap, assignment, skeleton
 
 
 def _write_circuit(path: str, circuit: CliffordCircuit, n: int, k: int, m: int, direction: str) -> None:
@@ -189,8 +193,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    code, smap, assignment = _read_encoder(args)
-    matrix = skeleton_commutation_matrix(build_skeleton(code))
+    code, smap, assignment, skeleton = _read_encoder(args)
+    matrix = skeleton_commutation_matrix(skeleton)
     verdict = is_noncatastrophic(smap, code.n, code.k, assignment.m)
     report = {
         "rows_verified": True,
@@ -205,7 +209,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_decoder(args: argparse.Namespace) -> int:
-    code, smap, _ = _read_encoder(args)
+    code, smap, _, _ = _read_encoder(args)
     result = derive_online_decoder(code, smap)
     report = {
         "decoder_memory": result.memory,
@@ -234,7 +238,7 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gnuplot and not args.out:
         raise _UsageError("--gnuplot needs --out (the script references the CSV)")
-    code, smap, _ = _read_encoder(args)
+    code, smap, _, _ = _read_encoder(args)
     sim = Simulator(code, smap)
     rows = estimate_wers(
         code, sim, args.p, args.frames, args.trials, seed=args.seed, workers=args.workers

@@ -109,14 +109,17 @@ def _check_last_frames(code: ConvolutionalCode) -> None:
         raise InputDataError(f"the generators' {where} are linearly dependent, so no encoder emits them")
 
 
-def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
+def verify_encoder(
+    code: ConvolutionalCode, encoder, skeleton: Optional[TransformationSkeleton] = None
+) -> MemoryAssignment:
     """Check a circuit against the code's required transformation rows.
 
     Streams each generator through the circuit from identity memory and
     demands the emitted frames match the generator frame for frame, with
     the memory register back at the identity afterwards.  Returns the
     memory assignment the circuit realizes (the intermediate memory
-    states, in skeleton slot order); raises MapConsistencyError naming
+    states, in the slot order of `skeleton`, the code's skeleton, built
+    here unless the caller has it); raises MapConsistencyError naming
     the first failing row otherwise.
     """
     smap = as_symplectic(encoder)
@@ -146,5 +149,6 @@ def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
                 f"generator {a}: memory left at {PauliOperator.from_vec(m, mem).to_string()} "
                 f"instead of the identity after frame {gen.span}"
             )
-    skeleton = build_skeleton(code)
+    if skeleton is None:
+        skeleton = build_skeleton(code)
     return MemoryAssignment(m, tuple(derived[slot] for slot in skeleton.unknowns()))

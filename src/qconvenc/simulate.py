@@ -29,11 +29,22 @@ basis operator launched at that frame: ancilla Z for a syndrome bit,
 info X or Z for the failure test.  Those images are the same at every
 launch frame, shifted, so each is stored once as its per-frame response
 and the products are sums over response lags of uint8 matrix products
-(parity survives the uint8 wrap-around since 256 is even).  The trellis
-is a set of regular arrays indexed by (syndrome chunk, branch, state):
-every (chunk, state) pair has exactly 4^n / 2^(n-k) branches, one per
-input frame with that ancilla X pattern, so the Viterbi backward pass is
-a gather followed by a `min` over the branch axis.
+(parity survives the uint8 wrap-around since 256 is even).
+
+The trellis is stored in factored form.  Every (syndrome chunk, state)
+pair has exactly 4^n / 2^(n-k) branches, one per input frame with that
+ancilla X pattern, and a branch's successor and emitted frame are the
+XOR of the input frame's image and the memory state's image.  States are
+relabelled linearly (the identity stays state 0) so that the high
+coordinates v span the kernel of the memory part of the successor map:
+the successor of state (v, u) on a branch then depends on u alone.  One
+backward step is a gather of the next metrics at the (branch, u)
+successors, a broadcast add of the (branch, v, u) branch weights, and a
+`min` over the branch axis, whose rows come out in state order.  With u
+the low coordinates, the add runs its inner loop over u.  On GR
+the successor map has rank 8 of 12, so the gather reads 16 times fewer
+cells than there are branches.  Metrics are int16 while the window's
+weight bound n N stays below the int16 sentinel, int32 beyond.
 
 Three exact shortcuts skip most of that pass on sparse syndromes.  A zero
 syndrome decodes to the identity, the one error of weight 0.  The
@@ -74,16 +85,19 @@ __all__ = [
     "SEED_LIMIT",
 ]
 
+# sentinels for unreachable states, in int32 and in int16 metrics; each
+# stays far enough below its type's maximum to add one frame's weight
 _INF = 1 << 30
+_INF16 = 1 << 14
 
 # seeds key the Philox stream, whose keys lie in [0, 2^128)
 SEED_LIMIT = 1 << 128
 
 # Upper bound on the cells one block of trials touches: the backward pass
-# gathers trials x states x branches values per frame, and the block keeps
-# trials x N x (states + 2n) values of metrics and error bits.  It sets
-# the block size, from one trial per block on the 4,096-state GR trellis
-# to whole points on small trellises.
+# adds and compares trials x states x branches values per frame, and the
+# block keeps trials x N x (states + 2n) values of metrics and error bits.
+# It sets the block size, from one trial per block on the 4,096-state GR
+# trellis to whole points on small trellises.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -196,11 +210,17 @@ def _frame_lex_keys(physx: np.ndarray, physz: np.ndarray, n: int) -> np.ndarray:
 class Simulator:
     """Precomputed trellis over the 4^m memory states of one encoder.
 
-    `_dst`, `_wt` and `_key` are indexed by (syndrome chunk, branch,
-    state) and give the successor state, the weight of the emitted
-    physical frame and its lexicographic key, which determines the frame.
-    States are the last axis so that the `min` over branches combines
-    contiguous rows.
+    States carry labels in a basis whose low `_ubits` coordinates u span
+    a complement of the kernel of the successor map's memory part and
+    whose high coordinates v span that kernel (`_basis` lists the basis
+    states; label bit i selects basis state i), so a state's label is
+    v * 2^_ubits + u.  `_physm` and `_succm` are the physical frame and
+    successor label of every state's image, `_physf` and `_succf` those
+    of every input frame, indexed by (syndrome chunk, branch); `_fwt` and
+    `_fkey` are the weight and lexicographic key of every physical frame.
+    `_gather[c, j, u]` is the successor on branch j of chunk c of every
+    state with low coordinates u, and `_weight[c, j, v, u]` the weight of
+    the frame that branch emits from state (v, u), in the metric dtype.
     The batch methods take and return bit arrays of shape (trials, N, 2n)
     or, for syndromes, (trials, N, n - k); the scalar methods are their
     one-trial views on Pauli operators.
@@ -236,36 +256,63 @@ class Simulator:
         # of the rows its bits select: memory states index X bits then Z
         # bits of the memory wires, frames X bits then Z bits of the frame
         rows = self.smap.rows
-        img = np.array(
-            gf2.span(rows[:m] + rows[w : w + m]) + gf2.span(rows[m:w] + rows[w + m :]), dtype=np.int32
-        )
-        # split each image into its physical frame (X bits then Z bits) and
-        # its successor memory state; both are bit selections, so they too
-        # are XORs of the memory and frame parts
-        phys = (img & nmask) | (((img >> w) & nmask) << n)
-        succ = (((img >> n) & mmask) | (((img >> (w + n)) & mmask) << m)).astype(np.intp)
-        nst = self.nstates
-        physm, physf = phys[:nst], phys[nst:]
-        succm, succf = succ[:nst], succ[nst:]
+        memrows = rows[:m] + rows[w : w + m]
+
+        def phys(img):
+            return (img & nmask) | (((img >> w) & nmask) << n)
+
+        def succ(img):
+            return ((img >> n) & mmask) | (((img >> (w + n)) & mmask) << m)
+
+        # kernel of the successor map on memory states: reducing the rows
+        # (successor of basis state i | bit 2m + i) leaves, past the
+        # successor bits, the rows of states that succeed to the identity
+        reduced, pivots = gf2.row_reduce([succ(v) | (1 << (2 * m + i)) for i, v in enumerate(memrows)])
+        kernel = [v >> (2 * m) for v, piv in zip(reduced, pivots) if piv >= 2 * m]
+        # and a complement of it: the unit states off the kernel's pivots
+        kpivots = gf2.row_reduce(kernel)[1]
+        basis = [1 << i for i in range(2 * m) if i not in kpivots] + kernel
+        self._basis = tuple(basis)
+        self._ubits = 2 * m - len(kernel)
+        states = np.array(gf2.span(basis), dtype=np.intp)
+        label = np.empty_like(states)
+        label[states] = np.arange(self.nstates)
+        memimg = np.array(gf2.span(gf2.matmul(basis, memrows)), dtype=np.int32)
+        # frame f is the input whose ancilla X bits spell chunk f mod 2^r,
+        # with branch j = f div 2^r: info X bits j mod 2^k, Z bits j div 2^k
+        frameimg = np.array(gf2.span(rows[m:w] + rows[w + m :]), dtype=np.int32)
+        frameimg = frameimg.reshape(self.nbranches, 1 << r).T
+        self._physm, self._succm = phys(memimg), label[succ(memimg)]
+        self._physf, self._succf = phys(frameimg), label[succ(frameimg)]
         # weight and lex key of every physical frame
         codes = np.arange(1 << (2 * n))
-        wt = np.bitwise_count((codes | (codes >> n)) & nmask)
-        key = _frame_lex_keys(codes & nmask, codes >> n, n).astype(np.min_scalar_type(self._nokey))
-        # branch j of chunk c is the input frame whose ancilla X bits spell
-        # c, with info X bits j mod 2^k and Z bits j div 2^k
-        shape = (1 << r, self.nbranches, nst)
-        # successors are intp: np.take would convert a narrower index array
-        # on every backward step
-        self._dst = np.empty(shape, dtype=np.intp)
-        self._wt = np.empty(shape, dtype=np.uint8)
-        self._key = np.empty(shape, dtype=key.dtype)
-        j = np.arange(self.nbranches)
-        for c in range(1 << r):
-            frames = c | ((j & ((1 << k) - 1)) << r) | ((j >> k) << n)
-            np.bitwise_xor(succf[frames][:, None], succm[None, :], out=self._dst[c])
-            out = physf[frames][:, None] ^ physm[None, :]
-            self._wt[c] = wt[out]
-            self._key[c] = key[out]
+        self._fwt = np.bitwise_count((codes | (codes >> n)) & nmask).astype(np.int16)
+        self._fkey = _frame_lex_keys(codes & nmask, codes >> n, n).astype(np.min_scalar_type(self._nokey))
+        # labels are linear coordinates, so successor labels XOR like states;
+        # gathers take intp indices, converting any other on every call
+        usucc = self._succm[: 1 << self._ubits]
+        self._gather = self._succf[:, :, None] ^ usucc[None, None, :]
+        vu = self._physm.reshape(-1, len(usucc))
+        self._weight = np.empty((1 << r, self.nbranches) + vu.shape, dtype=np.int16)
+        for c, pf in enumerate(self._physf):
+            self._weight[c] = self._fwt[pf[:, None, None] ^ vu]
+
+    def _metric(self, nframes: int) -> Tuple[type, int]:
+        """Metric dtype and unreachable-state sentinel of an nframes
+        window: int16 while its weight bound n N stays below the int16
+        sentinel, int32 beyond."""
+        return (np.int16, _INF16) if self.n * nframes < _INF16 else (np.int32, _INF)
+
+    def _step(self, beta: np.ndarray, c, inf: int) -> np.ndarray:
+        """Backward step through one frame: the least remaining weights
+        (trials, states) before the frame from those after it, capped at
+        the sentinel.  `c` is the frame's syndrome chunk, one for every
+        trial or one per trial."""
+        rows = np.arange(0, beta.size, beta.shape[1])[:, None, None]
+        # successors are in range, so "wrap" only skips the bounds check
+        nxt = np.take(beta, self._gather[c] + rows, mode="wrap")
+        step = np.minimum.reduce(nxt[:, :, None, :] + self._weight[c], axis=1).reshape(beta.shape)
+        return np.minimum(step, inf, out=step)
 
     def _block_size(self, nframes: int) -> int:
         per_trial = max(self.nstates * self.nbranches, nframes * (self.nstates + 2 * self.n))
@@ -354,14 +401,14 @@ class Simulator:
         some state."""
         cached = self._zero.get(nframes)
         if cached is None:
-            suffix = np.empty((nframes + 1, self.nstates), dtype=np.int32)
-            suffix[0] = _INF
+            dtype, inf = self._metric(nframes)
+            suffix = np.empty((nframes + 1, self.nstates), dtype=dtype)
+            suffix[0] = inf
             suffix[0, 0] = 0
             for j in range(1, nframes + 1):
-                step = suffix[j - 1][self._dst[0]] + self._wt[0]
-                suffix[j] = np.minimum(step.min(axis=0), _INF)
-            branch, src = np.nonzero(self._wt[0] == 0)
-            dst = self._dst[0][branch, src]
+                suffix[j] = self._step(suffix[j - 1][None], 0, inf)[0]
+            branch, src = np.nonzero(self._weight[0].reshape(self.nbranches, -1) == 0)
+            dst = self._gather[0][branch, src & ((1 << self._ubits) - 1)]
             reach = np.ones((nframes + 1, self.nstates), dtype=bool)
             for j in range(1, nframes + 1):
                 reach[j] = False
@@ -371,7 +418,7 @@ class Simulator:
 
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
-        keys = np.zeros(chunks.shape, dtype=self._key.dtype)
+        keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
         # a zero syndrome decodes to the identity, the one error of weight 0
         rows = np.flatnonzero(chunks.any(axis=1))
         if rows.size:
@@ -381,6 +428,7 @@ class Simulator:
     def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
         ntrials, nframes = chunks.shape
         suffix, reach = self._zero_tables(nframes)
+        inf = self._metric(nframes)[1]
         nonzero = chunks != 0
         first = np.argmax(nonzero, axis=1)
         last = nframes - 1 - np.argmax(nonzero[:, ::-1], axis=1)
@@ -388,7 +436,7 @@ class Simulator:
         # before frame t+1 to the pinned identity state after frame N.  It
         # depends only on chunks t+1..N, so after a trial's last nonzero
         # chunk it is the all-zero-suffix table
-        beta = np.empty((nframes + 1, ntrials, self.nstates), dtype=np.int32)
+        beta = np.empty((nframes + 1, ntrials, self.nstates), dtype=suffix.dtype)
         beta[:] = suffix[::-1, None, :]
         # start[b]: the frame the backward pass of trial b stops at and its
         # forward walk begins at; the zero-prefix test below may reset it to 0
@@ -396,14 +444,11 @@ class Simulator:
         for t in range(last.max(), -1, -1):
             if t < start.min():
                 break
-            live = (last >= t) & (start <= t)
-            for c in range(len(self._dst)):
-                rows = np.flatnonzero(live & (chunks[:, t] == c))
-                if rows.size:
-                    # successors are in range, so "wrap" only skips the bounds check
-                    step = np.take(beta[t + 1][rows], self._dst[c], axis=1, mode="wrap")
-                    step += self._wt[c]
-                    beta[t][rows] = np.minimum(step.min(axis=1), _INF)
+            rows = np.flatnonzero((last >= t) & (start <= t))
+            if rows.size:
+                c = chunks[rows, t]
+                # one chunk for every trial saves a per-trial copy of its weights
+                beta[t][rows] = self._step(beta[t + 1][rows], c[0] if (c == c[0]).all() else c, inf)
             # Zero-prefix test at a trial's first nonzero chunk.  A path that
             # emits identity frames through the zero chunks before it, and so
             # ends in reach[t], costs its beta there; any other path pays at
@@ -414,14 +459,14 @@ class Simulator:
             at = np.flatnonzero(first == t)
             if t and at.size:
                 head = beta[t][at]
-                via = np.where(reach[t], head, _INF).min(axis=1)
+                via = np.where(reach[t], head, inf).min(axis=1)
                 start[at[via > head.min(axis=1) + 1]] = 0
         # a trial's optimal paths from frame start[b] on: for start 0 all
         # states qualify (reach[0] is every state), otherwise those an
         # identity prefix reaches
-        head = np.where(reach[start], beta[start, np.arange(ntrials)], _INF)
+        head = np.where(reach[start], beta[start, np.arange(ntrials)], inf)
         best = head.min(axis=1)
-        if (best >= _INF).any():
+        if (best >= inf).any():
             raise TrellisError("no trellis path matches the syndrome")
         # walk forward keeping every (trial, state) pair still on an optimal
         # path, and at each frame commit the lex-least emission available
@@ -429,7 +474,7 @@ class Simulator:
         hb, hs = np.nonzero(head == best[:, None])
         bi = si = np.empty(0, dtype=np.intp)
         remaining = best
-        keys = np.zeros((ntrials, nframes), dtype=self._key.dtype)
+        keys = np.zeros((ntrials, nframes), dtype=self._fkey.dtype)
         even = sum(1 << (2 * q) for q in range(self.n))
         t = start.min()
         # once no weight remains, every later frame is the identity, key 0
@@ -438,14 +483,17 @@ class Simulator:
             bi = np.concatenate([bi, hb[join]])
             si = np.concatenate([si, hs[join]])
             ci = chunks[bi, t]
-            dst = self._dst[ci, :, si]
-            ok = self._wt[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
-            cand = np.where(ok, self._key[ci, :, si], self._nokey)
+            dst = self._gather[ci, :, si & ((1 << self._ubits) - 1)]
+            # `take` costs less than fancy indexing on these small arrays
+            frame = self._physf.take(ci, axis=0) ^ self._physm.take(si)[:, None]
+            after = beta[t + 1].take(dst + (bi * self.nstates)[:, None])
+            ok = self._fwt.take(frame) + after == remaining.take(bi)[:, None]
+            cand = np.where(ok, self._fkey.take(frame), self._nokey)
             kmin = np.where(start <= t, self._nokey, 0).astype(cand.dtype)
             np.minimum.at(kmin, bi, cand.min(axis=1))
             if (kmin == self._nokey).any():
                 raise TrellisError("optimal path lost mid-trellis")
-            pi, ji = np.nonzero(cand == kmin[bi, None])
+            pi, ji = np.nonzero(cand == kmin.take(bi)[:, None])
             nxt = np.zeros((ntrials, self.nstates), dtype=bool)
             nxt[bi[pi], dst[pi, ji]] = True
             bi, si = np.nonzero(nxt)

@@ -3,11 +3,12 @@
 Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
-zero-weight cycles, one encoder's cycle state computed from scratch, the
-shifted products of framed sequences frame by frame, the skeleton
-products telescoped frame by frame, a code's text form, and small views
-of skeletons, requirement matrices and maps.  The library does not export them; the
-commands never reach them.
+zero-weight cycles, a bit-matrix transpose one bit at a time, one
+encoder's cycle state computed from scratch, the shifted products of
+framed sequences frame by frame, the skeleton products telescoped frame
+by frame, a code's text form, and small views of skeletons, requirement
+matrices and maps.  The library does not export them; the commands never
+reach them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from qconvenc import gf2
-from qconvenc.catastrophic import _periodic_part, _transpose
+from qconvenc.catastrophic import _periodic_part
 from qconvenc.circuit import SymplecticMap, _dual, _field, _place
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
@@ -86,6 +87,11 @@ def admissible_cycle_states(
     return [PauliOperator.from_vec(m, v) for v in basis]
 
 
+def transpose(images: List[int], nbits: int) -> List[int]:
+    """Bit j of row i is bit i of images[j], assembled one bit at a time."""
+    return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
+
+
 def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
     """The leaf check of one encoder, everything computed afresh: from its
     images of the memory X's, memory Z's and ancilla Z's, a memory state on
@@ -94,7 +100,7 @@ def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[T
     w = m + n
     duals = [_field(_dual(v, w), w, n, m) for v in images]
     pull = duals[m:2 * m] + duals[:m]
-    ts = _transpose(pull, 2 * m)
+    ts = transpose(pull, 2 * m)
     basis = _periodic_part(ts, pull, duals[2 * m:], m)
     reduced, pivots = gf2.row_reduce(images)
     for b in basis:

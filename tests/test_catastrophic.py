@@ -29,6 +29,7 @@ from qconvenc.catastrophic import (
     _combinations,
     _cycle_states,
     _encoder_reads,
+    _transpose,
     complete_noncatastrophic,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
@@ -55,7 +56,7 @@ from qconvenc.skeleton import (
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit
-from oracles import admissible_cycle_states, encoder_cycle_state
+from oracles import admissible_cycle_states, encoder_cycle_state, transpose
 
 P = PauliOperator.from_string
 
@@ -245,6 +246,13 @@ def test_verdicts_match_brute_force_random():
         gotd = is_noncatastrophic_decoder(smap, n, k, m).non_catastrophic
         wantd = brute_force_noncatastrophic(smap, n, k, m, "decoder")
         assert gotd == wantd, (trial, m, n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 26) - 1), max_size=24), st.integers(0, 24))
+def test_transpose_matches_the_bitwise_formula(images, nbits):
+    # images may carry bits at or above nbits, which neither route reads
+    assert _transpose(images, nbits) == transpose(images, nbits)
 
 
 def test_enum_cap_guard():

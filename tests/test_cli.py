@@ -7,10 +7,14 @@ realize its code), 70 internal consistency violation.
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import qconvenc
 
 from conftest import CATASTROPHIC_CODE_TEXT
 from oracles import render_code
@@ -568,9 +572,12 @@ def test_bad_workers_env_fails_simulate_only(files, capsys, monkeypatch, value):
 
 
 def test_module_entry_point(files):
+    # the child finds the package where this process imported it from
+    src = str(Path(qconvenc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qconvenc.cli", "info", "--code", str(files / "fgg.qcc")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "n: 3" in proc.stdout
@@ -602,6 +609,25 @@ def test_check_walks_the_witness_only_when_asked(files, capsys, monkeypatch):
     assert edges == []
     assert run_cli(capsys, *args, "--witness")[0] == 1
     assert edges
+
+
+def test_check_builds_the_skeleton_once(files, capsys, monkeypatch):
+    import qconvenc.cli as cli
+    import qconvenc.pipeline as pipeline
+
+    built = []
+    real = cli.build_skeleton
+
+    def counting(code):
+        built.append(code)
+        return real(code)
+
+    monkeypatch.setattr(cli, "build_skeleton", counting)
+    monkeypatch.setattr(pipeline, "build_skeleton", counting)
+    args = ["check", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ")]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "minimal_memory: 1" in out
+    assert len(built) == 1
 
 
 def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):

@@ -6,15 +6,21 @@ every 9-qubit error on a 3-frame FGG window and every 8-qubit error on a
 products with shifted generators, and the batch syndrome and failure
 test against a frame-by-frame pullback through the inverse encoder.  The
 sparse-syndrome decoder is held against the full backward pass over
-every frame, and the trellis tables against a per-state build.
+every frame, run on tables built one state and one branch at a time;
+the factored trellis images against those tables; and the factored
+backward step against the per-state step, on random encoders and at
+both ends of the successor map's rank, in both metric dtypes.
 """
+
+import functools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconvenc import PauliOperator, parse_code, synthesize_encoder
+from qconvenc import PauliOperator, SymplecticMap, gf2, parse_code, synthesize_encoder
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
@@ -34,6 +40,7 @@ from qconvenc.simulate import (
     syndrome_by_products,
 )
 
+from conftest import CATASTROPHIC_CODE_TEXT, random_symplectic
 from oracles import syndrome_by_decoder
 
 P = PauliOperator.from_string
@@ -118,25 +125,30 @@ def from_block(bits):
     return PauliOperator(n * nframes, x, z)
 
 
+@functools.lru_cache(maxsize=8)
 def per_state_trellis(sim):
-    """The trellis tables built one state and one branch at a time, each
-    successor and emission taken from `apply_vec` on the whole input."""
+    """The (chunk, branch, state) successor, weight and key tables built
+    one state and one branch at a time, each successor and emission taken
+    from `apply_vec` on the whole input; states are the memory bit
+    patterns, X bits then Z bits."""
     n, k, m = sim.n, sim.k, sim.m
     w = m + n
     r = n - k
     nmask = (1 << n) - 1
     mmask = (1 << m) - 1
+    nstates = 1 << (2 * m)
+    nbranches = 1 << (n + k)
     memimg = np.array(
-        [sim.smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(sim.nstates)],
+        [sim.smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(nstates)],
         dtype=np.int32,
     )
-    shape = (1 << r, sim.nbranches, sim.nstates)
+    shape = (1 << r, nbranches, nstates)
     dst = np.empty(shape, dtype=np.intp)
     wt = np.empty(shape, dtype=np.uint8)
     key = np.empty(shape, dtype=np.min_scalar_type(1 << (2 * n)))
     for c in range(1 << r):
-        ux = c | ((np.arange(sim.nbranches) & ((1 << k) - 1)) << r)
-        uz = np.arange(sim.nbranches) >> k
+        ux = c | ((np.arange(nbranches) & ((1 << k) - 1)) << r)
+        uz = np.arange(nbranches) >> k
         frameimg = np.array(
             [sim.smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
             dtype=np.int32,
@@ -154,21 +166,37 @@ def per_state_trellis(sim):
     return dst, wt, key
 
 
+def state_labels(sim):
+    """The memory state of every label of the simulator, and the label of
+    every memory state."""
+    states = np.array(gf2.span(sim._basis), dtype=np.intp)
+    label = np.empty_like(states)
+    label[states] = np.arange(len(states))
+    return states, label
+
+
+def per_state_step(sim, beta, c, inf):
+    """One backward step over (trials, memory states) by the per-state tables."""
+    dst, wt, _ = per_state_trellis(sim)
+    return np.minimum((beta[:, dst[c]] + wt[c]).min(axis=1), inf)
+
+
 def full_viterbi_keys(sim, chunks):
     """Frame keys of the decoded errors by the full backward pass over
-    every frame of every trial, then the dense lex-least forward walk."""
+    every frame of every trial, then the dense lex-least forward walk,
+    both over the per-state tables."""
     inf = 1 << 30
+    dst_table, wt_table, key_table = per_state_trellis(sim)
     ntrials, nframes = chunks.shape
-    beta = np.empty((nframes + 1, ntrials, sim.nstates), dtype=np.int32)
+    nstates = dst_table.shape[2]
+    beta = np.empty((nframes + 1, ntrials, nstates), dtype=np.int32)
     beta[nframes] = inf
     beta[nframes, :, 0] = 0
     for t in range(nframes - 1, -1, -1):
-        for c in range(len(sim._dst)):
+        for c in range(len(dst_table)):
             rows = np.flatnonzero(chunks[:, t] == c)
             if rows.size:
-                step = np.take(beta[t + 1][rows], sim._dst[c], axis=1)
-                step += sim._wt[c]
-                beta[t][rows] = np.minimum(step.min(axis=1), inf)
+                beta[t][rows] = per_state_step(sim, beta[t + 1][rows], c, inf)
     best = beta[0].min(axis=1)
     assert (best < inf).all()
     alive = beta[0] == best[:, None]
@@ -179,9 +207,9 @@ def full_viterbi_keys(sim, chunks):
     for t in range(nframes):
         bi, si = np.nonzero(alive)
         ci = chunks[bi, t]
-        dst = sim._dst[ci, :, si]
-        ok = sim._wt[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
-        cand = np.where(ok, sim._key[ci, :, si].astype(np.int64), nokey)
+        dst = dst_table[ci, :, si]
+        ok = wt_table[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
+        cand = np.where(ok, key_table[ci, :, si].astype(np.int64), nokey)
         rowmin = np.full(alive.shape, nokey, dtype=np.int64)
         rowmin[bi, si] = cand.min(axis=1)
         kmin = rowmin.min(axis=1)
@@ -493,9 +521,95 @@ def test_rate_zero_code_never_fails():
 @pytest.mark.parametrize("which", ["fgg", "gr"])
 def test_trellis_matches_per_state_build(request, which):
     sim = request.getfixturevalue(f"{which}_simulator")
-    for got, want in zip((sim._dst, sim._wt, sim._key), per_state_trellis(sim)):
+    states, label = state_labels(sim)
+    assert states[0] == 0  # the identity keeps label 0
+    # every (chunk, branch, state) successor, weight and key, read from the
+    # factored images in memory-state order
+    succ = states[sim._succf[:, :, None] ^ sim._succm[label]]
+    frame = sim._physf[:, :, None] ^ sim._physm[label]
+    got = (succ, sim._fwt[frame].astype(np.uint8), sim._fkey[frame])
+    for got, want in zip(got, per_state_trellis(sim)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # the stored step tables are those images: successors depend on the
+    # low coordinates u of a label alone, and weights are those above
+    nu = 1 << sim._ubits
+    assert (sim._succm.reshape(-1, nu) == sim._succm[:nu]).all()
+    assert (sim._gather == sim._succf[:, :, None] ^ sim._succm[:nu]).all()
+    assert sim._gather.dtype == np.intp
+    wt = sim._weight.reshape(sim._weight.shape[:2] + (-1,))
+    assert (wt[:, :, label] == per_state_trellis(sim)[1]).all()
+
+
+def test_gr_successor_map_has_a_four_dimensional_kernel(gr_simulator):
+    assert gr_simulator._ubits == 8
+    assert gr_simulator._gather.shape == (4, 64, 256)
+
+
+def test_gr_trellis_arrays_fit_in_four_megabytes(gr_synthesis):
+    sim = Simulator(GR_CODE, gr_synthesis.circuit)
+    arrays = [v for v in vars(sim).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 4 << 20
+
+
+# codes of three rates; the step tests pair them with encoders that need
+# not realize them, since a trellis reads only n and k off its code
+STEP_CODES = [parse_code("n=2\nXX\nZZ\n"), parse_code(CATASTROPHIC_CODE_TEXT), FGG_CODE]
+
+
+def assert_backward_pass_matches_per_state(sim, rng, nframes=4, ntrials=6):
+    """Backward passes of random trials from the pinned identity and from
+    random metrics, in both metric dtypes, by the factored step (in label
+    order) and by the per-state step (in memory-state order), one chunk
+    for every trial and one chunk per trial."""
+    states, label = state_labels(sim)
+    nchunks = 1 << (sim.n - sim.k)
+    for dtype, inf in ((np.int16, simulate_module._INF16), (np.int32, simulate_module._INF)):
+        pinned = np.full((ntrials, sim.nstates), inf, dtype=dtype)
+        pinned[:, 0] = 0
+        noisy = rng.integers(0, 3 * sim.n, (ntrials, sim.nstates)).astype(dtype)
+        noisy[rng.random(noisy.shape) < 0.3] = inf
+        for want in (pinned, noisy):
+            got = want[:, states]
+            for _ in range(nframes):
+                per_trial = rng.integers(0, nchunks, ntrials)
+                by_chunk = np.empty_like(want)
+                for c in range(nchunks):
+                    one = per_state_step(sim, want, c, inf)
+                    assert (sim._step(got, c, inf)[:, label] == one).all()
+                    by_chunk[per_trial == c] = one[per_trial == c]
+                want, got = by_chunk, sim._step(got, per_trial, inf)
+                assert got.dtype == dtype and (got[:, label] == want).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STEP_CODES), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_factored_step_matches_per_state_pass_on_random_encoders(code, m, seed):
+    rng = random.Random(seed)
+    sim = Simulator(code, random_symplectic(m + code.n, rng))
+    assert_backward_pass_matches_per_state(sim, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("which", ["rank 0", "full rank", "no memory"])
+def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
+    which, fgg_simulator, fgg_reference_encoder
+):
+    # FGG's successor map ignores the memory state; a wire-through encoder
+    # (memory in to memory out, frame in to frame out) passes it on
+    # unchanged; a memoryless encoder has one state
+    if which == "rank 0":
+        sim, ubits = fgg_simulator, 0
+    elif which == "full rank":
+        m, n = 2, FGG_CODE.n
+        wires = [n + i for i in range(m)] + list(range(n))  # input wire -> output wire
+        rows = [1 << o for o in wires] + [1 << (m + n + o) for o in wires]
+        sim, ubits = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), 2 * m
+    else:
+        code = STEP_CODES[0]
+        sim, ubits = Simulator(code, synthesize_encoder(code).circuit), 0
+        assert sim.m == 0
+    assert sim._ubits == ubits
+    assert_backward_pass_matches_per_state(sim, np.random.default_rng(14))
 
 
 @settings(max_examples=150, deadline=None)
@@ -536,6 +650,19 @@ def test_gr_decode_matches_full_backward_pass(gr_simulator):
         blocks.append(mixed)
         for block in blocks:
             assert_decode_matches_full_pass(gr_simulator, block)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_fgg_decode_at_the_narrow_metric_bound(fgg_simulator, past):
+    # the last window whose weight bound n N fits int16 metrics, and the
+    # first one that needs int32
+    nframes = -(-simulate_module._INF16 // FGG_CODE.n) - 1 + past
+    assert fgg_simulator._metric(nframes)[0] == (np.int32 if past else np.int16)
+    rng = np.random.default_rng(15)
+    syndromes = (rng.random((3, nframes, 2)) < 0.2).astype(np.uint8)
+    syndromes[0, :-2] = 0  # a long zero prefix
+    syndromes[1, 2:] = 0  # a long zero suffix
+    assert_decode_matches_full_pass(fgg_simulator, syndromes)
 
 
 def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_simulator, monkeypatch):
