@@ -56,6 +56,25 @@ identity frames, that path is also lex-least, so those frames decode to
 the identity and their backward steps are skipped (the test is in
 `Simulator._viterbi_nonzero`).  The forward walk stops once the path has
 no weight left: every later frame is the identity.
+
+Small trellises decode as a finite automaton instead (Best, Burnashev,
+Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
+Theory 1995, use the same finite set of metric states to compute exact
+Viterbi error rates).  A backward metric shifted to minimum 0 depends
+only on the shifted metric one frame later and the frame's chunk, and
+the forward walk's test (branch weight plus the metric after it equals
+the metric before it) survives the shift; so the walk's committed key
+and its next set of states depend only on its set of states, the
+shifted metric after the frame and the chunk.  The simulator closes the
+shifted metrics under backward steps from the pinned one, and the walk
+sets under forward steps from the states at metric 0, and stores both
+transition tables; a block then decodes by one lookup per frame
+backward and one forward, all its trials at once.  The tables are built
+whenever both closures fit the `_BLOCK_CELLS` budget, counted as the
+cells their steps touch: on FGG, 5 shifted metrics and 7 walk sets.  A
+larger closure, or one that does not end (the shifted metrics can grow
+without bound), falls back to the factored pass; GR's 4,096 states put
+even one shifted metric over the budget, which is checked first.
 """
 
 from __future__ import annotations
@@ -64,7 +83,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +116,10 @@ SEED_LIMIT = 1 << 128
 # adds and compares trials x states x branches values per frame, and the
 # block keeps trials x N x (states + 2n) values of metrics and error bits.
 # It sets the block size, from one trial per block on the 4,096-state GR
-# trellis to whole points on small trellises.
+# trellis to whole points on small trellises.  It also bounds each closure
+# of the decoding automaton, at chunks x branches x states cells per
+# shifted metric and that times the shifted metrics per walk set; a
+# closure over it leaves the decoding to the factored trellis.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -197,14 +219,60 @@ def syndrome_by_products(
     return tuple(bits)
 
 
-def _frame_lex_keys(physx: np.ndarray, physz: np.ndarray, n: int) -> np.ndarray:
-    # per-qubit codes I=0 X=1 Y=2 Z=3, wire 1 most significant
-    key = np.zeros_like(physx)
-    for q in range(n):
-        xq = (physx >> q) & 1
-        zq = (physz >> q) & 1
-        key |= (2 * zq + (xq ^ zq)) << (2 * (n - 1 - q))
-    return key
+class _Automaton(NamedTuple):
+    """The trellis as a finite automaton over normalized path metrics.
+
+    A vector is a backward metric over the states shifted to minimum 0
+    (unreachable states at `_INF`); the one before a frame depends only
+    on the one after it and the frame's chunk, so with V vectors and C
+    chunks the edge e = vector after * C + chunk looks it up.  A walk
+    set is the set of states still on an optimal path; the key the walk
+    commits at a frame and its next set depend only on its set, the
+    vector after the frame and the chunk, so the entry set * V * C + e
+    looks them up.  Vector 0 is the pinned one, zero at the identity
+    state only, and walk set 0 the empty set, which only the dead
+    vector (no state reachable) starts from.
+    """
+
+    back: np.ndarray  # edge -> vector * C before the frame
+    start: np.ndarray  # vector * C -> walk set * V * C of its states at metric 0
+    fnext: np.ndarray  # entry -> next walk set * V * C
+    fkey: np.ndarray  # entry -> committed frame key (above every key if none)
+    ends: np.ndarray  # walk set -> holds the identity state
+    stride: int  # V * C
+
+
+def _closure(
+    seeds: np.ndarray, expand: Callable[[np.ndarray], np.ndarray], cost: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first closure of the rows `seeds` (s, w) under `expand`,
+    which maps rows (b, w) to successor rows (b, d, w).  Returns the
+    distinct rows in the order found, the ids of the seeds and the ids
+    (rows, d) of every row's successors; None as soon as expanding the
+    rows found would touch more than `_BLOCK_CELLS` cells at `cost` each."""
+    ids: Dict[bytes, int] = {}
+    found: List[np.ndarray] = []
+
+    def index(rows: np.ndarray) -> List[int]:
+        out = []
+        # each row's bytes, as one void scalar per row
+        for i, key in enumerate(rows.view(f"V{rows.strides[0]}").ravel().tolist()):
+            if key not in ids:
+                ids[key] = len(found)
+                found.append(rows[i])
+            out.append(ids[key])
+        return out
+
+    seed_ids = index(seeds)
+    succ = []
+    done = 0
+    while done < len(found):
+        if len(found) * cost > _BLOCK_CELLS:
+            return None
+        nxt = expand(np.array(found[done:]))
+        done = len(found)
+        succ.append(np.reshape(index(nxt.reshape(-1, nxt.shape[2])), nxt.shape[:2]))
+    return np.array(found), np.array(seed_ids), np.concatenate(succ)
 
 
 class Simulator:
@@ -221,9 +289,13 @@ class Simulator:
     `_gather[c, j, u]` is the successor on branch j of chunk c of every
     state with low coordinates u, and `_weight[c, j, v, u]` the weight of
     the frame that branch emits from state (v, u), in the metric dtype.
-    The batch methods take and return bit arrays of shape (trials, N, 2n)
-    or, for syndromes, (trials, N, n - k); the scalar methods are their
-    one-trial views on Pauli operators.
+    `_tables` is the decoding automaton (`_Automaton`) when its closures
+    fit `_BLOCK_CELLS`, as they do on FGG, and None otherwise, as on GR,
+    where `decode_block` runs the factored backward pass and forward
+    walk instead; the choice is made at construction, from the encoder
+    alone.  The batch methods take and return bit arrays of shape
+    (trials, N, 2n) or, for syndromes, (trials, N, n - k); the scalar
+    methods are their one-trial views on Pauli operators.
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
@@ -245,6 +317,7 @@ class Simulator:
         self._responses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._zero: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._build_trellis()
+        self._tables = self._build_automaton()
 
     def _build_trellis(self) -> None:
         n, k, m = self.n, self.k, self.m
@@ -284,10 +357,16 @@ class Simulator:
         frameimg = frameimg.reshape(self.nbranches, 1 << r).T
         self._physm, self._succm = phys(memimg), label[succ(memimg)]
         self._physf, self._succf = phys(frameimg), label[succ(frameimg)]
-        # weight and lex key of every physical frame
+        # weight and lex key of every physical frame, and the (X bits, Z
+        # bits) of the frame with every key: per-qubit codes I=0 X=1 Y=2
+        # Z=3, wire 1 most significant, so code bits (z, x ^ z)
         codes = np.arange(1 << (2 * n))
         self._fwt = np.bitwise_count((codes | (codes >> n)) & nmask).astype(np.int16)
-        self._fkey = _frame_lex_keys(codes & nmask, codes >> n, n).astype(np.min_scalar_type(self._nokey))
+        shifts = 2 * (n - 1 - np.arange(n))
+        z = (codes[:, None] >> (shifts + 1)) & 1
+        self._keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
+        self._fkey = np.empty(len(codes), dtype=np.min_scalar_type(self._nokey))
+        self._fkey[self._keybits @ (1 << np.arange(2 * n))] = codes
         # labels are linear coordinates, so successor labels XOR like states;
         # gathers take intp indices, converting any other on every call
         usucc = self._succm[: 1 << self._ubits]
@@ -296,6 +375,66 @@ class Simulator:
         self._weight = np.empty((1 << r, self.nbranches) + vu.shape, dtype=np.int16)
         for c, pf in enumerate(self._physf):
             self._weight[c] = self._fwt[pf[:, None, None] ^ vu]
+
+    def _build_automaton(self) -> Optional[_Automaton]:
+        """The automaton of `_Automaton`, or None when either closure
+        would touch more than `_BLOCK_CELLS` cells."""
+        nchunks, nbranches, nstates = 1 << (self.n - self.k), self.nbranches, self.nstates
+        # cells of one backward step of one vector under every chunk
+        cost = nchunks * nbranches * nstates
+
+        def steps(vecs):  # vectors (V, S) -> metrics (V, C, S) one frame earlier
+            beta = np.repeat(vecs, nchunks, axis=0)
+            c = np.tile(np.arange(nchunks), len(vecs))
+            return self._step(beta, c, _INF).reshape(len(vecs), nchunks, nstates)
+
+        def normalized(vecs):
+            step = steps(vecs)
+            # a dead vector, every state unreachable, stays all _INF
+            return np.where(step < _INF, step - step.min(axis=2, keepdims=True), _INF)
+
+        pinned = np.full((1, nstates), _INF, dtype=np.int32)
+        pinned[0, 0] = 0
+        bwd = _closure(pinned, normalized, cost)
+        if bwd is None:
+            return None
+        vecs, _, succ = bwd
+        nvecs = len(vecs)
+        # every (vector after the frame, chunk, branch, state before it): the
+        # successor, and the frame's key if the branch is on an optimal path
+        # from the state, i.e. its weight plus the metric after it is the
+        # state's metric (both offset by the same minimum)
+        dst = self._gather[:, :, np.arange(nstates) & ((1 << self._ubits) - 1)]
+        after = vecs[:, dst]
+        ok = (after < _INF) & (self._weight.reshape(dst.shape) + after == steps(vecs)[:, :, None, :])
+        keyed = np.where(ok, self._fkey[self._physf[:, :, None] ^ self._physm], self._nokey)
+
+        keys = []
+
+        def walk(sets):  # walk sets (L, S) -> next walk sets (L, V * C, S)
+            cand = np.where(sets[:, None, None, None, :], keyed, self._nokey)
+            kmin = cand.min(axis=(3, 4))
+            keys.append(kmin.reshape(len(sets), -1))
+            hit = (cand == kmin[..., None, None]) & (cand < self._nokey)
+            nxt = np.zeros((len(sets), nvecs, nchunks, nstates), dtype=bool)
+            a, v, c, j, s = np.nonzero(hit)
+            nxt[a, v, c, dst[c, j, s]] = True
+            return nxt.reshape(len(sets), -1, nstates)
+
+        starts = np.concatenate([np.zeros((1, nstates), dtype=bool), vecs == 0])
+        fwd = _closure(starts, walk, nvecs * cost)
+        if fwd is None:
+            return None
+        sets, start, fnext = fwd
+        stride = nvecs * nchunks
+        return _Automaton(
+            back=(succ * nchunks).ravel(),
+            start=np.repeat(start[1:], nchunks) * stride,
+            fnext=fnext.ravel() * stride,
+            fkey=np.concatenate(keys).ravel().astype(self._fkey.dtype),
+            ends=sets[:, 0],
+            stride=stride,
+        )
 
     def _metric(self, nframes: int) -> Tuple[type, int]:
         """Metric dtype and unreachable-state sentinel of an nframes
@@ -385,13 +524,7 @@ class Simulator:
             raise ValueError(f"want a (trials, frames, {r}) syndrome array")
         if ((s != 0) & (s != 1)).any():
             raise ValueError("syndrome bits must be 0 or 1")
-        chunks = (s.astype(np.intp) << np.arange(r)).sum(axis=2)
-        keys = self._viterbi(chunks)
-        n = self.n
-        shifts = 2 * (n - 1 - np.arange(n))
-        hi = (keys[:, :, None] >> (shifts + 1)) & 1
-        lo = (keys[:, :, None] >> shifts) & 1
-        return np.concatenate([hi ^ lo, hi], axis=2).astype(np.uint8)
+        return self._keybits.take(self._viterbi(s.astype(np.intp) @ (1 << np.arange(r))), axis=0)
 
     def _zero_tables(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
         """Two (nframes + 1, states) tables for runs of all-zero syndrome
@@ -418,6 +551,33 @@ class Simulator:
 
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
+        if self._tables is None:
+            return self._viterbi_factored(chunks)
+        tab = self._tables
+        # backward: turn every frame's chunk into its edge, from the pinned
+        # vector 0 after the last frame; forward: turn each edge into the
+        # walk's entry
+        edges = chunks.T.copy()
+        vec = np.zeros(chunks.shape[0], dtype=np.intp)
+        for t in range(len(edges) - 1, -1, -1):
+            edges[t] += vec
+            vec = tab.back[edges[t]]
+        walk = tab.start[vec]
+        # only the dead vector, with no state at metric 0, starts empty
+        if not walk.all():
+            raise TrellisError("no trellis path matches the syndrome")
+        for t in range(len(edges)):
+            edges[t] += walk
+            walk = tab.fnext[edges[t]]
+        keys = tab.fkey[edges.T]
+        if not tab.ends[walk // tab.stride].all():
+            if (keys == self._nokey).any():
+                raise TrellisError("optimal path lost mid-trellis")
+            raise TrellisError("trellis walk did not terminate at the identity")
+        return keys
+
+    def _viterbi_factored(self, chunks: np.ndarray) -> np.ndarray:
+        """`_viterbi` on the factored trellis."""
         keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
         # a zero syndrome decodes to the identity, the one error of weight 0
         rows = np.flatnonzero(chunks.any(axis=1))
@@ -625,13 +785,18 @@ def estimate_wers(
         sim = Simulator(code, encoder)
     # the per-window tables, built once here rather than in every worker
     sim._launches(nframes)
-    sim._zero_tables(nframes)
+    if sim._tables is None:
+        sim._zero_tables(nframes)
     if workers is None or workers <= 1:
         counts = [int(_trial_failures(sim, p, nframes, seed, 0, trials).sum()) for p in ps]
     else:
         step = max(1, -(-trials // (4 * workers)))
         tasks = [(p, lo, min(lo + step, trials)) for p in ps for lo in range(0, trials, step)]
         procs = min(workers, len(tasks), os.cpu_count() or 1)
+        # numpy imports numpy.random on first use; import it here, where
+        # nothing samples, so that forked workers inherit it instead of each
+        # importing it in its first task
+        np.random.Philox
         with ProcessPoolExecutor(
             max_workers=procs, initializer=_worker_init, initargs=(sim, nframes, seed)
         ) as pool:

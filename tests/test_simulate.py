@@ -9,22 +9,33 @@ sparse-syndrome decoder is held against the full backward pass over
 every frame, run on tables built one state and one branch at a time;
 the factored trellis images against those tables; and the factored
 backward step against the per-state step, on random encoders and at
-both ends of the successor map's rank, in both metric dtypes.
+both ends of the successor map's rank, in both metric dtypes.  The
+decoding automaton of small trellises is held against the factored
+decoder on random encoders and synthesized small codes, and on FGG
+against the full backward pass on every syndrome up to N = 8; the tests
+of the factored decoder's own shortcuts run it on a copy without the
+automaton (`factored`).
 """
 
+import copy
 import functools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qconvenc import PauliOperator, SymplecticMap, gf2, parse_code, synthesize_encoder
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
-from qconvenc.errors import TrellisError
+from qconvenc.errors import CodeValidationError, ParseError, QconvError, TrellisError
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
@@ -40,7 +51,7 @@ from qconvenc.simulate import (
     syndrome_by_products,
 )
 
-from conftest import CATASTROPHIC_CODE_TEXT, random_symplectic
+from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_symplectic
 from oracles import syndrome_by_decoder
 
 P = PauliOperator.from_string
@@ -233,6 +244,18 @@ def assert_decode_matches_full_pass(sim, syndromes):
     lo = (keys[:, :, None] >> shifts) & 1
     want = np.concatenate([hi ^ lo, hi], axis=2)
     assert (sim.decode_block(syndromes) == want).all()
+
+
+def factored(sim):
+    """The simulator decoding on its factored trellis, without the tables."""
+    out = copy.copy(sim)
+    out._tables = None
+    return out
+
+
+@pytest.fixture(scope="module")
+def fgg_factored(fgg_simulator):
+    return factored(fgg_simulator)
 
 
 def all_syndromes(nbits, r):
@@ -621,17 +644,17 @@ def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
     ),
     st.floats(0.0, 1.0),
 )
-def test_fgg_decode_matches_full_backward_pass(fgg_simulator, rows, density):
+def test_fgg_decode_matches_full_backward_pass(fgg_factored, rows, density):
     # chunk values 0..3 spell the two syndrome bits; zero out a share of
     # them so that all-zero trials, zero prefixes and zero suffixes occur
     chunks = np.array(rows)
     chunks[np.linspace(0, 1, chunks.size).reshape(chunks.shape) > density] = 0
     syndromes = ((chunks[:, :, None] >> np.arange(2)) & 1).astype(np.uint8)
-    assert_decode_matches_full_pass(fgg_simulator, syndromes)
+    assert_decode_matches_full_pass(fgg_factored, syndromes)
 
 
-def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_simulator):
-    assert_decode_matches_full_pass(fgg_simulator, all_syndromes(8, 2))
+def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_factored):
+    assert_decode_matches_full_pass(fgg_factored, all_syndromes(8, 2))
 
 
 def test_gr_decode_matches_full_backward_pass(gr_simulator):
@@ -653,24 +676,24 @@ def test_gr_decode_matches_full_backward_pass(gr_simulator):
 
 
 @pytest.mark.parametrize("past", [0, 1])
-def test_fgg_decode_at_the_narrow_metric_bound(fgg_simulator, past):
+def test_fgg_decode_at_the_narrow_metric_bound(fgg_factored, past):
     # the last window whose weight bound n N fits int16 metrics, and the
     # first one that needs int32
     nframes = -(-simulate_module._INF16 // FGG_CODE.n) - 1 + past
-    assert fgg_simulator._metric(nframes)[0] == (np.int32 if past else np.int16)
+    assert fgg_factored._metric(nframes)[0] == (np.int32 if past else np.int16)
     rng = np.random.default_rng(15)
     syndromes = (rng.random((3, nframes, 2)) < 0.2).astype(np.uint8)
     syndromes[0, :-2] = 0  # a long zero prefix
     syndromes[1, 2:] = 0  # a long zero suffix
-    assert_decode_matches_full_pass(fgg_simulator, syndromes)
+    assert_decode_matches_full_pass(fgg_factored, syndromes)
 
 
-def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_simulator, monkeypatch):
+def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_factored, monkeypatch):
     def fail(*args):
         raise AssertionError("the backward pass ran on a zero syndrome")
 
-    monkeypatch.setattr(fgg_simulator, "_viterbi_nonzero", fail)
-    est = fgg_simulator.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
+    monkeypatch.setattr(fgg_factored, "_viterbi_nonzero", fail)
+    est = fgg_factored.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
     assert est.shape == (5, 7, 6) and not est.any()
 
 
@@ -760,8 +783,156 @@ def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_simulator):
 
 
 def test_inconsistent_zero_tables_raise_trellis_error(fgg_reference_encoder):
-    sim = Simulator(FGG_CODE, fgg_reference_encoder)
+    sim = factored(Simulator(FGG_CODE, fgg_reference_encoder))
     suffix, _ = sim._zero_tables(4)
     suffix[1:] = 0  # claims that every state reaches the identity for free
     with pytest.raises(TrellisError):
         sim.decode_block(all_syndromes(8, 2))
+
+
+# -- the metric automaton ------------------------------------------------------
+
+
+def assert_tables_match_factored(sim, rng, ntrials=20):
+    """Keys of the tables and of the factored decoder on random syndromes,
+    dense and sparse, at several window lengths: equal, or both raise the
+    same error."""
+    r = sim.n - sim.k
+    for nframes in (1, 2, 3, 6):
+        syndromes = (rng.random((ntrials, nframes, r)) < rng.random()).astype(np.uint8)
+        outcomes = []
+        for decoder in (sim, factored(sim)):
+            try:
+                outcomes.append(decoder.decode_block(syndromes))
+            except TrellisError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+            event("no path")
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert (outcomes[0] == outcomes[1]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STEP_CODES), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_tables_match_factored_decoder_on_random_encoders(code, m, seed):
+    sim = Simulator(code, random_symplectic(m + code.n, random.Random(seed)))
+    event("tables" if sim._tables is not None else "over budget")
+    assert_tables_match_factored(sim, np.random.default_rng(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SMALL_GENERATORS, st.integers(0, 2**32 - 1))
+def test_tables_match_factored_decoder_on_synthesized_codes(drawn, seed):
+    n, lines = drawn
+    try:
+        code = parse_code(f"n={n}\n" + "".join(line + "\n" for line in lines))
+    except (ParseError, CodeValidationError):
+        return
+    try:
+        sim = Simulator(code, synthesize_encoder(code, max_candidates=200).circuit)
+    except QconvError:  # no encoder, or one too wide for the trellis
+        return
+    event("tables" if sim._tables is not None else "over budget")
+    assert_tables_match_factored(sim, np.random.default_rng(seed))
+
+
+def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
+    assert fgg_simulator._tables is not None
+    for nframes in range(1, 9):
+        syndromes = all_syndromes(2 * nframes, 2)
+        for lo in range(0, len(syndromes), 4096):
+            assert_decode_matches_full_pass(fgg_simulator, syndromes[lo : lo + 4096])
+
+
+def test_fgg_closure_sizes(fgg_simulator):
+    # 5 normalized metric vectors and 6 walk sets besides the empty one,
+    # under 4 chunks
+    tab = fgg_simulator._tables
+    assert tab.stride == 5 * 4 and len(tab.ends) == 7
+    assert not tab.ends[0] and len(tab.fnext) == len(tab.fkey) == 7 * tab.stride
+
+
+def test_rate_zero_code_selects_the_tables():
+    code = parse_code("n=2\nXX\nZZ\n")
+    sim = Simulator(code, synthesize_encoder(code).circuit)
+    assert sim._tables is not None
+    assert_tables_match_factored(sim, np.random.default_rng(16))
+
+
+def test_gr_keeps_the_factored_trellis_without_a_step(gr_synthesis, monkeypatch):
+    # one closure vector's steps would touch 4 x 64 x 4,096 = 2^20 cells
+    def fail(*args):
+        raise AssertionError("a backward step ran while building the tables")
+
+    monkeypatch.setattr(Simulator, "_step", fail)
+    assert Simulator(GR_CODE, gr_synthesis.circuit)._tables is None
+
+
+def test_over_budget_closure_falls_back_to_the_factored_trellis():
+    sim = Simulator(FGG_CODE, random_symplectic(2 + FGG_CODE.n, random.Random(0)))
+    assert sim.m == 2 and sim._tables is None
+    # syndromes of sampled errors, so that every one has a path
+    errors = _sample_block(0.2, sim.n, 6, 17, 0, 200)
+    assert_decode_matches_full_pass(sim, sim.syndrome_block(errors))
+    # only the factored decoder reads the zero-run tables
+    estimate_wer(FGG_CODE, sim, 0.05, 6, 20, seed=1)
+    assert list(sim._zero) == [6]
+
+
+def test_table_path_builds_no_zero_run_tables(fgg_reference_encoder):
+    sim = Simulator(FGG_CODE, fgg_reference_encoder)
+    estimate_wer(FGG_CODE, sim, 0.05, 6, 20, seed=1)
+    assert sim._zero == {}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [("key and set", "lost mid-trellis"), ("set", "did not terminate at the identity")],
+)
+def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt, message):
+    sim = Simulator(FGG_CODE, fgg_reference_encoder)
+    tab = sim._tables
+    # the entry of a one-frame window with chunk 1: from the walk set of
+    # the vector before the frame, with the pinned vector 0 after it
+    entry = tab.start[tab.back[1]] + 1
+    syndrome = np.array([[[1, 0]]], dtype=np.uint8)
+    assert sim.decode_block(syndrome).any()
+    tab.fnext[entry] = 0  # the empty walk set
+    if corrupt == "key and set":
+        tab.fkey[entry] = sim._nokey
+    with pytest.raises(TrellisError, match=message):
+        sim.decode_block(syndrome)
+
+
+def test_pool_workers_start_with_numpy_random_imported(tmp_path):
+    # the parent never samples when workers > 1; each forked worker must
+    # still find numpy.random imported rather than import it in its first task
+    script = textwrap.dedent(
+        """
+        import os, sys
+        import qconvenc.simulate as simulate
+        from qconvenc.library import FGG_CODE, FGG_ENCODER
+
+        out = sys.argv[1]
+        init = simulate._worker_init
+
+        def recording_init(*args):
+            with open(os.path.join(out, str(os.getpid())), "w") as f:
+                f.write(str("numpy.random" in sys.modules))
+            init(*args)
+
+        simulate._worker_init = recording_init
+        assert "numpy.random" not in sys.modules
+        simulate.estimate_wers(FGG_CODE, FGG_ENCODER, [0.05], 4, 8, seed=1, workers=2)
+        """
+    )
+    src = str(Path(simulate_module.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    seen = [p.read_text() for p in tmp_path.iterdir()]
+    assert seen and set(seen) == {"True"}
