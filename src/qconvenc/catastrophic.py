@@ -82,9 +82,6 @@ ENUM_CAP = 10
 # default completion search budget (leaf checks) for every caller
 MAX_CANDIDATES = 20000
 
-# widest candidate space one completion direction may enumerate (2^16 outputs)
-_MAX_BRANCH_BITS = 16
-
 
 @dataclass(frozen=True)
 class ZeroWeightEdge:
@@ -245,10 +242,10 @@ def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> 
 def _cycle_states(
     images: List[int], varying: Sequence[int], candidates: Iterable[int], n: int, k: int, m: int,
     memo: dict,
-) -> Iterator[Optional[Tuple[int, Tuple[int, ...]]]]:
-    """For each candidate v, in order: a memory state on a zero-weight cycle
-    with nonzero info part and the images of T, or None when there is none,
-    for the encoder images `images` with v XORed into those at `varying`.
+) -> Iterator[Tuple[int, Optional[Tuple[int, Tuple[int, ...]]]]]:
+    """For each candidate v, drawn when its pair is asked for: v and a state
+    on a zero-weight cycle with nonzero info part and the images of T, or
+    None, for the encoder images `images` with v XORed into those at `varying`.
 
     `images` are the encoder's images of its memory inputs X_0..X_(m-1),
     Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
@@ -274,7 +271,7 @@ def _cycle_states(
         # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z)
         placed = (gf2.residue(*fixed, _place(b, m, n, w)) for b in basis)
         found = next((b for b, y in zip(basis, placed) if gf2.residue(*moving, y)), None)
-        yield None if found is None else (found, ts)
+        yield v, None if found is None else (found, ts)
 
 
 def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
@@ -303,7 +300,7 @@ def _verdict(
         raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
     if direction == "encoder":
         images = [smap.rows[i] for i in _encoder_reads(n, k, m)]
-        found = next(_cycle_states(images, (), [0], n, k, m, {}))
+        _, found = next(_cycle_states(images, (), [0], n, k, m, {}))
     else:
         found = _decoder_cycle_state(smap, n, k, m)
     if found is None:
@@ -350,13 +347,14 @@ def complete_noncatastrophic(
     verdict of its leaf check.
 
     Candidate inputs are the canonical memory X's (then Z's) that are
-    independent of p's input rows; candidate outputs for each are walked in
-    increasing packed-vector order, depth-first, subject to the symplectic
-    products forced by all rows fixed so far.  Each full completion is
-    checked with the exact catastrophicity test, read from its rows alone;
-    only the accepted one is completed to a full map and synthesized.  The
-    leaves of a last-level node are checked together, in order and within
-    the budget, with P memoized per search (see the module docstring).
+    independent of p's input rows; candidate outputs for each are drawn
+    lazily in increasing packed-vector order (`_solutions`), depth-first,
+    subject to the symplectic products forced by all rows fixed so far.
+    Each full completion is checked with the exact catastrophicity test,
+    read from its rows alone; only the accepted one is completed to a full
+    map and synthesized.  The leaves of a last-level node are checked
+    together, with P memoized per search (see the module docstring), and
+    `max_candidates` leaf checks are the search's only limit.
     """
     check_consistency(p)
     n, k, m = skeleton.n, skeleton.k, assignment.m
@@ -382,44 +380,46 @@ def complete_noncatastrophic(
     def exhausted(message: str) -> CompletionSearchExhausted:
         return CompletionSearchExhausted(message, tried=tried, budget=max_candidates)
 
-    def dfs(rows_acc: List[Tuple[int, int]], level: int) -> Optional[List[Tuple[int, int]]]:
-        nonlocal tried
-        if level == len(directions):  # no free direction: the rows are the one leaf
-            tried += 1
-            states = _cycle_states(_leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo)
-            return rows_acc if next(states) is None else None
-        u = directions[level]
-        constraint_rows = [_dual(ro, w) for _, ro in rows_acc]
-        rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
-        v0 = gf2.solve(constraint_rows, rhs, 2 * w)
-        if v0 is None:
-            return None
-        null = gf2.nullspace(constraint_rows, 2 * w)
-        if len(null) > _MAX_BRANCH_BITS:
-            raise exhausted(
-                f"candidate space at direction {level + 1} has 2^{len(null)} "
-                "elements; refusing to enumerate"
-            )
-        candidates = sorted(v0 ^ x for x in gf2.span(null))
-        leaves = level == len(directions) - 1
-        if leaves:  # decided together, lazily, in step with the budget
-            states = _cycle_states(_leaf_images(coeffs, rows_acc), varying, candidates, n, k, m, memo)
+    def within_budget(candidates: Iterator[int]) -> Iterator[int]:
         for v in candidates:
             if tried >= max_candidates:
                 raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
-            if leaves:
-                tried += 1
-                if next(states) is None:
-                    return rows_acc + [(u, v)]
-            elif (found := dfs(rows_acc + [(u, v)], level + 1)) is not None:
-                return found
-        return None
+            yield v
 
-    rows = dfs(list(p.rows), 0)
-    if rows is None:
-        raise exhausted("every consistent completion is catastrophic")
-    smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
-    return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+    def leaves(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[List[Tuple[int, int]], object]]:
+        if level == len(directions):  # no free direction: the rows are the one leaf
+            yield rows_acc, next(_cycle_states(_leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo))[1]
+            return
+        u = directions[level]
+        rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
+        candidates = within_budget(_solutions([_dual(ro, w) for _, ro in rows_acc], rhs, 2 * w))
+        if level < len(directions) - 1:
+            for v in candidates:
+                yield from leaves(rows_acc + [(u, v)], level + 1)
+        else:  # decided together, each drawn only after the budget check
+            for v, found in _cycle_states(_leaf_images(coeffs, rows_acc), varying, candidates, n, k, m, memo):
+                yield rows_acc + [(u, v)], found
+
+    for rows, found in leaves(list(p.rows), 0):
+        tried += 1
+        if found is None:
+            smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
+            return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+    raise exhausted("every consistent completion is catastrophic")
+
+
+def _solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
+    """Every x with row_i . x = rhs_i, lazily: the i-th is `gf2.solve`'s x XOR the nullspace
+    vectors that i's bits select.  That is increasing order: x is 0 at the free columns, and each
+    such vector tops out at its own, ascending (`gf2.row_reduce` pivots on lowest bits)."""
+    x = gf2.solve(rows, rhs, ncols)
+    if x is not None:
+        null = gf2.nullspace(rows, ncols)
+        prefix = gf2.matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
+        yield x
+        for i in range(1, 1 << len(null)):  # from i - 1 to i, bits 0..t flip, t = i's lowest set bit
+            x ^= prefix[(i & -i).bit_length() - 1]
+            yield x
 
 
 def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:

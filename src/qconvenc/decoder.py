@@ -25,8 +25,8 @@ from .skeleton import (
     CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
-    assign_memory,
     partial_rows,
+    resolve_assignment,
     skeleton_commutation_matrix,
 )
 from .synthesis import PartialMap, complete_and_synthesize
@@ -55,19 +55,17 @@ class LogicalOperatorSet:
 
 def _propagate(smap: SymplecticMap, m: int, n: int, first_input: PauliOperator) -> FramedPauliSequence:
     """Frames emitted until the memory register returns to the identity."""
-    frame, mem = smap.step(n, 0, first_input.vec())
-    frames = [frame]
-    seen = 0
-    while mem:
-        seen += 1
-        if seen > (1 << (2 * m)):
-            raise OrbitError(
-                f"memory orbit of {first_input.to_string()} never closes; "
-                f"stuck at {PauliOperator.from_vec(m, mem).to_string()}"
-            )
-        frame, mem = smap.step(n, mem, 0)
+    frames, mem = [], 0
+    # the zero-input step T is linear on GF(2)^2m and ker T^j stops growing by j = 2m: 2m steps decide
+    for fed in [first_input.vec()] + [0] * (2 * m):
+        frame, mem = smap.step(n, mem, fed)
         frames.append(frame)
-    return FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames))
+        if not mem:
+            return FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames))
+    raise OrbitError(
+        f"memory orbit of {first_input.to_string()} never closes; "
+        f"stuck at {PauliOperator.from_vec(m, mem).to_string()}"
+    )
 
 
 def encoded_logical_operators(
@@ -138,8 +136,7 @@ def derive_online_decoder(
     logicals = encoded_logical_operators(encoder, code)
     skel = build_decoder_skeleton(logicals, code)
     matrix = skeleton_commutation_matrix(skel)
-    if assignment is None:
-        assignment = assign_memory(matrix)
+    assignment = resolve_assignment(matrix, assignment)
     rows = partial_rows(skel, assignment)
     smap, circuit = complete_and_synthesize(PartialMap.from_operators(rows))
     verdict = is_noncatastrophic_decoder(smap, code.n, code.k, assignment.m)

@@ -19,10 +19,9 @@ from .skeleton import (
     CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
-    assign_memory,
     build_skeleton,
-    check_assignment,
     partial_rows,
+    resolve_assignment,
     skeleton_commutation_matrix,
 )
 from .synthesis import PartialMap
@@ -68,17 +67,7 @@ def synthesize_encoder(
     _check_last_frames(code)
     skeleton = build_skeleton(code)
     matrix = skeleton_commutation_matrix(skeleton)
-    if assignment is None:
-        assignment = assign_memory(matrix)
-    else:
-        bad = check_assignment(matrix, assignment)
-        if bad is not None:
-            i, j = bad
-            if i == j:
-                raise MapConsistencyError("memory assignment operators are dependent")
-            raise MapConsistencyError(
-                f"memory operators {i + 1} and {j + 1} violate the required product"
-            )
+    assignment = resolve_assignment(matrix, assignment)
     rows = partial_rows(skeleton, assignment)
     if completion_rows:
         w = assignment.m + code.n

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import gf2
 from .circuit import gram
 from .code import ConvolutionalCode
-from .errors import SkeletonInconsistencyError
+from .errors import MapConsistencyError, SkeletonInconsistencyError
 from .pauli import PauliOperator
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "MemoryAssignment",
     "assign_memory",
     "check_assignment",
+    "resolve_assignment",
     "partial_rows",
 ]
 
@@ -257,6 +258,18 @@ def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
     bad = check_assignment(matrix, result)
     assert bad is None, f"constructed assignment violates M at {bad}"
     return result
+
+
+def resolve_assignment(matrix: CommutationRequirement, given: Optional[MemoryAssignment]) -> MemoryAssignment:
+    """`assign_memory(matrix)`, or the given assignment once `check_assignment` accepts it."""
+    if given is None:
+        return assign_memory(matrix)
+    bad = check_assignment(matrix, given)
+    if bad is not None:
+        i, j = bad
+        raise MapConsistencyError("memory assignment operators are dependent" if i == j else
+                                  f"memory operators {i + 1} and {j + 1} violate the required product")
+    return given
 
 
 def partial_rows(

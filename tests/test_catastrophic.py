@@ -29,6 +29,7 @@ from qconvenc.catastrophic import (
     _combinations,
     _cycle_states,
     _encoder_reads,
+    _solutions,
     _transpose,
     complete_noncatastrophic,
     is_noncatastrophic,
@@ -343,6 +344,46 @@ def test_bare_css_search_exhausts_small_budget():
         complete_noncatastrophic(partial, skel, asg, max_candidates=50)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda ncols: st.tuples(
+    st.just(ncols), st.lists(st.tuples(st.integers(0, (1 << ncols) - 1), st.integers(0, 1)), max_size=6)
+)))
+def test_solutions_come_lazily_in_increasing_order(system):
+    # the search walks each direction's outputs in this order, unsorted:
+    # it must be the sorted solution set, empty when there is none
+    ncols, equations = system
+    rows, rhs = [r for r, _ in equations], [b for _, b in equations]
+    got = list(_solutions(rows, rhs, ncols))
+    assert got == [x for x in range(1 << ncols) if all(gf2.parity(r & x) == b for r, b in equations)]
+    assert (got == []) == (gf2.solve(rows, rhs, ncols) is None)
+    event("no solution" if not got else "one solution" if len(got) == 1 else "several solutions")
+
+
+# generated n = 4 CSS codes (the `poly:` rows) whose search meets a
+# direction with 2^18 candidate outputs, more than were once enumerated
+WIDE_DIRECTION_POLYS = [
+    "D^2+D^5+D^7, D^4, D^2+D^5+D^7, D^3",
+    "D+D^5+D^6+D^7, D+D^5+D^6+D^7, D+D^3+D^5+D^7, 1+D^2+D^4+D^6",
+    "D^2+D^3+D^6+D^7, 1+D+D^3+D^4+D^5, D+D^2+D^4+D^5+D^6, D^2+D^3+D^6+D^7",
+    "1+D^4+D^5+D^6, 1+D+D^2+D^3+D^4+D^5, 1+D+D^2+D^3+D^4+D^5, D^2+D^6+D^7+D^8",
+]
+
+
+@pytest.mark.parametrize("poly", WIDE_DIRECTION_POLYS)
+def test_wide_candidate_spaces_search_up_to_the_budget(poly):
+    import qconvenc.catastrophic as cat
+
+    widths, real = [], cat._solutions
+    with mock.patch.object(cat, "_solutions", lambda rows, rhs, ncols: widths.append(
+        len(gf2.nullspace(rows, ncols))
+    ) or real(rows, rhs, ncols)):
+        with pytest.raises(CompletionSearchExhausted) as info:
+            synthesize_encoder(parse_code(f"n=4\npoly: {poly}\n"), max_candidates=50)
+    assert max(widths) == 18
+    assert (info.value.tried, info.value.budget) == (50, 50)
+    assert str(info.value) == "no non-catastrophic completion within 50 candidates"
+
+
 def test_witness_is_walked_only_when_read(monkeypatch):
     import qconvenc.catastrophic as cat
 
@@ -418,9 +459,9 @@ def _recorded_leaves(code, **kwargs):
             inputs = [ri for ri, _ in rows]
             memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
             u = next(d for d in memory if not gf2.in_span(inputs, d))
-        for v, found in zip(candidates, real_states(images, varying, candidates, n, k, m, memo)):
+        for v, found in real_states(images, varying, candidates, n, k, m, memo):
             leaves.append((rows + [(u, v)] if varying else rows, found))
-            yield found
+            yield v, found
 
     with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, "_cycle_states", states):
         try:
@@ -502,7 +543,7 @@ def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
         images = [rnd.getrandbits(2 * w) for _ in range(reads)]
         varying = sorted(rnd.sample(range(reads), rnd.randint(0, reads)))
         candidates = [rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 6))] if varying else [0]
-        for v, found in zip(candidates, _cycle_states(images, varying, candidates, n, k, m, memo)):
+        for v, found in _cycle_states(images, varying, candidates, n, k, m, memo):
             want = encoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m)
             assert (found is None) == (want is None)
             if found is not None:

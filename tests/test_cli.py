@@ -223,6 +223,22 @@ def test_synthesize_json_reports_an_exhausted_search(files, capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_synthesize_searches_a_wide_candidate_space(capsys, tmp_path):
+    # the first free direction of this m = 13 code has 2^18 candidate outputs
+    (tmp_path / "wide.qcc").write_text("n=4\npoly: D^2+D^5+D^7, D^4, D^2+D^5+D^7, D^3\n")
+    code, out, err = run_cli(
+        capsys, "synthesize", "--json", "--code", str(tmp_path / "wide.qcc"), "--max-candidates", "50"
+    )
+    assert code == 2
+    assert err == "inconclusive: no non-catastrophic completion within 50 candidates\n"
+    assert json.loads(out) == {
+        "verdict": "inconclusive",
+        "tried": 50,
+        "budget": 50,
+        "reason": "no non-catastrophic completion within 50 candidates",
+    }
+
+
 def test_check_reference_encoder(files, capsys):
     code, out, _ = run_cli(
         capsys,

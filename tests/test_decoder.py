@@ -4,10 +4,13 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qconvenc import (
     CliffordCircuit,
     ConvolutionalCode,
+    FramedPauliSequence,
     MemoryAssignment,
     PauliOperator,
     SymplecticMap,
@@ -16,14 +19,17 @@ from qconvenc import (
     tensor,
 )
 from qconvenc.decoder import (
+    _propagate,
     build_decoder_skeleton,
     derive_online_decoder,
     encoded_logical_operators,
     windowed_roundtrip_failures,
 )
+from qconvenc.errors import MapConsistencyError, OrbitError
 from qconvenc.library import FGG_CODE, FGG_DECODER_MEMORY_CHOICE
 from qconvenc.skeleton import check_assignment, minimal_memory
 
+from conftest import random_symplectic
 from oracles import anticommuting_pairs, skeleton_rows, sp_at_shift
 
 P = PauliOperator.from_string
@@ -35,6 +41,45 @@ def test_encoded_logicals_of_reference_encoder(fgg_reference_encoder):
     ex, ez = logs.pairs[0]
     assert ex.to_string() == "YIZ|XZY"
     assert ez.to_string() == "ZYI|XZY"
+
+
+def test_non_closing_orbit_stops_after_2m_zero_input_steps(
+    monkeypatch, catastrophic_code, catastrophic_encoder_map
+):
+    # ker T^j of the zero-input step T stops growing by j = 2m, so 2m steps
+    # decide an orbit without walking the 4^m memory states
+    calls = []
+    real = SymplecticMap.step
+    monkeypatch.setattr(SymplecticMap, "step", lambda self, *args: calls.append(args) or real(self, *args))
+    n = catastrophic_code.n
+    m = catastrophic_encoder_map.width - n
+    with pytest.raises(OrbitError, match="^memory orbit of IZ never closes; stuck at X$"):
+        _propagate(catastrophic_encoder_map, m, n, P("IZ"))
+    assert len(calls) <= 2 * m + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_orbit_bound_matches_walking_every_memory_state(n, m, rnd):
+    smap = random_symplectic(m + n, rnd)
+    for fed in [1 << q for q in range(2 * n)]:
+        # oracle: step with zero input until the memory clears, up to 4^m times
+        frame, mem = smap.step(n, 0, fed)
+        frames = [frame]
+        for _ in range(1 << (2 * m)):
+            if not mem:
+                break
+            frame, mem = smap.step(n, mem, 0)
+            frames.append(frame)
+        inp = PauliOperator.from_vec(n, fed)
+        if mem:
+            event("never closes")
+            with pytest.raises(OrbitError):
+                _propagate(smap, m, n, inp)
+        else:
+            event("closes")
+            want = tuple(PauliOperator.from_vec(n, f) for f in frames)
+            assert _propagate(smap, m, n, inp) == FramedPauliSequence(n, want)
 
 
 def test_encoded_logicals_commute_with_generators(fgg_reference_encoder):
@@ -111,6 +156,18 @@ def test_decoder_with_published_choice(fgg_reference_encoder):
     )
     assert dec.memory == 2
     assert dec.verdict.non_catastrophic
+
+
+@pytest.mark.parametrize("ops, error, message", [
+    # one operator more than the decoder has memory slots
+    (("XX", "ZX", "IX", "IZ", "ZZ"), ValueError, "assignment size differs from the requirement"),
+    # slots 1 and 2 must anticommute
+    (("XX", "XX", "IX", "IZ"), MapConsistencyError, "memory operators 1 and 2 violate the required product"),
+], ids=["extra operator", "violated product"])
+def test_decoder_checks_a_given_assignment(fgg_reference_encoder, ops, error, message):
+    bad = MemoryAssignment(2, tuple(P(s) for s in ops))
+    with pytest.raises(error, match=f"^{message}$"):
+        derive_online_decoder(FGG_CODE, fgg_reference_encoder, assignment=bad)
 
 
 def test_windowed_roundtrip(fgg_reference_encoder, fgg_decoder):
