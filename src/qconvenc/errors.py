@@ -13,7 +13,8 @@ class ParseError(QconvError):
 
 class InputDataError(QconvError, ValueError):
     """Input that parses but cannot be used: a circuit that does not
-    realize its code, or an encoder too wide for the trellis."""
+    realize its code, an encoder too wide for the trellis, or a memory
+    assignment of the wrong size."""
 
 
 class CodeValidationError(QconvError):

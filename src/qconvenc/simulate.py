@@ -75,14 +75,24 @@ cells their steps touch: on FGG, 5 shifted metrics and 7 walk sets.  A
 larger closure, or one that does not end (the shifted metrics can grow
 without bound), falls back to the factored pass; GR's 4,096 states put
 even one shifted metric over the budget, which is checked first.
+
+`_BLOCK_CELLS` bounds each batch by the arrays it holds per trial.  A
+sample block (sampling, syndrome, decode call and failure test) holds a
+trial's Philox words and N x 2n error bits; the factored pass takes the
+block's nonzero-syndrome trials in groups held by their (N + 1) x states
+backward metrics; and one backward step adds branches x states values
+per trial, so it takes the live trials of one chunk together, reading
+that chunk's weights in place.  With several workers, `estimate_wers`
+cuts the trials into one contiguous share per process: the caller runs
+share 0 while forked children run the others, every point each.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import Pipe, Process
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,14 +122,16 @@ _INF16 = 1 << 14
 # seeds key the Philox stream, whose keys lie in [0, 2^128)
 SEED_LIMIT = 1 << 128
 
-# Upper bound on the cells one block of trials touches: the backward pass
-# adds and compares trials x states x branches values per frame, and the
-# block keeps trials x N x (states + 2n) values of metrics and error bits.
-# It sets the block size, from one trial per block on the 4,096-state GR
-# trellis to whole points on small trellises.  It also bounds each closure
-# of the decoding automaton, at chunks x branches x states cells per
-# shifted metric and that times the shifted metrics per walk set; a
-# closure over it leaves the decoding to the factored trellis.
+# Upper bound on the cells one batch of trials holds, divided among the
+# trials by what each holds in the array that batch bounds:
+# - a sample block, 4 x `_trial_counters` Philox words and N x 2n error bits;
+# - a decode group of the factored pass, (N + 1) x states backward metrics;
+# - a backward step call, branches x states added and compared values.
+# On GR at N = 10 that is 1,724 trials per sample block, 5 per decode group
+# and 1 per step call; on FGG a block holds a whole point.  It also bounds
+# each closure of the decoding automaton, at chunks x branches x states
+# cells per shifted metric and that times the shifted metrics per walk set;
+# a closure over it leaves the decoding to the factored trellis.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -454,7 +466,9 @@ class Simulator:
         return np.minimum(step, inf, out=step)
 
     def _block_size(self, nframes: int) -> int:
-        per_trial = max(self.nstates * self.nbranches, nframes * (self.nstates + 2 * self.n))
+        """Trials per sample block: each holds its Philox words and its
+        N x 2n error bits."""
+        per_trial = 4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes
         return max(1, _BLOCK_CELLS // per_trial)
 
     # -- launches -------------------------------------------------------------
@@ -579,10 +593,13 @@ class Simulator:
     def _viterbi_factored(self, chunks: np.ndarray) -> np.ndarray:
         """`_viterbi` on the factored trellis."""
         keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
-        # a zero syndrome decodes to the identity, the one error of weight 0
+        # a zero syndrome decodes to the identity, the one error of weight 0;
+        # the others go in groups whose backward metrics fit the budget
         rows = np.flatnonzero(chunks.any(axis=1))
-        if rows.size:
-            keys[rows] = self._viterbi_nonzero(chunks[rows])
+        group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * self.nstates))
+        for a in range(0, rows.size, group):
+            part = rows[a : a + group]
+            keys[part] = self._viterbi_nonzero(chunks[part])
         return keys
 
     def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
@@ -601,14 +618,20 @@ class Simulator:
         # start[b]: the frame the backward pass of trial b stops at and its
         # forward walk begins at; the zero-prefix test below may reset it to 0
         start = first.copy()
+        # the live trials of one chunk step together, reading its weights in
+        # place (a chunk per trial would copy them per trial), at most
+        # `per_call` of them at once
+        per_call = max(1, _BLOCK_CELLS // (self.nbranches * self.nstates))
         for t in range(last.max(), -1, -1):
             if t < start.min():
                 break
             rows = np.flatnonzero((last >= t) & (start <= t))
-            if rows.size:
-                c = chunks[rows, t]
-                # one chunk for every trial saves a per-trial copy of its weights
-                beta[t][rows] = self._step(beta[t + 1][rows], c[0] if (c == c[0]).all() else c, inf)
+            chunk = chunks[rows, t]
+            for c in set(chunk.tolist()):
+                live = rows[chunk == c]
+                for a in range(0, live.size, per_call):
+                    part = live[a : a + per_call]
+                    beta[t][part] = self._step(beta[t + 1][part], c, inf)
             # Zero-prefix test at a trial's first nonzero chunk.  A path that
             # emits identity frames through the zero chunks before it, and so
             # ends in reach[t], costs its beta there; any other path pays at
@@ -731,18 +754,53 @@ def _run_trial(sim: Simulator, p: float, nframes: int, seed: int, trial: int) ->
     return bool(_trial_failures(sim, p, nframes, seed, trial, trial + 1)[0])
 
 
-_WORKER: Optional[Tuple[Simulator, int, int]] = None
+def _worker_count(sim: Simulator, ps: Sequence[float], nframes: int, seed: int, lo: int, hi: int) -> List[int]:
+    """Failures among trials lo..hi-1 at every p: one worker's share."""
+    return [int(_trial_failures(sim, p, nframes, seed, lo, hi).sum()) for p in ps]
 
 
-def _worker_init(sim: Simulator, nframes: int, seed: int) -> None:
-    global _WORKER
-    _WORKER = (sim, nframes, seed)
+def _child(conn, *share) -> None:
+    """A child process's run: the counts of its share, or the exception
+    that stopped it, sent back over `conn`."""
+    try:
+        result = _worker_count(*share)
+    except BaseException as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
 
 
-def _worker_count(task: Tuple[float, int, int]) -> int:
-    sim, nframes, seed = _WORKER
-    p, lo, hi = task
-    return int(_trial_failures(sim, p, nframes, seed, lo, hi).sum())
+def _shared_counts(
+    sim: Simulator, ps: Sequence[float], nframes: int, seed: int, trials: int, procs: int
+) -> List[int]:
+    """Failures at every p, with the trials cut into `procs` contiguous
+    shares: the caller runs share 0 while a forked child runs each other."""
+    cuts = [trials * i // procs for i in range(procs + 1)]
+    # numpy imports numpy.random on first use; import it before forking, so
+    # that the children inherit it instead of each importing it
+    np.random.Philox
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_child, args=(send, sim, ps, nframes, seed, lo, hi), daemon=True)
+            proc.start()
+            send.close()
+            children.append((proc, recv))
+        counts = [_worker_count(sim, ps, nframes, seed, 0, cuts[1])]
+        counts += [recv.recv() for _, recv in children]
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    for result in counts:
+        if isinstance(result, BaseException):
+            raise result
+    return [sum(c) for c in zip(*counts)]
 
 
 def estimate_wers(
@@ -762,10 +820,11 @@ def estimate_wers(
     again.  Trial i draws from its own counter range of one Philox
     stream keyed by `seed`, in [0, SEED_LIMIT), so results are
     bit-identical for any worker count and block size.  With more
-    than one worker, every point runs through one process pool of at
-    most min(workers, tasks, CPUs) processes; the trials are cut into
-    tasks by the requested count alone.  The 95% halfwidth uses the
-    normal approximation.
+    than one worker, the trials are cut into procs = min(workers, trials,
+    CPUs) contiguous shares, and every point runs through one set of
+    procs - 1 forked children: the caller runs share 0 meanwhile, then
+    adds up the children's counts.  The 95% halfwidth uses the normal
+    approximation.
     """
     ps = list(ps)
     if not ps:
@@ -787,22 +846,11 @@ def estimate_wers(
     sim._launches(nframes)
     if sim._tables is None:
         sim._zero_tables(nframes)
-    if workers is None or workers <= 1:
-        counts = [int(_trial_failures(sim, p, nframes, seed, 0, trials).sum()) for p in ps]
+    procs = 1 if workers is None or workers <= 1 else min(workers, trials, os.cpu_count() or 1)
+    if procs == 1:
+        counts = _worker_count(sim, ps, nframes, seed, 0, trials)
     else:
-        step = max(1, -(-trials // (4 * workers)))
-        tasks = [(p, lo, min(lo + step, trials)) for p in ps for lo in range(0, trials, step)]
-        procs = min(workers, len(tasks), os.cpu_count() or 1)
-        # numpy imports numpy.random on first use; import it here, where
-        # nothing samples, so that forked workers inherit it instead of each
-        # importing it in its first task
-        np.random.Philox
-        with ProcessPoolExecutor(
-            max_workers=procs, initializer=_worker_init, initargs=(sim, nframes, seed)
-        ) as pool:
-            per_task = list(pool.map(_worker_count, tasks))
-        # every point has the same number of tasks, in order
-        counts = [int(c) for c in np.reshape(per_task, (len(ps), -1)).sum(axis=1)]
+        counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
     results = []
     for p, failures in zip(ps, counts):
         wer = failures / trials

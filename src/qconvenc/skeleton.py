@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import gf2
 from .circuit import gram
 from .code import ConvolutionalCode
-from .errors import MapConsistencyError, SkeletonInconsistencyError
+from .errors import InputDataError, MapConsistencyError, SkeletonInconsistencyError
 from .pauli import PauliOperator
 
 __all__ = [
@@ -226,7 +226,7 @@ def check_assignment(matrix: CommutationRequirement, assignment: MemoryAssignmen
     else the offending (i, j) pair ((i, i) flags a dependence)."""
     ops = assignment.operators
     if len(ops) != matrix.size:
-        raise ValueError("assignment size differs from the requirement")
+        raise InputDataError("assignment size differs from the requirement")
     vecs = [op.vec() for op in ops]
     bad = _first_mismatch(gram(vecs, assignment.m), matrix.rows)
     if bad is None and gf2.rank(vecs) != len(ops):

@@ -670,22 +670,25 @@ def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
 def test_simulate_runs_every_point_through_one_pool(files, capsys, monkeypatch):
     import qconvenc.simulate as simulate
 
-    pools = []
+    children = []
 
-    class CountingPool(simulate.ProcessPoolExecutor):
+    class CountingProcess(simulate.Process):
         def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
+            children.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(simulate, "Process", CountingProcess)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
     args = [
         "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
         "--p", "0.01,0.05,0.1", "--frames", "4", "--trials", "60", "--seed", "4",
     ]
     code, serial, _ = run_cli(capsys, *args, "--workers", "1")
-    assert code == 0 and pools == []
-    code, parallel, _ = run_cli(capsys, *args, "--workers", "2")
-    assert code == 0 and len(pools) == 1
+    assert code == 0 and children == []
+    # one set of workers - 1 children for all three points, each joined
+    code, parallel, _ = run_cli(capsys, *args, "--workers", "3")
+    assert code == 0 and len(children) == 2
+    assert all(c.exitcode == 0 for c in children)
     assert parallel == serial and len(serial.strip().splitlines()) == 4
 
 

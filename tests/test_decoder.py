@@ -25,7 +25,7 @@ from qconvenc.decoder import (
     encoded_logical_operators,
     windowed_roundtrip_failures,
 )
-from qconvenc.errors import MapConsistencyError, OrbitError
+from qconvenc.errors import InputDataError, MapConsistencyError, OrbitError, QconvError
 from qconvenc.library import FGG_CODE, FGG_DECODER_MEMORY_CHOICE
 from qconvenc.skeleton import check_assignment, minimal_memory
 
@@ -159,15 +159,17 @@ def test_decoder_with_published_choice(fgg_reference_encoder):
 
 
 @pytest.mark.parametrize("ops, error, message", [
-    # one operator more than the decoder has memory slots
-    (("XX", "ZX", "IX", "IZ", "ZZ"), ValueError, "assignment size differs from the requirement"),
+    # FGG's four decoder operators plus ZZ: one more than the requirement has
+    (("XX", "ZX", "IX", "IZ", "ZZ"), InputDataError, "assignment size differs from the requirement"),
     # slots 1 and 2 must anticommute
     (("XX", "XX", "IX", "IZ"), MapConsistencyError, "memory operators 1 and 2 violate the required product"),
 ], ids=["extra operator", "violated product"])
 def test_decoder_checks_a_given_assignment(fgg_reference_encoder, ops, error, message):
     bad = MemoryAssignment(2, tuple(P(s) for s in ops))
-    with pytest.raises(error, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{message}$") as raised:
         derive_online_decoder(FGG_CODE, fgg_reference_encoder, assignment=bad)
+    # a fault of the input, raised as the package's own error type
+    assert isinstance(raised.value, QconvError)
 
 
 def test_windowed_roundtrip(fgg_reference_encoder, fgg_decoder):

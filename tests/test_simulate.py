@@ -19,6 +19,7 @@ automaton (`factored`).
 
 import copy
 import functools
+import multiprocessing
 import os
 import random
 import subprocess
@@ -697,46 +698,124 @@ def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_factored, mon
     assert est.shape == (5, 7, 6) and not est.any()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments and runs
-    the tasks in this process."""
+class InlineProcess:
+    """Stands in for multiprocessing.Process: records every child made and
+    runs its share in this process when started."""
 
     made = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers = max_workers
-        self.tasks = []
-        RecordingPool.made.append(self)
-        initializer(*initargs)
+    def __init__(self, target, args, daemon):
+        self.target, self.args = target, args
+        InlineProcess.made.append(self)
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self):
+        pass
 
-    def map(self, fn, tasks):
-        self.tasks = list(tasks)
-        return map(fn, self.tasks)
+    def join(self):
+        pass
+
+
+def record_shares(monkeypatch):
+    """Run children in this process and record the (lo, hi) share of every
+    `_worker_count` call, the caller's included."""
+    InlineProcess.made.clear()
+    monkeypatch.setattr(simulate_module, "Process", InlineProcess)
+    shares = []
+    count = simulate_module._worker_count
+
+    def recording(sim, ps, nframes, seed, lo, hi):
+        shares.append((lo, hi))
+        return count(sim, ps, nframes, seed, lo, hi)
+
+    monkeypatch.setattr(simulate_module, "_worker_count", recording)
+    return shares
 
 
 @pytest.mark.parametrize(
-    "workers, cpus, procs, tasks_per_p",
-    [(1_000_000, 64, 40, 20), (1_000_000, 3, 3, 20), (2, 64, 2, 7), (8, None, 1, 20)],
+    "workers, cpus, procs, trials",
+    [(1_000_000, 64, 40, 40), (1_000_000, 3, 3, 20), (2, 64, 2, 7), (8, None, 1, 20)],
 )
-def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, tasks_per_p):
-    monkeypatch.setattr(simulate_module, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(simulate_module, "_WORKER", None)
-    RecordingPool.made.clear()
+def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, trials):
     ps = [0.05, 0.1]
-    rows = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, 20, seed=2, workers=workers)
-    (pool,) = RecordingPool.made
-    assert pool.max_workers == procs
-    # tasks are cut from the requested worker count, not the pool size
-    assert len(pool.tasks) == tasks_per_p * len(ps)
-    assert [t[0] for t in pool.tasks] == [p for p in ps for _ in range(tasks_per_p)]
-    assert rows == estimate_wers(FGG_CODE, fgg_simulator, ps, 4, 20, seed=2)
+    serial = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2)
+    shares = record_shares(monkeypatch)
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
+    rows = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2, workers=workers)
+    # procs - 1 children, each running one share for every p; the caller
+    # runs share 0
+    assert len(InlineProcess.made) == procs - 1
+    assert len(shares) == procs
+    assert shares[-1][0] == 0
+    assert sorted(shares[:-1]) == sorted(tuple(c.args[-2:]) for c in InlineProcess.made)
+    # the shares are contiguous and cover the trials exactly
+    cuts = sorted(shares)
+    assert cuts[0][0] == 0 and cuts[-1][1] == trials
+    assert all(a[1] == b[0] < b[1] for a, b in zip(cuts, cuts[1:]))
+    assert rows == serial
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_a_failing_share_raises_in_the_caller_and_leaves_no_children(fgg_simulator, monkeypatch, where):
+    # three shares of ten trials: the caller runs [0, 10), children the rest
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
+    children = []
+
+    class CountingProcess(simulate_module.Process):
+        def __init__(self, *args, **kwargs):
+            children.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate_module, "Process", CountingProcess)
+    failing = 10 if where == "child" else 0
+    trial_failures = simulate_module._trial_failures
+
+    def faulty(sim, p, nframes, seed, lo, hi):
+        if lo == failing:
+            raise TrellisError("injected fault")
+        return trial_failures(sim, p, nframes, seed, lo, hi)
+
+    monkeypatch.setattr(simulate_module, "_trial_failures", faulty)
+    with pytest.raises(TrellisError, match="^injected fault$"):
+        estimate_wers(FGG_CODE, fgg_simulator, [0.05, 0.1], 4, 30, seed=3, workers=3)
+    assert len(children) == 2 and all(c.exitcode is not None for c in children)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
+def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
+    ps = [0.05, 0.1]
+    serial = estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=1)
+    assert 0 < sum(r.failures for r in serial) < 26
+    # forked children: three shares at most
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
+    for workers in (2, 3, 20):
+        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
+    # shares run in this process: up to one trial each
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 64)
+    shares = record_shares(monkeypatch)
+    for workers in (2, 3, 20):
+        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
+    assert len(shares) == 2 + 3 + 13
+
+
+def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
+    rng = np.random.default_rng(23)
+    nframes = 4
+    syndromes = (rng.random((200, nframes, 2)) < 0.3).astype(np.uint8)
+    syndromes[rng.random(200) < 0.25] = 0
+    nonzero = np.flatnonzero(syndromes.any(axis=(1, 2)))
+    assert 20 < len(nonzero) < 180
+    # the trials of one decode group meet different chunks at one frame
+    group = simulate_module._BLOCK_CELLS // ((nframes + 1) * gr_simulator.nstates)
+    chunks = syndromes[nonzero[:group]] @ np.array([1, 2])
+    assert group > 1 and any(len(set(chunks[:, t].tolist())) > 2 for t in range(nframes))
+    est = gr_simulator.decode_block(syndromes)
+    assert (gr_simulator.syndrome_block(est) == syndromes).all()
+    for s, e in zip(syndromes, est):
+        assert (gr_simulator.decode_block(s[None])[0] == e).all()
 
 
 def test_estimate_wers_validates_points(fgg_simulator):
@@ -906,8 +985,8 @@ def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt,
 
 
 def test_pool_workers_start_with_numpy_random_imported(tmp_path):
-    # the parent never samples when workers > 1; each forked worker must
-    # still find numpy.random imported rather than import it in its first task
+    # the caller samples only after forking; each child must still find
+    # numpy.random imported rather than import it in its share
     script = textwrap.dedent(
         """
         import os, sys
@@ -915,14 +994,17 @@ def test_pool_workers_start_with_numpy_random_imported(tmp_path):
         from qconvenc.library import FGG_CODE, FGG_ENCODER
 
         out = sys.argv[1]
-        init = simulate._worker_init
+        caller = os.getpid()
+        count = simulate._worker_count
 
-        def recording_init(*args):
-            with open(os.path.join(out, str(os.getpid())), "w") as f:
-                f.write(str("numpy.random" in sys.modules))
-            init(*args)
+        def recording_count(*args):
+            if os.getpid() != caller:
+                with open(os.path.join(out, str(os.getpid())), "w") as f:
+                    f.write(str("numpy.random" in sys.modules))
+            return count(*args)
 
-        simulate._worker_init = recording_init
+        simulate._worker_count = recording_count
+        os.cpu_count = lambda: 2
         assert "numpy.random" not in sys.modules
         simulate.estimate_wers(FGG_CODE, FGG_ENCODER, [0.05], 4, 8, seed=1, workers=2)
         """
@@ -935,4 +1017,4 @@ def test_pool_workers_start_with_numpy_random_imported(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     seen = [p.read_text() for p in tmp_path.iterdir()]
-    assert seen and set(seen) == {"True"}
+    assert seen == ["True"]
