@@ -199,9 +199,10 @@ def as_symplectic(encoder) -> SymplecticMap:
     return encoder.map
 
 
-def parse_circuit(text: str, width: int | None = None) -> CliffordCircuit:
+def parse_circuit(text: str) -> CliffordCircuit:
     """Parse gate-per-line text; '# width: N' comments fix the width."""
     gates: List[CliffordGate] = []
+    width = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("#"):

@@ -21,9 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .catastrophic import MAX_CANDIDATES, is_noncatastrophic
 from .circuit import (
@@ -66,8 +65,6 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_INTERNAL = 70
 
-_WORKERS_ENV = "QCONVENC_WORKERS"
-
 
 class _UsageError(Exception):
     pass
@@ -104,16 +101,6 @@ def _read_encoder(
     except MapConsistencyError as exc:  # a fault of the input, not of the package
         raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
     return code, smap, assignment, skeleton
-
-
-def _write_circuit(path: str, circuit: CliffordCircuit, n: int, k: int, m: int, direction: str) -> None:
-    if path.endswith(".json"):
-        ins, outs = wire_roles(n, k, m, direction)
-        payload = circuit_to_json(circuit, ins, outs)
-    else:
-        payload = circuit_to_text(circuit)
-    with open(path, "w") as fh:
-        fh.write(payload)
 
 
 def _verdict_word(flag: bool) -> str:
@@ -159,6 +146,29 @@ def _render_witness(witness) -> List[str]:
     return lines
 
 
+def _emit_circuit_report(
+    report: dict, result, code: ConvolutionalCode, direction: str, args: argparse.Namespace
+) -> int:
+    """Complete and emit the report of a built encoder or decoder: its gate
+    count and verdict, the `--out` file (JSON if it ends in .json) and the
+    `--skeleton` rows."""
+    report["gates"] = len(result.circuit)
+    report["verdict"] = _verdict_word(result.verdict.non_catastrophic)
+    if args.out:
+        if args.out.endswith(".json"):
+            roles = wire_roles(code.n, code.k, result.memory, direction)
+            payload = circuit_to_json(result.circuit, *roles)
+        else:
+            payload = circuit_to_text(result.circuit)
+        with open(args.out, "w") as fh:
+            fh.write(payload)
+        report["circuit_file"] = args.out
+    if args.skeleton:
+        report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
+    _emit(report, args)
+    return EX_OK
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
     report = {
@@ -175,21 +185,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
     result = synthesize_encoder(code, max_candidates=args.max_candidates)
-    report = {
-        "n": code.n,
-        "k": code.k,
-        "nu": code.nu,
-        "memory": result.memory,
-        "gates": len(result.circuit),
-        "verdict": _verdict_word(result.verdict.non_catastrophic),
-    }
-    if args.out:
-        _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "encoder")
-        report["circuit_file"] = args.out
-    if args.skeleton:
-        report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
-    _emit(report, args)
-    return EX_OK
+    report = {"n": code.n, "k": code.k, "nu": code.nu, "memory": result.memory}
+    return _emit_circuit_report(report, result, code, "encoder", args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -211,18 +208,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_derive_decoder(args: argparse.Namespace) -> int:
     code, smap, _, _ = _read_encoder(args)
     result = derive_online_decoder(code, smap)
-    report = {
-        "decoder_memory": result.memory,
-        "gates": len(result.circuit),
-        "verdict": _verdict_word(result.verdict.non_catastrophic),
-    }
-    if args.out:
-        _write_circuit(args.out, result.circuit, code.n, code.k, result.memory, "decoder")
-        report["circuit_file"] = args.out
-    if args.skeleton:
-        report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
-    _emit(report, args)
-    return EX_OK
+    return _emit_circuit_report({"decoder_memory": result.memory}, result, code, "decoder", args)
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -371,11 +357,8 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", required=True, type=_positive_int, help="window length N")
     p.add_argument("--trials", required=True, type=_positive_int, help="trials per point")
     p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2^128) (default 0)")
-    # argparse runs a string default through type= only when the flag is
-    # absent, so a bad environment value is a usage error of `simulate` alone
     p.add_argument("--workers", type=_positive_int,
-                   default=os.environ.get(_WORKERS_ENV) or None,
-                   help=f"worker processes (default ${_WORKERS_ENV} or serial)")
+                   help="worker processes (default serial)")
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write a gnuplot script next to the CSV")
@@ -383,18 +366,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-# one parser per value of the variable that sets the --workers default,
-# built by the first `main` call that sees that value
-_PARSERS: Dict[Optional[str], _Parser] = {}
+# built by the first `main` call
+_PARSER: Optional[_Parser] = None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    workers = os.environ.get(_WORKERS_ENV) or None
-    parser = _PARSERS.get(workers)
-    if parser is None:
-        parser = _PARSERS[workers] = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

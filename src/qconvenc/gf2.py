@@ -104,21 +104,15 @@ def nullspace(rows: List[int], ncols: int) -> List[int]:
 
 def invert(rows: List[int], n: int) -> Optional[List[int]]:
     """Inverse of an n x n matrix given as row ints, or None if singular."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    # forward elimination with partial pivoting by lowest row
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if (aug[r] >> col) & 1:
-                piv = r
-                break
-        if piv is None:
+    # fully reduced, [A | I] has one row per pivot; a pivot in the left
+    # half marks the unit vector next to that row of the inverse
+    reduced, pivots = row_reduce([rows[i] | (1 << (n + i)) for i in range(n)])
+    inverse = [0] * n
+    for piv, r in zip(pivots, reduced):
+        if piv >= n:
             return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return [aug[i] >> n for i in range(n)]
+        inverse[piv] = r >> n
+    return inverse
 
 
 def matmul(a: Sequence[int], b: Sequence[int]) -> List[int]:

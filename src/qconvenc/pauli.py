@@ -66,13 +66,8 @@ class PauliOperator:
         zb = (self.z >> i) & 1
         return "IXZY"[xb + 2 * zb]
 
-    def to_string(self, group: int | None = None) -> str:
-        chars = []
-        for i in range(self.width):
-            if group and i and i % group == 0:
-                chars.append("|")
-            chars.append(self.char(i))
-        return "".join(chars)
+    def to_string(self) -> str:
+        return "".join(self.char(i) for i in range(self.width))
 
     def weight(self) -> int:
         return bin(self.x | self.z).count("1")

@@ -774,7 +774,8 @@ def _shared_counts(
     sim: Simulator, ps: Sequence[float], nframes: int, seed: int, trials: int, procs: int
 ) -> List[int]:
     """Failures at every p, with the trials cut into `procs` contiguous
-    shares: the caller runs share 0 while a forked child runs each other."""
+    shares: the caller runs share 0 while a forked child runs each other
+    (none for one share)."""
     cuts = [trials * i // procs for i in range(procs + 1)]
     # numpy imports numpy.random on first use; import it before forking, so
     # that the children inherit it instead of each importing it
@@ -819,9 +820,9 @@ def estimate_wers(
     for `code`, which is then reused instead of building the trellis
     again.  Trial i draws from its own counter range of one Philox
     stream keyed by `seed`, in [0, SEED_LIMIT), so results are
-    bit-identical for any worker count and block size.  With more
-    than one worker, the trials are cut into procs = min(workers, trials,
-    CPUs) contiguous shares, and every point runs through one set of
+    bit-identical for any worker count and block size.  The trials are
+    cut into procs = min(workers, trials, CPUs) contiguous shares (one
+    share without `workers`), and every point runs through one set of
     procs - 1 forked children: the caller runs share 0 meanwhile, then
     adds up the children's counts.  The 95% halfwidth uses the normal
     approximation.
@@ -846,11 +847,8 @@ def estimate_wers(
     sim._launches(nframes)
     if sim._tables is None:
         sim._zero_tables(nframes)
-    procs = 1 if workers is None or workers <= 1 else min(workers, trials, os.cpu_count() or 1)
-    if procs == 1:
-        counts = _worker_count(sim, ps, nframes, seed, 0, trials)
-    else:
-        counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
+    procs = min(max(workers or 1, 1), trials, os.cpu_count() or 1)
+    counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
     results = []
     for p, failures in zip(ps, counts):
         wer = failures / trials

@@ -187,7 +187,7 @@ def test_parse_rejects_malformed():
     with pytest.raises(ParseError):
         parse_circuit("FLIP 1\n")
     with pytest.raises(ParseError):
-        parse_circuit("H 5\n", width=2)
+        parse_circuit("# width: 2\nH 5\n")
 
 
 def test_json_round_trip_with_roles():

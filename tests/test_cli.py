@@ -96,7 +96,7 @@ def test_command_validates_the_code_once(files, capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
-def test_main_builds_the_parser_once_per_environment(files, capsys, monkeypatch):
+def test_main_builds_the_parser_once(files, capsys, monkeypatch):
     import qconvenc.cli
 
     built = []
@@ -107,15 +107,10 @@ def test_main_builds_the_parser_once_per_environment(files, capsys, monkeypatch)
         return real()
 
     monkeypatch.setattr(qconvenc.cli, "build_parser", counting)
-    monkeypatch.setattr(qconvenc.cli, "_PARSERS", {})
-    monkeypatch.delenv("QCONVENC_WORKERS", raising=False)
+    monkeypatch.setattr(qconvenc.cli, "_PARSER", None)
     for _ in range(2):
         assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
     assert len(built) == 1
-    # the variable sets the --workers default, so a new value needs its own parser
-    monkeypatch.setenv("QCONVENC_WORKERS", "2")
-    assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
-    assert len(built) == 2
 
 
 def test_missing_file_is_data_error(files, capsys):
@@ -189,10 +184,14 @@ def test_synthesize_rejects_bad_max_candidates(files, capsys, code_file, value):
 
 def test_synthesize_json_report(files, capsys):
     code, out, _ = run_cli(
-        capsys, "synthesize", "--json", "--code", str(files / "fgg.qcc"), "--skeleton"
+        capsys, "synthesize", "--json", "--code", str(files / "fgg.qcc"), "--skeleton",
+        "--out", str(files / "fgg_synth.json"),
     )
     assert code == 0
     report = json.loads(out)
+    assert list(report) == [
+        "n", "k", "nu", "memory", "gates", "verdict", "circuit_file", "skeleton"
+    ]
     assert report["memory"] == 1
     assert report["verdict"] == "non-catastrophic"
     assert isinstance(report["skeleton"], list) and len(report["skeleton"]) == 4
@@ -336,6 +335,8 @@ def test_derive_decoder(files, capsys):
         "--out", str(out_path), "--skeleton",
     )
     assert code == 0
+    keys = [line.split(":")[0] for line in out.splitlines()[:5]]
+    assert keys == ["decoder_memory", "gates", "verdict", "circuit_file", "skeleton"]
     assert "decoder_memory: 2" in out
     assert "verdict: non-catastrophic" in out
     assert "logical X 1 frame 1:" in out
@@ -440,20 +441,6 @@ def test_simulate_rejects_nonpositive_trials(files, capsys):
         "--p", "0.05", "--frames", "3", "--trials", "0",
     )
     assert code == 64
-
-
-def test_simulate_workers_env_matches_serial(files, capsys, tmp_path, monkeypatch):
-    args = [
-        "simulate", "--code", str(files / "fgg.qcc"),
-        "--encoder", str(files / "fgg_enc.circ"),
-        "--p", "0.05", "--frames", "4", "--trials", "100", "--seed", "7",
-    ]
-    serial_csv = tmp_path / "serial.csv"
-    assert run_cli(capsys, *args, "--out", str(serial_csv))[0] == 0
-    monkeypatch.setenv("QCONVENC_WORKERS", "3")
-    par_csv = tmp_path / "par.csv"
-    assert run_cli(capsys, *args, "--out", str(par_csv))[0] == 0
-    assert serial_csv.read_text() == par_csv.read_text()
 
 
 @pytest.mark.parametrize(
@@ -566,25 +553,17 @@ def test_simulate_rejects_bad_counts(files, capsys, flag, value):
     assert flag in err
 
 
-@pytest.mark.parametrize("value", ["two", "0"])
-def test_bad_workers_env_fails_simulate_only(files, capsys, monkeypatch, value):
-    monkeypatch.setenv("QCONVENC_WORKERS", value)
-    assert run_cli(capsys, "info", "--code", str(files / "fgg.qcc"))[0] == 0
-    code, _, err = run_cli(
-        capsys,
+def test_workers_environment_variable_is_ignored(files, capsys, monkeypatch):
+    args = [
         "simulate", "--code", str(files / "fgg.qcc"),
         "--encoder", str(files / "fgg_enc.circ"),
         "--p", "0.05", "--frames", "3", "--trials", "20",
-    )
-    assert code == 64
-    assert "--workers" in err
-    # an explicit flag overrides the environment
-    assert run_cli(
-        capsys,
-        "simulate", "--code", str(files / "fgg.qcc"),
-        "--encoder", str(files / "fgg_enc.circ"),
-        "--p", "0.05", "--frames", "3", "--trials", "20", "--workers", "1",
-    )[0] == 0
+    ]
+    serial = run_cli(capsys, *args)
+    assert serial[0] == 0
+    # the worker count is set by --workers alone
+    monkeypatch.setenv("QCONVENC_WORKERS", "two")
+    assert run_cli(capsys, *args) == serial
 
 
 def test_module_entry_point(files):

@@ -117,18 +117,18 @@ def test_nullspace_is_exact_kernel():
 
 def test_invert_round_trip():
     rng = random.Random(6)
-    n = 5
-    found = 0
-    while found < 20:
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        inv = gf2.invert(rows, n)
-        if gf2.rank(rows) < n:
-            assert inv is None
-            continue
-        found += 1
-        ident = [1 << i for i in range(n)]
-        assert gf2.matmul(rows, inv) == ident
-        assert gf2.matmul(inv, rows) == ident
+    for n in [5, *range(25)]:
+        found = 0
+        while found < 20:
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            inv = gf2.invert(rows, n)
+            if gf2.rank(rows) < n:
+                assert inv is None
+                continue
+            found += 1
+            ident = [1 << i for i in range(n)]
+            assert gf2.matmul(rows, inv) == ident
+            assert gf2.matmul(inv, rows) == ident
 
 
 def test_invert_rejects_singular():

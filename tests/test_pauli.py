@@ -89,7 +89,6 @@ def test_multiply_is_xor_and_involutive():
 def test_string_round_trip():
     for s in ("I", "XYZ", "IIZX", "YYYY"):
         assert P(s).to_string() == s
-    assert P("XZY").to_string(group=2) == "XZ|Y"
     assert P("XXX|XZY") == P("XXXXZY")  # separators are ignored on input
 
 
