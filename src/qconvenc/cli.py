@@ -9,11 +9,12 @@ Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict); 2 completion search exhausted (synthesize, which
 with --json also reports tried, budget and reason on stdout); 64 bad
 usage; 65 unreadable/invalid input data, including a circuit that does
-not realize its code, a circuit wider than `circuit.MAX_WIDTH`, an
-encoder too wide for the simulate trellis, an encoder whose encoded
-logical never returns its memory to the identity (derive-decoder) and a
-code whose skeleton rows no encoder satisfies (synthesize); 70 internal
-consistency violation (a skeleton or synthesis that contradicts itself).
+not realize its code, a circuit wider than `circuit.MAX_WIDTH`, a code
+whose syndrome trellis needs more cells per step (states x branches)
+than simulate's cap of 2^18, an encoder whose encoded logical never
+returns its memory to the identity (derive-decoder) and a code whose
+skeleton rows no encoder satisfies (synthesize); 70 internal consistency
+violation (a skeleton or synthesis that contradicts itself).
 """
 
 from __future__ import annotations

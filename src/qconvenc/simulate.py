@@ -2,14 +2,13 @@
 
 A window of N physical frames is sent through the channel; the receiver
 measures one syndrome bit per (generator, launch frame) pair for launches
-1..N — the ancilla outputs of the online decoder.  Decoding is
-hard-decision maximum likelihood over the encoder trellis: pulling an
-N-frame error back through the frame-wise inverse encoder (final memory
-pinned to the identity) is a bijection between window errors and
-(initial memory state, unencoded frame sequence) pairs in which the
-ancilla X-components spell the syndrome.  Paths therefore start anywhere,
-end at the identity memory state, and branch per frame over the inputs
-consistent with that frame's syndrome bits.
+1..N — the ancilla outputs of the online decoder.  Pulling an N-frame
+error back through the frame-wise inverse encoder (final memory pinned
+to the identity) is a bijection between window errors and (initial
+memory state, unencoded frame sequence) pairs, and a syndrome bit is an
+ancilla X component of the pullback.  So the errors that fit a syndrome
+do not depend on the encoder's memory, and decoding is hard-decision
+maximum likelihood over them.
 
 Below p = 3/4 the channel likelihood is strictly decreasing in Pauli
 weight, so the branch metric is plain weight; ties are broken toward the
@@ -31,31 +30,33 @@ launch frame, shifted, so each is stored once as its per-frame response
 and the products are sums over response lags of uint8 matrix products
 (parity survives the uint8 wrap-around since 256 is even).
 
-The trellis is stored in factored form.  Every (syndrome chunk, state)
-pair has exactly 4^n / 2^(n-k) branches, one per input frame with that
-ancilla X pattern, and a branch's successor and emitted frame are the
-XOR of the input frame's image and the memory state's image.  States are
-relabelled linearly (the identity stays state 0) so that the high
-coordinates v span the kernel of the memory part of the successor map:
-the successor of state (v, u) on a branch then depends on u alone.  One
-backward step is a gather of the next metrics at the (branch, u)
-successors, a broadcast add of the (branch, v, u) branch weights, and a
-`min` over the branch axis, whose rows come out in state order.  With u
-the low coordinates, the add runs its inner loop over u.  On GR
-the successor map has rank 8 of 12, so the gather reads 16 times fewer
-cells than there are branches.  Metrics are int16 while the window's
-weight bound n N stays below the int16 sentinel, int32 beyond.
+The decoder runs over the syndrome-former trellis (Schalkwijk and Vinck,
+IEEE Trans. Commun. 1976).  Frame f adds the r = n - k bit chunk c_j(f)
+to the syndrome of the launch j frames before it.  Lags at which every
+syndrome response is the identity are trimmed from the front: the first
+`lead` frames then reach no measured launch and decode to the identity,
+and the last `lead` chunks are zero.  With nu the remaining span (at
+least 2, and capped at N for an encoder whose responses never end), the
+state after a frame packs the residual chunks of the nu - 1 launches
+still open, slot j holding the launch j frames back.  Frame f leaves
+state sigma under chunk s iff c_{nu-1}(f) equals the top slot, which it
+closes, and leads to ((sigma << r) & mask) ^ C(f) ^ s, with C(f) the sum
+of c_j(f) << rj over j < nu - 1.  Paths start anywhere (the open slots
+then stand for launches before the window) and end at state 0.
 
-Three exact shortcuts skip most of that pass on sparse syndromes.  A zero
-syndrome decodes to the identity, the one error of weight 0.  The
-backward metric at frame t depends only on the chunks from t on, so
-after a trial's last nonzero chunk it is read from tables of all-zero
-chunk runs, built once per window length.  Before a trial's first
-nonzero chunk, when some optimal path crosses the zero chunks emitting
-identity frames, that path is also lex-least, so those frames decode to
-the identity and their backward steps are skipped (the test is in
-`Simulator._viterbi_nonzero`).  The forward walk stops once the path has
-no weight left: every later frame is the identity.
+The trellis is stored in factored form.  Every live state has the frames
+of one coset of the kernel of c_{nu-1} as its branches, and the chunk
+enters a successor by XOR, so the successor under chunk 0 and the weight
+of every (branch, state) pair are the whole trellis: a backward step
+permutes the metrics after the frame by the chunk, gathers them at those
+successors, adds the weights and takes a `min` over the branches.  A
+state whose top slot lies outside the image of c_{nu-1} has no branch
+and stays at the sentinel.  GR has 256 states of 64 branches, FGG 4 of
+16.  Metrics are int16 while the window's weight bound n N stays below
+the int16 sentinel, int32 beyond.  A zero syndrome decodes to the
+identity, the one error of weight 0, without the trellis, and the
+forward walk stops once the path has no weight left: every later frame
+is the identity.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -69,22 +70,23 @@ shifted metric after the frame and the chunk.  The simulator closes the
 shifted metrics under backward steps from the pinned one, and the walk
 sets under forward steps from the states at metric 0, and stores both
 transition tables; a block then decodes by one lookup per frame
-backward and one forward, all its trials at once.  The tables are built
-whenever both closures fit the `_BLOCK_CELLS` budget, counted as the
-cells their steps touch: on FGG, 5 shifted metrics and 7 walk sets.  A
-larger closure, or one that does not end (the shifted metrics can grow
-without bound), falls back to the factored pass; GR's 4,096 states put
-even one shifted metric over the budget, which is checked first.
+backward and one forward, all its trials at once.  The tables are built,
+by the same step, whenever both closures fit the `_BLOCK_CELLS` budget,
+counted as the cells their steps touch: on FGG, 5 shifted metrics and 7
+walk sets.  A larger closure, or one that does not end (the shifted
+metrics can grow without bound), falls back to the batched backward
+pass and forward walk: on GR one expansion of the pinned metric already
+fills the budget.
 
-`_BLOCK_CELLS` bounds each batch by the arrays it holds per trial.  A
+`_BLOCK_CELLS` bounds each batch by the arrays it holds per trial, and
+refuses a trellis whose one step of one trial would not fit it.  A
 sample block (sampling, syndrome, decode call and failure test) holds a
-trial's Philox words and N x 2n error bits; the factored pass takes the
+trial's Philox words and N x 2n error bits; the batched pass takes the
 block's nonzero-syndrome trials in groups held by their (N + 1) x states
-backward metrics; and one backward step adds branches x states values
-per trial, so it takes the live trials of one chunk together, reading
-that chunk's weights in place.  With several workers, `estimate_wers`
-cuts the trials into one contiguous share per process: the caller runs
-share 0 while forked children run the others, every point each.
+backward metrics; and one backward step gathers branches x states values
+per trial.  With several workers, `estimate_wers` cuts the trials into
+one contiguous share per process: the caller runs share 0 while forked
+children run the others, every point each.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gf2
 from .circuit import _dual, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import InputDataError, TrellisError
@@ -125,13 +126,14 @@ SEED_LIMIT = 1 << 128
 # Upper bound on the cells one batch of trials holds, divided among the
 # trials by what each holds in the array that batch bounds:
 # - a sample block, 4 x `_trial_counters` Philox words and N x 2n error bits;
-# - a decode group of the factored pass, (N + 1) x states backward metrics;
-# - a backward step call, branches x states added and compared values.
-# On GR at N = 10 that is 1,724 trials per sample block, 5 per decode group
-# and 1 per step call; on FGG a block holds a whole point.  It also bounds
+# - a decode group of the batched pass, (N + 1) x states backward metrics;
+# - a backward step call, branches x states gathered and added values.
+# On GR at N = 10 that is 1,724 trials per sample block, 93 per decode
+# group and 16 per step call; on FGG a block holds a whole point.  A
+# trellis whose step of one trial exceeds it is refused.  It also bounds
 # each closure of the decoding automaton, at chunks x branches x states
 # cells per shifted metric and that times the shifted metrics per walk set;
-# a closure over it leaves the decoding to the factored trellis.
+# a closure over it leaves the decoding to the batched pass.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -287,25 +289,40 @@ def _closure(
     return np.array(found), np.array(seed_ids), np.concatenate(succ)
 
 
-class Simulator:
-    """Precomputed trellis over the 4^m memory states of one encoder.
+class _Trellis(NamedTuple):
+    """The syndrome-former trellis of one set of syndrome responses.
 
-    States carry labels in a basis whose low `_ubits` coordinates u span
-    a complement of the kernel of the successor map's memory part and
-    whose high coordinates v span that kernel (`_basis` lists the basis
-    states; label bit i selects basis state i), so a state's label is
-    v * 2^_ubits + u.  `_physm` and `_succm` are the physical frame and
-    successor label of every state's image, `_physf` and `_succf` those
-    of every input frame, indexed by (syndrome chunk, branch); `_fwt` and
-    `_fkey` are the weight and lexicographic key of every physical frame.
-    `_gather[c, j, u]` is the successor on branch j of chunk c of every
-    state with low coordinates u, and `_weight[c, j, v, u]` the weight of
-    the frame that branch emits from state (v, u), in the metric dtype.
-    `_tables` is the decoding automaton (`_Automaton`) when its closures
-    fit `_BLOCK_CELLS`, as they do on FGG, and None otherwise, as on GR,
-    where `decode_block` runs the factored backward pass and forward
-    walk instead; the choice is made at construction, from the encoder
-    alone.  The batch methods take and return bit arrays of shape
+    `succ[b, s]` is the successor of state s on its branch b under chunk
+    0 (chunk c XORs c into it), and `weight[b, s]` and `key[b, s]` the
+    weight and lexicographic key of the frame that branch emits.  `dead`
+    lists the states with no branch, `tables` is the decoding automaton
+    when its closures fit `_BLOCK_CELLS`, and the decoded frames start
+    `lead` frames into the window.
+    """
+
+    lead: int
+    succ: np.ndarray
+    weight: np.ndarray
+    key: np.ndarray
+    dead: np.ndarray
+    tables: Optional[_Automaton]
+
+
+class Simulator:
+    """Decoder and failure test of one encoder, over the syndrome-former
+    trellis of its code.
+
+    `_fwt` and `_fkey` are the weight and lexicographic key of every
+    physical frame (X bits then Z bits, wire 1 lowest), `_keybits` the
+    frame bits of every key.  `_ending` holds the syndrome responses when
+    they end, as those of every encoder that realizes its code do; they
+    give one trellis, built here, so an encoder over the `_BLOCK_CELLS`
+    bound raises `InputDataError` at construction.  Responses that never
+    end (None) are capped at the window, and give one trellis per window
+    length, built on first use; `_trellis` picks it.
+    Each trellis decodes by its automaton when it has one, as FGG's
+    does, and by the batched backward pass and forward walk otherwise,
+    as GR's does.  The batch methods take and return bit arrays of shape
     (trials, N, 2n) or, for syndromes, (trials, N, n - k); the scalar
     methods are their one-trial views on Pauli operators.
     """
@@ -316,62 +333,18 @@ class Simulator:
         m = smap.width - n
         if m < 0:
             raise ValueError("encoder narrower than one frame")
-        if m + n > 12:
-            raise InputDataError(
-                f"the trellis enumerates 4^(m+n) branches; m + n = {m + n} exceeds the cap of 12"
-            )
+        if 4**n > _BLOCK_CELLS:
+            raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {_BLOCK_CELLS:,}")
         self.code = code
         self.smap = smap
         self.n, self.k, self.m = n, k, m
-        self.nstates = 1 << (2 * m)
-        self.nbranches = 1 << (n + k)
         self._nokey = 1 << (2 * n)  # above every frame key
         self._responses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._zero: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._build_trellis()
-        self._tables = self._build_automaton()
-
-    def _build_trellis(self) -> None:
-        n, k, m = self.n, self.k, self.m
-        w = m + n
-        r = n - k
-        nmask = (1 << n) - 1
-        mmask = (1 << m) - 1
-        # the map is linear over GF(2), so the image of an input is the XOR
-        # of the rows its bits select: memory states index X bits then Z
-        # bits of the memory wires, frames X bits then Z bits of the frame
-        rows = self.smap.rows
-        memrows = rows[:m] + rows[w : w + m]
-
-        def phys(img):
-            return (img & nmask) | (((img >> w) & nmask) << n)
-
-        def succ(img):
-            return ((img >> n) & mmask) | (((img >> (w + n)) & mmask) << m)
-
-        # kernel of the successor map on memory states: reducing the rows
-        # (successor of basis state i | bit 2m + i) leaves, past the
-        # successor bits, the rows of states that succeed to the identity
-        reduced, pivots = gf2.row_reduce([succ(v) | (1 << (2 * m + i)) for i, v in enumerate(memrows)])
-        kernel = [v >> (2 * m) for v, piv in zip(reduced, pivots) if piv >= 2 * m]
-        # and a complement of it: the unit states off the kernel's pivots
-        kpivots = gf2.row_reduce(kernel)[1]
-        basis = [1 << i for i in range(2 * m) if i not in kpivots] + kernel
-        self._basis = tuple(basis)
-        self._ubits = 2 * m - len(kernel)
-        states = np.array(gf2.span(basis), dtype=np.intp)
-        label = np.empty_like(states)
-        label[states] = np.arange(self.nstates)
-        memimg = np.array(gf2.span(gf2.matmul(basis, memrows)), dtype=np.int32)
-        # frame f is the input whose ancilla X bits spell chunk f mod 2^r,
-        # with branch j = f div 2^r: info X bits j mod 2^k, Z bits j div 2^k
-        frameimg = np.array(gf2.span(rows[m:w] + rows[w + m :]), dtype=np.int32)
-        frameimg = frameimg.reshape(self.nbranches, 1 << r).T
-        self._physm, self._succm = phys(memimg), label[succ(memimg)]
-        self._physf, self._succf = phys(frameimg), label[succ(frameimg)]
+        self._trellises: Dict[int, _Trellis] = {}
         # weight and lex key of every physical frame, and the (X bits, Z
         # bits) of the frame with every key: per-qubit codes I=0 X=1 Y=2
         # Z=3, wire 1 most significant, so code bits (z, x ^ z)
+        nmask = (1 << n) - 1
         codes = np.arange(1 << (2 * n))
         self._fwt = np.bitwise_count((codes | (codes >> n)) & nmask).astype(np.int16)
         shifts = 2 * (n - 1 - np.arange(n))
@@ -379,29 +352,73 @@ class Simulator:
         self._keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
         self._fkey = np.empty(len(codes), dtype=np.min_scalar_type(self._nokey))
         self._fkey[self._keybits @ (1 << np.arange(2 * n))] = codes
-        # labels are linear coordinates, so successor labels XOR like states;
-        # gathers take intp indices, converting any other on every call
-        usucc = self._succm[: 1 << self._ubits]
-        self._gather = self._succf[:, :, None] ^ usucc[None, None, :]
-        vu = self._physm.reshape(-1, len(usucc))
-        self._weight = np.empty((1 << r, self.nbranches) + vu.shape, dtype=np.int16)
-        for c, pf in enumerate(self._physf):
-            self._weight[c] = self._fwt[pf[:, None, None] ^ vu]
+        # an emitted frame P A^j v that is zero for every j >= 2m stays zero
+        # once it is zero at 2m lags in a row, so 4m + 1 lags tell whether
+        # the syndrome responses end
+        synd = self._response([1 << (n + a) for a in range(n - k)], 4 * m + 1)
+        self._ending = None if synd[2 * m + 1 :].any() else synd
+        if self._ending is not None:
+            self._trellis(1)
 
-    def _build_automaton(self) -> Optional[_Automaton]:
-        """The automaton of `_Automaton`, or None when either closure
-        would touch more than `_BLOCK_CELLS` cells."""
-        nchunks, nbranches, nstates = 1 << (self.n - self.k), self.nbranches, self.nstates
+    def _trellis(self, nframes: int) -> _Trellis:
+        """The trellis that decodes an nframes window."""
+        resp = self._launches(nframes)[0] if self._ending is None else self._ending
+        lags = np.flatnonzero(resp.any(axis=(1, 2)))
+        lead, span = (int(lags[0]), int(lags[-1]) + 1) if lags.size else (0, 0)
+        tr = self._trellises.get(span)
+        if tr is None:
+            tr = self._trellises[span] = self._build_trellis(resp[lead:span], lead)
+        return tr
+
+    def _build_trellis(self, resp: np.ndarray, lead: int) -> _Trellis:
+        """The trellis of the syndrome responses (lags, 2n, r) from lag
+        `lead`, the first at which one is not the identity."""
+        n, r = self.n, self.n - self.k
+        nu = max(2, len(resp))
+        # the chunk c_j(f) of every frame f at every lag j, padded to nu lags
+        frames = self._keybits[self._fkey]
+        chunk = np.zeros((nu, len(frames)), dtype=np.intp)
+        chunk[: len(resp)] = ((frames @ resp) & 1) @ (1 << np.arange(r))
+        # each value in the image of c_{nu-1} has a coset of its kernel
+        closing = np.bincount(chunk[-1], minlength=1 << r)
+        image = np.flatnonzero(closing)
+        nstates, nbranches = 1 << (r * (nu - 1)), len(frames) // len(image)
+        if nstates * nbranches > _BLOCK_CELLS:
+            raise InputDataError(
+                f"the syndrome trellis needs {nstates:,} states x {nbranches:,} branches"
+                f" = {nstates * nbranches:,} cells per step; the cap is {_BLOCK_CELLS:,}"
+            )
+        coset = np.zeros((1 << r, nbranches), dtype=np.intp)
+        coset[image] = np.argsort(chunk[-1], kind="stable").reshape(len(image), nbranches)
+        states = np.arange(nstates)
+        top = states >> (r * (nu - 2))
+        branch = coset[top].T
+        opened = (chunk[:-1] << (r * np.arange(nu - 1))[:, None]).sum(axis=0)
+        succ = ((states << r) & (nstates - 1)) ^ opened[branch]
+        dead = np.flatnonzero(closing[top] == 0)
+        tr = _Trellis(lead, succ, self._fwt[branch], self._fkey[branch], dead, None)
+        return tr._replace(tables=self._build_automaton(tr))
+
+    def _build_automaton(self, tr: _Trellis) -> Optional[_Automaton]:
+        """The automaton of `_Automaton` over the trellis, or None when
+        either closure would touch more than `_BLOCK_CELLS` cells."""
+        nchunks = 1 << (self.n - self.k)
+        nbranches, nstates = tr.succ.shape
         # cells of one backward step of one vector under every chunk
         cost = nchunks * nbranches * nstates
 
         def steps(vecs):  # vectors (V, S) -> metrics (V, C, S) one frame earlier
             beta = np.repeat(vecs, nchunks, axis=0)
             c = np.tile(np.arange(nchunks), len(vecs))
-            return self._step(beta, c, _INF).reshape(len(vecs), nchunks, nstates)
+            step = self._step(tr, beta.T, c, _INF).T
+            return np.ascontiguousarray(step).reshape(len(vecs), nchunks, nstates)
+
+        # the closure expands the vectors in the order it finds them
+        stepped = []
 
         def normalized(vecs):
             step = steps(vecs)
+            stepped.append(step)
             # a dead vector, every state unreachable, stays all _INF
             return np.where(step < _INF, step - step.min(axis=2, keepdims=True), _INF)
 
@@ -416,10 +433,10 @@ class Simulator:
         # successor, and the frame's key if the branch is on an optimal path
         # from the state, i.e. its weight plus the metric after it is the
         # state's metric (both offset by the same minimum)
-        dst = self._gather[:, :, np.arange(nstates) & ((1 << self._ubits) - 1)]
+        dst = tr.succ ^ np.arange(nchunks)[:, None, None]
         after = vecs[:, dst]
-        ok = (after < _INF) & (self._weight.reshape(dst.shape) + after == steps(vecs)[:, :, None, :])
-        keyed = np.where(ok, self._fkey[self._physf[:, :, None] ^ self._physm], self._nokey)
+        ok = (after < _INF) & (tr.weight + after == np.concatenate(stepped)[:, :, None, :])
+        keyed = np.where(ok, tr.key, self._nokey)
 
         keys = []
 
@@ -454,15 +471,21 @@ class Simulator:
         sentinel, int32 beyond."""
         return (np.int16, _INF16) if self.n * nframes < _INF16 else (np.int32, _INF)
 
-    def _step(self, beta: np.ndarray, c, inf: int) -> np.ndarray:
+    @staticmethod
+    def _step(tr: _Trellis, beta: np.ndarray, c, inf: int) -> np.ndarray:
         """Backward step through one frame: the least remaining weights
-        (trials, states) before the frame from those after it, capped at
+        (states, trials) before the frame from those after it, capped at
         the sentinel.  `c` is the frame's syndrome chunk, one for every
-        trial or one per trial."""
-        rows = np.arange(0, beta.size, beta.shape[1])[:, None, None]
-        # successors are in range, so "wrap" only skips the bounds check
-        nxt = np.take(beta, self._gather[c] + rows, mode="wrap")
-        step = np.minimum.reduce(nxt[:, :, None, :] + self._weight[c], axis=1).reshape(beta.shape)
+        trial or one per trial.  With the trials innermost, the gather at
+        the successors copies a row of trials per (branch, state)."""
+        nstates, ntrials = beta.shape
+        # the chunk enters every successor by XOR: permute by it first
+        perm = beta[np.arange(nstates)[:, None] ^ np.reshape(c, (1, -1)), np.arange(ntrials)]
+        nxt = perm.take(tr.succ, axis=0)
+        nxt += tr.weight[:, :, None]
+        step = np.minimum.reduce(nxt, axis=0)
+        if tr.dead.size:
+            step[tr.dead] = inf
         return np.minimum(step, inf, out=step)
 
     def _block_size(self, nframes: int) -> int:
@@ -479,15 +502,15 @@ class Simulator:
         unencoded frame dirs[d] enters with identity memory, followed by
         identity frames."""
         n = self.n
-        out = np.zeros((nframes, 2 * n, len(dirs)), dtype=np.uint8)
+        duals = np.zeros((nframes, 1, len(dirs)), dtype=np.int64)
         for d, vec in enumerate(dirs):
             frame, mem = self.smap.step(n, 0, vec)
             for lag in range(nframes):
-                out[lag, :, d] = (_dual(frame, n) >> np.arange(2 * n)) & 1
+                duals[lag, 0, d] = _dual(frame, n)
                 if not mem:
                     break
                 frame, mem = self.smap.step(n, mem, 0)
-        return out
+        return ((duals >> np.arange(2 * n)[:, None]) & 1).astype(np.uint8)
 
     def _launches(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
         """Responses for the syndrome (ancilla Z per generator) and for the
@@ -496,8 +519,8 @@ class Simulator:
         if cached is None:
             n, k = self.n, self.k
             r = n - k
-            synd = [1 << (n + a) for a in range(r)]
             logical = [1 << (r + j) for j in range(k)] + [1 << (n + r + j) for j in range(k)]
+            synd = [1 << (n + a) for a in range(r)]
             cached = (self._response(synd, nframes), self._response(logical, nframes))
             self._responses[nframes] = cached
         return cached
@@ -540,34 +563,25 @@ class Simulator:
             raise ValueError("syndrome bits must be 0 or 1")
         return self._keybits.take(self._viterbi(s.astype(np.intp) @ (1 << np.arange(r))), axis=0)
 
-    def _zero_tables(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Two (nframes + 1, states) tables for runs of all-zero syndrome
-        chunks: row j of the first is the least weight from each state
-        through j such frames to the pinned identity state; row j of the
-        second flags the states that j identity-emitting frames reach from
-        some state."""
-        cached = self._zero.get(nframes)
-        if cached is None:
-            dtype, inf = self._metric(nframes)
-            suffix = np.empty((nframes + 1, self.nstates), dtype=dtype)
-            suffix[0] = inf
-            suffix[0, 0] = 0
-            for j in range(1, nframes + 1):
-                suffix[j] = self._step(suffix[j - 1][None], 0, inf)[0]
-            branch, src = np.nonzero(self._weight[0].reshape(self.nbranches, -1) == 0)
-            dst = self._gather[0][branch, src & ((1 << self._ubits) - 1)]
-            reach = np.ones((nframes + 1, self.nstates), dtype=bool)
-            for j in range(1, nframes + 1):
-                reach[j] = False
-                reach[j][dst[reach[j - 1][src]]] = True
-            cached = self._zero[nframes] = (suffix, reach)
-        return cached
-
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
-        if self._tables is None:
-            return self._viterbi_factored(chunks)
-        tab = self._tables
+        tr = self._trellis(chunks.shape[1])
+        decode = self._viterbi_tables if tr.tables is not None else self._viterbi_batched
+        if not tr.lead:
+            return decode(tr, chunks)
+        # the lead frames reach no measured launch, and the launches of the
+        # last lead chunks no frame of the window
+        cut = max(chunks.shape[1] - tr.lead, 0)
+        if chunks[:, cut:].any():
+            raise TrellisError("no trellis path matches the syndrome")
+        keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
+        if cut:
+            keys[:, tr.lead :] = decode(tr, chunks[:, :cut])
+        return keys
+
+    def _viterbi_tables(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
+        """`_viterbi` by the automaton."""
+        tab = tr.tables
         # backward: turn every frame's chunk into its edge, from the pinned
         # vector 0 after the last frame; forward: turn each edge into the
         # walk's entry
@@ -590,103 +604,68 @@ class Simulator:
             raise TrellisError("trellis walk did not terminate at the identity")
         return keys
 
-    def _viterbi_factored(self, chunks: np.ndarray) -> np.ndarray:
-        """`_viterbi` on the factored trellis."""
+    def _viterbi_batched(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
+        """`_viterbi` by the backward pass and forward walk."""
         keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
         # a zero syndrome decodes to the identity, the one error of weight 0;
         # the others go in groups whose backward metrics fit the budget
         rows = np.flatnonzero(chunks.any(axis=1))
-        group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * self.nstates))
+        group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * tr.succ.shape[1]))
         for a in range(0, rows.size, group):
             part = rows[a : a + group]
-            keys[part] = self._viterbi_nonzero(chunks[part])
+            keys[part] = self._viterbi_nonzero(tr, chunks[part])
         return keys
 
-    def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
+    def _viterbi_nonzero(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
         ntrials, nframes = chunks.shape
-        suffix, reach = self._zero_tables(nframes)
-        inf = self._metric(nframes)[1]
-        nonzero = chunks != 0
-        first = np.argmax(nonzero, axis=1)
-        last = nframes - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-        # beta[t][b, s]: least remaining weight of trial b from state s
-        # before frame t+1 to the pinned identity state after frame N.  It
-        # depends only on chunks t+1..N, so after a trial's last nonzero
-        # chunk it is the all-zero-suffix table
-        beta = np.empty((nframes + 1, ntrials, self.nstates), dtype=suffix.dtype)
-        beta[:] = suffix[::-1, None, :]
-        # start[b]: the frame the backward pass of trial b stops at and its
-        # forward walk begins at; the zero-prefix test below may reset it to 0
-        start = first.copy()
-        # the live trials of one chunk step together, reading its weights in
-        # place (a chunk per trial would copy them per trial), at most
-        # `per_call` of them at once
-        per_call = max(1, _BLOCK_CELLS // (self.nbranches * self.nstates))
-        for t in range(last.max(), -1, -1):
-            if t < start.min():
-                break
-            rows = np.flatnonzero((last >= t) & (start <= t))
-            chunk = chunks[rows, t]
-            for c in set(chunk.tolist()):
-                live = rows[chunk == c]
-                for a in range(0, live.size, per_call):
-                    part = live[a : a + per_call]
-                    beta[t][part] = self._step(beta[t + 1][part], c, inf)
-            # Zero-prefix test at a trial's first nonzero chunk.  A path that
-            # emits identity frames through the zero chunks before it, and so
-            # ends in reach[t], costs its beta there; any other path pays at
-            # least 1 in the prefix.  When the cheapest of the former is at
-            # most 1 above the cheapest beta, it is optimal and, its prefix
-            # keys being 0, lex-least among optimal paths: the prefix frames
-            # decode to the identity and need no backward steps.
-            at = np.flatnonzero(first == t)
-            if t and at.size:
-                head = beta[t][at]
-                via = np.where(reach[t], head, inf).min(axis=1)
-                start[at[via > head.min(axis=1) + 1]] = 0
-        # a trial's optimal paths from frame start[b] on: for start 0 all
-        # states qualify (reach[0] is every state), otherwise those an
-        # identity prefix reaches
-        head = np.where(reach[start], beta[start, np.arange(ntrials)], inf)
-        best = head.min(axis=1)
+        nbranches, nstates = tr.succ.shape
+        dtype, inf = self._metric(nframes)
+        # beta[t][s, b]: least remaining weight of trial b from state s
+        # after frame t to the pinned state 0 after frame N, all trials'
+        # steps at once, at most `per_call` of them per call
+        beta = np.empty((nframes + 1, nstates, ntrials), dtype=dtype)
+        beta[nframes] = inf
+        beta[nframes, 0] = 0
+        per_call = max(1, _BLOCK_CELLS // (nbranches * nstates))
+        for t in range(nframes - 1, -1, -1):
+            for a in range(0, ntrials, per_call):
+                part = slice(a, a + per_call)
+                beta[t, :, part] = self._step(tr, beta[t + 1, :, part], chunks[part, t], inf)
+        best = beta[0].min(axis=0)
         if (best >= inf).any():
             raise TrellisError("no trellis path matches the syndrome")
         # walk forward keeping every (trial, state) pair still on an optimal
-        # path, and at each frame commit the lex-least emission available
-        # from any of them; trial b joins the walk at frame start[b]
-        hb, hs = np.nonzero(head == best[:, None])
-        bi = si = np.empty(0, dtype=np.intp)
+        # path, from every state at the least weight, and at each frame
+        # commit the lex-least emission available from any of them; a frame
+        # and the state before it fix the state after it, so after nu - 1
+        # frames one state is left per trial
+        bi, si = np.nonzero((beta[0] == best).T)
         remaining = best
         keys = np.zeros((ntrials, nframes), dtype=self._fkey.dtype)
         even = sum(1 << (2 * q) for q in range(self.n))
-        t = start.min()
+        succ, weight, key = tr.succ.T, tr.weight.T, tr.key.T
+        t = 0
         # once no weight remains, every later frame is the identity, key 0
         while t < nframes and remaining.any():
-            join = start[hb] == t
-            bi = np.concatenate([bi, hb[join]])
-            si = np.concatenate([si, hs[join]])
-            ci = chunks[bi, t]
-            dst = self._gather[ci, :, si & ((1 << self._ubits) - 1)]
-            # `take` costs less than fancy indexing on these small arrays
-            frame = self._physf.take(ci, axis=0) ^ self._physm.take(si)[:, None]
-            after = beta[t + 1].take(dst + (bi * self.nstates)[:, None])
-            ok = self._fwt.take(frame) + after == remaining.take(bi)[:, None]
-            cand = np.where(ok, self._fkey.take(frame), self._nokey)
-            kmin = np.where(start <= t, self._nokey, 0).astype(cand.dtype)
+            dst = succ.take(si, axis=0) ^ chunks[bi, t][:, None]
+            after = beta[t + 1].take(dst * ntrials + bi[:, None])
+            ok = weight.take(si, axis=0) + after == remaining.take(bi)[:, None]
+            cand = np.where(ok, key.take(si, axis=0), self._nokey)
+            kmin = np.full(ntrials, self._nokey, dtype=cand.dtype)
             np.minimum.at(kmin, bi, cand.min(axis=1))
             if (kmin == self._nokey).any():
                 raise TrellisError("optimal path lost mid-trellis")
             pi, ji = np.nonzero(cand == kmin.take(bi)[:, None])
-            nxt = np.zeros((ntrials, self.nstates), dtype=bool)
+            nxt = np.zeros((ntrials, nstates), dtype=bool)
             nxt[bi[pi], dst[pi, ji]] = True
             bi, si = np.nonzero(nxt)
             keys[:, t] = kmin
             remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
             t += 1
-        # each trial reaches the identity state through the frames left at
-        # no further weight (with none left, it is on the identity state)
+        # each trial reaches state 0 through the frames left at no further
+        # weight (with none left, it is on state 0)
         ends = np.zeros(ntrials, dtype=bool)
-        ends[bi[suffix[nframes - t][si] == 0]] = True
+        ends[bi[beta[t][si, bi] == 0]] = True
         if remaining.any() or not ends.all():
             raise TrellisError("trellis walk did not terminate at the identity")
         return keys
@@ -845,8 +824,7 @@ def estimate_wers(
         sim = Simulator(code, encoder)
     # the per-window tables, built once here rather than in every worker
     sim._launches(nframes)
-    if sim._tables is None:
-        sim._zero_tables(nframes)
+    sim._trellis(nframes)
     procs = min(max(workers or 1, 1), trials, os.cpu_count() or 1)
     counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
     results = []

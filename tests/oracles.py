@@ -4,16 +4,21 @@ Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
 zero-weight cycles, a bit-matrix transpose one bit at a time, one
-encoder's cycle state computed from scratch, the shifted products of
+encoder's cycle state computed from scratch, the memory-state trellis decoder, the shifted products of
 framed sequences frame by frame, the skeleton products telescoped frame
 by frame, a code's text form, and small views of skeletons, requirement
 matrices and maps.  The library does not export them; the commands never
-reach them.
+reach them.  `per_state_trellis` and `full_viterbi_keys` decode over the
+encoder's 4^m memory states, an independent route to the errors the
+simulator decodes over syndrome states.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from qconvenc import gf2
 from qconvenc.catastrophic import _periodic_part
@@ -237,3 +242,107 @@ def telescoped_requirement(
         if telescope(ci, ci.span, cj, t)
     ]
     return rows, bad
+
+
+@functools.lru_cache(maxsize=8)
+def _memory_trellis(smap: SymplecticMap, n: int, k: int):
+    m = smap.width - n
+    w = m + n
+    r = n - k
+    nmask = (1 << n) - 1
+    mmask = (1 << m) - 1
+    nstates = 1 << (2 * m)
+    nbranches = 1 << (n + k)
+    memimg = np.array(
+        [smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(nstates)],
+        dtype=np.int32,
+    )
+    shape = (1 << r, nbranches, nstates)
+    dst = np.empty(shape, dtype=np.intp)
+    wt = np.empty(shape, dtype=np.uint8)
+    key = np.empty(shape, dtype=np.min_scalar_type(1 << (2 * n)))
+    for c in range(1 << r):
+        ux = c | ((np.arange(nbranches) & ((1 << k) - 1)) << r)
+        uz = np.arange(nbranches) >> k
+        frameimg = np.array(
+            [smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
+            dtype=np.int32,
+        )
+        outs = frameimg[:, None] ^ memimg[None, :]
+        physx = outs & nmask
+        physz = (outs >> w) & nmask
+        dst[c] = ((outs >> n) & mmask) | (((outs >> (w + n)) & mmask) << m)
+        wt[c] = np.bitwise_count(physx | physz)
+        key[c] = 0
+        for q in range(n):
+            xq = (physx >> q) & 1
+            zq = (physz >> q) & 1
+            key[c] |= ((2 * zq + (xq ^ zq)) << (2 * (n - 1 - q))).astype(key.dtype)
+    return dst, wt, key
+
+
+def per_state_trellis(sim):
+    """The encoder's memory-state trellis: its (chunk, branch, state)
+    successor, weight and key tables, built one state and one branch at a
+    time from `apply_vec` on the whole input.  States are the memory bit
+    patterns, X bits then Z bits; chunk c and branch j select the input
+    frame whose ancilla X bits spell c, info X bits j mod 2^k and Z bits
+    j div 2^k."""
+    return _memory_trellis(sim.smap, sim.n, sim.k)
+
+
+def per_state_step(sim, beta, c, inf):
+    """One backward step over (trials, memory states) by the per-state tables."""
+    dst, wt, _ = per_state_trellis(sim)
+    return np.minimum((beta[:, dst[c]] + wt[c]).min(axis=1), inf)
+
+
+def per_state_pass(sim, chunks, inf=1 << 30):
+    """Backward metrics (N + 1, trials, memory states) of the full pass
+    over every frame of every trial, from the identity state pinned after
+    the last frame."""
+    dst_table = per_state_trellis(sim)[0]
+    ntrials, nframes = chunks.shape
+    beta = np.empty((nframes + 1, ntrials, dst_table.shape[2]), dtype=np.int32)
+    beta[nframes] = inf
+    beta[nframes, :, 0] = 0
+    for t in range(nframes - 1, -1, -1):
+        for c in range(len(dst_table)):
+            rows = np.flatnonzero(chunks[:, t] == c)
+            if rows.size:
+                beta[t][rows] = per_state_step(sim, beta[t + 1][rows], c, inf)
+    return beta
+
+
+def full_viterbi_keys(sim, chunks):
+    """Frame keys of the decoded errors by the full backward pass over
+    every frame of every trial, then the dense lex-least forward walk,
+    both over the memory-state trellis."""
+    inf = 1 << 30
+    dst_table, wt_table, key_table = per_state_trellis(sim)
+    ntrials, nframes = chunks.shape
+    beta = per_state_pass(sim, chunks, inf)
+    best = beta[0].min(axis=1)
+    assert (best < inf).all()
+    alive = beta[0] == best[:, None]
+    remaining = best
+    nokey = 1 << (2 * sim.n)
+    keys = np.empty((ntrials, nframes), dtype=np.int64)
+    even = sum(1 << (2 * q) for q in range(sim.n))
+    for t in range(nframes):
+        bi, si = np.nonzero(alive)
+        ci = chunks[bi, t]
+        dst = dst_table[ci, :, si]
+        ok = wt_table[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
+        cand = np.where(ok, key_table[ci, :, si].astype(np.int64), nokey)
+        rowmin = np.full(alive.shape, nokey, dtype=np.int64)
+        rowmin[bi, si] = cand.min(axis=1)
+        kmin = rowmin.min(axis=1)
+        assert (kmin < nokey).all()
+        pi, ji = np.nonzero(cand == kmin[bi, None])
+        alive = np.zeros_like(alive)
+        alive[bi[pi], dst[pi, ji]] = True
+        keys[:, t] = kmin
+        remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
+    assert (remaining == 0).all() and alive[:, 0].all()
+    return keys

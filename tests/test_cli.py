@@ -18,9 +18,10 @@ import qconvenc
 
 from conftest import CATASTROPHIC_CODE_TEXT
 from oracles import render_code
-from qconvenc import CliffordCircuit, CliffordGate, parse_circuit
+from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, synthesize_encoder
 from qconvenc.circuit import circuit_to_text
 from qconvenc.cli import main
+from qconvenc.code import from_classical_polynomial
 from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, FGG_ENCODER, FGG_ENCODER_TEXT, GR_CODE
 from qconvenc.simulate import estimate_wer
 from qconvenc.synthesis import synthesize_circuit
@@ -290,16 +291,80 @@ def test_check_settles_memory_above_old_enumeration_cap(capsys, files, tmp_path)
 
 
 def test_simulate_above_trellis_cap_is_data_error(capsys, files, tmp_path):
-    enc = tmp_path / "fgg_w13.circ"
-    enc.write_text(padded_fgg(9))  # m + n = 10 + 3
+    # ten idle memory qubits leave the syndrome trellis as it is
+    enc = tmp_path / "fgg_w14.circ"
+    enc.write_text(padded_fgg(9))  # m = 10
+    argv = ["simulate", "--json", "--code", str(files / "fgg.qcc"), "--p", "0.05,0.2",
+            "--frames", "6", "--trials", "300", "--seed", "5"]
+    outs = [run_cli(capsys, *argv, "--encoder", str(path)) for path in (enc, files / "fgg_enc.circ")]
+    assert outs[0] == outs[1] and outs[0][0] == 0 and "failures" in outs[0][1]
+    # a span of 9 frames: 2^16 syndrome states of 16 branches
+    code = from_classical_polynomial([257, 257, 0])
+    (tmp_path / "long.qcc").write_text(render_code(code))
+    (tmp_path / "long.circ").write_text(circuit_to_text(synthesize_encoder(code).circuit))
     code, _, err = run_cli(
         capsys,
-        "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(enc),
+        "simulate", "--code", str(tmp_path / "long.qcc"), "--encoder", str(tmp_path / "long.circ"),
         "--p", "0.05", "--frames", "3", "--trials", "5",
     )
     assert code == 65
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and "m + n = 13" in lines[0] and "cap of 12" in lines[0]
+    assert len(lines) == 1 and "65,536 states x 16 branches = 1,048,576 cells" in lines[0]
+    assert "cap is 262,144" in lines[0]
+
+
+def test_simulate_runs_a_code_past_the_old_memory_cap(capsys, tmp_path):
+    # m = 10 and n = 3; its syndrome responses lead by one frame and span
+    # six more, so its trellis has 2^10 states
+    code = from_classical_polynomial([26, 114, 70])
+    encoder = synthesize_encoder(code).circuit
+    assert encoder.width == 13
+    (tmp_path / "c.qcc").write_text(render_code(code))
+    (tmp_path / "c.circ").write_text(circuit_to_text(encoder))
+    rc, out, _ = run_cli(
+        capsys,
+        "simulate", "--json", "--code", str(tmp_path / "c.qcc"), "--encoder", str(tmp_path / "c.circ"),
+        "--p", "0.05", "--frames", "12", "--trials", "40", "--seed", "3",
+    )
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert row["trials"] == 40 and row["failures"] == estimate_wer(code, encoder, 0.05, 12, 40, seed=3).failures
+
+
+# failure counts of `simulate --json`, as the decoder over the encoder's
+# memory-state trellis gave them: (code, p list, frames, trials) -> seed ->
+# counts
+PINNED_RUNS = {
+    ("fgg", "0.02,0.05,0.1", "10", "300"): {
+        1: [21, 75, 166], 7: [15, 75, 168], (1 << 128) - 1: [23, 79, 171],
+    },
+    ("gr", "0.01,0.02,0.1", "10", "30"): {
+        1: [2, 2, 20], 7: [1, 6, 26], (1 << 128) - 1: [3, 6, 22],
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED_RUNS), ids=lambda run: run[0])
+def test_simulate_json_failure_counts_are_pinned(files, capsys, monkeypatch, gr_synthesis, tmp_path, run):
+    import qconvenc.simulate as simulate
+
+    # three CPUs, so that --workers 3 runs three shares
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    name, ps, frames, trials = run
+    encoder = files / "fgg_enc.circ"
+    if name == "gr":
+        encoder = tmp_path / "gr.circ"
+        encoder.write_text(circuit_to_text(gr_synthesis.circuit))
+    for seed, counts in PINNED_RUNS[run].items():
+        for workers in (1, 2, 3):
+            rc, out, _ = run_cli(
+                capsys,
+                "simulate", "--json", "--code", str(files / f"{name}.qcc"), "--encoder", str(encoder),
+                "--p", ps, "--frames", frames, "--trials", trials,
+                "--seed", str(seed), "--workers", str(workers),
+            )
+            assert rc == 0
+            assert [row["failures"] for row in json.loads(out)] == counts
 
 
 def test_check_catastrophic_with_witness(files, capsys):

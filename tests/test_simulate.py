@@ -5,20 +5,21 @@ every 9-qubit error on a 3-frame FGG window and every 8-qubit error on a
 2-frame GR window, every syndrome route against direct symplectic
 products with shifted generators, and the batch syndrome and failure
 test against a frame-by-frame pullback through the inverse encoder.  The
-sparse-syndrome decoder is held against the full backward pass over
-every frame, run on tables built one state and one branch at a time;
-the factored trellis images against those tables; and the factored
-backward step against the per-state step, on random encoders and at
-both ends of the successor map's rank, in both metric dtypes.  The
-decoding automaton of small trellises is held against the factored
-decoder on random encoders and synthesized small codes, and on FGG
-against the full backward pass on every syndrome up to N = 8; the tests
-of the factored decoder's own shortcuts run it on a copy without the
-automaton (`factored`).
+syndrome-former trellis is held against the encoder's memory-state
+trellis (`oracles.per_state_trellis`): its decoded errors against the
+full backward pass and dense forward walk over memory states, and its
+factored step against the per-state step, whose least metrics agree
+frame by frame, on random encoders (whose syndrome responses mostly
+outlast the window), at both ends of the successor map's rank and on
+synthesized small codes, in both metric dtypes.  Its tables are also
+read against the chunks of the code's own generators.  The decoding
+automaton of small trellises is held against the batched decoder on
+random encoders and synthesized small codes, and on FGG against the
+full backward pass on every syndrome up to N = 8; the tests of the
+batched decoder run it on a copy without the automaton (`batched`).
 """
 
 import copy
-import functools
 import multiprocessing
 import os
 import random
@@ -32,7 +33,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qconvenc import PauliOperator, SymplecticMap, gf2, parse_code, synthesize_encoder
+from qconvenc import PauliOperator, SymplecticMap, parse_code, synthesize_encoder
+from qconvenc.code import from_classical_polynomial
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
@@ -53,7 +55,7 @@ from qconvenc.simulate import (
 )
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_symplectic
-from oracles import syndrome_by_decoder
+from oracles import full_viterbi_keys, per_state_pass, syndrome_by_decoder
 
 P = PauliOperator.from_string
 N3 = 3
@@ -137,104 +139,6 @@ def from_block(bits):
     return PauliOperator(n * nframes, x, z)
 
 
-@functools.lru_cache(maxsize=8)
-def per_state_trellis(sim):
-    """The (chunk, branch, state) successor, weight and key tables built
-    one state and one branch at a time, each successor and emission taken
-    from `apply_vec` on the whole input; states are the memory bit
-    patterns, X bits then Z bits."""
-    n, k, m = sim.n, sim.k, sim.m
-    w = m + n
-    r = n - k
-    nmask = (1 << n) - 1
-    mmask = (1 << m) - 1
-    nstates = 1 << (2 * m)
-    nbranches = 1 << (n + k)
-    memimg = np.array(
-        [sim.smap.apply_vec((s & mmask) | ((s >> m) << w)) for s in range(nstates)],
-        dtype=np.int32,
-    )
-    shape = (1 << r, nbranches, nstates)
-    dst = np.empty(shape, dtype=np.intp)
-    wt = np.empty(shape, dtype=np.uint8)
-    key = np.empty(shape, dtype=np.min_scalar_type(1 << (2 * n)))
-    for c in range(1 << r):
-        ux = c | ((np.arange(nbranches) & ((1 << k) - 1)) << r)
-        uz = np.arange(nbranches) >> k
-        frameimg = np.array(
-            [sim.smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
-            dtype=np.int32,
-        )
-        outs = frameimg[:, None] ^ memimg[None, :]
-        physx = outs & nmask
-        physz = (outs >> w) & nmask
-        dst[c] = ((outs >> n) & mmask) | (((outs >> (w + n)) & mmask) << m)
-        wt[c] = np.bitwise_count(physx | physz)
-        key[c] = 0
-        for q in range(n):
-            xq = (physx >> q) & 1
-            zq = (physz >> q) & 1
-            key[c] |= ((2 * zq + (xq ^ zq)) << (2 * (n - 1 - q))).astype(key.dtype)
-    return dst, wt, key
-
-
-def state_labels(sim):
-    """The memory state of every label of the simulator, and the label of
-    every memory state."""
-    states = np.array(gf2.span(sim._basis), dtype=np.intp)
-    label = np.empty_like(states)
-    label[states] = np.arange(len(states))
-    return states, label
-
-
-def per_state_step(sim, beta, c, inf):
-    """One backward step over (trials, memory states) by the per-state tables."""
-    dst, wt, _ = per_state_trellis(sim)
-    return np.minimum((beta[:, dst[c]] + wt[c]).min(axis=1), inf)
-
-
-def full_viterbi_keys(sim, chunks):
-    """Frame keys of the decoded errors by the full backward pass over
-    every frame of every trial, then the dense lex-least forward walk,
-    both over the per-state tables."""
-    inf = 1 << 30
-    dst_table, wt_table, key_table = per_state_trellis(sim)
-    ntrials, nframes = chunks.shape
-    nstates = dst_table.shape[2]
-    beta = np.empty((nframes + 1, ntrials, nstates), dtype=np.int32)
-    beta[nframes] = inf
-    beta[nframes, :, 0] = 0
-    for t in range(nframes - 1, -1, -1):
-        for c in range(len(dst_table)):
-            rows = np.flatnonzero(chunks[:, t] == c)
-            if rows.size:
-                beta[t][rows] = per_state_step(sim, beta[t + 1][rows], c, inf)
-    best = beta[0].min(axis=1)
-    assert (best < inf).all()
-    alive = beta[0] == best[:, None]
-    remaining = best
-    nokey = 1 << (2 * sim.n)
-    keys = np.empty((ntrials, nframes), dtype=np.int64)
-    even = sum(1 << (2 * q) for q in range(sim.n))
-    for t in range(nframes):
-        bi, si = np.nonzero(alive)
-        ci = chunks[bi, t]
-        dst = dst_table[ci, :, si]
-        ok = wt_table[ci, :, si] + beta[t + 1][bi[:, None], dst] == remaining[bi, None]
-        cand = np.where(ok, key_table[ci, :, si].astype(np.int64), nokey)
-        rowmin = np.full(alive.shape, nokey, dtype=np.int64)
-        rowmin[bi, si] = cand.min(axis=1)
-        kmin = rowmin.min(axis=1)
-        assert (kmin < nokey).all()
-        pi, ji = np.nonzero(cand == kmin[bi, None])
-        alive = np.zeros_like(alive)
-        alive[bi[pi], dst[pi, ji]] = True
-        keys[:, t] = kmin
-        remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
-    assert (remaining == 0).all() and alive[:, 0].all()
-    return keys
-
-
 def assert_decode_matches_full_pass(sim, syndromes):
     syndromes = np.asarray(syndromes, dtype=np.uint8)
     r = sim.n - sim.k
@@ -247,16 +151,17 @@ def assert_decode_matches_full_pass(sim, syndromes):
     assert (sim.decode_block(syndromes) == want).all()
 
 
-def factored(sim):
-    """The simulator decoding on its factored trellis, without the tables."""
+def batched(sim):
+    """The simulator decoding by its batched pass, without the automaton."""
     out = copy.copy(sim)
-    out._tables = None
+    out._trellises = {span: tr._replace(tables=None) for span, tr in sim._trellises.items()}
+    out._build_automaton = lambda tr: None
     return out
 
 
 @pytest.fixture(scope="module")
-def fgg_factored(fgg_simulator):
-    return factored(fgg_simulator)
+def fgg_batched(fgg_simulator):
+    return batched(fgg_simulator)
 
 
 def all_syndromes(nbits, r):
@@ -542,37 +447,59 @@ def test_rate_zero_code_never_fails():
         assert r.failures == 0
 
 
+def generator_chunks(code, lags):
+    """c_j(f) of every physical frame f (X bits then Z bits, wire 1
+    lowest) at every lag j < lags: bit a is the symplectic product of f
+    with frame j + 1 of generator a, read off the code alone."""
+    n = code.n
+    frames = np.arange(1 << (2 * n))
+    chunks = np.zeros((lags, len(frames)), dtype=np.intp)
+    for j in range(lags):
+        for a, gen in enumerate(code.generators):
+            g = gen.frame(j + 1)
+            bit = (np.bitwise_count(frames & g.z) + np.bitwise_count((frames >> n) & g.x)) & 1
+            chunks[j] |= bit << a
+    return chunks
+
+
 @pytest.mark.parametrize("which", ["fgg", "gr"])
 def test_trellis_matches_per_state_build(request, which):
     sim = request.getfixturevalue(f"{which}_simulator")
-    states, label = state_labels(sim)
-    assert states[0] == 0  # the identity keeps label 0
-    # every (chunk, branch, state) successor, weight and key, read from the
-    # factored images in memory-state order
-    succ = states[sim._succf[:, :, None] ^ sim._succm[label]]
-    frame = sim._physf[:, :, None] ^ sim._physm[label]
-    got = (succ, sim._fwt[frame].astype(np.uint8), sim._fkey[frame])
-    for got, want in zip(got, per_state_trellis(sim)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    # the stored step tables are those images: successors depend on the
-    # low coordinates u of a label alone, and weights are those above
-    nu = 1 << sim._ubits
-    assert (sim._succm.reshape(-1, nu) == sim._succm[:nu]).all()
-    assert (sim._gather == sim._succf[:, :, None] ^ sim._succm[:nu]).all()
-    assert sim._gather.dtype == np.intp
-    wt = sim._weight.reshape(sim._weight.shape[:2] + (-1,))
-    assert (wt[:, :, label] == per_state_trellis(sim)[1]).all()
+    code = sim.code
+    r = code.n - code.k
+    tr = sim._trellis(6)
+    nbranches, nstates = tr.succ.shape
+    nu = max(g.span for g in code.generators)
+    assert tr.lead == 0 and nstates == 1 << (r * (nu - 1)) and tr.dead.size == 0
+    # every branch of state s is a distinct frame f that closes the top
+    # slot's launch, c_{nu-1}(f) == s >> r(nu - 2), and leads to
+    # ((s << r) & mask) ^ C(f) under chunk 0, with the chunks taken from
+    # the code's generators rather than the encoder's responses
+    frame = sim._keybits[tr.key] @ (1 << np.arange(2 * code.n))
+    assert (sim._fwt[frame] == tr.weight).all()
+    chunks = generator_chunks(code, nu)
+    states = np.arange(nstates)
+    assert (chunks[nu - 1][frame] == states >> (r * (nu - 2))).all()
+    opened = sum(chunks[j][frame] << (r * j) for j in range(nu - 1))
+    assert (tr.succ == ((states << r) & (nstates - 1)) ^ opened).all()
+    assert all(len(set(frame[:, s].tolist())) == nbranches for s in states)
+    assert nbranches * (1 << r) == 1 << (2 * code.n)
+    assert_backward_pass_matches_per_state(sim, np.random.default_rng(11))
 
 
-def test_gr_successor_map_has_a_four_dimensional_kernel(gr_simulator):
-    assert gr_simulator._ubits == 8
-    assert gr_simulator._gather.shape == (4, 64, 256)
+def test_gr_syndrome_trellis_has_256_states(gr_simulator):
+    tr = gr_simulator._trellis(10)
+    assert tr.succ.shape == tr.weight.shape == tr.key.shape == (64, 256)
+    assert tr.tables is None
+    # one trellis for every window length: GR's syndrome responses end
+    assert gr_simulator._trellis(3) is tr and len(gr_simulator._trellises) == 1
+    assert sum(a.nbytes for a in (tr.succ, tr.weight, tr.key)) < 200 << 10
 
 
 def test_gr_trellis_arrays_fit_in_four_megabytes(gr_synthesis):
     sim = Simulator(GR_CODE, gr_synthesis.circuit)
     arrays = [v for v in vars(sim).values() if isinstance(v, np.ndarray)]
+    arrays += [v for tr in sim._trellises.values() for v in tr if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 4 << 20
 
 
@@ -582,28 +509,38 @@ STEP_CODES = [parse_code("n=2\nXX\nZZ\n"), parse_code(CATASTROPHIC_CODE_TEXT), F
 
 
 def assert_backward_pass_matches_per_state(sim, rng, nframes=4, ntrials=6):
-    """Backward passes of random trials from the pinned identity and from
-    random metrics, in both metric dtypes, by the factored step (in label
-    order) and by the per-state step (in memory-state order), one chunk
-    for every trial and one chunk per trial."""
-    states, label = state_labels(sim)
-    nchunks = 1 << (sim.n - sim.k)
+    """Backward passes of random trials, in both metric dtypes, by the
+    factored step over syndrome states and by the per-state step over
+    memory states, one chunk for every trial and one chunk per trial.
+    Both trellises hold, before each frame, the least weight of the rest
+    of the window that fits the chunks of the launches from that frame
+    on, whatever came before; so the least metric over states agrees
+    frame by frame (at the first frame only, once a lead shifts the
+    launches)."""
+    r = sim.n - sim.k
+    tr = sim._trellis(nframes)
+    cut = max(nframes - tr.lead, 0)
+    chunks = rng.integers(0, 1 << r, (ntrials, nframes))
+    chunks[:, cut:] = 0
+    want = per_state_pass(sim, chunks).min(axis=2)
+    want[want >= 1 << 30] = -1
     for dtype, inf in ((np.int16, simulate_module._INF16), (np.int32, simulate_module._INF)):
-        pinned = np.full((ntrials, sim.nstates), inf, dtype=dtype)
-        pinned[:, 0] = 0
-        noisy = rng.integers(0, 3 * sim.n, (ntrials, sim.nstates)).astype(dtype)
-        noisy[rng.random(noisy.shape) < 0.3] = inf
-        for want in (pinned, noisy):
-            got = want[:, states]
-            for _ in range(nframes):
-                per_trial = rng.integers(0, nchunks, ntrials)
-                by_chunk = np.empty_like(want)
-                for c in range(nchunks):
-                    one = per_state_step(sim, want, c, inf)
-                    assert (sim._step(got, c, inf)[:, label] == one).all()
-                    by_chunk[per_trial == c] = one[per_trial == c]
-                want, got = by_chunk, sim._step(got, per_trial, inf)
-                assert got.dtype == dtype and (got[:, label] == want).all()
+        beta = np.full((tr.succ.shape[1], ntrials), inf, dtype=dtype)
+        beta[0] = 0
+        got = [beta.min(axis=0)]
+        for t in range(cut - 1, -1, -1):
+            step = sim._step(tr, beta, chunks[:, t], inf)
+            assert step.dtype == dtype
+            for c in range(1 << r):
+                one = chunks[:, t] == c
+                assert (sim._step(tr, beta, c, inf)[:, one] == step[:, one]).all()
+            beta = step
+            got.append(beta.min(axis=0))
+        got = np.where(np.array(got[::-1]) >= inf, -1, got[::-1])
+        if tr.lead:
+            assert (got[0] == want[0]).all()
+        else:
+            assert (got == want).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,22 +555,64 @@ def test_factored_step_matches_per_state_pass_on_random_encoders(code, m, seed):
 def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
     which, fgg_simulator, fgg_reference_encoder
 ):
-    # FGG's successor map ignores the memory state; a wire-through encoder
-    # (memory in to memory out, frame in to frame out) passes it on
-    # unchanged; a memoryless encoder has one state
+    # the extremes of the rank of the memory successor map: FGG's ignores
+    # the memory state; a wire-through encoder (memory in to memory out,
+    # frame in to frame out) passes it on unchanged; a memoryless encoder
+    # has none.  The last two have syndrome responses of one frame, so
+    # their syndrome trellises keep one live state of the 2^r.
     if which == "rank 0":
-        sim, ubits = fgg_simulator, 0
+        sim, shape, dead = fgg_simulator, (16, 4), 0
     elif which == "full rank":
         m, n = 2, FGG_CODE.n
         wires = [n + i for i in range(m)] + list(range(n))  # input wire -> output wire
         rows = [1 << o for o in wires] + [1 << (m + n + o) for o in wires]
-        sim, ubits = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), 2 * m
+        sim, shape, dead = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), (64, 4), 3
     else:
         code = STEP_CODES[0]
-        sim, ubits = Simulator(code, synthesize_encoder(code).circuit), 0
+        sim, shape, dead = Simulator(code, synthesize_encoder(code).circuit), (16, 4), 3
         assert sim.m == 0
-    assert sim._ubits == ubits
+    tr = sim._trellis(4)
+    assert tr.succ.shape == shape and tr.dead.size == dead
     assert_backward_pass_matches_per_state(sim, np.random.default_rng(14))
+
+
+def assert_both_paths_match_full_pass(sim, nframes, seed):
+    """decode_block, by the simulator's own path and by the batched pass,
+    against the memory-state oracle on the syndromes of sampled errors
+    (so that every one has a path), dense and sparse."""
+    if sim._ending is None or len(sim._ending) > nframes:
+        event("responses outlast the window")
+    event("tables" if sim._trellis(nframes).tables is not None else "batched")
+    errors = np.concatenate([
+        _sample_block(0.1, sim.n, nframes, seed, 0, 12),
+        _sample_block(0.6, sim.n, nframes, seed, 12, 24),
+    ])
+    syndromes = sim.syndrome_block(errors)
+    for decoder in (sim, batched(sim)):
+        assert_decode_matches_full_pass(decoder, syndromes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(STEP_CODES), st.integers(0, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_decode_matches_full_pass_on_random_encoders(code, m, nframes, seed):
+    sim = Simulator(code, random_symplectic(m + code.n, random.Random(seed)))
+    assert_both_paths_match_full_pass(sim, nframes, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_GENERATORS, st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_decode_matches_full_pass_on_synthesized_codes(drawn, nframes, seed):
+    n, lines = drawn
+    try:
+        code = parse_code(f"n={n}\n" + "".join(line + "\n" for line in lines))
+        encoder = synthesize_encoder(code, max_candidates=200)
+    except (ParseError, CodeValidationError, QconvError):
+        return
+    # the oracle walks 4^m memory states
+    if encoder.memory > 4:
+        event("too wide for the oracle")
+        return
+    assert_both_paths_match_full_pass(Simulator(code, encoder.circuit), nframes, seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -645,17 +624,17 @@ def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
     ),
     st.floats(0.0, 1.0),
 )
-def test_fgg_decode_matches_full_backward_pass(fgg_factored, rows, density):
+def test_fgg_decode_matches_full_backward_pass(fgg_batched, rows, density):
     # chunk values 0..3 spell the two syndrome bits; zero out a share of
     # them so that all-zero trials, zero prefixes and zero suffixes occur
     chunks = np.array(rows)
     chunks[np.linspace(0, 1, chunks.size).reshape(chunks.shape) > density] = 0
     syndromes = ((chunks[:, :, None] >> np.arange(2)) & 1).astype(np.uint8)
-    assert_decode_matches_full_pass(fgg_factored, syndromes)
+    assert_decode_matches_full_pass(fgg_batched, syndromes)
 
 
-def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_factored):
-    assert_decode_matches_full_pass(fgg_factored, all_syndromes(8, 2))
+def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_batched):
+    assert_decode_matches_full_pass(fgg_batched, all_syndromes(8, 2))
 
 
 def test_gr_decode_matches_full_backward_pass(gr_simulator):
@@ -677,24 +656,24 @@ def test_gr_decode_matches_full_backward_pass(gr_simulator):
 
 
 @pytest.mark.parametrize("past", [0, 1])
-def test_fgg_decode_at_the_narrow_metric_bound(fgg_factored, past):
+def test_fgg_decode_at_the_narrow_metric_bound(fgg_batched, past):
     # the last window whose weight bound n N fits int16 metrics, and the
     # first one that needs int32
     nframes = -(-simulate_module._INF16 // FGG_CODE.n) - 1 + past
-    assert fgg_factored._metric(nframes)[0] == (np.int32 if past else np.int16)
+    assert fgg_batched._metric(nframes)[0] == (np.int32 if past else np.int16)
     rng = np.random.default_rng(15)
     syndromes = (rng.random((3, nframes, 2)) < 0.2).astype(np.uint8)
     syndromes[0, :-2] = 0  # a long zero prefix
     syndromes[1, 2:] = 0  # a long zero suffix
-    assert_decode_matches_full_pass(fgg_factored, syndromes)
+    assert_decode_matches_full_pass(fgg_batched, syndromes)
 
 
-def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_factored, monkeypatch):
+def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monkeypatch):
     def fail(*args):
         raise AssertionError("the backward pass ran on a zero syndrome")
 
-    monkeypatch.setattr(fgg_factored, "_viterbi_nonzero", fail)
-    est = fgg_factored.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
+    monkeypatch.setattr(fgg_batched, "_viterbi_nonzero", fail)
+    est = fgg_batched.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
     assert est.shape == (5, 7, 6) and not est.any()
 
 
@@ -809,7 +788,8 @@ def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
     nonzero = np.flatnonzero(syndromes.any(axis=(1, 2)))
     assert 20 < len(nonzero) < 180
     # the trials of one decode group meet different chunks at one frame
-    group = simulate_module._BLOCK_CELLS // ((nframes + 1) * gr_simulator.nstates)
+    nstates = gr_simulator._trellis(nframes).succ.shape[1]
+    group = simulate_module._BLOCK_CELLS // ((nframes + 1) * nstates)
     chunks = syndromes[nonzero[:group]] @ np.array([1, 2])
     assert group > 1 and any(len(set(chunks[:, t].tolist())) > 2 for t in range(nframes))
     est = gr_simulator.decode_block(syndromes)
@@ -861,26 +841,47 @@ def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_simulator):
         assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed).seed == seed
 
 
-def test_inconsistent_zero_tables_raise_trellis_error(fgg_reference_encoder):
-    sim = factored(Simulator(FGG_CODE, fgg_reference_encoder))
-    suffix, _ = sim._zero_tables(4)
-    suffix[1:] = 0  # claims that every state reaches the identity for free
-    with pytest.raises(TrellisError):
-        sim.decode_block(all_syndromes(8, 2))
+@pytest.fixture(scope="module")
+def lead_code():
+    """A CSS code whose generators start with an identity frame, so its
+    syndrome responses lead by one frame, and an encoder for it (m = 10)."""
+    code = from_classical_polynomial([26, 114, 70])
+    return code, synthesize_encoder(code).circuit
+
+
+def test_syndrome_off_the_trellis_raises_trellis_error(lead_code):
+    sim = Simulator(*lead_code)
+    tr = sim._trellis(5)
+    assert tr.lead == 1 and tr.succ.shape == (16, 1024) and tr.tables is None
+    # the launch at the last frame reaches no frame of the window, so its
+    # chunk is zero for every error
+    errors = _sample_block(0.3, 3, 5, 4, 0, 40)
+    syndromes = sim.syndrome_block(errors)
+    assert not syndromes[:, -1].any() and syndromes.any()
+    # the memory-state oracle would walk 4^10 states; check the estimates
+    # instead: their first frame is the identity, and each has the
+    # syndrome and weighs no more than the error
+    est = sim.decode_block(syndromes)
+    assert not est[:, 0].any() and (sim.syndrome_block(est) == syndromes).all()
+    weight = lambda e: (e[:, :, :3] | e[:, :, 3:]).sum(axis=(1, 2))
+    assert (weight(est) <= weight(errors)).all()
+    syndromes[7, -1, 1] = 1
+    with pytest.raises(TrellisError, match="no trellis path"):
+        sim.decode_block(syndromes)
 
 
 # -- the metric automaton ------------------------------------------------------
 
 
-def assert_tables_match_factored(sim, rng, ntrials=20):
-    """Keys of the tables and of the factored decoder on random syndromes,
+def assert_tables_match_batched(sim, rng, ntrials=20):
+    """Keys of the tables and of the batched decoder on random syndromes,
     dense and sparse, at several window lengths: equal, or both raise the
     same error."""
     r = sim.n - sim.k
     for nframes in (1, 2, 3, 6):
         syndromes = (rng.random((ntrials, nframes, r)) < rng.random()).astype(np.uint8)
         outcomes = []
-        for decoder in (sim, factored(sim)):
+        for decoder in (sim, batched(sim)):
             try:
                 outcomes.append(decoder.decode_block(syndromes))
             except TrellisError as exc:
@@ -896,8 +897,8 @@ def assert_tables_match_factored(sim, rng, ntrials=20):
 @given(st.sampled_from(STEP_CODES), st.integers(0, 2), st.integers(0, 2**32 - 1))
 def test_tables_match_factored_decoder_on_random_encoders(code, m, seed):
     sim = Simulator(code, random_symplectic(m + code.n, random.Random(seed)))
-    event("tables" if sim._tables is not None else "over budget")
-    assert_tables_match_factored(sim, np.random.default_rng(seed))
+    event("tables" if sim._trellis(6).tables is not None else "over budget")
+    assert_tables_match_batched(sim, np.random.default_rng(seed))
 
 
 @settings(max_examples=150, deadline=None)
@@ -912,12 +913,12 @@ def test_tables_match_factored_decoder_on_synthesized_codes(drawn, seed):
         sim = Simulator(code, synthesize_encoder(code, max_candidates=200).circuit)
     except QconvError:  # no encoder, or one too wide for the trellis
         return
-    event("tables" if sim._tables is not None else "over budget")
-    assert_tables_match_factored(sim, np.random.default_rng(seed))
+    event("tables" if sim._trellis(6).tables is not None else "over budget")
+    assert_tables_match_batched(sim, np.random.default_rng(seed))
 
 
 def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
-    assert fgg_simulator._tables is not None
+    assert fgg_simulator._trellis(8).tables is not None
     for nframes in range(1, 9):
         syndromes = all_syndromes(2 * nframes, 2)
         for lo in range(0, len(syndromes), 4096):
@@ -927,7 +928,7 @@ def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
 def test_fgg_closure_sizes(fgg_simulator):
     # 5 normalized metric vectors and 6 walk sets besides the empty one,
     # under 4 chunks
-    tab = fgg_simulator._tables
+    tab = fgg_simulator._trellis(1).tables
     assert tab.stride == 5 * 4 and len(tab.ends) == 7
     assert not tab.ends[0] and len(tab.fnext) == len(tab.fkey) == 7 * tab.stride
 
@@ -935,34 +936,48 @@ def test_fgg_closure_sizes(fgg_simulator):
 def test_rate_zero_code_selects_the_tables():
     code = parse_code("n=2\nXX\nZZ\n")
     sim = Simulator(code, synthesize_encoder(code).circuit)
-    assert sim._tables is not None
-    assert_tables_match_factored(sim, np.random.default_rng(16))
+    assert sim._trellis(1).tables is not None
+    assert_tables_match_batched(sim, np.random.default_rng(16))
 
 
-def test_gr_keeps_the_factored_trellis_without_a_step(gr_synthesis, monkeypatch):
-    # one closure vector's steps would touch 4 x 64 x 4,096 = 2^20 cells
-    def fail(*args):
-        raise AssertionError("a backward step ran while building the tables")
+def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
+    # one closure vector's steps touch 4 x 64 x 256 = 2^16 cells, so the
+    # pinned vector's expansion, one step call, already fills the budget
+    calls = []
+    step = Simulator._step
 
-    monkeypatch.setattr(Simulator, "_step", fail)
-    assert Simulator(GR_CODE, gr_synthesis.circuit)._tables is None
+    def counting(*args):
+        calls.append(args[1].shape)
+        return step(*args)
+
+    monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
+    assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis(10).tables is None
+    assert calls == [(256, 4)]
 
 
 def test_over_budget_closure_falls_back_to_the_factored_trellis():
     sim = Simulator(FGG_CODE, random_symplectic(2 + FGG_CODE.n, random.Random(0)))
-    assert sim.m == 2 and sim._tables is None
+    # responses that never end: one trellis per window, capped at it
+    assert sim.m == 2 and sim._ending is None and sim._trellises == {}
+    assert sim._trellis(6).tables is None and list(sim._trellises) == [6]
     # syndromes of sampled errors, so that every one has a path
     errors = _sample_block(0.2, sim.n, 6, 17, 0, 200)
     assert_decode_matches_full_pass(sim, sim.syndrome_block(errors))
-    # only the factored decoder reads the zero-run tables
     estimate_wer(FGG_CODE, sim, 0.05, 6, 20, seed=1)
-    assert list(sim._zero) == [6]
+    estimate_wer(FGG_CODE, sim, 0.05, 3, 20, seed=1)
+    assert list(sim._trellises) == [6, 3]
 
 
-def test_table_path_builds_no_zero_run_tables(fgg_reference_encoder):
+def test_automaton_and_batched_pass_share_one_trellis(fgg_reference_encoder):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
-    estimate_wer(FGG_CODE, sim, 0.05, 6, 20, seed=1)
-    assert sim._zero == {}
+    tr = sim._trellis(6)
+    for nframes in (1, 6, 20):
+        estimate_wer(FGG_CODE, sim, 0.05, nframes, 20, seed=1)
+    # FGG's syndrome responses end: one trellis, built with the simulator
+    assert list(sim._trellises.values()) == [tr] and tr.tables is not None
+    errors = _sample_block(0.3, 3, 6, 2, 0, 100)
+    syndromes = sim.syndrome_block(errors)
+    assert (batched(sim).decode_block(syndromes) == sim.decode_block(syndromes)).all()
 
 
 @pytest.mark.parametrize(
@@ -971,7 +986,7 @@ def test_table_path_builds_no_zero_run_tables(fgg_reference_encoder):
 )
 def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt, message):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
-    tab = sim._tables
+    tab = sim._trellis(1).tables
     # the entry of a one-frame window with chunk 1: from the walk set of
     # the vector before the frame, with the pinned vector 0 after it
     entry = tab.start[tab.back[1]] + 1
