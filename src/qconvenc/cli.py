@@ -359,7 +359,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", required=True, type=_positive_int, help="trials per point")
     p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2^128) (default 0)")
     p.add_argument("--workers", type=_positive_int,
-                   help="worker processes (default serial)")
+                   help="at most this many processes; a share is forked only when"
+                   " its work outweighs the fork (default serial)")
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write a gnuplot script next to the CSV")

@@ -44,19 +44,22 @@ closes, and leads to ((sigma << r) & mask) ^ C(f) ^ s, with C(f) the sum
 of c_j(f) << rj over j < nu - 1.  Paths start anywhere (the open slots
 then stand for launches before the window) and end at state 0.
 
-The trellis is stored in factored form.  Every live state has the frames
-of one coset of the kernel of c_{nu-1} as its branches, and the chunk
-enters a successor by XOR, so the successor under chunk 0 and the weight
-of every (branch, state) pair are the whole trellis: a backward step
-permutes the metrics after the frame by the chunk, gathers them at those
-successors, adds the weights and takes a `min` over the branches.  A
-state whose top slot lies outside the image of c_{nu-1} has no branch
-and stays at the sentinel.  GR has 256 states of 64 branches, FGG 4 of
-16.  Metrics are int16 while the window's weight bound n N stays below
-the int16 sentinel, int32 beyond.  A zero syndrome decodes to the
-identity, the one error of weight 0, without the trellis, and the
-forward walk stops once the path has no weight left: every later frame
-is the identity.
+Frames with the same chunk at every lag are parallel: they close the
+same slot and lead to the same successor from every state, so only the
+lightest of a class, lex-least among equal weights, can lie on the
+decoded path, and the trellis keeps it alone.  It is stored in factored
+form.  The branches of a live state are the class representatives whose
+c_{nu-1} is its top slot, and the chunk enters a successor by XOR, so
+the successor under chunk 0 and the weight of every (branch, state) pair
+are the whole trellis: a backward step permutes the metrics after the
+frame by the chunk, gathers them at those successors, adds the weights
+and takes a `min` over the branches.  A state whose top slot lies
+outside the image of c_{nu-1} has no branch and stays at the sentinel.
+GR has 256 states of 16 branches, FGG 4 of 4.  Metrics are int16 while
+the window's weight bound n N stays below the int16 sentinel, int32
+beyond.  A zero syndrome decodes to the identity, the one error of
+weight 0, without the trellis, and the forward walk stops once the path
+has no weight left: every later frame is the identity.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -75,8 +78,8 @@ by the same step, whenever both closures fit the `_BLOCK_CELLS` budget,
 counted as the cells their steps touch: on FGG, 5 shifted metrics and 7
 walk sets.  A larger closure, or one that does not end (the shifted
 metrics can grow without bound), falls back to the batched backward
-pass and forward walk: on GR one expansion of the pinned metric already
-fills the budget.
+pass and forward walk: on GR two expansions of the pinned metric find 21
+shifted metrics, over the budget.
 
 `_BLOCK_CELLS` bounds each batch by the arrays it holds per trial, and
 refuses a trellis whose one step of one trial would not fit it.  A
@@ -85,7 +88,8 @@ trial's Philox words and N x 2n error bits; the batched pass takes the
 block's nonzero-syndrome trials in groups held by their (N + 1) x states
 backward metrics; and one backward step gathers branches x states values
 per trial.  With several workers, `estimate_wers` cuts the trials into
-one contiguous share per process: the caller runs share 0 while forked
+one contiguous share per process, as many as the workers while each
+share's cells exceed `_FORK_CELLS`: the caller runs share 0 while forked
 children run the others, every point each.
 """
 
@@ -129,12 +133,19 @@ SEED_LIMIT = 1 << 128
 # - a decode group of the batched pass, (N + 1) x states backward metrics;
 # - a backward step call, branches x states gathered and added values.
 # On GR at N = 10 that is 1,724 trials per sample block, 93 per decode
-# group and 16 per step call; on FGG a block holds a whole point.  A
+# group and 64 per step call; on FGG a block holds a whole point.  A
 # trellis whose step of one trial exceeds it is refused.  It also bounds
 # each closure of the decoding automaton, at chunks x branches x states
 # cells per shifted metric and that times the shifted metrics per walk set;
 # a closure over it leaves the decoding to the batched pass.
 _BLOCK_CELLS = 1 << 18
+
+# A share of the trials goes to a forked child only when its cells, as
+# `estimate_wers` counts them, exceed this floor.  On a 2-vCPU machine an
+# idle child cost 14-26 budget-sized GR backward steps (2.2-4.2 ms, at
+# 0.16 ms a step), but a working one also runs slower than the caller:
+# 2-worker GR runs lost at 38 budgets per share and broke even near 75.
+_FORK_CELLS = 64 * _BLOCK_CELLS
 
 
 @dataclass(frozen=True)
@@ -379,23 +390,31 @@ class Simulator:
         frames = self._keybits[self._fkey]
         chunk = np.zeros((nu, len(frames)), dtype=np.intp)
         chunk[: len(resp)] = ((frames @ resp) & 1) @ (1 << np.arange(r))
-        # each value in the image of c_{nu-1} has a coset of its kernel
-        closing = np.bincount(chunk[-1], minlength=1 << r)
+        # frames with one chunk vector are parallel: one class per vector,
+        # represented by its lightest, lex-least frame.  Sorted by vector
+        # from c_{nu-1} down, then by weight and key, the classes fall in
+        # one run per value in the image of c_{nu-1}, each led by its
+        # representative
+        order = np.lexsort(np.vstack([self._fkey, self._fwt, chunk]))
+        chunk = chunk[:, order]
+        first = np.flatnonzero(np.diff(chunk, prepend=-1).any(axis=0))
+        closing = np.bincount(chunk[-1, first], minlength=1 << r)
         image = np.flatnonzero(closing)
-        nstates, nbranches = 1 << (r * (nu - 1)), len(frames) // len(image)
+        nstates, nbranches = 1 << (r * (nu - 1)), len(first) // len(image)
         if nstates * nbranches > _BLOCK_CELLS:
             raise InputDataError(
                 f"the syndrome trellis needs {nstates:,} states x {nbranches:,} branches"
                 f" = {nstates * nbranches:,} cells per step; the cap is {_BLOCK_CELLS:,}"
             )
-        coset = np.zeros((1 << r, nbranches), dtype=np.intp)
-        coset[image] = np.argsort(chunk[-1], kind="stable").reshape(len(image), nbranches)
+        runs = np.zeros((1 << r, nbranches), dtype=np.intp)
+        runs[image] = np.arange(len(first)).reshape(len(image), nbranches)
         states = np.arange(nstates)
         top = states >> (r * (nu - 2))
-        branch = coset[top].T
-        opened = (chunk[:-1] << (r * np.arange(nu - 1))[:, None]).sum(axis=0)
-        succ = ((states << r) & (nstates - 1)) ^ opened[branch]
+        cls = runs[top].T
+        opened = (chunk[:-1, first] << (r * np.arange(nu - 1))[:, None]).sum(axis=0)
+        succ = ((states << r) & (nstates - 1)) ^ opened[cls]
         dead = np.flatnonzero(closing[top] == 0)
+        branch = order[first][cls]
         tr = _Trellis(lead, succ, self._fwt[branch], self._fkey[branch], dead, None)
         return tr._replace(tables=self._build_automaton(tr))
 
@@ -488,11 +507,14 @@ class Simulator:
             step[tr.dead] = inf
         return np.minimum(step, inf, out=step)
 
-    def _block_size(self, nframes: int) -> int:
-        """Trials per sample block: each holds its Philox words and its
+    def _sample_cells(self, nframes: int) -> int:
+        """Cells a trial holds in a sample block: its Philox words and its
         N x 2n error bits."""
-        per_trial = 4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes
-        return max(1, _BLOCK_CELLS // per_trial)
+        return 4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes
+
+    def _block_size(self, nframes: int) -> int:
+        """Trials per sample block."""
+        return max(1, _BLOCK_CELLS // self._sample_cells(nframes))
 
     # -- launches -------------------------------------------------------------
 
@@ -800,8 +822,9 @@ def estimate_wers(
     again.  Trial i draws from its own counter range of one Philox
     stream keyed by `seed`, in [0, SEED_LIMIT), so results are
     bit-identical for any worker count and block size.  The trials are
-    cut into procs = min(workers, trials, CPUs) contiguous shares (one
-    share without `workers`), and every point runs through one set of
+    cut into procs = min(workers, CPUs) contiguous shares (one share
+    without `workers`), fewer while a share would hold no more than
+    `_FORK_CELLS` cells, and every point runs through one set of
     procs - 1 forked children: the caller runs share 0 meanwhile, then
     adds up the children's counts.  The 95% halfwidth uses the normal
     approximation.
@@ -824,8 +847,13 @@ def estimate_wers(
         sim = Simulator(code, encoder)
     # the per-window tables, built once here rather than in every worker
     sim._launches(nframes)
-    sim._trellis(nframes)
-    procs = min(max(workers or 1, 1), trials, os.cpu_count() or 1)
+    tr = sim._trellis(nframes)
+    # a trial's cells at every point, its backward steps through the batched
+    # pass or its sample-block cells for the automaton, and the most shares
+    # that each hold more than `_FORK_CELLS` of them
+    cells = len(ps) * (nframes * tr.succ.size if tr.tables is None else sim._sample_cells(nframes))
+    fit = max(trials // (_FORK_CELLS // cells + 1), 1)
+    procs = min(max(workers or 1, 1), fit, os.cpu_count() or 1)
     counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
     results = []
     for p, failures in zip(ps, counts):

@@ -4,13 +4,15 @@ Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
 zero-weight cycles, a bit-matrix transpose one bit at a time, one
-encoder's cycle state computed from scratch, the memory-state trellis decoder, the shifted products of
-framed sequences frame by frame, the skeleton products telescoped frame
-by frame, a code's text form, and small views of skeletons, requirement
-matrices and maps.  The library does not export them; the commands never
-reach them.  `per_state_trellis` and `full_viterbi_keys` decode over the
-encoder's 4^m memory states, an independent route to the errors the
-simulator decodes over syndrome states.
+encoder's cycle state computed from scratch, the memory-state trellis
+decoder, the syndrome trellis's merged branches found state by state,
+the shifted products of framed sequences frame by frame, the skeleton
+products telescoped frame by frame, a code's text form, and small views
+of skeletons, requirement matrices and maps.  The library does not
+export them; the commands never reach them.  `per_state_trellis` and
+`full_viterbi_keys` decode over the encoder's 4^m memory states, an
+independent route to the errors the simulator decodes over syndrome
+states.
 """
 
 from __future__ import annotations
@@ -312,6 +314,33 @@ def per_state_pass(sim, chunks, inf=1 << 30):
             if rows.size:
                 beta[t][rows] = per_state_step(sim, beta[t + 1][rows], c, inf)
     return beta
+
+
+def merged_syndrome_trellis(chunks: np.ndarray, n: int, r: int) -> List[dict]:
+    """The syndrome trellis with its parallel branches merged, state by
+    state.  `chunks` holds c_j(f) for every lag j < nu and every physical
+    frame f (X bits then Z bits, wire 1 lowest).  Every frame that closes
+    state s's top slot is a branch of the unmerged trellis, to ((s << r) &
+    mask) ^ C(f) under chunk 0; the branches are grouped by that successor,
+    and each group keeps its lightest frame, lex-least among equal weights.
+    Returns one dict per state: successor -> (weight, key)."""
+    nu = len(chunks)
+    nstates = 1 << (r * (nu - 1))
+    frames = []
+    for f in range(1 << (2 * n)):
+        x, z = f & ((1 << n) - 1), f >> n
+        key = sum((2 * (z >> q & 1) + ((x ^ z) >> q & 1)) << (2 * (n - 1 - q)) for q in range(n))
+        opened = sum(int(chunks[j][f]) << (r * j) for j in range(nu - 1))
+        frames.append((int(chunks[nu - 1][f]), opened, (x | z).bit_count(), key))
+    merged = []
+    for s in range(nstates):
+        best: dict = {}
+        for closing, opened, weight, key in frames:
+            if closing == s >> (r * (nu - 2)):
+                dst = ((s << r) & (nstates - 1)) ^ opened
+                best[dst] = min(best.get(dst, (weight, key)), (weight, key))
+        merged.append(best)
+    return merged
 
 
 def full_viterbi_keys(sim, chunks):

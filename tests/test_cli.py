@@ -298,18 +298,22 @@ def test_simulate_above_trellis_cap_is_data_error(capsys, files, tmp_path):
             "--frames", "6", "--trials", "300", "--seed", "5"]
     outs = [run_cli(capsys, *argv, "--encoder", str(path)) for path in (enc, files / "fgg_enc.circ")]
     assert outs[0] == outs[1] and outs[0][0] == 0 and "failures" in outs[0][1]
-    # a span of 9 frames: 2^16 syndrome states of 16 branches
-    code = from_classical_polynomial([257, 257, 0])
-    (tmp_path / "long.qcc").write_text(render_code(code))
-    (tmp_path / "long.circ").write_text(circuit_to_text(synthesize_encoder(code).circuit))
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "--code", str(tmp_path / "long.qcc"), "--encoder", str(tmp_path / "long.circ"),
-        "--p", "0.05", "--frames", "3", "--trials", "5",
-    )
-    assert code == 65
+    # the cap counts merged branches: 16 frames share each chunk vector
+    # (II, XX, YY or ZZ on wires 1 and 2, anything on wire 3), so a span of
+    # 9 frames has 2^16 syndrome states of 1 branch, not 16, and fits; a
+    # span of 11 has 2^20 states and does not
+    for polys, want in (([257, 257, 0], 0), ([1025, 1025, 0], 65)):
+        code = from_classical_polynomial(polys)
+        (tmp_path / "long.qcc").write_text(render_code(code))
+        (tmp_path / "long.circ").write_text(circuit_to_text(synthesize_encoder(code).circuit))
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--code", str(tmp_path / "long.qcc"), "--encoder", str(tmp_path / "long.circ"),
+            "--p", "0.05", "--frames", "3", "--trials", "5",
+        )
+        assert code == want
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and "65,536 states x 16 branches = 1,048,576 cells" in lines[0]
+    assert len(lines) == 1 and "1,048,576 states x 1 branches = 1,048,576 cells" in lines[0]
     assert "cap is 262,144" in lines[0]
 
 
@@ -348,8 +352,9 @@ PINNED_RUNS = {
 def test_simulate_json_failure_counts_are_pinned(files, capsys, monkeypatch, gr_synthesis, tmp_path, run):
     import qconvenc.simulate as simulate
 
-    # three CPUs, so that --workers 3 runs three shares
+    # three CPUs and no fork floor, so that --workers 3 runs three shares
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate, "_FORK_CELLS", 0)
     name, ps, frames, trials = run
     encoder = files / "fgg_enc.circ"
     if name == "gr":
@@ -723,6 +728,7 @@ def test_simulate_runs_every_point_through_one_pool(files, capsys, monkeypatch):
 
     monkeypatch.setattr(simulate, "Process", CountingProcess)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate, "_FORK_CELLS", 0)
     args = [
         "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
         "--p", "0.01,0.05,0.1", "--frames", "4", "--trials", "60", "--seed", "4",

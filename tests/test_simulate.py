@@ -55,7 +55,7 @@ from qconvenc.simulate import (
 )
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_symplectic
-from oracles import full_viterbi_keys, per_state_pass, syndrome_by_decoder
+from oracles import full_viterbi_keys, merged_syndrome_trellis, per_state_pass, syndrome_by_decoder
 
 P = PauliOperator.from_string
 N3 = 3
@@ -474,7 +474,9 @@ def test_trellis_matches_per_state_build(request, which):
     # every branch of state s is a distinct frame f that closes the top
     # slot's launch, c_{nu-1}(f) == s >> r(nu - 2), and leads to
     # ((s << r) & mask) ^ C(f) under chunk 0, with the chunks taken from
-    # the code's generators rather than the encoder's responses
+    # the code's generators rather than the encoder's responses; the
+    # branches are the merged trellis's, one per successor, each the
+    # lightest, lex-least frame of its (state, successor) class
     frame = sim._keybits[tr.key] @ (1 << np.arange(2 * code.n))
     assert (sim._fwt[frame] == tr.weight).all()
     chunks = generator_chunks(code, nu)
@@ -483,17 +485,21 @@ def test_trellis_matches_per_state_build(request, which):
     opened = sum(chunks[j][frame] << (r * j) for j in range(nu - 1))
     assert (tr.succ == ((states << r) & (nstates - 1)) ^ opened).all()
     assert all(len(set(frame[:, s].tolist())) == nbranches for s in states)
-    assert nbranches * (1 << r) == 1 << (2 * code.n)
+    merged = merged_syndrome_trellis(chunks, code.n, r)
+    for s in states:
+        assert len(set(tr.succ[:, s].tolist())) == nbranches == len(merged[s])
+        branches = zip(tr.succ[:, s].tolist(), tr.weight[:, s].tolist(), tr.key[:, s].tolist())
+        assert {d: (w, k) for d, w, k in branches} == merged[s]
     assert_backward_pass_matches_per_state(sim, np.random.default_rng(11))
 
 
 def test_gr_syndrome_trellis_has_256_states(gr_simulator):
     tr = gr_simulator._trellis(10)
-    assert tr.succ.shape == tr.weight.shape == tr.key.shape == (64, 256)
+    assert tr.succ.shape == tr.weight.shape == tr.key.shape == (16, 256)
     assert tr.tables is None
     # one trellis for every window length: GR's syndrome responses end
     assert gr_simulator._trellis(3) is tr and len(gr_simulator._trellises) == 1
-    assert sum(a.nbytes for a in (tr.succ, tr.weight, tr.key)) < 200 << 10
+    assert sum(a.nbytes for a in (tr.succ, tr.weight, tr.key)) < 50 << 10
 
 
 def test_gr_trellis_arrays_fit_in_four_megabytes(gr_synthesis):
@@ -559,17 +565,18 @@ def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
     # the memory state; a wire-through encoder (memory in to memory out,
     # frame in to frame out) passes it on unchanged; a memoryless encoder
     # has none.  The last two have syndrome responses of one frame, so
-    # their syndrome trellises keep one live state of the 2^r.
+    # their syndrome trellises keep one live state of the 2^r.  Each
+    # state of all three has one merged branch per value of c_0.
     if which == "rank 0":
-        sim, shape, dead = fgg_simulator, (16, 4), 0
+        sim, shape, dead = fgg_simulator, (4, 4), 0
     elif which == "full rank":
         m, n = 2, FGG_CODE.n
         wires = [n + i for i in range(m)] + list(range(n))  # input wire -> output wire
         rows = [1 << o for o in wires] + [1 << (m + n + o) for o in wires]
-        sim, shape, dead = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), (64, 4), 3
+        sim, shape, dead = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), (4, 4), 3
     else:
         code = STEP_CODES[0]
-        sim, shape, dead = Simulator(code, synthesize_encoder(code).circuit), (16, 4), 3
+        sim, shape, dead = Simulator(code, synthesize_encoder(code).circuit), (4, 4), 3
         assert sim.m == 0
     tr = sim._trellis(4)
     assert tr.succ.shape == shape and tr.dead.size == dead
@@ -721,6 +728,7 @@ def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, 
     ps = [0.05, 0.1]
     serial = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2)
     shares = record_shares(monkeypatch)
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
     rows = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2, workers=workers)
     # procs - 1 children, each running one share for every p; the caller
@@ -740,6 +748,7 @@ def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, 
 def test_a_failing_share_raises_in_the_caller_and_leaves_no_children(fgg_simulator, monkeypatch, where):
     # three shares of ten trials: the caller runs [0, 10), children the rest
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
     children = []
 
     class CountingProcess(simulate_module.Process):
@@ -770,6 +779,7 @@ def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
     assert 0 < sum(r.failures for r in serial) < 26
     # forked children: three shares at most
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
     for workers in (2, 3, 20):
         assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
     # shares run in this process: up to one trial each
@@ -778,6 +788,38 @@ def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
     for workers in (2, 3, 20):
         assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
     assert len(shares) == 2 + 3 + 13
+
+
+def test_small_gr_run_forks_no_child(gr_simulator, monkeypatch):
+    # 30 trials at 2 points of N = 10 frames hold 30 x 2 x 10 x 16 x 256
+    # backward-step cells, so no share of them outweighs a fork
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
+    shares = record_shares(monkeypatch)
+    estimate_wers(GR_CODE, gr_simulator, [0.01, 0.02], 10, 30, seed=1, workers=2)
+    assert InlineProcess.made == [] and shares == [(0, 30)]
+
+
+@pytest.mark.parametrize("floor, procs", [(359, 2), (360, 1)])
+def test_a_share_is_forked_only_above_the_floor(fgg_simulator, monkeypatch, floor, procs):
+    # FGG decodes by its automaton, and at N = 4 a trial holds 4 x 3 Philox
+    # words and 4 x 6 error bits: 36 cells at one point, 360 per 10 trials
+    assert fgg_simulator._trellis(4).tables is not None and fgg_simulator._sample_cells(4) == 36
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", floor)
+    shares = record_shares(monkeypatch)
+    estimate_wers(FGG_CODE, fgg_simulator, [0.05], 4, 20, seed=2, workers=2)
+    assert len(InlineProcess.made) == procs - 1 and len(shares) == procs
+
+
+def test_large_gr_run_is_cut_into_shares(gr_simulator, monkeypatch):
+    # 3 points of 1,500 trials: each share of 750 trials holds 750 x 3 x
+    # 10 x 16 x 256 cells, over 5 times the floor
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
+    ps = [0.01, 0.02, 0.05]
+    serial = estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1)
+    shares = record_shares(monkeypatch)
+    assert estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1, workers=2) == serial
+    assert len(InlineProcess.made) == 1 and shares == [(750, 1500), (0, 750)]
 
 
 def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
@@ -941,8 +983,9 @@ def test_rate_zero_code_selects_the_tables():
 
 
 def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
-    # one closure vector's steps touch 4 x 64 x 256 = 2^16 cells, so the
-    # pinned vector's expansion, one step call, already fills the budget
+    # one closure vector's steps touch 4 x 16 x 256 = 2^14 cells: the
+    # pinned vector's expansion finds 4 more, whose expansion (16 trials
+    # in one step call) finds 16 more, and 21 vectors overflow the budget
     calls = []
     step = Simulator._step
 
@@ -952,7 +995,7 @@ def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
     assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis(10).tables is None
-    assert calls == [(256, 4)]
+    assert calls == [(256, 4), (256, 16)]
 
 
 def test_over_budget_closure_falls_back_to_the_factored_trellis():
@@ -1019,6 +1062,7 @@ def test_pool_workers_start_with_numpy_random_imported(tmp_path):
             return count(*args)
 
         simulate._worker_count = recording_count
+        simulate._FORK_CELLS = 0
         os.cpu_count = lambda: 2
         assert "numpy.random" not in sys.modules
         simulate.estimate_wers(FGG_CODE, FGG_ENCODER, [0.05], 4, 8, seed=1, workers=2)
