@@ -87,10 +87,9 @@ sample block (sampling, syndrome, decode call and failure test) holds a
 trial's Philox words and N x 2n error bits; the batched pass takes the
 block's nonzero-syndrome trials in groups held by their (N + 1) x states
 backward metrics; and one backward step gathers branches x states values
-per trial.  With several workers, `estimate_wers` cuts the trials into
-one contiguous share per process, as many as the workers while each
-share's cells exceed `_FORK_CELLS`: the caller runs share 0 while forked
-children run the others, every point each.
+per trial.  `estimate_wers` cuts the trials into one contiguous share per
+worker while each share's work exceeds `_FORK_CELLS`: the caller runs
+share 0 while forked children run the others, every point each.
 """
 
 from __future__ import annotations
@@ -140,12 +139,14 @@ SEED_LIMIT = 1 << 128
 # a closure over it leaves the decoding to the batched pass.
 _BLOCK_CELLS = 1 << 18
 
-# A share of the trials goes to a forked child only when its cells, as
-# `estimate_wers` counts them, exceed this floor.  On a 2-vCPU machine an
-# idle child cost 14-26 budget-sized GR backward steps (2.2-4.2 ms, at
-# 0.16 ms a step), but a working one also runs slower than the caller:
-# 2-worker GR runs lost at 38 budgets per share and broke even near 75.
-_FORK_CELLS = 64 * _BLOCK_CELLS
+# A share of the trials goes to a forked child only when its work exceeds
+# `_FORK_CELLS`, in backward-step cells: N x branches x states per point
+# for a trial with an error on the batched pass, plus `_SAMPLE_WEIGHT` per
+# sample-block cell for every trial (this covers the automaton's decode).
+# On two vCPUs a step cell took 1.2-2 ns and a sample-block cell 13-22 ns,
+# and 2-worker runs broke even with serial ones at 6-15 ms per share.
+_FORK_CELLS = 32 * _BLOCK_CELLS
+_SAMPLE_WEIGHT = 16
 
 
 @dataclass(frozen=True)
@@ -824,7 +825,7 @@ def estimate_wers(
     bit-identical for any worker count and block size.  The trials are
     cut into procs = min(workers, CPUs) contiguous shares (one share
     without `workers`), fewer while a share would hold no more than
-    `_FORK_CELLS` cells, and every point runs through one set of
+    `_FORK_CELLS` cells of work, and every point runs through one set of
     procs - 1 forked children: the caller runs share 0 meanwhile, then
     adds up the children's counts.  The 95% halfwidth uses the normal
     approximation.
@@ -848,11 +849,11 @@ def estimate_wers(
     # the per-window tables, built once here rather than in every worker
     sim._launches(nframes)
     tr = sim._trellis(nframes)
-    # a trial's cells at every point, its backward steps through the batched
-    # pass or its sample-block cells for the automaton, and the most shares
-    # that each hold more than `_FORK_CELLS` of them
-    cells = len(ps) * (nframes * tr.succ.size if tr.tables is None else sim._sample_cells(nframes))
-    fit = max(trials // (_FORK_CELLS // cells + 1), 1)
+    # a trial's work over every point, and the most shares that each hold more than `_FORK_CELLS` of it
+    steps = 0 if tr.tables is not None else nframes * tr.succ.size
+    sample = _SAMPLE_WEIGHT * sim._sample_cells(nframes)
+    cells = sum(sample + steps * (1 - (1 - p) ** (sim.n * nframes)) for p in ps)
+    fit = max(trials // (int(_FORK_CELLS // cells) + 1), 1)
     procs = min(max(workers or 1, 1), fit, os.cpu_count() or 1)
     counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
     results = []

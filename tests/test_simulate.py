@@ -342,7 +342,9 @@ def test_wer_monotone_in_p(fgg_reference_encoder):
     )
 
 
-def test_wer_worker_count_invariance(fgg_reference_encoder):
+def test_wer_worker_count_invariance(fgg_reference_encoder, monkeypatch):
+    # no share of 400 trials outweighs a fork: fork them anyway
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
     serial = estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=11)
     parallel = estimate_wer(
         FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=11, workers=3
@@ -438,8 +440,10 @@ def test_estimate_wer_reuses_a_simulator(fgg_reference_encoder, fgg_simulator, g
         estimate_wer(FGG_CODE, gr_simulator, 0.05, 6, 200, seed=3)
 
 
-def test_rate_zero_code_never_fails():
-    # no info wires: the failure test has no logical launches to check
+def test_rate_zero_code_never_fails(monkeypatch):
+    # no info wires: the failure test has no logical launches to check;
+    # every share is forked, however small
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
     code = parse_code("n=2\nXX\nZZ\n")
     encoder = synthesize_encoder(code).circuit
     for workers in (1, 2):
@@ -791,35 +795,49 @@ def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
 
 
 def test_small_gr_run_forks_no_child(gr_simulator, monkeypatch):
-    # 30 trials at 2 points of N = 10 frames hold 30 x 2 x 10 x 16 x 256
-    # backward-step cells, so no share of them outweighs a fork
+    # a share of 15 trials at 2 points of N = 10 frames holds under
+    # 15 x 2 x (10 x 16 x 256 + 16 x 120) cells of work, far under the floor
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
     shares = record_shares(monkeypatch)
     estimate_wers(GR_CODE, gr_simulator, [0.01, 0.02], 10, 30, seed=1, workers=2)
     assert InlineProcess.made == [] and shares == [(0, 30)]
 
 
-@pytest.mark.parametrize("floor, procs", [(359, 2), (360, 1)])
-def test_a_share_is_forked_only_above_the_floor(fgg_simulator, monkeypatch, floor, procs):
+@pytest.mark.parametrize("below, procs", [(1, 2), (0, 1)])
+def test_a_share_is_forked_only_above_the_floor(fgg_simulator, monkeypatch, below, procs):
     # FGG decodes by its automaton, and at N = 4 a trial holds 4 x 3 Philox
-    # words and 4 x 6 error bits: 36 cells at one point, 360 per 10 trials
+    # words and 4 x 6 error bits: 36 sample-block cells at one point, each
+    # weighing `_SAMPLE_WEIGHT` step cells, so 5,760 per 10 trials
     assert fgg_simulator._trellis(4).tables is not None and fgg_simulator._sample_cells(4) == 36
+    assert 10 * 36 * simulate_module._SAMPLE_WEIGHT == 5760
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", floor)
+    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 5760 - below)
     shares = record_shares(monkeypatch)
     estimate_wers(FGG_CODE, fgg_simulator, [0.05], 4, 20, seed=2, workers=2)
     assert len(InlineProcess.made) == procs - 1 and len(shares) == procs
 
 
 def test_large_gr_run_is_cut_into_shares(gr_simulator, monkeypatch):
-    # 3 points of 1,500 trials: each share of 750 trials holds 750 x 3 x
-    # 10 x 16 x 256 cells, over 5 times the floor
+    # 3 points of 1,500 trials: each share of 750 trials holds about 750 x
+    # 10 x 16 x 256 x 1.76 step cells (1.76 the chance that a trial has an
+    # error, summed over p = 0.01, 0.02, 0.05), 7 times the floor
     monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
     ps = [0.01, 0.02, 0.05]
     serial = estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1)
     shares = record_shares(monkeypatch)
     assert estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1, workers=2) == serial
     assert len(InlineProcess.made) == 1 and shares == [(750, 1500), (0, 750)]
+
+
+@pytest.mark.parametrize("p, procs", [(0.001, 1), (0.1, 2)])
+def test_only_trials_with_an_error_count_their_backward_steps(gr_simulator, monkeypatch, p, procs):
+    # at p = 0.001 under 4% of trials have an error on their 40 qubits, so
+    # a 300-trial share holds about 300 x (0.04 x 10 x 16 x 256 + 16 x 120)
+    # cells, under the floor; at p = 0.1 nearly every trial reaches the pass
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
+    shares = record_shares(monkeypatch)
+    estimate_wers(GR_CODE, gr_simulator, [p], 10, 600, seed=4, workers=2)
+    assert len(InlineProcess.made) == procs - 1 and len(shares) == procs
 
 
 def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
