@@ -41,10 +41,15 @@ this: every leaf fixes those images (as the same XOR combinations of its
 rows at every leaf), so a leaf is decided without completing it to a full
 map, and only the accepted leaf is completed and synthesized.  The leaves
 under one last-level node differ only in the last direction's output v,
-which enters just the images whose combination uses that row: the others
-are reduced once per node.  T and A, hence P, depend only on the images'
-dual memory fields, which recur across siblings and nodes, so one search
-computes P once per distinct value.
+which is XORed into just the images a_i whose combination uses that row.
+With a0 the first of them, a leaf's images span what base and a0 ^ v
+span, where base holds the other images and every a_i ^ a0.  So base is
+row-reduced once per node, and (I, b) lies in a leaf's span exactly when
+its residue modulo base is 0 or equals c0 ^ residue(v), c0 being that of
+a0: after the node's set-up a leaf costs one residue and no row
+reduction.  T and A, hence P, depend only on the images' dual memory
+fields, which recur across siblings and nodes, so one search computes P
+once per distinct value, and a node reduces each basis state of P once.
 
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
@@ -225,12 +230,14 @@ def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> 
     states and by its transpose `pull`, and for the functionals `funcs`
     whose common kernel is ker A."""
     # V, the largest T-stable subspace of ker A, is the common kernel of
-    # A, A T, ..., A T^(2m-1) (Cayley-Hamilton bounds the powers needed)
-    frontier = funcs
-    for _ in range(2 * m - 1):
-        frontier = gf2.matmul(frontier, pull)
-        funcs = funcs + frontier
-    basis = gf2.nullspace(funcs, 2 * m)
+    # A, A T, A T^2, ...: the span of those functionals grows by the
+    # products with T of the ones last added until none is new (at most 2m steps)
+    reduced: List[int] = []
+    pivots: List[int] = []
+    new = funcs
+    while new:
+        new = gf2.matmul(gf2.extend(reduced, pivots, new), pull)
+    basis = gf2.nullspace(reduced, 2 * m)
     # the images T^j(V) shrink until T is invertible on them: the periodic part P
     while True:
         image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
@@ -251,26 +258,46 @@ def _cycle_states(
     Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
     not read (see the module docstring).  `memo` maps the images' dual
     memory fields, which fix T and A, to the images of T and a basis of P.
+
+    The images are row-reduced once, as base: the fixed images and a_i ^ a0
+    for the varying a_i, a0 the first of them.  A candidate's images span
+    what base and a0 ^ v span, so the state b of P has nonzero info part
+    exactly when the residue of (I, b) modulo base, cached per b, is
+    neither 0 nor c0 ^ residue(v), c0 being the residue of a0.  The
+    candidates' dual fields dv recur, so each dv's memo entry and residues
+    are looked up once.
     """
     w = m + n
     # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
     # as functionals of the outgoing memory state these are dual images
     duals = [_field(_dual(v, w), w, n, m) for v in images]
-    fixed = gf2.row_reduce([v for i, v in enumerate(images) if i not in varying])
+    # the varying images a_i ^ v differ from a0 ^ v by a_i ^ a0 (0 for a0 itself)
+    a0 = images[varying[0]] if varying else 0
+    base = gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
+    c0 = gf2.residue(*base, a0)
+    node: dict = {}  # dual field of v -> images of T, basis of P, residues of its placed states
+    placed: dict = {}  # state b -> residue of (I, b) modulo base
     for v in candidates:
         dv = _field(_dual(v, w), w, n, m)
-        key = tuple(d ^ dv if i in varying else d for i, d in enumerate(duals))
-        if key not in memo:
-            pull = list(key[m:2 * m] + key[:m])
-            ts = _transpose(pull, 2 * m)
-            memo[key] = tuple(ts), _periodic_part(ts, pull, list(key[2 * m:]), m)
-        ts, basis = memo[key]
-        # y lies in span(images) exactly when its residue modulo the fixed
-        # images lies in the span of the varying images' residues
-        moving = gf2.row_reduce([gf2.residue(*fixed, images[i] ^ v) for i in varying])
-        # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z)
-        placed = (gf2.residue(*fixed, _place(b, m, n, w)) for b in basis)
-        found = next((b for b, y in zip(basis, placed) if gf2.residue(*moving, y)), None)
+        if dv not in node:
+            fields = list(duals)
+            for i in varying:
+                fields[i] ^= dv
+            key = tuple(fields)
+            if key not in memo:
+                pull = list(key[m:2 * m] + key[:m])
+                ts = _transpose(pull, 2 * m)
+                memo[key] = tuple(ts), _periodic_part(ts, pull, list(key[2 * m:]), m)
+            ts, basis = memo[key]
+            for b in basis:
+                if b not in placed:
+                    placed[b] = gf2.residue(*base, _place(b, m, n, w))
+            node[dv] = ts, basis, [placed[b] for b in basis]
+        ts, basis, residues = node[dv]
+        # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z),
+        # that is when its residue modulo base is neither 0 nor that of a0 ^ v
+        shift = c0 ^ gf2.residue(*base, v) if varying else 0
+        found = next((b for b, r in zip(basis, residues) if r and r != shift), None)
         yield v, None if found is None else (found, ts)
 
 
@@ -362,9 +389,10 @@ def complete_noncatastrophic(
 
     span = [row[0] for row in p.rows]
     directions: List[int] = []
+    inputs = gf2.row_reduce(span)
     # memory X_q then Z_q on input wire q, as packed width-w vectors
     for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
-        if not gf2.in_span(span + directions, u):
+        if gf2.extend(*inputs, [u]):
             directions.append(u)
     # every leaf has the inputs span + directions, so the inputs its check
     # reads are the same XOR combinations of its rows at every leaf
@@ -378,7 +406,7 @@ def complete_noncatastrophic(
     tried = 0
 
     def exhausted(message: str) -> CompletionSearchExhausted:
-        return CompletionSearchExhausted(message, tried=tried, budget=max_candidates)
+        return CompletionSearchExhausted(message, tried=tried, budget=max_candidates, dynamics=len(memo))
 
     def within_budget(candidates: Iterator[int]) -> Iterator[int]:
         for v in candidates:

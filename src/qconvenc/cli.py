@@ -7,14 +7,16 @@ decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict); 2 completion search exhausted (synthesize, which
-with --json also reports tried, budget and reason on stdout); 64 bad
-usage; 65 unreadable/invalid input data, including a circuit that does
-not realize its code, a circuit wider than `circuit.MAX_WIDTH`, a code
-whose syndrome trellis needs more cells per step (states x branches)
-than simulate's cap of 2^18, an encoder whose encoded logical never
-returns its memory to the identity (derive-decoder) and a code whose
-skeleton rows no encoder satisfies (synthesize); 70 internal consistency
-violation (a skeleton or synthesis that contradicts itself).
+with --json also reports tried, budget, dynamics and reason on stdout;
+dynamics counts the distinct memory dynamics (T, A) whose periodic part
+the search computed); 64 bad usage; 65 unreadable/invalid input data,
+including a circuit that does not realize its code, a circuit wider than
+`circuit.MAX_WIDTH`, a code whose syndrome trellis needs more cells per
+step (states x branches) than simulate's cap of 2^18, an encoder whose
+encoded logical never returns its memory to the identity (derive-decoder)
+and a code whose skeleton rows no encoder satisfies (synthesize); 70
+internal consistency violation (a skeleton or synthesis that contradicts
+itself).
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def run(args: argparse.Namespace) -> int:
     except CompletionSearchExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         if args.as_json:
-            _emit({"verdict": "inconclusive", "tried": exc.tried,
-                   "budget": exc.budget, "reason": str(exc)}, args)
+            _emit({"verdict": "inconclusive", "tried": exc.tried, "budget": exc.budget,
+                   "dynamics": exc.dynamics, "reason": str(exc)}, args)
         return EX_INCONCLUSIVE
     except (MapConsistencyError, SkeletonInconsistencyError, SynthesisError,
             TrellisError) as exc:

@@ -51,9 +51,11 @@ class TrellisError(QconvError):
 
 class CompletionSearchExhausted(QconvError):
     """No non-catastrophic completion found within the search budget;
-    `tried` leaf checks were made out of `budget`."""
+    `tried` leaf checks were made out of `budget`, and `dynamics` distinct
+    (T, A) pairs had their periodic part computed."""
 
-    def __init__(self, message: str, *, tried: int, budget: int):
+    def __init__(self, message: str, *, tried: int, budget: int, dynamics: int):
         self.tried = tried
         self.budget = budget
+        self.dynamics = dynamics
         super().__init__(message)

@@ -7,13 +7,14 @@ solve and nullspace loops branch-light and allocation-free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "parity",
     "rank",
     "in_span",
     "row_reduce",
+    "extend",
     "residue",
     "solve",
     "nullspace",
@@ -31,6 +32,14 @@ def row_reduce(rows: List[int]) -> Tuple[List[int], List[int]]:
     """Return (reduced rows, pivot columns); zero rows are dropped."""
     reduced: List[int] = []
     pivots: List[int] = []
+    extend(reduced, pivots, rows)
+    return reduced, pivots
+
+
+def extend(reduced: List[int], pivots: List[int], rows: Iterable[int]) -> List[int]:
+    """Reduce `rows` into a `row_reduce` result, in place, and return those
+    new to its span as they were added (each reduced by the rows before it)."""
+    added: List[int] = []
     for row in rows:
         for piv, r in zip(pivots, reduced):
             if (row >> piv) & 1:
@@ -43,7 +52,8 @@ def row_reduce(rows: List[int]) -> Tuple[List[int], List[int]]:
                     reduced[i] = r ^ row
             reduced.append(row)
             pivots.append(piv)
-    return reduced, pivots
+            added.append(row)
+    return added
 
 
 def rank(rows: List[int]) -> int:

@@ -4,7 +4,8 @@ Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: the syndrome read off the
 streamed online decoder, the commutant of an assignment that bounds the
 zero-weight cycles, a bit-matrix transpose one bit at a time, one
-encoder's cycle state computed from scratch, the memory-state trellis
+encoder's cycle state computed from scratch, the states on zero-weight
+cycles found by walking every memory state, the memory-state trellis
 decoder, the syndrome trellis's merged branches found state by state,
 the shifted products of framed sequences frame by frame, the skeleton
 products telescoped frame by frame, a code's text form, and small views
@@ -114,6 +115,44 @@ def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[T
         if gf2.residue(reduced, pivots, _place(b, m, n, w)):
             return b, ts
     return None
+
+
+def periodic_states(smap: SymplecticMap, n: int, k: int, m: int, direction: str) -> List[int]:
+    """The memory states on zero-weight cycles, by brute force over all 4^m
+    states (m <= 3): those whose orbit under the zero-weight transition,
+    taken where the ancilla/syndrome X part is 0, comes back to the state.
+    The transitions are forward images of whole inputs, so neither the
+    inverse map nor the duality read of T and A is used: an encoder state s
+    steps to the memory input whose input frame (ancilla Z's, any info)
+    leaves an identity output frame and memory s; a decoder state steps to
+    its memory output under an identity received frame."""
+    if m > 3:
+        raise ValueError("the walk is for m <= 3")
+    w = m + n
+    step = {}
+    for s in range(1 << (2 * m)):
+        if direction == "encoder":
+            for anc in range(1 << (n - k)):
+                for info in range(1 << (2 * k)):
+                    # Z's on the ancillas, any Pauli on the info wires
+                    frame = _place(anc << (n - k), n - k, 0, n) | _place(info, k, n - k, n)
+                    out = smap.apply_vec(_place(s, m, 0, w) | _place(frame, n, m, w))
+                    if _field(out, w, 0, n) == 0:
+                        step[_field(out, w, n, m)] = s
+        else:
+            out = smap.apply_vec(_place(s, m, 0, w))
+            if out & ((1 << (n - k)) - 1) == 0:  # no X on a syndrome wire
+                step[s] = _field(out, w, n, m)
+    periodic = []
+    for s in range(1 << (2 * m)):
+        cur = step.get(s)
+        for _ in range(1 << (2 * m)):
+            if cur is None or cur == s:
+                break
+            cur = step.get(cur)
+        if cur == s:
+            periodic.append(s)
+    return periodic
 
 
 def polynomial_to_text(mask: int) -> str:

@@ -57,7 +57,7 @@ from qconvenc.skeleton import (
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit
-from oracles import admissible_cycle_states, encoder_cycle_state, transpose
+from oracles import admissible_cycle_states, encoder_cycle_state, periodic_states, transpose
 
 P = PauliOperator.from_string
 
@@ -548,6 +548,67 @@ def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
             assert (found is None) == (want is None)
             if found is not None:
                 assert found[0] == want[0] and list(found[1]) == list(want[1])
+
+
+def test_gr_leaves_match_one_leaf_checks_past_the_first_nodes():
+    # 3,000 leaves reach 24 last-level nodes; the first 400 cover only 4
+    leaves, outcome = _recorded_leaves(GR_CODE, max_candidates=3000)
+    assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 3000
+    _assert_leaves_match_one_leaf_checks(GR_CODE, leaves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.sampled_from(["encoder", "decoder"]),
+    st.randoms(use_true_random=False),
+)
+def test_periodic_part_matches_walking_every_state(m, n, k, direction, rnd):
+    # the states of P, spanned by the basis the verdict computes, are the
+    # states whose zero-weight orbit comes back to them
+    import qconvenc.catastrophic as cat
+
+    k = min(k, n - 1)
+    w = m + n
+    # few gates leave many zero-weight cycles, many gates few
+    smap = circuit_to_symplectic(random_circuit(w, rnd.randint(0, 6 * w), rnd))
+    bases = []
+    real = cat._periodic_part
+    with mock.patch.object(cat, "_periodic_part", lambda *a: bases.append(real(*a)) or bases[-1]):
+        (is_noncatastrophic if direction == "encoder" else is_noncatastrophic_decoder)(smap, n, k, m)
+    event(f"dim P = {len(bases[0])}")
+    assert sorted(gf2.span(bases[0])) == periodic_states(smap, n, k, m, direction)
+
+
+def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
+    # operation counts, not timings: a leaf adds no row reduction, a
+    # last-level node a few, a new (T, A) the ones of its periodic part
+    import qconvenc.catastrophic as cat
+
+    counts = []
+    for budget in (400, 800):
+        calls = {"row_reduce": 0, "extend": 0, "nodes": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        with mock.patch.object(gf2, "row_reduce", counted("row_reduce", gf2.row_reduce)), \
+                mock.patch.object(gf2, "extend", counted("extend", gf2.extend)), \
+                mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)):
+            with pytest.raises(CompletionSearchExhausted) as info:
+                synthesize_encoder(GR_CODE, max_candidates=budget)
+        counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics))
+    (r1, e1, n1, d1), (r2, e2, n2, d2) = counts
+    assert (n1, d1, n2, d2) == (4, 64, 7, 128)
+    # the counts of deciding a node's leaves against one reduced span, as
+    # bounds (one row reduction per leaf made 564 and 1,101 row_reduce calls)
+    assert r1 <= 153 and r2 <= 290
+    assert e1 <= 485 and e2 <= 942
+    # the 400 more leaves of the larger budget cost only their nodes and dynamics
+    assert r2 - r1 <= 3 * (n2 - n1) + 2 * (d2 - d1)
+    assert e2 - e1 <= 3 * (n2 - n1) + 7 * (d2 - d1)
 
 
 # the circuit files `synthesize --out` writes, as the width line and the

@@ -218,9 +218,22 @@ def test_synthesize_json_reports_an_exhausted_search(files, capsys, tmp_path):
         "verdict": "inconclusive",
         "tried": 5,
         "budget": 5,
+        "dynamics": 3,
         "reason": "no non-catastrophic completion within 5 candidates",
     }
     assert not out_file.exists()
+
+
+def test_synthesize_json_counts_the_search_dynamics(files, capsys):
+    # the benchmark's budgeted GR search: 400 leaves over 64 distinct (T, A)
+    code, out, err = run_cli(
+        capsys, "synthesize", "--json", "--code", str(files / "gr.qcc"), "--max-candidates", "400"
+    )
+    assert code == 2
+    assert err == "inconclusive: no non-catastrophic completion within 400 candidates\n"
+    report = json.loads(out)
+    assert list(report) == ["verdict", "tried", "budget", "dynamics", "reason"]
+    assert (report["tried"], report["budget"], report["dynamics"]) == (400, 400, 64)
 
 
 def test_synthesize_searches_a_wide_candidate_space(capsys, tmp_path):
@@ -235,6 +248,7 @@ def test_synthesize_searches_a_wide_candidate_space(capsys, tmp_path):
         "verdict": "inconclusive",
         "tried": 50,
         "budget": 50,
+        "dynamics": 26,
         "reason": "no non-catastrophic completion within 50 candidates",
     }
 

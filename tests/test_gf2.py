@@ -57,6 +57,21 @@ def test_row_reduce_preserves_span():
             assert sum((q >> p) & 1 for q in reduced) == 1
 
 
+def test_extend_adds_the_rows_new_to_the_span():
+    rng = random.Random(7)
+    for _ in range(50):
+        old = [rng.getrandbits(6) for _ in range(rng.randrange(0, 4))]
+        rows = [rng.getrandbits(6) for _ in range(rng.randrange(0, 4))]
+        reduced, pivots = gf2.row_reduce(old)
+        added = gf2.extend(reduced, pivots, rows)
+        # the result is what reducing every row at once gives, and each
+        # added row is new to the span of the rows before it
+        assert sorted(zip(pivots, reduced)) == sorted(zip(*gf2.row_reduce(old + rows)[::-1]))
+        assert len(added) == gf2.rank(old + rows) - gf2.rank(old)
+        for i, r in enumerate(added):
+            assert not gf2.in_span(old + added[:i], r)
+
+
 def test_in_span_agrees_with_enumeration():
     rng = random.Random(3)
     for _ in range(50):
