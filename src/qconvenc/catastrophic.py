@@ -237,7 +237,7 @@ def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> 
     new = funcs
     while new:
         new = gf2.matmul(gf2.extend(reduced, pivots, new), pull)
-    basis = gf2.nullspace(reduced, 2 * m)
+    basis = gf2.kernel(reduced, pivots, 2 * m)
     # the images T^j(V) shrink until T is invertible on them: the periodic part P
     while True:
         image = gf2.row_reduce(gf2.matmul(basis, ts))[0]

@@ -12,12 +12,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "parity",
     "rank",
-    "in_span",
     "row_reduce",
     "extend",
     "residue",
     "solve",
     "nullspace",
+    "kernel",
     "invert",
     "matmul",
     "span",
@@ -69,10 +69,6 @@ def residue(reduced: List[int], pivots: List[int], v: int) -> int:
     return v
 
 
-def in_span(rows: List[int], v: int) -> bool:
-    return residue(*row_reduce(rows), v) == 0
-
-
 def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[int]:
     """One solution x of row_i . x = rhs_i, or None.
 
@@ -98,7 +94,12 @@ def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[int]:
 
 def nullspace(rows: List[int], ncols: int) -> List[int]:
     """Basis of {x : row . x = 0 for every row}, deterministic order."""
-    reduced, pivots = row_reduce(rows)
+    return kernel(*row_reduce(rows), ncols)
+
+
+def kernel(reduced: List[int], pivots: List[int], ncols: int) -> List[int]:
+    """`nullspace` read off a `row_reduce` result: one basis vector per
+    free column, with the pivot bits that cancel it."""
     pivot_set = set(pivots)
     basis: List[int] = []
     for free in range(ncols):

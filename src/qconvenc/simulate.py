@@ -57,9 +57,17 @@ and takes a `min` over the branches.  A state whose top slot lies
 outside the image of c_{nu-1} has no branch and stays at the sentinel.
 GR has 256 states of 16 branches, FGG 4 of 4.  Metrics are int16 while
 the window's weight bound n N stays below the int16 sentinel, int32
-beyond.  A zero syndrome decodes to the identity, the one error of
-weight 0, without the trellis, and the forward walk stops once the path
-has no weight left: every later frame is the identity.
+beyond.  The forward walk stops once the path has no weight left: every
+later frame is the identity.
+
+A syndrome that the identity or a one-qubit error gives needs no
+trellis.  The zero syndrome decodes to the identity, the one error of
+weight 0; any other such syndrome has minimum weight exactly 1, so it
+decodes to the lex-least one-qubit error that gives it.  The single-error
+table of a window maps the chunk rows of the identity and of every
+one-qubit error (frame f adds c_j(e) to launch f - j) to their frame
+keys, the lex-least where errors share a row, and the batched pass looks
+every trial up in it first.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -83,13 +91,16 @@ shifted metrics, over the budget.
 
 `_BLOCK_CELLS` bounds each batch by the arrays it holds per trial, and
 refuses a trellis whose one step of one trial would not fit it.  A
-sample block (sampling, syndrome, decode call and failure test) holds a
-trial's Philox words and N x 2n error bits; the batched pass takes the
-block's nonzero-syndrome trials in groups held by their (N + 1) x states
-backward metrics; and one backward step gathers branches x states values
-per trial.  `estimate_wers` cuts the trials into one contiguous share per
-worker while each share's work exceeds `_FORK_CELLS`: the caller runs
-share 0 while forked children run the others, every point each.
+sample block holds the same trials at every point, each sampled per
+point and then syndromed, decoded and failure-tested in one call per
+layer, and holds a trial's Philox words and N x 2n error bits per point;
+the batched pass takes the block's trials that miss the single-error
+table in groups held by their (N + 1) x states backward metrics; and one
+backward step gathers branches x states values per trial.  The table
+holds the one-qubit errors while their 3n x N^2 chunk cells fit.
+`estimate_wers` cuts the trials into one contiguous share per worker
+while each share's work exceeds `_FORK_CELLS`: the caller runs share 0
+while forked children run the others, every point each.
 """
 
 from __future__ import annotations
@@ -128,12 +139,15 @@ SEED_LIMIT = 1 << 128
 
 # Upper bound on the cells one batch of trials holds, divided among the
 # trials by what each holds in the array that batch bounds:
-# - a sample block, 4 x `_trial_counters` Philox words and N x 2n error bits;
+# - a sample block, 4 x `_trial_counters` Philox words and N x 2n error
+#   bits per trial and point;
 # - a decode group of the batched pass, (N + 1) x states backward metrics;
 # - a backward step call, branches x states gathered and added values.
-# On GR at N = 10 that is 1,724 trials per sample block, 93 per decode
-# group and 64 per step call; on FGG a block holds a whole point.  A
-# trellis whose step of one trial exceeds it is refused.  It also bounds
+# On GR at N = 10 that is 1,724 trials per sample block (862 at each of
+# two points), 93 per decode group and 64 per step call; on FGG at N = 20,
+# 1,456 per sample block.  A trellis whose step of one trial exceeds it is
+# refused, and the single-error table of a window whose one-qubit errors'
+# chunk rows exceed it holds only the zero row.  It also bounds
 # each closure of the decoding automaton, at chunks x branches x states
 # cells per shifted metric and that times the shifted metrics per walk set;
 # a closure over it leaves the decoding to the batched pass.
@@ -245,6 +259,12 @@ def syndrome_by_products(
     return tuple(bits)
 
 
+def _row_bytes(rows: np.ndarray) -> List[bytes]:
+    """Each row's bytes, as one void scalar per row."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.strides[0]}").ravel().tolist()
+
+
 class _Automaton(NamedTuple):
     """The trellis as a finite automaton over normalized path metrics.
 
@@ -281,8 +301,7 @@ def _closure(
 
     def index(rows: np.ndarray) -> List[int]:
         out = []
-        # each row's bytes, as one void scalar per row
-        for i, key in enumerate(rows.view(f"V{rows.strides[0]}").ravel().tolist()):
+        for i, key in enumerate(_row_bytes(rows)):
             if key not in ids:
                 ids[key] = len(found)
                 found.append(rows[i])
@@ -333,8 +352,9 @@ class Simulator:
     end (None) are capped at the window, and give one trellis per window
     length, built on first use; `_trellis` picks it.
     Each trellis decodes by its automaton when it has one, as FGG's
-    does, and by the batched backward pass and forward walk otherwise,
-    as GR's does.  The batch methods take and return bit arrays of shape
+    does, and otherwise, as GR's does, by the window's single-error
+    table (`_single_errors`, built on first use) and the batched
+    backward pass and forward walk for the syndromes it lacks.  The batch methods take and return bit arrays of shape
     (trials, N, 2n) or, for syndromes, (trials, N, n - k); the scalar
     methods are their one-trial views on Pauli operators.
     """
@@ -352,6 +372,7 @@ class Simulator:
         self.n, self.k, self.m = n, k, m
         self._nokey = 1 << (2 * n)  # above every frame key
         self._responses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._singles: Dict[int, Tuple[Dict[bytes, int], np.ndarray]] = {}
         self._trellises: Dict[int, _Trellis] = {}
         # weight and lex key of every physical frame, and the (X bits, Z
         # bits) of the frame with every key: per-qubit codes I=0 X=1 Y=2
@@ -548,6 +569,40 @@ class Simulator:
             self._responses[nframes] = cached
         return cached
 
+    def _single_errors(self, tr: _Trellis, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
+        """The single-error table of an nframes window, over the frames it
+        decodes from `tr.lead` on: frame-key rows, and the index of one of
+        them for every packed chunk row they hold.  Row 0 is the identity,
+        of the zero chunk row.  While the rows fit `_BLOCK_CELLS` cells,
+        the others are the one-qubit errors, of which frame f adds c_j(e)
+        to launch f - j; where several share a chunk row, the table keeps
+        the lex-least."""
+        cached = self._singles.get(nframes)
+        if cached is not None:
+            return cached
+        n, r = self.n, self.n - self.k
+        width = nframes - tr.lead
+        # X, Y and Z on every wire, in ascending key order
+        codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
+        if width * width * len(codes) > _BLOCK_CELLS:
+            codes = codes[:0]
+        resp = self._launches(nframes)[0][tr.lead :]
+        lagged = ((self._keybits[codes] @ resp) & 1) @ (1 << np.arange(r))
+        # the identity, then the errors from the last frame back: ascending
+        # lexicographic order
+        nerr = len(codes)
+        rows = np.zeros((1 + width * nerr, width), dtype=np.intp)
+        keys = np.zeros(rows.shape, dtype=self._fkey.dtype)
+        for f in range(width):
+            at = slice(1 + (width - 1 - f) * nerr, 1 + (width - f) * nerr)
+            rows[at, : f + 1] = lagged[f::-1].T
+            keys[at, f] = codes
+        ids: Dict[bytes, int] = {}
+        for i, row in enumerate(_row_bytes(rows)):
+            ids.setdefault(row, i)
+        cached = self._singles[nframes] = (ids, keys)
+        return cached
+
     @staticmethod
     def _products(errors: np.ndarray, resp: np.ndarray) -> np.ndarray:
         """Bit (trial, t, d): sp(error, direction d launched at frame t)."""
@@ -628,11 +683,15 @@ class Simulator:
         return keys
 
     def _viterbi_batched(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
-        """`_viterbi` by the backward pass and forward walk."""
-        keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
-        # a zero syndrome decodes to the identity, the one error of weight 0;
-        # the others go in groups whose backward metrics fit the budget
-        rows = np.flatnonzero(chunks.any(axis=1))
+        """`_viterbi` by the single-error table, and by the backward pass
+        and forward walk for the syndromes it lacks."""
+        # the table's rows are exact ML answers; the others go in groups
+        # whose backward metrics fit the budget
+        ids, singles = self._single_errors(tr, chunks.shape[1] + tr.lead)
+        packed = _row_bytes(chunks.astype(np.intp, copy=False))
+        found = np.array([ids.get(row, -1) for row in packed], dtype=np.intp)
+        keys = singles[found]
+        rows = np.flatnonzero(found < 0)
         group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * tr.succ.shape[1]))
         for a in range(0, rows.size, group):
             part = rows[a : a + group]
@@ -741,24 +800,29 @@ class SimulationResult:
     seed: int
 
 
-def _trial_failures(sim: Simulator, p: float, nframes: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Failure flags of trials lo..hi-1, decoded in blocks."""
-    block = sim._block_size(nframes)
+def _trial_failures(
+    sim: Simulator, ps: Sequence[float], nframes: int, seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Failure flags (points, trials) of trials lo..hi-1 at every p, in
+    blocks that hold the same trials at every point and are decoded in one
+    pass."""
+    block = max(1, sim._block_size(nframes) // len(ps))
     flags = []
     for a in range(lo, hi, block):
-        errors = _sample_block(p, sim.n, nframes, seed, a, min(a + block, hi))
+        b = min(a + block, hi)
+        errors = np.concatenate([_sample_block(p, sim.n, nframes, seed, a, b) for p in ps])
         estimates = sim.decode_block(sim.syndrome_block(errors))
-        flags.append(sim.failure_block(errors ^ estimates))
-    return np.concatenate(flags)
+        flags.append(sim.failure_block(errors ^ estimates).reshape(len(ps), b - a))
+    return np.concatenate(flags, axis=1)
 
 
 def _run_trial(sim: Simulator, p: float, nframes: int, seed: int, trial: int) -> bool:
-    return bool(_trial_failures(sim, p, nframes, seed, trial, trial + 1)[0])
+    return bool(_trial_failures(sim, [p], nframes, seed, trial, trial + 1)[0, 0])
 
 
 def _worker_count(sim: Simulator, ps: Sequence[float], nframes: int, seed: int, lo: int, hi: int) -> List[int]:
     """Failures among trials lo..hi-1 at every p: one worker's share."""
-    return [int(_trial_failures(sim, p, nframes, seed, lo, hi).sum()) for p in ps]
+    return _trial_failures(sim, ps, nframes, seed, lo, hi).sum(axis=1).tolist()
 
 
 def _child(conn, *share) -> None:

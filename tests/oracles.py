@@ -1,13 +1,15 @@
 """Reference routes and display helpers that only the tests use.
 
 Each function here recomputes something the library computes another
-way, or renders a value for a test to compare: the syndrome read off the
-streamed online decoder, the commutant of an assignment that bounds the
-zero-weight cycles, a bit-matrix transpose one bit at a time, one
-encoder's cycle state computed from scratch, the states on zero-weight
-cycles found by walking every memory state, the memory-state trellis
-decoder, the syndrome trellis's merged branches found state by state,
-the shifted products of framed sequences frame by frame, the skeleton
+way, or renders a value for a test to compare: membership in a span by
+one fresh reduction, the syndrome read off the streamed online decoder,
+the commutant of an assignment that bounds the zero-weight cycles, a
+bit-matrix transpose one bit at a time, one encoder's cycle state
+computed from scratch, the states on zero-weight cycles found by walking
+every memory state, the memory-state trellis decoder, the syndrome
+trellis's merged branches found state by state, the lex-least one-qubit
+error of every syndrome such an error gives, the shifted products of
+framed sequences frame by frame, the skeleton
 products telescoped frame by frame, a code's text form, and small views
 of skeletons, requirement matrices and maps.  The library does not
 export them; the commands never reach them.  `per_state_trellis` and
@@ -19,7 +21,7 @@ states.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +40,11 @@ from qconvenc.skeleton import (
     build_skeleton,
     skeleton_commutation_matrix,
 )
+
+
+def in_span(rows: List[int], v: int) -> bool:
+    """Whether v lies in the GF(2) span of `rows`, by one fresh reduction."""
+    return gf2.residue(*gf2.row_reduce(rows), v) == 0
 
 
 def syndrome_by_decoder(
@@ -414,3 +421,21 @@ def full_viterbi_keys(sim, chunks):
         remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
     assert (remaining == 0).all() and alive[:, 0].all()
     return keys
+
+
+def single_error_table(syndrome: Callable[[PauliOperator], tuple], n: int, nframes: int) -> dict:
+    """Syndrome -> frame-key row of the lex-least error of weight at most
+    1 that has it, over the identity and every one-qubit error of an
+    nframes window of n-qubit frames, with the syndromes `syndrome` gives."""
+    width = n * nframes
+    best = {syndrome(PauliOperator.identity(width)): (0,) * nframes}
+    for f in range(nframes):
+        for q in range(n):
+            # I < X < Y < Z, wire 1 most significant within a frame
+            for kind, (x, z) in enumerate([(1, 0), (1, 1), (0, 1)], start=1):
+                i = f * n + q
+                bits = syndrome(PauliOperator(width, x << i, z << i))
+                keys = [0] * nframes
+                keys[f] = kind << (2 * (n - 1 - q))
+                best[bits] = min(best.get(bits, tuple(keys)), tuple(keys))
+    return best

