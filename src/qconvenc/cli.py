@@ -13,10 +13,11 @@ the search computed); 64 bad usage; 65 unreadable/invalid input data,
 including a circuit that does not realize its code, a circuit wider than
 `circuit.MAX_WIDTH`, a code whose syndrome trellis needs more cells per
 step (states x branches) than simulate's cap of 2^18, an encoder whose
-encoded logical never returns its memory to the identity (derive-decoder)
-and a code whose skeleton rows no encoder satisfies (synthesize); 70
-internal consistency violation (a skeleton or synthesis that contradicts
-itself).
+encoded logical never returns its memory to the identity (derive-decoder),
+a code whose skeleton rows no encoder satisfies (synthesize) and a job
+whose arrays do not fit in memory (such as a simulate window of 10^8
+frames); 70 internal consistency violation (a skeleton or synthesis that
+contradicts itself).
 """
 
 from __future__ import annotations
@@ -229,9 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise _UsageError("--gnuplot needs --out (the script references the CSV)")
     code, smap, _, _ = _read_encoder(args)
     sim = Simulator(code, smap)
-    rows = estimate_wers(
-        code, sim, args.p, args.frames, args.trials, seed=args.seed, workers=args.workers
-    )
+    rows = estimate_wers(code, sim, args.p, args.frames, args.trials, seed=args.seed)
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
     table = [
         [r.p, r.frames, r.trials, r.failures, r.word_error_rate, r.confidence_halfwidth, r.seed]
@@ -274,6 +273,9 @@ def run(args: argparse.Namespace) -> int:
         return EX_USAGE
     except (ParseError, CodeValidationError, InputDataError, OrbitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EX_DATA
     except CompletionSearchExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
@@ -361,8 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", required=True, type=_positive_int, help="trials per point")
     p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2^128) (default 0)")
     p.add_argument("--workers", type=_positive_int,
-                   help="at most this many processes; a share is forked only when"
-                   " its work outweighs the fork (default serial)")
+                   help="accepted and ignored: every run is serial")
     p.add_argument("--out", help="write results CSV here")
     p.add_argument("--gnuplot", action="store_true",
                    help="also write a gnuplot script next to the CSV")

@@ -98,17 +98,14 @@ the batched pass takes the block's trials that miss the single-error
 table in groups held by their (N + 1) x states backward metrics; and one
 backward step gathers branches x states values per trial.  The table
 holds the one-qubit errors while their 3n x N^2 chunk cells fit.
-`estimate_wers` cuts the trials into one contiguous share per worker
-while each share's work exceeds `_FORK_CELLS`: the caller runs share 0
-while forked children run the others, every point each.
+`estimate_wers` runs every block in the calling process, one after
+another.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,15 +149,6 @@ SEED_LIMIT = 1 << 128
 # cells per shifted metric and that times the shifted metrics per walk set;
 # a closure over it leaves the decoding to the batched pass.
 _BLOCK_CELLS = 1 << 18
-
-# A share of the trials goes to a forked child only when its work exceeds
-# `_FORK_CELLS`, in backward-step cells: N x branches x states per point
-# for a trial with an error on the batched pass, plus `_SAMPLE_WEIGHT` per
-# sample-block cell for every trial (this covers the automaton's decode).
-# On two vCPUs a step cell took 1.2-2 ns and a sample-block cell 13-22 ns,
-# and 2-worker runs broke even with serial ones at 6-15 ms per share.
-_FORK_CELLS = 32 * _BLOCK_CELLS
-_SAMPLE_WEIGHT = 16
 
 
 @dataclass(frozen=True)
@@ -354,9 +342,10 @@ class Simulator:
     Each trellis decodes by its automaton when it has one, as FGG's
     does, and otherwise, as GR's does, by the window's single-error
     table (`_single_errors`, built on first use) and the batched
-    backward pass and forward walk for the syndromes it lacks.  The batch methods take and return bit arrays of shape
-    (trials, N, 2n) or, for syndromes, (trials, N, n - k); the scalar
-    methods are their one-trial views on Pauli operators.
+    backward pass and forward walk for the syndromes it lacks.  The
+    batch methods take and return bit arrays of shape (trials, N, 2n)
+    or, for syndromes, (trials, N, n - k); the scalar methods are their
+    one-trial views on Pauli operators.
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
@@ -529,14 +518,10 @@ class Simulator:
             step[tr.dead] = inf
         return np.minimum(step, inf, out=step)
 
-    def _sample_cells(self, nframes: int) -> int:
-        """Cells a trial holds in a sample block: its Philox words and its
-        N x 2n error bits."""
-        return 4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes
-
     def _block_size(self, nframes: int) -> int:
-        """Trials per sample block."""
-        return max(1, _BLOCK_CELLS // self._sample_cells(nframes))
+        """Trials per sample block, each holding its Philox words and its
+        N x 2n error bits."""
+        return max(1, _BLOCK_CELLS // (4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes))
 
     # -- launches -------------------------------------------------------------
 
@@ -821,53 +806,8 @@ def _run_trial(sim: Simulator, p: float, nframes: int, seed: int, trial: int) ->
 
 
 def _worker_count(sim: Simulator, ps: Sequence[float], nframes: int, seed: int, lo: int, hi: int) -> List[int]:
-    """Failures among trials lo..hi-1 at every p: one worker's share."""
+    """Failures among trials lo..hi-1 at every p."""
     return _trial_failures(sim, ps, nframes, seed, lo, hi).sum(axis=1).tolist()
-
-
-def _child(conn, *share) -> None:
-    """A child process's run: the counts of its share, or the exception
-    that stopped it, sent back over `conn`."""
-    try:
-        result = _worker_count(*share)
-    except BaseException as exc:
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
-def _shared_counts(
-    sim: Simulator, ps: Sequence[float], nframes: int, seed: int, trials: int, procs: int
-) -> List[int]:
-    """Failures at every p, with the trials cut into `procs` contiguous
-    shares: the caller runs share 0 while a forked child runs each other
-    (none for one share)."""
-    cuts = [trials * i // procs for i in range(procs + 1)]
-    # numpy imports numpy.random on first use; import it before forking, so
-    # that the children inherit it instead of each importing it
-    np.random.Philox
-    children = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            recv, send = Pipe(duplex=False)
-            proc = Process(target=_child, args=(send, sim, ps, nframes, seed, lo, hi), daemon=True)
-            proc.start()
-            send.close()
-            children.append((proc, recv))
-        counts = [_worker_count(sim, ps, nframes, seed, 0, cuts[1])]
-        counts += [recv.recv() for _, recv in children]
-    except BaseException:
-        for proc, _ in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in children:
-            proc.join()
-            recv.close()
-    for result in counts:
-        if isinstance(result, BaseException):
-            raise result
-    return [sum(c) for c in zip(*counts)]
 
 
 def estimate_wers(
@@ -877,7 +817,6 @@ def estimate_wers(
     nframes: int,
     trials: int,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Word error rates of weight-ML decoding over an nframes window, one
     per depolarizing probability in `ps`.
@@ -886,13 +825,9 @@ def estimate_wers(
     for `code`, which is then reused instead of building the trellis
     again.  Trial i draws from its own counter range of one Philox
     stream keyed by `seed`, in [0, SEED_LIMIT), so results are
-    bit-identical for any worker count and block size.  The trials are
-    cut into procs = min(workers, CPUs) contiguous shares (one share
-    without `workers`), fewer while a share would hold no more than
-    `_FORK_CELLS` cells of work, and every point runs through one set of
-    procs - 1 forked children: the caller runs share 0 meanwhile, then
-    adds up the children's counts.  The 95% halfwidth uses the normal
-    approximation.
+    bit-identical for any block size.  Every point runs in the calling
+    process, in the same sample blocks.  The 95% halfwidth uses the
+    normal approximation.
     """
     ps = list(ps)
     if not ps:
@@ -910,16 +845,7 @@ def estimate_wers(
         sim = encoder
     else:
         sim = Simulator(code, encoder)
-    # the per-window tables, built once here rather than in every worker
-    sim._launches(nframes)
-    tr = sim._trellis(nframes)
-    # a trial's work over every point, and the most shares that each hold more than `_FORK_CELLS` of it
-    steps = 0 if tr.tables is not None else nframes * tr.succ.size
-    sample = _SAMPLE_WEIGHT * sim._sample_cells(nframes)
-    cells = sum(sample + steps * (1 - (1 - p) ** (sim.n * nframes)) for p in ps)
-    fit = max(trials // (int(_FORK_CELLS // cells) + 1), 1)
-    procs = min(max(workers or 1, 1), fit, os.cpu_count() or 1)
-    counts = _shared_counts(sim, ps, nframes, seed, trials, procs)
+    counts = _worker_count(sim, ps, nframes, seed, 0, trials)
     results = []
     for p, failures in zip(ps, counts):
         wer = failures / trials
@@ -935,8 +861,7 @@ def estimate_wer(
     nframes: int,
     trials: int,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> SimulationResult:
     """Word error rate at one depolarizing probability: `estimate_wers`
     on a one-element list."""
-    return estimate_wers(code, encoder, [p], nframes, trials, seed, workers)[0]
+    return estimate_wers(code, encoder, [p], nframes, trials, seed)[0]

@@ -233,14 +233,15 @@ def test_10_simulation_ml_wer_ordering_and_determinism(monkeypatch):
         assert est.weight() == best[s], s
 
     # (b) + (c) word error rates are ordered with separated confidence
-    # intervals, and identical under 1 worker vs 8 workers at a fixed seed;
-    # the 8-worker runs fork their shares, which would not outweigh a fork
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
+    # intervals, and identical at a fixed seed whether the trials run in
+    # blocks of 1,456 (the default at N = 20) or of 91
     results = []
     for p in (0.01, 0.05, 0.10):
-        one = estimate_wer(FGG_CODE, encoder, p, 20, 10_000, seed=42, workers=1)
-        eight = estimate_wer(FGG_CODE, encoder, p, 20, 10_000, seed=42, workers=8)
-        assert one == eight, p
+        one = estimate_wer(FGG_CODE, sim, p, 20, 10_000, seed=42)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 14)
+            assert sim._block_size(20) == 91
+            assert estimate_wer(FGG_CODE, sim, p, 20, 10_000, seed=42) == one, p
         results.append(one)
     lo, mid, hi = results
     assert lo.word_error_rate + lo.confidence_halfwidth < mid.word_error_rate - mid.confidence_halfwidth

@@ -7,7 +7,9 @@ realize its code), 70 internal consistency violation.
 
 import csv
 import json
+import multiprocessing
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -363,12 +365,8 @@ PINNED_RUNS = {
 
 
 @pytest.mark.parametrize("run", list(PINNED_RUNS), ids=lambda run: run[0])
-def test_simulate_json_failure_counts_are_pinned(files, capsys, monkeypatch, gr_synthesis, tmp_path, run):
-    import qconvenc.simulate as simulate
-
-    # three CPUs and no fork floor, so that --workers 3 runs three shares
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(simulate, "_FORK_CELLS", 0)
+def test_simulate_json_failure_counts_are_pinned(files, capsys, gr_synthesis, tmp_path, run):
+    # --workers is accepted and changes nothing
     name, ps, frames, trials = run
     encoder = files / "fgg_enc.circ"
     if name == "gr":
@@ -645,18 +643,51 @@ def test_workers_environment_variable_is_ignored(files, capsys, monkeypatch):
     ]
     serial = run_cli(capsys, *args)
     assert serial[0] == 0
-    # the worker count is set by --workers alone
+    # no environment variable changes a run
     monkeypatch.setenv("QCONVENC_WORKERS", "two")
     assert run_cli(capsys, *args) == serial
 
 
-def test_module_entry_point(files):
-    # the child finds the package where this process imported it from
+def _src_env():
+    """The environment of a child that finds the package where this
+    process imported it from."""
     src = str(Path(qconvenc.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # every command runs in one process
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qconvenc.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_simulate_window_too_large_for_memory_exits_65(files):
+    # 10^8 frames of FGG's 3 qubits under a 1.5 GB address space, with one
+    # BLAS thread so that the interpreter starts well inside it on any core
+    # count
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qconvenc.cli", "simulate", "--code", str(files / "fgg.qcc"),
+         "--encoder", str(files / "fgg_enc.circ"), "--p", "0.01", "--frames", "100000000",
+         "--trials", "1"],
+        capture_output=True, text=True, env={**_src_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_module_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "qconvenc.cli", "info", "--code", str(files / "fgg.qcc")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_src_env(),
     )
     assert proc.returncode == 0
     assert "n: 3" in proc.stdout
@@ -730,30 +761,16 @@ def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_simulate_runs_every_point_through_one_pool(files, capsys, monkeypatch):
-    import qconvenc.simulate as simulate
-
-    children = []
-
-    class CountingProcess(simulate.Process):
-        def __init__(self, *args, **kwargs):
-            children.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "Process", CountingProcess)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(simulate, "_FORK_CELLS", 0)
+def test_simulate_ignores_workers_and_forks_no_child(files, capsys):
     args = [
         "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),
         "--p", "0.01,0.05,0.1", "--frames", "4", "--trials", "60", "--seed", "4",
     ]
-    code, serial, _ = run_cli(capsys, *args, "--workers", "1")
-    assert code == 0 and children == []
-    # one set of workers - 1 children for all three points, each joined
-    code, parallel, _ = run_cli(capsys, *args, "--workers", "3")
-    assert code == 0 and len(children) == 2
-    assert all(c.exitcode == 0 for c in children)
-    assert parallel == serial and len(serial.strip().splitlines()) == 4
+    default = run_cli(capsys, *args)
+    assert default[0] == 0 and len(default[1].strip().splitlines()) == 4
+    for workers in ("1", "3"):
+        assert run_cli(capsys, *args, "--workers", workers) == default
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128), "x"])

@@ -24,13 +24,7 @@ copy whose table is empty.
 """
 
 import copy
-import multiprocessing
-import os
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,14 +346,13 @@ def test_wer_monotone_in_p(fgg_reference_encoder):
     )
 
 
-def test_wer_worker_count_invariance(fgg_reference_encoder, monkeypatch):
-    # no share of 400 trials outweighs a fork: fork them anyway
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
-    serial = estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=11)
-    parallel = estimate_wer(
-        FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=11, workers=3
-    )
-    assert serial == parallel
+def test_wer_worker_count_invariance(fgg_simulator, monkeypatch):
+    # trial i draws its own counters, so the count does not depend on how
+    # the trials are cut: one block of 400, or blocks of 18
+    serial = estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 400, seed=11)
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 10)
+    assert fgg_simulator._block_size(6) == 18
+    assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 400, seed=11) == serial
 
 
 def test_wer_seed_changes_draws(fgg_reference_encoder):
@@ -450,15 +443,12 @@ def test_estimate_wer_reuses_a_simulator(fgg_reference_encoder, fgg_simulator, g
         estimate_wer(FGG_CODE, gr_simulator, 0.05, 6, 200, seed=3)
 
 
-def test_rate_zero_code_never_fails(monkeypatch):
-    # no info wires: the failure test has no logical launches to check;
-    # every share is forked, however small
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
+def test_rate_zero_code_never_fails():
+    # no info wires: the failure test has no logical launches to check
     code = parse_code("n=2\nXX\nZZ\n")
     encoder = synthesize_encoder(code).circuit
-    for workers in (1, 2):
-        r = estimate_wer(code, encoder, 0.3, 4, 40, seed=1, workers=workers)
-        assert r.failures == 0
+    r = estimate_wer(code, encoder, 0.3, 4, 40, seed=1)
+    assert r.failures == 0
 
 
 def generator_chunks(code, lags):
@@ -794,8 +784,11 @@ def test_multi_point_blocks_match_per_point_runs(request, monkeypatch, which, nf
     assert 0 < each.sum() < each.size
     assert (_trial_failures(sim, ps, nframes, 9, lo, hi) == each).all()
     # blocks of 15 trial-points, 5 trials at each of the 3 points: the
-    # share splits inside
-    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 16 * sim._sample_cells(nframes) - 1)
+    # trials split inside; a trial holds 4 x `_trial_counters` Philox
+    # words and N x 2n error bits
+    cells = 4 * _trial_counters(sim.n, nframes) + 2 * sim.n * nframes
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 16 * cells - 1)
+    assert sim._block_size(nframes) == 15
     drawn = []
 
     def recording(p, n, nframes, seed, a, b):
@@ -822,162 +815,23 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1, workers=2)
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
     assert len(calls) == 12
     assert calls[:2] == [(256, 4), (256, 16)] and len({shape for shape in calls[2:]}) == 1
 
 
-class InlineProcess:
-    """Stands in for multiprocessing.Process: records every child made and
-    runs its share in this process when started."""
-
-    made = []
-
-    def __init__(self, target, args, daemon):
-        self.target, self.args = target, args
-        InlineProcess.made.append(self)
-
-    def start(self):
-        self.target(*self.args)
-
-    def terminate(self):
-        pass
-
-    def join(self):
-        pass
-
-
-def record_shares(monkeypatch):
-    """Run children in this process and record the (lo, hi) share of every
-    `_worker_count` call, the caller's included."""
-    InlineProcess.made.clear()
-    monkeypatch.setattr(simulate_module, "Process", InlineProcess)
-    shares = []
-    count = simulate_module._worker_count
-
-    def recording(sim, ps, nframes, seed, lo, hi):
-        shares.append((lo, hi))
-        return count(sim, ps, nframes, seed, lo, hi)
-
-    monkeypatch.setattr(simulate_module, "_worker_count", recording)
-    return shares
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, procs, trials",
-    [(1_000_000, 64, 40, 40), (1_000_000, 3, 3, 20), (2, 64, 2, 7), (8, None, 1, 20)],
-)
-def test_pool_size_is_bounded(fgg_simulator, monkeypatch, workers, cpus, procs, trials):
-    ps = [0.05, 0.1]
-    serial = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2)
-    shares = record_shares(monkeypatch)
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: cpus)
-    rows = estimate_wers(FGG_CODE, fgg_simulator, ps, 4, trials, seed=2, workers=workers)
-    # procs - 1 children, each running one share for every p; the caller
-    # runs share 0
-    assert len(InlineProcess.made) == procs - 1
-    assert len(shares) == procs
-    assert shares[-1][0] == 0
-    assert sorted(shares[:-1]) == sorted(tuple(c.args[-2:]) for c in InlineProcess.made)
-    # the shares are contiguous and cover the trials exactly
-    cuts = sorted(shares)
-    assert cuts[0][0] == 0 and cuts[-1][1] == trials
-    assert all(a[1] == b[0] < b[1] for a, b in zip(cuts, cuts[1:]))
-    assert rows == serial
-
-
-@pytest.mark.parametrize("where", ["child", "caller"])
-def test_a_failing_share_raises_in_the_caller_and_leaves_no_children(fgg_simulator, monkeypatch, where):
-    # three shares of ten trials: the caller runs [0, 10), children the rest
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
-    children = []
-
-    class CountingProcess(simulate_module.Process):
-        def __init__(self, *args, **kwargs):
-            children.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulate_module, "Process", CountingProcess)
-    failing = 10 if where == "child" else 0
-    trial_failures = simulate_module._trial_failures
-
-    def faulty(sim, p, nframes, seed, lo, hi):
-        if lo == failing:
-            raise TrellisError("injected fault")
-        return trial_failures(sim, p, nframes, seed, lo, hi)
-
-    monkeypatch.setattr(simulate_module, "_trial_failures", faulty)
-    with pytest.raises(TrellisError, match="^injected fault$"):
-        estimate_wers(FGG_CODE, fgg_simulator, [0.05, 0.1], 4, 30, seed=3, workers=3)
-    assert len(children) == 2 and all(c.exitcode is not None for c in children)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
 def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
+    # trial i draws its own counters, so the counts do not depend on how
+    # the trials are cut: into blocks of 1, 2 or 5 trials at each point, a
+    # trial holding 24 Philox words and 48 error bits per point at N = 6
     ps = [0.05, 0.1]
-    serial = estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=1)
+    serial = estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed)
     assert 0 < sum(r.failures for r in serial) < 26
-    # forked children: three shares at most
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 0)
-    for workers in (2, 3, 20):
-        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
-    # shares run in this process: up to one trial each
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 64)
-    shares = record_shares(monkeypatch)
-    for workers in (2, 3, 20):
-        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed, workers=workers) == serial
-    assert len(shares) == 2 + 3 + 13
-
-
-def test_small_gr_run_forks_no_child(gr_simulator, monkeypatch):
-    # a share of 15 trials at 2 points of N = 10 frames holds under
-    # 15 x 2 x (10 x 16 x 256 + 16 x 120) cells of work, far under the floor
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    shares = record_shares(monkeypatch)
-    estimate_wers(GR_CODE, gr_simulator, [0.01, 0.02], 10, 30, seed=1, workers=2)
-    assert InlineProcess.made == [] and shares == [(0, 30)]
-
-
-@pytest.mark.parametrize("below, procs", [(1, 2), (0, 1)])
-def test_a_share_is_forked_only_above_the_floor(fgg_simulator, monkeypatch, below, procs):
-    # FGG decodes by its automaton, and at N = 4 a trial holds 4 x 3 Philox
-    # words and 4 x 6 error bits: 36 sample-block cells at one point, each
-    # weighing `_SAMPLE_WEIGHT` step cells, so 5,760 per 10 trials
-    assert fgg_simulator._trellis(4).tables is not None and fgg_simulator._sample_cells(4) == 36
-    assert 10 * 36 * simulate_module._SAMPLE_WEIGHT == 5760
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate_module, "_FORK_CELLS", 5760 - below)
-    shares = record_shares(monkeypatch)
-    estimate_wers(FGG_CODE, fgg_simulator, [0.05], 4, 20, seed=2, workers=2)
-    assert len(InlineProcess.made) == procs - 1 and len(shares) == procs
-
-
-def test_large_gr_run_is_cut_into_shares(gr_simulator, monkeypatch):
-    # 3 points of 1,500 trials: each share of 750 trials holds about 750 x
-    # 10 x 16 x 256 x 1.76 step cells (1.76 the chance that a trial has an
-    # error, summed over p = 0.01, 0.02, 0.05), 7 times the floor
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    ps = [0.01, 0.02, 0.05]
-    serial = estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1)
-    shares = record_shares(monkeypatch)
-    assert estimate_wers(GR_CODE, gr_simulator, ps, 10, 1500, seed=1, workers=2) == serial
-    assert len(InlineProcess.made) == 1 and shares == [(750, 1500), (0, 750)]
-
-
-@pytest.mark.parametrize("p, procs", [(0.001, 1), (0.1, 2)])
-def test_only_trials_with_an_error_count_their_backward_steps(gr_simulator, monkeypatch, p, procs):
-    # at p = 0.001 under 4% of trials have an error on their 40 qubits, so
-    # a 300-trial share holds about 300 x (0.04 x 10 x 16 x 256 + 16 x 120)
-    # cells, under the floor; at p = 0.1 nearly every trial reaches the pass
-    monkeypatch.setattr(simulate_module.os, "cpu_count", lambda: 2)
-    shares = record_shares(monkeypatch)
-    estimate_wers(GR_CODE, gr_simulator, [p], 10, 600, seed=4, workers=2)
-    assert len(InlineProcess.made) == procs - 1 and len(shares) == procs
+    for block in (1, 2, 5):
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", len(ps) * block * 72)
+        assert gr_simulator._block_size(6) // len(ps) == block
+        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed) == serial
 
 
 def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
@@ -1198,40 +1052,3 @@ def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt,
         tab.fkey[entry] = sim._nokey
     with pytest.raises(TrellisError, match=message):
         sim.decode_block(syndrome)
-
-
-def test_pool_workers_start_with_numpy_random_imported(tmp_path):
-    # the caller samples only after forking; each child must still find
-    # numpy.random imported rather than import it in its share
-    script = textwrap.dedent(
-        """
-        import os, sys
-        import qconvenc.simulate as simulate
-        from qconvenc.library import FGG_CODE, FGG_ENCODER
-
-        out = sys.argv[1]
-        caller = os.getpid()
-        count = simulate._worker_count
-
-        def recording_count(*args):
-            if os.getpid() != caller:
-                with open(os.path.join(out, str(os.getpid())), "w") as f:
-                    f.write(str("numpy.random" in sys.modules))
-            return count(*args)
-
-        simulate._worker_count = recording_count
-        simulate._FORK_CELLS = 0
-        os.cpu_count = lambda: 2
-        assert "numpy.random" not in sys.modules
-        simulate.estimate_wers(FGG_CODE, FGG_ENCODER, [0.05], 4, 8, seed=1, workers=2)
-        """
-    )
-    src = str(Path(simulate_module.__file__).resolve().parents[1])
-    subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    seen = [p.read_text() for p in tmp_path.iterdir()]
-    assert seen == ["True"]
