@@ -212,19 +212,6 @@ class CatastrophicityVerdict:
         return None if self.seed is None else self.seed.walk()
 
 
-def _transpose(images: List[int], nbits: int) -> List[int]:
-    """Row i holds bit i of every image: bit j of it is bit i of images[j]."""
-    rows = [0] * nbits
-    mask = (1 << nbits) - 1
-    for j, img in enumerate(images):
-        img &= mask
-        while img:
-            low = img & -img
-            rows[low.bit_length() - 1] |= 1 << j
-            img ^= low
-    return rows
-
-
 def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> List[int]:
     """Basis of P for the step T, given by the images `ts` of the 2m basis
     states and by its transpose `pull`, and for the functionals `funcs`
@@ -286,7 +273,7 @@ def _cycle_states(
             key = tuple(fields)
             if key not in memo:
                 pull = list(key[m:2 * m] + key[:m])
-                ts = _transpose(pull, 2 * m)
+                ts = gf2.transpose(pull, 2 * m)
                 memo[key] = tuple(ts), _periodic_part(ts, pull, list(key[2 * m:]), m)
             ts, basis = memo[key]
             for b in basis:
@@ -312,7 +299,7 @@ def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optiona
         ts.append(_field(r, w, n, m))
         xs.append(r & ((1 << (n - k)) - 1))
         ls.append(_field(r, w, n - k, k))
-    basis = _periodic_part(ts, _transpose(ts, 2 * m), _transpose(xs, n - k), m)
+    basis = _periodic_part(ts, gf2.transpose(ts, 2 * m), gf2.transpose(xs, n - k), m)
     for b, lb in zip(basis, gf2.matmul(basis, ls)):
         if lb:
             return b, ts

@@ -5,6 +5,10 @@ qubit positions ("H 2", "CNOT 4 1"); for CNOT the first position is the
 control.  A circuit's symplectic matrix is over row vectors: applying the
 circuit to P maps its packed vector v to v . M, so composing circuit c1
 followed by c2 multiplies M(c1) . M(c2).
+
+`_flips` is the one definition of each gate.  Matrices are built by
+columns, one int each over the 2w rows, so a flip is one XOR for all rows
+(Aaronson and Gottesman, PRA 2004); `_conjugate` flips row by row.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ParseError
 from .gf2 import invert as gf2_invert
-from .gf2 import matmul, parity
+from .gf2 import matmul, parity, transpose
 from .pauli import PauliOperator
 
 __all__ = [
@@ -46,13 +50,14 @@ class CliffordGate:
     qubits: Tuple[int, ...]  # 1-based
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ParseError(f"unknown gate {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise ParseError(f"{self.kind} takes {_ARITY[self.kind]} qubit(s)")
-        if any(q < 1 for q in self.qubits):
+        if len(self.qubits) != arity:
+            raise ParseError(f"{self.kind} takes {arity} qubit(s)")
+        if min(self.qubits) < 1:
             raise ParseError("qubit positions are 1-based")
-        if len(set(self.qubits)) != len(self.qubits):
+        if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise ParseError("gate qubits must be distinct")
 
     def __str__(self) -> str:
@@ -77,26 +82,27 @@ class CliffordCircuit:
         return len(self.gates)
 
 
-def _conjugate(gate: CliffordGate, vecs: List[int], width: int) -> None:
-    """Conjugate each packed width-`width` vector of `vecs` by `gate`, in
-    place.  Every gate is a short sequence of conditional bit flips
-    (source bit, flipped bit), each an XOR of one coordinate into another;
-    H and SWAP exchange coordinates by three such XORs."""
+def _flips(gate: CliffordGate, width: int) -> List[Tuple[int, int]]:
+    """The bit flips (source bit, flipped bit) that conjugate a packed vector
+    by `gate`, in order; H and SWAP exchange coordinates by three."""
     i = gate.qubits[0] - 1
     xi, zi = i, width + i
     if gate.kind == "H":
-        flips = [(zi, xi), (xi, zi), (zi, xi)]
-    elif gate.kind == "P":
-        flips = [(xi, zi)]
-    else:
-        j = gate.qubits[1] - 1
-        xj, zj = j, width + j
-        if gate.kind == "CNOT":
-            flips = [(xi, xj), (zj, zi)]
-        elif gate.kind == "CZ":
-            flips = [(xi, zj), (xj, zi)]
-        else:  # SWAP
-            flips = [(xi, xj), (xj, xi), (xi, xj), (zi, zj), (zj, zi), (zi, zj)]
+        return [(zi, xi), (xi, zi), (zi, xi)]
+    if gate.kind == "P":
+        return [(xi, zi)]
+    j = gate.qubits[1] - 1
+    xj, zj = j, width + j
+    if gate.kind == "CNOT":
+        return [(xi, xj), (zj, zi)]
+    if gate.kind == "CZ":
+        return [(xi, zj), (xj, zi)]
+    return [(xi, xj), (xj, xi), (xi, xj), (zi, zj), (zj, zi), (zi, zj)]  # SWAP
+
+
+def _conjugate(gate: CliffordGate, vecs: List[int], width: int) -> None:
+    """Conjugate the packed width-`width` vectors `vecs` by `gate`, in place."""
+    flips = _flips(gate, width)
     for r, v in enumerate(vecs):
         for src, dst in flips:
             if (v >> src) & 1:
@@ -183,10 +189,13 @@ class SymplecticMap:
 
 
 def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:
-    rows = list(SymplecticMap.identity(circuit.width).rows)
+    """The circuit's matrix; column c packs bit c of every row."""
+    w = circuit.width
+    cols = [1 << c for c in range(2 * w)]
     for g in circuit.gates:
-        _conjugate(g, rows, circuit.width)
-    return SymplecticMap(circuit.width, tuple(rows))
+        for src, dst in _flips(g, w):
+            cols[dst] ^= cols[src]
+    return SymplecticMap(w, tuple(transpose(cols, 2 * w)))
 
 
 def as_symplectic(encoder) -> SymplecticMap:

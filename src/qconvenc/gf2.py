@@ -21,6 +21,7 @@ __all__ = [
     "invert",
     "matmul",
     "span",
+    "transpose",
 ]
 
 
@@ -147,4 +148,17 @@ def span(basis: Sequence[int]) -> List[int]:
     out = [0]
     for v in basis:
         out += [x ^ v for x in out]
+    return out
+
+
+def transpose(rows: Sequence[int], nbits: int) -> List[int]:
+    """Row i holds bit i of every input row: bit j of it is bit i of rows[j]."""
+    out = [0] * nbits
+    mask = (1 << nbits) - 1
+    for j, row in enumerate(rows):
+        row &= mask
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << j
+            row ^= low
     return out

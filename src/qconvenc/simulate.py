@@ -84,10 +84,11 @@ transition tables; a block then decodes by one lookup per frame
 backward and one forward, all its trials at once.  The tables are built,
 by the same step, whenever both closures fit the `_BLOCK_CELLS` budget,
 counted as the cells their steps touch: on FGG, 5 shifted metrics and 7
-walk sets.  A larger closure, or one that does not end (the shifted
-metrics can grow without bound), falls back to the batched backward
-pass and forward walk: on GR two expansions of the pinned metric find 21
-shifted metrics, over the budget.
+walk sets.  The walk starts from two sets or more (the empty one and the
+pinned metric's {0}), so the shifted metrics may fill half the budget.
+A larger closure, or one that does not end, falls back to the batched
+backward pass and forward walk: on GR the pinned metric and the first of
+its 4 successors find 9 shifted metrics, over the 8 that fit.
 
 `_BLOCK_CELLS` bounds each batch by the arrays it holds per trial, and
 refuses a trellis whose one step of one trial would not fit it.  A
@@ -147,7 +148,8 @@ SEED_LIMIT = 1 << 128
 # chunk rows exceed it holds only the zero row.  It also bounds
 # each closure of the decoding automaton, at chunks x branches x states
 # cells per shifted metric and that times the shifted metrics per walk set;
-# a closure over it leaves the decoding to the batched pass.
+# a closure over it leaves the decoding to the batched pass.  The shifted
+# metrics get half of it, since the walk starts from two sets or more.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -277,13 +279,15 @@ class _Automaton(NamedTuple):
 
 
 def _closure(
-    seeds: np.ndarray, expand: Callable[[np.ndarray], np.ndarray], cost: int
+    seeds: np.ndarray, expand: Callable[[np.ndarray], np.ndarray], cap: int,
+    fanout: Optional[int] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first closure of the rows `seeds` (s, w) under `expand`,
     which maps rows (b, w) to successor rows (b, d, w).  Returns the
     distinct rows in the order found, the ids of the seeds and the ids
-    (rows, d) of every row's successors; None as soon as expanding the
-    rows found would touch more than `_BLOCK_CELLS` cells at `cost` each."""
+    (rows, d) of every row's successors; None once more than `cap` rows
+    are found.  Given the fanout d, each expansion takes the fewest rows
+    that could find too many, so that an overflow stops early."""
     ids: Dict[bytes, int] = {}
     found: List[np.ndarray] = []
 
@@ -300,10 +304,12 @@ def _closure(
     succ = []
     done = 0
     while done < len(found):
-        if len(found) * cost > _BLOCK_CELLS:
+        if len(found) > cap:
             return None
-        nxt = expand(np.array(found[done:]))
-        done = len(found)
+        size = len(found) if fanout is None else (cap - len(found)) // fanout + 1
+        batch = found[done : done + size]
+        nxt = expand(np.array(batch))
+        done += len(batch)
         succ.append(np.reshape(index(nxt.reshape(-1, nxt.shape[2])), nxt.shape[:2]))
     return np.array(found), np.array(seed_ids), np.concatenate(succ)
 
@@ -454,7 +460,8 @@ class Simulator:
 
         pinned = np.full((1, nstates), _INF, dtype=np.int32)
         pinned[0, 0] = 0
-        bwd = _closure(pinned, normalized, cost)
+        # the walk's two or more seed sets would refuse more vectors than this
+        bwd = _closure(pinned, normalized, _BLOCK_CELLS // (2 * cost), nchunks)
         if bwd is None:
             return None
         vecs, _, succ = bwd
@@ -481,7 +488,8 @@ class Simulator:
             return nxt.reshape(len(sets), -1, nstates)
 
         starts = np.concatenate([np.zeros((1, nstates), dtype=bool), vecs == 0])
-        fwd = _closure(starts, walk, nvecs * cost)
+        # whole frontiers: its fanout V * C would cut batches to one set
+        fwd = _closure(starts, walk, _BLOCK_CELLS // (nvecs * cost))
         if fwd is None:
             return None
         sets, start, fnext = fwd

@@ -4,7 +4,8 @@ Each function here recomputes something the library computes another
 way, or renders a value for a test to compare: membership in a span by
 one fresh reduction, the syndrome read off the streamed online decoder,
 the commutant of an assignment that bounds the zero-weight cycles, a
-bit-matrix transpose one bit at a time, one encoder's cycle state
+bit-matrix transpose one bit at a time, a circuit's symplectic matrix
+conjugated row by row, one encoder's cycle state
 computed from scratch, the states on zero-weight cycles found by walking
 every memory state, the memory-state trellis decoder, the syndrome
 trellis's merged branches found state by state, the lex-least one-qubit
@@ -27,7 +28,7 @@ import numpy as np
 
 from qconvenc import gf2
 from qconvenc.catastrophic import _periodic_part
-from qconvenc.circuit import SymplecticMap, _dual, _field, _place
+from qconvenc.circuit import CliffordCircuit, SymplecticMap, _conjugate, _dual, _field, _place
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
@@ -105,6 +106,15 @@ def admissible_cycle_states(
 def transpose(images: List[int], nbits: int) -> List[int]:
     """Bit j of row i is bit i of images[j], assembled one bit at a time."""
     return [sum(((img >> i) & 1) << j for j, img in enumerate(images)) for i in range(nbits)]
+
+
+def symplectic_by_rows(circuit: CliffordCircuit) -> SymplecticMap:
+    """The circuit's matrix with every gate conjugating each of the 2w rows
+    in turn, one row at a time."""
+    rows = list(SymplecticMap.identity(circuit.width).rows)
+    for g in circuit.gates:
+        _conjugate(g, rows, circuit.width)
+    return SymplecticMap(circuit.width, tuple(rows))
 
 
 def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:

@@ -30,7 +30,6 @@ from qconvenc.catastrophic import (
     _cycle_states,
     _encoder_reads,
     _solutions,
-    _transpose,
     complete_noncatastrophic,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
@@ -253,7 +252,7 @@ def test_verdicts_match_brute_force_random():
 @given(st.lists(st.integers(0, (1 << 26) - 1), max_size=24), st.integers(0, 24))
 def test_transpose_matches_the_bitwise_formula(images, nbits):
     # images may carry bits at or above nbits, which neither route reads
-    assert _transpose(images, nbits) == transpose(images, nbits)
+    assert gf2.transpose(images, nbits) == transpose(images, nbits)
 
 
 def test_enum_cap_guard():

@@ -8,6 +8,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qconvenc import (
     CliffordCircuit,
@@ -28,7 +30,7 @@ from qconvenc.errors import ParseError
 from qconvenc.library import FGG_ENCODER, FGG_ENCODER_TEXT
 
 from conftest import random_circuit
-from oracles import compose, fgg_transformation_rows
+from oracles import compose, fgg_transformation_rows, symplectic_by_rows
 
 P = PauliOperator.from_string
 
@@ -91,6 +93,38 @@ def test_apply_circuit_matches_matrix_route():
         p = PauliOperator(w, rng.getrandbits(w), rng.getrandbits(w))
         assert apply_circuit(circ, p) == m.apply(p)
         assert m.is_symplectic()
+
+
+def _gates(width: int):
+    """Gates of every kind that fits `width` qubits."""
+    qubit = st.integers(1, width)
+    one = st.builds(lambda kind, q: CliffordGate(kind, (q,)), st.sampled_from(["H", "P"]), qubit)
+    if width < 2:
+        return one
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+    return one | st.builds(CliffordGate, st.sampled_from(["CNOT", "CZ", "SWAP"]), pair)
+
+
+CIRCUITS = st.integers(0, 12).flatmap(
+    lambda w: st.lists(_gates(max(w, 1)), max_size=40 if w else 0).map(
+        lambda gates: CliffordCircuit(w, tuple(gates))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CIRCUITS)
+def test_column_kernel_matches_the_row_by_row_oracle(circuit):
+    smap = circuit_to_symplectic(circuit)
+    assert smap == symplectic_by_rows(circuit)
+    assert smap.is_symplectic()
+
+
+def test_gr_encoder_map_matches_the_row_by_row_oracle(gr_synthesis):
+    # the 47-gate published-rows encoder realizes the completed map
+    circuit = gr_synthesis.circuit
+    assert circuit.width == 10 and len(circuit) == 47
+    assert circuit_to_symplectic(circuit) == symplectic_by_rows(circuit) == gr_synthesis.map
 
 
 def test_is_symplectic_matches_pauli_products():
@@ -188,6 +222,32 @@ def test_parse_rejects_malformed():
         parse_circuit("FLIP 1\n")
     with pytest.raises(ParseError):
         parse_circuit("# width: 2\nH 5\n")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CliffordGate("T", (1,)), "unknown gate 'T'"),
+        (lambda: parse_circuit("FLIP 1\n"), "unknown gate 'FLIP'"),
+        (lambda: CliffordGate("CNOT", (1,)), "CNOT takes 2 qubit(s)"),
+        (lambda: parse_circuit("H 1 2\n"), "H takes 1 qubit(s)"),
+        (lambda: CliffordGate("H", (0,)), "qubit positions are 1-based"),
+        (lambda: parse_circuit("CZ 2 0\n"), "qubit positions are 1-based"),
+        (lambda: CliffordGate("SWAP", (2, 2)), "gate qubits must be distinct"),
+        (lambda: parse_circuit("CNOT 1 1\n"), "gate qubits must be distinct"),
+        (lambda: parse_circuit("# width: 2\nH 5\n"), "gate H 5 exceeds circuit width 2"),
+        (lambda: circuit_from_json('{"width": 2, "gates": [["CNOT", 1, 3]]}'),
+         "gate CNOT 1 3 exceeds circuit width 2"),
+        (lambda: circuit_from_json('{"width": 2, "gates": [["H", true]]}'),
+         "bad JSON gate ['H', True]: want [kind, qubit, ...]"),
+        (lambda: circuit_from_json('{"width": 2, "gates": [["CZ", 1, 1.5]]}'),
+         "bad JSON gate ['CZ', 1, 1.5]: want [kind, qubit, ...]"),
+    ],
+)
+def test_gate_refusals_name_their_cause(build, message):
+    with pytest.raises(ParseError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_json_round_trip_with_roles():

@@ -817,7 +817,7 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
     estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
     assert len(calls) == 12
-    assert calls[:2] == [(256, 4), (256, 16)] and len({shape for shape in calls[2:]}) == 1
+    assert calls[:2] == [(256, 4), (256, 4)] and len({shape for shape in calls[2:]}) == 1
 
 
 @pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
@@ -995,9 +995,10 @@ def test_rate_zero_code_selects_the_tables():
 
 
 def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
-    # one closure vector's steps touch 4 x 16 x 256 = 2^14 cells: the
-    # pinned vector's expansion finds 4 more, whose expansion (16 trials
-    # in one step call) finds 16 more, and 21 vectors overflow the budget
+    # one closure vector's steps touch 4 x 16 x 256 = 2^14 cells, so the
+    # walk's two seed sets refuse more than 2^18 / 2^15 = 8 vectors: the
+    # pinned vector's expansion finds 4 more, and expanding the first of
+    # them (the fewest that could overflow) finds 4 more again, 9 in all
     calls = []
     step = Simulator._step
 
@@ -1007,7 +1008,7 @@ def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
     assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis(10).tables is None
-    assert calls == [(256, 4), (256, 16)]
+    assert calls == [(256, 4), (256, 4)]
 
 
 def test_over_budget_closure_falls_back_to_the_factored_trellis():
