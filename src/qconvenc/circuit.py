@@ -6,9 +6,10 @@ control.  A circuit's symplectic matrix is over row vectors: applying the
 circuit to P maps its packed vector v to v . M, so composing circuit c1
 followed by c2 multiplies M(c1) . M(c2).
 
-`_flips` is the one definition of each gate.  Matrices are built by
-columns, one int each over the 2w rows, so a flip is one XOR for all rows
-(Aaronson and Gottesman, PRA 2004); `_conjugate` flips row by row.
+`_flips` is the one definition of each gate, and `_conjugate` the one
+way to apply it: matrices are kept as columns, one int each over the 2w
+rows, so a flip is one XOR for all rows (Aaronson and Gottesman, PRA
+2004).
 """
 
 from __future__ import annotations
@@ -100,31 +101,22 @@ def _flips(gate: CliffordGate, width: int) -> List[Tuple[int, int]]:
     return [(xi, xj), (xj, xi), (xi, xj), (zi, zj), (zj, zi), (zi, zj)]  # SWAP
 
 
-def _conjugate(gate: CliffordGate, vecs: List[int], width: int) -> None:
-    """Conjugate the packed width-`width` vectors `vecs` by `gate`, in place."""
-    flips = _flips(gate, width)
-    for r, v in enumerate(vecs):
-        for src, dst in flips:
-            if (v >> src) & 1:
-                v ^= 1 << dst
-        vecs[r] = v
+def _conjugate(gate: CliffordGate, cols: List[int], width: int) -> None:
+    """Conjugate the matrix with packed columns `cols` by `gate`, in place."""
+    for src, dst in _flips(gate, width):
+        cols[dst] ^= cols[src]
 
 
 def apply_gate(gate: CliffordGate, p: PauliOperator) -> PauliOperator:
     if max(gate.qubits) > p.width:
         raise ValueError(f"gate {gate} exceeds pauli width {p.width}")
-    vecs = [p.vec()]
-    _conjugate(gate, vecs, p.width)
-    return PauliOperator.from_vec(p.width, vecs[0])
+    return circuit_to_symplectic(CliffordCircuit(p.width, (gate,))).apply(p)
 
 
 def apply_circuit(circuit: CliffordCircuit, p: PauliOperator) -> PauliOperator:
     if p.width != circuit.width:
         raise ValueError("pauli width does not match circuit width")
-    vecs = [p.vec()]
-    for g in circuit.gates:
-        _conjugate(g, vecs, p.width)
-    return PauliOperator.from_vec(p.width, vecs[0])
+    return circuit_to_symplectic(circuit).apply(p)
 
 
 def _dual(v: int, width: int) -> int:
@@ -193,8 +185,7 @@ def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:
     w = circuit.width
     cols = [1 << c for c in range(2 * w)]
     for g in circuit.gates:
-        for src, dst in _flips(g, w):
-            cols[dst] ^= cols[src]
+        _conjugate(g, cols, w)
     return SymplecticMap(w, tuple(transpose(cols, 2 * w)))
 
 
@@ -258,22 +249,19 @@ def circuit_to_json(
     return json.dumps(doc, indent=2)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def circuit_from_json(text: str) -> CliffordCircuit:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON circuit: {exc}") from exc
-    if not (isinstance(doc, dict) and _is_int(doc.get("width"))
+    # json.loads makes only exact ints and bools, and type(True) is bool
+    if not (isinstance(doc, dict) and type(doc.get("width")) is int
             and isinstance(doc.get("gates"), list)):
         raise ParseError('a JSON circuit needs an integer "width" and a "gates" list')
     gates = []
     for g in doc["gates"]:
         if not (isinstance(g, list) and g and isinstance(g[0], str)
-                and all(_is_int(q) for q in g[1:])):
+                and {*map(type, g[1:])} <= {int}):
             raise ParseError(f"bad JSON gate {g!r}: want [kind, qubit, ...]")
         gates.append(CliffordGate(g[0], tuple(g[1:])))
     return CliffordCircuit(doc["width"], tuple(gates))

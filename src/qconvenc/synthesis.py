@@ -56,8 +56,9 @@ class PartialMap:
         return PartialMap(w, tuple((src.vec(), dst.vec()) for src, dst in rows))
 
 
-def check_consistency(partial: PartialMap) -> None:
-    """Raise MapConsistencyError unless some Clifford satisfies the rows."""
+def check_consistency(partial: PartialMap) -> List[int]:
+    """Raise MapConsistencyError unless some Clifford satisfies the rows;
+    return the inputs' symplectic Gram matrix."""
     w = partial.width
     ins = [r[0] for r in partial.rows]
     outs = [r[1] for r in partial.rows]
@@ -74,6 +75,7 @@ def check_consistency(partial: PartialMap) -> None:
             f"rows {i + 1} and {j + 1} have symplectic product "
             f"{a} on inputs but {a ^ 1} on outputs"
         )
+    return gin
 
 
 def _solve_partner(placed: List[int], c: int, width: int) -> int:
@@ -110,14 +112,14 @@ def _complete_side(pairs: List[Tuple[int, int]], isos: List[int], width: int) ->
 
 def complete_to_symplectic(partial: PartialMap) -> SymplecticMap:
     """Deterministic full symplectic matrix agreeing with the rows."""
-    check_consistency(partial)
+    gin = check_consistency(partial)
     w = partial.width
     ins = [r[0] for r in partial.rows]
     outs = [r[1] for r in partial.rows]
     # symplectic Gram-Schmidt on the inputs' products; the same row
     # operations on the outputs keep each transformed (input, output) pair
     # a requirement the final map must satisfy
-    sgs = _gram_schmidt(gram(ins, w))
+    sgs = _gram_schmidt(gin)
     paired = 2 * len(sgs.pairs)
     sides = []
     for vecs in (ins, outs):
@@ -140,8 +142,9 @@ def complete_to_symplectic(partial: PartialMap) -> SymplecticMap:
     return smap
 
 
-def _reduce_to_x(rows: List[int], q: int, width: int, lock_z_pivot: bool) -> List[CliffordGate]:
-    """Emit gates turning row of e_{x_q} into e_{x_q}; mutates rows in place.
+def _reduce_to_x(cols: List[int], row: int, q: int, width: int, lock_z_pivot: bool) -> List[CliffordGate]:
+    """Emit gates turning row `row` of the matrix with packed columns `cols`
+    into e_{x_q}; each gate conjugates `cols` in place.
 
     With lock_z_pivot the pivot is forced to q and no H/SWAP is used on it,
     which keeps e_{z_q} fixed (needed for the conjugated second phase).
@@ -152,45 +155,35 @@ def _reduce_to_x(rows: List[int], q: int, width: int, lock_z_pivot: bool) -> Lis
     def emit(kind: str, *qubits: int) -> None:
         g = CliffordGate(kind, tuple(qubits))
         gates.append(g)
-        _conjugate(g, rows, w)
+        _conjugate(g, cols, w)
 
-    r = rows[q - 1]
+    def xbit(j: int) -> int:
+        return (cols[j - 1] >> row) & 1
 
-    def xbit(v: int, j: int) -> int:
-        return (v >> (j - 1)) & 1
-
-    def zbit(v: int, j: int) -> int:
-        return (v >> (w + j - 1)) & 1
+    def zbit(j: int) -> int:
+        return (cols[w + j - 1] >> row) & 1
 
     # pivot: q itself when it carries support, else the lowest later qubit
-    pivot = None
-    if xbit(r, q) or zbit(r, q):
-        pivot = q
+    for j in range(q, w + 1):
+        if xbit(j) or zbit(j):
+            break
     else:
-        for j in range(q + 1, w + 1):
-            if xbit(r, j) or zbit(r, j):
-                pivot = j
-                break
-    if pivot is None:
         raise SynthesisError("row image vanished; matrix was not symplectic")
-    if lock_z_pivot and pivot != q:
+    if lock_z_pivot and j != q:
         raise SynthesisError("locked pivot has no support at its own qubit")
-    j = pivot
-    r = rows[q - 1]
-    if not xbit(r, j):
+    if not xbit(j):
         if lock_z_pivot:
             raise SynthesisError("locked pivot lost its X support")
         emit("H", j)
-    r = rows[q - 1]
-    if zbit(r, j):
+    if zbit(j):
         emit("P", j)
     for l in range(q, w + 1):
-        if l != j and xbit(rows[q - 1], l):
+        if l != j and xbit(l):
             emit("CNOT", j, l)
     for l in range(q, w + 1):
-        if l != j and zbit(rows[q - 1], l):
+        if l != j and zbit(l):
             emit("CZ", j, l)
-    if zbit(rows[q - 1], j):
+    if zbit(j):
         emit("P", j)
     if j != q:
         emit("SWAP", j, q)
@@ -198,26 +191,24 @@ def _reduce_to_x(rows: List[int], q: int, width: int, lock_z_pivot: bool) -> Lis
 
 
 def synthesize_circuit(target: SymplecticMap) -> CliffordCircuit:
-    """Gate sequence realizing the matrix (verified before returning)."""
+    """Gate sequence realizing the matrix, reduced to the identity on its 2w
+    packed columns (verified before returning)."""
     if not target.is_symplectic():
         raise SynthesisError("target matrix is not symplectic")
     w = target.width
-    rows = list(target.rows)
+    cols = gf2.transpose(target.rows, 2 * w)
     emitted: List[CliffordGate] = []
     for q in range(1, w + 1):
-        emitted += _reduce_to_x(rows, q, w, lock_z_pivot=False)
-        # fix e_{z_q} by conjugating with H(q): the inner reduction only
-        # emits P/CNOT/CZ on pivot q, all of which leave e_{z_q} alone.
+        # row x_q to e_{x_q}, then between two H(q) row z_q to e_{x_q} by
+        # P/CNOT/CZ on pivot q, which leave e_{z_q} (H(q) of row x_q) alone
         hq = CliffordGate("H", (q,))
-        _conjugate(hq, rows, w)
+        emitted += _reduce_to_x(cols, q - 1, q, w, lock_z_pivot=False)
+        _conjugate(hq, cols, w)
         emitted.append(hq)
-        rows[w + q - 1], rows[q - 1] = rows[q - 1], rows[w + q - 1]
-        emitted += _reduce_to_x(rows, q, w, lock_z_pivot=True)
-        rows[w + q - 1], rows[q - 1] = rows[q - 1], rows[w + q - 1]
-        _conjugate(hq, rows, w)
+        emitted += _reduce_to_x(cols, w + q - 1, q, w, lock_z_pivot=True)
+        _conjugate(hq, cols, w)
         emitted.append(hq)
-    ident = SymplecticMap.identity(w)
-    if tuple(rows) != ident.rows:
+    if cols != [1 << c for c in range(2 * w)]:
         raise SynthesisError("elimination did not reach the identity")
     # every gate kind used squares to the identity on Pauli vectors, so the
     # inverse sequence is just the reverse

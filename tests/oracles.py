@@ -28,7 +28,7 @@ import numpy as np
 
 from qconvenc import gf2
 from qconvenc.catastrophic import _periodic_part
-from qconvenc.circuit import CliffordCircuit, SymplecticMap, _conjugate, _dual, _field, _place
+from qconvenc.circuit import CliffordCircuit, SymplecticMap, _dual, _field, _flips, _place
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
@@ -111,10 +111,16 @@ def transpose(images: List[int], nbits: int) -> List[int]:
 def symplectic_by_rows(circuit: CliffordCircuit) -> SymplecticMap:
     """The circuit's matrix with every gate conjugating each of the 2w rows
     in turn, one row at a time."""
-    rows = list(SymplecticMap.identity(circuit.width).rows)
+    w = circuit.width
+    rows = list(SymplecticMap.identity(w).rows)
     for g in circuit.gates:
-        _conjugate(g, rows, circuit.width)
-    return SymplecticMap(circuit.width, tuple(rows))
+        flips = _flips(g, w)
+        for r, v in enumerate(rows):
+            for src, dst in flips:
+                if (v >> src) & 1:
+                    v ^= 1 << dst
+            rows[r] = v
+    return SymplecticMap(w, tuple(rows))
 
 
 def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:

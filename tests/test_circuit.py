@@ -4,13 +4,16 @@ Gate conjugation is checked against an independent single/two-qubit truth
 table; everything else layers on that.
 """
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qconvenc
 from qconvenc import (
     CliffordCircuit,
     CliffordGate,
@@ -89,7 +92,7 @@ def test_apply_circuit_matches_matrix_route():
     for _ in range(30):
         w = rng.randrange(1, 6)
         circ = random_circuit(w, 20, rng)
-        m = circuit_to_symplectic(circ)
+        m = symplectic_by_rows(circ)
         p = PauliOperator(w, rng.getrandbits(w), rng.getrandbits(w))
         assert apply_circuit(circ, p) == m.apply(p)
         assert m.is_symplectic()
@@ -125,6 +128,27 @@ def test_gr_encoder_map_matches_the_row_by_row_oracle(gr_synthesis):
     circuit = gr_synthesis.circuit
     assert circuit.width == 10 and len(circuit) == 47
     assert circuit_to_symplectic(circuit) == symplectic_by_rows(circuit) == gr_synthesis.map
+
+
+def _flips_callers():
+    """(module, function) for every call of `_flips` in the package."""
+    callers = []
+    for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and "_flips" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                ]
+    return callers
+
+
+def test_gates_are_applied_only_by_the_column_update():
+    # one way to apply a gate: a row-by-row loop over `_flips` in the
+    # package would show up here as a second caller
+    assert _flips_callers() == [("circuit", "_conjugate")]
 
 
 def test_is_symplectic_matches_pauli_products():
