@@ -228,8 +228,8 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gnuplot and not args.out:
         raise _UsageError("--gnuplot needs --out (the script references the CSV)")
-    code, smap, _, _ = _read_encoder(args)
-    sim = Simulator(code, smap)
+    code = _read_code(args.code)
+    sim = Simulator(code, _read_circuit(args.encoder))
     rows = estimate_wers(code, sim, args.p, args.frames, args.trials, seed=args.seed)
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
     table = [

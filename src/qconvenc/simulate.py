@@ -2,13 +2,15 @@
 
 A window of N physical frames is sent through the channel; the receiver
 measures one syndrome bit per (generator, launch frame) pair for launches
-1..N — the ancilla outputs of the online decoder.  Pulling an N-frame
-error back through the frame-wise inverse encoder (final memory pinned
-to the identity) is a bijection between window errors and (initial
-memory state, unencoded frame sequence) pairs, and a syndrome bit is an
-ancilla X component of the pullback.  So the errors that fit a syndrome
-do not depend on the encoder's memory, and decoding is hard-decision
-maximum likelihood over them.
+1..N — the ancilla outputs of the online decoder.  The encoder must
+realize the code (`pipeline.verify_encoder`), so those bits depend on
+the code's generators alone.  Pulling an N-frame error back through the
+frame-wise inverse encoder (final memory pinned to the identity) is a
+bijection between window errors and (initial memory state, unencoded
+frame sequence) pairs, and a syndrome bit is an ancilla X component of
+the pullback.  So the errors that fit a syndrome do not depend on the
+encoder's memory, and decoding is hard-decision maximum likelihood over
+them.
 
 Below p = 3/4 the channel likelihood is strictly decreasing in Pauli
 weight, so the branch metric is plain weight; ties are broken toward the
@@ -35,14 +37,14 @@ IEEE Trans. Commun. 1976).  Frame f adds the r = n - k bit chunk c_j(f)
 to the syndrome of the launch j frames before it.  Lags at which every
 syndrome response is the identity are trimmed from the front: the first
 `lead` frames then reach no measured launch and decode to the identity,
-and the last `lead` chunks are zero.  With nu the remaining span (at
-least 2, and capped at N for an encoder whose responses never end), the
-state after a frame packs the residual chunks of the nu - 1 launches
-still open, slot j holding the launch j frames back.  Frame f leaves
-state sigma under chunk s iff c_{nu-1}(f) equals the top slot, which it
-closes, and leads to ((sigma << r) & mask) ^ C(f) ^ s, with C(f) the sum
-of c_j(f) << rj over j < nu - 1.  Paths start anywhere (the open slots
-then stand for launches before the window) and end at state 0.
+and the last `lead` chunks are zero.  With nu the remaining span of the
+generators (at least 2), the state after a frame packs the residual
+chunks of the nu - 1 launches still open, slot j holding the launch j
+frames back.  Frame f leaves state sigma under chunk s iff c_{nu-1}(f)
+equals the top slot, which it closes, and leads to
+((sigma << r) & mask) ^ C(f) ^ s, with C(f) the sum of c_j(f) << rj over
+j < nu - 1.  Paths start anywhere (the open slots then stand for
+launches before the window) and end at state 0.
 
 Frames with the same chunk at every lag are parallel: they close the
 same slot and lead to the same successor from every state, so only the
@@ -113,8 +115,9 @@ import numpy as np
 
 from .circuit import _dual, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
-from .errors import InputDataError, TrellisError
+from .errors import InputDataError, MapConsistencyError, TrellisError
 from .pauli import PauliOperator
+from .pipeline import verify_encoder
 
 __all__ = [
     "DepolarizingChannel",
@@ -337,18 +340,17 @@ class Simulator:
     """Decoder and failure test of one encoder, over the syndrome-former
     trellis of its code.
 
-    `_fwt` and `_fkey` are the weight and lexicographic key of every
-    physical frame (X bits then Z bits, wire 1 lowest), `_keybits` the
-    frame bits of every key.  `_ending` holds the syndrome responses when
-    they end, as those of every encoder that realizes its code do; they
-    give one trellis, built here, so an encoder over the `_BLOCK_CELLS`
-    bound raises `InputDataError` at construction.  Responses that never
-    end (None) are capped at the window, and give one trellis per window
-    length, built on first use; `_trellis` picks it.
-    Each trellis decodes by its automaton when it has one, as FGG's
-    does, and otherwise, as GR's does, by the window's single-error
-    table (`_single_errors`, built on first use) and the batched
-    backward pass and forward walk for the syndromes it lacks.  The
+    The encoder must realize the code: one that does not, or that is
+    narrower than one frame, raises `InputDataError`.  `_fwt` and `_fkey`
+    are the weight and lexicographic key of every physical frame (X bits
+    then Z bits, wire 1 lowest), `_keybits` the frame bits of every key.
+    `_synd` holds the syndrome responses, which end within the code's nu
+    lags, and `_trellis` their one trellis, built here, so an encoder
+    over the `_BLOCK_CELLS` bound raises `InputDataError` at
+    construction.  The trellis decodes by its automaton when it has one,
+    as FGG's does, and otherwise, as GR's does, by the window's
+    single-error table (`_single_errors`, built on first use) and the
+    batched backward pass and forward walk for the syndromes it lacks.  The
     batch methods take and return bit arrays of shape (trials, N, 2n)
     or, for syndromes, (trials, N, n - k); the scalar methods are their
     one-trial views on Pauli operators.
@@ -356,19 +358,19 @@ class Simulator:
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
         smap = as_symplectic(encoder)
+        try:
+            verify_encoder(code, smap)
+        except MapConsistencyError as exc:  # a fault of the input, not of the package
+            raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
         n, k = code.n, code.k
-        m = smap.width - n
-        if m < 0:
-            raise ValueError("encoder narrower than one frame")
         if 4**n > _BLOCK_CELLS:
             raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {_BLOCK_CELLS:,}")
         self.code = code
         self.smap = smap
-        self.n, self.k, self.m = n, k, m
+        self.n, self.k, self.m = n, k, smap.width - n
         self._nokey = 1 << (2 * n)  # above every frame key
-        self._responses: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._responses: Dict[int, np.ndarray] = {}
         self._singles: Dict[int, Tuple[Dict[bytes, int], np.ndarray]] = {}
-        self._trellises: Dict[int, _Trellis] = {}
         # weight and lex key of every physical frame, and the (X bits, Z
         # bits) of the frame with every key: per-qubit codes I=0 X=1 Y=2
         # Z=3, wire 1 most significant, so code bits (z, x ^ z)
@@ -380,28 +382,16 @@ class Simulator:
         self._keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
         self._fkey = np.empty(len(codes), dtype=np.min_scalar_type(self._nokey))
         self._fkey[self._keybits @ (1 << np.arange(2 * n))] = codes
-        # an emitted frame P A^j v that is zero for every j >= 2m stays zero
-        # once it is zero at 2m lags in a row, so 4m + 1 lags tell whether
-        # the syndrome responses end
-        synd = self._response([1 << (n + a) for a in range(n - k)], 4 * m + 1)
-        self._ending = None if synd[2 * m + 1 :].any() else synd
-        if self._ending is not None:
-            self._trellis(1)
+        # the responses of ancilla Z are the generators, in nu lags
+        self._synd = self._response([1 << (n + a) for a in range(n - k)], code.nu)
+        self._trellis = self._build_trellis()
 
-    def _trellis(self, nframes: int) -> _Trellis:
-        """The trellis that decodes an nframes window."""
-        resp = self._launches(nframes)[0] if self._ending is None else self._ending
-        lags = np.flatnonzero(resp.any(axis=(1, 2)))
-        lead, span = (int(lags[0]), int(lags[-1]) + 1) if lags.size else (0, 0)
-        tr = self._trellises.get(span)
-        if tr is None:
-            tr = self._trellises[span] = self._build_trellis(resp[lead:span], lead)
-        return tr
-
-    def _build_trellis(self, resp: np.ndarray, lead: int) -> _Trellis:
-        """The trellis of the syndrome responses (lags, 2n, r) from lag
-        `lead`, the first at which one is not the identity."""
+    def _build_trellis(self) -> _Trellis:
+        """The trellis of the syndrome responses from lag `lead`, the
+        first at which one is not the identity."""
         n, r = self.n, self.n - self.k
+        lead = int(self._synd.any(axis=(1, 2)).argmax())
+        resp = self._synd[lead:]
         nu = max(2, len(resp))
         # the chunk c_j(f) of every frame f at every lag j, padded to nu lags
         frames = self._keybits[self._fkey]
@@ -549,38 +539,36 @@ class Simulator:
                 frame, mem = self.smap.step(n, mem, 0)
         return ((duals >> np.arange(2 * n)[:, None]) & 1).astype(np.uint8)
 
-    def _launches(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Responses for the syndrome (ancilla Z per generator) and for the
-        failure test (info X and Z)."""
-        cached = self._responses.get(nframes)
-        if cached is None:
-            n, k = self.n, self.k
-            r = n - k
-            logical = [1 << (r + j) for j in range(k)] + [1 << (n + r + j) for j in range(k)]
-            synd = [1 << (n + a) for a in range(r)]
-            cached = (self._response(synd, nframes), self._response(logical, nframes))
-            self._responses[nframes] = cached
-        return cached
+    def _launches(self, nframes: int) -> np.ndarray:
+        """Responses for the failure test (info X and Z), capped at the
+        window: a catastrophic encoder's never end."""
+        if nframes not in self._responses:
+            r = self.n - self.k
+            logical = [1 << (half + r + j) for half in (0, self.n) for j in range(self.k)]
+            self._responses[nframes] = self._response(logical, nframes)
+        return self._responses[nframes]
 
-    def _single_errors(self, tr: _Trellis, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
+    def _single_errors(self, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
         """The single-error table of an nframes window, over the frames it
-        decodes from `tr.lead` on: frame-key rows, and the index of one of
-        them for every packed chunk row they hold.  Row 0 is the identity,
-        of the zero chunk row.  While the rows fit `_BLOCK_CELLS` cells,
-        the others are the one-qubit errors, of which frame f adds c_j(e)
-        to launch f - j; where several share a chunk row, the table keeps
-        the lex-least."""
+        decodes from the trellis's lead on: frame-key rows, and the index
+        of one of them for every packed chunk row they hold.  Row 0 is the
+        identity, of the zero chunk row.  While the rows fit `_BLOCK_CELLS`
+        cells, the others are the one-qubit errors, of which frame f adds
+        c_j(e) to launch f - j; where several share a chunk row, the table
+        keeps the lex-least."""
         cached = self._singles.get(nframes)
         if cached is not None:
             return cached
-        n, r = self.n, self.n - self.k
-        width = nframes - tr.lead
+        n, r, lead = self.n, self.n - self.k, self._trellis.lead
+        width = nframes - lead
         # X, Y and Z on every wire, in ascending key order
         codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
         if width * width * len(codes) > _BLOCK_CELLS:
             codes = codes[:0]
-        resp = self._launches(nframes)[0][tr.lead :]
-        lagged = ((self._keybits[codes] @ resp) & 1) @ (1 << np.arange(r))
+        # c_j(e) at every lag j, zero past the responses' span
+        resp = self._synd[lead:]
+        lagged = np.zeros((width + len(resp), len(codes)), dtype=np.intp)
+        lagged[: len(resp)] = ((self._keybits[codes] @ resp) & 1) @ (1 << np.arange(r))
         # the identity, then the errors from the last frame back: ascending
         # lexicographic order
         nerr = len(codes)
@@ -601,7 +589,7 @@ class Simulator:
         """Bit (trial, t, d): sp(error, direction d launched at frame t)."""
         nframes = errors.shape[1]
         acc = np.zeros(errors.shape[:2] + resp.shape[2:], dtype=np.uint8)
-        for lag in np.flatnonzero(resp.any(axis=(1, 2))):
+        for lag in np.flatnonzero(resp[:nframes].any(axis=(1, 2))):
             acc[:, : nframes - lag] += errors[:, lag:] @ resp[lag]
         return acc & 1
 
@@ -616,12 +604,12 @@ class Simulator:
     def syndrome_block(self, errors: np.ndarray) -> np.ndarray:
         """Syndrome bits (trials, N, n - k) of a block of window errors."""
         errors = self._check_block(errors)
-        return self._products(errors, self._launches(errors.shape[1])[0])
+        return self._products(errors, self._synd)
 
     def failure_block(self, residuals: np.ndarray) -> np.ndarray:
         """Per-trial flags: the residual disturbs info content at some frame."""
         residuals = self._check_block(residuals)
-        return self._products(residuals, self._launches(residuals.shape[1])[1]).any(axis=(1, 2))
+        return self._products(residuals, self._launches(residuals.shape[1])).any(axis=(1, 2))
 
     def decode_block(self, syndromes: np.ndarray) -> np.ndarray:
         """Minimum-weight errors (trials, N, 2n) with these syndromes,
@@ -636,10 +624,10 @@ class Simulator:
 
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
-        tr = self._trellis(chunks.shape[1])
+        tr = self._trellis
         decode = self._viterbi_tables if tr.tables is not None else self._viterbi_batched
         if not tr.lead:
-            return decode(tr, chunks)
+            return decode(chunks)
         # the lead frames reach no measured launch, and the launches of the
         # last lead chunks no frame of the window
         cut = max(chunks.shape[1] - tr.lead, 0)
@@ -647,12 +635,12 @@ class Simulator:
             raise TrellisError("no trellis path matches the syndrome")
         keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
         if cut:
-            keys[:, tr.lead :] = decode(tr, chunks[:, :cut])
+            keys[:, tr.lead :] = decode(chunks[:, :cut])
         return keys
 
-    def _viterbi_tables(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
+    def _viterbi_tables(self, chunks: np.ndarray) -> np.ndarray:
         """`_viterbi` by the automaton."""
-        tab = tr.tables
+        tab = self._trellis.tables
         # backward: turn every frame's chunk into its edge, from the pinned
         # vector 0 after the last frame; forward: turn each edge into the
         # walk's entry
@@ -675,12 +663,13 @@ class Simulator:
             raise TrellisError("trellis walk did not terminate at the identity")
         return keys
 
-    def _viterbi_batched(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
+    def _viterbi_batched(self, chunks: np.ndarray) -> np.ndarray:
         """`_viterbi` by the single-error table, and by the backward pass
         and forward walk for the syndromes it lacks."""
         # the table's rows are exact ML answers; the others go in groups
         # whose backward metrics fit the budget
-        ids, singles = self._single_errors(tr, chunks.shape[1] + tr.lead)
+        tr = self._trellis
+        ids, singles = self._single_errors(chunks.shape[1] + tr.lead)
         packed = _row_bytes(chunks.astype(np.intp, copy=False))
         found = np.array([ids.get(row, -1) for row in packed], dtype=np.intp)
         keys = singles[found]
@@ -688,10 +677,11 @@ class Simulator:
         group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * tr.succ.shape[1]))
         for a in range(0, rows.size, group):
             part = rows[a : a + group]
-            keys[part] = self._viterbi_nonzero(tr, chunks[part])
+            keys[part] = self._viterbi_nonzero(chunks[part])
         return keys
 
-    def _viterbi_nonzero(self, tr: _Trellis, chunks: np.ndarray) -> np.ndarray:
+    def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
+        tr = self._trellis
         ntrials, nframes = chunks.shape
         nbranches, nstates = tr.succ.shape
         dtype, inf = self._metric(nframes)
@@ -829,9 +819,9 @@ def estimate_wers(
     """Word error rates of weight-ML decoding over an nframes window, one
     per depolarizing probability in `ps`.
 
-    `encoder` is anything `as_symplectic` accepts, or a `Simulator` built
-    for `code`, which is then reused instead of building the trellis
-    again.  Trial i draws from its own counter range of one Philox
+    `encoder` is anything `as_symplectic` accepts that realizes `code`
+    (otherwise `InputDataError`), or a `Simulator` built for `code`,
+    which is then reused instead of building the trellis again.  Trial i draws from its own counter range of one Philox
     stream keyed by `seed`, in [0, SEED_LIMIT), so results are
     bit-identical for any block size.  Every point runs in the calling
     process, in the same sample blocks.  The 95% halfwidth uses the

@@ -210,9 +210,8 @@ def _gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
 
 def minimal_memory(matrix: CommutationRequirement) -> int:
     """Memory qubits needed: one per hyperbolic pair plus one per isotropic
-    generator (= rank/2 + (p - rank))."""
-    sgs = symplectic_gram_schmidt(matrix)
-    return len(sgs.pairs) + len(sgs.isotropic)
+    generator, rank/2 + (p - rank); an alternating form has even rank."""
+    return matrix.size - gf2.rank(list(matrix.rows)) // 2
 
 
 @dataclass(frozen=True)

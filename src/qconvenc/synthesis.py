@@ -192,9 +192,8 @@ def _reduce_to_x(cols: List[int], row: int, q: int, width: int, lock_z_pivot: bo
 
 def synthesize_circuit(target: SymplecticMap) -> CliffordCircuit:
     """Gate sequence realizing the matrix, reduced to the identity on its 2w
-    packed columns (verified before returning)."""
-    if not target.is_symplectic():
-        raise SynthesisError("target matrix is not symplectic")
+    packed columns (verified before returning: every circuit's matrix is
+    symplectic, so a target that is not raises SynthesisError)."""
     w = target.width
     cols = gf2.transpose(target.rows, 2 * w)
     emitted: List[CliffordGate] = []

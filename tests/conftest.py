@@ -7,6 +7,7 @@ are session-scoped; everything downstream treats them as read-only.
 from __future__ import annotations
 
 import random
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -14,10 +15,13 @@ from hypothesis import strategies as st
 from qconvenc import (
     CliffordCircuit,
     CliffordGate,
+    ConvolutionalCode,
+    FramedPauliSequence,
     MemoryAssignment,
     PauliOperator,
     SymplecticMap,
     Simulator,
+    as_symplectic,
     circuit_to_symplectic,
     derive_online_decoder,
     parse_code,
@@ -130,3 +134,37 @@ def random_circuit(width: int, ngates: int, rng: random.Random) -> CliffordCircu
 
 def random_symplectic(width: int, rng: random.Random) -> SymplecticMap:
     return circuit_to_symplectic(random_circuit(width, 8 * width, rng))
+
+
+def realized_code(encoder, n: int, k: int) -> Optional[ConvolutionalCode]:
+    """The code the encoder realizes on n-qubit frames with k info wires:
+    its generators are the frames it emits for ancilla Z on each of the
+    first n - k input wires, from identity memory until the memory is the
+    identity again.  None if a response does not end within 2m + 1
+    frames; the memory then evolves by one linear map A, so a response
+    that ends at all ends once A^(2m) has run."""
+    smap = as_symplectic(encoder)
+    m = smap.width - n
+    gens = []
+    for a in range(n - k):
+        frame, mem = smap.step(n, 0, 1 << (n + a))
+        frames = [frame]
+        while mem:
+            if len(frames) > 2 * m:
+                return None
+            frame, mem = smap.step(n, mem, 0)
+            frames.append(frame)
+        gens.append(FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames)))
+    return ConvolutionalCode(n, tuple(gens))
+
+
+def random_realized(n: int, k: int, m: int, seed: int) -> Tuple[ConvolutionalCode, SymplecticMap]:
+    """The first random encoder of width m + n, drawn from a generator
+    seeded with `seed`, whose syndrome responses end, and the code it
+    realizes."""
+    rng = random.Random(seed)
+    while True:
+        smap = random_symplectic(m + n, rng)
+        code = realized_code(smap, n, k)
+        if code is not None:
+            return code, smap

@@ -9,16 +9,16 @@ syndrome-former trellis is held against the encoder's memory-state
 trellis (`oracles.per_state_trellis`): its decoded errors against the
 full backward pass and dense forward walk over memory states, and its
 factored step against the per-state step, whose least metrics agree
-frame by frame, on random encoders (whose syndrome responses mostly
-outlast the window), at both ends of the successor map's rank and on
-synthesized small codes, in both metric dtypes.  Its tables are also
-read against the chunks of the code's own generators.  The decoding
-automaton of small trellises is held against the batched decoder on
-random encoders and synthesized small codes, and on FGG against the
-full backward pass on every syndrome up to N = 8; the tests of the
-batched decoder run it on a copy without the automaton (`batched`).
-The batched pass's single-error table is held against the lex-least
-one-qubit error of every syndrome by the product route
+frame by frame, on random encoders and the codes they realize (whose
+generators may outlast the window), at both ends of the successor map's
+rank and on synthesized small codes, in both metric dtypes.  Its tables
+are also read against the chunks of the code's own generators.  The
+decoding automaton of small trellises is held against the batched
+decoder on random encoders' codes and synthesized small codes, and on
+FGG against the full backward pass on every syndrome up to N = 8; the
+tests of the batched decoder run it on a copy without the automaton
+(`batched`).  The batched pass's single-error table is held against the
+lex-least one-qubit error of every syndrome by the product route
 (`oracles.single_error_table`), and its decode against the decode of a
 copy whose table is empty.
 """
@@ -36,7 +36,7 @@ from qconvenc.code import from_classical_polynomial
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
-from qconvenc.errors import CodeValidationError, ParseError, QconvError, TrellisError
+from qconvenc.errors import CodeValidationError, InputDataError, ParseError, QconvError, TrellisError
 from qconvenc.simulate import (
     DepolarizingChannel,
     Simulator,
@@ -52,7 +52,7 @@ from qconvenc.simulate import (
     syndrome_by_products,
 )
 
-from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_symplectic
+from conftest import SMALL_GENERATORS, random_realized, random_symplectic
 from oracles import (
     full_viterbi_keys,
     merged_syndrome_trellis,
@@ -158,8 +158,7 @@ def assert_decode_matches_full_pass(sim, syndromes):
 def batched(sim):
     """The simulator decoding by its batched pass, without the automaton."""
     out = copy.copy(sim)
-    out._trellises = {span: tr._replace(tables=None) for span, tr in sim._trellises.items()}
-    out._build_automaton = lambda tr: None
+    out._trellis = sim._trellis._replace(tables=None)
     return out
 
 
@@ -471,7 +470,7 @@ def test_trellis_matches_per_state_build(request, which):
     sim = request.getfixturevalue(f"{which}_simulator")
     code = sim.code
     r = code.n - code.k
-    tr = sim._trellis(6)
+    tr = sim._trellis
     nbranches, nstates = tr.succ.shape
     nu = max(g.span for g in code.generators)
     assert tr.lead == 0 and nstates == 1 << (r * (nu - 1)) and tr.dead.size == 0
@@ -498,24 +497,22 @@ def test_trellis_matches_per_state_build(request, which):
 
 
 def test_gr_syndrome_trellis_has_256_states(gr_simulator):
-    tr = gr_simulator._trellis(10)
+    tr = gr_simulator._trellis
     assert tr.succ.shape == tr.weight.shape == tr.key.shape == (16, 256)
     assert tr.tables is None
-    # one trellis for every window length: GR's syndrome responses end
-    assert gr_simulator._trellis(3) is tr and len(gr_simulator._trellises) == 1
     assert sum(a.nbytes for a in (tr.succ, tr.weight, tr.key)) < 50 << 10
 
 
 def test_gr_trellis_arrays_fit_in_four_megabytes(gr_synthesis):
     sim = Simulator(GR_CODE, gr_synthesis.circuit)
     arrays = [v for v in vars(sim).values() if isinstance(v, np.ndarray)]
-    arrays += [v for tr in sim._trellises.values() for v in tr if isinstance(v, np.ndarray)]
+    arrays += [v for v in sim._trellis if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 4 << 20
 
 
-# codes of three rates; the step tests pair them with encoders that need
-# not realize them, since a trellis reads only n and k off its code
-STEP_CODES = [parse_code("n=2\nXX\nZZ\n"), parse_code(CATASTROPHIC_CODE_TEXT), FGG_CODE]
+# (n, k) of three rates: the step tests draw random encoders of these
+# shapes whose syndrome responses end, and simulate the codes they realize
+STEP_SHAPES = [(2, 0), (2, 1), (3, 1)]
 
 
 def assert_backward_pass_matches_per_state(sim, rng, nframes=4, ntrials=6):
@@ -528,7 +525,7 @@ def assert_backward_pass_matches_per_state(sim, rng, nframes=4, ntrials=6):
     frame by frame (at the first frame only, once a lead shifts the
     launches)."""
     r = sim.n - sim.k
-    tr = sim._trellis(nframes)
+    tr = sim._trellis
     cut = max(nframes - tr.lead, 0)
     chunks = rng.integers(0, 1 << r, (ntrials, nframes))
     chunks[:, cut:] = 0
@@ -554,10 +551,9 @@ def assert_backward_pass_matches_per_state(sim, rng, nframes=4, ntrials=6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(STEP_CODES), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_factored_step_matches_per_state_pass_on_random_encoders(code, m, seed):
-    rng = random.Random(seed)
-    sim = Simulator(code, random_symplectic(m + code.n, rng))
+@given(st.sampled_from(STEP_SHAPES), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_factored_step_matches_per_state_pass_on_random_encoders(shape, m, seed):
+    sim = Simulator(*random_realized(*shape, m, seed))
     assert_backward_pass_matches_per_state(sim, np.random.default_rng(seed))
 
 
@@ -577,12 +573,13 @@ def test_factored_step_matches_per_state_pass_at_the_kernel_extremes(
         m, n = 2, FGG_CODE.n
         wires = [n + i for i in range(m)] + list(range(n))  # input wire -> output wire
         rows = [1 << o for o in wires] + [1 << (m + n + o) for o in wires]
-        sim, shape, dead = Simulator(FGG_CODE, SymplecticMap(m + n, tuple(rows))), (4, 4), 3
+        code = parse_code("n=3\nZII\nIZI\n")  # ancilla Z goes straight out
+        sim, shape, dead = Simulator(code, SymplecticMap(m + n, tuple(rows))), (4, 4), 3
     else:
-        code = STEP_CODES[0]
+        code = parse_code("n=2\nXX\nZZ\n")
         sim, shape, dead = Simulator(code, synthesize_encoder(code).circuit), (4, 4), 3
         assert sim.m == 0
-    tr = sim._trellis(4)
+    tr = sim._trellis
     assert tr.succ.shape == shape and tr.dead.size == dead
     assert_backward_pass_matches_per_state(sim, np.random.default_rng(14))
 
@@ -591,9 +588,9 @@ def assert_both_paths_match_full_pass(sim, nframes, seed):
     """decode_block, by the simulator's own path and by the batched pass,
     against the memory-state oracle on the syndromes of sampled errors
     (so that every one has a path), dense and sparse."""
-    if sim._ending is None or len(sim._ending) > nframes:
-        event("responses outlast the window")
-    event("tables" if sim._trellis(nframes).tables is not None else "batched")
+    if sim.code.nu > nframes:
+        event("generators outlast the window")
+    event("tables" if sim._trellis.tables is not None else "batched")
     errors = np.concatenate([
         _sample_block(0.1, sim.n, nframes, seed, 0, 12),
         _sample_block(0.6, sim.n, nframes, seed, 12, 24),
@@ -604,9 +601,9 @@ def assert_both_paths_match_full_pass(sim, nframes, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(STEP_CODES), st.integers(0, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_decode_matches_full_pass_on_random_encoders(code, m, nframes, seed):
-    sim = Simulator(code, random_symplectic(m + code.n, random.Random(seed)))
+@given(st.sampled_from(STEP_SHAPES), st.integers(0, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_decode_matches_full_pass_on_random_encoders(shape, m, nframes, seed):
+    sim = Simulator(*random_realized(*shape, m, seed))
     assert_both_paths_match_full_pass(sim, nframes, seed)
 
 
@@ -691,8 +688,8 @@ def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monk
 def table_by_syndrome(sim, nframes):
     """The simulator's single-error table of an nframes window, as
     syndrome -> frame-key row over the whole window."""
-    tr = sim._trellis(nframes)
-    ids, keys = sim._single_errors(tr, nframes)
+    tr = sim._trellis
+    ids, keys = sim._single_errors(nframes)
     r = sim.n - sim.k
     out = {}
     for row, i in ids.items():
@@ -706,34 +703,28 @@ def table_by_syndrome(sim, nframes):
 
 def table_simulator(request, lead_code, which):
     """FGG's or GR's simulator, that of the code whose responses lead by
-    one frame, or one of a random FGG encoder (m = 2) whose syndrome
-    responses never end."""
+    one frame, or that of a random encoder (n = 3, k = 1, m = 2) and the
+    code it realizes, whose generators span 4 frames and whose automaton
+    does not fit."""
     if which == "lead":
         return Simulator(*lead_code)
-    if which == "never-ending":
-        sim = Simulator(FGG_CODE, random_symplectic(2 + FGG_CODE.n, random.Random(0)))
-        assert sim._ending is None
-        return sim
+    if which == "realized":
+        return Simulator(*random_realized(3, 1, 2, 0))
     return request.getfixturevalue(f"{which}_simulator")
 
 
 @pytest.mark.parametrize(
     "which, nframes",
-    [("fgg", 5), ("gr", 4), ("gr", 1), ("lead", 5), ("never-ending", 3), ("never-ending", 6)],
+    [("fgg", 5), ("gr", 4), ("gr", 1), ("lead", 5), ("realized", 3), ("realized", 6)],
 )
 def test_single_error_table_matches_the_product_route(request, lead_code, which, nframes):
     sim = table_simulator(request, lead_code, which)
-    assert sim._trellis(nframes).lead == (which == "lead")
+    assert sim._trellis.lead == (which == "lead")
     table = table_by_syndrome(sim, nframes)
-    if which == "never-ending":
-        # a random encoder realizes no code: read its syndromes off its own
-        # responses, by the batched products
-        syndrome = lambda e: sim.syndrome(e, nframes)
-    else:
-        syndrome = lambda e: syndrome_by_products(sim.code, e, nframes)
+    syndrome = lambda e: syndrome_by_products(sim.code, e, nframes)
     assert table == single_error_table(syndrome, sim.n, nframes)
     # one-qubit errors give more than one syndrome, and at most one each
-    assert 1 < len(table) <= 1 + 3 * sim.n * (nframes - sim._trellis(nframes).lead)
+    assert 1 < len(table) <= 1 + 3 * sim.n * (nframes - sim._trellis.lead)
 
 
 def test_single_error_table_keeps_the_zero_row_alone_over_the_budget(
@@ -742,9 +733,8 @@ def test_single_error_table_keeps_the_zero_row_alone_over_the_budget(
     sim = batched(Simulator(FGG_CODE, fgg_reference_encoder))
     # 9 one-qubit errors per frame, each a row of N chunks: 9 N^2 cells
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 9 * 4 * 4)
-    tr = sim._trellis(4)
-    assert len(sim._single_errors(tr, 4)[0]) > 1
-    ids, keys = sim._single_errors(tr, 5)
+    assert len(sim._single_errors(4)[0]) > 1
+    ids, keys = sim._single_errors(5)
     assert list(ids.values()) == [0] and not keys.any()
     assert_decode_matches_full_pass(sim, sim.syndrome_block(_sample_block(0.1, 3, 5, 6, 0, 100)))
 
@@ -754,14 +744,14 @@ def without_table(sim):
     the zero one too, goes through the backward pass."""
     out = copy.copy(sim)
     dtype = sim._fkey.dtype
-    out._single_errors = lambda tr, nframes: ({}, np.zeros((1, nframes - tr.lead), dtype=dtype))
+    out._single_errors = lambda nframes: ({}, np.zeros((1, nframes - sim._trellis.lead), dtype=dtype))
     return out
 
 
-@pytest.mark.parametrize("which, nframes", [("gr", 3), ("gr", 10), ("lead", 6), ("never-ending", 5)])
+@pytest.mark.parametrize("which, nframes", [("gr", 3), ("gr", 10), ("lead", 6), ("realized", 5)])
 def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, which, nframes):
     sim = table_simulator(request, lead_code, which)
-    assert sim._trellis(nframes).tables is None
+    assert sim._trellis.tables is None
     errors = np.concatenate(
         [_sample_block(p, sim.n, nframes, 21, 0, 60) for p in (0.01, 0.05, 0.1, 0.2, 0.3)]
     )
@@ -769,8 +759,8 @@ def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, 
     est = sim.decode_block(syndromes)
     assert (est == without_table(sim).decode_block(syndromes)).all()
     # the table answers some nonzero syndromes, and the pass the others
-    tr = sim._trellis(nframes)
-    ids = sim._single_errors(tr, nframes)[0]
+    tr = sim._trellis
+    ids = sim._single_errors(nframes)[0]
     chunks = (syndromes.astype(np.intp) << np.arange(sim.n - sim.k)).sum(axis=2)
     hit = np.array([row in ids for row in simulate_module._row_bytes(chunks[:, : nframes - tr.lead])])
     assert (hit & syndromes.any(axis=(1, 2))).any() and not hit.all()
@@ -842,7 +832,7 @@ def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
     nonzero = np.flatnonzero(syndromes.any(axis=(1, 2)))
     assert 20 < len(nonzero) < 180
     # the trials of one decode group meet different chunks at one frame
-    nstates = gr_simulator._trellis(nframes).succ.shape[1]
+    nstates = gr_simulator._trellis.succ.shape[1]
     group = simulate_module._BLOCK_CELLS // ((nframes + 1) * nstates)
     chunks = syndromes[nonzero[:group]] @ np.array([1, 2])
     assert group > 1 and any(len(set(chunks[:, t].tolist())) > 2 for t in range(nframes))
@@ -905,7 +895,7 @@ def lead_code():
 
 def test_syndrome_off_the_trellis_raises_trellis_error(lead_code):
     sim = Simulator(*lead_code)
-    tr = sim._trellis(5)
+    tr = sim._trellis
     assert tr.lead == 1 and tr.succ.shape == (16, 1024) and tr.tables is None
     # the launch at the last frame reaches no frame of the window, so its
     # chunk is zero for every error
@@ -922,6 +912,30 @@ def test_syndrome_off_the_trellis_raises_trellis_error(lead_code):
     syndromes[7, -1, 1] = 1
     with pytest.raises(TrellisError, match="no trellis path"):
         sim.decode_block(syndromes)
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["gr", "lead"] + [pytest.param(nkms, id="realized-{}-{}-{}-{}".format(*nkms))
+                      for nkms in [(3, 1, 2, 3), (3, 1, 3, 5), (2, 1, 3, 2), (3, 1, 3, 10)]],
+)
+def test_syndrome_block_matches_the_products_on_short_windows(request, lead_code, which):
+    # the syndrome responses span the code's nu lags whatever the window,
+    # so a window of N < nu frames reads only their first N; the realized
+    # codes span 5, 6, 6 and 4 frames, the last after one lead frame
+    if which == "gr":
+        sim = request.getfixturevalue("gr_simulator")
+    elif which == "lead":
+        sim = Simulator(*lead_code)
+    else:
+        sim = Simulator(*random_realized(*which))
+    assert sim.code.nu > 3
+    rng = np.random.default_rng(19)
+    for nframes in range(1, sim.code.nu + 2):
+        errors = [sample_error(DepolarizingChannel(0.3), sim.n * nframes, rng) for _ in range(20)]
+        want = [syndrome_by_products(sim.code, e, nframes) for e in errors]
+        got = sim.syndrome_block(to_block(errors, sim.n, nframes)).reshape(len(errors), -1)
+        assert (got == np.array(want)).all()
 
 
 # -- the metric automaton ------------------------------------------------------
@@ -948,10 +962,10 @@ def assert_tables_match_batched(sim, rng, ntrials=20):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(STEP_CODES), st.integers(0, 2), st.integers(0, 2**32 - 1))
-def test_tables_match_factored_decoder_on_random_encoders(code, m, seed):
-    sim = Simulator(code, random_symplectic(m + code.n, random.Random(seed)))
-    event("tables" if sim._trellis(6).tables is not None else "over budget")
+@given(st.sampled_from(STEP_SHAPES), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_tables_match_factored_decoder_on_random_encoders(shape, m, seed):
+    sim = Simulator(*random_realized(*shape, m, seed))
+    event("tables" if sim._trellis.tables is not None else "over budget")
     assert_tables_match_batched(sim, np.random.default_rng(seed))
 
 
@@ -967,12 +981,12 @@ def test_tables_match_factored_decoder_on_synthesized_codes(drawn, seed):
         sim = Simulator(code, synthesize_encoder(code, max_candidates=200).circuit)
     except QconvError:  # no encoder, or one too wide for the trellis
         return
-    event("tables" if sim._trellis(6).tables is not None else "over budget")
+    event("tables" if sim._trellis.tables is not None else "over budget")
     assert_tables_match_batched(sim, np.random.default_rng(seed))
 
 
 def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
-    assert fgg_simulator._trellis(8).tables is not None
+    assert fgg_simulator._trellis.tables is not None
     for nframes in range(1, 9):
         syndromes = all_syndromes(2 * nframes, 2)
         for lo in range(0, len(syndromes), 4096):
@@ -982,7 +996,7 @@ def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
 def test_fgg_closure_sizes(fgg_simulator):
     # 5 normalized metric vectors and 6 walk sets besides the empty one,
     # under 4 chunks
-    tab = fgg_simulator._trellis(1).tables
+    tab = fgg_simulator._trellis.tables
     assert tab.stride == 5 * 4 and len(tab.ends) == 7
     assert not tab.ends[0] and len(tab.fnext) == len(tab.fkey) == 7 * tab.stride
 
@@ -990,7 +1004,7 @@ def test_fgg_closure_sizes(fgg_simulator):
 def test_rate_zero_code_selects_the_tables():
     code = parse_code("n=2\nXX\nZZ\n")
     sim = Simulator(code, synthesize_encoder(code).circuit)
-    assert sim._trellis(1).tables is not None
+    assert sim._trellis.tables is not None
     assert_tables_match_batched(sim, np.random.default_rng(16))
 
 
@@ -1007,30 +1021,32 @@ def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
-    assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis(10).tables is None
+    assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis.tables is None
     assert calls == [(256, 4), (256, 4)]
 
 
-def test_over_budget_closure_falls_back_to_the_factored_trellis():
-    sim = Simulator(FGG_CODE, random_symplectic(2 + FGG_CODE.n, random.Random(0)))
-    # responses that never end: one trellis per window, capped at it
-    assert sim.m == 2 and sim._ending is None and sim._trellises == {}
-    assert sim._trellis(6).tables is None and list(sim._trellises) == [6]
-    # syndromes of sampled errors, so that every one has a path
-    errors = _sample_block(0.2, sim.n, 6, 17, 0, 200)
-    assert_decode_matches_full_pass(sim, sim.syndrome_block(errors))
-    estimate_wer(FGG_CODE, sim, 0.05, 6, 20, seed=1)
-    estimate_wer(FGG_CODE, sim, 0.05, 3, 20, seed=1)
-    assert list(sim._trellises) == [6, 3]
+def test_encoder_that_does_not_realize_the_code_is_refused():
+    # a random encoder (m = 2) whose syndrome responses never end, so that
+    # it realizes no code
+    encoder = random_symplectic(2 + FGG_CODE.n, random.Random(0))
+    for simulate in (Simulator, lambda code, enc: estimate_wer(code, enc, 0.05, 6, 20, seed=1)):
+        with pytest.raises(InputDataError) as info:
+            simulate(FGG_CODE, encoder)
+        assert str(info.value).startswith("input circuit does not realize the code: generator 1")
+        assert len(str(info.value).splitlines()) == 1
+    # an encoder narrower than one frame is refused the same way, and
+    # InputDataError is a ValueError
+    with pytest.raises(ValueError, match="narrower than one frame"):
+        Simulator(FGG_CODE, SymplecticMap.identity(2))
 
 
 def test_automaton_and_batched_pass_share_one_trellis(fgg_reference_encoder):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
-    tr = sim._trellis(6)
+    tr = sim._trellis
     for nframes in (1, 6, 20):
         estimate_wer(FGG_CODE, sim, 0.05, nframes, 20, seed=1)
-    # FGG's syndrome responses end: one trellis, built with the simulator
-    assert list(sim._trellises.values()) == [tr] and tr.tables is not None
+    # one trellis for every window, built with the simulator
+    assert sim._trellis is tr and tr.tables is not None
     errors = _sample_block(0.3, 3, 6, 2, 0, 100)
     syndromes = sim.syndrome_block(errors)
     assert (batched(sim).decode_block(syndromes) == sim.decode_block(syndromes)).all()
@@ -1042,7 +1058,7 @@ def test_automaton_and_batched_pass_share_one_trellis(fgg_reference_encoder):
 )
 def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt, message):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
-    tab = sim._trellis(1).tables
+    tab = sim._trellis.tables
     # the entry of a one-frame window with chunk 1: from the walk set of
     # the vector before the frame, with the pinned vector 0 after it
     entry = tab.start[tab.back[1]] + 1

@@ -150,6 +150,24 @@ def test_minimal_memory_values():
     assert minimal_memory(required_commutation_matrix(GR_CODE)) == 6
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda size: st.tuples(st.just(size), st.integers(0, 2 ** (size * size) - 1))))
+def test_minimal_memory_counts_the_gram_schmidt_pairs(drawn):
+    # a random symmetric, zero-diagonal matrix from the bits above its
+    # diagonal: the rank formula against the pairs and isotropic
+    # generators that Gram-Schmidt finds
+    size, bits = drawn
+    rows = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if (bits >> (i * size + j)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    mat = CommutationRequirement(size, tuple(rows), tuple((1, t + 1) for t in range(size)))
+    sgs = symplectic_gram_schmidt(mat)
+    assert minimal_memory(mat) == len(sgs.pairs) + len(sgs.isotropic)
+
+
 def test_empty_matrix_assigns_nothing():
     mat = CommutationRequirement(0, (), ())
     asg = assign_memory(mat)

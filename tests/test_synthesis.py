@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qconvenc import (
     PauliOperator,
@@ -12,7 +14,7 @@ from qconvenc import (
     circuit_to_symplectic,
     circuit_to_text,
 )
-from qconvenc.errors import MapConsistencyError
+from qconvenc.errors import MapConsistencyError, SynthesisError
 from qconvenc.library import FGG_ENCODER
 from qconvenc.synthesis import (
     PartialMap,
@@ -105,6 +107,22 @@ def test_synthesis_scaling_and_bound():
             circ = synthesize_circuit(m)
             assert len(circ.gates) <= gate_count_bound(w)
             assert circuit_to_symplectic(circ) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(st.integers(0, 4**w - 1), min_size=2 * w, max_size=2 * w))
+), st.booleans())
+def test_non_symplectic_targets_raise_synthesis_error(drawn, singular):
+    # random 2w x 2w matrices, or singular ones with a row repeated: the
+    # elimination or the final comparison refuses each, with no other error
+    w, rows = drawn
+    if singular:
+        rows[-1] = rows[0]
+    target = SymplecticMap(w, tuple(rows))
+    assume(not target.is_symplectic())
+    with pytest.raises(SynthesisError):
+        synthesize_circuit(target)
 
 
 def test_random_partial_maps_complete_and_verify():
