@@ -9,7 +9,8 @@ followed by c2 multiplies M(c1) . M(c2).
 `_flips` is the one definition of each gate, and `_conjugate` the one
 way to apply it: matrices are kept as columns, one int each over the 2w
 rows, so a flip is one XOR for all rows (Aaronson and Gottesman, PRA
-2004).
+2004).  `SymplecticMap.stream` is the one loop that feeds a map frame
+by frame.
 """
 
 from __future__ import annotations
@@ -178,6 +179,21 @@ class SymplecticMap:
         m = w - n
         img = self.apply_vec(_place(mem, m, 0, w) | _place(frame, n, m, w))
         return _field(img, w, 0, n), _field(img, w, n, m)
+
+    def stream(self, n: int, frames: Sequence[int], limit: int) -> Tuple[List[int], List[int]]:
+        """Step packed n-qubit `frames` in from identity memory, then
+        identity frames, until all have entered and the memory is the
+        identity again, or `limit` frames have entered; returns the emitted
+        frames and the memory after each.  Past an end where the memory
+        closed, every frame and memory is the identity."""
+        out, mems, mem = [], [], 0
+        for t in range(limit):
+            if t >= len(frames) and not mem:
+                break
+            frame, mem = self.step(n, mem, frames[t] if t < len(frames) else 0)
+            out.append(frame)
+            mems.append(mem)
+        return out, mems
 
 
 def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:

@@ -26,12 +26,11 @@ import argparse
 import csv
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .catastrophic import MAX_CANDIDATES, is_noncatastrophic
 from .circuit import (
     CliffordCircuit,
-    SymplecticMap,
     as_symplectic,
     circuit_from_json,
     circuit_to_json,
@@ -55,7 +54,6 @@ from .errors import (
 from .pipeline import synthesize_encoder, verify_encoder
 from .simulate import SEED_LIMIT, Simulator, estimate_wers
 from .skeleton import (
-    MemoryAssignment,
     TransformationSkeleton,
     build_skeleton,
     minimal_memory,
@@ -90,21 +88,6 @@ def _read_circuit(path: str) -> CliffordCircuit:
     if text.lstrip().startswith("{"):
         return circuit_from_json(text)
     return parse_circuit(text)
-
-
-def _read_encoder(
-    args: argparse.Namespace,
-) -> Tuple[ConvolutionalCode, SymplecticMap, MemoryAssignment, TransformationSkeleton]:
-    """The code, the map of the encoder circuit checked against it, the
-    memory assignment the circuit realizes and the code's skeleton."""
-    code = _read_code(args.code)
-    smap = as_symplectic(_read_circuit(args.encoder))
-    skeleton = build_skeleton(code)
-    try:
-        assignment = verify_encoder(code, smap, skeleton)
-    except MapConsistencyError as exc:  # a fault of the input, not of the package
-        raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
-    return code, smap, assignment, skeleton
 
 
 def _verdict_word(flag: bool) -> str:
@@ -194,13 +177,14 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    code, smap, assignment, skeleton = _read_encoder(args)
-    matrix = skeleton_commutation_matrix(skeleton)
-    verdict = is_noncatastrophic(smap, code.n, code.k, assignment.m)
+    code = _read_code(args.code)
+    smap = as_symplectic(_read_circuit(args.encoder))
+    m = verify_encoder(code, smap).m
+    verdict = is_noncatastrophic(smap, code.n, code.k, m)
     report = {
         "rows_verified": True,
-        "memory": assignment.m,
-        "minimal_memory": minimal_memory(matrix),
+        "memory": m,
+        "minimal_memory": minimal_memory(skeleton_commutation_matrix(build_skeleton(code))),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:
@@ -210,8 +194,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_derive_decoder(args: argparse.Namespace) -> int:
-    code, smap, _, _ = _read_encoder(args)
-    result = derive_online_decoder(code, smap)
+    code = _read_code(args.code)
+    result = derive_online_decoder(code, _read_circuit(args.encoder))
     return _emit_circuit_report({"decoder_memory": result.memory}, result, code, "decoder", args)
 
 

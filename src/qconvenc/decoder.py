@@ -1,13 +1,15 @@
 """Online decoder derivation from a concrete encoder.
 
-The decoder is pinned down the same way the encoder was: by per-frame
+The encoder must realize the code (`pipeline.verify_encoder`).  The
+decoder is pinned down the same way the encoder was: by per-frame
 transformation rows.  Its rows say "when the received stream carries an
 encoded logical, emit the bare logical on the info wire at the end of its
 span; when it carries a stabilizer generator, emit Z on the matching
 syndrome wire" — with unknown memory operators at the frame boundaries.
-The encoded logicals themselves are obtained by pushing the unencoded
-single-qubit operators through the encoder and letting its memory register
-relax back to the identity.
+The encoded logicals themselves are the frames the encoder streams out
+for the unencoded single-qubit operators until its memory register is
+the identity again.  The round trip streams each probe through the
+encoder and then the decoder once, whatever the window.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_s
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
 from .pauli import PauliOperator
+from .pipeline import verify_encoder
 from .skeleton import (
     Chain,
     CommutationRequirement,
@@ -55,17 +58,14 @@ class LogicalOperatorSet:
 
 def _propagate(smap: SymplecticMap, m: int, n: int, first_input: PauliOperator) -> FramedPauliSequence:
     """Frames emitted until the memory register returns to the identity."""
-    frames, mem = [], 0
     # the zero-input step T is linear on GF(2)^2m and ker T^j stops growing by j = 2m: 2m steps decide
-    for fed in [first_input.vec()] + [0] * (2 * m):
-        frame, mem = smap.step(n, mem, fed)
-        frames.append(frame)
-        if not mem:
-            return FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames))
-    raise OrbitError(
-        f"memory orbit of {first_input.to_string()} never closes; "
-        f"stuck at {PauliOperator.from_vec(m, mem).to_string()}"
-    )
+    frames, mems = smap.stream(n, [first_input.vec()], 2 * m + 1)
+    if mems[-1]:
+        raise OrbitError(
+            f"memory orbit of {first_input.to_string()} never closes; "
+            f"stuck at {PauliOperator.from_vec(m, mems[-1]).to_string()}"
+        )
+    return FramedPauliSequence(n, tuple(PauliOperator.from_vec(n, f) for f in frames))
 
 
 def encoded_logical_operators(
@@ -132,8 +132,12 @@ def derive_online_decoder(
     *,
     assignment: Optional[MemoryAssignment] = None,
 ) -> DecoderResult:
-    """Minimal-memory streaming decoder matching the encoder."""
-    logicals = encoded_logical_operators(encoder, code)
+    """Minimal-memory streaming decoder matching the encoder, which must
+    realize the code (`pipeline.verify_encoder`, otherwise
+    `InputDataError`)."""
+    emap = as_symplectic(encoder)
+    verify_encoder(code, emap)
+    logicals = encoded_logical_operators(emap, code)
     skel = build_decoder_skeleton(logicals, code)
     matrix = skeleton_commutation_matrix(skel)
     assignment = resolve_assignment(matrix, assignment)
@@ -153,14 +157,16 @@ def windowed_roundtrip_failures(
 
     Each unencoded generator fed in at frame t must come back out as the
     decoded target at frame t + span - 1 (the decoder emits at the end of
-    the operator's span): exact match on the info coordinates, anything
-    Z-only tolerated on the syndrome coordinates, and both memory
-    registers back at the identity.  Every probe is streamed through the
-    encoder and then the decoder one frame at a time, as on the wire.
+    the operator's span), if that frame is in the window: exact match on
+    the info coordinates, anything Z-only tolerated on the syndrome
+    coordinates, and both memory registers back at the identity by the
+    window's end.  Both maps keep identity memory until the probe enters,
+    so a launch at frame t sees the launch at frame 1 cut to the window's
+    last N - t + 1 frames: each probe is streamed once, through the
+    encoder and then the decoder, one frame at a time as on the wire.
     """
     n, k = code.n, code.k
-    emap = as_symplectic(encoder)
-    dmap = decoder.map
+    emap, dmap = as_symplectic(encoder), decoder.map
 
     # (label, unencoded probe, span); each probe must come back decoded as itself
     cases: List[Tuple[str, PauliOperator, int]] = []
@@ -171,47 +177,40 @@ def windowed_roundtrip_failures(
         cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"), ex.span))
         cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"), ez.span))
 
-    def stream(src: PauliOperator, t: int) -> Tuple[List[PauliOperator], bool]:
-        """Decoded frames of src fed at frame t, and whether both memories
-        end the window at the identity."""
-        mem_e = mem_d = 0
-        frames: List[PauliOperator] = []
-        for s in range(nframes):
-            sent, mem_e = emap.step(n, mem_e, src.vec() if s == t else 0)
-            out, mem_d = dmap.step(n, mem_d, sent)
-            frames.append(PauliOperator.from_vec(n, out))
-        return frames, not (mem_e or mem_d)
+    def first_fault(label: str, src: PauliOperator, span: int, out: List[int]) -> Tuple[int, str]:
+        """The first frame (0-based) of the decoded stream `out` of src
+        launched at frame 1 that breaks the contract, and its fault with {}
+        for the frame number; nframes and "" if none does."""
+        for s, vec in enumerate(out + [0] * (span - len(out))):
+            fp = PauliOperator.from_vec(n, vec)
+            info, synd = fp.part(n - k, n), fp.part(0, n - k)
+            want = src.part(n - k, n) if s == span - 1 else PauliOperator.identity(k)
+            if info != want:
+                return s, f"info at frame {{}} is {info.to_string()}, wanted {want.to_string()}"
+            if synd.x:
+                return s, "X content on syndrome wires at frame {}"
+            if s == span - 1 and src.part(0, n - k) != synd and label.startswith("ancilla"):
+                # the decoded ancilla Z must actually appear
+                wanted = src.part(0, n - k).to_string()
+                return s, f"syndrome at frame {{}} is {synd.to_string()}, wanted {wanted}"
+        return nframes, ""
+
+    probes = []
+    for label, src, span in cases:
+        sent, mem_e = emap.stream(n, [src.vec()], nframes)
+        out, mem_d = dmap.stream(n, sent, nframes)
+        # whether a memory is not the identity after w = 1, 2, ... frames; past both streams neither is
+        unrestored = [bool(e or d) for e, d in zip(mem_e + [0] * (len(mem_d) - len(mem_e)), mem_d)]
+        probes.append((label, span, unrestored, first_fault(label, src, span, out)))
 
     failures: List[str] = []
     for t in range(nframes):
-        for label, src, span in cases:
-            t_out = t + span - 1
-            if t_out >= nframes:
+        w = nframes - t  # the window's frames from the launch on
+        for label, span, unrestored, (s, fault) in probes:
+            if span > w:
                 continue
-            frames, restored = stream(src, t)
-            if not restored:
+            if w <= len(unrestored) and unrestored[w - 1]:
                 failures.append(f"{label} frame {t + 1}: memory not restored")
-                continue
-            for s, fp in enumerate(frames):
-                info = fp.part(n - k, n)
-                synd = fp.part(0, n - k)
-                want = src.part(n - k, n) if s == t_out else PauliOperator.identity(k)
-                if info != want:
-                    failures.append(
-                        f"{label} frame {t + 1}: info at frame {s + 1} is "
-                        f"{info.to_string()}, wanted {want.to_string()}"
-                    )
-                    break
-                if synd.x:
-                    failures.append(
-                        f"{label} frame {t + 1}: X content on syndrome wires at frame {s + 1}"
-                    )
-                    break
-                if s == t_out and src.part(0, n - k) != synd and label.startswith("ancilla"):
-                    # the decoded ancilla Z must actually appear
-                    failures.append(
-                        f"{label} frame {t + 1}: syndrome at frame {s + 1} is "
-                        f"{synd.to_string()}, wanted {src.part(0, n - k).to_string()}"
-                    )
-                    break
+            elif s < w:
+                failures.append(f"{label} frame {t + 1}: " + fault.format(s + t + 1))
     return failures

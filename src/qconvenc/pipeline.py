@@ -28,6 +28,8 @@ from .synthesis import PartialMap
 
 __all__ = ["EncoderSynthesis", "synthesize_encoder", "verify_encoder"]
 
+_UNREALIZED = "input circuit does not realize the code: "
+
 
 @dataclass(frozen=True)
 class EncoderSynthesis:
@@ -98,46 +100,37 @@ def _check_last_frames(code: ConvolutionalCode) -> None:
         raise InputDataError(f"the generators' {where} are linearly dependent, so no encoder emits them")
 
 
-def verify_encoder(
-    code: ConvolutionalCode, encoder, skeleton: Optional[TransformationSkeleton] = None
-) -> MemoryAssignment:
+def verify_encoder(code: ConvolutionalCode, encoder) -> MemoryAssignment:
     """Check a circuit against the code's required transformation rows.
 
-    Streams each generator through the circuit from identity memory and
-    demands the emitted frames match the generator frame for frame, with
-    the memory register back at the identity afterwards.  Returns the
-    memory assignment the circuit realizes (the intermediate memory
-    states, in the slot order of `skeleton`, the code's skeleton, built
-    here unless the caller has it); raises MapConsistencyError naming
-    the first failing row otherwise.
+    Streams each generator's ancilla Z through the circuit from identity
+    memory and demands the emitted frames match the generator frame for
+    frame, with the memory register back at the identity afterwards.
+    Returns the memory assignment the circuit realizes: the intermediate
+    memory states in the skeleton's slot order, frame-major, then
+    generator.  Raises InputDataError naming the first failing row
+    otherwise, and for a circuit narrower than one frame.
     """
     smap = as_symplectic(encoder)
-    n = code.n
-    m = smap.width - n
+    n, m = code.n, smap.width - code.n
     if m < 0:
-        raise MapConsistencyError(
-            f"circuit width {smap.width} is narrower than one frame of {n}"
-        )
+        raise InputDataError(f"{_UNREALIZED}circuit width {smap.width} is narrower than one frame of {n}")
     derived = {}
     for a, gen in enumerate(code.generators, 1):
-        mem = 0
-        for t in range(1, gen.span + 1):
-            # frame 1 feeds Z on ancilla wire a, later frames the identity
-            fed = 1 << (n + a - 1) if t == 1 else 0
-            frame, mem = smap.step(n, mem, fed)
-            if frame != gen.frame(t).vec():
-                raise MapConsistencyError(
-                    f"generator {a}, frame {t}: circuit emits "
+        out, mems = smap.stream(n, [1 << (n + a - 1)], gen.span)
+        pad = [0] * (gen.span - len(out))  # the stream ended with the memory at the identity
+        for t, (frame, want) in enumerate(zip(out + pad, gen.frames), 1):
+            if frame != want.vec():
+                raise InputDataError(
+                    f"{_UNREALIZED}generator {a}, frame {t}: circuit emits "
                     f"{PauliOperator.from_vec(n, frame).to_string()} but the code requires "
-                    f"{gen.frame(t).to_string()}"
+                    f"{want.to_string()}"
                 )
-            if t < gen.span:
-                derived[(a, t)] = PauliOperator.from_vec(m, mem)
-        if mem:
-            raise MapConsistencyError(
-                f"generator {a}: memory left at {PauliOperator.from_vec(m, mem).to_string()} "
+        *held, left = mems + pad
+        if left:
+            raise InputDataError(
+                f"{_UNREALIZED}generator {a}: memory left at {PauliOperator.from_vec(m, left).to_string()} "
                 f"instead of the identity after frame {gen.span}"
             )
-    if skeleton is None:
-        skeleton = build_skeleton(code)
-    return MemoryAssignment(m, tuple(derived[slot] for slot in skeleton.unknowns()))
+        derived.update(((t, a), PauliOperator.from_vec(m, mem)) for t, mem in enumerate(held, 1))
+    return MemoryAssignment(m, tuple(derived[slot] for slot in sorted(derived)))

@@ -4,7 +4,8 @@ A window of N physical frames is sent through the channel; the receiver
 measures one syndrome bit per (generator, launch frame) pair for launches
 1..N — the ancilla outputs of the online decoder.  The encoder must
 realize the code (`pipeline.verify_encoder`), so those bits depend on
-the code's generators alone.  Pulling an N-frame error back through the
+the code's generators alone, and the syndrome responses are read off
+them.  Pulling an N-frame error back through the
 frame-wise inverse encoder (final memory pinned to the identity) is a
 bijection between window errors and (initial memory state, unencoded
 frame sequence) pairs, and a syndrome bit is an ancilla X component of
@@ -115,7 +116,7 @@ import numpy as np
 
 from .circuit import _dual, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
-from .errors import InputDataError, MapConsistencyError, TrellisError
+from .errors import InputDataError, TrellisError
 from .pauli import PauliOperator
 from .pipeline import verify_encoder
 
@@ -340,14 +341,15 @@ class Simulator:
     """Decoder and failure test of one encoder, over the syndrome-former
     trellis of its code.
 
-    The encoder must realize the code: one that does not, or that is
-    narrower than one frame, raises `InputDataError`.  `_fwt` and `_fkey`
-    are the weight and lexicographic key of every physical frame (X bits
-    then Z bits, wire 1 lowest), `_keybits` the frame bits of every key.
-    `_synd` holds the syndrome responses, which end within the code's nu
-    lags, and `_trellis` their one trellis, built here, so an encoder
-    over the `_BLOCK_CELLS` bound raises `InputDataError` at
-    construction.  The trellis decodes by its automaton when it has one,
+    The encoder must realize the code: `pipeline.verify_encoder` runs
+    first and raises `InputDataError` for one that does not, or that is
+    narrower than one frame.  `_fwt` and `_fkey` are the weight and
+    lexicographic key of every physical frame (X bits then Z bits, wire 1
+    lowest), `_keybits` the frame bits of every key.  `_synd` holds the
+    syndrome responses, which for such an encoder are the generators, so
+    they are read off the code, and `_trellis` their one trellis, built
+    here, so a code over the `_BLOCK_CELLS` bound raises `InputDataError`
+    at construction.  The trellis decodes by its automaton when it has one,
     as FGG's does, and otherwise, as GR's does, by the window's
     single-error table (`_single_errors`, built on first use) and the
     batched backward pass and forward walk for the syndromes it lacks.  The
@@ -358,10 +360,7 @@ class Simulator:
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
         smap = as_symplectic(encoder)
-        try:
-            verify_encoder(code, smap)
-        except MapConsistencyError as exc:  # a fault of the input, not of the package
-            raise InputDataError(f"input circuit does not realize the code: {exc}") from exc
+        verify_encoder(code, smap)
         n, k = code.n, code.k
         if 4**n > _BLOCK_CELLS:
             raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {_BLOCK_CELLS:,}")
@@ -382,8 +381,8 @@ class Simulator:
         self._keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
         self._fkey = np.empty(len(codes), dtype=np.min_scalar_type(self._nokey))
         self._fkey[self._keybits @ (1 << np.arange(2 * n))] = codes
-        # the responses of ancilla Z are the generators, in nu lags
-        self._synd = self._response([1 << (n + a) for a in range(n - k)], code.nu)
+        # the responses of ancilla Z are the generators, since the encoder realizes the code
+        self._synd = self._response([[f.vec() for f in gen.frames] for gen in code.generators], code.nu)
         self._trellis = self._build_trellis()
 
     def _build_trellis(self) -> _Trellis:
@@ -523,29 +522,22 @@ class Simulator:
 
     # -- launches -------------------------------------------------------------
 
-    def _response(self, dirs: List[int], nframes: int) -> np.ndarray:
+    def _response(self, emitted: List[List[int]], nframes: int) -> np.ndarray:
         """Bits (lag, 2n, d): the symplectic dual (Z bits then X bits) of
-        the physical frame the encoder emits `lag` frames after the
-        unencoded frame dirs[d] enters with identity memory, followed by
-        identity frames."""
-        n = self.n
-        duals = np.zeros((nframes, 1, len(dirs)), dtype=np.int64)
-        for d, vec in enumerate(dirs):
-            frame, mem = self.smap.step(n, 0, vec)
-            for lag in range(nframes):
-                duals[lag, 0, d] = _dual(frame, n)
-                if not mem:
-                    break
-                frame, mem = self.smap.step(n, mem, 0)
-        return ((duals >> np.arange(2 * n)[:, None]) & 1).astype(np.uint8)
+        frame `lag` of emitted[d], the identity past its end."""
+        duals = np.zeros((nframes, 1, len(emitted)), dtype=np.int64)
+        for d, frames in enumerate(emitted):
+            duals[: len(frames), 0, d] = [_dual(f, self.n) for f in frames]
+        return ((duals >> np.arange(2 * self.n)[:, None]) & 1).astype(np.uint8)
 
     def _launches(self, nframes: int) -> np.ndarray:
-        """Responses for the failure test (info X and Z), capped at the
-        window: a catastrophic encoder's never end."""
+        """Responses for the failure test (info X and Z) from identity
+        memory, capped at the window: a catastrophic encoder's never end."""
         if nframes not in self._responses:
             r = self.n - self.k
             logical = [1 << (half + r + j) for half in (0, self.n) for j in range(self.k)]
-            self._responses[nframes] = self._response(logical, nframes)
+            self._responses[nframes] = self._response(
+                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], nframes)
         return self._responses[nframes]
 
     def _single_errors(self, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:

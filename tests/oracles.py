@@ -9,7 +9,9 @@ conjugated row by row, one encoder's cycle state
 computed from scratch, the states on zero-weight cycles found by walking
 every memory state, the memory-state trellis decoder, the syndrome
 trellis's merged branches found state by state, the lex-least one-qubit
-error of every syndrome such an error gives, the shifted products of
+error of every syndrome such an error gives, the encode-then-decode
+round trip streamed over the whole window once per launch frame, the
+shifted products of
 framed sequences frame by frame, the skeleton
 products telescoped frame by frame, a code's text form, and small views
 of skeletons, requirement matrices and maps.  The library does not
@@ -28,7 +30,7 @@ import numpy as np
 
 from qconvenc import gf2
 from qconvenc.catastrophic import _periodic_part
-from qconvenc.circuit import CliffordCircuit, SymplecticMap, _dual, _field, _flips, _place
+from qconvenc.circuit import CliffordCircuit, SymplecticMap, _dual, _field, _flips, _place, as_symplectic
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
@@ -455,3 +457,62 @@ def single_error_table(syndrome: Callable[[PauliOperator], tuple], n: int, nfram
                 keys[f] = kind << (2 * (n - 1 - q))
                 best[bits] = min(best.get(bits, tuple(keys)), tuple(keys))
     return best
+
+
+def roundtrip_by_launch(code: ConvolutionalCode, encoder, decoder: DecoderResult, nframes: int) -> List[str]:
+    """`decoder.windowed_roundtrip_failures` with every probe streamed
+    through the encoder and then the decoder over the whole window, once
+    for each launch frame."""
+    n, k = code.n, code.k
+    emap = as_symplectic(encoder)
+    dmap = decoder.map
+
+    cases: List[Tuple[str, PauliOperator, int]] = []
+    for a, gen in enumerate(code.generators, 1):
+        cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span))
+    for j, (ex, ez) in enumerate(decoder.logicals.pairs, 1):
+        wire = n - k + j - 1
+        cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"), ex.span))
+        cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"), ez.span))
+
+    def stream(src: PauliOperator, t: int) -> Tuple[List[PauliOperator], bool]:
+        mem_e = mem_d = 0
+        frames: List[PauliOperator] = []
+        for s in range(nframes):
+            sent, mem_e = emap.step(n, mem_e, src.vec() if s == t else 0)
+            out, mem_d = dmap.step(n, mem_d, sent)
+            frames.append(PauliOperator.from_vec(n, out))
+        return frames, not (mem_e or mem_d)
+
+    failures: List[str] = []
+    for t in range(nframes):
+        for label, src, span in cases:
+            t_out = t + span - 1
+            if t_out >= nframes:
+                continue
+            frames, restored = stream(src, t)
+            if not restored:
+                failures.append(f"{label} frame {t + 1}: memory not restored")
+                continue
+            for s, fp in enumerate(frames):
+                info = fp.part(n - k, n)
+                synd = fp.part(0, n - k)
+                want = src.part(n - k, n) if s == t_out else PauliOperator.identity(k)
+                if info != want:
+                    failures.append(
+                        f"{label} frame {t + 1}: info at frame {s + 1} is "
+                        f"{info.to_string()}, wanted {want.to_string()}"
+                    )
+                    break
+                if synd.x:
+                    failures.append(
+                        f"{label} frame {t + 1}: X content on syndrome wires at frame {s + 1}"
+                    )
+                    break
+                if s == t_out and src.part(0, n - k) != synd and label.startswith("ancilla"):
+                    failures.append(
+                        f"{label} frame {t + 1}: syndrome at frame {s + 1} is "
+                        f"{synd.to_string()}, wanted {src.part(0, n - k).to_string()}"
+                    )
+                    break
+    return failures

@@ -10,7 +10,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import qconvenc
@@ -130,8 +130,9 @@ def test_gr_encoder_map_matches_the_row_by_row_oracle(gr_synthesis):
     assert circuit_to_symplectic(circuit) == symplectic_by_rows(circuit) == gr_synthesis.map
 
 
-def _flips_callers():
-    """(module, function) for every call of `_flips` in the package."""
+def _callers(name):
+    """(module, function) for every call of `name` in the package, as a
+    plain name or an attribute."""
     callers = []
     for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -140,7 +141,7 @@ def _flips_callers():
                     (path.stem, fn.name)
                     for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
-                    and "_flips" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
                 ]
     return callers
 
@@ -148,7 +149,13 @@ def _flips_callers():
 def test_gates_are_applied_only_by_the_column_update():
     # one way to apply a gate: a row-by-row loop over `_flips` in the
     # package would show up here as a second caller
-    assert _flips_callers() == [("circuit", "_conjugate")]
+    assert _callers("_flips") == [("circuit", "_conjugate")]
+
+
+def test_maps_are_fed_frame_by_frame_only_by_stream():
+    # one loop over `SymplecticMap.step`; the catastrophicity graph probes
+    # one step from each memory state, which is no stream
+    assert _callers("step") == [("catastrophic", "_decoder_edge"), ("circuit", "stream")]
 
 
 def test_is_symplectic_matches_pauli_products():
@@ -189,6 +196,38 @@ def test_step_matches_tensor_apply_part():
         frame = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n))
         out = smap.apply(mem.tensor(frame))
         assert smap.step(n, mem.vec(), frame.vec()) == (out.part(0, n).vec(), out.part(n, n + m).vec())
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.randoms(use_true_random=False),
+       st.lists(st.integers(0, 63), max_size=4), st.integers(0, 8))
+def test_stream_is_the_step_loop_cut_where_the_memory_closes(n, m, rnd, frames, limit):
+    smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rnd))
+    frames = [f & ((1 << (2 * n)) - 1) for f in frames]
+    # oracle: step every frame in, then identity frames, for `limit` frames
+    out, mems, mem = [], [], 0
+    for t in range(limit):
+        frame, mem = smap.step(n, mem, frames[t] if t < len(frames) else 0)
+        out.append(frame)
+        mems.append(mem)
+    # the stream ends at the first frame count, all frames in, with identity memory
+    end = next((c for c in range(len(frames), limit) if not (mems[c - 1] if c else 0)), limit)
+    assert not any(out[end:] + mems[end:])  # past the end, everything is the identity
+    assert smap.stream(n, frames, limit) == (out[:end], mems[:end])
+    event("more frames than the limit" if len(frames) > limit else
+          "cut by the limit, memory open" if end == limit else
+          "closes after identity frames" if end > len(frames) else "closes as the last frame enters")
+
+
+def test_stream_stops_where_the_memory_closes_and_at_the_limit(catastrophic_encoder_map):
+    # FGG's first generator XXX|XZY, memory X then the identity, though
+    # the limit allows five frames
+    fgg = circuit_to_symplectic(FGG_ENCODER)
+    assert fgg.stream(3, [P("ZII").vec()], 5) == ([P("XXX").vec(), P("XZY").vec()], [P("X").vec(), 0])
+    # an orbit that never closes runs to the limit
+    out, mems = catastrophic_encoder_map.stream(2, [P("IZ").vec()], 4)
+    assert len(out) == 4 and all(mems)
 
 
 def test_compose_is_sequential_application():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import event, given, settings
@@ -29,8 +30,8 @@ from qconvenc.errors import InputDataError, MapConsistencyError, OrbitError, Qco
 from qconvenc.library import FGG_CODE, FGG_DECODER_MEMORY_CHOICE
 from qconvenc.skeleton import check_assignment, minimal_memory
 
-from conftest import random_symplectic
-from oracles import anticommuting_pairs, skeleton_rows, sp_at_shift
+from conftest import random_circuit, random_symplectic
+from oracles import anticommuting_pairs, roundtrip_by_launch, skeleton_rows, sp_at_shift
 
 P = PauliOperator.from_string
 
@@ -228,6 +229,39 @@ def test_windowed_roundtrip_catches_dropped_encoder_gate(fgg_reference_encoder, 
         broken = _drop_gate(fgg_reference_encoder, i)
         fails = windowed_roundtrip_failures(FGG_CODE, broken, fgg_decoder, 3)
         assert fails, (i, gates[i])
+
+
+
+def test_roundtrip_streamed_once_matches_streaming_every_launch(fgg_reference_encoder, fgg_decoder):
+    # one stream per probe against the whole window streamed once per
+    # launch frame: the published pair, every one-gate deletion of either
+    # circuit and seeded random decoder maps, at every window up to 7
+    enc, dec = fgg_reference_encoder, fgg_decoder
+    pairs = [(enc, dec)]
+    pairs += [(_drop_gate(enc, i), dec) for i in range(len(enc.gates))]
+    pairs += [(enc, dataclasses.replace(dec, circuit=_drop_gate(dec.circuit, i)))
+              for i in range(len(dec.circuit.gates))]
+    rng = random.Random(31)
+    pairs += [(enc, dataclasses.replace(dec, circuit=random_circuit(5, 40, rng))) for _ in range(20)]
+    seen = []
+    for e, d in pairs:
+        for nframes in range(1, 8):
+            want = roundtrip_by_launch(FGG_CODE, e, d, nframes)
+            assert windowed_roundtrip_failures(FGG_CODE, e, d, nframes) == want, nframes
+            seen += want
+    # every fault kind shows up
+    for fault in ("memory not restored", "info at frame", "X content", "syndrome at frame"):
+        assert any(fault in f for f in seen), fault
+
+
+def test_decoder_refuses_encoders_that_do_not_realize_the_code():
+    # none of these maps realizes FGG, so each is refused as input before
+    # its logicals are streamed or its decoder rows built
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = rng.randint(1, 2)
+        with pytest.raises(InputDataError, match="^input circuit does not realize the code: "):
+            derive_online_decoder(FGG_CODE, random_symplectic(m + 3, rng))
 
 
 FGG_DECODER_TEXT = """\

@@ -13,8 +13,11 @@ from qconvenc import (
 )
 from qconvenc import catastrophic
 from qconvenc.circuit import CliffordCircuit, circuit_to_text
-from qconvenc.errors import MapConsistencyError
+from qconvenc.errors import InputDataError, MapConsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE, GR_COMPLETION_ROWS, GR_MEMORY_CHOICE
+from qconvenc.skeleton import build_skeleton
+
+from conftest import random_realized
 
 P = PauliOperator.from_string
 
@@ -49,14 +52,38 @@ def test_verify_encoder_accepts_synthesized(fgg_synthesis):
 
 def test_verify_encoder_names_failing_row(fgg_reference_encoder):
     broken = CliffordCircuit(4, fgg_reference_encoder.gates[:-1])
-    with pytest.raises(MapConsistencyError) as err:
+    with pytest.raises(InputDataError) as err:
         verify_encoder(FGG_CODE, broken)
     assert "generator" in str(err.value) and "frame" in str(err.value)
 
 
 def test_verify_encoder_rejects_narrow_circuit():
-    with pytest.raises(MapConsistencyError):
+    with pytest.raises(InputDataError):
         verify_encoder(FGG_CODE, CliffordCircuit(2, ()))
+
+
+
+def test_verify_encoder_orders_slots_as_the_skeleton():
+    # the memory after frame t of generator a fills the skeleton's slot
+    # (a, t); generators of different spans tell the frame-major order
+    # from the generator-major one
+    reordered = 0
+    for shape in [(2, 0, 2), (3, 1, 2)]:
+        for seed in range(20):
+            code, smap = random_realized(*shape, seed)
+            if len({gen.span for gen in code.generators}) < 2:
+                continue
+            n, m = code.n, smap.width - code.n
+            after = {}
+            for a, gen in enumerate(code.generators, 1):
+                mem = 0
+                for t in range(1, gen.span):
+                    _, mem = smap.step(n, mem, 1 << (n + a - 1) if t == 1 else 0)
+                    after[(a, t)] = PauliOperator.from_vec(m, mem)
+            slots = build_skeleton(code).unknowns()
+            reordered += slots != sorted(slots)
+            assert verify_encoder(code, smap) == MemoryAssignment(m, tuple(after[s] for s in slots))
+    assert reordered >= 5
 
 
 def test_css_synthesis_with_reference_completion(gr_synthesis):
