@@ -249,19 +249,13 @@ def circuit_to_text(circuit: CliffordCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def circuit_to_json(
-    circuit: CliffordCircuit,
-    input_roles: Sequence[str] | None = None,
-    output_roles: Sequence[str] | None = None,
-) -> str:
+def circuit_to_json(circuit: CliffordCircuit, input_roles: Sequence[str], output_roles: Sequence[str]) -> str:
     doc = {
         "width": circuit.width,
         "gates": [[g.kind, *g.qubits] for g in circuit.gates],
+        "input_roles": list(input_roles),
+        "output_roles": list(output_roles),
     }
-    if input_roles is not None:
-        doc["input_roles"] = list(input_roles)
-    if output_roles is not None:
-        doc["output_roles"] = list(output_roles)
     return json.dumps(doc, indent=2)
 
 

@@ -35,6 +35,7 @@ from .circuit import (
     circuit_from_json,
     circuit_to_json,
     circuit_to_text,
+    gram,
     parse_circuit,
     wire_roles,
 )
@@ -53,12 +54,7 @@ from .errors import (
 )
 from .pipeline import synthesize_encoder, verify_encoder
 from .simulate import SEED_LIMIT, Simulator, estimate_wers
-from .skeleton import (
-    TransformationSkeleton,
-    build_skeleton,
-    minimal_memory,
-    skeleton_commutation_matrix,
-)
+from .skeleton import CommutationRequirement, TransformationSkeleton, minimal_memory
 
 EX_OK = 0
 EX_CATASTROPHIC = 1
@@ -179,12 +175,16 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
     smap = as_symplectic(_read_circuit(args.encoder))
-    m = verify_encoder(code, smap).m
+    realized = verify_encoder(code, smap)
+    m = realized.m
+    # a symplectic map preserves products, so the verified memory operators
+    # carry the code's commutation requirement
+    products = gram([op.vec() for op in realized.operators], m)
     verdict = is_noncatastrophic(smap, code.n, code.k, m)
     report = {
         "rows_verified": True,
         "memory": m,
-        "minimal_memory": minimal_memory(skeleton_commutation_matrix(build_skeleton(code))),
+        "minimal_memory": minimal_memory(CommutationRequirement(len(products), tuple(products), ())),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:

@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import CodeValidationError, ParseError
-from .gf2 import parity
+from .errors import CodeValidationError, InputDataError, ParseError
+from .gf2 import parity, transpose
 from .pauli import PauliOperator
 
 __all__ = [
@@ -81,15 +81,18 @@ class FramedPauliSequence:
 
 @dataclass(frozen=True)
 class ConvolutionalCode:
-    """A valid code: constructing one runs `validate`."""
+    """A valid code: constructing one refuses an identity generator and
+    runs `validate`."""
 
     n: int
     generators: Tuple[FramedPauliSequence, ...]
 
     def __post_init__(self):
-        for g in self.generators:
+        for a, g in enumerate(self.generators, 1):
             if g.frame_width != self.n:
                 raise ValueError("generator frame width differs from n")
+            if not g.span:
+                raise InputDataError(f"generator {a} is the identity on every frame")
         validate(self)
 
     @property
@@ -149,21 +152,13 @@ def from_classical_polynomial(polys: Sequence[int]) -> ConvolutionalCode:
     n = len(polys)
     if n == 0 or all(p == 0 for p in polys):
         raise ParseError("polynomial row is empty")
-    nframes = max(p.bit_length() for p in polys)
-    frames_x = []
-    frames_z = []
-    for t in range(nframes):
-        x = 0
-        for j, p in enumerate(polys):
-            if (p >> t) & 1:
-                x |= 1 << j
-        frames_x.append(PauliOperator(n, x, 0))
-        frames_z.append(PauliOperator(n, 0, x))
+    # frame t holds bit t of every entry: row t of the transposed bit matrix
+    frames = transpose(polys, max(p.bit_length() for p in polys))
     return ConvolutionalCode(
         n,
         (
-            FramedPauliSequence(n, tuple(frames_x)),
-            FramedPauliSequence(n, tuple(frames_z)),
+            FramedPauliSequence(n, tuple(PauliOperator(n, x, 0) for x in frames)),
+            FramedPauliSequence(n, tuple(PauliOperator(n, 0, x) for x in frames)),
         ),
     )
 

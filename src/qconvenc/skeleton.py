@@ -19,6 +19,10 @@ the symplectic product of the two slots' histories, their chains'
 boundary (one index at the full span) must give zero, which is checked
 explicitly; a nonzero value there means no encoder with this row
 structure exists.  Decoder skeletons differ only in their frames.
+
+The same argument read the other way: the memory operators that a
+verified encoder realizes (`pipeline.verify_encoder`) have exactly these
+products, so their symplectic Gram matrix is the requirement.
 """
 
 from __future__ import annotations
@@ -153,17 +157,21 @@ def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, i
 
 @dataclass(frozen=True)
 class GramSchmidtResult:
-    """Hyperbolic pairs then isotropic remainder, with the basis change.
+    """Hyperbolic pairs then isotropic remainder of a symplectic Gram–Schmidt.
 
-    basis_change row r expresses transformed generator r as a GF(2)
-    combination of the original ones; rows are ordered pair1a, pair1b,
-    pair2a, ..., then the isotropic generators.  pair/isotropic labels
-    are the lowest original index appearing in each transformed row.
+    Each row is a transformed generator: a GF(2) combination of the
+    original ones, as a bitset over their indices.  Each (a, b) pair has
+    product 1 within itself and 0 with every other row; the isotropic
+    rows have product 0 with every row.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
     isotropic: Tuple[int, ...]
-    basis_change: Tuple[int, ...]
+
+    @property
+    def basis_change(self) -> Tuple[int, ...]:
+        """The rows ordered pair1a, pair1b, pair2a, ..., then the isotropic ones."""
+        return tuple(v for ab in self.pairs for v in ab) + self.isotropic
 
 
 def symplectic_gram_schmidt(matrix: CommutationRequirement) -> GramSchmidtResult:
@@ -178,34 +186,19 @@ def _gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
         # bilinear form induced by the Gram matrix on GF(2) combinations
         return gf2.parity(u & gf2.matmul([v], gram)[0])
 
-    remaining = [(i, 1 << i) for i in range(len(gram))]
-    pair_rows: List[Tuple[int, int]] = []
-    pair_labels: List[Tuple[int, int]] = []
-    iso_rows: List[int] = []
-    iso_labels: List[int] = []
+    remaining = [1 << i for i in range(len(gram))]
+    pairs: List[Tuple[int, int]] = []
+    isotropic: List[int] = []
     while remaining:
-        lead, v = remaining.pop(0)
-        partner_pos = None
-        for pos, (_, w) in enumerate(remaining):
-            if form(v, w):
-                partner_pos = pos
-                break
-        if partner_pos is None:
-            iso_rows.append(v)
-            iso_labels.append(lead)
+        v = remaining.pop(0)
+        w = next((w for w in remaining if form(v, w)), None)
+        if w is None:
+            isotropic.append(v)
             continue
-        plead, w = remaining.pop(partner_pos)
-        pair_rows.append((v, w))
-        pair_labels.append((lead, plead))
-        remaining = [
-            (l, u ^ (w if form(u, v) else 0) ^ (v if form(u, w) else 0))
-            for (l, u) in remaining
-        ]
-    basis = []
-    for v, w in pair_rows:
-        basis.extend([v, w])
-    basis.extend(iso_rows)
-    return GramSchmidtResult(tuple(pair_labels), tuple(iso_labels), tuple(basis))
+        remaining.remove(w)
+        pairs.append((v, w))
+        remaining = [u ^ (w if form(u, v) else 0) ^ (v if form(u, w) else 0) for u in remaining]
+    return GramSchmidtResult(tuple(pairs), tuple(isotropic))
 
 
 def minimal_memory(matrix: CommutationRequirement) -> int:

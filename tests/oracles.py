@@ -13,7 +13,8 @@ error of every syndrome such an error gives, the encode-then-decode
 round trip streamed over the whole window once per launch frame, the
 shifted products of
 framed sequences frame by frame, the skeleton
-products telescoped frame by frame, a code's text form, and small views
+products telescoped frame by frame, a CSS code's frames assembled bit
+by bit, a code's text form, and small views
 of skeletons, requirement matrices and maps.  The library does not
 export them; the commands never reach them.  `per_state_trellis` and
 `full_viterbi_keys` decode over the encoder's 4^m memory states, an
@@ -190,6 +191,21 @@ def polynomial_to_text(mask: int) -> str:
         mask >>= 1
         t += 1
     return "+".join(terms) if terms else "0"
+
+
+def css_frames_by_bits(polys: List[int]) -> Tuple[FramedPauliSequence, FramedPauliSequence]:
+    """The X and Z generators of `from_classical_polynomial`, each frame
+    assembled one entry bit at a time."""
+    n = len(polys)
+    frames_x, frames_z = [], []
+    for t in range(max(p.bit_length() for p in polys)):
+        x = 0
+        for j, p in enumerate(polys):
+            if (p >> t) & 1:
+                x |= 1 << j
+        frames_x.append(PauliOperator(n, x, 0))
+        frames_z.append(PauliOperator(n, 0, x))
+    return FramedPauliSequence(n, tuple(frames_x)), FramedPauliSequence(n, tuple(frames_z))
 
 
 def render_code(code: ConvolutionalCode) -> str:

@@ -158,6 +158,16 @@ def test_maps_are_fed_frame_by_frame_only_by_stream():
     assert _callers("step") == [("catastrophic", "_decoder_edge"), ("circuit", "stream")]
 
 
+def test_only_synthesis_builds_the_encoder_skeleton():
+    # check reads the requirement off the operators it verified
+    assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]
+
+
+def test_only_synthesis_and_the_decoder_telescope_a_requirement():
+    assert _callers("skeleton_commutation_matrix") == [
+        ("decoder", "derive_online_decoder"), ("pipeline", "synthesize_encoder")]
+
+
 def test_is_symplectic_matches_pauli_products():
     # packed-row check against pairwise products of the rows as operators,
     # on symplectic maps and on copies with one bit flipped
@@ -314,11 +324,12 @@ def test_gate_refusals_name_their_cause(build, message):
 
 
 def test_json_round_trip_with_roles():
-    roles_in = wire_roles(3, 1, 1, "encoder")[0]
-    doc = circuit_to_json(FGG_ENCODER, input_roles=roles_in)
+    roles_in, roles_out = wire_roles(3, 1, 1, "encoder")
+    doc = circuit_to_json(FGG_ENCODER, roles_in, roles_out)
     parsed = json.loads(doc)
     assert parsed["width"] == 4
     assert parsed["input_roles"] == ["mem", "anc", "anc", "info"]
+    assert parsed["output_roles"] == ["phys", "phys", "phys", "mem"]
     assert circuit_from_json(doc) == FGG_ENCODER
 
 

@@ -18,14 +18,15 @@ import pytest
 
 import qconvenc
 
-from conftest import CATASTROPHIC_CODE_TEXT
+from conftest import CATASTROPHIC_CODE_TEXT, random_realized
 from oracles import render_code
-from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, synthesize_encoder
-from qconvenc.circuit import circuit_to_text
+from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, synthesize_encoder, verify_encoder
+from qconvenc.circuit import circuit_to_text, gram
 from qconvenc.cli import main
 from qconvenc.code import from_classical_polynomial
 from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, FGG_ENCODER, FGG_ENCODER_TEXT, GR_CODE
 from qconvenc.simulate import estimate_wer
+from qconvenc.skeleton import build_skeleton, minimal_memory, skeleton_commutation_matrix
 from qconvenc.synthesis import synthesize_circuit
 
 
@@ -721,23 +722,41 @@ def test_check_walks_the_witness_only_when_asked(files, capsys, monkeypatch):
     assert edges
 
 
-def test_check_builds_the_skeleton_once(files, capsys, monkeypatch):
-    import qconvenc.cli as cli
-    import qconvenc.pipeline as pipeline
+def test_check_builds_no_skeleton_and_no_requirement(files, capsys, monkeypatch):
+    # check reads the requirement off the operators it verified
+    from qconvenc import skeleton
 
-    built = []
-    real = cli.build_skeleton
+    def refuse(*args):
+        raise AssertionError("check derived the skeleton requirement")
 
-    def counting(code):
-        built.append(code)
-        return real(code)
+    for name in ("build_skeleton", "skeleton_commutation_matrix"):
+        original = getattr(skeleton, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("qconvenc")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    for code_file, encoder in [("fgg.qcc", "fgg_enc.circ"), ("cat.qcc", "cat_enc.circ")]:
+        status, out, _ = run_cli(capsys, "check", "--code", str(files / code_file),
+                                 "--encoder", str(files / encoder))
+        assert status in (0, 1) and "minimal_memory: 1" in out
 
-    monkeypatch.setattr(cli, "build_skeleton", counting)
-    monkeypatch.setattr(pipeline, "build_skeleton", counting)
-    args = ["check", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ")]
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and "minimal_memory: 1" in out
-    assert len(built) == 1
+
+def test_check_minimal_memory_matches_the_skeleton_requirement(capsys, tmp_path):
+    # a symplectic map preserves products, so on every encoder that
+    # verifies, the realized memory operators' Gram matrix is the
+    # requirement telescoped from the code's skeleton
+    shapes = [(n, k, m) for n in range(1, 4) for k in range(n) for m in range(1, 4)]
+    for seed in range(300):
+        code, smap = random_realized(*shapes[seed % len(shapes)], seed)
+        matrix = skeleton_commutation_matrix(build_skeleton(code))
+        realized = verify_encoder(code, smap)
+        assert tuple(gram([op.vec() for op in realized.operators], realized.m)) == matrix.rows
+        (tmp_path / "code.qcc").write_text(render_code(code))
+        (tmp_path / "enc.circ").write_text(circuit_to_text(synthesize_circuit(smap)))
+        status, out, _ = run_cli(capsys, "check", "--json", "--code", str(tmp_path / "code.qcc"),
+                                 "--encoder", str(tmp_path / "enc.circ"))
+        assert status in (0, 1)
+        assert json.loads(out)["minimal_memory"] == minimal_memory(matrix)
 
 
 def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Code files, framed sequences, polynomial input and validity checking."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,11 +15,18 @@ from qconvenc.code import (
     from_classical_polynomial,
     parse_polynomial,
 )
-from qconvenc.errors import CodeValidationError, ParseError
+from qconvenc.errors import CodeValidationError, InputDataError, ParseError
 from qconvenc.library import FGG_CODE_TEXT, GR_CODE_TEXT, GR_POLYNOMIAL_TEXT
 
 from conftest import SMALL_GENERATORS
-from oracles import as_pauli, first_anticommuting_shift, polynomial_to_text, render_code, sp_at_shift
+from oracles import (
+    as_pauli,
+    css_frames_by_bits,
+    first_anticommuting_shift,
+    polynomial_to_text,
+    render_code,
+    sp_at_shift,
+)
 
 P = PauliOperator.from_string
 F = FramedPauliSequence.from_string
@@ -68,6 +77,12 @@ def test_non_self_orthogonal_row_fails_first_pair(row, shift):
 def test_validate_reports_the_first_pair_of_the_framewise_products(drawn):
     n, lines = drawn
     gens = tuple(F(line, n) for line in lines)
+    identities = [a for a, g in enumerate(gens, 1) if not g.span]
+    if identities:
+        # refused before the products are checked
+        with pytest.raises(InputDataError, match=f"generator {identities[0]} is the identity"):
+            ConvolutionalCode(n, gens)
+        return
     want = first_anticommuting_shift(gens, max((g.span for g in gens), default=1))
     if want is None:
         ConvolutionalCode(n, gens)
@@ -75,6 +90,24 @@ def test_validate_reports_the_first_pair_of_the_framewise_products(drawn):
     with pytest.raises(CodeValidationError) as info:
         ConvolutionalCode(n, gens)
     assert (info.value.gen_a, info.value.gen_b, info.value.shift) == want
+
+
+@pytest.mark.parametrize("gens", [(F("", 3),), (F("XXX|XZY"), F("ZZZ|ZYX"), F("", 3))], ids=["alone", "fgg"])
+def test_identity_generator_is_refused_at_construction(gens):
+    # the skeleton, the verifier and the simulator all need a first frame
+    with pytest.raises(InputDataError, match=f"generator {len(gens)} is the identity on every frame"):
+        ConvolutionalCode(3, gens)
+
+
+def test_css_frames_match_the_bit_loop():
+    # rows of up to 6 entries of degree <= 8; every entry appears an even
+    # number of times, so each row is self-orthogonal
+    rng = random.Random(25)
+    for _ in range(300):
+        entries = [rng.randrange(1, 1 << 9) for _ in range(rng.randint(1, 3))]
+        row = entries * 2 + [0] * rng.randint(0, 6 - 2 * len(entries))
+        rng.shuffle(row)
+        assert from_classical_polynomial(row).generators == css_frames_by_bits(row)
 
 
 def test_polynomial_row_expands_to_css_frames():

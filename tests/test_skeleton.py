@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qconvenc import PauliOperator, parse_code
+from qconvenc import PauliOperator, gf2, parse_code
 from qconvenc.decoder import build_decoder_skeleton, encoded_logical_operators
 from qconvenc.errors import SkeletonInconsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE
@@ -199,11 +199,22 @@ def test_check_assignment_flags_violation_and_dependence():
 
 def test_gram_schmidt_randomized_invariants():
     rng = random.Random(30)
-    for _ in range(50):
-        size = rng.randrange(1, 7)
+    for _ in range(200):
+        size = rng.randrange(1, 11)
         mat = random_requirement(rng, size)
         sgs = symplectic_gram_schmidt(mat)
         assert 2 * len(sgs.pairs) + len(sgs.isotropic) == size
+        basis = sgs.basis_change
+        assert basis == tuple(v for ab in sgs.pairs for v in ab) + sgs.isotropic
+        assert gf2.rank(list(basis)) == size
+        # in the transformed basis the form is canonical: each pair is
+        # hyperbolic and orthogonal to every other row, each isotropic row null
+        images = gf2.matmul(list(basis), list(mat.rows))
+        transformed = [[gf2.parity(u & image) for u in basis] for image in images]
+        hyperbolic = {(2 * r, 2 * r + 1) for r in range(len(sgs.pairs))}
+        assert transformed == [
+            [int((min(i, j), max(i, j)) in hyperbolic) for j in range(size)] for i in range(size)
+        ]
         asg = assign_memory(mat)
         assert check_assignment(mat, asg) is None
         assert asg.m == len(sgs.pairs) + len(sgs.isotropic)
