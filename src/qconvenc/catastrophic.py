@@ -46,10 +46,15 @@ With a0 the first of them, a leaf's images span what base and a0 ^ v
 span, where base holds the other images and every a_i ^ a0.  So base is
 row-reduced once per node, and (I, b) lies in a leaf's span exactly when
 its residue modulo base is 0 or equals c0 ^ residue(v), c0 being that of
-a0: after the node's set-up a leaf costs one residue and no row
-reduction.  T and A, hence P, depend only on the images' dual memory
-fields, which recur across siblings and nodes, so one search computes P
-once per distinct value, and a node reduces each basis state of P once.
+a0.  Both residue(v) and v's dual memory field are linear in v, so a leaf
+gets them from the previous sibling's by XOR with those of the difference
+of the two outputs, which the node caches.  T and A, hence P, depend only
+on the images' dual memory fields, which recur across siblings and nodes,
+so one search computes P once per distinct value, a node reduces each
+basis state of P once, and it settles once per dual field which state
+decides a leaf for each value of c0 ^ residue(v).  After the node's
+set-up a leaf costs a few XORs and lookups: no residue and no row
+reduction.
 
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
@@ -250,9 +255,16 @@ def _cycle_states(
     for the varying a_i, a0 the first of them.  A candidate's images span
     what base and a0 ^ v span, so the state b of P has nonzero info part
     exactly when the residue of (I, b) modulo base, cached per b, is
-    neither 0 nor c0 ^ residue(v), c0 being the residue of a0.  The
-    candidates' dual fields dv recur, so each dv's memo entry and residues
-    are looked up once.
+    neither 0 nor c0 ^ residue(v), c0 being the residue of a0.
+
+    The dual field dv of v and residue(v) are linear in v: each candidate's
+    pair is the previous candidate's XOR that of their difference, cached
+    per difference.  Any order of candidates works; a `_solutions` walk
+    has one difference per nullspace vector.  The candidates' dv recur,
+    and for each dv the memo entry, the residues and the decision are
+    found once: the first state of P with a nonzero residue r1, and the
+    first whose nonzero residue is not r1.  The first decides the leaf
+    unless c0 ^ residue(v) is r1, and then the second does.
     """
     w = m + n
     # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
@@ -262,10 +274,16 @@ def _cycle_states(
     a0 = images[varying[0]] if varying else 0
     base = gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
     c0 = gf2.residue(*base, a0)
-    node: dict = {}  # dual field of v -> images of T, basis of P, residues of its placed states
+    node: dict = {}  # dual field of v -> the decision of the candidates with that field
     placed: dict = {}  # state b -> residue of (I, b) modulo base
+    steps: dict = {}  # difference d of two candidates -> dual field and residue of d
+    last, dv, res = 0, 0, c0  # the previous candidate, its dual field and c0 ^ its residue
     for v in candidates:
-        dv = _field(_dual(v, w), w, n, m)
+        d = v ^ last
+        if d not in steps:
+            steps[d] = (_field(_dual(d, w), w, n, m), gf2.residue(*base, d)) if varying else (0, 0)
+        ddv, dres = steps[d]
+        last, dv, res = v, dv ^ ddv, res ^ dres
         if dv not in node:
             fields = list(duals)
             for i in varying:
@@ -279,13 +297,13 @@ def _cycle_states(
             for b in basis:
                 if b not in placed:
                     placed[b] = gf2.residue(*base, _place(b, m, n, w))
-            node[dv] = ts, basis, [placed[b] for b in basis]
-        ts, basis, residues = node[dv]
+            marked = [(placed[b], (b, ts)) for b in basis if placed[b]]
+            r1, hit = marked[0] if marked else (0, None)
+            node[dv] = r1, hit, next((h for r, h in marked if r != r1), None)
+        r1, hit, other = node[dv]
         # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z),
-        # that is when its residue modulo base is neither 0 nor that of a0 ^ v
-        shift = c0 ^ gf2.residue(*base, v) if varying else 0
-        found = next((b for b, r in zip(basis, residues) if r and r != shift), None)
-        yield v, None if found is None else (found, ts)
+        # that is when its residue modulo base is neither 0 nor c0 ^ residue(v)
+        yield v, hit if r1 != res else other
 
 
 def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:

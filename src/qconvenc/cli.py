@@ -184,7 +184,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = {
         "rows_verified": True,
         "memory": m,
-        "minimal_memory": minimal_memory(CommutationRequirement(len(products), tuple(products), ())),
+        "minimal_memory": minimal_memory(CommutationRequirement(len(products), tuple(products))),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:

@@ -128,16 +128,15 @@ def invert(rows: List[int], n: int) -> Optional[List[int]]:
 
 
 def matmul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Row-major product: row i of result = (row i of a) . b."""
+    """Row-major product: row i of result = (row i of a) . b, the XOR of the
+    b[j] at the set bits j of that row, visited lowest first."""
     out = []
     for row in a:
         acc = 0
-        j = 0
         while row:
-            if row & 1:
-                acc ^= b[j]
-            row >>= 1
-            j += 1
+            low = row & -row
+            acc ^= b[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return out
 

@@ -106,11 +106,11 @@ def build_skeleton(code: ConvolutionalCode) -> TransformationSkeleton:
 
 @dataclass(frozen=True)
 class CommutationRequirement:
-    """Symmetric GF(2) matrix of required products between unknowns."""
+    """Symmetric GF(2) matrix of required products between unknowns; a
+    skeleton's is indexed in the order of its `unknowns()`."""
 
     size: int
     rows: Tuple[int, ...]  # row i as a bitset over columns
-    labels: Tuple[Tuple[int, int], ...]  # (chain, t) per index
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -143,7 +143,7 @@ def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> Commutation
             )
     unknowns = skeleton.unknowns()
     rows = gram([hist[u] for u in unknowns], width)
-    return CommutationRequirement(len(unknowns), tuple(rows), tuple(unknowns))
+    return CommutationRequirement(len(unknowns), tuple(rows))
 
 
 def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, int]]:

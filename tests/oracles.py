@@ -25,7 +25,7 @@ states.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -274,6 +274,13 @@ def anticommuting_pairs(matrix: CommutationRequirement) -> List[Tuple[int, int]]
     ]
 
 
+def anticommuting_slots(skeleton: TransformationSkeleton) -> Set[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """The (chain, t) slots of `skeleton.unknowns()`, in pairs i < j whose
+    required product is 1: the requirement indexes its rows by those slots."""
+    slots = skeleton.unknowns()
+    return {(slots[i], slots[j]) for i, j in anticommuting_pairs(skeleton_commutation_matrix(skeleton))}
+
+
 def required_commutation_matrix(code: ConvolutionalCode) -> CommutationRequirement:
     return skeleton_commutation_matrix(build_skeleton(code))
 
@@ -347,7 +354,7 @@ def _memory_trellis(smap: SymplecticMap, n: int, k: int):
         ux = c | ((np.arange(nbranches) & ((1 << k) - 1)) << r)
         uz = np.arange(nbranches) >> k
         frameimg = np.array(
-            [smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux, uz)],
+            [smap.apply_vec((x << m) | (z << (w + m))) for x, z in zip(ux.tolist(), uz.tolist())],
             dtype=np.int32,
         )
         outs = frameimg[:, None] ^ memimg[None, :]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symplectic
-from oracles import admissible_cycle_states, anticommuting_pairs, fgg_transformation_rows
+from oracles import admissible_cycle_states, anticommuting_pairs, anticommuting_slots, fgg_transformation_rows
 from test_catastrophic import TOY_CNOT, brute_force_noncatastrophic
 
 from qconvenc import (
@@ -119,10 +119,7 @@ def test_05_gr_code_pairs_memory_and_completion():
     ]
     assert code.generators == GR_CODE.generators
     matrix = skeleton_commutation_matrix(build_skeleton(code))
-    pair_labels = {
-        (matrix.labels[i], matrix.labels[j]) for i, j in anticommuting_pairs(matrix)
-    }
-    assert pair_labels == {((1, 2), (2, 3)), ((2, 2), (1, 3))}
+    assert anticommuting_slots(build_skeleton(code)) == {((1, 2), (2, 3)), ((2, 2), (1, 3))}
     assert minimal_memory(matrix) == 6
     choice = MemoryAssignment(6, GR_MEMORY_CHOICE)
     assert check_assignment(matrix, choice) is None

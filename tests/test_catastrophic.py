@@ -534,19 +534,36 @@ def test_sibling_leaves_match_one_leaf_checks_on_small_codes(drawn):
 @given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
     # any images, any rows that vary, any candidates: every state must be
-    # the one computed afresh, and one memo serves every call
+    # the one computed afresh, and one memo serves every call.  Up to 40
+    # candidates from a small span, with repeats and v = 0, in an order no
+    # `_solutions` walk gives: the same difference of successive candidates
+    # recurs between different pairs
     k = min(k, n - 1)
     w, reads = m + n, 2 * m + n - k
     memo = {}
     for _ in range(3):
         images = [rnd.getrandbits(2 * w) for _ in range(reads)]
         varying = sorted(rnd.sample(range(reads), rnd.randint(0, reads)))
-        candidates = [rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 6))] if varying else [0]
+        pool = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 4))])
+        candidates = [rnd.choice(pool) for _ in range(rnd.randint(0, 39))]
+        candidates.insert(rnd.randint(0, len(candidates)), 0)
         for v, found in _cycle_states(images, varying, candidates, n, k, m, memo):
             want = encoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m)
             assert (found is None) == (want is None)
             if found is not None:
                 assert found[0] == want[0] and list(found[1]) == list(want[1])
+
+
+def test_cycle_states_answer_every_candidate_in_its_turn():
+    # repeats and v = 0 included: one pair per candidate, in the order drawn
+    rnd = random.Random(7)
+    n, k, m = 3, 1, 2
+    w = m + n
+    images = [rnd.getrandbits(2 * w) for _ in range(2 * m + n - k)]
+    pool = gf2.span([rnd.getrandbits(2 * w) for _ in range(3)])
+    candidates = [rnd.choice(pool) for _ in range(60)] + [0, 0]
+    for varying in ([], [0, 2, 5]):
+        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, {})] == candidates
 
 
 def test_gr_leaves_match_one_leaf_checks_past_the_first_nodes():
@@ -579,13 +596,14 @@ def test_periodic_part_matches_walking_every_state(m, n, k, direction, rnd):
 
 
 def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
-    # operation counts, not timings: a leaf adds no row reduction, a
-    # last-level node a few, a new (T, A) the ones of its periodic part
+    # operation counts, not timings: a leaf adds no row reduction and no
+    # residue, a last-level node a few, a new (T, A) the ones of its
+    # periodic part, a newly placed state of P one residue
     import qconvenc.catastrophic as cat
 
     counts = []
     for budget in (400, 800):
-        calls = {"row_reduce": 0, "extend": 0, "nodes": 0}
+        calls = {"row_reduce": 0, "extend": 0, "nodes": 0, "residue": 0, "placed": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -595,12 +613,20 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
 
         with mock.patch.object(gf2, "row_reduce", counted("row_reduce", gf2.row_reduce)), \
                 mock.patch.object(gf2, "extend", counted("extend", gf2.extend)), \
+                mock.patch.object(gf2, "residue", counted("residue", gf2.residue)), \
+                mock.patch.object(cat, "_place", counted("placed", cat._place)), \
                 mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)):
             with pytest.raises(CompletionSearchExhausted) as info:
                 synthesize_encoder(GR_CODE, max_candidates=budget)
-        counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics))
-    (r1, e1, n1, d1), (r2, e2, n2, d2) = counts
+        counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics,
+                       calls["residue"], calls["placed"]))
+    (r1, e1, n1, d1, s1, p1), (r2, e2, n2, d2, s2, p2) = counts
     assert (n1, d1, n2, d2) == (4, 64, 7, 128)
+    # a node's residues are c0's and one per distinct difference of
+    # successive candidates, at most 2 + 2w (w = 10 on GR); one residue per
+    # leaf made 434 and 849 calls
+    assert s1 <= 100 and s2 <= 160
+    assert s2 - s1 <= 22 * (n2 - n1) + (p2 - p1)
     # the counts of deciding a node's leaves against one reduced span, as
     # bounds (one row reduction per leaf made 564 and 1,101 row_reduce calls)
     assert r1 <= 153 and r2 <= 290
