@@ -25,7 +25,7 @@ from .skeleton import (
     skeleton_commutation_matrix,
     symplectic_gram_schmidt,
 )
-from .synthesis import PartialMap, complete_and_synthesize, synthesize_circuit
+from .synthesis import PartialMap, synthesize_circuit
 from .catastrophic import (
     CatastrophicityVerdict,
     ZeroWeightGraph,
@@ -77,7 +77,6 @@ __all__ = [
     "assign_memory",
     "PartialMap",
     "synthesize_circuit",
-    "complete_and_synthesize",
     "ZeroWeightGraph",
     "CatastrophicityVerdict",
     "zero_weight_graph",

@@ -14,7 +14,9 @@ iterated backwards in time.  For a decoder the physical side is the
 received *input* and edges are forward images of (memory, identity).  In
 both directions ancilla/syndrome coordinates must stay in {I, Z}: those
 wires hold prepared or measured |0> states, so X content there would make
-the transition unrealizable.
+the transition unrealizable.  A map streams n-qubit frames, so its memory
+size m is its width less n: the verdicts read m off the map, refusing one
+narrower than a frame, and the completion search off the rows' width.
 
 Each of these transitions is GF(2)-linear in the 2m-bit memory state s it
 is keyed by: it leads to the state T s, puts A s on the X part of the
@@ -70,7 +72,6 @@ from . import gf2
 from .circuit import CliffordCircuit, SymplecticMap, _dual, _field, _place, as_symplectic
 from .errors import CompletionSearchExhausted, MapConsistencyError
 from .pauli import PauliOperator
-from .skeleton import MemoryAssignment, TransformationSkeleton
 from .synthesis import PartialMap, check_consistency, complete_to_symplectic, synthesize_circuit
 
 __all__ = [
@@ -124,8 +125,9 @@ class ZeroWeightGraph:
     edges: Dict[int, ZeroWeightEdge] = field(repr=False)
 
 
-def _encoder_edge(inv: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
-    w = m + n
+def _encoder_edge(inv: SymplecticMap, n: int, k: int, state_vec: int) -> Optional[ZeroWeightEdge]:
+    w = inv.width
+    m = w - n
     pre = inv.apply_vec(_place(state_vec, m, n, w))
     frame = PauliOperator.from_vec(n, _field(pre, w, m, n))
     anc = frame.part(0, n - k)
@@ -135,7 +137,8 @@ def _encoder_edge(inv: SymplecticMap, n: int, k: int, m: int, state_vec: int) ->
     return ZeroWeightEdge(before, PauliOperator.from_vec(m, state_vec), anc, frame.part(n - k, n))
 
 
-def _decoder_edge(smap: SymplecticMap, n: int, k: int, m: int, state_vec: int) -> Optional[ZeroWeightEdge]:
+def _decoder_edge(smap: SymplecticMap, n: int, k: int, state_vec: int) -> Optional[ZeroWeightEdge]:
+    m = smap.width - n
     frame, after = smap.step(n, state_vec, 0)
     out = PauliOperator.from_vec(n, frame)
     synd = out.part(0, n - k)
@@ -147,22 +150,17 @@ def _decoder_edge(smap: SymplecticMap, n: int, k: int, m: int, state_vec: int) -
 
 
 def zero_weight_graph(
-    c: Union[CliffordCircuit, SymplecticMap],
-    n: int,
-    k: int,
-    m: int,
-    direction: str = "encoder",
+    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction: str = "encoder"
 ) -> ZeroWeightGraph:
     smap = as_symplectic(c)
-    if smap.width != m + n:
-        raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
+    m = _memory(smap, n)
     if m > ENUM_CAP:
         raise ValueError(f"memory {m} exceeds the enumeration cap {ENUM_CAP}")
     if direction == "encoder":
         inv = smap.inverse()
-        probe = lambda s: _encoder_edge(inv, n, k, m, s)
+        probe = lambda s: _encoder_edge(inv, n, k, s)
     elif direction == "decoder":
-        probe = lambda s: _decoder_edge(smap, n, k, m, s)
+        probe = lambda s: _decoder_edge(smap, n, k, s)
     else:
         raise ValueError("direction must be 'encoder' or 'decoder'")
     edges = {}
@@ -181,21 +179,18 @@ class _CycleSeed:
     smap: SymplecticMap
     n: int
     k: int
-    m: int
-    direction: str
     b: int
     ts: Tuple[int, ...]
 
-    def walk(self) -> Tuple[ZeroWeightEdge, ...]:
+    def walk(self, direction: str) -> Tuple[ZeroWeightEdge, ...]:
         orbit = [self.b]
         while (s := gf2.matmul(orbit[-1:], list(self.ts))[0]) != self.b:
             orbit.append(s)
-        if self.direction == "encoder":
-            args = (self.smap.inverse(), self.n, self.k, self.m)
+        if direction == "encoder":
+            inv = self.smap.inverse()
             # the edge keyed by s leads back in time to T s: reverse for forward order
-            return tuple(_encoder_edge(*args, s) for s in reversed(orbit))
-        args = (self.smap, self.n, self.k, self.m)
-        return tuple(_decoder_edge(*args, s) for s in orbit)
+            return tuple(_encoder_edge(inv, self.n, self.k, s) for s in reversed(orbit))
+        return tuple(_decoder_edge(self.smap, self.n, self.k, s) for s in orbit)
 
 
 @dataclass(frozen=True)
@@ -214,7 +209,7 @@ class CatastrophicityVerdict:
 
     @cached_property
     def witness(self) -> Optional[Tuple[ZeroWeightEdge, ...]]:
-        return None if self.seed is None else self.seed.walk()
+        return None if self.seed is None else self.seed.walk(self.direction)
 
 
 def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> List[int]:
@@ -306,11 +301,12 @@ def _cycle_states(
         yield v, hit if r1 != res else other
 
 
-def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optional[Tuple[int, List[int]]]:
+def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int) -> Optional[Tuple[int, List[int]]]:
     """As `_cycle_states` for one candidate, for a decoder map.  Its rows for memory
     X_i and Z_i (input wires i) are the edges keyed by those basis states,
     so T, A and L are read off them without applying the map."""
-    w = m + n
+    w = smap.width
+    m = w - n
     ts, xs, ls = [], [], []
     for i in [*range(m), *range(w, w + m)]:
         r = smap.rows[i]  # image layout (syndrome, info, memory)
@@ -324,22 +320,25 @@ def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int, m: int) -> Optiona
     return None
 
 
-def _verdict(
-    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int, direction: str
-) -> CatastrophicityVerdict:
+def _memory(smap: SymplecticMap, n: int) -> int:
+    """The memory size m of a map on n-qubit frames: its width less the frame."""
+    if smap.width < n:
+        raise ValueError(f"circuit width {smap.width} is narrower than one frame of {n}")
+    return smap.width - n
+
+
+def _verdict(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction: str) -> CatastrophicityVerdict:
     smap = as_symplectic(c)
-    if smap.width != m + n:
-        raise ValueError(f"circuit width {smap.width} != memory {m} + frame {n}")
+    m = _memory(smap, n)
     if direction == "encoder":
         images = [smap.rows[i] for i in _encoder_reads(n, k, m)]
         _, found = next(_cycle_states(images, (), [0], n, k, m, {}))
     else:
-        found = _decoder_cycle_state(smap, n, k, m)
+        found = _decoder_cycle_state(smap, n, k)
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
-    seed = _CycleSeed(smap, n, k, m, direction, b, tuple(ts))
-    return CatastrophicityVerdict(False, direction, seed)
+    return CatastrophicityVerdict(False, direction, _CycleSeed(smap, n, k, b, tuple(ts)))
 
 
 def _encoder_reads(n: int, k: int, m: int) -> List[int]:
@@ -349,16 +348,12 @@ def _encoder_reads(n: int, k: int, m: int) -> List[int]:
     return [*range(m), *range(w, w + m + n - k)]
 
 
-def is_noncatastrophic(
-    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int
-) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "encoder")
+def is_noncatastrophic(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int) -> CatastrophicityVerdict:
+    return _verdict(c, n, k, "encoder")
 
 
-def is_noncatastrophic_decoder(
-    c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, m: int
-) -> CatastrophicityVerdict:
-    return _verdict(c, n, k, m, "decoder")
+def is_noncatastrophic_decoder(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int) -> CatastrophicityVerdict:
+    return _verdict(c, n, k, "decoder")
 
 
 def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[PauliOperator]:
@@ -368,15 +363,12 @@ def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[Pauli
 
 
 def complete_noncatastrophic(
-    p: PartialMap,
-    skeleton: TransformationSkeleton,
-    assignment: MemoryAssignment,
-    *,
-    max_candidates: int = MAX_CANDIDATES,
-) -> Tuple[CliffordCircuit, CatastrophicityVerdict]:
-    """Extend p with rows for unfixed memory directions until the
-    synthesized encoder is non-catastrophic; returns the circuit and the
-    verdict of its leaf check.
+    p: PartialMap, n: int, k: int, *, max_candidates: int = MAX_CANDIDATES
+) -> Tuple[SymplecticMap, CliffordCircuit, CatastrophicityVerdict]:
+    """Extend p, the rows of an encoder on n-qubit frames with k info
+    wires and memory m = p.width - n, with rows for unfixed memory
+    directions until the encoder is non-catastrophic; returns the map it
+    completed, that map's circuit and the verdict of its leaf check.
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are drawn
@@ -389,8 +381,8 @@ def complete_noncatastrophic(
     `max_candidates` leaf checks are the search's only limit.
     """
     check_consistency(p)
-    n, k, m = skeleton.n, skeleton.k, assignment.m
-    w = m + n
+    w = p.width
+    m = w - n
 
     span = [row[0] for row in p.rows]
     directions: List[int] = []
@@ -437,7 +429,7 @@ def complete_noncatastrophic(
         tried += 1
         if found is None:
             smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
-            return synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+            return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
     raise exhausted("every consistent completion is catastrophic")
 
 

@@ -16,6 +16,7 @@ by frame.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -156,7 +157,8 @@ class SymplecticMap:
         return SymplecticMap(width, tuple(1 << i for i in range(2 * width)))
 
     def apply_vec(self, v: int) -> int:
-        return matmul([v], self.rows)[0]
+        # numpy integers lack `bit_length`; operator.index takes any integer and refuses floats
+        return matmul([operator.index(v)], self.rows)[0]
 
     def apply(self, p: PauliOperator) -> PauliOperator:
         return PauliOperator.from_vec(self.width, self.apply_vec(p.vec()))
@@ -175,6 +177,8 @@ class SymplecticMap:
         """Stream one packed n-qubit frame in with packed memory `mem` (on the
         first m input wires, as `wire_roles` lays them out); returns the
         emitted frame (first n output wires) and the next memory (last m)."""
+        # as Python ints before any shift: a numpy integer would overflow silently
+        mem, frame = operator.index(mem), operator.index(frame)
         w = self.width
         m = w - n
         img = self.apply_vec(_place(mem, m, 0, w) | _place(frame, n, m, w))

@@ -180,11 +180,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # a symplectic map preserves products, so the verified memory operators
     # carry the code's commutation requirement
     products = gram([op.vec() for op in realized.operators], m)
-    verdict = is_noncatastrophic(smap, code.n, code.k, m)
+    verdict = is_noncatastrophic(smap, code.n, code.k)
     report = {
         "rows_verified": True,
         "memory": m,
-        "minimal_memory": minimal_memory(CommutationRequirement(len(products), tuple(products))),
+        "minimal_memory": minimal_memory(CommutationRequirement(tuple(products))),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:

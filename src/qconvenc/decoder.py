@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .catastrophic import CatastrophicityVerdict, is_noncatastrophic_decoder
-from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
+from .catastrophic import CatastrophicityVerdict, _memory, is_noncatastrophic_decoder
+from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
 from .pauli import PauliOperator
@@ -32,7 +32,7 @@ from .skeleton import (
     resolve_assignment,
     skeleton_commutation_matrix,
 )
-from .synthesis import PartialMap, complete_and_synthesize
+from .synthesis import PartialMap, complete_to_symplectic, synthesize_circuit
 
 __all__ = [
     "LogicalOperatorSet",
@@ -56,8 +56,9 @@ class LogicalOperatorSet:
         return len(self.pairs)
 
 
-def _propagate(smap: SymplecticMap, m: int, n: int, first_input: PauliOperator) -> FramedPauliSequence:
+def _propagate(smap: SymplecticMap, n: int, first_input: PauliOperator) -> FramedPauliSequence:
     """Frames emitted until the memory register returns to the identity."""
+    m = smap.width - n
     # the zero-input step T is linear on GF(2)^2m and ker T^j stops growing by j = 2m: 2m steps decide
     frames, mems = smap.stream(n, [first_input.vec()], 2 * m + 1)
     if mems[-1]:
@@ -74,14 +75,12 @@ def encoded_logical_operators(
     """Images of each unencoded info-wire X and Z under the encoder."""
     smap = as_symplectic(c)
     n, k = code.n, code.k
-    m = smap.width - n
-    if m < 0:
-        raise ValueError("circuit narrower than one frame")
+    _memory(smap, n)  # refuses a map narrower than one frame
     pairs = []
     for j in range(k):
         wire = n - k + j  # info block sits after the ancilla block
-        ex = _propagate(smap, m, n, PauliOperator.single(n, wire, "X"))
-        ez = _propagate(smap, m, n, PauliOperator.single(n, wire, "Z"))
+        ex = _propagate(smap, n, PauliOperator.single(n, wire, "X"))
+        ez = _propagate(smap, n, PauliOperator.single(n, wire, "Z"))
         pairs.append((ex, ez))
     return LogicalOperatorSet(n, tuple(pairs))
 
@@ -114,16 +113,13 @@ class DecoderResult:
     skeleton: TransformationSkeleton
     matrix: CommutationRequirement
     assignment: MemoryAssignment
+    map: SymplecticMap
     circuit: CliffordCircuit
     verdict: CatastrophicityVerdict
 
     @property
     def memory(self) -> int:
         return self.assignment.m
-
-    @property
-    def map(self) -> SymplecticMap:
-        return circuit_to_symplectic(self.circuit)
 
 
 def derive_online_decoder(
@@ -142,18 +138,17 @@ def derive_online_decoder(
     matrix = skeleton_commutation_matrix(skel)
     assignment = resolve_assignment(matrix, assignment)
     rows = partial_rows(skel, assignment)
-    smap, circuit = complete_and_synthesize(PartialMap.from_operators(rows))
-    verdict = is_noncatastrophic_decoder(smap, code.n, code.k, assignment.m)
-    return DecoderResult(code, logicals, skel, matrix, assignment, circuit, verdict)
+    smap = complete_to_symplectic(PartialMap.from_operators(rows))
+    circuit = synthesize_circuit(smap)
+    verdict = is_noncatastrophic_decoder(smap, code.n, code.k)
+    return DecoderResult(code, logicals, skel, matrix, assignment, smap, circuit, verdict)
 
 
 def windowed_roundtrip_failures(
-    code: ConvolutionalCode,
-    encoder: Union[CliffordCircuit, SymplecticMap],
-    decoder: DecoderResult,
-    nframes: int,
+    encoder: Union[CliffordCircuit, SymplecticMap], decoder: DecoderResult, nframes: int
 ) -> List[str]:
-    """Check encode-then-decode over a finite window; empty list = pass.
+    """Check encode-then-decode over a finite window, for the code the
+    decoder was derived for (`decoder.code`); empty list = pass.
 
     Each unencoded generator fed in at frame t must come back out as the
     decoded target at frame t + span - 1 (the decoder emits at the end of
@@ -165,12 +160,12 @@ def windowed_roundtrip_failures(
     last N - t + 1 frames: each probe is streamed once, through the
     encoder and then the decoder, one frame at a time as on the wire.
     """
-    n, k = code.n, code.k
+    n, k = decoder.code.n, decoder.code.k
     emap, dmap = as_symplectic(encoder), decoder.map
 
     # (label, unencoded probe, span); each probe must come back decoded as itself
     cases: List[Tuple[str, PauliOperator, int]] = []
-    for a, gen in enumerate(code.generators, 1):
+    for a, gen in enumerate(decoder.code.generators, 1):
         cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span))
     for j, (ex, ez) in enumerate(decoder.logicals.pairs, 1):
         wire = n - k + j - 1

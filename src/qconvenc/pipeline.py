@@ -11,7 +11,7 @@ from .catastrophic import (
     CatastrophicityVerdict,
     complete_noncatastrophic,
 )
-from .circuit import CliffordCircuit, SymplecticMap, as_symplectic, circuit_to_symplectic
+from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
 from .code import ConvolutionalCode
 from .errors import InputDataError, MapConsistencyError
 from .pauli import PauliOperator
@@ -39,16 +39,13 @@ class EncoderSynthesis:
     skeleton: TransformationSkeleton
     matrix: CommutationRequirement
     assignment: MemoryAssignment
+    map: SymplecticMap
     circuit: CliffordCircuit
     verdict: CatastrophicityVerdict
 
     @property
     def memory(self) -> int:
         return self.assignment.m
-
-    @property
-    def map(self) -> SymplecticMap:
-        return circuit_to_symplectic(self.circuit)
 
 
 def synthesize_encoder(
@@ -80,10 +77,8 @@ def synthesize_encoder(
                 )
         rows = rows + list(completion_rows)
     partial = PartialMap.from_operators(rows)
-    circuit, verdict = complete_noncatastrophic(
-        partial, skeleton, assignment, max_candidates=max_candidates
-    )
-    return EncoderSynthesis(code, skeleton, matrix, assignment, circuit, verdict)
+    smap, circuit, verdict = complete_noncatastrophic(partial, code.n, code.k, max_candidates=max_candidates)
+    return EncoderSynthesis(code, skeleton, matrix, assignment, smap, circuit, verdict)
 
 
 def _check_last_frames(code: ConvolutionalCode) -> None:

@@ -106,11 +106,14 @@ def build_skeleton(code: ConvolutionalCode) -> TransformationSkeleton:
 
 @dataclass(frozen=True)
 class CommutationRequirement:
-    """Symmetric GF(2) matrix of required products between unknowns; a
-    skeleton's is indexed in the order of its `unknowns()`."""
+    """Symmetric GF(2) matrix of required products between unknowns, one
+    row per unknown; a skeleton's is indexed in the order of its `unknowns()`."""
 
-    size: int
     rows: Tuple[int, ...]  # row i as a bitset over columns
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
@@ -141,9 +144,7 @@ def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> Commutation
                 f"boundary product of chain {i} (span {ci.span}) with "
                 f"chain {j} at frame {t} is forced to 1"
             )
-    unknowns = skeleton.unknowns()
-    rows = gram([hist[u] for u in unknowns], width)
-    return CommutationRequirement(len(unknowns), tuple(rows))
+    return CommutationRequirement(tuple(gram([hist[u] for u in skeleton.unknowns()], width)))
 
 
 def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, int]]:

@@ -33,7 +33,6 @@ __all__ = [
     "check_consistency",
     "complete_to_symplectic",
     "synthesize_circuit",
-    "complete_and_synthesize",
     "gate_count_bound",
 ]
 
@@ -224,8 +223,3 @@ def synthesize_circuit(target: SymplecticMap) -> CliffordCircuit:
 
 def gate_count_bound(width: int) -> int:
     return 10 * width * width
-
-
-def complete_and_synthesize(partial: PartialMap) -> Tuple[SymplecticMap, CliffordCircuit]:
-    smap = complete_to_symplectic(partial)
-    return smap, synthesize_circuit(smap)

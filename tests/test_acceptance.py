@@ -87,10 +87,10 @@ def test_03_fgg_noncatastrophic_identity_self_loop_only():
     synthesized = synthesize_encoder(FGG_CODE).circuit
     for circuit in (reference, synthesized):
         verify_encoder(FGG_CODE, circuit)
-        verdict = is_noncatastrophic(circuit, 3, 1, 1)
+        verdict = is_noncatastrophic(circuit, 3, 1)
         assert verdict.non_catastrophic is True
         assert verdict.witness is None
-        graph = zero_weight_graph(circuit, 3, 1, 1)
+        graph = zero_weight_graph(circuit, 3, 1)
         assert set(graph.edges) == {0}  # identity is the only live state
         loop = graph.edges[0]
         assert loop.before.is_identity() and loop.after.is_identity()
@@ -164,9 +164,9 @@ def test_07_catastrophicity_oracle_matches_brute_force():
         (SymplecticMap.identity(2), 1, 1, 1),
     ]
     for smap, n, k, m in corpus:
-        enc = is_noncatastrophic(smap, n, k, m).non_catastrophic
+        enc = is_noncatastrophic(smap, n, k).non_catastrophic
         assert enc == brute_force_noncatastrophic(smap, n, k, m, "encoder"), (n, k, m)
-        dec = is_noncatastrophic_decoder(smap, n, k, m).non_catastrophic
+        dec = is_noncatastrophic_decoder(smap, n, k).non_catastrophic
         assert dec == brute_force_noncatastrophic(smap, n, k, m, "decoder"), (n, k, m)
 
 
@@ -174,7 +174,7 @@ def test_08_windowed_roundtrip_restores_every_logical():
     encoder = parse_circuit(FGG_ENCODER_TEXT)
     decoder = derive_online_decoder(FGG_CODE, encoder)
     for nframes in range(1, 5):
-        assert windowed_roundtrip_failures(FGG_CODE, encoder, decoder, nframes) == []
+        assert windowed_roundtrip_failures(encoder, decoder, nframes) == []
 
 
 def test_09_synthesis_scaling_and_partial_completion():

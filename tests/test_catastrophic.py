@@ -115,7 +115,7 @@ TOY_CNOT = CliffordCircuit(2, (CliffordGate("CNOT", (1, 2)),))
 
 
 def test_reference_encoder_graph_is_identity_self_loop(fgg_reference_encoder):
-    g = zero_weight_graph(fgg_reference_encoder, 3, 1, 1)
+    g = zero_weight_graph(fgg_reference_encoder, 3, 1)
     assert set(g.edges) == {0}
     edge = g.edges[0]
     assert edge.before.is_identity() and edge.after.is_identity()
@@ -123,25 +123,25 @@ def test_reference_encoder_graph_is_identity_self_loop(fgg_reference_encoder):
 
 
 def test_synthesized_encoder_graph_matches(fgg_synthesis):
-    g = zero_weight_graph(fgg_synthesis.map, 3, 1, 1)
+    g = zero_weight_graph(fgg_synthesis.map, 3, 1)
     assert set(g.edges) == {0}
 
 
 def test_memoryless_encoder_graph():
     # any m=0 map has the one node and its trivial self-loop
-    g = zero_weight_graph(SymplecticMap.identity(2), 2, 1, 0)
+    g = zero_weight_graph(SymplecticMap.identity(2), 2, 1)
     assert set(g.edges) == {0}
     assert g.edges[0].before.width == 0
 
 
 def test_reference_encoder_noncatastrophic(fgg_reference_encoder):
-    v = is_noncatastrophic(fgg_reference_encoder, 3, 1, 1)
+    v = is_noncatastrophic(fgg_reference_encoder, 3, 1)
     assert v.non_catastrophic and v.witness is None
     assert v.direction == "encoder"
 
 
 def test_toy_cnot_encoder_catastrophic():
-    v = is_noncatastrophic(TOY_CNOT, 1, 1, 1)
+    v = is_noncatastrophic(TOY_CNOT, 1, 1)
     assert not v.non_catastrophic
     assert v.witness is not None
     total = sum(e.logical_weight for e in v.witness)
@@ -181,7 +181,7 @@ def test_witness_is_a_long_cycle(check):
     m, n, k = 2, 2, 1
     for _ in range(200):
         smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rng))
-        v = check(smap, n, k, m)
+        v = check(smap, n, k)
         if v.witness is not None and len(v.witness) > 1:
             break
     else:
@@ -191,7 +191,7 @@ def test_witness_is_a_long_cycle(check):
 
 
 def test_toy_cnot_decoder_catastrophic():
-    v = is_noncatastrophic_decoder(TOY_CNOT, 1, 1, 1)
+    v = is_noncatastrophic_decoder(TOY_CNOT, 1, 1)
     assert not v.non_catastrophic
 
 
@@ -200,17 +200,17 @@ def test_identity_decoder_not_catastrophic():
     # consuming received content, so no zero-weight cycle carries logicals;
     # the brute-force route agrees
     ident = SymplecticMap.identity(2)
-    assert is_noncatastrophic_decoder(ident, 1, 1, 1).non_catastrophic
+    assert is_noncatastrophic_decoder(ident, 1, 1).non_catastrophic
     assert brute_force_noncatastrophic(ident, 1, 1, 1, "decoder")
 
 
 def test_memoryless_decoder_true():
-    v = is_noncatastrophic_decoder(SymplecticMap.identity(2), 2, 1, 0)
+    v = is_noncatastrophic_decoder(SymplecticMap.identity(2), 2, 1)
     assert v.non_catastrophic
 
 
 def test_catastrophic_fixture_verdict(catastrophic_encoder_map):
-    v = is_noncatastrophic(catastrophic_encoder_map, 2, 1, 1)
+    v = is_noncatastrophic(catastrophic_encoder_map, 2, 1)
     assert not v.non_catastrophic
     assert any(e.logical_weight for e in v.witness)
 
@@ -226,10 +226,10 @@ def test_verdicts_match_brute_force_corpus(
         (SymplecticMap.identity(2), 1, 1, 1),
     ]
     for smap, n, k, m in corpus:
-        got = is_noncatastrophic(smap, n, k, m).non_catastrophic
+        got = is_noncatastrophic(smap, n, k).non_catastrophic
         want = brute_force_noncatastrophic(smap, n, k, m, "encoder")
         assert got == want, (n, k, m)
-        gotd = is_noncatastrophic_decoder(smap, n, k, m).non_catastrophic
+        gotd = is_noncatastrophic_decoder(smap, n, k).non_catastrophic
         wantd = brute_force_noncatastrophic(smap, n, k, m, "decoder")
         assert gotd == wantd, (n, k, m)
 
@@ -240,10 +240,10 @@ def test_verdicts_match_brute_force_random():
     for trial in range(60):
         m, n, k = shapes[trial % len(shapes)]
         smap = circuit_to_symplectic(random_circuit(m + n, 6 * (m + n), rng))
-        got = is_noncatastrophic(smap, n, k, m).non_catastrophic
+        got = is_noncatastrophic(smap, n, k).non_catastrophic
         want = brute_force_noncatastrophic(smap, n, k, m, "encoder")
         assert got == want, (trial, m, n, k)
-        gotd = is_noncatastrophic_decoder(smap, n, k, m).non_catastrophic
+        gotd = is_noncatastrophic_decoder(smap, n, k).non_catastrophic
         wantd = brute_force_noncatastrophic(smap, n, k, m, "decoder")
         assert gotd == wantd, (trial, m, n, k)
 
@@ -255,9 +255,26 @@ def test_transpose_matches_the_bitwise_formula(images, nbits):
     assert gf2.transpose(images, nbits) == transpose(images, nbits)
 
 
+def test_a_map_narrower_than_a_frame_is_refused_once():
+    # the memory size is the map's width less the frame, so the one refusal
+    # left is of a map narrower than one frame
+    narrow = SymplecticMap.identity(2)
+    for check in (is_noncatastrophic, is_noncatastrophic_decoder, zero_weight_graph):
+        with pytest.raises(ValueError, match="^circuit width 2 is narrower than one frame of 3$"):
+            check(narrow, 3, 1)
+
+
+def test_completion_returns_the_map_it_completed():
+    skel = build_skeleton(FGG_CODE)
+    asg = assign_memory(skeleton_commutation_matrix(skel))
+    smap, circ, _ = complete_noncatastrophic(PartialMap.from_operators(partial_rows(skel, asg)), skel.n, skel.k)
+    assert smap.width == asg.m + skel.n
+    assert smap == circuit_to_symplectic(circ)
+
+
 def test_enum_cap_guard():
     with pytest.raises(ValueError):
-        zero_weight_graph(SymplecticMap.identity(ENUM_CAP + 3), 2, 1, ENUM_CAP + 1)
+        zero_weight_graph(SymplecticMap.identity(ENUM_CAP + 3), 2, 1)
 
 
 def test_subgroup_elements_spans():
@@ -321,8 +338,8 @@ def test_completion_search_finds_rate_third_encoder():
     skel = build_skeleton(FGG_CODE)
     asg = assign_memory(skeleton_commutation_matrix(skel))
     partial = PartialMap.from_operators(partial_rows(skel, asg))
-    circ, verdict = complete_noncatastrophic(partial, skel, asg)
-    v = is_noncatastrophic(circ, 3, 1, 1)
+    _, circ, verdict = complete_noncatastrophic(partial, skel.n, skel.k)
+    v = is_noncatastrophic(circ, 3, 1)
     assert v.non_catastrophic
     assert verdict == v
 
@@ -340,7 +357,7 @@ def test_bare_css_search_exhausts_small_budget():
     asg = MemoryAssignment(6, GR_MEMORY_CHOICE)
     partial = PartialMap.from_operators(partial_rows(skel, asg))
     with pytest.raises(CompletionSearchExhausted):
-        complete_noncatastrophic(partial, skel, asg, max_candidates=50)
+        complete_noncatastrophic(partial, skel.n, skel.k, max_candidates=50)
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,7 +406,7 @@ def test_witness_is_walked_only_when_read(monkeypatch):
     edges = []
     real = cat._encoder_edge
     monkeypatch.setattr(cat, "_encoder_edge", lambda *args: edges.append(args) or real(*args))
-    v = is_noncatastrophic(TOY_CNOT, 1, 1, 1)
+    v = is_noncatastrophic(TOY_CNOT, 1, 1)
     assert not v.non_catastrophic and edges == []
     witness = v.witness
     assert len(edges) == len(witness) > 0
@@ -590,7 +607,7 @@ def test_periodic_part_matches_walking_every_state(m, n, k, direction, rnd):
     bases = []
     real = cat._periodic_part
     with mock.patch.object(cat, "_periodic_part", lambda *a: bases.append(real(*a)) or bases[-1]):
-        (is_noncatastrophic if direction == "encoder" else is_noncatastrophic_decoder)(smap, n, k, m)
+        (is_noncatastrophic if direction == "encoder" else is_noncatastrophic_decoder)(smap, n, k)
     event(f"dim P = {len(bases[0])}")
     assert sorted(gf2.span(bases[0])) == periodic_states(smap, n, k, m, direction)
 
@@ -679,7 +696,7 @@ def test_completion_builds_one_full_map(monkeypatch):
         calls.clear()
         syn = synthesize_encoder(parse_code(text))
         assert len(calls) == 1  # the accepted leaf only
-        assert syn.verdict == is_noncatastrophic(syn.circuit, syn.code.n, syn.code.k, syn.memory)
+        assert syn.verdict == is_noncatastrophic(syn.circuit, syn.code.n, syn.code.k)
     calls.clear()
     with pytest.raises(CompletionSearchExhausted):
         synthesize_encoder(GR_CODE, max_candidates=50)

@@ -9,6 +9,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -146,6 +147,33 @@ def _callers(name):
     return callers
 
 
+def _parameters():
+    """(module, function, parameter names) for every function and method in
+    the package."""
+    for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                yield path.stem, fn.name, {a.arg for a in args}
+
+
+def test_no_function_takes_the_memory_size_beside_a_map():
+    # a map's memory size is its width less the frame: a separate m could
+    # disagree with it
+    maps = {"c", "smap", "inv", "encoder", "circuit"}
+    params = list(_parameters())
+    # guards against a parse that finds nothing, which would pass vacuously
+    assert any("m" in names for _, _, names in params) and any(names & maps for _, _, names in params)
+    assert [(mod, fn) for mod, fn, names in params if "m" in names and names & maps] == []
+
+
+def test_only_the_circuit_helpers_and_synthesis_check_multiply_out_a_circuit():
+    # the encoder and decoder results keep the map they completed
+    assert _callers("circuit_to_symplectic") == [
+        ("circuit", "apply_gate"), ("circuit", "apply_circuit"), ("circuit", "as_symplectic"),
+        ("synthesis", "synthesize_circuit")]
+
+
 def test_gates_are_applied_only_by_the_column_update():
     # one way to apply a gate: a row-by-row loop over `_flips` in the
     # package would show up here as a second caller
@@ -238,6 +266,24 @@ def test_stream_stops_where_the_memory_closes_and_at_the_limit(catastrophic_enco
     # an orbit that never closes runs to the limit
     out, mems = catastrophic_encoder_map.stream(2, [P("IZ").vec()], 4)
     assert len(out) == 4 and all(mems)
+
+
+def test_numpy_integer_vectors_give_the_python_int_images():
+    # a numpy integer shifted past 63 bits wraps to 0 without a word, so
+    # apply_vec and step take their vectors as Python ints before any shift
+    rng = random.Random(41)
+    for smap, n in ((circuit_to_symplectic(FGG_ENCODER), 3), (SymplecticMap.identity(40), 3)):
+        m = smap.width - n
+        for v in [8] + [rng.getrandbits(min(2 * smap.width, 63)) for _ in range(20)]:
+            got = smap.apply_vec(np.int64(v))
+            assert got == smap.apply_vec(v) and type(got) is int
+        for mem, frame in [(0, 8)] + [(rng.getrandbits(min(2 * m, 63)), rng.getrandbits(2 * n)) for _ in range(20)]:
+            assert smap.step(n, np.int64(mem), np.int64(frame)) == smap.step(n, mem, frame)
+        frames = [rng.getrandbits(2 * n) for _ in range(4)]
+        assert smap.stream(n, [np.int64(f) for f in frames], 6) == smap.stream(n, frames, 6)
+        for call in (lambda: smap.apply_vec(1.0), lambda: smap.step(n, 0, 8.0), lambda: smap.step(n, 1.0, 0)):
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_compose_is_sequential_application():

@@ -17,6 +17,8 @@ from qconvenc import (
     SymplecticMap,
     circuit_to_symplectic,
     circuit_to_text,
+    parse_code,
+    synthesize_encoder,
     tensor,
 )
 from qconvenc.decoder import (
@@ -26,7 +28,13 @@ from qconvenc.decoder import (
     encoded_logical_operators,
     windowed_roundtrip_failures,
 )
-from qconvenc.errors import InputDataError, MapConsistencyError, OrbitError, QconvError
+from qconvenc.errors import (
+    InputDataError,
+    MapConsistencyError,
+    OrbitError,
+    QconvError,
+    SkeletonInconsistencyError,
+)
 from qconvenc.library import FGG_CODE, FGG_DECODER_MEMORY_CHOICE
 from qconvenc.skeleton import check_assignment, minimal_memory
 
@@ -55,7 +63,7 @@ def test_non_closing_orbit_stops_after_2m_zero_input_steps(
     n = catastrophic_code.n
     m = catastrophic_encoder_map.width - n
     with pytest.raises(OrbitError, match="^memory orbit of IZ never closes; stuck at X$"):
-        _propagate(catastrophic_encoder_map, m, n, P("IZ"))
+        _propagate(catastrophic_encoder_map, n, P("IZ"))
     assert len(calls) <= 2 * m + 1
 
 
@@ -76,11 +84,11 @@ def test_orbit_bound_matches_walking_every_memory_state(n, m, rnd):
         if mem:
             event("never closes")
             with pytest.raises(OrbitError):
-                _propagate(smap, m, n, inp)
+                _propagate(smap, n, inp)
         else:
             event("closes")
             want = tuple(PauliOperator.from_vec(n, f) for f in frames)
-            assert _propagate(smap, m, n, inp) == FramedPauliSequence(n, want)
+            assert _propagate(smap, n, inp) == FramedPauliSequence(n, want)
 
 
 def test_encoded_logicals_commute_with_generators(fgg_reference_encoder):
@@ -175,15 +183,13 @@ def test_decoder_checks_a_given_assignment(fgg_reference_encoder, ops, error, me
 
 def test_windowed_roundtrip(fgg_reference_encoder, fgg_decoder):
     for nframes in range(1, 5):
-        fails = windowed_roundtrip_failures(
-            FGG_CODE, fgg_reference_encoder, fgg_decoder, nframes
-        )
+        fails = windowed_roundtrip_failures(fgg_reference_encoder, fgg_decoder, nframes)
         assert fails == [], nframes
 
 
 def test_windowed_roundtrip_synthesized(fgg_synthesis):
     dec = derive_online_decoder(FGG_CODE, fgg_synthesis.circuit)
-    fails = windowed_roundtrip_failures(FGG_CODE, fgg_synthesis.circuit, dec, 3)
+    fails = windowed_roundtrip_failures(fgg_synthesis.circuit, dec, 3)
     assert fails == []
 
 
@@ -194,7 +200,7 @@ def test_encoder_then_decoder_is_delayed_identity(fgg_reference_encoder, fgg_dec
     # helper plus an explicit logical probe through the frame maps
     enc = circuit_to_symplectic(fgg_reference_encoder)
     dec = circuit_to_symplectic(fgg_decoder.circuit)
-    assert windowed_roundtrip_failures(FGG_CODE, fgg_reference_encoder, fgg_decoder, 3) == []
+    assert windowed_roundtrip_failures(fgg_reference_encoder, fgg_decoder, 3) == []
     assert enc.width == 1 + 3 and dec.width == 2 + 3
     mem_e, mem_d, decoded = P("I"), P("II"), []
     for fed in (P("IIX"), P("III"), P("III")):  # logical X at frame 1
@@ -211,14 +217,19 @@ def _drop_gate(circuit: CliffordCircuit, i: int) -> CliffordCircuit:
     return CliffordCircuit(circuit.width, circuit.gates[:i] + circuit.gates[i + 1:])
 
 
+def _with_circuit(decoder, circuit: CliffordCircuit):
+    """The decoder result with its circuit, and the map it stores, replaced."""
+    return dataclasses.replace(decoder, circuit=circuit, map=circuit_to_symplectic(circuit))
+
+
 def test_windowed_roundtrip_catches_dropped_decoder_gate(fgg_reference_encoder, fgg_decoder):
     # a round trip that cannot fail proves nothing.  Not every deletion is
     # visible: a trailing gate that only moves Z content onto syndrome
     # wires is tolerated by contract, so probe the first and a middle gate
     gates = fgg_decoder.circuit.gates
     for i in (0, len(gates) // 2):
-        broken = dataclasses.replace(fgg_decoder, circuit=_drop_gate(fgg_decoder.circuit, i))
-        fails = windowed_roundtrip_failures(FGG_CODE, fgg_reference_encoder, broken, 3)
+        broken = _with_circuit(fgg_decoder, _drop_gate(fgg_decoder.circuit, i))
+        fails = windowed_roundtrip_failures(fgg_reference_encoder, broken, 3)
         assert fails, (i, gates[i])
 
 
@@ -227,7 +238,7 @@ def test_windowed_roundtrip_catches_dropped_encoder_gate(fgg_reference_encoder, 
     gates = fgg_reference_encoder.gates
     for i in range(len(gates)):
         broken = _drop_gate(fgg_reference_encoder, i)
-        fails = windowed_roundtrip_failures(FGG_CODE, broken, fgg_decoder, 3)
+        fails = windowed_roundtrip_failures(broken, fgg_decoder, 3)
         assert fails, (i, gates[i])
 
 
@@ -239,19 +250,58 @@ def test_roundtrip_streamed_once_matches_streaming_every_launch(fgg_reference_en
     enc, dec = fgg_reference_encoder, fgg_decoder
     pairs = [(enc, dec)]
     pairs += [(_drop_gate(enc, i), dec) for i in range(len(enc.gates))]
-    pairs += [(enc, dataclasses.replace(dec, circuit=_drop_gate(dec.circuit, i)))
+    pairs += [(enc, _with_circuit(dec, _drop_gate(dec.circuit, i)))
               for i in range(len(dec.circuit.gates))]
     rng = random.Random(31)
-    pairs += [(enc, dataclasses.replace(dec, circuit=random_circuit(5, 40, rng))) for _ in range(20)]
+    pairs += [(enc, _with_circuit(dec, random_circuit(5, 40, rng))) for _ in range(20)]
     seen = []
     for e, d in pairs:
         for nframes in range(1, 8):
             want = roundtrip_by_launch(FGG_CODE, e, d, nframes)
-            assert windowed_roundtrip_failures(FGG_CODE, e, d, nframes) == want, nframes
+            assert windowed_roundtrip_failures(e, d, nframes) == want, nframes
             seen += want
     # every fault kind shows up
     for fault in ("memory not restored", "info at frame", "X content", "syndrome at frame"):
         assert any(fault in f for f in seen), fault
+
+
+def _draw_small_code(rng: random.Random) -> str:
+    """A random code text: n in {2, 3}, 1 to n generators of span 1 to 3."""
+    n = rng.choice((2, 3))
+    gens = ["|".join("".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, n))]
+    return f"n={n}\n" + "".join(g + "\n" for g in gens)
+
+
+def test_decoder_census_of_random_small_codes():
+    # the first 40 seeded random codes that synthesize: each decoder either
+    # round-trips over N = 12 or fails in one of the two known ways of the
+    # decoder skeleton (dependent rows, a forced boundary product)
+    rng = random.Random(11)
+    tally = {"round trip empty": 0, "dependent rows": 0, "boundary product": 0}
+    draws = accepted = 0
+    while accepted < 40:
+        draws += 1
+        try:
+            code = parse_code(_draw_small_code(rng))
+            encoder = synthesize_encoder(code, max_candidates=200).circuit
+        except QconvError:
+            continue
+        accepted += 1
+        try:
+            decoder = derive_online_decoder(code, encoder)
+        except MapConsistencyError as exc:
+            assert str(exc) == "input rows are linearly dependent", code
+            tally["dependent rows"] += 1
+            continue
+        except SkeletonInconsistencyError as exc:
+            assert str(exc).startswith("boundary product "), code
+            tally["boundary product"] += 1
+            continue
+        assert windowed_roundtrip_failures(encoder, decoder, 12) == [], code
+        tally["round trip empty"] += 1
+    # every outcome is met; a decoder skeleton that mends either fault moves these counts
+    assert (draws, tally) == (178, {"round trip empty": 23, "dependent rows": 12, "boundary product": 5})
 
 
 def test_decoder_refuses_encoders_that_do_not_realize_the_code():

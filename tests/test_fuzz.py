@@ -246,7 +246,7 @@ def test_synthesize_exits_with_documented_code(tmp_path_factory, text, budget, e
         circuit = circuit_from_json(written) if ext == ".json" else parse_circuit(written)
         code = parse_code(text)
         m = verify_encoder(code, circuit).m
-        assert is_noncatastrophic(circuit, code.n, code.k, m).non_catastrophic
+        assert is_noncatastrophic(circuit, code.n, code.k).non_catastrophic
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main(["check", "--json", "--code", str(d / "code.qcc"), "--encoder", str(out_path)])

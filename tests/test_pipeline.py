@@ -12,7 +12,7 @@ from qconvenc import (
     verify_encoder,
 )
 from qconvenc import catastrophic
-from qconvenc.circuit import CliffordCircuit, circuit_to_text
+from qconvenc.circuit import CliffordCircuit, circuit_to_symplectic, circuit_to_text
 from qconvenc.errors import InputDataError, MapConsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE, GR_COMPLETION_ROWS, GR_MEMORY_CHOICE
 from qconvenc.skeleton import build_skeleton
@@ -20,6 +20,12 @@ from qconvenc.skeleton import build_skeleton
 from conftest import random_realized
 
 P = PauliOperator.from_string
+
+
+def test_results_keep_the_map_their_circuit_realizes(fgg_synthesis, gr_synthesis, fgg_decoder):
+    for result in (fgg_synthesis, gr_synthesis, fgg_decoder):
+        assert result.map == circuit_to_symplectic(result.circuit)
+        assert result.map.width == result.memory + result.code.n
 
 
 def test_rate_third_synthesis_end_to_end(fgg_synthesis):
@@ -209,4 +215,4 @@ def test_synthesis_scans_the_state_graph_once(monkeypatch):
     )
     assert built == []
     monkeypatch.undo()
-    assert syn.verdict == is_noncatastrophic(syn.circuit, GR_CODE.n, GR_CODE.k, 6)
+    assert syn.verdict == is_noncatastrophic(syn.circuit, GR_CODE.n, GR_CODE.k)

@@ -70,7 +70,7 @@ def random_requirement(rng, size):
             if rng.random() < 0.5:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return CommutationRequirement(size, tuple(rows))
+    return CommutationRequirement(tuple(rows))
 
 
 def test_rate_third_skeleton_rows():
@@ -132,7 +132,7 @@ def test_decoder_relation_matrix_rank():
     for i, j in [(0, 1), (0, 3), (1, 3), (2, 3)]:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    mat = CommutationRequirement(4, tuple(rows))
+    mat = CommutationRequirement(tuple(rows))
     sgs = symplectic_gram_schmidt(mat)
     assert len(sgs.pairs) == 2 and len(sgs.isotropic) == 0
     assert minimal_memory(mat) == 2
@@ -166,13 +166,19 @@ def test_minimal_memory_counts_the_gram_schmidt_pairs(drawn):
             if (bits >> (i * size + j)) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    mat = CommutationRequirement(size, tuple(rows))
+    mat = CommutationRequirement(tuple(rows))
     sgs = symplectic_gram_schmidt(mat)
     assert minimal_memory(mat) == len(sgs.pairs) + len(sgs.isotropic)
 
 
+def test_requirement_size_is_its_row_count():
+    assert CommutationRequirement((2, 1, 0)).size == 3
+    with pytest.raises(TypeError):
+        CommutationRequirement(2, (2, 1, 0))  # no size to disagree with the rows
+
+
 def test_empty_matrix_assigns_nothing():
-    mat = CommutationRequirement(0, ())
+    mat = CommutationRequirement(())
     asg = assign_memory(mat)
     assert asg.m == 0 and asg.operators == ()
 
@@ -196,7 +202,7 @@ def test_check_assignment_flags_violation_and_dependence():
     assert check_assignment(mat, MemoryAssignment(1, (P("X"), P("X")))) == (0, 1)
     # right products, dependent set: impossible on 1 qubit for a pair,
     # build a 2-qubit dependent example on a commuting matrix instead
-    free = CommutationRequirement(2, (0, 0))
+    free = CommutationRequirement((0, 0))
     assert check_assignment(free, MemoryAssignment(2, (P("ZI"), P("ZI")))) == (1, 1)
 
 

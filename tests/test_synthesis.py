@@ -19,7 +19,6 @@ from qconvenc.library import FGG_ENCODER
 from qconvenc.synthesis import (
     PartialMap,
     check_consistency,
-    complete_and_synthesize,
     complete_to_symplectic,
     gate_count_bound,
     synthesize_circuit,
@@ -80,7 +79,8 @@ def test_reference_circuit_realizes_required_rows():
 
 def test_completion_preserves_prescribed_rows():
     partial = PartialMap.from_operators(fgg_transformation_rows())
-    full, circ = complete_and_synthesize(partial)
+    full = complete_to_symplectic(partial)
+    circ = synthesize_circuit(full)
     assert full.is_symplectic()
     for src, dst in fgg_transformation_rows():
         assert full.apply(src) == dst
@@ -143,7 +143,8 @@ def test_random_partial_maps_complete_and_verify():
             PartialMap.from_operators(rows) if rows else PartialMap(w, ())
         )
         check_consistency(partial)
-        completed, circ = complete_and_synthesize(partial)
+        completed = complete_to_symplectic(partial)
+        circ = synthesize_circuit(completed)
         assert completed.is_symplectic()
         for src, dst in rows:
             assert completed.apply(src) == dst
