@@ -58,6 +58,20 @@ decides a leaf for each value of c0 ^ residue(v).  After the node's
 set-up a leaf costs a few XORs and lookups: no residue and no row
 reduction.
 
+Within a node, even a new dynamics need not recompute V.  A candidate v
+changes only the dual fields of the varying images, each by the same dv,
+and those fields are the rows of T's transpose for the memory inputs
+(memory X_i gives row m + i, Z_i row i) and A's functionals for the
+ancilla Z's.  So for two candidates v and v', with u the mask of the
+changed rows, T' s = T s ^ <dv ^ dv', s> u, and A' = A when no ancilla
+image varies.  If u lies in V, then T' maps V into itself, so V lies in
+V'; then u lies in V', and the same argument the other way gives V' = V.
+A node therefore computes V at its first new dynamics and tests u against
+it with one residue; when u lies in V, every later new dynamics of the
+node reads only its own P off that V, and otherwise each computes its own
+V.  V's basis is read off the reduced rows of its annihilator, which V
+alone fixes, so P, and every verdict, are those computed afresh.
+
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
 """
@@ -212,20 +226,27 @@ class CatastrophicityVerdict:
         return None if self.seed is None else self.seed.walk(self.direction)
 
 
-def _periodic_part(ts: List[int], pull: List[int], funcs: List[int], m: int) -> List[int]:
-    """Basis of P for the step T, given by the images `ts` of the 2m basis
-    states and by its transpose `pull`, and for the functionals `funcs`
-    whose common kernel is ker A."""
-    # V, the largest T-stable subspace of ker A, is the common kernel of
-    # A, A T, A T^2, ...: the span of those functionals grows by the
-    # products with T of the ones last added until none is new (at most 2m steps)
+def _unobservable(pull: List[int], funcs: List[int], m: int) -> List[int]:
+    """Basis of V, the largest T-stable subspace of ker A, for the step T
+    given by its transpose `pull` and the functionals `funcs` whose common
+    kernel is ker A: one vector per free column of the reduced functionals,
+    topped by that column, since each of their rows pivots on its lowest
+    bit.  So the basis with its top bits is a `gf2.residue` input."""
+    # V is the common kernel of A, A T, A T^2, ...: the span of those
+    # functionals grows by the products with T of the ones last added until
+    # none is new (at most 2m steps)
     reduced: List[int] = []
     pivots: List[int] = []
     new = funcs
     while new:
         new = gf2.matmul(gf2.extend(reduced, pivots, new), pull)
-    basis = gf2.kernel(reduced, pivots, 2 * m)
-    # the images T^j(V) shrink until T is invertible on them: the periodic part P
+    return gf2.kernel(reduced, pivots, 2 * m)
+
+
+def _periodic_part(basis: List[int], ts: List[int]) -> List[int]:
+    """Basis of P for the step T given by the images `ts` of the 2m basis
+    states, from a basis of a T-stable subspace V: the images T^j(V) shrink
+    until T is invertible on them."""
     while True:
         image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
         if len(image) == len(basis):
@@ -244,7 +265,9 @@ def _cycle_states(
     `images` are the encoder's images of its memory inputs X_0..X_(m-1),
     Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
     not read (see the module docstring).  `memo` maps the images' dual
-    memory fields, which fix T and A, to the images of T and a basis of P.
+    memory fields, which fix T and A, to the images of T and a basis of P;
+    the dynamics new to `memo` share the V of the first of them when it
+    holds u, the pull rows that the varying images change.
 
     The images are row-reduced once, as base: the fixed images and a_i ^ a0
     for the varying a_i, a0 the first of them.  A candidate's images span
@@ -273,6 +296,12 @@ def _cycle_states(
     placed: dict = {}  # state b -> residue of (I, b) modulo base
     steps: dict = {}  # difference d of two candidates -> dual field and residue of d
     last, dv, res = 0, 0, c0  # the previous candidate, its dual field and c0 ^ its residue
+    # dv enters pull row m + i for a varying memory X_i and row i for Z_i:
+    # T changes by a rank-1 term with image u, and A does not unless an
+    # ancilla image varies.  If u lies in the V of one dynamics of the node,
+    # that V is every one's (see the module docstring)
+    u = None if any(i >= 2 * m for i in varying) else sum(1 << (i + m if i < m else i - m) for i in varying)
+    shared = None  # the node's V, once its first new dynamics showed it holds u
     for v in candidates:
         d = v ^ last
         if d not in steps:
@@ -287,7 +316,14 @@ def _cycle_states(
             if key not in memo:
                 pull = list(key[m:2 * m] + key[:m])
                 ts = gf2.transpose(pull, 2 * m)
-                memo[key] = tuple(ts), _periodic_part(ts, pull, list(key[2 * m:]), m)
+                stable = shared
+                if stable is None:
+                    stable = _unobservable(pull, list(key[2 * m:]), m)
+                    # tested once, at the node's first new dynamics
+                    if u is not None and not gf2.residue(stable, [b.bit_length() - 1 for b in stable], u):
+                        shared = stable
+                    u = None
+                memo[key] = tuple(ts), _periodic_part(stable, ts)
             ts, basis = memo[key]
             for b in basis:
                 if b not in placed:
@@ -313,7 +349,7 @@ def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int) -> Optional[Tuple[
         ts.append(_field(r, w, n, m))
         xs.append(r & ((1 << (n - k)) - 1))
         ls.append(_field(r, w, n - k, k))
-    basis = _periodic_part(ts, gf2.transpose(ts, 2 * m), gf2.transpose(xs, n - k), m)
+    basis = _periodic_part(_unobservable(gf2.transpose(ts, 2 * m), gf2.transpose(xs, n - k), m), ts)
     for b, lb in zip(basis, gf2.matmul(basis, ls)):
         if lb:
             return b, ts
@@ -377,7 +413,8 @@ def complete_noncatastrophic(
     Each full completion is checked with the exact catastrophicity test,
     read from its rows alone; only the accepted one is completed to a full
     map and synthesized.  The leaves of a last-level node are checked
-    together, with P memoized per search (see the module docstring), and
+    together, with P memoized per search and V shared within a node when
+    the node allows it (see the module docstring), and
     `max_candidates` leaf checks are the search's only limit.
     """
     check_consistency(p)

@@ -108,6 +108,10 @@ def build_decoder_skeleton(
 
 @dataclass(frozen=True)
 class DecoderResult:
+    """Everything produced on the way from an encoder to its decoder.  `map`
+    is the circuit's map, kept as completed, so `dataclasses.replace` must
+    pass both; a map whose width differs from the circuit's is refused."""
+
     code: ConvolutionalCode
     logicals: LogicalOperatorSet
     skeleton: TransformationSkeleton
@@ -116,6 +120,10 @@ class DecoderResult:
     map: SymplecticMap
     circuit: CliffordCircuit
     verdict: CatastrophicityVerdict
+
+    def __post_init__(self):
+        if self.map.width != self.circuit.width:
+            raise ValueError(f"map width {self.map.width} differs from circuit width {self.circuit.width}")
 
     @property
     def memory(self) -> int:

@@ -33,7 +33,10 @@ _UNREALIZED = "input circuit does not realize the code: "
 
 @dataclass(frozen=True)
 class EncoderSynthesis:
-    """Everything produced on the way from a code to its encoder."""
+    """Everything produced on the way from a code to its encoder.  `map` is
+    the circuit's map, kept as the search completed it, so
+    `dataclasses.replace` must pass both; a map whose width differs from
+    the circuit's is refused."""
 
     code: ConvolutionalCode
     skeleton: TransformationSkeleton
@@ -42,6 +45,10 @@ class EncoderSynthesis:
     map: SymplecticMap
     circuit: CliffordCircuit
     verdict: CatastrophicityVerdict
+
+    def __post_init__(self):
+        if self.map.width != self.circuit.width:
+            raise ValueError(f"map width {self.map.width} differs from circuit width {self.circuit.width}")
 
     @property
     def memory(self) -> int:

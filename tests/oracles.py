@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Set, Tuple
 import numpy as np
 
 from qconvenc import gf2
-from qconvenc.catastrophic import _periodic_part
+from qconvenc.catastrophic import _periodic_part, _unobservable
 from qconvenc.circuit import CliffordCircuit, SymplecticMap, _dual, _field, _flips, _place, as_symplectic
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
 from qconvenc.decoder import DecoderResult
@@ -135,7 +135,7 @@ def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[T
     duals = [_field(_dual(v, w), w, n, m) for v in images]
     pull = duals[m:2 * m] + duals[:m]
     ts = transpose(pull, 2 * m)
-    basis = _periodic_part(ts, pull, duals[2 * m:], m)
+    basis = _periodic_part(_unobservable(pull, duals[2 * m:], m), ts)
     reduced, pivots = gf2.row_reduce(images)
     for b in basis:
         if gf2.residue(reduced, pivots, _place(b, m, n, w)):

@@ -612,6 +612,45 @@ def test_periodic_part_matches_walking_every_state(m, n, k, direction, rnd):
     assert sorted(gf2.span(bases[0])) == periodic_states(smap, n, k, m, direction)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.sampled_from(["A = 0", "any A", "ancilla varies"]),
+    st.randoms(use_true_random=False),
+)
+def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(m, n, k, mode, rnd):
+    # a node computes V at its first new dynamics and, when u lies in that
+    # V, only P at the others: every P must be the one computed afresh
+    import qconvenc.catastrophic as cat
+
+    k = min(k, n - 1)
+    w, reads = m + n, 2 * m + n - k
+    # images on the frame wires alone have a zero dual memory field, so
+    # ancilla images there make A = 0 and V every state
+    frame = ((1 << n) - 1) * (1 | 1 << w)
+    images = [rnd.getrandbits(2 * w) & (frame if mode == "A = 0" and i >= 2 * m else -1) for i in range(reads)]
+    varying = sorted(rnd.sample(range(2 * m), rnd.randint(1, 2 * m)))
+    if mode == "ancilla varies":
+        varying = sorted({*varying, rnd.randrange(2 * m, reads)})
+    candidates = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 4))])
+    memo, computed = {}, []
+    real = cat._unobservable
+    with mock.patch.object(cat, "_unobservable", lambda *a: computed.append(a) or real(*a)):
+        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, memo)] == candidates
+    dynamics = [(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), ts, basis) for key, (ts, basis) in memo.items()]
+    pull, funcs = dynamics[0][:2]
+    if mode == "ancilla varies":
+        outcome = "an ancilla image varies"
+    else:
+        # the pull rows a candidate changes: row m + i for memory X_i, row i for Z_i
+        u = sum(1 << (i + m if i < m else i - m) for i in varying)
+        outcome = "u in V_ref" if u in gf2.span(real(pull, funcs, m)) else "u not in V_ref"
+    event(outcome)
+    assert len(computed) == (1 if outcome == "u in V_ref" else len(dynamics))
+    for pull, funcs, ts, basis in dynamics:
+        assert list(ts) == gf2.transpose(pull, 2 * m)
+        assert basis == cat._periodic_part(real(pull, funcs, m), list(ts))
+
+
 def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
     # operation counts, not timings: a leaf adds no row reduction and no
     # residue, a last-level node a few, a new (T, A) the ones of its
@@ -620,7 +659,7 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
 
     counts = []
     for budget in (400, 800):
-        calls = {"row_reduce": 0, "extend": 0, "nodes": 0, "residue": 0, "placed": 0}
+        calls = {"row_reduce": 0, "extend": 0, "nodes": 0, "residue": 0, "placed": 0, "V": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -632,25 +671,31 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
                 mock.patch.object(gf2, "extend", counted("extend", gf2.extend)), \
                 mock.patch.object(gf2, "residue", counted("residue", gf2.residue)), \
                 mock.patch.object(cat, "_place", counted("placed", cat._place)), \
-                mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)):
+                mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)), \
+                mock.patch.object(cat, "_unobservable", counted("V", cat._unobservable)):
             with pytest.raises(CompletionSearchExhausted) as info:
                 synthesize_encoder(GR_CODE, max_candidates=budget)
         counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics,
-                       calls["residue"], calls["placed"]))
-    (r1, e1, n1, d1, s1, p1), (r2, e2, n2, d2, s2, p2) = counts
+                       calls["residue"], calls["placed"], calls["V"]))
+    (r1, e1, n1, d1, s1, p1, v1), (r2, e2, n2, d2, s2, p2, v2) = counts
     assert (n1, d1, n2, d2) == (4, 64, 7, 128)
+    # a node computes V once, at its first new dynamics, and shares it with
+    # the others: one per dynamics made 64 and 128
+    assert (v1, v2) == (1, 2)
     # a node's residues are c0's and one per distinct difference of
     # successive candidates, at most 2 + 2w (w = 10 on GR); one residue per
     # leaf made 434 and 849 calls
     assert s1 <= 100 and s2 <= 160
     assert s2 - s1 <= 22 * (n2 - n1) + (p2 - p1)
-    # the counts of deciding a node's leaves against one reduced span, as
-    # bounds (one row reduction per leaf made 564 and 1,101 row_reduce calls)
-    assert r1 <= 153 and r2 <= 290
-    assert e1 <= 485 and e2 <= 942
-    # the 400 more leaves of the larger budget cost only their nodes and dynamics
+    # the counts of deciding a node's leaves against one reduced span and
+    # one V, as bounds (one row reduction per leaf made 564 and 1,101
+    # row_reduce calls, one V per dynamics 421 and 814 extend calls)
+    assert r1 <= 89 and r2 <= 162
+    assert e1 <= 106 and e2 <= 184
+    # the 400 more leaves of the larger budget cost only their nodes and
+    # dynamics; past the row reductions, extend runs only in V's loop
     assert r2 - r1 <= 3 * (n2 - n1) + 2 * (d2 - d1)
-    assert e2 - e1 <= 3 * (n2 - n1) + 7 * (d2 - d1)
+    assert e2 - e1 <= r2 - r1 + 7 * (v2 - v1)
 
 
 # the circuit files `synthesize --out` writes, as the width line and the

@@ -186,6 +186,13 @@ def test_maps_are_fed_frame_by_frame_only_by_stream():
     assert _callers("step") == [("catastrophic", "_decoder_edge"), ("circuit", "stream")]
 
 
+def test_the_unobservable_subspace_has_one_loop():
+    # V's Krylov loop lives in `_unobservable`, the one reader of a kernel
+    # off its functionals, and only the verdicts and the search call it
+    assert _callers("_unobservable") == [("catastrophic", "_cycle_states"), ("catastrophic", "_decoder_cycle_state")]
+    assert _callers("kernel") == [("catastrophic", "_unobservable"), ("gf2", "nullspace")]
+
+
 def test_only_synthesis_builds_the_encoder_skeleton():
     # check reads the requirement off the operators it verified
     assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]

@@ -54,7 +54,7 @@ def replay(run: dict, cwd: Path) -> dict:
 
 def test_manifest_covers_every_command_and_exit():
     runs = _runs()
-    assert {r["argv"][0] for r in runs} == {"synthesize", "check", "derive-decoder"}
+    assert {r["argv"][0] for r in runs} == {"info", "synthesize", "check", "derive-decoder"}
     assert {r["exit"] for r in runs} == {0, 1, 2, 70}
     assert len({r["name"] for r in runs}) == len(runs)
 

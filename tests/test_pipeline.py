@@ -1,5 +1,7 @@
 """Code-to-encoder pipeline and independent re-verification of circuits."""
 
+import dataclasses
+
 import pytest
 
 from qconvenc import (
@@ -26,6 +28,15 @@ def test_results_keep_the_map_their_circuit_realizes(fgg_synthesis, gr_synthesis
     for result in (fgg_synthesis, gr_synthesis, fgg_decoder):
         assert result.map == circuit_to_symplectic(result.circuit)
         assert result.map.width == result.memory + result.code.n
+
+
+def test_results_refuse_a_circuit_replaced_without_its_map(fgg_synthesis, fgg_decoder):
+    # a map left over from another circuit would be read in the circuit's place
+    for result in (fgg_synthesis, fgg_decoder):
+        wider = CliffordCircuit(result.circuit.width + 1, result.circuit.gates)
+        with pytest.raises(ValueError, match="map width"):
+            dataclasses.replace(result, circuit=wider)
+        assert dataclasses.replace(result, circuit=wider, map=circuit_to_symplectic(wider)).circuit == wider
 
 
 def test_rate_third_synthesis_end_to_end(fgg_synthesis):
