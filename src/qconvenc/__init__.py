@@ -33,13 +33,8 @@ from .catastrophic import (
     is_noncatastrophic_decoder,
     zero_weight_graph,
 )
-from .pipeline import EncoderSynthesis, synthesize_encoder, verify_encoder
-from .decoder import (
-    DecoderResult,
-    derive_online_decoder,
-    encoded_logical_operators,
-    windowed_roundtrip_failures,
-)
+from .pipeline import Realization, synthesize_encoder, verify_encoder
+from .decoder import derive_online_decoder, encoded_logical_operators, windowed_roundtrip_failures
 from .simulate import (
     DepolarizingChannel,
     SimulationResult,
@@ -82,10 +77,9 @@ __all__ = [
     "zero_weight_graph",
     "is_noncatastrophic",
     "is_noncatastrophic_decoder",
-    "EncoderSynthesis",
+    "Realization",
     "synthesize_encoder",
     "verify_encoder",
-    "DecoderResult",
     "encoded_logical_operators",
     "derive_online_decoder",
     "windowed_roundtrip_failures",

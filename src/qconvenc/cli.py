@@ -52,7 +52,7 @@ from .errors import (
     SynthesisError,
     TrellisError,
 )
-from .pipeline import synthesize_encoder, verify_encoder
+from .pipeline import Realization, synthesize_encoder, verify_encoder
 from .simulate import SEED_LIMIT, Simulator, estimate_wers
 from .skeleton import CommutationRequirement, TransformationSkeleton, minimal_memory
 
@@ -129,9 +129,7 @@ def _render_witness(witness) -> List[str]:
     return lines
 
 
-def _emit_circuit_report(
-    report: dict, result, code: ConvolutionalCode, direction: str, args: argparse.Namespace
-) -> int:
+def _emit_circuit_report(report: dict, result: Realization, args: argparse.Namespace) -> int:
     """Complete and emit the report of a built encoder or decoder: its gate
     count and verdict, the `--out` file (JSON if it ends in .json) and the
     `--skeleton` rows."""
@@ -139,7 +137,7 @@ def _emit_circuit_report(
     report["verdict"] = _verdict_word(result.verdict.non_catastrophic)
     if args.out:
         if args.out.endswith(".json"):
-            roles = wire_roles(code.n, code.k, result.memory, direction)
+            roles = wire_roles(result.code.n, result.code.k, result.memory, result.skeleton.direction)
             payload = circuit_to_json(result.circuit, *roles)
         else:
             payload = circuit_to_text(result.circuit)
@@ -169,7 +167,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
     result = synthesize_encoder(code, max_candidates=args.max_candidates)
     report = {"n": code.n, "k": code.k, "nu": code.nu, "memory": result.memory}
-    return _emit_circuit_report(report, result, code, "encoder", args)
+    return _emit_circuit_report(report, result, args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -196,7 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_derive_decoder(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
     result = derive_online_decoder(code, _read_circuit(args.encoder))
-    return _emit_circuit_report({"decoder_memory": result.memory}, result, code, "decoder", args)
+    return _emit_circuit_report({"decoder_memory": result.memory}, result, args)
 
 
 _GNUPLOT_TEMPLATE = """\

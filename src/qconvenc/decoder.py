@@ -14,18 +14,16 @@ encoder and then the decoder once, whatever the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .catastrophic import CatastrophicityVerdict, _memory, is_noncatastrophic_decoder
+from .catastrophic import _memory, is_noncatastrophic_decoder
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
 from .pauli import PauliOperator
-from .pipeline import verify_encoder
+from .pipeline import Realization, verify_encoder
 from .skeleton import (
     Chain,
-    CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
     partial_rows,
@@ -35,25 +33,14 @@ from .skeleton import (
 from .synthesis import PartialMap, complete_to_symplectic, synthesize_circuit
 
 __all__ = [
-    "LogicalOperatorSet",
     "encoded_logical_operators",
     "build_decoder_skeleton",
-    "DecoderResult",
     "derive_online_decoder",
     "windowed_roundtrip_failures",
 ]
 
-
-@dataclass(frozen=True)
-class LogicalOperatorSet:
-    """Encoded (X-type, Z-type) framed sequence per info position."""
-
-    n: int
-    pairs: Tuple[Tuple[FramedPauliSequence, FramedPauliSequence], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
+# the encoded (X-type, Z-type) framed sequences of one info position
+LogicalPair = Tuple[FramedPauliSequence, FramedPauliSequence]
 
 
 def _propagate(smap: SymplecticMap, n: int, first_input: PauliOperator) -> FramedPauliSequence:
@@ -71,22 +58,21 @@ def _propagate(smap: SymplecticMap, n: int, first_input: PauliOperator) -> Frame
 
 def encoded_logical_operators(
     c: Union[CliffordCircuit, SymplecticMap], code: ConvolutionalCode
-) -> LogicalOperatorSet:
-    """Images of each unencoded info-wire X and Z under the encoder."""
+) -> Tuple[LogicalPair, ...]:
+    """Images of each unencoded info-wire X and Z under the encoder, one
+    pair per info position."""
     smap = as_symplectic(c)
     n, k = code.n, code.k
     _memory(smap, n)  # refuses a map narrower than one frame
-    pairs = []
-    for j in range(k):
-        wire = n - k + j  # info block sits after the ancilla block
-        ex = _propagate(smap, n, PauliOperator.single(n, wire, "X"))
-        ez = _propagate(smap, n, PauliOperator.single(n, wire, "Z"))
-        pairs.append((ex, ez))
-    return LogicalOperatorSet(n, tuple(pairs))
+    # the info block sits after the ancilla block
+    return tuple(
+        tuple(_propagate(smap, n, PauliOperator.single(n, wire, kind)) for kind in "XZ")
+        for wire in range(n - k, n)
+    )
 
 
 def build_decoder_skeleton(
-    logicals: LogicalOperatorSet, code: ConvolutionalCode
+    logicals: Sequence[LogicalPair], code: ConvolutionalCode
 ) -> TransformationSkeleton:
     """Decoder row structure: logical chains (X then Z per info position),
     then one chain per stabilizer generator; each chain consumes its framed
@@ -97,37 +83,12 @@ def build_decoder_skeleton(
     def target_chain(label: str, seq: FramedPauliSequence, decoded: PauliOperator) -> Chain:
         return Chain(label, seq.frames, (PauliOperator.identity(n),) * (seq.span - 1) + (decoded,))
 
-    for j, (ex, ez) in enumerate(logicals.pairs, 1):
-        info_wire = n - k + j - 1
-        chains.append(target_chain(f"logical X {j}", ex, PauliOperator.single(n, info_wire, "X")))
-        chains.append(target_chain(f"logical Z {j}", ez, PauliOperator.single(n, info_wire, "Z")))
+    for j, pair in enumerate(logicals, 1):
+        for kind, seq in zip("XZ", pair):
+            chains.append(target_chain(f"logical {kind} {j}", seq, PauliOperator.single(n, n - k + j - 1, kind)))
     for a, gen in enumerate(code.generators, 1):
         chains.append(target_chain(f"stabilizer {a}", gen, PauliOperator.single(n, a - 1, "Z")))
     return TransformationSkeleton(n, k, "decoder", tuple(chains))
-
-
-@dataclass(frozen=True)
-class DecoderResult:
-    """Everything produced on the way from an encoder to its decoder.  `map`
-    is the circuit's map, kept as completed, so `dataclasses.replace` must
-    pass both; a map whose width differs from the circuit's is refused."""
-
-    code: ConvolutionalCode
-    logicals: LogicalOperatorSet
-    skeleton: TransformationSkeleton
-    matrix: CommutationRequirement
-    assignment: MemoryAssignment
-    map: SymplecticMap
-    circuit: CliffordCircuit
-    verdict: CatastrophicityVerdict
-
-    def __post_init__(self):
-        if self.map.width != self.circuit.width:
-            raise ValueError(f"map width {self.map.width} differs from circuit width {self.circuit.width}")
-
-    @property
-    def memory(self) -> int:
-        return self.assignment.m
 
 
 def derive_online_decoder(
@@ -135,25 +96,24 @@ def derive_online_decoder(
     encoder: Union[CliffordCircuit, SymplecticMap],
     *,
     assignment: Optional[MemoryAssignment] = None,
-) -> DecoderResult:
+) -> Realization:
     """Minimal-memory streaming decoder matching the encoder, which must
     realize the code (`pipeline.verify_encoder`, otherwise
     `InputDataError`)."""
     emap = as_symplectic(encoder)
     verify_encoder(code, emap)
-    logicals = encoded_logical_operators(emap, code)
-    skel = build_decoder_skeleton(logicals, code)
+    skel = build_decoder_skeleton(encoded_logical_operators(emap, code), code)
     matrix = skeleton_commutation_matrix(skel)
     assignment = resolve_assignment(matrix, assignment)
     rows = partial_rows(skel, assignment)
     smap = complete_to_symplectic(PartialMap.from_operators(rows))
     circuit = synthesize_circuit(smap)
     verdict = is_noncatastrophic_decoder(smap, code.n, code.k)
-    return DecoderResult(code, logicals, skel, matrix, assignment, smap, circuit, verdict)
+    return Realization(code, skel, matrix, assignment, smap, circuit, verdict)
 
 
 def windowed_roundtrip_failures(
-    encoder: Union[CliffordCircuit, SymplecticMap], decoder: DecoderResult, nframes: int
+    encoder: Union[CliffordCircuit, SymplecticMap], decoder: Realization, nframes: int
 ) -> List[str]:
     """Check encode-then-decode over a finite window, for the code the
     decoder was derived for (`decoder.code`); empty list = pass.
@@ -171,16 +131,16 @@ def windowed_roundtrip_failures(
     n, k = decoder.code.n, decoder.code.k
     emap, dmap = as_symplectic(encoder), decoder.map
 
-    # (label, unencoded probe, span); each probe must come back decoded as itself
-    cases: List[Tuple[str, PauliOperator, int]] = []
-    for a, gen in enumerate(decoder.code.generators, 1):
-        cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span))
-    for j, (ex, ez) in enumerate(decoder.logicals.pairs, 1):
-        wire = n - k + j - 1
-        cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"), ex.span))
-        cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"), ez.span))
+    # (label, unencoded probe, span, whether the decoded syndrome must equal
+    # the probe's); each probe must come back decoded as itself
+    cases = [(f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span, True)
+             for a, gen in enumerate(decoder.code.generators, 1)]
+    # the decoder skeleton's first 2k chains decode the logicals, X then Z per info wire
+    for i, chain in enumerate(decoder.skeleton.chains[:2 * k]):
+        j, pauli = i // 2, "XZ"[i % 2]
+        cases.append((f"logical {pauli} {j + 1}", PauliOperator.single(n, n - k + j, pauli), chain.span, False))
 
-    def first_fault(label: str, src: PauliOperator, span: int, out: List[int]) -> Tuple[int, str]:
+    def first_fault(src: PauliOperator, span: int, exact_syndrome: bool, out: List[int]) -> Tuple[int, str]:
         """The first frame (0-based) of the decoded stream `out` of src
         launched at frame 1 that breaks the contract, and its fault with {}
         for the frame number; nframes and "" if none does."""
@@ -192,19 +152,18 @@ def windowed_roundtrip_failures(
                 return s, f"info at frame {{}} is {info.to_string()}, wanted {want.to_string()}"
             if synd.x:
                 return s, "X content on syndrome wires at frame {}"
-            if s == span - 1 and src.part(0, n - k) != synd and label.startswith("ancilla"):
-                # the decoded ancilla Z must actually appear
+            if exact_syndrome and s == span - 1 and src.part(0, n - k) != synd:
                 wanted = src.part(0, n - k).to_string()
                 return s, f"syndrome at frame {{}} is {synd.to_string()}, wanted {wanted}"
         return nframes, ""
 
     probes = []
-    for label, src, span in cases:
+    for label, src, span, exact_syndrome in cases:
         sent, mem_e = emap.stream(n, [src.vec()], nframes)
         out, mem_d = dmap.stream(n, sent, nframes)
         # whether a memory is not the identity after w = 1, 2, ... frames; past both streams neither is
         unrestored = [bool(e or d) for e, d in zip(mem_e + [0] * (len(mem_d) - len(mem_e)), mem_d)]
-        probes.append((label, span, unrestored, first_fault(label, src, span, out)))
+        probes.append((label, span, unrestored, first_fault(src, span, exact_syndrome, out)))
 
     failures: List[str] = []
     for t in range(nframes):

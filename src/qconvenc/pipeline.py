@@ -26,15 +26,16 @@ from .skeleton import (
 )
 from .synthesis import PartialMap
 
-__all__ = ["EncoderSynthesis", "synthesize_encoder", "verify_encoder"]
+__all__ = ["Realization", "synthesize_encoder", "verify_encoder"]
 
 _UNREALIZED = "input circuit does not realize the code: "
 
 
 @dataclass(frozen=True)
-class EncoderSynthesis:
-    """Everything produced on the way from a code to its encoder.  `map` is
-    the circuit's map, kept as the search completed it, so
+class Realization:
+    """Everything produced on the way from a code to its encoder, or from
+    an encoder to its online decoder; `skeleton.direction` says which.
+    `map` is the circuit's map, kept as the search completed it, so
     `dataclasses.replace` must pass both; a map whose width differs from
     the circuit's is refused."""
 
@@ -61,7 +62,7 @@ def synthesize_encoder(
     assignment: Optional[MemoryAssignment] = None,
     completion_rows: Optional[Sequence[Tuple[PauliOperator, PauliOperator]]] = None,
     max_candidates: int = MAX_CANDIDATES,
-) -> EncoderSynthesis:
+) -> Realization:
     """Synthesize a minimal-memory non-catastrophic encoder for the code.
 
     An explicit memory assignment (checked against the commutation
@@ -85,7 +86,7 @@ def synthesize_encoder(
         rows = rows + list(completion_rows)
     partial = PartialMap.from_operators(rows)
     smap, circuit, verdict = complete_noncatastrophic(partial, code.n, code.k, max_candidates=max_candidates)
-    return EncoderSynthesis(code, skeleton, matrix, assignment, smap, circuit, verdict)
+    return Realization(code, skeleton, matrix, assignment, smap, circuit, verdict)
 
 
 def _check_last_frames(code: ConvolutionalCode) -> None:

@@ -216,10 +216,15 @@ class MemoryAssignment:
 
 def check_assignment(matrix: CommutationRequirement, assignment: MemoryAssignment) -> Optional[Tuple[int, int]]:
     """None if the assignment realizes M with independent operators,
-    else the offending (i, j) pair ((i, i) flags a dependence)."""
+    else the offending (i, j) pair ((i, i) flags a dependence); an
+    assignment of the wrong size or with an operator not of width m is
+    refused with InputDataError."""
     ops = assignment.operators
     if len(ops) != matrix.size:
         raise InputDataError("assignment size differs from the requirement")
+    for i, op in enumerate(ops, 1):
+        if op.width != assignment.m:
+            raise InputDataError(f"memory operator {i} has width {op.width}, not the assignment's m = {assignment.m}")
     vecs = [op.vec() for op in ops]
     bad = _first_mismatch(gram(vecs, assignment.m), matrix.rows)
     if bad is None and gf2.rank(vecs) != len(ops):

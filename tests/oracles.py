@@ -33,8 +33,8 @@ from qconvenc import gf2
 from qconvenc.catastrophic import _periodic_part, _unobservable
 from qconvenc.circuit import CliffordCircuit, SymplecticMap, _dual, _field, _flips, _place, as_symplectic
 from qconvenc.code import ConvolutionalCode, FramedPauliSequence
-from qconvenc.decoder import DecoderResult
 from qconvenc.pauli import PauliOperator
+from qconvenc.pipeline import Realization
 from qconvenc.simulate import _infer_frames
 from qconvenc.skeleton import (
     Chain,
@@ -52,7 +52,7 @@ def in_span(rows: List[int], v: int) -> bool:
 
 
 def syndrome_by_decoder(
-    decoder: DecoderResult, error: PauliOperator, nframes: Optional[int] = None
+    decoder: Realization, error: PauliOperator, nframes: Optional[int] = None
 ) -> Tuple[int, ...]:
     """Syndrome read off the streamed online decoder.
 
@@ -482,7 +482,7 @@ def single_error_table(syndrome: Callable[[PauliOperator], tuple], n: int, nfram
     return best
 
 
-def roundtrip_by_launch(code: ConvolutionalCode, encoder, decoder: DecoderResult, nframes: int) -> List[str]:
+def roundtrip_by_launch(code: ConvolutionalCode, encoder, decoder: Realization, nframes: int) -> List[str]:
     """`decoder.windowed_roundtrip_failures` with every probe streamed
     through the encoder and then the decoder over the whole window, once
     for each launch frame."""
@@ -493,8 +493,9 @@ def roundtrip_by_launch(code: ConvolutionalCode, encoder, decoder: DecoderResult
     cases: List[Tuple[str, PauliOperator, int]] = []
     for a, gen in enumerate(code.generators, 1):
         cases.append((f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span))
-    for j, (ex, ez) in enumerate(decoder.logicals.pairs, 1):
+    for j in range(1, k + 1):
         wire = n - k + j - 1
+        ex, ez = decoder.skeleton.chains[2 * j - 2:2 * j]  # the decoder's logical X and Z chains
         cases.append((f"logical X {j}", PauliOperator.single(n, wire, "X"), ex.span))
         cases.append((f"logical Z {j}", PauliOperator.single(n, wire, "Z"), ez.span))
 

@@ -46,8 +46,8 @@ P = PauliOperator.from_string
 
 def test_encoded_logicals_of_reference_encoder(fgg_reference_encoder):
     logs = encoded_logical_operators(fgg_reference_encoder, FGG_CODE)
-    assert logs.k == 1
-    ex, ez = logs.pairs[0]
+    assert len(logs) == 1
+    ex, ez = logs[0]
     assert ex.to_string() == "YIZ|XZY"
     assert ez.to_string() == "ZYI|XZY"
 
@@ -93,7 +93,7 @@ def test_orbit_bound_matches_walking_every_memory_state(n, m, rnd):
 
 def test_encoded_logicals_commute_with_generators(fgg_reference_encoder):
     logs = encoded_logical_operators(fgg_reference_encoder, FGG_CODE)
-    ex, ez = logs.pairs[0]
+    ex, ez = logs[0]
     # at every relative shift, both ways
     for gen in FGG_CODE.generators:
         for shift in range(4):
@@ -108,8 +108,8 @@ def test_encoded_logicals_commute_with_generators(fgg_reference_encoder):
 def test_memoryless_identity_encoder_logicals():
     code = ConvolutionalCode(1, ())  # k = n = 1: no stabilizer, all info
     logs = encoded_logical_operators(SymplecticMap.identity(1), code)
-    assert logs.k == 1
-    ex, ez = logs.pairs[0]
+    assert len(logs) == 1
+    ex, ez = logs[0]
     assert ex.to_string() == "X" and ez.to_string() == "Z"
 
 
@@ -172,7 +172,10 @@ def test_decoder_with_published_choice(fgg_reference_encoder):
     (("XX", "ZX", "IX", "IZ", "ZZ"), InputDataError, "assignment size differs from the requirement"),
     # slots 1 and 2 must anticommute
     (("XX", "XX", "IX", "IZ"), MapConsistencyError, "memory operators 1 and 2 violate the required product"),
-], ids=["extra operator", "violated product"])
+    # FGG's choice with its fourth operator one wire too wide, and its second one too narrow
+    (("XX", "ZX", "IX", "IZZ"), InputDataError, "memory operator 4 has width 3, not the assignment's m = 2"),
+    (("XX", "Z", "IX", "IZ"), InputDataError, "memory operator 2 has width 1, not the assignment's m = 2"),
+], ids=["extra operator", "violated product", "wide operator", "narrow operator"])
 def test_decoder_checks_a_given_assignment(fgg_reference_encoder, ops, error, message):
     bad = MemoryAssignment(2, tuple(P(s) for s in ops))
     with pytest.raises(error, match=f"^{message}$") as raised:

@@ -54,9 +54,14 @@ def replay(run: dict, cwd: Path) -> dict:
 
 def test_manifest_covers_every_command_and_exit():
     runs = _runs()
-    assert {r["argv"][0] for r in runs} == {"info", "synthesize", "check", "derive-decoder"}
-    assert {r["exit"] for r in runs} == {0, 1, 2, 70}
+    assert {r["argv"][0] for r in runs} == {"info", "synthesize", "check", "derive-decoder", "simulate"}
+    assert {r["exit"] for r in runs} == {0, 1, 2, 64, 65, 70}
     assert len({r["name"] for r in runs}) == len(runs)
+    # expected/ is flat: each written file keeps its own name beside the runs' streams
+    written = [name for r in runs for name in r["writes"]]
+    assert len(set(written)) == len(written)
+    streams = {f"{r['name']}.{s}" for r in runs for s in ("stdout", "stderr")}
+    assert not streams & set(written)
 
 
 @pytest.mark.parametrize("run", _runs(), ids=lambda r: r["name"])

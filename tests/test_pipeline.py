@@ -117,6 +117,16 @@ def test_explicit_assignment_is_checked():
         synthesize_encoder(FGG_CODE, assignment=bad)
 
 
+@pytest.mark.parametrize("m, ops, message", [
+    (1, ("XI", "IX"), "memory operator 1 has width 2, not the assignment's m = 1"),
+    (2, ("X", "Z"), "memory operator 1 has width 1, not the assignment's m = 2"),
+], ids=["wider than m", "narrower than m"])
+def test_explicit_assignment_widths_are_checked(m, ops, message):
+    # each passes the product check on its own width, so only the width check catches it
+    with pytest.raises(InputDataError, match=f"^{message}$"):
+        synthesize_encoder(FGG_CODE, assignment=MemoryAssignment(m, tuple(P(s) for s in ops)))
+
+
 def test_completion_rows_width_checked():
     with pytest.raises(MapConsistencyError):
         synthesize_encoder(

@@ -286,7 +286,7 @@ def test_failure_criterion_dual_route(
 ):
     def failure_by_sp(logicals, residual, nframes):
         for t in range(1, nframes + 1):
-            for ex, ez in logicals.pairs:
+            for ex, ez in logicals:
                 if residual.sp(place_at_frame(ex, t, nframes)):
                     return True
                 if residual.sp(place_at_frame(ez, t, nframes)):
