@@ -53,8 +53,8 @@ from .errors import (
     TrellisError,
 )
 from .pipeline import Realization, synthesize_encoder, verify_encoder
-from .simulate import SEED_LIMIT, Simulator, estimate_wers
-from .skeleton import CommutationRequirement, TransformationSkeleton, minimal_memory
+from .simulate import SEED_LIMIT, estimate_wers
+from .skeleton import TransformationSkeleton, minimal_memory
 
 EX_OK = 0
 EX_CATASTROPHIC = 1
@@ -175,14 +175,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     smap = as_symplectic(_read_circuit(args.encoder))
     realized = verify_encoder(code, smap)
     m = realized.m
-    # a symplectic map preserves products, so the verified memory operators
-    # carry the code's commutation requirement
-    products = gram([op.vec() for op in realized.operators], m)
     verdict = is_noncatastrophic(smap, code.n, code.k)
     report = {
         "rows_verified": True,
         "memory": m,
-        "minimal_memory": minimal_memory(CommutationRequirement(tuple(products))),
+        # a symplectic map preserves products, so the Gram rows of the
+        # verified memory operators are the code's commutation requirement
+        "minimal_memory": minimal_memory(gram([op.vec() for op in realized.operators], m)),
         "verdict": _verdict_word(verdict.non_catastrophic),
     }
     if args.witness and verdict.witness is not None:
@@ -211,8 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gnuplot and not args.out:
         raise _UsageError("--gnuplot needs --out (the script references the CSV)")
     code = _read_code(args.code)
-    sim = Simulator(code, _read_circuit(args.encoder))
-    rows = estimate_wers(code, sim, args.p, args.frames, args.trials, seed=args.seed)
+    rows = estimate_wers(code, _read_circuit(args.encoder), args.p, args.frames, args.trials, seed=args.seed)
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]
     table = [
         [r.p, r.frames, r.trials, r.failures, r.word_error_rate, r.confidence_halfwidth, r.seed]

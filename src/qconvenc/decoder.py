@@ -118,9 +118,10 @@ def windowed_roundtrip_failures(
     """Check encode-then-decode over a finite window, for the code the
     decoder was derived for (`decoder.code`); empty list = pass.
 
-    Each unencoded generator fed in at frame t must come back out as the
-    decoded target at frame t + span - 1 (the decoder emits at the end of
-    the operator's span), if that frame is in the window: exact match on
+    The probes and spans are the decoder skeleton's chains: each chain's
+    decoded target, fed unencoded in at frame t, must come back out as
+    itself at frame t + span - 1 (the decoder emits at the end of the
+    chain's span), if that frame is in the window: exact match on
     the info coordinates, anything Z-only tolerated on the syndrome
     coordinates, and both memory registers back at the identity by the
     window's end.  Both maps keep identity memory until the probe enters,
@@ -132,13 +133,13 @@ def windowed_roundtrip_failures(
     emap, dmap = as_symplectic(encoder), decoder.map
 
     # (label, unencoded probe, span, whether the decoded syndrome must equal
-    # the probe's); each probe must come back decoded as itself
-    cases = [(f"ancilla Z {a}", PauliOperator.single(n, a - 1, "Z"), gen.span, True)
-             for a, gen in enumerate(decoder.code.generators, 1)]
-    # the decoder skeleton's first 2k chains decode the logicals, X then Z per info wire
-    for i, chain in enumerate(decoder.skeleton.chains[:2 * k]):
-        j, pauli = i // 2, "XZ"[i % 2]
-        cases.append((f"logical {pauli} {j + 1}", PauliOperator.single(n, n - k + j, pauli), chain.span, False))
+    # the probe's): each decoder chain's probe is its decoded target, its
+    # last output; the first 2k chains decode the logicals, X then Z per
+    # info wire, and the rest the stabilizers, whose cases come first
+    chains = decoder.skeleton.chains
+    cases = [(f"ancilla Z {a}", c.outputs[-1], c.span, True) for a, c in enumerate(chains[2 * k:], 1)]
+    cases += [(f"logical {'XZ'[i % 2]} {i // 2 + 1}", c.outputs[-1], c.span, False)
+              for i, c in enumerate(chains[:2 * k])]
 
     def first_fault(src: PauliOperator, span: int, exact_syndrome: bool, out: List[int]) -> Tuple[int, str]:
         """The first frame (0-based) of the decoded stream `out` of src

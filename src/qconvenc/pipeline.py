@@ -16,7 +16,6 @@ from .code import ConvolutionalCode
 from .errors import InputDataError, MapConsistencyError
 from .pauli import PauliOperator
 from .skeleton import (
-    CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
     build_skeleton,
@@ -35,13 +34,14 @@ _UNREALIZED = "input circuit does not realize the code: "
 class Realization:
     """Everything produced on the way from a code to its encoder, or from
     an encoder to its online decoder; `skeleton.direction` says which.
-    `map` is the circuit's map, kept as the search completed it, so
-    `dataclasses.replace` must pass both; a map whose width differs from
-    the circuit's is refused."""
+    `matrix` is the skeleton's commutation requirement, the Gram rows of
+    `skeleton_commutation_matrix`.  `map` is the circuit's map, kept as
+    the search completed it, so `dataclasses.replace` must pass both; a
+    map whose width differs from the circuit's is refused."""
 
     code: ConvolutionalCode
     skeleton: TransformationSkeleton
-    matrix: CommutationRequirement
+    matrix: Tuple[int, ...]
     assignment: MemoryAssignment
     map: SymplecticMap
     circuit: CliffordCircuit

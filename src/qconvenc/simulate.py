@@ -812,10 +812,10 @@ def estimate_wers(
     per depolarizing probability in `ps`.
 
     `encoder` is anything `as_symplectic` accepts that realizes `code`
-    (otherwise `InputDataError`), or a `Simulator` built for `code`,
-    which is then reused instead of building the trellis again.  Trial i draws from its own counter range of one Philox
-    stream keyed by `seed`, in [0, SEED_LIMIT), so results are
-    bit-identical for any block size.  Every point runs in the calling
+    (otherwise `InputDataError`); its one `Simulator`, and so its one
+    trellis, serves every point.  Trial i draws from its own counter range
+    of one Philox stream keyed by `seed`, in [0, SEED_LIMIT), so results
+    are bit-identical for any block size.  Every point runs in the calling
     process, in the same sample blocks.  The 95% halfwidth uses the
     normal approximation.
     """
@@ -829,13 +829,7 @@ def estimate_wers(
         raise ValueError("need at least one frame and one trial")
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError("the seed must lie in [0, 2^128)")
-    if isinstance(encoder, Simulator):
-        if encoder.code != code:
-            raise ValueError("the simulator was built for another code")
-        sim = encoder
-    else:
-        sim = Simulator(code, encoder)
-    counts = _worker_count(sim, ps, nframes, seed, 0, trials)
+    counts = _worker_count(Simulator(code, encoder), ps, nframes, seed, 0, trials)
     results = []
     for p, failures in zip(ps, counts):
         wer = failures / trials

@@ -40,7 +40,6 @@ __all__ = [
     "Chain",
     "TransformationSkeleton",
     "build_skeleton",
-    "CommutationRequirement",
     "skeleton_commutation_matrix",
     "GramSchmidtResult",
     "symplectic_gram_schmidt",
@@ -104,22 +103,10 @@ def build_skeleton(code: ConvolutionalCode) -> TransformationSkeleton:
     return TransformationSkeleton(n, k, "encoder", tuple(chains))
 
 
-@dataclass(frozen=True)
-class CommutationRequirement:
-    """Symmetric GF(2) matrix of required products between unknowns, one
-    row per unknown; a skeleton's is indexed in the order of its `unknowns()`."""
-
-    rows: Tuple[int, ...]  # row i as a bitset over columns
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-
-def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> CommutationRequirement:
+def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> Tuple[int, ...]:
+    """The commutation requirement: the symmetric GF(2) Gram matrix of
+    the required products between the unknowns, row i a bitset over
+    columns, indexed in the order of `skeleton.unknowns()`."""
     # each slot's history, chain-major: its chain's (input, output) frames
     # t..1, newest first, 2n qubits per frame
     n = skeleton.n
@@ -144,7 +131,7 @@ def skeleton_commutation_matrix(skeleton: TransformationSkeleton) -> Commutation
                 f"boundary product of chain {i} (span {ci.span}) with "
                 f"chain {j} at frame {t} is forced to 1"
             )
-    return CommutationRequirement(tuple(gram([hist[u] for u in skeleton.unknowns()], width)))
+    return tuple(gram([hist[u] for u in skeleton.unknowns()], width))
 
 
 def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -175,12 +162,8 @@ class GramSchmidtResult:
         return tuple(v for ab in self.pairs for v in ab) + self.isotropic
 
 
-def symplectic_gram_schmidt(matrix: CommutationRequirement) -> GramSchmidtResult:
-    return _gram_schmidt(matrix.rows)
-
-
-def _gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
-    """`symplectic_gram_schmidt` of the form whose Gram matrix has the
+def symplectic_gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
+    """Symplectic Gram–Schmidt of the form whose Gram matrix has the
     symmetric, zero-diagonal rows `gram`."""
 
     def form(u: int, v: int) -> int:
@@ -202,10 +185,10 @@ def _gram_schmidt(gram: Sequence[int]) -> GramSchmidtResult:
     return GramSchmidtResult(tuple(pairs), tuple(isotropic))
 
 
-def minimal_memory(matrix: CommutationRequirement) -> int:
+def minimal_memory(matrix: Sequence[int]) -> int:
     """Memory qubits needed: one per hyperbolic pair plus one per isotropic
     generator, rank/2 + (p - rank); an alternating form has even rank."""
-    return matrix.size - gf2.rank(list(matrix.rows)) // 2
+    return len(matrix) - gf2.rank(list(matrix)) // 2
 
 
 @dataclass(frozen=True)
@@ -214,25 +197,25 @@ class MemoryAssignment:
     operators: Tuple[PauliOperator, ...]
 
 
-def check_assignment(matrix: CommutationRequirement, assignment: MemoryAssignment) -> Optional[Tuple[int, int]]:
+def check_assignment(matrix: Sequence[int], assignment: MemoryAssignment) -> Optional[Tuple[int, int]]:
     """None if the assignment realizes M with independent operators,
     else the offending (i, j) pair ((i, i) flags a dependence); an
     assignment of the wrong size or with an operator not of width m is
     refused with InputDataError."""
     ops = assignment.operators
-    if len(ops) != matrix.size:
+    if len(ops) != len(matrix):
         raise InputDataError("assignment size differs from the requirement")
     for i, op in enumerate(ops, 1):
         if op.width != assignment.m:
             raise InputDataError(f"memory operator {i} has width {op.width}, not the assignment's m = {assignment.m}")
     vecs = [op.vec() for op in ops]
-    bad = _first_mismatch(gram(vecs, assignment.m), matrix.rows)
+    bad = _first_mismatch(gram(vecs, assignment.m), matrix)
     if bad is None and gf2.rank(vecs) != len(ops):
         bad = (len(ops) - 1,) * 2
     return bad
 
 
-def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
+def assign_memory(matrix: Sequence[int]) -> MemoryAssignment:
     """Concrete memory operators realizing M on the minimal qubit count.
 
     Transformed pair r gets (X, Z) on memory qubit r, isotropic j gets Z on
@@ -240,7 +223,7 @@ def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
     inverse basis change (products of Paulis = XOR of assignments).
     """
     sgs = symplectic_gram_schmidt(matrix)
-    p = matrix.size
+    p = len(matrix)
     npairs = len(sgs.pairs)
     m = npairs + len(sgs.isotropic)
     if p == 0:
@@ -258,7 +241,7 @@ def assign_memory(matrix: CommutationRequirement) -> MemoryAssignment:
     return result
 
 
-def resolve_assignment(matrix: CommutationRequirement, given: Optional[MemoryAssignment]) -> MemoryAssignment:
+def resolve_assignment(matrix: Sequence[int], given: Optional[MemoryAssignment]) -> MemoryAssignment:
     """`assign_memory(matrix)`, or the given assignment once `check_assignment` accepts it."""
     if given is None:
         return assign_memory(matrix)

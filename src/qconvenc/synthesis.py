@@ -26,7 +26,7 @@ from .circuit import (
 )
 from .errors import MapConsistencyError, SynthesisError
 from .pauli import PauliOperator
-from .skeleton import _first_mismatch, _gram_schmidt
+from .skeleton import _first_mismatch, symplectic_gram_schmidt
 
 __all__ = [
     "PartialMap",
@@ -118,7 +118,7 @@ def complete_to_symplectic(partial: PartialMap) -> SymplecticMap:
     # symplectic Gram-Schmidt on the inputs' products; the same row
     # operations on the outputs keep each transformed (input, output) pair
     # a requirement the final map must satisfy
-    sgs = _gram_schmidt(gin)
+    sgs = symplectic_gram_schmidt(gin)
     paired = 2 * len(sgs.pairs)
     sides = []
     for vecs in (ins, outs):

@@ -99,7 +99,7 @@ def test_03_fgg_noncatastrophic_identity_self_loop_only():
 
 def test_04_online_decoder_brackets_memory_and_verdict():
     decoder = derive_online_decoder(FGG_CODE, parse_circuit(FGG_ENCODER_TEXT))
-    assert decoder.matrix.size == 4
+    assert len(decoder.matrix) == 4
     assert anticommuting_pairs(decoder.matrix) == [(0, 1), (0, 3), (1, 3), (2, 3)]
     assert minimal_memory(decoder.matrix) == 2
     assert decoder.memory == 2
@@ -234,11 +234,11 @@ def test_10_simulation_ml_wer_ordering_and_determinism(monkeypatch):
     # blocks of 1,456 (the default at N = 20) or of 91
     results = []
     for p in (0.01, 0.05, 0.10):
-        one = estimate_wer(FGG_CODE, sim, p, 20, 10_000, seed=42)
+        one = estimate_wer(FGG_CODE, encoder, p, 20, 10_000, seed=42)
         with monkeypatch.context() as patch:
             patch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 14)
             assert sim._block_size(20) == 91
-            assert estimate_wer(FGG_CODE, sim, p, 20, 10_000, seed=42) == one, p
+            assert simulate_module._worker_count(sim, [p], 20, 42, 0, 10_000) == [one.failures], p
         results.append(one)
     lo, mid, hi = results
     assert lo.word_error_rate + lo.confidence_halfwidth < mid.word_error_rate - mid.confidence_halfwidth

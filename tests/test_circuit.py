@@ -198,6 +198,18 @@ def test_only_synthesis_builds_the_encoder_skeleton():
     assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]
 
 
+def test_one_gram_schmidt_and_the_requirement_is_its_gram_rows():
+    # memory assignment and map completion share one symplectic
+    # Gram–Schmidt, and the requirement it reads is a tuple of Gram rows
+    assert _callers("symplectic_gram_schmidt") == [
+        ("skeleton", "assign_memory"), ("synthesis", "complete_to_symplectic")]
+    for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
+        # names, attributes, imports, definitions and `__all__` strings
+        names = {getattr(node, key, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for key in ("id", "attr", "name", "value")}
+        assert "CommutationRequirement" not in names, path.stem
+
+
 def test_only_synthesis_and_the_decoder_telescope_a_requirement():
     assert _callers("skeleton_commutation_matrix") == [
         ("decoder", "derive_online_decoder"), ("pipeline", "synthesize_encoder")]

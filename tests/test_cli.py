@@ -750,7 +750,7 @@ def test_check_minimal_memory_matches_the_skeleton_requirement(capsys, tmp_path)
         code, smap = random_realized(*shapes[seed % len(shapes)], seed)
         matrix = skeleton_commutation_matrix(build_skeleton(code))
         realized = verify_encoder(code, smap)
-        assert tuple(gram([op.vec() for op in realized.operators], realized.m)) == matrix.rows
+        assert tuple(gram([op.vec() for op in realized.operators], realized.m)) == matrix
         (tmp_path / "code.qcc").write_text(render_code(code))
         (tmp_path / "enc.circ").write_text(circuit_to_text(synthesize_circuit(smap)))
         status, out, _ = run_cli(capsys, "check", "--json", "--code", str(tmp_path / "code.qcc"),
@@ -760,16 +760,16 @@ def test_check_minimal_memory_matches_the_skeleton_requirement(capsys, tmp_path)
 
 
 def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
-    import qconvenc.cli as cli
+    import qconvenc.simulate as simulate
 
     built = []
 
-    class CountingSimulator(cli.Simulator):
+    class CountingSimulator(simulate.Simulator):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(cli, "Simulator", CountingSimulator)
+    monkeypatch.setattr(simulate, "Simulator", CountingSimulator)
     code, out, _ = run_cli(
         capsys,
         "simulate", "--code", str(files / "fgg.qcc"),

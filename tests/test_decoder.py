@@ -36,7 +36,7 @@ from qconvenc.errors import (
     SkeletonInconsistencyError,
 )
 from qconvenc.library import FGG_CODE, FGG_DECODER_MEMORY_CHOICE
-from qconvenc.skeleton import check_assignment, minimal_memory
+from qconvenc.skeleton import Chain, check_assignment, minimal_memory
 
 from conftest import random_circuit, random_symplectic
 from oracles import anticommuting_pairs, roundtrip_by_launch, skeleton_rows, sp_at_shift
@@ -116,7 +116,7 @@ def test_memoryless_identity_encoder_logicals():
 def test_decoder_skeleton_bracket_pattern(fgg_decoder):
     # four unknowns; anticommuting pairs exactly {(1,2),(1,4),(2,4),(3,4)}
     mat = fgg_decoder.matrix
-    assert mat.size == 4
+    assert len(mat) == 4
     assert anticommuting_pairs(mat) == [(0, 1), (0, 3), (1, 3), (2, 3)]
 
 
@@ -140,7 +140,7 @@ def test_no_single_qubit_decoder_memory(fgg_decoder):
     singles = [PauliOperator(1, x, z) for x in range(2) for z in range(2)]
     for combo in itertools.product(singles, repeat=4):
         ok = all(
-            combo[i].sp(combo[j]) == mat.entry(i, j)
+            combo[i].sp(combo[j]) == (mat[i] >> j) & 1
             for i in range(4)
             for j in range(i + 1, 4)
         )
@@ -243,6 +243,27 @@ def test_windowed_roundtrip_catches_dropped_encoder_gate(fgg_reference_encoder, 
         broken = _drop_gate(fgg_reference_encoder, i)
         fails = windowed_roundtrip_failures(broken, fgg_decoder, 3)
         assert fails, (i, gates[i])
+
+
+def _with_stabilizer_chain(decoder, chain: Chain):
+    """The decoder result with its first stabilizer chain replaced."""
+    chains = list(decoder.skeleton.chains)
+    chains[2 * decoder.code.k] = chain
+    return dataclasses.replace(decoder, skeleton=dataclasses.replace(decoder.skeleton, chains=tuple(chains)))
+
+
+def test_windowed_roundtrip_reads_its_contract_off_the_decoder_skeleton(fgg_reference_encoder, fgg_decoder):
+    # the probes and spans are the decoder skeleton's chains, not the
+    # code's generators: the published decoder breaks the first stabilizer
+    # chain stretched by one frame, or decoding to another target
+    chain = fgg_decoder.skeleton.chains[2]
+    assert chain.label == "stabilizer 1" and chain.outputs == (P("III"), P("ZII"))
+    longer = Chain(chain.label, chain.inputs + (P("III"),), (P("III"),) + chain.outputs)
+    retargeted = Chain(chain.label, chain.inputs, (P("III"), P("XII")))
+    assert windowed_roundtrip_failures(fgg_reference_encoder, fgg_decoder, 4) == []
+    for changed, fault in ((longer, "syndrome at frame"), (retargeted, "X content")):
+        fails = windowed_roundtrip_failures(fgg_reference_encoder, _with_stabilizer_chain(fgg_decoder, changed), 4)
+        assert fails and all(f.startswith("ancilla Z 1 frame ") and fault in f for f in fails), fails
 
 
 

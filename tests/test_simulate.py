@@ -345,13 +345,14 @@ def test_wer_monotone_in_p(fgg_reference_encoder):
     )
 
 
-def test_wer_worker_count_invariance(fgg_simulator, monkeypatch):
+def test_wer_worker_count_invariance(fgg_reference_encoder, fgg_simulator, monkeypatch):
     # trial i draws its own counters, so the count does not depend on how
-    # the trials are cut: one block of 400, or blocks of 18
-    serial = estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 400, seed=11)
+    # the trials are cut: one block of 400, or blocks of 18 (counted on a
+    # simulator built under the default cap, as estimate_wer builds its own)
+    serial = estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 6, 400, seed=11)
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 10)
     assert fgg_simulator._block_size(6) == 18
-    assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 400, seed=11) == serial
+    assert simulate_module._worker_count(fgg_simulator, [0.05], 6, 11, 0, 400) == [serial.failures]
 
 
 def test_wer_seed_changes_draws(fgg_reference_encoder):
@@ -433,13 +434,6 @@ def test_block_failures_match_single_trials(request, which, nframes, p, trials):
         e = sample_error(DepolarizingChannel(p), sim.n * nframes, np.random.Generator(bits))
         est = sim.decode(sim.syndrome(e, nframes))
         assert sim.carries_logical_error(e * est, nframes) == block[t]
-
-
-def test_estimate_wer_reuses_a_simulator(fgg_reference_encoder, fgg_simulator, gr_simulator):
-    fresh = estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 6, 200, seed=3)
-    assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 6, 200, seed=3) == fresh
-    with pytest.raises(ValueError):
-        estimate_wer(FGG_CODE, gr_simulator, 0.05, 6, 200, seed=3)
 
 
 def test_rate_zero_code_never_fails():
@@ -811,17 +805,19 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
-def test_gr_wers_equal_for_any_worker_count(gr_simulator, monkeypatch, seed):
+def test_gr_wers_equal_for_any_worker_count(gr_synthesis, gr_simulator, monkeypatch, seed):
     # trial i draws its own counters, so the counts do not depend on how
     # the trials are cut: into blocks of 1, 2 or 5 trials at each point, a
     # trial holding 24 Philox words and 48 error bits per point at N = 6
+    # (counted on a simulator built under the default cap, since the
+    # shrunken one refuses GR's trellis)
     ps = [0.05, 0.1]
-    serial = estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed)
-    assert 0 < sum(r.failures for r in serial) < 26
+    serial = [r.failures for r in estimate_wers(GR_CODE, gr_synthesis.circuit, ps, 6, 13, seed=seed)]
+    assert 0 < sum(serial) < 26
     for block in (1, 2, 5):
         monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", len(ps) * block * 72)
         assert gr_simulator._block_size(6) // len(ps) == block
-        assert estimate_wers(GR_CODE, gr_simulator, ps, 6, 13, seed=seed) == serial
+        assert simulate_module._worker_count(gr_simulator, ps, 6, seed, 0, 13) == serial
 
 
 def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
@@ -842,11 +838,11 @@ def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
         assert (gr_simulator.decode_block(s[None])[0] == e).all()
 
 
-def test_estimate_wers_validates_points(fgg_simulator):
+def test_estimate_wers_validates_points(fgg_reference_encoder):
     with pytest.raises(ValueError):
-        estimate_wers(FGG_CODE, fgg_simulator, [], 4, 20)
+        estimate_wers(FGG_CODE, fgg_reference_encoder, [], 4, 20)
     with pytest.raises(ValueError):
-        estimate_wers(FGG_CODE, fgg_simulator, [0.05, 0.8], 4, 20)
+        estimate_wers(FGG_CODE, fgg_reference_encoder, [0.05, 0.8], 4, 20)
 
 
 @pytest.mark.parametrize("n, nframes", [(3, 6), (4, 5), (2, 1)])
@@ -875,14 +871,14 @@ def test_sample_block_kinds_have_probability_p_over_3(p):
 
 
 @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
-def test_estimate_wer_rejects_seeds_outside_the_key_range(fgg_simulator, seed):
+def test_estimate_wer_rejects_seeds_outside_the_key_range(fgg_reference_encoder, seed):
     with pytest.raises(ValueError):
-        estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed)
+        estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 3, 5, seed=seed)
 
 
-def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_simulator):
+def test_estimate_wer_accepts_both_ends_of_the_key_range(fgg_reference_encoder):
     for seed in (0, SEED_LIMIT - 1):
-        assert estimate_wer(FGG_CODE, fgg_simulator, 0.05, 3, 5, seed=seed).seed == seed
+        assert estimate_wer(FGG_CODE, fgg_reference_encoder, 0.05, 3, 5, seed=seed).seed == seed
 
 
 @pytest.fixture(scope="module")
@@ -1044,7 +1040,7 @@ def test_automaton_and_batched_pass_share_one_trellis(fgg_reference_encoder):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
     tr = sim._trellis
     for nframes in (1, 6, 20):
-        estimate_wer(FGG_CODE, sim, 0.05, nframes, 20, seed=1)
+        simulate_module._worker_count(sim, [0.05], nframes, 1, 0, 20)
     # one trellis for every window, built with the simulator
     assert sim._trellis is tr and tr.tables is not None
     errors = _sample_block(0.3, 3, 6, 2, 0, 100)

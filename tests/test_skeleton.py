@@ -18,7 +18,6 @@ from qconvenc.errors import SkeletonInconsistencyError
 from qconvenc.library import FGG_CODE, GR_CODE
 from qconvenc.skeleton import (
     Chain,
-    CommutationRequirement,
     MemoryAssignment,
     TransformationSkeleton,
     assign_memory,
@@ -45,20 +44,20 @@ def all_paulis(m):
     return [PauliOperator(m, x, z) for x in range(1 << m) for z in range(1 << m)]
 
 
-def satisfiable_on(matrix: CommutationRequirement, m: int) -> bool:
+def satisfiable_on(matrix, m: int) -> bool:
     """Brute force: is there an assignment of independent m-qubit Paulis
     matching the matrix?  Independence is part of the contract (memory
     operators are images of independent inputs under an injective map)."""
     from qconvenc import gf2
 
     cands = all_paulis(m)
-    for combo in itertools.product(cands, repeat=matrix.size):
+    for combo in itertools.product(cands, repeat=len(matrix)):
         ok = all(
-            combo[i].sp(combo[j]) == matrix.entry(i, j)
-            for i in range(matrix.size)
-            for j in range(i + 1, matrix.size)
+            combo[i].sp(combo[j]) == (matrix[i] >> j) & 1
+            for i in range(len(matrix))
+            for j in range(i + 1, len(matrix))
         )
-        if ok and gf2.rank([c.vec() for c in combo]) == matrix.size:
+        if ok and gf2.rank([c.vec() for c in combo]) == len(matrix):
             return True
     return False
 
@@ -70,7 +69,7 @@ def random_requirement(rng, size):
             if rng.random() < 0.5:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return CommutationRequirement(tuple(rows))
+    return tuple(rows)
 
 
 def test_rate_third_skeleton_rows():
@@ -96,13 +95,12 @@ def test_css_code_skeleton_rows():
 def test_span_one_code_has_no_unknowns():
     skel = build_skeleton(parse_code("n=2\nZZ\n"))
     assert skel.unknowns() == []
-    assert skeleton_commutation_matrix(skel).size == 0
+    assert skeleton_commutation_matrix(skel) == ()
 
 
 def test_rate_third_matrix_is_one_anticommuting_pair():
     mat = required_commutation_matrix(FGG_CODE)
-    assert mat.size == 2
-    assert mat.entry(0, 1) == 1 and mat.entry(1, 0) == 1
+    assert mat == (0b10, 0b01)  # entries (0, 1) and (1, 0)
     assert anticommuting_pairs(mat) == [(0, 1)]
 
 
@@ -116,7 +114,7 @@ def test_rate_third_matrix_by_hand():
 
 def test_css_code_matrix_pairs():
     mat = required_commutation_matrix(GR_CODE)
-    assert mat.size == 8
+    assert len(mat) == 8
     # unknowns are ordered boundary-major: g1..g8 = (1,1),(2,1),(1,2),...
     pairs = anticommuting_slots(build_skeleton(GR_CODE))
     # only (g3, g6) and (g4, g5): chain 1 boundary 2 with chain 2 boundary 3,
@@ -132,7 +130,7 @@ def test_decoder_relation_matrix_rank():
     for i, j in [(0, 1), (0, 3), (1, 3), (2, 3)]:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    mat = CommutationRequirement(tuple(rows))
+    mat = tuple(rows)
     sgs = symplectic_gram_schmidt(mat)
     assert len(sgs.pairs) == 2 and len(sgs.isotropic) == 0
     assert minimal_memory(mat) == 2
@@ -166,20 +164,13 @@ def test_minimal_memory_counts_the_gram_schmidt_pairs(drawn):
             if (bits >> (i * size + j)) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    mat = CommutationRequirement(tuple(rows))
+    mat = tuple(rows)
     sgs = symplectic_gram_schmidt(mat)
     assert minimal_memory(mat) == len(sgs.pairs) + len(sgs.isotropic)
 
 
-def test_requirement_size_is_its_row_count():
-    assert CommutationRequirement((2, 1, 0)).size == 3
-    with pytest.raises(TypeError):
-        CommutationRequirement(2, (2, 1, 0))  # no size to disagree with the rows
-
-
 def test_empty_matrix_assigns_nothing():
-    mat = CommutationRequirement(())
-    asg = assign_memory(mat)
+    asg = assign_memory(())
     assert asg.m == 0 and asg.operators == ()
 
 
@@ -202,7 +193,7 @@ def test_check_assignment_flags_violation_and_dependence():
     assert check_assignment(mat, MemoryAssignment(1, (P("X"), P("X")))) == (0, 1)
     # right products, dependent set: impossible on 1 qubit for a pair,
     # build a 2-qubit dependent example on a commuting matrix instead
-    free = CommutationRequirement((0, 0))
+    free = (0, 0)
     assert check_assignment(free, MemoryAssignment(2, (P("ZI"), P("ZI")))) == (1, 1)
 
 
@@ -218,7 +209,7 @@ def test_gram_schmidt_randomized_invariants():
         assert gf2.rank(list(basis)) == size
         # in the transformed basis the form is canonical: each pair is
         # hyperbolic and orthogonal to every other row, each isotropic row null
-        images = gf2.matmul(list(basis), list(mat.rows))
+        images = gf2.matmul(list(basis), list(mat))
         transformed = [[gf2.parity(u & image) for u in basis] for image in images]
         hyperbolic = {(2 * r, 2 * r + 1) for r in range(len(sgs.pairs))}
         assert transformed == [
@@ -239,12 +230,12 @@ def test_minimality_by_brute_force():
         mats.append(random_requirement(rng, rng.randrange(1, 5)))
     for mat in mats:
         m = minimal_memory(mat)
-        if (m - 1) * mat.size > 8:  # keep 4^((m-1)*size) enumerable
+        if (m - 1) * len(mat) > 8:  # keep 4^((m-1)*size) enumerable
             continue
         checked += 1
         if m == 0:
             continue
-        assert not satisfiable_on(mat, m - 1), (mat.rows, m)
+        assert not satisfiable_on(mat, m - 1), (mat, m)
     assert checked >= 4
 
 
@@ -291,8 +282,8 @@ def assert_matches_telescope(skel):
         )
     else:
         mat = skeleton_commutation_matrix(skel)
-        assert list(mat.rows) == rows
-        assert mat.size == len(skel.unknowns())
+        assert list(mat) == rows
+        assert len(mat) == len(skel.unknowns())
 
 
 @pytest.mark.parametrize("code", [FGG_CODE, GR_CODE], ids=["fgg", "gr"])
