@@ -35,14 +35,20 @@ from .catastrophic import (
 )
 from .pipeline import Realization, synthesize_encoder, verify_encoder
 from .decoder import derive_online_decoder, encoded_logical_operators, windowed_roundtrip_failures
-from .simulate import (
-    DepolarizingChannel,
-    SimulationResult,
-    Simulator,
-    estimate_wer,
-    estimate_wers,
-    sample_error,
+
+# the Monte Carlo is the one numpy user: its names load `simulate` on
+# first use, so the design commands start without numpy (PEP 562)
+_SIMULATE_NAMES = frozenset(
+    {"DepolarizingChannel", "SimulationResult", "Simulator", "estimate_wer", "estimate_wers", "sample_error"}
 )
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "PauliOperator",

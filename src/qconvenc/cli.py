@@ -6,7 +6,8 @@ settles catastrophicity, `derive-decoder` produces the matching online
 decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
-settles the verdict); 2 completion search exhausted (synthesize, which
+settles the verdict, and derive-decoder, which then writes no --out
+file); 2 completion search exhausted (synthesize, which
 with --json also reports tried, budget, dynamics and reason on stdout;
 dynamics counts the distinct memory dynamics (T, A) whose periodic part
 the search computed); 64 bad usage; 65 unreadable/invalid input data,
@@ -42,6 +43,7 @@ from .circuit import (
 from .code import ConvolutionalCode, parse_code
 from .decoder import derive_online_decoder
 from .errors import (
+    SEED_LIMIT,
     CodeValidationError,
     CompletionSearchExhausted,
     InputDataError,
@@ -53,7 +55,6 @@ from .errors import (
     TrellisError,
 )
 from .pipeline import Realization, synthesize_encoder, verify_encoder
-from .simulate import SEED_LIMIT, estimate_wers
 from .skeleton import TransformationSkeleton, minimal_memory
 
 EX_OK = 0
@@ -132,10 +133,12 @@ def _render_witness(witness) -> List[str]:
 def _emit_circuit_report(report: dict, result: Realization, args: argparse.Namespace) -> int:
     """Complete and emit the report of a built encoder or decoder: its gate
     count and verdict, the `--out` file (JSON if it ends in .json) and the
-    `--skeleton` rows."""
+    `--skeleton` rows.  A catastrophic circuit is reported but not written,
+    and exits 1."""
+    ok = result.verdict.non_catastrophic
     report["gates"] = len(result.circuit)
-    report["verdict"] = _verdict_word(result.verdict.non_catastrophic)
-    if args.out:
+    report["verdict"] = _verdict_word(ok)
+    if args.out and ok:
         if args.out.endswith(".json"):
             roles = wire_roles(result.code.n, result.code.k, result.memory, result.skeleton.direction)
             payload = circuit_to_json(result.circuit, *roles)
@@ -147,7 +150,7 @@ def _emit_circuit_report(report: dict, result: Realization, args: argparse.Names
     if args.skeleton:
         report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
     _emit(report, args)
-    return EX_OK
+    return EX_OK if ok else EX_CATASTROPHIC
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -209,6 +212,8 @@ plot "{csv}" skip 1 using 1:5:6 with yerrorlines title "WER (95% CI)"
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.gnuplot and not args.out:
         raise _UsageError("--gnuplot needs --out (the script references the CSV)")
+    from .simulate import estimate_wers  # the one command that needs numpy
+
     code = _read_code(args.code)
     rows = estimate_wers(code, _read_circuit(args.encoder), args.p, args.frames, args.trials, seed=args.seed)
     header = ["p", "frames", "trials", "failures", "wer", "ci95", "seed"]

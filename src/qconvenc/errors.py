@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and input limits shared across the package."""
 
 from __future__ import annotations
+
+# simulate's seeds key its Philox stream, whose keys lie in [0, 2^128); the
+# bound lives here so that the CLI checks a seed without importing numpy
+SEED_LIMIT = 1 << 128
 
 
 class QconvError(Exception):

@@ -116,7 +116,7 @@ import numpy as np
 
 from .circuit import _dual, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
-from .errors import InputDataError, TrellisError
+from .errors import SEED_LIMIT, InputDataError, TrellisError
 from .pauli import PauliOperator
 from .pipeline import verify_encoder
 
@@ -135,9 +135,6 @@ __all__ = [
 # stays far enough below its type's maximum to add one frame's weight
 _INF = 1 << 30
 _INF16 = 1 << 14
-
-# seeds key the Philox stream, whose keys lie in [0, 2^128)
-SEED_LIMIT = 1 << 128
 
 # Upper bound on the cells one batch of trials holds, divided among the
 # trials by what each holds in the array that batch bounds:

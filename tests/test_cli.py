@@ -6,6 +6,7 @@ realize its code), 70 internal consistency violation.
 """
 
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ import qconvenc
 from conftest import CATASTROPHIC_CODE_TEXT, random_realized
 from oracles import render_code
 from qconvenc import CliffordCircuit, CliffordGate, parse_circuit, synthesize_encoder, verify_encoder
+from qconvenc.catastrophic import is_noncatastrophic
 from qconvenc.circuit import circuit_to_text, gram
 from qconvenc.cli import main
 from qconvenc.code import from_classical_polynomial
@@ -427,6 +429,28 @@ def test_derive_decoder(files, capsys):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_catastrophic_decoder_exits_1_and_writes_nothing(files, capsys, monkeypatch,
+                                                         catastrophic_encoder_map, as_json):
+    # no shipped decoder is catastrophic, so force the verdict on FGG's
+    verdict = is_noncatastrophic(catastrophic_encoder_map, 2, 1)
+    assert not verdict.non_catastrophic
+    real = qconvenc.cli.derive_online_decoder
+    monkeypatch.setattr(qconvenc.cli, "derive_online_decoder",
+                        lambda *args: dataclasses.replace(real(*args), verdict=verdict))
+    out_path = files / "cat_dec.circ"
+    code, out, err = run_cli(
+        capsys, "derive-decoder", "--code", str(files / "fgg.qcc"),
+        "--encoder", str(files / "fgg_enc.circ"), "--out", str(out_path), *["--json"] * as_json,
+    )
+    assert code == 1 and err == ""
+    if as_json:
+        assert json.loads(out) == {"decoder_memory": 2, "gates": 27, "verdict": "catastrophic"}
+    else:
+        assert out.splitlines() == ["decoder_memory: 2", "gates: 27", "verdict: catastrophic"]
+    assert not out_path.exists()
+
+
 def test_json_circuit_files_round_trip(files, capsys):
     enc_json = files / "enc.json"
     assert run_cli(
@@ -664,6 +688,44 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_DESIGN_WITHOUT_NUMPY = """
+import sys
+import qconvenc
+from qconvenc import synthesize_encoder
+from qconvenc.cli import main
+from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER_TEXT
+
+code, enc = sys.argv[1], sys.argv[2]
+with open(code, "w") as fh:
+    fh.write(FGG_CODE_TEXT)
+with open(enc, "w") as fh:
+    fh.write(FGG_ENCODER_TEXT)
+for argv in (["info"], ["synthesize"], ["check", "--encoder", enc], ["derive-decoder", "--encoder", enc]):
+    assert main(argv + ["--code", code]) == 0, argv
+print("numpy loaded:", "numpy" in sys.modules)
+if sys.argv[3] == "simulate":
+    assert main(["simulate", "--code", code, "--encoder", enc, "--p", "0.05", "--frames", "2",
+                 "--trials", "3"]) == 0
+else:
+    qconvenc.Simulator
+print("numpy loaded:", "numpy" in sys.modules, qconvenc.estimate_wers is qconvenc.simulate.estimate_wers)
+"""
+
+
+@pytest.mark.parametrize("then", ["simulate", "Simulator"])
+def test_design_commands_leave_numpy_out(tmp_path, then):
+    # only the Monte Carlo needs numpy: the `simulate` command, or a
+    # package name that resolves into `qconvenc.simulate`, brings it in
+    proc = subprocess.run(
+        [sys.executable, "-c", _DESIGN_WITHOUT_NUMPY, str(tmp_path / "fgg.qcc"),
+         str(tmp_path / "fgg_enc.circ"), then],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines() if line.startswith("numpy loaded:")]
+    assert flags == ["numpy loaded: False", "numpy loaded: True True"]
 
 
 def test_simulate_window_too_large_for_memory_exits_65(files):

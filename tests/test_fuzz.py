@@ -14,10 +14,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATASTROPHIC_CODE_TEXT, GATE_KINDS
+from oracles import render_code
 from qconvenc.catastrophic import is_noncatastrophic
 from qconvenc.circuit import CliffordCircuit, CliffordGate, circuit_from_json, circuit_to_text, parse_circuit
 from qconvenc.cli import main
-from qconvenc.code import parse_code
+from qconvenc.code import from_classical_polynomial, parse_code
 from qconvenc.errors import CodeValidationError, ParseError
 from qconvenc.library import FGG_CODE_TEXT, FGG_ENCODER, GR_CODE_TEXT
 from qconvenc.pipeline import synthesize_encoder, verify_encoder
@@ -110,6 +111,9 @@ def test_parse_circuit_succeeds_or_refuses(text):
 
 # a rate-0 code: no info wires, so no logical launches
 RATE_ZERO_CODE_TEXT = "n=2\nXX\nZZ\n"
+
+# a rate-1/3 CSS code whose encoder needs m = 10
+CSS_M10_CODE_TEXT = render_code(from_classical_polynomial([26, 114, 70]))
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +230,9 @@ def test_simulate_exits_with_documented_code(check_inputs, code, known, width, k
 
 @settings(max_examples=150, deadline=None)
 @given(
-    text=_SMALL_CODE | st.sampled_from([FGG_CODE_TEXT, CATASTROPHIC_CODE_TEXT, RATE_ZERO_CODE_TEXT, GR_CODE_TEXT]),
+    text=_SMALL_CODE | st.sampled_from(
+        [FGG_CODE_TEXT, CATASTROPHIC_CODE_TEXT, RATE_ZERO_CODE_TEXT, GR_CODE_TEXT, CSS_M10_CODE_TEXT]
+    ),
     budget=st.integers(1, 50),
     ext=st.sampled_from([".circ", ".json"]),
     as_json=st.booleans(),
