@@ -38,10 +38,12 @@ sp(y, M X_q).  T and A therefore come from the images of the memory X's
 and Z's and of the ancilla Z's alone.  L needs no info image either: a
 state b of P lies in ker A, so the preimage of y_b = (I, b) is made of
 memory, ancilla Z and info parts, and L b = 0 exactly when y_b lies in the
-span of M(memory X, Z) and M(ancilla Z).  The completion search uses
-this: every leaf fixes those images (as the same XOR combinations of its
-rows at every leaf), so a leaf is decided without completing it to a full
-map, and only the accepted leaf is completed and synthesized.  The leaves
+span of M(memory X, Z) and M(ancilla Z).  A decoder's T, A and L come
+from the images of the memory X's and Z's alone, the edges keyed by those
+states.  The completion search, in either direction, uses this: every leaf
+fixes those images (as the same XOR combinations of its rows at every
+leaf), so a leaf is decided without completing it to a full map, and only
+the accepted leaf is completed and synthesized.  An encoder's leaves
 under one last-level node differ only in the last direction's output v,
 which is XORed into just the images a_i whose combination uses that row.
 With a0 the first of them, a leaf's images span what base and a0 ^ v
@@ -337,23 +339,29 @@ def _cycle_states(
         yield v, hit if r1 != res else other
 
 
-def _decoder_cycle_state(smap: SymplecticMap, n: int, k: int) -> Optional[Tuple[int, List[int]]]:
-    """As `_cycle_states` for one candidate, for a decoder map.  Its rows for memory
-    X_i and Z_i (input wires i) are the edges keyed by those basis states,
-    so T, A and L are read off them without applying the map."""
-    w = smap.width
-    m = w - n
-    ts, xs, ls = [], [], []
-    for i in [*range(m), *range(w, w + m)]:
-        r = smap.rows[i]  # image layout (syndrome, info, memory)
-        ts.append(_field(r, w, n, m))
-        xs.append(r & ((1 << (n - k)) - 1))
-        ls.append(_field(r, w, n - k, k))
-    basis = _periodic_part(_unobservable(gf2.transpose(ts, 2 * m), gf2.transpose(xs, n - k), m), ts)
-    for b, lb in zip(basis, gf2.matmul(basis, ls)):
+def _decoder_cycle_state(images: List[int], n: int, k: int, m: int, memo: dict) -> Optional[Tuple[int, List[int]]]:
+    """As `_cycle_states` for one candidate, for a decoder's images of its memory inputs
+    X_0..X_(m-1), Z_0..Z_(m-1); `memo` maps T and A to a basis of P."""
+    w = m + n
+    ts = [_field(r, w, n, m) for r in images]  # image layout (syndrome, info, memory)
+    xs = tuple(r & ((1 << (n - k)) - 1) for r in images)
+    key = tuple(ts), xs
+    if key not in memo:
+        memo[key] = _periodic_part(_unobservable(gf2.transpose(ts, 2 * m), gf2.transpose(xs, n - k), m), ts)
+    for b, lb in zip(memo[key], gf2.matmul(memo[key], [_field(r, w, n - k, k) for r in images])):
         if lb:
             return b, ts
     return None
+
+
+def _leaf_states(direction: str, images: List[int], varying: Sequence[int], candidates: Iterable[int],
+                 n: int, k: int, m: int, memo: dict) -> Iterator[Tuple[int, Optional[Tuple[int, List[int]]]]]:
+    """`_cycle_states` for an encoder's images (`_reads`); for a decoder's,
+    each candidate v decided on its own, with v XORed into those at `varying`."""
+    if direction == "encoder":
+        return _cycle_states(images, varying, candidates, n, k, m, memo)
+    return ((v, _decoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m, memo))
+            for v in candidates)
 
 
 def _memory(smap: SymplecticMap, n: int) -> int:
@@ -366,22 +374,19 @@ def _memory(smap: SymplecticMap, n: int) -> int:
 def _verdict(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction: str) -> CatastrophicityVerdict:
     smap = as_symplectic(c)
     m = _memory(smap, n)
-    if direction == "encoder":
-        images = [smap.rows[i] for i in _encoder_reads(n, k, m)]
-        _, found = next(_cycle_states(images, (), [0], n, k, m, {}))
-    else:
-        found = _decoder_cycle_state(smap, n, k)
+    images = [smap.rows[i] for i in _reads(n, k, m, direction)]
+    _, found = next(_leaf_states(direction, images, (), [0], n, k, m, {}))
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
     return CatastrophicityVerdict(False, direction, _CycleSeed(smap, n, k, b, tuple(ts)))
 
 
-def _encoder_reads(n: int, k: int, m: int) -> List[int]:
-    """Row indices of the inputs `_cycle_states` reads: memory X's,
-    memory Z's, then ancilla Z's."""
+def _reads(n: int, k: int, m: int, direction: str) -> List[int]:
+    """Row indices of the inputs a leaf check reads: memory X's, memory
+    Z's, then an encoder's ancilla Z's."""
     w = m + n
-    return [*range(m), *range(w, w + m + n - k)]
+    return [*range(m), *range(w, w + m + (n - k if direction == "encoder" else 0))]
 
 
 def is_noncatastrophic(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int) -> CatastrophicityVerdict:
@@ -399,12 +404,13 @@ def subgroup_elements(generators: Sequence[PauliOperator], m: int) -> List[Pauli
 
 
 def complete_noncatastrophic(
-    p: PartialMap, n: int, k: int, *, max_candidates: int = MAX_CANDIDATES
+    p: PartialMap, n: int, k: int, direction: str = "encoder", *, max_candidates: int = MAX_CANDIDATES
 ) -> Tuple[SymplecticMap, CliffordCircuit, CatastrophicityVerdict]:
-    """Extend p, the rows of an encoder on n-qubit frames with k info
-    wires and memory m = p.width - n, with rows for unfixed memory
-    directions until the encoder is non-catastrophic; returns the map it
-    completed, that map's circuit and the verdict of its leaf check.
+    """Extend p, the rows of an encoder or decoder (`direction`) on
+    n-qubit frames with k info wires and memory m = p.width - n, with rows
+    for unfixed memory directions until the map is non-catastrophic;
+    returns the map it completed, that map's circuit and the verdict of
+    its leaf check.
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are drawn
@@ -412,9 +418,10 @@ def complete_noncatastrophic(
     subject to the symplectic products forced by all rows fixed so far.
     Each full completion is checked with the exact catastrophicity test,
     read from its rows alone; only the accepted one is completed to a full
-    map and synthesized.  The leaves of a last-level node are checked
-    together, with P memoized per search and V shared within a node when
-    the node allows it (see the module docstring), and
+    map and synthesized, and one whose outputs are dependent, which no map
+    extends, is passed over.  An encoder's leaves under a last-level node
+    are checked together, with P memoized per search and V shared within
+    a node when the node allows it (see the module docstring), and
     `max_candidates` leaf checks are the search's only limit.
     """
     check_consistency(p)
@@ -428,10 +435,10 @@ def complete_noncatastrophic(
     for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
         if gf2.extend(*inputs, [u]):
             directions.append(u)
-    # every leaf has the inputs span + directions, so the inputs its check
-    # reads are the same XOR combinations of its rows at every leaf
-    coeffs = _combinations(span + directions, [1 << i for i in _encoder_reads(n, k, m)], w)
-
+    # every leaf has the inputs span + directions, which hold every memory
+    # basis vector, so the inputs its check reads are the same XOR
+    # combinations of its rows at every leaf
+    coeffs = _combinations(span + directions, [1 << i for i in _reads(n, k, m, direction)], w)
     # the leaves under one last-level node differ only in the last row's
     # output v, which enters the images whose combination uses that row
     last = len(span) + len(directions) - 1
@@ -450,7 +457,7 @@ def complete_noncatastrophic(
 
     def leaves(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[List[Tuple[int, int]], object]]:
         if level == len(directions):  # no free direction: the rows are the one leaf
-            yield rows_acc, next(_cycle_states(_leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo))[1]
+            yield rows_acc, next(_leaf_states(direction, _leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo))[1]
             return
         u = directions[level]
         rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
@@ -459,14 +466,15 @@ def complete_noncatastrophic(
             for v in candidates:
                 yield from leaves(rows_acc + [(u, v)], level + 1)
         else:  # decided together, each drawn only after the budget check
-            for v, found in _cycle_states(_leaf_images(coeffs, rows_acc), varying, candidates, n, k, m, memo):
+            images = _leaf_images(coeffs, rows_acc)
+            for v, found in _leaf_states(direction, images, varying, candidates, n, k, m, memo):
                 yield rows_acc + [(u, v)], found
 
     for rows, found in leaves(list(p.rows), 0):
         tried += 1
-        if found is None:
+        if found is None and gf2.rank([out for _, out in rows]) == len(rows):
             smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
-            return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, "encoder")
+            return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
     raise exhausted("every consistent completion is catastrophic")
 
 

@@ -210,8 +210,8 @@ def circuit_to_symplectic(circuit: CliffordCircuit) -> SymplecticMap:
 
 
 def as_symplectic(encoder) -> SymplecticMap:
-    """The symplectic map of a circuit, of a map itself, or of a synthesis
-    or decoder result (which carries its map)."""
+    """The symplectic map of a circuit, of a map itself, or of a
+    `Realization` (which carries its map)."""
     if isinstance(encoder, SymplecticMap):
         return encoder
     if isinstance(encoder, CliffordCircuit):

@@ -6,9 +6,9 @@ settles catastrophicity, `derive-decoder` produces the matching online
 decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
-settles the verdict, and derive-decoder, which then writes no --out
-file); 2 completion search exhausted (synthesize, which
-with --json also reports tried, budget, dynamics and reason on stdout;
+settles the verdict; a built circuit with that verdict writes no --out
+file); 2 completion search exhausted (synthesize and derive-decoder, which
+with --json also report tried, budget, dynamics and reason on stdout;
 dynamics counts the distinct memory dynamics (T, A) whose periodic part
 the search computed); 64 bad usage; 65 unreadable/invalid input data,
 including a circuit that does not realize its code, a circuit wider than

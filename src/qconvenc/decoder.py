@@ -16,21 +16,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .catastrophic import _memory, is_noncatastrophic_decoder
+from .catastrophic import _memory
 from .circuit import CliffordCircuit, SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import OrbitError
 from .pauli import PauliOperator
-from .pipeline import Realization, verify_encoder
-from .skeleton import (
-    Chain,
-    MemoryAssignment,
-    TransformationSkeleton,
-    partial_rows,
-    resolve_assignment,
-    skeleton_commutation_matrix,
-)
-from .synthesis import PartialMap, complete_to_symplectic, synthesize_circuit
+from .pipeline import Realization, realize, verify_encoder
+from .skeleton import Chain, MemoryAssignment, TransformationSkeleton
 
 __all__ = [
     "encoded_logical_operators",
@@ -97,19 +89,12 @@ def derive_online_decoder(
     *,
     assignment: Optional[MemoryAssignment] = None,
 ) -> Realization:
-    """Minimal-memory streaming decoder matching the encoder, which must
-    realize the code (`pipeline.verify_encoder`, otherwise
-    `InputDataError`)."""
+    """Minimal-memory non-catastrophic streaming decoder matching the
+    encoder, which must realize the code (`pipeline.verify_encoder`,
+    otherwise `InputDataError`): `pipeline.realize` on the decoder skeleton."""
     emap = as_symplectic(encoder)
     verify_encoder(code, emap)
-    skel = build_decoder_skeleton(encoded_logical_operators(emap, code), code)
-    matrix = skeleton_commutation_matrix(skel)
-    assignment = resolve_assignment(matrix, assignment)
-    rows = partial_rows(skel, assignment)
-    smap = complete_to_symplectic(PartialMap.from_operators(rows))
-    circuit = synthesize_circuit(smap)
-    verdict = is_noncatastrophic_decoder(smap, code.n, code.k)
-    return Realization(code, skel, matrix, assignment, smap, circuit, verdict)
+    return realize(code, build_decoder_skeleton(encoded_logical_operators(emap, code), code), assignment)
 
 
 def windowed_roundtrip_failures(

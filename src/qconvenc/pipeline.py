@@ -25,7 +25,7 @@ from .skeleton import (
 )
 from .synthesis import PartialMap
 
-__all__ = ["Realization", "synthesize_encoder", "verify_encoder"]
+__all__ = ["Realization", "realize", "synthesize_encoder", "verify_encoder"]
 
 _UNREALIZED = "input circuit does not realize the code: "
 
@@ -63,7 +63,20 @@ def synthesize_encoder(
     completion_rows: Optional[Sequence[Tuple[PauliOperator, PauliOperator]]] = None,
     max_candidates: int = MAX_CANDIDATES,
 ) -> Realization:
-    """Synthesize a minimal-memory non-catastrophic encoder for the code.
+    """The minimal-memory non-catastrophic encoder of the code: `realize` on its skeleton."""
+    _check_last_frames(code)
+    return realize(code, build_skeleton(code), assignment, completion_rows or (), max_candidates)
+
+
+def realize(
+    code: ConvolutionalCode,
+    skeleton: TransformationSkeleton,
+    assignment: Optional[MemoryAssignment] = None,
+    completion_rows: Sequence[Tuple[PauliOperator, PauliOperator]] = (),
+    max_candidates: int = MAX_CANDIDATES,
+) -> Realization:
+    """The non-catastrophic map, encoder or decoder as `skeleton.direction`
+    says, whose rows the skeleton fixes.
 
     An explicit memory assignment (checked against the commutation
     requirement) and extra completion rows of width memory+n may be
@@ -71,22 +84,15 @@ def synthesize_encoder(
     canonical assignment is used and unfixed memory directions are
     searched depth-first for a non-catastrophic completion.
     """
-    _check_last_frames(code)
-    skeleton = build_skeleton(code)
     matrix = skeleton_commutation_matrix(skeleton)
     assignment = resolve_assignment(matrix, assignment)
-    rows = partial_rows(skeleton, assignment)
-    if completion_rows:
-        w = assignment.m + code.n
-        for src, dst in completion_rows:
-            if src.width != w or dst.width != w:
-                raise MapConsistencyError(
-                    f"completion rows must have width {w} (memory + frame)"
-                )
-        rows = rows + list(completion_rows)
-    partial = PartialMap.from_operators(rows)
-    smap, circuit, verdict = complete_noncatastrophic(partial, code.n, code.k, max_candidates=max_candidates)
-    return Realization(code, skeleton, matrix, assignment, smap, circuit, verdict)
+    w = assignment.m + code.n
+    for src, dst in completion_rows:
+        if src.width != w or dst.width != w:
+            raise MapConsistencyError(f"completion rows must have width {w} (memory + frame)")
+    partial = PartialMap.from_operators(partial_rows(skeleton, assignment) + list(completion_rows))
+    found = complete_noncatastrophic(partial, code.n, code.k, skeleton.direction, max_candidates=max_candidates)
+    return Realization(code, skeleton, matrix, assignment, *found)  # the map, its circuit and its verdict
 
 
 def _check_last_frames(code: ConvolutionalCode) -> None:

@@ -28,7 +28,7 @@ from qconvenc.catastrophic import (
     ENUM_CAP,
     _combinations,
     _cycle_states,
-    _encoder_reads,
+    _reads,
     _solutions,
     complete_noncatastrophic,
     is_noncatastrophic,
@@ -55,7 +55,7 @@ from qconvenc.skeleton import (
 )
 from qconvenc.synthesis import PartialMap, complete_to_symplectic
 
-from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit
+from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit, random_symplectic
 from oracles import admissible_cycle_states, encoder_cycle_state, in_span, periodic_states, transpose
 
 P = PauliOperator.from_string
@@ -453,21 +453,37 @@ def _cycle_state_of_inverse(inv: SymplecticMap, n: int, k: int, m: int):
     return None
 
 
-def _recorded_leaves(code, **kwargs):
-    """Every leaf of the completion search for `code`, as its rows with the
-    state its check returned, and the search's outcome (the synthesis, or
-    the exhaustion error).  Leaves are recorded as `_cycle_states` decides
-    them; the rows of each node come from its `_leaf_images` call."""
+def _random_rows(rng: random.Random, direction: str):
+    """A consistent row set of a random map: n <= 3, m <= 2, rows (u, S u)
+    of a random symplectic S at random independent inputs u, which for an
+    encoder start with its ancilla Z's; with n, k and m."""
+    n, m = rng.randint(1, 3), rng.randint(0, 2)
+    k, w = rng.randint(0, n - 1), m + n
+    smap = random_symplectic(w, rng)
+    inputs = [1 << (w + m + a) for a in range(n - k)] if direction == "encoder" else []
+    for u in [rng.getrandbits(2 * w) for _ in range(rng.randint(1, 2 * w))]:
+        if not in_span(inputs, u):
+            inputs.append(u)
+    return PartialMap(w, tuple((u, smap.apply_vec(u)) for u in inputs)), n, k, m
+
+
+def _recorded_leaves(direction, search):
+    """Every leaf of the completion search in `direction` that `search()`
+    runs, as its rows with the state its check returned, and the search's
+    outcome (what `search` returns, or the exhaustion error).  Leaves are
+    recorded as `_leaf_states` decides them; the rows of each node come
+    from its `_leaf_images` call."""
     import qconvenc.catastrophic as cat
 
     leaves, node = [], []
-    real_images, real_states = cat._leaf_images, cat._cycle_states
+    real_images, real_states = cat._leaf_images, cat._leaf_states
 
     def images(coeffs, rows):
         node[:] = rows
         return real_images(coeffs, rows)
 
-    def states(images, varying, candidates, n, k, m, memo):
+    def states(d, images, varying, candidates, n, k, m, memo):
+        assert d == direction
         rows, w = list(node), m + n
         if varying:
             # a last-level node: its leaves add a row for the last direction,
@@ -475,13 +491,13 @@ def _recorded_leaves(code, **kwargs):
             inputs = [ri for ri, _ in rows]
             memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
             u = next(d for d in memory if not in_span(inputs, d))
-        for v, found in real_states(images, varying, candidates, n, k, m, memo):
+        for v, found in real_states(d, images, varying, candidates, n, k, m, memo):
             leaves.append((rows + [(u, v)] if varying else rows, found))
             yield v, found
 
-    with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, "_cycle_states", states):
+    with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, "_leaf_states", states):
         try:
-            outcome = synthesize_encoder(code, **kwargs)
+            outcome = search()
         except CompletionSearchExhausted as exc:
             outcome = exc
     return leaves, outcome
@@ -490,7 +506,7 @@ def _recorded_leaves(code, **kwargs):
 def _assert_leaves_match_one_leaf_checks(code, leaves):
     n, k = code.n, code.k
     m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
-    reads = [1 << i for i in _encoder_reads(n, k, m)]
+    reads = [1 << i for i in _reads(n, k, m, "encoder")]
     for rows, found in leaves:
         # the images the leaf check reads, combined afresh from the leaf's rows
         coeffs = _combinations([ri for ri, _ in rows], reads, m + n)
@@ -504,31 +520,117 @@ def _assert_leaves_match_one_leaf_checks(code, leaves):
 # that their searches reject catastrophic leaves before accepting one
 FREE_DIRECTION_CODES = ["n=2\nZX|ZI\n", "n=3\nIZI|IZX\n", "n=2\nYZ|YZ|XX\n"]
 
+# seeds of `_random_rows` decoder row sets whose searches pass over
+# leaves before accepting one (no decoder of a small code has such a
+# search): 24 with m = 1 and 196 with 21 leaves, both of whose first
+# completion is catastrophic; 95 with catastrophic leaves whose outputs
+# are dependent, and 263 with non-catastrophic ones
+DECODER_SEEDS = [24, 95, 196, 263]
 
-@pytest.mark.parametrize("text", ["gr", *FREE_DIRECTION_CODES])
-def test_leaf_check_matches_full_completion(text):
+
+def _leaf_case(direction, source):
+    """A search with several leaves, as a thunk returning its verdict, with
+    its n, k and m: an encoder code's synthesis at a budget of 400, or the
+    decoder completion of a seeded random row set."""
+    if direction == "encoder":
+        code = GR_CODE if source == "gr" else parse_code(source)
+        m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
+        return lambda: synthesize_encoder(code, max_candidates=400).verdict, code.n, code.k, m
+    partial, n, k, m = _random_rows(random.Random(source), "decoder")
+    return lambda: complete_noncatastrophic(partial, n, k, "decoder", max_candidates=400)[2], n, k, m
+
+
+@pytest.mark.parametrize("direction, source", [
+    *[pytest.param("encoder", text, id=text) for text in ["gr", *FREE_DIRECTION_CODES]],
+    *[pytest.param("decoder", seed, id=f"decoder-{seed}") for seed in DECODER_SEEDS],
+])
+def test_leaf_check_matches_full_completion(direction, source):
     # the leaf check reads only the rows a leaf fixes; a full completion of
-    # those rows, inverted, must give the same verdict and witness state
-    code = GR_CODE if text == "gr" else parse_code(text)
-    leaves, outcome = _recorded_leaves(code, max_candidates=400)
-    if text == "gr":
+    # those rows must give the same verdict and witness state: inverted,
+    # for an encoder, and by `is_noncatastrophic_decoder` for a decoder
+    search, n, k, m = _leaf_case(direction, source)
+    leaves, outcome = _recorded_leaves(direction, search)
+    if source == "gr":
         assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 400
     else:
-        assert outcome.verdict.non_catastrophic and len(leaves) > 1
-    n, k = code.n, code.k
-    m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
-    rejected = 0
+        assert outcome.non_catastrophic and len(leaves) > 1
+    rejected = dependent = 0
     for rows, found in leaves:
-        want = _cycle_state_of_inverse(complete_to_symplectic(PartialMap(m + n, tuple(rows))).inverse(), n, k, m)
+        if gf2.rank([ro for _, ro in rows]) < len(rows):
+            dependent += 1  # no map extends the rows, and the search passes over them
+            continue
+        smap = complete_to_symplectic(PartialMap(m + n, tuple(rows)))
+        if direction == "encoder":
+            want = _cycle_state_of_inverse(smap.inverse(), n, k, m)
+        else:
+            seed = is_noncatastrophic_decoder(smap, n, k).seed
+            want = None if seed is None else (seed.b, seed.ts)
+            assert (want is None) == brute_force_noncatastrophic(smap, n, k, m, "decoder")
         assert (found is None) == (want is None)
         if found is not None:
             assert found[0] == want[0] and list(found[1]) == list(want[1])
             rejected += 1
-    # every leaf but an accepted last one is catastrophic
-    accepted = 0 if text == "gr" else 1
-    assert rejected == len(leaves) - accepted > 0
-    # and deciding siblings together changes no leaf's state
-    _assert_leaves_match_one_leaf_checks(code, leaves)
+    # every leaf but an accepted last one is catastrophic, or extends to no map
+    accepted = 0 if source == "gr" else 1
+    assert len(leaves) - accepted == rejected + dependent > 0
+    if direction == "encoder":
+        assert dependent == 0  # the skeleton's ancilla Z inputs keep the outputs independent
+        # and deciding siblings together changes no leaf's state
+        _assert_leaves_match_one_leaf_checks(parse_code(source) if source != "gr" else GR_CODE, leaves)
+
+
+def test_search_completes_rows_whose_accepted_leaf_has_dependent_outputs():
+    # the first leaf the check accepts repeats an output row, so no map
+    # extends it; the search passes over it to the next
+    partial = PartialMap(5, ((0x80, 0x2), (0x100, 0x280), (0x3b3, 0x28a)))
+    smap, circ, verdict = complete_noncatastrophic(partial, 3, 1)
+    assert verdict.non_catastrophic and brute_force_noncatastrophic(smap, 3, 1, 2, "encoder")
+    assert all(smap.apply_vec(u) == v for u, v in partial.rows)
+    assert circuit_to_symplectic(circ) == smap and len(circ) == 24
+
+
+@pytest.mark.parametrize("direction", ["encoder", "decoder"])
+def test_search_completes_every_consistent_row_set(direction):
+    # rows `check_consistency` accepts give a non-catastrophic map that
+    # satisfies each of them, or an exhausted search, and no other error
+    rng = random.Random(40)
+    tally = {"completed": 0, "exhausted": 0}
+    for _ in range(400):
+        partial, n, k, m = _random_rows(rng, direction)
+        try:
+            smap, circ, verdict = complete_noncatastrophic(partial, n, k, direction)
+        except CompletionSearchExhausted:
+            tally["exhausted"] += 1
+            continue
+        assert verdict.non_catastrophic and brute_force_noncatastrophic(smap, n, k, m, direction)
+        assert all(smap.apply_vec(u) == v for u, v in partial.rows)
+        assert circuit_to_symplectic(circ) == smap
+        tally["completed"] += 1
+    assert tally["exhausted"] > 0 and tally["completed"] > 300
+
+
+def test_decoder_search_passes_a_catastrophic_first_completion():
+    # `complete_to_symplectic`'s own completion of these decoder rows is
+    # catastrophic; the search finds a non-catastrophic one, or exhausts
+    rng = random.Random(41)
+    tally = {"passed": 0, "exhausted": 0}
+    for _ in range(400):
+        partial, n, k, m = _random_rows(rng, "decoder")
+        if brute_force_noncatastrophic(complete_to_symplectic(partial), n, k, m, "decoder"):
+            continue
+        try:
+            smap, _, verdict = complete_noncatastrophic(partial, n, k, "decoder")
+        except CompletionSearchExhausted as exc:
+            # every consistent completion is catastrophic: the report counts
+            # the distinct dynamics (T, A) whose P the search computed
+            assert str(exc) == "every consistent completion is catastrophic"
+            assert 0 < exc.dynamics <= exc.tried < exc.budget
+            tally["exhausted"] += 1
+            continue
+        assert verdict.non_catastrophic and brute_force_noncatastrophic(smap, n, k, m, "decoder")
+        assert all(smap.apply_vec(u) == v for u, v in partial.rows)
+        tally["passed"] += 1
+    assert tally == {"passed": 21, "exhausted": 7}
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,7 +642,7 @@ def test_sibling_leaves_match_one_leaf_checks_on_small_codes(drawn):
     except (ParseError, CodeValidationError):
         return
     try:
-        leaves, _ = _recorded_leaves(code, max_candidates=200)
+        leaves, _ = _recorded_leaves("encoder", lambda: synthesize_encoder(code, max_candidates=200))
     except InputDataError:  # dependent last frames: refused before any search
         return
     event("one leaf" if len(leaves) == 1 else "several leaves")
@@ -585,7 +687,7 @@ def test_cycle_states_answer_every_candidate_in_its_turn():
 
 def test_gr_leaves_match_one_leaf_checks_past_the_first_nodes():
     # 3,000 leaves reach 24 last-level nodes; the first 400 cover only 4
-    leaves, outcome = _recorded_leaves(GR_CODE, max_candidates=3000)
+    leaves, outcome = _recorded_leaves("encoder", lambda: synthesize_encoder(GR_CODE, max_candidates=3000))
     assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 3000
     _assert_leaves_match_one_leaf_checks(GR_CODE, leaves)
 

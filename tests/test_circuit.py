@@ -188,7 +188,8 @@ def test_maps_are_fed_frame_by_frame_only_by_stream():
 
 def test_the_unobservable_subspace_has_one_loop():
     # V's Krylov loop lives in `_unobservable`, the one reader of a kernel
-    # off its functionals, and only the verdicts and the search call it
+    # off its functionals, and only the leaf checks of the two directions,
+    # which serve both the verdicts and the search, call it
     assert _callers("_unobservable") == [("catastrophic", "_cycle_states"), ("catastrophic", "_decoder_cycle_state")]
     assert _callers("kernel") == [("catastrophic", "_unobservable"), ("gf2", "nullspace")]
 
@@ -211,8 +212,12 @@ def test_one_gram_schmidt_and_the_requirement_is_its_gram_rows():
 
 
 def test_only_synthesis_and_the_decoder_telescope_a_requirement():
-    assert _callers("skeleton_commutation_matrix") == [
-        ("decoder", "derive_online_decoder"), ("pipeline", "synthesize_encoder")]
+    # skeleton, requirement, assignment, rows and the completion search,
+    # in both directions: the one search completes the one map
+    assert _callers("skeleton_commutation_matrix") == [("pipeline", "realize")]
+    assert _callers("complete_noncatastrophic") == [("pipeline", "realize")]
+    assert _callers("realize") == [("decoder", "derive_online_decoder"), ("pipeline", "synthesize_encoder")]
+    assert _callers("complete_to_symplectic") == [("catastrophic", "complete_noncatastrophic")]
 
 
 def test_is_symplectic_matches_pauli_products():

@@ -432,7 +432,7 @@ def test_derive_decoder(files, capsys):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_catastrophic_decoder_exits_1_and_writes_nothing(files, capsys, monkeypatch,
                                                          catastrophic_encoder_map, as_json):
-    # no shipped decoder is catastrophic, so force the verdict on FGG's
+    # the search returns only non-catastrophic decoders, so force the verdict on FGG's
     verdict = is_noncatastrophic(catastrophic_encoder_map, 2, 1)
     assert not verdict.non_catastrophic
     real = qconvenc.cli.derive_online_decoder
@@ -445,9 +445,9 @@ def test_catastrophic_decoder_exits_1_and_writes_nothing(files, capsys, monkeypa
     )
     assert code == 1 and err == ""
     if as_json:
-        assert json.loads(out) == {"decoder_memory": 2, "gates": 27, "verdict": "catastrophic"}
+        assert json.loads(out) == {"decoder_memory": 2, "gates": 26, "verdict": "catastrophic"}
     else:
-        assert out.splitlines() == ["decoder_memory: 2", "gates: 27", "verdict: catastrophic"]
+        assert out.splitlines() == ["decoder_memory: 2", "gates: 26", "verdict: catastrophic"]
     assert not out_path.exists()
 
 

@@ -298,22 +298,28 @@ def _draw_small_code(rng: random.Random) -> str:
 
 
 def test_decoder_census_of_random_small_codes():
-    # the first 40 seeded random codes that synthesize: each decoder either
-    # round-trips over N = 12 or fails in one of the two known ways of the
-    # decoder skeleton (dependent rows, a forced boundary product)
+    # the first 40 seeded random codes that synthesize: each decoder is
+    # non-catastrophic and round-trips over N = 12, or fails in one of the
+    # two known ways of the decoder skeleton (dependent rows, a forced
+    # boundary product).  Split by the encoder's memory: a memoryless
+    # encoder is a block code in effect
+    from test_catastrophic import brute_force_noncatastrophic
+
     rng = random.Random(11)
-    tally = {"round trip empty": 0, "dependent rows": 0, "boundary product": 0}
+    outcomes = ("round trip empty", "dependent rows", "boundary product")
+    strata = {"m = 0": dict.fromkeys(outcomes, 0), "m >= 1": dict.fromkeys(outcomes, 0)}
     draws = accepted = 0
     while accepted < 40:
         draws += 1
         try:
             code = parse_code(_draw_small_code(rng))
-            encoder = synthesize_encoder(code, max_candidates=200).circuit
+            encoder = synthesize_encoder(code, max_candidates=200)
         except QconvError:
             continue
         accepted += 1
+        tally = strata["m = 0" if encoder.memory == 0 else "m >= 1"]
         try:
-            decoder = derive_online_decoder(code, encoder)
+            decoder = derive_online_decoder(code, encoder.circuit)
         except MapConsistencyError as exc:
             assert str(exc) == "input rows are linearly dependent", code
             tally["dependent rows"] += 1
@@ -322,10 +328,19 @@ def test_decoder_census_of_random_small_codes():
             assert str(exc).startswith("boundary product "), code
             tally["boundary product"] += 1
             continue
-        assert windowed_roundtrip_failures(encoder, decoder, 12) == [], code
+        assert decoder.verdict.non_catastrophic, code
+        assert brute_force_noncatastrophic(decoder.map, code.n, code.k, decoder.memory, "decoder"), code
+        assert windowed_roundtrip_failures(encoder.circuit, decoder, 12) == [], code
         tally["round trip empty"] += 1
     # every outcome is met; a decoder skeleton that mends either fault moves these counts
-    assert (draws, tally) == (178, {"round trip empty": 23, "dependent rows": 12, "boundary product": 5})
+    totals = {o: sum(t[o] for t in strata.values()) for o in outcomes}
+    assert (draws, totals) == (178, {"round trip empty": 23, "dependent rows": 12, "boundary product": 5})
+    # all 22 memoryless encoders' decoders round-trip; of the 18 encoders
+    # with memory, only 1 decoder does
+    assert strata == {
+        "m = 0": {"round trip empty": 22, "dependent rows": 0, "boundary product": 0},
+        "m >= 1": {"round trip empty": 1, "dependent rows": 12, "boundary product": 5},
+    }
 
 
 def test_decoder_refuses_encoders_that_do_not_realize_the_code():
@@ -366,7 +381,6 @@ P 1
 H 1
 SWAP 2 1
 CNOT 2 3
-P 2
 """
 
 
