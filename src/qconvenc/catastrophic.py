@@ -54,11 +54,11 @@ a0.  Both residue(v) and v's dual memory field are linear in v, so a leaf
 gets them from the previous sibling's by XOR with those of the difference
 of the two outputs, which the node caches.  T and A, hence P, depend only
 on the images' dual memory fields, which recur across siblings and nodes,
-so one search computes P once per distinct value, a node reduces each
-basis state of P once, and it settles once per dual field which state
-decides a leaf for each value of c0 ^ residue(v).  After the node's
-set-up a leaf costs a few XORs and lookups: no residue and no row
-reduction.
+so one search computes P at most once per distinct value, a node reduces
+each basis state of P once, and it settles once per class of dual fields
+(below) which state decides a leaf for each value of c0 ^ residue(v).
+After the node's set-up a leaf costs a few XORs and lookups: no residue
+and no row reduction.
 
 Within a node, even a new dynamics need not recompute V.  A candidate v
 changes only the dual fields of the varying images, each by the same dv,
@@ -69,10 +69,21 @@ changed rows, T' s = T s ^ <dv ^ dv', s> u, and A' = A when no ancilla
 image varies.  If u lies in V, then T' maps V into itself, so V lies in
 V'; then u lies in V', and the same argument the other way gives V' = V.
 A node therefore computes V at its first new dynamics and tests u against
-it with one residue; when u lies in V, every later new dynamics of the
-node reads only its own P off that V, and otherwise each computes its own
-V.  V's basis is read off the reduced rows of its annihilator, which V
-alone fixes, so P, and every verdict, are those computed afresh.
+it with one residue; when u lies in V, no later dynamics of the node
+computes V, and otherwise each new one computes its own.  V's basis is
+read off the reduced rows of its annihilator, which V alone fixes, so P,
+and every verdict, are those computed afresh.
+
+Nor does a shared V need a P per dynamics.  On V, T' and T differ by
+<dv ^ dv', s> u with u in V, so T restricted to V, and with it P =
+T^dim V (V), depends on dv only through its restriction to V: the
+parities <dv, b> over V's basis.  The dual fields with one restriction
+form a class, and the node computes P and its decision (r1 and the two
+deciding states, below) once per class; without a shared V each dual
+field is its own class.  A bare GR search meets 64 dual fields per node
+but 4 restrictions, as dim V = 4.  The memo still holds every dynamics
+with its own images of T, read off the node's first: T' e_j = T e_j ^ u
+where bit j of dv ^ dv' is set.
 
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
@@ -267,9 +278,11 @@ def _cycle_states(
     `images` are the encoder's images of its memory inputs X_0..X_(m-1),
     Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
     not read (see the module docstring).  `memo` maps the images' dual
-    memory fields, which fix T and A, to the images of T and a basis of P;
-    the dynamics new to `memo` share the V of the first of them when it
-    holds u, the pull rows that the varying images change.
+    memory fields, which fix T and A, to the images of T and a basis of P.
+    Once a dynamics new to `memo` shows that its V holds u, the pull rows
+    that the varying images change, the node's later dynamics share that
+    V and fall into classes by their restriction to it; P, a memo entry's
+    basis, and the decision below are found once per class.
 
     The images are row-reduced once, as base: the fixed images and a_i ^ a0
     for the varying a_i, a0 the first of them.  A candidate's images span
@@ -281,10 +294,10 @@ def _cycle_states(
     pair is the previous candidate's XOR that of their difference, cached
     per difference.  Any order of candidates works; a `_solutions` walk
     has one difference per nullspace vector.  The candidates' dv recur,
-    and for each dv the memo entry, the residues and the decision are
-    found once: the first state of P with a nonzero residue r1, and the
-    first whose nonzero residue is not r1.  The first decides the leaf
-    unless c0 ^ residue(v) is r1, and then the second does.
+    and for each class the decision is found once: the first state of P
+    with a nonzero residue r1, and the first whose nonzero residue is not
+    r1.  The first decides the leaf unless c0 ^ residue(v) is r1, and then
+    the second does; either is returned with its own dv's images of T.
     """
     w = m + n
     # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
@@ -295,15 +308,18 @@ def _cycle_states(
     base = gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
     c0 = gf2.residue(*base, a0)
     node: dict = {}  # dual field of v -> the decision of the candidates with that field
+    classes: dict = {}  # class of dual fields -> P and its decision, as states
     placed: dict = {}  # state b -> residue of (I, b) modulo base
     steps: dict = {}  # difference d of two candidates -> dual field and residue of d
     last, dv, res = 0, 0, c0  # the previous candidate, its dual field and c0 ^ its residue
     # dv enters pull row m + i for a varying memory X_i and row i for Z_i:
     # T changes by a rank-1 term with image u, and A does not unless an
     # ancilla image varies.  If u lies in the V of one dynamics of the node,
-    # that V is every one's (see the module docstring)
-    u = None if any(i >= 2 * m for i in varying) else sum(1 << (i + m if i < m else i - m) for i in varying)
-    shared = None  # the node's V, once its first new dynamics showed it holds u
+    # that V is every one's, and P depends on dv only through its
+    # restriction to V (see the module docstring)
+    u = sum(1 << (i + m if i < m else i - m) for i in varying if i < 2 * m)
+    shares = all(i < 2 * m for i in varying)
+    stable = None  # the node's V, once a new dynamics showed it holds u
     for v in candidates:
         d = v ^ last
         if d not in steps:
@@ -315,24 +331,27 @@ def _cycle_states(
             for i in varying:
                 fields[i] ^= dv
             key = tuple(fields)
-            if key not in memo:
-                pull = list(key[m:2 * m] + key[:m])
-                ts = gf2.transpose(pull, 2 * m)
-                stable = shared
-                if stable is None:
-                    stable = _unobservable(pull, list(key[2 * m:]), m)
-                    # tested once, at the node's first new dynamics
-                    if u is not None and not gf2.residue(stable, [b.bit_length() - 1 for b in stable], u):
-                        shared = stable
-                    u = None
-                memo[key] = tuple(ts), _periodic_part(stable, ts)
-            ts, basis = memo[key]
-            for b in basis:
-                if b not in placed:
-                    placed[b] = gf2.residue(*base, _place(b, m, n, w))
-            marked = [(placed[b], (b, ts)) for b in basis if placed[b]]
-            r1, hit = marked[0] if marked else (0, None)
-            node[dv] = r1, hit, next((h for r, h in marked if r != r1), None)
+            entry = memo.get(key)
+            if not node:  # T's images at the node's first dynamics; a later one's differ by u
+                dv0, ts0 = dv, entry[0] if entry else tuple(gf2.transpose(key[m:2 * m] + key[:m], 2 * m))
+            ts = entry[0] if entry else tuple(t ^ u if (dv ^ dv0) >> j & 1 else t for j, t in enumerate(ts0))
+            if entry is None and stable is None:
+                fresh = _unobservable(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), m)
+                if shares and not gf2.residue(fresh, [b.bit_length() - 1 for b in fresh], u):
+                    stable = fresh
+            # a class per restriction of dv to the shared V, else per dv
+            cls = dv if stable is None else tuple(gf2.parity(dv & b) for b in stable)
+            if cls not in classes:
+                basis = entry[1] if entry else _periodic_part(fresh, ts)
+                for b in basis:
+                    if b not in placed:
+                        placed[b] = gf2.residue(*base, _place(b, m, n, w))
+                marked = [(placed[b], b) for b in basis if placed[b]]
+                r1, b1 = marked[0] if marked else (0, None)
+                classes[cls] = basis, r1, b1, next((b for r, b in marked if r != r1), None)
+            basis, r1, b1, b2 = classes[cls]
+            memo.setdefault(key, (ts, basis))
+            node[dv] = r1, None if b1 is None else (b1, ts), None if b2 is None else (b2, ts)
         r1, hit, other = node[dv]
         # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z),
         # that is when its residue modulo base is neither 0 nor c0 ^ residue(v)
@@ -420,8 +439,8 @@ def complete_noncatastrophic(
     read from its rows alone; only the accepted one is completed to a full
     map and synthesized, and one whose outputs are dependent, which no map
     extends, is passed over.  An encoder's leaves under a last-level node
-    are checked together, with P memoized per search and V shared within
-    a node when the node allows it (see the module docstring), and
+    are checked together, with P memoized per search, and V and P shared
+    within a node when the node allows it (see the module docstring), and
     `max_candidates` leaf checks are the search's only limit.
     """
     check_consistency(p)
@@ -455,9 +474,11 @@ def complete_noncatastrophic(
                 raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
             yield v
 
-    def leaves(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[List[Tuple[int, int]], object]]:
-        if level == len(directions):  # no free direction: the rows are the one leaf
-            yield rows_acc, next(_leaf_states(direction, _leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo))[1]
+    def leaves(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[List[Tuple[int, int]], int, Iterator]]:
+        # per last-level node: its rows, the last direction u and its leaves'
+        # (v, state) pairs; with no free direction the rows are the one leaf, u = 0
+        if level == len(directions):
+            yield rows_acc, 0, _leaf_states(direction, _leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo)
             return
         u = directions[level]
         rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
@@ -466,30 +487,34 @@ def complete_noncatastrophic(
             for v in candidates:
                 yield from leaves(rows_acc + [(u, v)], level + 1)
         else:  # decided together, each drawn only after the budget check
-            images = _leaf_images(coeffs, rows_acc)
-            for v, found in _leaf_states(direction, images, varying, candidates, n, k, m, memo):
-                yield rows_acc + [(u, v)], found
+            yield rows_acc, u, _leaf_states(direction, _leaf_images(coeffs, rows_acc), varying, candidates,
+                                               n, k, m, memo)
 
-    for rows, found in leaves(list(p.rows), 0):
-        tried += 1
-        if found is None and gf2.rank([out for _, out in rows]) == len(rows):
-            smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
-            return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
+    for node, u, states in leaves(list(p.rows), 0):
+        for v, found in states:
+            tried += 1
+            if found is None:
+                rows = node + [(u, v)] if u else node
+                if gf2.rank([out for _, out in rows]) == len(rows):
+                    smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
+                    return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
     raise exhausted("every consistent completion is catastrophic")
 
 
 def _solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
-    """Every x with row_i . x = rhs_i, lazily: the i-th is `gf2.solve`'s x XOR the nullspace
-    vectors that i's bits select.  That is increasing order: x is 0 at the free columns, and each
-    such vector tops out at its own, ascending (`gf2.row_reduce` pivots on lowest bits)."""
-    x = gf2.solve(rows, rhs, ncols)
-    if x is not None:
-        null = gf2.nullspace(rows, ncols)
-        prefix = gf2.matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
+    """Every x with row_i . x = rhs_i, lazily, from one reduction: (x, 1) spans the kernel of
+    [rows | rhs] with the kernel of rows, and the rhs column, free exactly when the system is
+    consistent, is its last free one.  The i-th is x, 0 at the free columns, XOR the kernel vectors
+    that i's bits select; each tops out at its own free column, ascending, so the order increases."""
+    null = gf2.nullspace([r | b << ncols for r, b in zip(rows, rhs)], ncols + 1)
+    if not null or not null[-1] >> ncols:  # a 0 = 1 row
+        return
+    x = null.pop() ^ 1 << ncols
+    prefix = gf2.matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
+    yield x
+    for i in range(1, 1 << len(null)):  # from i - 1 to i, bits 0..t flip, t = i's lowest set bit
+        x ^= prefix[(i & -i).bit_length() - 1]
         yield x
-        for i in range(1, 1 << len(null)):  # from i - 1 to i, bits 0..t flip, t = i's lowest set bit
-            x ^= prefix[(i & -i).bit_length() - 1]
-            yield x
 
 
 def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ParseError
 from .gf2 import invert as gf2_invert
-from .gf2 import matmul, parity, transpose
+from .gf2 import matmul, transpose
 from .pauli import PauliOperator
 
 __all__ = [
@@ -130,8 +130,14 @@ def _dual(v: int, width: int) -> int:
 def gram(vecs: Sequence[int], width: int) -> List[int]:
     """Symplectic Gram matrix of packed width-`width` vectors: bit j of row
     i is sp(vecs[i], vecs[j])."""
-    duals = [_dual(v, width) for v in vecs]
-    return [sum(parity(d & u) << j for j, u in enumerate(vecs)) for d in duals]
+    out = []
+    for v in vecs:
+        d, row = _dual(v, width), 0
+        for j, u in enumerate(vecs):
+            if (d & u).bit_count() & 1:
+                row |= 1 << j
+        out.append(row)
+    return out
 
 
 def _field(v: int, w: int, lo: int, size: int) -> int:

@@ -9,11 +9,11 @@ Exit codes: 0 success; 1 catastrophic verdict (check, which always
 settles the verdict; a built circuit with that verdict writes no --out
 file); 2 completion search exhausted (synthesize and derive-decoder, which
 with --json also report tried, budget, dynamics and reason on stdout;
-dynamics counts the distinct memory dynamics (T, A) whose periodic part
-the search computed); 64 bad usage; 65 unreadable/invalid input data,
-including a circuit that does not realize its code, a circuit wider than
-`circuit.MAX_WIDTH`, a code whose syndrome trellis needs more cells per
-step (states x branches) than simulate's cap of 2^18, an encoder whose
+dynamics counts the distinct memory dynamics (T, A) the search met); 64
+bad usage; 65 unreadable/invalid input data, including a circuit that
+does not realize its code, a circuit wider than `circuit.MAX_WIDTH`, a
+code whose syndrome trellis needs more cells per step (states x
+branches) than simulate's cap of 2^18, an encoder whose
 encoded logical never returns its memory to the identity (derive-decoder),
 a code whose skeleton rows no encoder satisfies (synthesize) and a job
 whose arrays do not fit in memory (such as a simulate window of 10^8

@@ -55,8 +55,8 @@ class TrellisError(QconvError):
 
 class CompletionSearchExhausted(QconvError):
     """No non-catastrophic completion found within the search budget;
-    `tried` leaf checks were made out of `budget`, and `dynamics` distinct
-    (T, A) pairs had their periodic part computed."""
+    `tried` leaf checks were made out of `budget`, and `dynamics` counts
+    the distinct memory dynamics (T, A) the search met."""
 
     def __init__(self, message: str, *, tried: int, budget: int, dynamics: int):
         self.tried = tried

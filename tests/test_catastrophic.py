@@ -36,6 +36,7 @@ from qconvenc.catastrophic import (
     subgroup_elements,
     zero_weight_graph,
 )
+from qconvenc.circuit import _dual, _field, _place
 from qconvenc.cli import main
 from qconvenc.errors import CodeValidationError, CompletionSearchExhausted, InputDataError, ParseError
 from qconvenc.library import (
@@ -362,11 +363,12 @@ def test_bare_css_search_exhausts_small_budget():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10).flatmap(lambda ncols: st.tuples(
-    st.just(ncols), st.lists(st.tuples(st.integers(0, (1 << ncols) - 1), st.integers(0, 1)), max_size=6)
+    st.just(ncols), st.lists(st.tuples(st.integers(0, (1 << ncols) - 1), st.integers(0, 1)), max_size=12)
 )))
 def test_solutions_come_lazily_in_increasing_order(system):
     # the search walks each direction's outputs in this order, unsorted:
-    # it must be the sorted solution set, empty when there is none
+    # it must be the sorted solution set, empty when there is none, also
+    # with more equations than columns, whose dependent rows meet
     ncols, equations = system
     rows, rhs = [r for r, _ in equations], [b for _, b in equations]
     got = list(_solutions(rows, rhs, ncols))
@@ -753,6 +755,56 @@ def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(
         assert basis == cat._periodic_part(real(pull, funcs, m), list(ts))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+    st.sampled_from(["u kept in V", "any A", "ancilla varies"]), st.randoms(use_true_random=False),
+)
+def test_a_node_computes_one_periodic_part_per_restriction_to_its_shared_subspace(m, n, k, mode, rnd):
+    # when u lies in V, dual fields with one restriction to V give one P:
+    # as many P's as restrictions among the candidates, else one per dynamics
+    import qconvenc.catastrophic as cat
+
+    k = min(k, n - 1)
+    w, reads = m + n, 2 * m + n - k
+    images = [rnd.getrandbits(2 * w) for _ in range(reads)]
+    varying = sorted(rnd.sample(range(2 * m), rnd.randint(1, 2 * m)))
+    if mode == "ancilla varies":
+        varying = sorted({*varying, rnd.randrange(2 * m, reads)})
+    u = sum(1 << (i + m if i < m else i - m) for i in varying)
+    if mode == "u kept in V":
+        # ancilla images whose dual memory fields vanish on the T-orbit of
+        # u (at v = 0) keep u in V, and V as small as that orbit when
+        # there are enough of them
+        fields = [_field(_dual(y, w), w, n, m) for y in images]
+        ts, orbit = gf2.transpose(fields[m:2 * m] + fields[:m], 2 * m), [u]
+        for _ in range(2 * m):
+            orbit += gf2.matmul(orbit[-1:], ts)
+        vanishing = gf2.nullspace(orbit, 2 * m)
+        for i in range(2 * m, reads):
+            f = vanishing[i % len(vanishing)] if vanishing else 0
+            swapped = f >> m | (f & ((1 << m) - 1)) << m  # the memory part whose dual field is f
+            images[i] = images[i] & ~_place((1 << 2 * m) - 1, m, n, w) | _place(swapped, m, n, w)
+            assert _field(_dual(images[i], w), w, n, m) == f
+    candidates = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 5))])
+    memo, periodic = {}, []
+    real = cat._periodic_part
+    with mock.patch.object(cat, "_periodic_part", lambda *a: periodic.append(a) or real(*a)):
+        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, memo)] == candidates
+    key = next(iter(memo))
+    v_ref = gf2.span(cat._unobservable(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), m))
+    if mode == "ancilla varies" or u not in v_ref:
+        assert mode != "u kept in V"
+        event("V not shared")
+        assert len(periodic) == len(memo)
+        return
+    # a candidate's dual field, restricted to V as its values on every state of V
+    fields = {_field(_dual(v, w), w, n, m) for v in candidates}
+    restrictions = {tuple(gf2.parity(dv & s) for s in v_ref) for dv in fields}
+    event("fewer classes than dynamics" if len(restrictions) < len(memo) else "one dynamics per class")
+    assert len(memo) == len(fields) and len(periodic) == len(restrictions)
+
+
 def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
     # operation counts, not timings: a leaf adds no row reduction and no
     # residue, a last-level node a few, a new (T, A) the ones of its
@@ -761,7 +813,7 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
 
     counts = []
     for budget in (400, 800):
-        calls = {"row_reduce": 0, "extend": 0, "nodes": 0, "residue": 0, "placed": 0, "V": 0}
+        calls = dict.fromkeys(["row_reduce", "extend", "nodes", "residue", "placed", "V", "P", "transpose"], 0)
 
         def counted(name, fn):
             def call(*args):
@@ -774,26 +826,35 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
                 mock.patch.object(gf2, "residue", counted("residue", gf2.residue)), \
                 mock.patch.object(cat, "_place", counted("placed", cat._place)), \
                 mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)), \
-                mock.patch.object(cat, "_unobservable", counted("V", cat._unobservable)):
+                mock.patch.object(cat, "_unobservable", counted("V", cat._unobservable)), \
+                mock.patch.object(cat, "_periodic_part", counted("P", cat._periodic_part)), \
+                mock.patch.object(gf2, "transpose", counted("transpose", gf2.transpose)):
             with pytest.raises(CompletionSearchExhausted) as info:
                 synthesize_encoder(GR_CODE, max_candidates=budget)
         counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics,
-                       calls["residue"], calls["placed"], calls["V"]))
-    (r1, e1, n1, d1, s1, p1, v1), (r2, e2, n2, d2, s2, p2, v2) = counts
+                       calls["residue"], calls["placed"], calls["V"], calls["P"], calls["transpose"]))
+    (r1, e1, n1, d1, s1, p1, v1, q1, t1), (r2, e2, n2, d2, s2, p2, v2, q2, t2) = counts
     assert (n1, d1, n2, d2) == (4, 64, 7, 128)
     # a node computes V once, at its first new dynamics, and shares it with
     # the others: one per dynamics made 64 and 128
     assert (v1, v2) == (1, 2)
+    # and P once per restriction of the dual fields to that V (4 of them
+    # on GR, where dim V = 4), the images of T by XOR past the node's first
+    # dynamics: one P and one transpose per dynamics made 64 and 128 each
+    assert (q1, q2) == (4, 8) and (t1, t2) == (1, 2)
     # a node's residues are c0's and one per distinct difference of
     # successive candidates, at most 2 + 2w (w = 10 on GR); one residue per
     # leaf made 434 and 849 calls
     assert s1 <= 100 and s2 <= 160
     assert s2 - s1 <= 22 * (n2 - n1) + (p2 - p1)
-    # the counts of deciding a node's leaves against one reduced span and
-    # one V, as bounds (one row reduction per leaf made 564 and 1,101
-    # row_reduce calls, one V per dynamics 421 and 814 extend calls)
-    assert r1 <= 89 and r2 <= 162
-    assert e1 <= 106 and e2 <= 184
+    # the counts of deciding a node's leaves against one reduced span, one
+    # V and one P per class, and of one reduction per candidate walk, as
+    # bounds (one row reduction per leaf made 564 and 1,101 row_reduce
+    # calls, one V per dynamics 421 and 814 extend calls, one P per
+    # dynamics and two reductions per walk 89 and 162 row_reduce and 106
+    # and 184 extend calls)
+    assert r1 <= 22 and r2 <= 32
+    assert e1 <= 39 and e2 <= 54
     # the 400 more leaves of the larger budget cost only their nodes and
     # dynamics; past the row reductions, extend runs only in V's loop
     assert r2 - r1 <= 3 * (n2 - n1) + 2 * (d2 - d1)
