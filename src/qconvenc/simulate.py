@@ -104,10 +104,17 @@ backward step gathers branches x states values per trial.  The table
 holds the one-qubit errors while their 3n x N^2 chunk cells fit.
 `estimate_wers` runs every block in the calling process, one after
 another.
+
+The frame tables, syndrome responses, trellis and automaton depend on the
+code alone, so a process builds them once per code and cap
+(`_code_tables`, which keeps the last `_CODES_CACHED` codes), and every
+`Simulator` of the code shares them, read-only.  The single-error tables
+and failure responses of its windows stay with each simulator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -334,160 +341,190 @@ class _Trellis(NamedTuple):
     tables: Optional[_Automaton]
 
 
+# codes whose decoding tables one process keeps (`_code_tables`)
+_CODES_CACHED = 8
+
+
+@functools.lru_cache(maxsize=_CODES_CACHED)
+def _code_tables(
+    code: ConvolutionalCode, cells: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Trellis]:
+    """The decoding tables of `code` under the cap `cells` (the caller's
+    `_BLOCK_CELLS`), built once per process and read-only: the frame
+    tables `_fwt`, `_keybits` and `_fkey` of `Simulator`, the syndrome
+    responses and their trellis.  A refusal raises `InputDataError` and
+    is not cached."""
+    n = code.n
+    if 4**n > cells:
+        raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {cells:,}")
+    # per-qubit codes I=0 X=1 Y=2 Z=3, wire 1 most significant, so code
+    # bits (z, x ^ z)
+    codes = np.arange(1 << (2 * n))
+    fwt = np.bitwise_count((codes | (codes >> n)) & ((1 << n) - 1)).astype(np.int16)
+    shifts = 2 * (n - 1 - np.arange(n))
+    z = (codes[:, None] >> (shifts + 1)) & 1
+    keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
+    fkey = np.empty(len(codes), dtype=np.min_scalar_type(len(codes)))
+    fkey[keybits @ (1 << np.arange(2 * n))] = codes
+    # the responses of ancilla Z are the generators, since the encoder realizes the code
+    synd = _response([[f.vec() for f in gen.frames] for gen in code.generators], n, code.nu)
+    tr = _build_trellis(fwt, keybits, fkey, synd, cells)
+    for a in (fwt, keybits, fkey, synd, *tr[1:5], *(tr.tables or ())[:5]):
+        a.setflags(write=False)
+    return fwt, keybits, fkey, synd, tr
+
+
+def _build_trellis(
+    fwt: np.ndarray, keybits: np.ndarray, fkey: np.ndarray, synd: np.ndarray, cells: int
+) -> _Trellis:
+    """The trellis of the syndrome responses from lag `lead`, the first at
+    which one is not the identity."""
+    r = synd.shape[2]
+    lead = int(synd.any(axis=(1, 2)).argmax())
+    resp = synd[lead:]
+    nu = max(2, len(resp))
+    # the chunk c_j(f) of every frame f at every lag j, padded to nu lags
+    frames = keybits[fkey]
+    chunk = np.zeros((nu, len(frames)), dtype=np.intp)
+    chunk[: len(resp)] = ((frames @ resp) & 1) @ (1 << np.arange(r))
+    # frames with one chunk vector are parallel: one class per vector,
+    # represented by its lightest, lex-least frame.  Sorted by vector
+    # from c_{nu-1} down, then by weight and key, the classes fall in
+    # one run per value in the image of c_{nu-1}, each led by its
+    # representative
+    order = np.lexsort(np.vstack([fkey, fwt, chunk]))
+    chunk = chunk[:, order]
+    first = np.flatnonzero(np.diff(chunk, prepend=-1).any(axis=0))
+    closing = np.bincount(chunk[-1, first], minlength=1 << r)
+    image = np.flatnonzero(closing)
+    nstates, nbranches = 1 << (r * (nu - 1)), len(first) // len(image)
+    if nstates * nbranches > cells:
+        raise InputDataError(
+            f"the syndrome trellis needs {nstates:,} states x {nbranches:,} branches"
+            f" = {nstates * nbranches:,} cells per step; the cap is {cells:,}"
+        )
+    runs = np.zeros((1 << r, nbranches), dtype=np.intp)
+    runs[image] = np.arange(len(first)).reshape(len(image), nbranches)
+    states = np.arange(nstates)
+    top = states >> (r * (nu - 2))
+    cls = runs[top].T
+    opened = (chunk[:-1, first] << (r * np.arange(nu - 1))[:, None]).sum(axis=0)
+    succ = ((states << r) & (nstates - 1)) ^ opened[cls]
+    dead = np.flatnonzero(closing[top] == 0)
+    branch = order[first][cls]
+    tr = _Trellis(lead, succ, fwt[branch], fkey[branch], dead, None)
+    return tr._replace(tables=_build_automaton(tr, 1 << r, len(fkey), cells))
+
+
+def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Optional[_Automaton]:
+    """The automaton of `_Automaton` over the trellis, or None when either
+    closure would touch more than `cells` cells.  `nokey` lies above every
+    frame key."""
+    nbranches, nstates = tr.succ.shape
+    # cells of one backward step of one vector under every chunk
+    cost = nchunks * nbranches * nstates
+
+    def steps(vecs):  # vectors (V, S) -> metrics (V, C, S) one frame earlier
+        beta = np.repeat(vecs, nchunks, axis=0)
+        c = np.tile(np.arange(nchunks), len(vecs))
+        step = Simulator._step(tr, beta.T, c, _INF).T
+        return np.ascontiguousarray(step).reshape(len(vecs), nchunks, nstates)
+
+    # the closure expands the vectors in the order it finds them
+    stepped = []
+
+    def normalized(vecs):
+        step = steps(vecs)
+        stepped.append(step)
+        # a dead vector, every state unreachable, stays all _INF
+        return np.where(step < _INF, step - step.min(axis=2, keepdims=True), _INF)
+
+    pinned = np.full((1, nstates), _INF, dtype=np.int32)
+    pinned[0, 0] = 0
+    # the walk's two or more seed sets would refuse more vectors than this
+    bwd = _closure(pinned, normalized, cells // (2 * cost), nchunks)
+    if bwd is None:
+        return None
+    vecs, _, succ = bwd
+    nvecs = len(vecs)
+    # every (vector after the frame, chunk, branch, state before it): the
+    # successor, and the frame's key if the branch is on an optimal path
+    # from the state, i.e. its weight plus the metric after it is the
+    # state's metric (both offset by the same minimum)
+    dst = tr.succ ^ np.arange(nchunks)[:, None, None]
+    after = vecs[:, dst]
+    ok = (after < _INF) & (tr.weight + after == np.concatenate(stepped)[:, :, None, :])
+    keyed = np.where(ok, tr.key, nokey)
+
+    keys = []
+
+    def walk(sets):  # walk sets (L, S) -> next walk sets (L, V * C, S)
+        cand = np.where(sets[:, None, None, None, :], keyed, nokey)
+        kmin = cand.min(axis=(3, 4))
+        keys.append(kmin.reshape(len(sets), -1))
+        hit = (cand == kmin[..., None, None]) & (cand < nokey)
+        nxt = np.zeros((len(sets), nvecs, nchunks, nstates), dtype=bool)
+        a, v, c, j, s = np.nonzero(hit)
+        nxt[a, v, c, dst[c, j, s]] = True
+        return nxt.reshape(len(sets), -1, nstates)
+
+    starts = np.concatenate([np.zeros((1, nstates), dtype=bool), vecs == 0])
+    # whole frontiers: its fanout V * C would cut batches to one set
+    fwd = _closure(starts, walk, cells // (nvecs * cost))
+    if fwd is None:
+        return None
+    sets, start, fnext = fwd
+    stride = nvecs * nchunks
+    return _Automaton(
+        back=(succ * nchunks).ravel(),
+        start=np.repeat(start[1:], nchunks) * stride,
+        fnext=fnext.ravel() * stride,
+        fkey=np.concatenate(keys).ravel().astype(tr.key.dtype),
+        ends=sets[:, 0],
+        stride=stride,
+    )
+
+
+def _response(emitted: List[List[int]], n: int, nframes: int) -> np.ndarray:
+    """Bits (lag, 2n, d): the symplectic dual (Z bits then X bits) of frame
+    `lag` of emitted[d], the identity past its end."""
+    duals = np.zeros((nframes, 1, len(emitted)), dtype=np.int64)
+    for d, frames in enumerate(emitted):
+        duals[: len(frames), 0, d] = [_dual(f, n) for f in frames]
+    return ((duals >> np.arange(2 * n)[:, None]) & 1).astype(np.uint8)
+
+
 class Simulator:
     """Decoder and failure test of one encoder, over the syndrome-former
     trellis of its code.
 
     The encoder must realize the code: `pipeline.verify_encoder` runs
     first and raises `InputDataError` for one that does not, or that is
-    narrower than one frame.  `_fwt` and `_fkey` are the weight and
-    lexicographic key of every physical frame (X bits then Z bits, wire 1
-    lowest), `_keybits` the frame bits of every key.  `_synd` holds the
-    syndrome responses, which for such an encoder are the generators, so
-    they are read off the code, and `_trellis` their one trellis, built
-    here, so a code over the `_BLOCK_CELLS` bound raises `InputDataError`
-    at construction.  The trellis decodes by its automaton when it has one,
-    as FGG's does, and otherwise, as GR's does, by the window's
-    single-error table (`_single_errors`, built on first use) and the
-    batched backward pass and forward walk for the syndromes it lacks.  The
-    batch methods take and return bit arrays of shape (trials, N, 2n)
-    or, for syndromes, (trials, N, n - k); the scalar methods are their
-    one-trial views on Pauli operators.
+    narrower than one frame.  The frame tables `_fwt`, `_keybits` and
+    `_fkey`, the syndrome responses `_synd` (for such an encoder the
+    generators, so they are read off the code) and their one trellis
+    `_trellis` depend on the code alone: every simulator of a code in one
+    process shares them (`_code_tables`), read-only, and a code over the
+    `_BLOCK_CELLS` bound raises `InputDataError` at construction.  The
+    trellis decodes by its automaton when it has one, as FGG's does, and
+    otherwise, as GR's does, by the window's single-error table
+    (`_single_errors`, built on first use, per simulator) and the batched
+    backward pass and forward walk for the syndromes it lacks.  The batch
+    methods take and return bit arrays of shape (trials, N, 2n) or, for
+    syndromes, (trials, N, n - k); the scalar methods are their one-trial
+    views on Pauli operators.
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
         smap = as_symplectic(encoder)
         verify_encoder(code, smap)
-        n, k = code.n, code.k
-        if 4**n > _BLOCK_CELLS:
-            raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {_BLOCK_CELLS:,}")
         self.code = code
         self.smap = smap
-        self.n, self.k, self.m = n, k, smap.width - n
-        self._nokey = 1 << (2 * n)  # above every frame key
+        self.n, self.k, self.m = code.n, code.k, smap.width - code.n
+        self._nokey = 1 << (2 * code.n)  # above every frame key
         self._responses: Dict[int, np.ndarray] = {}
         self._singles: Dict[int, Tuple[Dict[bytes, int], np.ndarray]] = {}
-        # weight and lex key of every physical frame, and the (X bits, Z
-        # bits) of the frame with every key: per-qubit codes I=0 X=1 Y=2
-        # Z=3, wire 1 most significant, so code bits (z, x ^ z)
-        nmask = (1 << n) - 1
-        codes = np.arange(1 << (2 * n))
-        self._fwt = np.bitwise_count((codes | (codes >> n)) & nmask).astype(np.int16)
-        shifts = 2 * (n - 1 - np.arange(n))
-        z = (codes[:, None] >> (shifts + 1)) & 1
-        self._keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
-        self._fkey = np.empty(len(codes), dtype=np.min_scalar_type(self._nokey))
-        self._fkey[self._keybits @ (1 << np.arange(2 * n))] = codes
-        # the responses of ancilla Z are the generators, since the encoder realizes the code
-        self._synd = self._response([[f.vec() for f in gen.frames] for gen in code.generators], code.nu)
-        self._trellis = self._build_trellis()
-
-    def _build_trellis(self) -> _Trellis:
-        """The trellis of the syndrome responses from lag `lead`, the
-        first at which one is not the identity."""
-        n, r = self.n, self.n - self.k
-        lead = int(self._synd.any(axis=(1, 2)).argmax())
-        resp = self._synd[lead:]
-        nu = max(2, len(resp))
-        # the chunk c_j(f) of every frame f at every lag j, padded to nu lags
-        frames = self._keybits[self._fkey]
-        chunk = np.zeros((nu, len(frames)), dtype=np.intp)
-        chunk[: len(resp)] = ((frames @ resp) & 1) @ (1 << np.arange(r))
-        # frames with one chunk vector are parallel: one class per vector,
-        # represented by its lightest, lex-least frame.  Sorted by vector
-        # from c_{nu-1} down, then by weight and key, the classes fall in
-        # one run per value in the image of c_{nu-1}, each led by its
-        # representative
-        order = np.lexsort(np.vstack([self._fkey, self._fwt, chunk]))
-        chunk = chunk[:, order]
-        first = np.flatnonzero(np.diff(chunk, prepend=-1).any(axis=0))
-        closing = np.bincount(chunk[-1, first], minlength=1 << r)
-        image = np.flatnonzero(closing)
-        nstates, nbranches = 1 << (r * (nu - 1)), len(first) // len(image)
-        if nstates * nbranches > _BLOCK_CELLS:
-            raise InputDataError(
-                f"the syndrome trellis needs {nstates:,} states x {nbranches:,} branches"
-                f" = {nstates * nbranches:,} cells per step; the cap is {_BLOCK_CELLS:,}"
-            )
-        runs = np.zeros((1 << r, nbranches), dtype=np.intp)
-        runs[image] = np.arange(len(first)).reshape(len(image), nbranches)
-        states = np.arange(nstates)
-        top = states >> (r * (nu - 2))
-        cls = runs[top].T
-        opened = (chunk[:-1, first] << (r * np.arange(nu - 1))[:, None]).sum(axis=0)
-        succ = ((states << r) & (nstates - 1)) ^ opened[cls]
-        dead = np.flatnonzero(closing[top] == 0)
-        branch = order[first][cls]
-        tr = _Trellis(lead, succ, self._fwt[branch], self._fkey[branch], dead, None)
-        return tr._replace(tables=self._build_automaton(tr))
-
-    def _build_automaton(self, tr: _Trellis) -> Optional[_Automaton]:
-        """The automaton of `_Automaton` over the trellis, or None when
-        either closure would touch more than `_BLOCK_CELLS` cells."""
-        nchunks = 1 << (self.n - self.k)
-        nbranches, nstates = tr.succ.shape
-        # cells of one backward step of one vector under every chunk
-        cost = nchunks * nbranches * nstates
-
-        def steps(vecs):  # vectors (V, S) -> metrics (V, C, S) one frame earlier
-            beta = np.repeat(vecs, nchunks, axis=0)
-            c = np.tile(np.arange(nchunks), len(vecs))
-            step = self._step(tr, beta.T, c, _INF).T
-            return np.ascontiguousarray(step).reshape(len(vecs), nchunks, nstates)
-
-        # the closure expands the vectors in the order it finds them
-        stepped = []
-
-        def normalized(vecs):
-            step = steps(vecs)
-            stepped.append(step)
-            # a dead vector, every state unreachable, stays all _INF
-            return np.where(step < _INF, step - step.min(axis=2, keepdims=True), _INF)
-
-        pinned = np.full((1, nstates), _INF, dtype=np.int32)
-        pinned[0, 0] = 0
-        # the walk's two or more seed sets would refuse more vectors than this
-        bwd = _closure(pinned, normalized, _BLOCK_CELLS // (2 * cost), nchunks)
-        if bwd is None:
-            return None
-        vecs, _, succ = bwd
-        nvecs = len(vecs)
-        # every (vector after the frame, chunk, branch, state before it): the
-        # successor, and the frame's key if the branch is on an optimal path
-        # from the state, i.e. its weight plus the metric after it is the
-        # state's metric (both offset by the same minimum)
-        dst = tr.succ ^ np.arange(nchunks)[:, None, None]
-        after = vecs[:, dst]
-        ok = (after < _INF) & (tr.weight + after == np.concatenate(stepped)[:, :, None, :])
-        keyed = np.where(ok, tr.key, self._nokey)
-
-        keys = []
-
-        def walk(sets):  # walk sets (L, S) -> next walk sets (L, V * C, S)
-            cand = np.where(sets[:, None, None, None, :], keyed, self._nokey)
-            kmin = cand.min(axis=(3, 4))
-            keys.append(kmin.reshape(len(sets), -1))
-            hit = (cand == kmin[..., None, None]) & (cand < self._nokey)
-            nxt = np.zeros((len(sets), nvecs, nchunks, nstates), dtype=bool)
-            a, v, c, j, s = np.nonzero(hit)
-            nxt[a, v, c, dst[c, j, s]] = True
-            return nxt.reshape(len(sets), -1, nstates)
-
-        starts = np.concatenate([np.zeros((1, nstates), dtype=bool), vecs == 0])
-        # whole frontiers: its fanout V * C would cut batches to one set
-        fwd = _closure(starts, walk, _BLOCK_CELLS // (nvecs * cost))
-        if fwd is None:
-            return None
-        sets, start, fnext = fwd
-        stride = nvecs * nchunks
-        return _Automaton(
-            back=(succ * nchunks).ravel(),
-            start=np.repeat(start[1:], nchunks) * stride,
-            fnext=fnext.ravel() * stride,
-            fkey=np.concatenate(keys).ravel().astype(self._fkey.dtype),
-            ends=sets[:, 0],
-            stride=stride,
-        )
+        self._fwt, self._keybits, self._fkey, self._synd, self._trellis = _code_tables(code, _BLOCK_CELLS)
 
     def _metric(self, nframes: int) -> Tuple[type, int]:
         """Metric dtype and unreachable-state sentinel of an nframes
@@ -519,22 +556,14 @@ class Simulator:
 
     # -- launches -------------------------------------------------------------
 
-    def _response(self, emitted: List[List[int]], nframes: int) -> np.ndarray:
-        """Bits (lag, 2n, d): the symplectic dual (Z bits then X bits) of
-        frame `lag` of emitted[d], the identity past its end."""
-        duals = np.zeros((nframes, 1, len(emitted)), dtype=np.int64)
-        for d, frames in enumerate(emitted):
-            duals[: len(frames), 0, d] = [_dual(f, self.n) for f in frames]
-        return ((duals >> np.arange(2 * self.n)[:, None]) & 1).astype(np.uint8)
-
     def _launches(self, nframes: int) -> np.ndarray:
         """Responses for the failure test (info X and Z) from identity
         memory, capped at the window: a catastrophic encoder's never end."""
         if nframes not in self._responses:
             r = self.n - self.k
             logical = [1 << (half + r + j) for half in (0, self.n) for j in range(self.k)]
-            self._responses[nframes] = self._response(
-                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], nframes)
+            self._responses[nframes] = _response(
+                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], self.n, nframes)
         return self._responses[nframes]
 
     def _single_errors(self, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
@@ -809,8 +838,9 @@ def estimate_wers(
     per depolarizing probability in `ps`.
 
     `encoder` is anything `as_symplectic` accepts that realizes `code`
-    (otherwise `InputDataError`); its one `Simulator`, and so its one
-    trellis, serves every point.  Trial i draws from its own counter range
+    (otherwise `InputDataError`); its one `Simulator` serves every point,
+    on the read-only trellis that every simulator of the code in the
+    process shares.  Trial i draws from its own counter range
     of one Philox stream keyed by `seed`, in [0, SEED_LIMIT), so results
     are bit-identical for any block size.  Every point runs in the calling
     process, in the same sample blocks.  The 95% halfwidth uses the

@@ -194,6 +194,14 @@ def test_the_unobservable_subspace_has_one_loop():
     assert _callers("kernel") == [("catastrophic", "_unobservable"), ("gf2", "nullspace")]
 
 
+def test_the_decoding_tables_have_one_builder():
+    # a code's trellis and automaton are built only by the cached builder
+    # that every simulator of the code shares
+    assert _callers("_build_trellis") == [("simulate", "_code_tables")]
+    assert _callers("_build_automaton") == [("simulate", "_build_trellis")]
+    assert _callers("_code_tables") == [("simulate", "__init__")]
+
+
 def test_only_synthesis_builds_the_encoder_skeleton():
     # check reads the requirement off the operators it verified
     assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]

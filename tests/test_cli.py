@@ -842,6 +842,35 @@ def test_simulate_builds_one_trellis_per_call(files, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_simulate_builds_each_code_once_per_process(files, capsys, gr_synthesis, tmp_path, monkeypatch):
+    # FGG, GR, then FGG again in one process: the second FGG run takes the
+    # tables of the first, and prints the same bytes
+    import qconvenc.simulate as simulate
+
+    built = []
+    build = simulate._build_trellis
+
+    def counting(fwt, *args):
+        built.append(len(fwt))  # 4^n frames: 64 on FGG, 256 on GR
+        return build(fwt, *args)
+
+    simulate._code_tables.cache_clear()
+    monkeypatch.setattr(simulate, "_build_trellis", counting)
+    (tmp_path / "gr_enc.circ").write_text(circuit_to_text(gr_synthesis.circuit))
+    fgg = ("fgg.qcc", files / "fgg_enc.circ")
+    runs = [fgg, ("gr.qcc", tmp_path / "gr_enc.circ"), fgg]
+    outs = []
+    for code, encoder in runs:
+        status, out, _ = run_cli(
+            capsys, "simulate", "--code", str(files / code), "--encoder", str(encoder),
+            "--p", "0.05,0.1", "--frames", "4", "--trials", "40", "--seed", "7", "--json",
+        )
+        assert status == 0
+        outs.append(out)
+    assert built == [64, 256]
+    assert outs[2] == outs[0] and outs[1] != outs[0]
+
+
 def test_simulate_ignores_workers_and_forks_no_child(files, capsys):
     args = [
         "simulate", "--code", str(files / "fgg.qcc"), "--encoder", str(files / "fgg_enc.circ"),

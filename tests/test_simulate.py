@@ -20,7 +20,9 @@ tests of the batched decoder run it on a copy without the automaton
 (`batched`).  The batched pass's single-error table is held against the
 lex-least one-qubit error of every syndrome by the product route
 (`oracles.single_error_table`), and its decode against the decode of a
-copy whose table is empty.
+copy whose table is empty.  The decoding tables that every simulator of
+a code shares in one process are held read-only, built once per code
+and cap, and held against fresh builds after the cache is cleared.
 """
 
 import copy
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 
 from qconvenc import PauliOperator, SymplecticMap, parse_code, synthesize_encoder
 from qconvenc.code import from_classical_polynomial
-from qconvenc.library import FGG_CODE, GR_CODE
+from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, GR_CODE
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
 from qconvenc.errors import CodeValidationError, InputDataError, ParseError, QconvError, TrellisError
@@ -799,6 +801,7 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
+    simulate_module._code_tables.cache_clear()  # a fresh build
     estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
     assert len(calls) == 12
     assert calls[:2] == [(256, 4), (256, 4)] and len({shape for shape in calls[2:]}) == 1
@@ -1017,6 +1020,7 @@ def test_gr_decodes_by_the_batched_pass(gr_synthesis, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
+    simulate_module._code_tables.cache_clear()  # a fresh build
     assert Simulator(GR_CODE, gr_synthesis.circuit)._trellis.tables is None
     assert calls == [(256, 4), (256, 4)]
 
@@ -1054,7 +1058,10 @@ def test_automaton_and_batched_pass_share_one_trellis(fgg_reference_encoder):
 )
 def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt, message):
     sim = Simulator(FGG_CODE, fgg_reference_encoder)
-    tab = sim._trellis.tables
+    # corrupt private copies: the shared tables are read-only
+    shared = sim._trellis.tables
+    tab = shared._replace(fnext=shared.fnext.copy(), fkey=shared.fkey.copy())
+    sim._trellis = sim._trellis._replace(tables=tab)
     # the entry of a one-frame window with chunk 1: from the walk set of
     # the vector before the frame, with the pinned vector 0 after it
     entry = tab.start[tab.back[1]] + 1
@@ -1065,3 +1072,95 @@ def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt,
         tab.fkey[entry] = sim._nokey
     with pytest.raises(TrellisError, match=message):
         sim.decode_block(syndrome)
+
+
+# -- the decoding tables one process shares per code ---------------------------
+
+
+def shared_arrays(sim):
+    """Every array of the code's shared tables that a simulator holds."""
+    tr = sim._trellis
+    arrays = [sim._fwt, sim._keybits, sim._fkey, sim._synd, tr.succ, tr.weight, tr.key, tr.dead]
+    return arrays + [v for v in tr.tables or () if isinstance(v, np.ndarray)]
+
+
+def test_equal_codes_share_one_build(fgg_reference_encoder):
+    simulate_module._code_tables.cache_clear()
+    a = Simulator(parse_code(FGG_CODE_TEXT), fgg_reference_encoder)
+    b = Simulator(parse_code(FGG_CODE_TEXT), fgg_reference_encoder)
+    assert a.code is not b.code and a._trellis is b._trellis
+    assert all(x is y for x, y in zip(shared_arrays(a), shared_arrays(b)))
+    info = simulate_module._code_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the per-window tables stay with each simulator
+    assert a._single_errors(4) is not b._single_errors(4)
+
+
+def test_each_cap_builds_its_own_tables(fgg_reference_encoder, gr_synthesis, monkeypatch):
+    default = Simulator(FGG_CODE, fgg_reference_encoder)._trellis
+    simulate_module._code_tables.cache_clear()
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 10)
+    # at this cap FGG's walk sets overflow their closure, so it has no automaton
+    small = Simulator(FGG_CODE, fgg_reference_encoder)._trellis
+    assert small is not default and default.tables is not None and small.tables is None
+    # a refusal is raised each time and never cached
+    for _ in range(2):
+        with pytest.raises(InputDataError, match="256 states x 16 branches"):
+            Simulator(GR_CODE, gr_synthesis.circuit)
+    info = simulate_module._code_tables.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+    monkeypatch.undo()
+    assert Simulator(FGG_CODE, fgg_reference_encoder)._trellis.tables is not None
+
+
+@pytest.mark.parametrize("which", ["fgg", "gr"])
+def test_shared_arrays_are_read_only(request, which):
+    sim = request.getfixturevalue(f"{which}_simulator")
+    arrays = shared_arrays(sim)
+    assert len(arrays) == (13 if which == "fgg" else 8)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_the_cache_keeps_at_most_its_bound():
+    simulate_module._code_tables.cache_clear()
+    codes = {}
+    seed = 0
+    while len(codes) <= simulate_module._CODES_CACHED:
+        code, smap = random_realized(2, 1, 1, seed)
+        codes.setdefault(code, smap)
+        seed += 1
+    for code, smap in codes.items():
+        Simulator(code, smap)
+    info = simulate_module._code_tables.cache_info()
+    assert info.misses == len(codes) and info.maxsize == info.currsize == simulate_module._CODES_CACHED
+
+
+@pytest.mark.parametrize("which", ["fgg", "gr", "lead", "realized"])
+def test_outputs_equal_on_a_hit_and_after_a_clear(request, lead_code, which):
+    code, encoder = {
+        "fgg": lambda: (FGG_CODE, request.getfixturevalue("fgg_reference_encoder")),
+        "gr": lambda: (GR_CODE, request.getfixturevalue("gr_synthesis").circuit),
+        "lead": lambda: lead_code,
+        "realized": lambda: random_realized(3, 1, 2, 0),
+    }[which]()
+    nframes, ps = 5, [0.05, 0.2]
+    errors = np.concatenate([_sample_block(p, code.n, nframes, 8, 0, 40) for p in ps])
+
+    def outputs():
+        sim = Simulator(code, encoder)
+        syndromes = sim.syndrome_block(errors)
+        est = sim.decode_block(syndromes)
+        counts = [r.failures for r in estimate_wers(code, encoder, ps, nframes, 30, seed=3)]
+        return sim._trellis, syndromes, est, sim.failure_block(errors ^ est), counts
+
+    simulate_module._code_tables.cache_clear()
+    fresh = outputs()
+    hit = outputs()
+    assert hit[0] is fresh[0]
+    simulate_module._code_tables.cache_clear()
+    rebuilt = outputs()
+    assert rebuilt[0] is not fresh[0]
+    for a, b, c in zip(fresh[1:], hit[1:], rebuilt[1:]):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
