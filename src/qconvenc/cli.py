@@ -6,19 +6,18 @@ settles catastrophicity, `derive-decoder` produces the matching online
 decoder, and `simulate` runs the depolarizing-channel Monte Carlo.
 
 Exit codes: 0 success; 1 catastrophic verdict (check, which always
-settles the verdict; a built circuit with that verdict writes no --out
-file); 2 completion search exhausted (synthesize and derive-decoder, which
-with --json also report tried, budget, dynamics and reason on stdout;
-dynamics counts the distinct memory dynamics (T, A) the search met); 64
-bad usage; 65 unreadable/invalid input data, including a circuit that
-does not realize its code, a circuit wider than `circuit.MAX_WIDTH`, a
-code whose syndrome trellis needs more cells per step (states x
-branches) than simulate's cap of 2^18, an encoder whose
-encoded logical never returns its memory to the identity (derive-decoder),
-a code whose skeleton rows no encoder satisfies (synthesize) and a job
-whose arrays do not fit in memory (such as a simulate window of 10^8
-frames); 70 internal consistency violation (a skeleton or synthesis that
-contradicts itself).
+settles the verdict); 2 completion search exhausted (synthesize and
+derive-decoder, which with --json also report tried, budget, dynamics
+and reason on stdout; dynamics counts the distinct memory dynamics
+(T, A) the search met); 64 bad usage; 65 unreadable/invalid input data,
+including a circuit that does not realize its code, a circuit wider than
+`circuit.MAX_WIDTH`, a code whose syndrome trellis needs more cells per
+step (states x branches) than simulate's cap of 2^18, an encoder whose
+encoded logical never returns its memory to the identity
+(derive-decoder), a code whose skeleton rows no encoder satisfies
+(synthesize) and a job whose arrays do not fit in memory (such as a
+simulate window of 10^8 frames); 70 internal consistency violation (a
+skeleton, synthesis or completion search that contradicts itself).
 """
 
 from __future__ import annotations
@@ -133,12 +132,13 @@ def _render_witness(witness) -> List[str]:
 def _emit_circuit_report(report: dict, result: Realization, args: argparse.Namespace) -> int:
     """Complete and emit the report of a built encoder or decoder: its gate
     count and verdict, the `--out` file (JSON if it ends in .json) and the
-    `--skeleton` rows.  A catastrophic circuit is reported but not written,
-    and exits 1."""
-    ok = result.verdict.non_catastrophic
+    `--skeleton` rows.  The completion search returns only non-catastrophic
+    circuits: any other verdict is an internal inconsistency."""
+    if not result.verdict.non_catastrophic:
+        raise SynthesisError(f"the completion search returned a {_verdict_word(False)} circuit")
     report["gates"] = len(result.circuit)
-    report["verdict"] = _verdict_word(ok)
-    if args.out and ok:
+    report["verdict"] = _verdict_word(True)
+    if args.out:
         if args.out.endswith(".json"):
             roles = wire_roles(result.code.n, result.code.k, result.memory, result.skeleton.direction)
             payload = circuit_to_json(result.circuit, *roles)
@@ -150,7 +150,7 @@ def _emit_circuit_report(report: dict, result: Realization, args: argparse.Names
     if args.skeleton:
         report["skeleton"] = _text_block(_render_skeleton(result.skeleton), args)
     _emit(report, args)
-    return EX_OK if ok else EX_CATASTROPHIC
+    return EX_OK
 
 
 def _cmd_info(args: argparse.Namespace) -> int:

@@ -23,15 +23,16 @@ logical content: equivalently, when its pullback shows anything but the
 identity on an info wire.  Residuals inside the stabilizer group pull
 back to pure ancilla-Z content and count as successes.
 
-The engine works on blocks of trials held as numpy bit arrays of shape
-(trials, N, 2n), each frame laid out as its X bits then its Z bits.  The
-pullback is GF(2)-linear, so a pulled-back bit is the symplectic product
-of the window error with the encoder's image of the matching unencoded
-basis operator launched at that frame: ancilla Z for a syndrome bit,
-info X or Z for the failure test.  Those images are the same at every
-launch frame, shifted, so each is stored once as its per-frame response
-and the products are sums over response lags of uint8 matrix products
-(parity survives the uint8 wrap-around since 256 is even).
+A block of trials is one frame key per (trial, frame), a symbol per
+qubit (I = 0, X = 1, Y = 2, Z = 3, bits z and x ^ z), wire 1 most
+significant: the key of a product is the XOR of the keys.  A pulled-back
+bit is the symplectic product of the window error with the encoder's
+image of the matching unencoded basis operator launched at that frame:
+ancilla Z for a syndrome bit, info X or Z for the failure test.  The
+images are the same at every launch frame, shifted, so `_response` maps
+each frame key to its packed products with each lag of the one image,
+and a launch's bits are the XOR of those lookups over the lags.  A
+syndrome chunk packs a launch's n - k bits, generator a at bit a.
 
 The decoder runs over the syndrome-former trellis (Schalkwijk and Vinck,
 IEEE Trans. Commun. 1976).  Frame f adds the r = n - k bit chunk c_j(f)
@@ -97,19 +98,19 @@ its 4 successors find 9 shifted metrics, over the 8 that fit.
 refuses a trellis whose one step of one trial would not fit it.  A
 sample block holds the same trials at every point, each sampled per
 point and then syndromed, decoded and failure-tested in one call per
-layer, and holds a trial's Philox words and N x 2n error bits per point;
-the batched pass takes the block's trials that miss the single-error
-table in groups held by their (N + 1) x states backward metrics; and one
-backward step gathers branches x states values per trial.  The table
-holds the one-qubit errors while their 3n x N^2 chunk cells fit.
-`estimate_wers` runs every block in the calling process, one after
-another.
+layer, and holds a trial's Philox words and 2n N cells of sampling per
+point; the batched pass takes the block's trials that miss the
+single-error table in groups held by their (N + 1) x states backward
+metrics; and one backward step gathers branches x states values per
+trial.  The table holds the one-qubit errors while their 3n x N^2 chunk
+cells fit.  `estimate_wers` runs every block in the calling process,
+one after another.
 
-The frame tables, syndrome responses, trellis and automaton depend on the
-code alone, so a process builds them once per code and cap
-(`_code_tables`, which keeps the last `_CODES_CACHED` codes), and every
-`Simulator` of the code shares them, read-only.  The single-error tables
-and failure responses of its windows stay with each simulator.
+The syndrome tables, trellis and automaton depend on the code alone, so
+a process builds them once per code and cap (`_code_tables`, which keeps
+the last `_CODES_CACHED` codes), and every `Simulator` of the code
+shares them, read-only.  The single-error tables and failure tables of
+its windows stay with each simulator.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import _dual, as_symplectic
+from .circuit import as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import SEED_LIMIT, InputDataError, TrellisError
 from .pauli import PauliOperator
@@ -145,8 +146,8 @@ _INF16 = 1 << 14
 
 # Upper bound on the cells one batch of trials holds, divided among the
 # trials by what each holds in the array that batch bounds:
-# - a sample block, 4 x `_trial_counters` Philox words and N x 2n error
-#   bits per trial and point;
+# - a sample block, 4 x `_trial_counters` Philox words and 2n N cells
+#   (each qubit's threshold tests and symbol) per trial and point;
 # - a decode group of the batched pass, (N + 1) x states backward metrics;
 # - a backward step call, branches x states gathered and added values.
 # On GR at N = 10 that is 1,724 trials per sample block (862 at each of
@@ -172,13 +173,6 @@ class DepolarizingChannel:
             raise ValueError("depolarizing probability must lie in [0, 1]")
 
 
-def _depolarize(u: np.ndarray, p: float) -> Tuple[np.ndarray, np.ndarray]:
-    """X and Z bits of a depolarizing error from one uniform in [0, 1) per
-    qubit: u < p hits, and floor(3u / p) picks X, Y or Z, so u below p/3
-    is X, below 2p/3 is Y and below p is Z, each with probability p/3."""
-    return u < 2 * p / 3, (u >= p / 3) & (u < p)
-
-
 def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
@@ -191,8 +185,9 @@ def _unpack(v: int, length: int) -> np.ndarray:
 def sample_error(ch: DepolarizingChannel, length: int, rng: np.random.Generator) -> PauliOperator:
     if length < 1:
         raise ValueError("need at least one qubit")
-    x, z = _depolarize(rng.random(length), ch.p)
-    return PauliOperator(length, _pack(x), _pack(z))
+    # u below p/3 is X, below 2p/3 is Y and below p is Z, each at rate p/3
+    u, p = rng.random(length), ch.p
+    return PauliOperator(length, _pack(u < 2 * p / 3), _pack((u >= p / 3) & (u < p)))
 
 
 def _trial_counters(n: int, nframes: int) -> int:
@@ -202,18 +197,20 @@ def _trial_counters(n: int, nframes: int) -> int:
 
 
 def _sample_block(p: float, n: int, nframes: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Errors of trials lo..hi-1.  One Philox stream is keyed by the seed,
-    and trial i owns the counter range from i times `_trial_counters`, so
-    a block is one `advance` and one `random_raw` draw, and its trials do
-    not depend on where blocks start.  Each word becomes a uniform as
-    `Generator.random` makes it, from its top 53 bits."""
+    """Frame keys (trials, N) of trials lo..hi-1.  One Philox stream is
+    keyed by the seed, and trial i owns the counter range from i times
+    `_trial_counters`, so a block is one `advance` and one `random_raw`
+    draw, and its trials do not depend on where blocks start.  A word
+    makes u < c, as `Generator.random` reads it, exactly when it lies
+    below ceil(c 2^53) 2^11 (c < 1); the symbol is 3[u < p] - [u < p/3] -
+    [u < 2p/3], as in `sample_error`."""
     stride = _trial_counters(n, nframes)
     bits = np.random.Philox(key=seed)
     bits.advance(lo * stride)
     raw = bits.random_raw((hi - lo) * 4 * stride).reshape(hi - lo, 4 * stride)
-    u = (raw[:, : n * nframes] >> 11) * 2.0**-53
-    x, z = _depolarize(u.reshape(hi - lo, nframes, n), p)
-    return np.concatenate([x, z], axis=2).astype(np.uint8)
+    words = raw[:, : n * nframes].reshape(hi - lo, nframes, n)
+    third, two_thirds, hit = (words < (math.ceil(c * 2.0**53) << 11) for c in (p / 3, 2 * p / 3, p))
+    return (3 * hit.view(np.uint8) - third - two_thirds) @ (4 ** np.arange(n - 1, -1, -1))
 
 
 def _infer_frames(code: ConvolutionalCode, error: PauliOperator, nframes: Optional[int]) -> int:
@@ -258,9 +255,10 @@ def syndrome_by_products(
 
 
 def _row_bytes(rows: np.ndarray) -> List[bytes]:
-    """Each row's bytes, as one void scalar per row."""
+    """Each row's bytes, as one void scalar per row, sized by the row: a
+    one-row view counts as contiguous whatever its row stride."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.strides[0]}").ravel().tolist()
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
 
 
 class _Automaton(NamedTuple):
@@ -327,10 +325,10 @@ class _Trellis(NamedTuple):
 
     `succ[b, s]` is the successor of state s on its branch b under chunk
     0 (chunk c XORs c into it), and `weight[b, s]` and `key[b, s]` the
-    weight and lexicographic key of the frame that branch emits.  `dead`
-    lists the states with no branch, `tables` is the decoding automaton
-    when its closures fit `_BLOCK_CELLS`, and the decoded frames start
-    `lead` frames into the window.
+    weight and key of the frame that branch emits.  `dead` lists the
+    states with no branch, `tables` is the decoding automaton when its
+    closures fit `_BLOCK_CELLS`, and the decoded frames start `lead`
+    frames into the window.
     """
 
     lead: int
@@ -346,53 +344,44 @@ _CODES_CACHED = 8
 
 
 @functools.lru_cache(maxsize=_CODES_CACHED)
-def _code_tables(
-    code: ConvolutionalCode, cells: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, _Trellis]:
+def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trellis]:
     """The decoding tables of `code` under the cap `cells` (the caller's
-    `_BLOCK_CELLS`), built once per process and read-only: the frame
-    tables `_fwt`, `_keybits` and `_fkey` of `Simulator`, the syndrome
-    responses and their trellis.  A refusal raises `InputDataError` and
-    is not cached."""
+    `_BLOCK_CELLS`), built once per process and read-only: the syndrome
+    tables `_synd` of `Simulator` and their trellis.  A refusal raises
+    `InputDataError` and is not cached."""
     n = code.n
     if 4**n > cells:
         raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {cells:,}")
-    # per-qubit codes I=0 X=1 Y=2 Z=3, wire 1 most significant, so code
-    # bits (z, x ^ z)
-    codes = np.arange(1 << (2 * n))
-    fwt = np.bitwise_count((codes | (codes >> n)) & ((1 << n) - 1)).astype(np.int16)
-    shifts = 2 * (n - 1 - np.arange(n))
-    z = (codes[:, None] >> (shifts + 1)) & 1
-    keybits = np.concatenate([z ^ ((codes[:, None] >> shifts) & 1), z], axis=1).astype(np.uint8)
-    fkey = np.empty(len(codes), dtype=np.min_scalar_type(len(codes)))
-    fkey[keybits @ (1 << np.arange(2 * n))] = codes
     # the responses of ancilla Z are the generators, since the encoder realizes the code
-    synd = _response([[f.vec() for f in gen.frames] for gen in code.generators], n, code.nu)
-    tr = _build_trellis(fwt, keybits, fkey, synd, cells)
-    for a in (fwt, keybits, fkey, synd, *tr[1:5], *(tr.tables or ())[:5]):
+    synd = _response([[f.vec() for f in gen.frames] for gen in code.generators], n)
+    tr = _build_trellis(synd, n, n - code.k, cells)
+    for a in (synd, *tr[1:5], *(tr.tables or ())[:5]):
         a.setflags(write=False)
-    return fwt, keybits, fkey, synd, tr
+    return synd, tr
 
 
-def _build_trellis(
-    fwt: np.ndarray, keybits: np.ndarray, fkey: np.ndarray, synd: np.ndarray, cells: int
-) -> _Trellis:
-    """The trellis of the syndrome responses from lag `lead`, the first at
-    which one is not the identity."""
-    r = synd.shape[2]
-    lead = int(synd.any(axis=(1, 2)).argmax())
+def _weight(keys: np.ndarray, n: int) -> np.ndarray:
+    """Pauli weights of n-qubit frame keys: the symbols that are not I."""
+    return np.bitwise_count((keys | (keys >> 1)) & sum(1 << (2 * q) for q in range(n)))
+
+
+def _build_trellis(synd: np.ndarray, n: int, r: int, cells: int) -> _Trellis:
+    """The trellis of the syndrome tables from lag `lead`, the first at
+    which one is not zero."""
+    lead = int(synd.any(axis=1).argmax())
     resp = synd[lead:]
     nu = max(2, len(resp))
-    # the chunk c_j(f) of every frame f at every lag j, padded to nu lags
-    frames = keybits[fkey]
-    chunk = np.zeros((nu, len(frames)), dtype=np.intp)
-    chunk[: len(resp)] = ((frames @ resp) & 1) @ (1 << np.arange(r))
+    # the chunk c_j(f) of every frame key f at every lag j, padded to nu lags
+    chunk = np.zeros((nu, 4**n), dtype=np.intp)
+    chunk[: len(resp)] = resp
+    # int16, so that adding it to the metrics casts nothing
+    weight = _weight(np.arange(4**n), n).astype(np.int16)
     # frames with one chunk vector are parallel: one class per vector,
     # represented by its lightest, lex-least frame.  Sorted by vector
-    # from c_{nu-1} down, then by weight and key, the classes fall in
-    # one run per value in the image of c_{nu-1}, each led by its
-    # representative
-    order = np.lexsort(np.vstack([fkey, fwt, chunk]))
+    # from c_{nu-1} down, then by weight (the sort is stable, so keys
+    # ascend among equals), the classes fall in one run per value in the
+    # image of c_{nu-1}, each led by its representative
+    order = np.lexsort(np.vstack([weight, chunk]))
     chunk = chunk[:, order]
     first = np.flatnonzero(np.diff(chunk, prepend=-1).any(axis=0))
     closing = np.bincount(chunk[-1, first], minlength=1 << r)
@@ -412,8 +401,8 @@ def _build_trellis(
     succ = ((states << r) & (nstates - 1)) ^ opened[cls]
     dead = np.flatnonzero(closing[top] == 0)
     branch = order[first][cls]
-    tr = _Trellis(lead, succ, fwt[branch], fkey[branch], dead, None)
-    return tr._replace(tables=_build_automaton(tr, 1 << r, len(fkey), cells))
+    tr = _Trellis(lead, succ, weight[branch], branch.astype(np.min_scalar_type(4**n)), dead, None)
+    return tr._replace(tables=_build_automaton(tr, 1 << r, 4**n, cells))
 
 
 def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Optional[_Automaton]:
@@ -485,13 +474,41 @@ def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Opti
     )
 
 
-def _response(emitted: List[List[int]], n: int, nframes: int) -> np.ndarray:
-    """Bits (lag, 2n, d): the symplectic dual (Z bits then X bits) of frame
-    `lag` of emitted[d], the identity past its end."""
-    duals = np.zeros((nframes, 1, len(emitted)), dtype=np.int64)
-    for d, frames in enumerate(emitted):
-        duals[: len(frames), 0, d] = [_dual(f, n) for f in frames]
-    return ((duals >> np.arange(2 * n)[:, None]) & 1).astype(np.uint8)
+def _response(emitted: List[List[int]], n: int) -> np.ndarray:
+    """Tables (lag, 4^n), over the lags of the longest of `emitted`: bit d
+    of entry [lag, f] is the symplectic product of the frame with key f
+    and frame `lag` of emitted[d], the identity past its end."""
+    frames = np.zeros((len(emitted), max(map(len, emitted), default=0)), dtype=np.int64)
+    for d, seq in enumerate(emitted):
+        frames[d, : len(seq)] = seq
+    # per wire, ex gz + ez gx = (ex ^ ez) gz + ez (gx ^ gz): the product is
+    # the parity of the key and a mask of symbol bits (gx ^ gz, gz)
+    wires = np.arange(n)
+    gx, gz = ((frames[..., None] >> (wires + half)) & 1 for half in (0, n))
+    masks = (((gx ^ gz) << 1 | gz) << (2 * (n - 1 - wires))).sum(axis=2)
+    tables = np.zeros((frames.shape[1], 4**n), dtype=np.min_scalar_type((1 << len(emitted)) - 1))
+    for d, mask in enumerate(masks):
+        tables |= ((np.bitwise_count(mask[:, None] & np.arange(4**n)) & 1) << d).astype(tables.dtype)
+    return tables
+
+
+def _lagged(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Packed bits (trials, N) of the launches at every frame: the XOR,
+    over the lags of `_response` tables, of the entries of the frames
+    that each lag reaches."""
+    nframes = keys.shape[1]
+    acc = np.zeros(keys.shape, dtype=tables.dtype)
+    for lag in np.flatnonzero(tables[:nframes].any(axis=1)):
+        acc[:, : nframes - lag] ^= tables[lag].take(keys[:, lag:])
+    return acc
+
+
+def _checked(a, bound: int, what: str) -> np.ndarray:
+    """`a` as a (trials, N) integer array of values in [0, bound)."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.dtype.kind not in "iu" or (a.size and (a.min() < 0 or a.max() >= bound)):
+        raise ValueError(f"want a (trials, frames) integer array of {what} in [0, {bound})")
+    return a
 
 
 class Simulator:
@@ -500,19 +517,19 @@ class Simulator:
 
     The encoder must realize the code: `pipeline.verify_encoder` runs
     first and raises `InputDataError` for one that does not, or that is
-    narrower than one frame.  The frame tables `_fwt`, `_keybits` and
-    `_fkey`, the syndrome responses `_synd` (for such an encoder the
-    generators, so they are read off the code) and their one trellis
-    `_trellis` depend on the code alone: every simulator of a code in one
-    process shares them (`_code_tables`), read-only, and a code over the
-    `_BLOCK_CELLS` bound raises `InputDataError` at construction.  The
-    trellis decodes by its automaton when it has one, as FGG's does, and
-    otherwise, as GR's does, by the window's single-error table
-    (`_single_errors`, built on first use, per simulator) and the batched
-    backward pass and forward walk for the syndromes it lacks.  The batch
-    methods take and return bit arrays of shape (trials, N, 2n) or, for
-    syndromes, (trials, N, n - k); the scalar methods are their one-trial
-    views on Pauli operators.
+    narrower than one frame.  The syndrome tables `_synd` (for such an
+    encoder the responses are the generators, so they are read off the
+    code) and their one trellis `_trellis` depend on the code alone:
+    every simulator of a code in one process shares them
+    (`_code_tables`), read-only, and a code over the `_BLOCK_CELLS`
+    bound raises `InputDataError` at construction.  The trellis decodes
+    by its automaton when it has one, as FGG's does, and otherwise, as
+    GR's does, by the window's single-error table (`_single_errors`,
+    built on first use, per simulator) and the batched backward pass and
+    forward walk for the syndromes it lacks.  The batch
+    methods take and return (trials, N) arrays of frame keys or syndrome
+    chunks; the scalar methods are their one-trial views on Pauli
+    operators and syndrome bits.
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
@@ -524,7 +541,7 @@ class Simulator:
         self._nokey = 1 << (2 * code.n)  # above every frame key
         self._responses: Dict[int, np.ndarray] = {}
         self._singles: Dict[int, Tuple[Dict[bytes, int], np.ndarray]] = {}
-        self._fwt, self._keybits, self._fkey, self._synd, self._trellis = _code_tables(code, _BLOCK_CELLS)
+        self._synd, self._trellis = _code_tables(code, _BLOCK_CELLS)
 
     def _metric(self, nframes: int) -> Tuple[type, int]:
         """Metric dtype and unreachable-state sentinel of an nframes
@@ -550,20 +567,20 @@ class Simulator:
         return np.minimum(step, inf, out=step)
 
     def _block_size(self, nframes: int) -> int:
-        """Trials per sample block, each holding its Philox words and its
-        N x 2n error bits."""
+        """Trials per sample block, each holding its Philox words and two
+        cells per qubit, its threshold tests and symbol."""
         return max(1, _BLOCK_CELLS // (4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes))
 
     # -- launches -------------------------------------------------------------
 
     def _launches(self, nframes: int) -> np.ndarray:
-        """Responses for the failure test (info X and Z) from identity
-        memory, capped at the window: a catastrophic encoder's never end."""
+        """`_response` tables of info X and Z from identity memory, capped
+        at the window: a catastrophic encoder's responses never end."""
         if nframes not in self._responses:
             r = self.n - self.k
             logical = [1 << (half + r + j) for half in (0, self.n) for j in range(self.k)]
             self._responses[nframes] = _response(
-                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], self.n, nframes)
+                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], self.n)
         return self._responses[nframes]
 
     def _single_errors(self, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
@@ -577,7 +594,7 @@ class Simulator:
         cached = self._singles.get(nframes)
         if cached is not None:
             return cached
-        n, r, lead = self.n, self.n - self.k, self._trellis.lead
+        n, lead = self.n, self._trellis.lead
         width = nframes - lead
         # X, Y and Z on every wire, in ascending key order
         codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
@@ -586,12 +603,12 @@ class Simulator:
         # c_j(e) at every lag j, zero past the responses' span
         resp = self._synd[lead:]
         lagged = np.zeros((width + len(resp), len(codes)), dtype=np.intp)
-        lagged[: len(resp)] = ((self._keybits[codes] @ resp) & 1) @ (1 << np.arange(r))
+        lagged[: len(resp)] = resp[:, codes]
         # the identity, then the errors from the last frame back: ascending
         # lexicographic order
         nerr = len(codes)
         rows = np.zeros((1 + width * nerr, width), dtype=np.intp)
-        keys = np.zeros(rows.shape, dtype=self._fkey.dtype)
+        keys = np.zeros(rows.shape, dtype=self._trellis.key.dtype)
         for f in range(width):
             at = slice(1 + (width - 1 - f) * nerr, 1 + (width - f) * nerr)
             rows[at, : f + 1] = lagged[f::-1].T
@@ -602,43 +619,22 @@ class Simulator:
         cached = self._singles[nframes] = (ids, keys)
         return cached
 
-    @staticmethod
-    def _products(errors: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """Bit (trial, t, d): sp(error, direction d launched at frame t)."""
-        nframes = errors.shape[1]
-        acc = np.zeros(errors.shape[:2] + resp.shape[2:], dtype=np.uint8)
-        for lag in np.flatnonzero(resp[:nframes].any(axis=(1, 2))):
-            acc[:, : nframes - lag] += errors[:, lag:] @ resp[lag]
-        return acc & 1
-
-    def _check_block(self, errors: np.ndarray) -> np.ndarray:
-        errors = np.asarray(errors, dtype=np.uint8)
-        if errors.ndim != 3 or errors.shape[2] != 2 * self.n:
-            raise ValueError(f"want a (trials, frames, {2 * self.n}) bit array")
-        return errors
-
     # -- batch path -----------------------------------------------------------
 
-    def syndrome_block(self, errors: np.ndarray) -> np.ndarray:
-        """Syndrome bits (trials, N, n - k) of a block of window errors."""
-        errors = self._check_block(errors)
-        return self._products(errors, self._synd)
+    def syndrome_block(self, keys: np.ndarray) -> np.ndarray:
+        """Syndrome chunks (trials, N) of a block of window errors' frame keys."""
+        return _lagged(self._synd, _checked(keys, self._nokey, "frame keys"))
 
-    def failure_block(self, residuals: np.ndarray) -> np.ndarray:
-        """Per-trial flags: the residual disturbs info content at some frame."""
-        residuals = self._check_block(residuals)
-        return self._products(residuals, self._launches(residuals.shape[1])).any(axis=(1, 2))
+    def failure_block(self, keys: np.ndarray) -> np.ndarray:
+        """Per-trial flags: the residual of these keys disturbs info content."""
+        keys = _checked(keys, self._nokey, "frame keys")
+        return _lagged(self._launches(keys.shape[1]), keys).any(axis=1)
 
-    def decode_block(self, syndromes: np.ndarray) -> np.ndarray:
-        """Minimum-weight errors (trials, N, 2n) with these syndromes,
-        lex-least among ties."""
-        s = np.asarray(syndromes)
-        r = self.n - self.k
-        if s.ndim != 3 or s.shape[2] != r:
-            raise ValueError(f"want a (trials, frames, {r}) syndrome array")
-        if ((s != 0) & (s != 1)).any():
-            raise ValueError("syndrome bits must be 0 or 1")
-        return self._keybits.take(self._viterbi(s.astype(np.intp) @ (1 << np.arange(r))), axis=0)
+    def decode_block(self, chunks: np.ndarray) -> np.ndarray:
+        """Frame keys (trials, N) of the minimum-weight errors with these
+        syndrome chunks, lex-least among ties."""
+        chunks = _checked(chunks, 1 << (self.n - self.k), "syndrome chunks")
+        return self._viterbi(chunks.astype(np.intp, copy=False))
 
     def _viterbi(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the decoded errors."""
@@ -651,7 +647,7 @@ class Simulator:
         cut = max(chunks.shape[1] - tr.lead, 0)
         if chunks[:, cut:].any():
             raise TrellisError("no trellis path matches the syndrome")
-        keys = np.zeros(chunks.shape, dtype=self._fkey.dtype)
+        keys = np.zeros(chunks.shape, dtype=tr.key.dtype)
         if cut:
             keys[:, tr.lead :] = decode(chunks[:, :cut])
         return keys
@@ -688,7 +684,7 @@ class Simulator:
         # whose backward metrics fit the budget
         tr = self._trellis
         ids, singles = self._single_errors(chunks.shape[1] + tr.lead)
-        packed = _row_bytes(chunks.astype(np.intp, copy=False))
+        packed = _row_bytes(chunks)
         found = np.array([ids.get(row, -1) for row in packed], dtype=np.intp)
         keys = singles[found]
         rows = np.flatnonzero(found < 0)
@@ -724,8 +720,7 @@ class Simulator:
         # frames one state is left per trial
         bi, si = np.nonzero((beta[0] == best).T)
         remaining = best
-        keys = np.zeros((ntrials, nframes), dtype=self._fkey.dtype)
-        even = sum(1 << (2 * q) for q in range(self.n))
+        keys = np.zeros((ntrials, nframes), dtype=tr.key.dtype)
         succ, weight, key = tr.succ.T, tr.weight.T, tr.key.T
         t = 0
         # once no weight remains, every later frame is the identity, key 0
@@ -743,7 +738,7 @@ class Simulator:
             nxt[bi[pi], dst[pi, ji]] = True
             bi, si = np.nonzero(nxt)
             keys[:, t] = kmin
-            remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
+            remaining = remaining - _weight(kmin, self.n)
             t += 1
         # each trial reaches state 0 through the frames left at no further
         # weight (with none left, it is on state 0)
@@ -755,15 +750,15 @@ class Simulator:
 
     # -- one trial --------------------------------------------------------------
 
-    def _framed(self, error: PauliOperator, nframes: Optional[int]) -> np.ndarray:
-        nframes = _infer_frames(self.code, error, nframes)
-        shape = (1, nframes, self.n)
-        x = _unpack(error.x, error.width).reshape(shape)
-        z = _unpack(error.z, error.width).reshape(shape)
-        return np.concatenate([x, z], axis=2)
+    def _keys(self, error: PauliOperator, nframes: Optional[int]) -> np.ndarray:
+        """The frame keys (1, N) of a window error."""
+        shape = (1, _infer_frames(self.code, error, nframes), self.n)
+        x, z = (_unpack(v, error.width).reshape(shape) for v in (error.x, error.z))
+        return (2 * z + (x ^ z)) @ (4 ** np.arange(self.n - 1, -1, -1))
 
     def syndrome(self, error: PauliOperator, nframes: Optional[int] = None) -> Tuple[int, ...]:
-        return tuple(int(b) for b in self.syndrome_block(self._framed(error, nframes)).ravel())
+        chunks = self.syndrome_block(self._keys(error, nframes))[0]
+        return tuple(((chunks[:, None] >> np.arange(self.n - self.k)) & 1).ravel().tolist())
 
     def decode(self, syndrome: Sequence[int]) -> PauliOperator:
         """Minimum-weight error with this syndrome, lex-least among ties."""
@@ -772,9 +767,12 @@ class Simulator:
             raise ValueError("syndrome length is not a whole number of frames")
         if len(syndrome) == 0:
             return PauliOperator.identity(0)
-        est = self.decode_block(np.asarray(syndrome).reshape(1, -1, r))[0]
-        n = self.n
-        return PauliOperator(est.shape[0] * n, _pack(est[:, :n]), _pack(est[:, n:]))
+        bits = np.asarray(syndrome).reshape(-1, r)
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError("syndrome bits must be 0 or 1")
+        keys = self.decode_block((bits @ (1 << np.arange(r)))[None])[0]
+        symbols = (keys[:, None] >> (2 * np.arange(self.n - 1, -1, -1))) & 3
+        return PauliOperator(symbols.size, _pack((symbols & 1) ^ (symbols >> 1)), _pack(symbols >> 1))
 
     def carries_logical_error(self, residual: PauliOperator, nframes: Optional[int] = None) -> bool:
         """True when the residual disturbs info content at any window frame.
@@ -784,7 +782,7 @@ class Simulator:
         anticommutes with an encoded logical operator launched in the
         window, and vice versa.
         """
-        return bool(self.failure_block(self._framed(residual, nframes))[0])
+        return bool(self.failure_block(self._keys(residual, nframes))[0])
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -811,9 +809,9 @@ def _trial_failures(
     flags = []
     for a in range(lo, hi, block):
         b = min(a + block, hi)
-        errors = np.concatenate([_sample_block(p, sim.n, nframes, seed, a, b) for p in ps])
-        estimates = sim.decode_block(sim.syndrome_block(errors))
-        flags.append(sim.failure_block(errors ^ estimates).reshape(len(ps), b - a))
+        keys = np.concatenate([_sample_block(p, sim.n, nframes, seed, a, b) for p in ps])
+        estimates = sim.decode_block(sim.syndrome_block(keys))
+        flags.append(sim.failure_block(keys ^ estimates).reshape(len(ps), b - a))
     return np.concatenate(flags, axis=1)
 
 

@@ -11,7 +11,8 @@ every memory state, the memory-state trellis decoder, the syndrome
 trellis's merged branches found state by state, the lex-least one-qubit
 error of every syndrome such an error gives, the encode-then-decode
 round trip streamed over the whole window once per launch frame, the
-shifted products of
+sampler's float route and the bit layout of frame keys and syndrome
+chunks, the shifted products of
 framed sequences frame by frame, the skeleton
 products telescoped frame by frame, a CSS code's frames assembled bit
 by bit, a code's text form, and small views
@@ -461,6 +462,43 @@ def full_viterbi_keys(sim, chunks):
         remaining = remaining - np.bitwise_count((kmin | (kmin >> 1)) & even)
     assert (remaining == 0).all() and alive[:, 0].all()
     return keys
+
+
+def keys_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Frame keys (trials, N) of a (trials, N, 2n) bit block, each frame its
+    X bits then its Z bits: symbol (z, x ^ z) per wire, wire 1 most
+    significant."""
+    n = bits.shape[2] // 2
+    x, z = bits[..., :n].astype(np.int64), bits[..., n:].astype(np.int64)
+    return ((2 * z + (x ^ z)) << (2 * np.arange(n - 1, -1, -1))).sum(axis=2)
+
+
+def bits_from_keys(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (trials, N, 2n) uint8 bit block of frame keys (trials, N)."""
+    shifts = 2 * np.arange(n - 1, -1, -1)
+    hi = (np.asarray(keys, dtype=np.int64)[..., None] >> (shifts + 1)) & 1
+    lo = (np.asarray(keys, dtype=np.int64)[..., None] >> shifts) & 1
+    return np.concatenate([hi ^ lo, hi], axis=-1).astype(np.uint8)
+
+
+def chunks_from_bits(syndromes: np.ndarray) -> np.ndarray:
+    """Syndrome chunks (trials, N) of (trials, N, n - k) syndrome bits,
+    generator a at bit a."""
+    syndromes = np.asarray(syndromes)
+    return (syndromes.astype(np.intp) << np.arange(syndromes.shape[2])).sum(axis=2)
+
+
+def sample_block_bits(p: float, n: int, nframes: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (trials, N, 2n) error bits of trials lo..hi-1 by floats: each
+    trial's Philox counter range, one uniform u per qubit from its word's
+    top 53 bits as `Generator.random` makes it, X bit u < 2p/3 and Z bit
+    p/3 <= u < p."""
+    stride = -(-(n * nframes) // 4)
+    bits = np.random.Philox(key=seed)
+    bits.advance(lo * stride)
+    raw = bits.random_raw((hi - lo) * 4 * stride).reshape(hi - lo, 4 * stride)
+    u = ((raw[:, : n * nframes] >> 11) * 2.0**-53).reshape(hi - lo, nframes, n)
+    return np.concatenate([u < 2 * p / 3, (u >= p / 3) & (u < p)], axis=2).astype(np.uint8)
 
 
 def single_error_table(syndrome: Callable[[PauliOperator], tuple], n: int, nframes: int) -> dict:

@@ -202,6 +202,13 @@ def test_the_decoding_tables_have_one_builder():
     assert _callers("_code_tables") == [("simulate", "__init__")]
 
 
+def test_a_simulate_block_has_one_loop_over_response_lags():
+    # the syndrome and the failure test are lookups in `_response` tables,
+    # XORed over the lags by one helper
+    assert _callers("_response") == [("simulate", "_code_tables"), ("simulate", "_launches")]
+    assert _callers("_lagged") == [("simulate", "syndrome_block"), ("simulate", "failure_block")]
+
+
 def test_only_synthesis_builds_the_encoder_skeleton():
     # check reads the requirement off the operators it verified
     assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]

@@ -430,9 +430,10 @@ def test_derive_decoder(files, capsys):
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-def test_catastrophic_decoder_exits_1_and_writes_nothing(files, capsys, monkeypatch,
-                                                         catastrophic_encoder_map, as_json):
-    # the search returns only non-catastrophic decoders, so force the verdict on FGG's
+def test_catastrophic_decoder_exits_70_and_writes_nothing(files, capsys, monkeypatch,
+                                                          catastrophic_encoder_map, as_json):
+    # the search returns only non-catastrophic decoders, so force the verdict on
+    # FGG's: a built circuit with any other verdict is an internal inconsistency
     verdict = is_noncatastrophic(catastrophic_encoder_map, 2, 1)
     assert not verdict.non_catastrophic
     real = qconvenc.cli.derive_online_decoder
@@ -443,11 +444,8 @@ def test_catastrophic_decoder_exits_1_and_writes_nothing(files, capsys, monkeypa
         capsys, "derive-decoder", "--code", str(files / "fgg.qcc"),
         "--encoder", str(files / "fgg_enc.circ"), "--out", str(out_path), *["--json"] * as_json,
     )
-    assert code == 1 and err == ""
-    if as_json:
-        assert json.loads(out) == {"decoder_memory": 2, "gates": 26, "verdict": "catastrophic"}
-    else:
-        assert out.splitlines() == ["decoder_memory: 2", "gates: 26", "verdict: catastrophic"]
+    assert code == 70 and out == ""
+    assert err == "internal consistency violation: the completion search returned a catastrophic circuit\n"
     assert not out_path.exists()
 
 
@@ -850,9 +848,9 @@ def test_simulate_builds_each_code_once_per_process(files, capsys, gr_synthesis,
     built = []
     build = simulate._build_trellis
 
-    def counting(fwt, *args):
-        built.append(len(fwt))  # 4^n frames: 64 on FGG, 256 on GR
-        return build(fwt, *args)
+    def counting(synd, *args):
+        built.append(synd.shape[1])  # 4^n frame keys: 64 on FGG, 256 on GR
+        return build(synd, *args)
 
     simulate._code_tables.cache_clear()
     monkeypatch.setattr(simulate, "_build_trellis", counting)

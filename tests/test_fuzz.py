@@ -123,10 +123,12 @@ def check_inputs(tmp_path_factory, catastrophic_encoder_map):
     (d / "fgg.qcc").write_text(FGG_CODE_TEXT)
     (d / "tiny.qcc").write_text(CATASTROPHIC_CODE_TEXT)
     (d / "rate0.qcc").write_text(RATE_ZERO_CODE_TEXT)
+    (d / "css.qcc").write_text(CSS_M10_CODE_TEXT)
     return d, {
         "fgg": FGG_ENCODER,
         "tiny": synthesize_circuit(catastrophic_encoder_map),
         "rate0": synthesize_encoder(parse_code(RATE_ZERO_CODE_TEXT)).circuit,
+        "css": synthesize_encoder(parse_code(CSS_M10_CODE_TEXT)).circuit,
     }
 
 
@@ -196,13 +198,15 @@ def test_derive_decoder_exits_with_documented_code(check_inputs, code, known, wi
 
 
 # simulate on a random circuit of width <= 6 or a known encoder, possibly
-# cut short, with window and probability arguments that are sometimes out of range
+# cut short, with window and probability arguments that are sometimes out
+# of range (keep None keeps the whole encoder).  The [26, 114, 70] code's
+# trellis has a lead frame and decodes by the batched pass
 @settings(max_examples=100, deadline=None)
 @given(
-    code=st.sampled_from(["fgg", "tiny", "rate0"]),
+    code=st.sampled_from(["fgg", "tiny", "rate0", "css"]),
     known=st.booleans(),
     width=st.integers(0, 6),
-    keep=st.integers(0, 30),
+    keep=st.none() | st.integers(0, 30),
     # often no extra gate, so that whole known encoders reach the trellis
     extra=st.just([])
     | st.lists(st.tuples(st.sampled_from(GATE_KINDS), st.integers(0, 5), st.integers(0, 5)), max_size=6),

@@ -22,7 +22,11 @@ lex-least one-qubit error of every syndrome by the product route
 (`oracles.single_error_table`), and its decode against the decode of a
 copy whose table is empty.  The decoding tables that every simulator of
 a code shares in one process are held read-only, built once per code
-and cap, and held against fresh builds after the cache is cleared.
+and cap, and held against fresh builds after the cache is cleared.  The
+batch methods take and return frame keys and syndrome chunks; tests that
+build bit arrays convert them through `oracles.keys_from_bits`,
+`bits_from_keys` and `chunks_from_bits`, and the key sampler is held
+against the float route it replaced (`oracles.sample_block_bits`).
 """
 
 import copy
@@ -56,9 +60,13 @@ from qconvenc.simulate import (
 
 from conftest import SMALL_GENERATORS, random_realized, random_symplectic
 from oracles import (
+    bits_from_keys,
+    chunks_from_bits,
     full_viterbi_keys,
+    keys_from_bits,
     merged_syndrome_trellis,
     per_state_pass,
+    sample_block_bits,
     single_error_table,
     syndrome_by_decoder,
 )
@@ -128,33 +136,27 @@ def pullback_frames(sim, error, nframes):
 
 
 def to_block(errors, n, nframes):
-    """Pauli operators as one (trials, N, 2n) bit block."""
+    """Pauli operators as one (trials, N) frame-key block, through their
+    (trials, N, 2n) bits."""
     out = np.zeros((len(errors), nframes, 2 * n), dtype=np.uint8)
     for row, e in enumerate(errors):
         for i in range(n * nframes):
             out[row, i // n, i % n] = (e.x >> i) & 1
             out[row, i // n, n + i % n] = (e.z >> i) & 1
-    return out
+    return keys_from_bits(out)
 
 
-def from_block(bits):
-    """One (N, 2n) bit block row as a Pauli operator."""
-    nframes, n = bits.shape[0], bits.shape[1] // 2
+def from_block(keys, n):
+    """One (N,) frame-key block row of n-qubit frames as a Pauli operator."""
+    bits = bits_from_keys(keys, n)
+    nframes = bits.shape[0]
     x = sum(int(bits[i // n, i % n]) << i for i in range(n * nframes))
     z = sum(int(bits[i // n, n + i % n]) << i for i in range(n * nframes))
     return PauliOperator(n * nframes, x, z)
 
 
-def assert_decode_matches_full_pass(sim, syndromes):
-    syndromes = np.asarray(syndromes, dtype=np.uint8)
-    r = sim.n - sim.k
-    chunks = (syndromes.astype(np.intp) << np.arange(r)).sum(axis=2)
-    keys = full_viterbi_keys(sim, chunks)
-    shifts = 2 * (sim.n - 1 - np.arange(sim.n))
-    hi = (keys[:, :, None] >> (shifts + 1)) & 1
-    lo = (keys[:, :, None] >> shifts) & 1
-    want = np.concatenate([hi ^ lo, hi], axis=2)
-    assert (sim.decode_block(syndromes) == want).all()
+def assert_decode_matches_full_pass(sim, chunks):
+    assert (sim.decode_block(chunks) == full_viterbi_keys(sim, chunks)).all()
 
 
 def batched(sim):
@@ -369,10 +371,10 @@ def test_decode_block_all_fgg_syndromes_in_one_block(fgg_simulator, exhaustive_m
     best_w, best_key = exhaustive_ml
     syndromes = all_syndromes(2 * N3, 2)
     assert fgg_simulator._block_size(N3) >= len(syndromes)
-    est = fgg_simulator.decode_block(syndromes)
-    assert (fgg_simulator.syndrome_block(est) == syndromes).all()
+    est = fgg_simulator.decode_block(chunks_from_bits(syndromes))
+    assert (fgg_simulator.syndrome_block(est) == chunks_from_bits(syndromes)).all()
     for s in range(len(syndromes)):
-        e = from_block(est[s])
+        e = from_block(est[s], 3)
         assert e.weight() == best_w[s]
         assert lexkey(e.x, e.z, W3) == best_key[s]
         assert e == fgg_simulator.decode(tuple(syndromes[s].ravel()))
@@ -383,9 +385,9 @@ def test_gr_trellis_equals_exhaustive_ml(gr_simulator):
     best_w, best_key = exhaustive_ml_table(GR_CODE, nframes)
     assert (best_w < 99).all()
     syndromes = all_syndromes(2 * nframes, 2)
-    est = gr_simulator.decode_block(syndromes)
+    est = gr_simulator.decode_block(chunks_from_bits(syndromes))
     for s in range(len(syndromes)):
-        e = from_block(est[s])
+        e = from_block(est[s], GR_CODE.n)
         assert syndrome_by_products(GR_CODE, e, nframes) == tuple(syndromes[s].ravel())
         assert e.weight() == best_w[s]
         assert lexkey(e.x, e.z, width) == best_key[s]
@@ -393,11 +395,34 @@ def test_gr_trellis_equals_exhaustive_ml(gr_simulator):
 
 def test_decode_block_rejects_non_bits(fgg_simulator):
     with pytest.raises(ValueError):
-        fgg_simulator.decode_block(np.full((1, 2, 2), 2))
+        fgg_simulator.decode_block(np.full((1, 2), 4))
     with pytest.raises(ValueError):
         fgg_simulator.decode((0, 2))
     with pytest.raises(ValueError):
         fgg_simulator.decode_block(np.zeros((1, 2, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("which", ["fgg", "gr"])
+def test_batch_methods_refuse_values_out_of_range(request, which):
+    sim = request.getfixturevalue(f"{which}_simulator")
+    top_key, top_chunk = 4**sim.n - 1, (1 << (sim.n - sim.k)) - 1
+    # the largest key and chunk pass
+    sim.syndrome_block(np.full((2, 3), top_key))
+    sim.failure_block(np.full((2, 3), top_key))
+    sim.decode_block(np.zeros((2, 3), dtype=np.uint8))
+    assert sim.decode_block(np.array([[top_chunk, 0]])).shape == (1, 2)
+    keys = rf"integer array of frame keys in \[0, {top_key + 1}\)"
+    for method in (sim.syndrome_block, sim.failure_block):
+        for bad in (np.full((2, 3), top_key + 1), np.zeros((2, 3, 2 * sim.n), dtype=np.uint8)):
+            with pytest.raises(ValueError, match=keys):
+                method(bad)
+    chunks = rf"integer array of syndrome chunks in \[0, {top_chunk + 1}\)"
+    for bad in (
+        np.full((2, 3), top_chunk + 1), np.full((2, 3), -1),
+        np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), np.zeros(3, dtype=np.intp),
+    ):
+        with pytest.raises(ValueError, match=chunks):
+            sim.decode_block(bad)
 
 
 @pytest.mark.parametrize("which", ["fgg", "gr"])
@@ -413,7 +438,7 @@ def test_pullback_oracle_matches_launch_matrices(request, which):
     for row, e in enumerate(errors):
         frames = pullback_frames(sim, e, nframes)
         want = [[(u.x >> a) & 1 for a in range(n - k)] for u in frames]
-        assert synd[row].tolist() == want
+        assert synd[row].tolist() == chunks_from_bits(np.array([want]))[0].tolist()
         assert sim.syndrome(e, nframes) == tuple(b for f in want for b in f)
         moved = any(not u.part(n - k, n).is_identity() for u in frames)
         assert bool(fail[row]) == moved == sim.carries_logical_error(e, nframes)
@@ -476,8 +501,9 @@ def test_trellis_matches_per_state_build(request, which):
     # the code's generators rather than the encoder's responses; the
     # branches are the merged trellis's, one per successor, each the
     # lightest, lex-least frame of its (state, successor) class
-    frame = sim._keybits[tr.key] @ (1 << np.arange(2 * code.n))
-    assert (sim._fwt[frame] == tr.weight).all()
+    bits = bits_from_keys(tr.key, code.n)
+    frame = bits.astype(np.intp) @ (1 << np.arange(2 * code.n))
+    assert ((bits[..., : code.n] | bits[..., code.n :]).sum(axis=-1) == tr.weight).all()
     chunks = generator_chunks(code, nu)
     states = np.arange(nstates)
     assert (chunks[nu - 1][frame] == states >> (r * (nu - 2))).all()
@@ -633,12 +659,11 @@ def test_fgg_decode_matches_full_backward_pass(fgg_batched, rows, density):
     # them so that all-zero trials, zero prefixes and zero suffixes occur
     chunks = np.array(rows)
     chunks[np.linspace(0, 1, chunks.size).reshape(chunks.shape) > density] = 0
-    syndromes = ((chunks[:, :, None] >> np.arange(2)) & 1).astype(np.uint8)
-    assert_decode_matches_full_pass(fgg_batched, syndromes)
+    assert_decode_matches_full_pass(fgg_batched, chunks)
 
 
 def test_fgg_decode_matches_full_backward_pass_on_every_syndrome(fgg_batched):
-    assert_decode_matches_full_pass(fgg_batched, all_syndromes(8, 2))
+    assert_decode_matches_full_pass(fgg_batched, chunks_from_bits(all_syndromes(8, 2)))
 
 
 def test_gr_decode_matches_full_backward_pass(gr_simulator):
@@ -656,7 +681,7 @@ def test_gr_decode_matches_full_backward_pass(gr_simulator):
         mixed[::3] = 0
         blocks.append(mixed)
         for block in blocks:
-            assert_decode_matches_full_pass(gr_simulator, block)
+            assert_decode_matches_full_pass(gr_simulator, chunks_from_bits(block))
 
 
 @pytest.mark.parametrize("past", [0, 1])
@@ -669,7 +694,7 @@ def test_fgg_decode_at_the_narrow_metric_bound(fgg_batched, past):
     syndromes = (rng.random((3, nframes, 2)) < 0.2).astype(np.uint8)
     syndromes[0, :-2] = 0  # a long zero prefix
     syndromes[1, 2:] = 0  # a long zero suffix
-    assert_decode_matches_full_pass(fgg_batched, syndromes)
+    assert_decode_matches_full_pass(fgg_batched, chunks_from_bits(syndromes))
 
 
 def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monkeypatch):
@@ -677,8 +702,8 @@ def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monk
         raise AssertionError("the backward pass ran on a zero syndrome")
 
     monkeypatch.setattr(fgg_batched, "_viterbi_nonzero", fail)
-    est = fgg_batched.decode_block(np.zeros((5, 7, 2), dtype=np.uint8))
-    assert est.shape == (5, 7, 6) and not est.any()
+    est = fgg_batched.decode_block(np.zeros((5, 7), dtype=np.intp))
+    assert est.shape == (5, 7) and not est.any()
 
 
 def table_by_syndrome(sim, nframes):
@@ -739,7 +764,7 @@ def without_table(sim):
     """The simulator with its single-error table emptied: every syndrome,
     the zero one too, goes through the backward pass."""
     out = copy.copy(sim)
-    dtype = sim._fkey.dtype
+    dtype = sim._trellis.key.dtype
     out._single_errors = lambda nframes: ({}, np.zeros((1, nframes - sim._trellis.lead), dtype=dtype))
     return out
 
@@ -757,9 +782,9 @@ def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, 
     # the table answers some nonzero syndromes, and the pass the others
     tr = sim._trellis
     ids = sim._single_errors(nframes)[0]
-    chunks = (syndromes.astype(np.intp) << np.arange(sim.n - sim.k)).sum(axis=2)
+    chunks = syndromes.astype(np.intp)
     hit = np.array([row in ids for row in simulate_module._row_bytes(chunks[:, : nframes - tr.lead])])
-    assert (hit & syndromes.any(axis=(1, 2))).any() and not hit.all()
+    assert (hit & syndromes.any(axis=1)).any() and not hit.all()
 
 
 @pytest.mark.parametrize("which, nframes", [("fgg", 6), ("gr", 4)])
@@ -771,7 +796,7 @@ def test_multi_point_blocks_match_per_point_runs(request, monkeypatch, which, nf
     assert (_trial_failures(sim, ps, nframes, 9, lo, hi) == each).all()
     # blocks of 15 trial-points, 5 trials at each of the 3 points: the
     # trials split inside; a trial holds 4 x `_trial_counters` Philox
-    # words and N x 2n error bits
+    # words and two cells per qubit
     cells = 4 * _trial_counters(sim.n, nframes) + 2 * sim.n * nframes
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 16 * cells - 1)
     assert sim._block_size(nframes) == 15
@@ -835,6 +860,7 @@ def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
     group = simulate_module._BLOCK_CELLS // ((nframes + 1) * nstates)
     chunks = syndromes[nonzero[:group]] @ np.array([1, 2])
     assert group > 1 and any(len(set(chunks[:, t].tolist())) > 2 for t in range(nframes))
+    syndromes = chunks_from_bits(syndromes)
     est = gr_simulator.decode_block(syndromes)
     assert (gr_simulator.syndrome_block(est) == syndromes).all()
     for s, e in zip(syndromes, est):
@@ -851,12 +877,26 @@ def test_estimate_wers_validates_points(fgg_reference_encoder):
 @pytest.mark.parametrize("n, nframes", [(3, 6), (4, 5), (2, 1)])
 def test_sample_block_splits_anywhere(n, nframes):
     whole = _sample_block(0.3, n, nframes, 9, 0, 40)
-    assert whole.shape == (40, nframes, 2 * n) and whole.any()
+    assert whole.shape == (40, nframes) and whole.any()
     for cut in (1, 7, 39):
         parts = [_sample_block(0.3, n, nframes, 9, 0, cut), _sample_block(0.3, n, nframes, 9, cut, 40)]
         assert (np.concatenate(parts) == whole).all()
     assert (_sample_block(0.3, n, nframes, 9, 13, 14)[0] == whole[13]).all()
     assert not (_sample_block(0.3, n, nframes, 10, 0, 40) == whole).all()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.03, 0.3, 0.74])
+@pytest.mark.parametrize("n, nframes", [(3, 6), (4, 5), (2, 1)])
+def test_sample_block_keys_equal_the_float_sampler(n, nframes, p):
+    # the integer thresholds make exactly the float route's tests, so
+    # every block, wherever it is cut, holds the float route's errors
+    want = keys_from_bits(sample_block_bits(p, n, nframes, 9, 0, 40))
+    assert (_sample_block(p, n, nframes, 9, 0, 40) == want).all()
+    for cut in (1, 7, 39):
+        parts = [_sample_block(p, n, nframes, 9, 0, cut), _sample_block(p, n, nframes, 9, cut, 40)]
+        assert (np.concatenate(parts) == want).all()
+        assert (keys_from_bits(sample_block_bits(p, n, nframes, 9, cut, 40)) == want[cut:]).all()
+    assert (_sample_block(p, n, nframes, 9, 13, 14) == want[13:14]).all()
 
 
 def test_sample_block_at_p_zero_is_the_identity():
@@ -865,7 +905,7 @@ def test_sample_block_at_p_zero_is_the_identity():
 
 @pytest.mark.parametrize("p", [0.03, 0.3, 0.74])
 def test_sample_block_kinds_have_probability_p_over_3(p):
-    errors = _sample_block(p, 4, 25, 21, 0, 1000)  # 10^5 qubits
+    errors = bits_from_keys(_sample_block(p, 4, 25, 21, 0, 1000), 4)  # 10^5 qubits
     x, z = errors[:, :, :4], errors[:, :, 4:]
     qubits = x.size
     sigma = (qubits * p / 3 * (1 - p / 3)) ** 0.5
@@ -906,11 +946,28 @@ def test_syndrome_off_the_trellis_raises_trellis_error(lead_code):
     # syndrome and weighs no more than the error
     est = sim.decode_block(syndromes)
     assert not est[:, 0].any() and (sim.syndrome_block(est) == syndromes).all()
-    weight = lambda e: (e[:, :, :3] | e[:, :, 3:]).sum(axis=(1, 2))
+    def weight(keys):
+        e = bits_from_keys(keys, 3)
+        return (e[:, :, :3] | e[:, :, 3:]).sum(axis=(1, 2))
+
     assert (weight(est) <= weight(errors)).all()
-    syndromes[7, -1, 1] = 1
+    syndromes[7, -1] |= 2
     with pytest.raises(TrellisError, match="no trellis path"):
         sim.decode_block(syndromes)
+
+
+@pytest.mark.parametrize("trials", [1, 1457])
+def test_one_trial_block_of_a_code_with_a_lead(lead_code, monkeypatch, trials):
+    # the batched pass cuts the lead off the chunks; a block of one trial
+    # cuts one row, a view that counts as contiguous whatever its stride.
+    # At N = 20 a sample block holds 1,456 trials, so 1,457 trials end in
+    # a block of one; a raised cap runs them all in one block
+    sim = Simulator(*lead_code)
+    assert sim._trellis.lead == 1 and sim._trellis.tables is None and sim._block_size(20) == 1456
+    counts = [r.failures for r in estimate_wers(*lead_code, [0.05], 20, trials, seed=3)]
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 22)
+    assert Simulator(*lead_code)._block_size(20) > trials
+    assert counts == [r.failures for r in estimate_wers(*lead_code, [0.05], 20, trials, seed=3)]
 
 
 @pytest.mark.parametrize(
@@ -933,8 +990,8 @@ def test_syndrome_block_matches_the_products_on_short_windows(request, lead_code
     for nframes in range(1, sim.code.nu + 2):
         errors = [sample_error(DepolarizingChannel(0.3), sim.n * nframes, rng) for _ in range(20)]
         want = [syndrome_by_products(sim.code, e, nframes) for e in errors]
-        got = sim.syndrome_block(to_block(errors, sim.n, nframes)).reshape(len(errors), -1)
-        assert (got == np.array(want)).all()
+        got = sim.syndrome_block(to_block(errors, sim.n, nframes))
+        assert (got == chunks_from_bits(np.array(want).reshape(len(errors), nframes, -1))).all()
 
 
 # -- the metric automaton ------------------------------------------------------
@@ -946,7 +1003,7 @@ def assert_tables_match_batched(sim, rng, ntrials=20):
     same error."""
     r = sim.n - sim.k
     for nframes in (1, 2, 3, 6):
-        syndromes = (rng.random((ntrials, nframes, r)) < rng.random()).astype(np.uint8)
+        syndromes = chunks_from_bits((rng.random((ntrials, nframes, r)) < rng.random()).astype(np.uint8))
         outcomes = []
         for decoder in (sim, batched(sim)):
             try:
@@ -989,7 +1046,7 @@ def test_fgg_tables_match_full_backward_pass_on_every_syndrome(fgg_simulator):
     for nframes in range(1, 9):
         syndromes = all_syndromes(2 * nframes, 2)
         for lo in range(0, len(syndromes), 4096):
-            assert_decode_matches_full_pass(fgg_simulator, syndromes[lo : lo + 4096])
+            assert_decode_matches_full_pass(fgg_simulator, chunks_from_bits(syndromes[lo : lo + 4096]))
 
 
 def test_fgg_closure_sizes(fgg_simulator):
@@ -1065,7 +1122,7 @@ def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt,
     # the entry of a one-frame window with chunk 1: from the walk set of
     # the vector before the frame, with the pinned vector 0 after it
     entry = tab.start[tab.back[1]] + 1
-    syndrome = np.array([[[1, 0]]], dtype=np.uint8)
+    syndrome = np.array([[1]])
     assert sim.decode_block(syndrome).any()
     tab.fnext[entry] = 0  # the empty walk set
     if corrupt == "key and set":
@@ -1080,7 +1137,7 @@ def test_corrupt_walk_entry_raises_trellis_error(fgg_reference_encoder, corrupt,
 def shared_arrays(sim):
     """Every array of the code's shared tables that a simulator holds."""
     tr = sim._trellis
-    arrays = [sim._fwt, sim._keybits, sim._fkey, sim._synd, tr.succ, tr.weight, tr.key, tr.dead]
+    arrays = [sim._synd, tr.succ, tr.weight, tr.key, tr.dead]
     return arrays + [v for v in tr.tables or () if isinstance(v, np.ndarray)]
 
 
@@ -1117,7 +1174,7 @@ def test_each_cap_builds_its_own_tables(fgg_reference_encoder, gr_synthesis, mon
 def test_shared_arrays_are_read_only(request, which):
     sim = request.getfixturevalue(f"{which}_simulator")
     arrays = shared_arrays(sim)
-    assert len(arrays) == (13 if which == "fgg" else 8)
+    assert len(arrays) == (10 if which == "fgg" else 5)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
