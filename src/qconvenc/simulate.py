@@ -64,14 +64,18 @@ the window's weight bound n N stays below the int16 sentinel, int32
 beyond.  The forward walk stops once the path has no weight left: every
 later frame is the identity.
 
-A syndrome that the identity or a one-qubit error gives needs no
-trellis.  The zero syndrome decodes to the identity, the one error of
-weight 0; any other such syndrome has minimum weight exactly 1, so it
-decodes to the lex-least one-qubit error that gives it.  The single-error
-table of a window maps the chunk rows of the identity and of every
-one-qubit error (frame f adds c_j(e) to launch f - j) to their frame
-keys, the lex-least where errors share a row, and the batched pass looks
-every trial up in it first.
+A syndrome that some error of weight at most 2 gives needs no trellis
+(syndrome decoding by coset leaders, MacWilliams and Sloane 1977, ch. 1).
+Its minimum weight is the least weight of those errors, and every error
+of that weight is among them, so it decodes to the lightest of them,
+lex-least among equal weights: the zero syndrome to the identity.  The
+low-weight table of a window holds the chunk rows of the identity, of
+every one-qubit error (frame f adds c_j(e) to launch f - j) and of every
+product of two on distinct qubits, whose row is the XOR of theirs.  It
+orders them by weight and then by their frame keys, keeps the first of
+each row, and stores the distinct rows sorted, each with its error's
+frame keys; the batched pass looks every trial up in it first, with one
+binary search per block.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -100,17 +104,19 @@ sample block holds the same trials at every point, each sampled per
 point and then syndromed, decoded and failure-tested in one call per
 layer, and holds a trial's Philox words and 2n N cells of sampling per
 point; the batched pass takes the block's trials that miss the
-single-error table in groups held by their (N + 1) x states backward
+low-weight table in groups held by their (N + 1) x states backward
 metrics; and one backward step gathers branches x states values per
-trial.  The table holds the one-qubit errors while their 3n x N^2 chunk
-cells fit.  `estimate_wers` runs every block in the calling process,
-one after another.
+trial.  The table holds the one-qubit errors while their 3n N x N chunk
+cells fit, and the two-qubit errors while their 9 C(n N, 2) x N cells
+fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
+calling process, one after another.
 
 The syndrome tables, trellis and automaton depend on the code alone, so
 a process builds them once per code and cap (`_code_tables`, which keeps
 the last `_CODES_CACHED` codes), and every `Simulator` of the code
-shares them, read-only.  The single-error tables and failure tables of
-its windows stay with each simulator.
+shares them, read-only, with the low-weight table of each window kept
+beside them.  The failure tables are built once per encoder map and
+window (`_launches`), and shared in the same way.
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import as_symplectic
+from .circuit import SymplecticMap, as_symplectic
 from .code import ConvolutionalCode, FramedPauliSequence
 from .errors import SEED_LIMIT, InputDataError, TrellisError
 from .pauli import PauliOperator
@@ -153,8 +159,9 @@ _INF16 = 1 << 14
 # On GR at N = 10 that is 1,724 trials per sample block (862 at each of
 # two points), 93 per decode group and 64 per step call; on FGG at N = 20,
 # 1,456 per sample block.  A trellis whose step of one trial exceeds it is
-# refused, and the single-error table of a window whose one-qubit errors'
-# chunk rows exceed it holds only the zero row.  It also bounds
+# refused.  The low-weight table of a window drops its two-qubit errors
+# when their chunk rows exceed it (on GR past N = 15), and holds only the
+# zero row when the one-qubit errors' rows do too.  It also bounds
 # each closure of the decoding automaton, at chunks x branches x states
 # cells per shifted metric and that times the shifted metrics per walk set;
 # a closure over it leaves the decoding to the batched pass.  The shifted
@@ -254,11 +261,12 @@ def syndrome_by_products(
     return tuple(bits)
 
 
-def _row_bytes(rows: np.ndarray) -> List[bytes]:
-    """Each row's bytes, as one void scalar per row, sized by the row: a
-    one-row view counts as contiguous whatever its row stride."""
+def _void(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row holding its bytes, sized by the row: a
+    one-row view counts as contiguous whatever its row stride.  Voids
+    compare and sort by their bytes."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
 
 
 class _Automaton(NamedTuple):
@@ -299,7 +307,7 @@ def _closure(
 
     def index(rows: np.ndarray) -> List[int]:
         out = []
-        for i, key in enumerate(_row_bytes(rows)):
+        for i, key in enumerate(_void(rows).tolist()):
             if key not in ids:
                 ids[key] = len(found)
                 found.append(rows[i])
@@ -344,11 +352,12 @@ _CODES_CACHED = 8
 
 
 @functools.lru_cache(maxsize=_CODES_CACHED)
-def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trellis]:
+def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trellis, Callable]:
     """The decoding tables of `code` under the cap `cells` (the caller's
     `_BLOCK_CELLS`), built once per process and read-only: the syndrome
-    tables `_synd` of `Simulator` and their trellis.  A refusal raises
-    `InputDataError` and is not cached."""
+    tables `_synd` of `Simulator`, their trellis, and the cache of its
+    windows' low-weight tables (`_window_table`, called with the window
+    and the cap).  A refusal raises `InputDataError` and is not cached."""
     n = code.n
     if 4**n > cells:
         raise InputDataError(f"the syndrome trellis branches over 4^{n} frames; the cap is {cells:,}")
@@ -357,7 +366,74 @@ def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trel
     tr = _build_trellis(synd, n, n - code.k, cells)
     for a in (synd, *tr[1:5], *(tr.tables or ())[:5]):
         a.setflags(write=False)
-    return synd, tr
+    windows = functools.lru_cache(maxsize=_CODES_CACHED)(functools.partial(_window_table, n, synd, tr))
+    return synd, tr, windows
+
+
+def _window_table(
+    n: int, synd: np.ndarray, tr: _Trellis, nframes: int, cells: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The low-weight table of an nframes window of n-qubit frames with
+    the syndrome tables `synd` and their trellis `tr`, over the frames it
+    decodes from the lead on, read-only: the distinct chunk rows of the
+    identity, of every one-qubit error while their rows fit `cells` cells
+    and of every two-qubit error while theirs do too, as sorted voids of
+    the chunk dtype, and for each the frame-key row of the lightest error
+    that gives it, lex-least among equal weights."""
+    width = nframes - tr.lead
+    # X, Y and Z on every wire, in ascending key order: one wire per triple
+    codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
+    nerr = width * len(codes)
+    if nerr * width > cells:
+        nerr = 0
+    # c_j(e) at every lag j, zero past the responses' span; frame f of an
+    # error adds c_j(e) to launch f - j
+    resp = synd[tr.lead :]
+    lagged = np.zeros((width + len(resp), len(codes)), dtype=synd.dtype)
+    lagged[: len(resp)] = resp[:, codes]
+    rows = np.zeros((1 + nerr, width), dtype=synd.dtype)
+    keys = np.zeros(rows.shape, dtype=tr.key.dtype)
+    for f in range(width if nerr else 0):
+        at = slice(1 + f * len(codes), 1 + (f + 1) * len(codes))
+        rows[at, : f + 1] = lagged[f::-1].T
+        keys[at, f] = codes
+    # every product of two one-qubit errors on distinct qubits, 9 per pair
+    # of the n N qubits, while their rows fit; the row and the keys of a
+    # product are the XOR of theirs
+    nq = nerr // 3
+    if 0 < 9 * (nq * (nq - 1) // 2) * width <= cells:
+        a, b = np.triu_indices(nq, 1)
+
+        def paired(t):  # t with the XOR of every pair of its one-qubit rows
+            one = t[1:].reshape(nq, 3, width)
+            return np.concatenate([t, (one[a, :, None] ^ one[b, None]).reshape(-1, width)])
+
+        rows, keys = paired(rows), paired(keys)
+    weight = np.repeat([0, 1, 2], [1, nerr, len(rows) - 1 - nerr])
+    # by chunk row (its bytes, as voids compare them), then by weight, then
+    # lex over the frame keys, frame 1 most significant: the first error of
+    # each row is its lightest, lex-least one
+    raw = rows.view(np.uint8)
+    order = np.lexsort([*keys.T[::-1], weight, *raw.T[::-1]])
+    raw = raw[order]
+    first = np.ones(len(raw), dtype=bool)
+    first[1:] = (raw[1:] != raw[:-1]).any(axis=1)
+    table, keys = _void(raw[first]), keys[order[first]]
+    for arr in (table, keys):
+        arr.setflags(write=False)
+    return table, keys
+
+
+@functools.lru_cache(maxsize=_CODES_CACHED)
+def _launches(smap: SymplecticMap, n: int, k: int, nframes: int) -> np.ndarray:
+    """`_response` tables of info X and Z of the encoder map `smap` from
+    identity memory, capped at the nframes window (a catastrophic
+    encoder's responses never end), built once per process and
+    read-only."""
+    logical = [1 << (half + n - k + j) for half in (0, n) for j in range(k)]
+    tables = _response([smap.stream(n, [d], nframes)[0] for d in logical], n)
+    tables.setflags(write=False)
+    return tables
 
 
 def _weight(keys: np.ndarray, n: int) -> np.ndarray:
@@ -524,9 +600,9 @@ class Simulator:
     (`_code_tables`), read-only, and a code over the `_BLOCK_CELLS`
     bound raises `InputDataError` at construction.  The trellis decodes
     by its automaton when it has one, as FGG's does, and otherwise, as
-    GR's does, by the window's single-error table (`_single_errors`,
-    built on first use, per simulator) and the batched backward pass and
-    forward walk for the syndromes it lacks.  The batch
+    GR's does, by the window's low-weight table (`_low_weight_table`,
+    built on first use and shared like the trellis) and the batched
+    backward pass and forward walk for the syndromes it lacks.  The batch
     methods take and return (trials, N) arrays of frame keys or syndrome
     chunks; the scalar methods are their one-trial views on Pauli
     operators and syndrome bits.
@@ -539,9 +615,7 @@ class Simulator:
         self.smap = smap
         self.n, self.k, self.m = code.n, code.k, smap.width - code.n
         self._nokey = 1 << (2 * code.n)  # above every frame key
-        self._responses: Dict[int, np.ndarray] = {}
-        self._singles: Dict[int, Tuple[Dict[bytes, int], np.ndarray]] = {}
-        self._synd, self._trellis = _code_tables(code, _BLOCK_CELLS)
+        self._synd, self._trellis, self._windows = _code_tables(code, _BLOCK_CELLS)
 
     def _metric(self, nframes: int) -> Tuple[type, int]:
         """Metric dtype and unreachable-state sentinel of an nframes
@@ -571,53 +645,10 @@ class Simulator:
         cells per qubit, its threshold tests and symbol."""
         return max(1, _BLOCK_CELLS // (4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes))
 
-    # -- launches -------------------------------------------------------------
-
-    def _launches(self, nframes: int) -> np.ndarray:
-        """`_response` tables of info X and Z from identity memory, capped
-        at the window: a catastrophic encoder's responses never end."""
-        if nframes not in self._responses:
-            r = self.n - self.k
-            logical = [1 << (half + r + j) for half in (0, self.n) for j in range(self.k)]
-            self._responses[nframes] = _response(
-                [self.smap.stream(self.n, [d], nframes)[0] for d in logical], self.n)
-        return self._responses[nframes]
-
-    def _single_errors(self, nframes: int) -> Tuple[Dict[bytes, int], np.ndarray]:
-        """The single-error table of an nframes window, over the frames it
-        decodes from the trellis's lead on: frame-key rows, and the index
-        of one of them for every packed chunk row they hold.  Row 0 is the
-        identity, of the zero chunk row.  While the rows fit `_BLOCK_CELLS`
-        cells, the others are the one-qubit errors, of which frame f adds
-        c_j(e) to launch f - j; where several share a chunk row, the table
-        keeps the lex-least."""
-        cached = self._singles.get(nframes)
-        if cached is not None:
-            return cached
-        n, lead = self.n, self._trellis.lead
-        width = nframes - lead
-        # X, Y and Z on every wire, in ascending key order
-        codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
-        if width * width * len(codes) > _BLOCK_CELLS:
-            codes = codes[:0]
-        # c_j(e) at every lag j, zero past the responses' span
-        resp = self._synd[lead:]
-        lagged = np.zeros((width + len(resp), len(codes)), dtype=np.intp)
-        lagged[: len(resp)] = resp[:, codes]
-        # the identity, then the errors from the last frame back: ascending
-        # lexicographic order
-        nerr = len(codes)
-        rows = np.zeros((1 + width * nerr, width), dtype=np.intp)
-        keys = np.zeros(rows.shape, dtype=self._trellis.key.dtype)
-        for f in range(width):
-            at = slice(1 + (width - 1 - f) * nerr, 1 + (width - f) * nerr)
-            rows[at, : f + 1] = lagged[f::-1].T
-            keys[at, f] = codes
-        ids: Dict[bytes, int] = {}
-        for i, row in enumerate(_row_bytes(rows)):
-            ids.setdefault(row, i)
-        cached = self._singles[nframes] = (ids, keys)
-        return cached
+    def _low_weight_table(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The low-weight table of an nframes window (`_window_table`),
+        which every simulator of the code in the process shares."""
+        return self._windows(nframes, _BLOCK_CELLS)
 
     # -- batch path -----------------------------------------------------------
 
@@ -628,7 +659,7 @@ class Simulator:
     def failure_block(self, keys: np.ndarray) -> np.ndarray:
         """Per-trial flags: the residual of these keys disturbs info content."""
         keys = _checked(keys, self._nokey, "frame keys")
-        return _lagged(self._launches(keys.shape[1]), keys).any(axis=1)
+        return _lagged(_launches(self.smap, self.n, self.k, keys.shape[1]), keys).any(axis=1)
 
     def decode_block(self, chunks: np.ndarray) -> np.ndarray:
         """Frame keys (trials, N) of the minimum-weight errors with these
@@ -640,8 +671,6 @@ class Simulator:
         """Frame keys (trials, N) of the decoded errors."""
         tr = self._trellis
         decode = self._viterbi_tables if tr.tables is not None else self._viterbi_batched
-        if not tr.lead:
-            return decode(chunks)
         # the lead frames reach no measured launch, and the launches of the
         # last lead chunks no frame of the window
         cut = max(chunks.shape[1] - tr.lead, 0)
@@ -678,19 +707,19 @@ class Simulator:
         return keys
 
     def _viterbi_batched(self, chunks: np.ndarray) -> np.ndarray:
-        """`_viterbi` by the single-error table, and by the backward pass
-        and forward walk for the syndromes it lacks."""
+        """`_viterbi` by the low-weight table, and by the backward pass and
+        forward walk for the syndromes it lacks."""
         # the table's rows are exact ML answers; the others go in groups
         # whose backward metrics fit the budget
         tr = self._trellis
-        ids, singles = self._single_errors(chunks.shape[1] + tr.lead)
-        packed = _row_bytes(chunks)
-        found = np.array([ids.get(row, -1) for row in packed], dtype=np.intp)
-        keys = singles[found]
-        rows = np.flatnonzero(found < 0)
+        table, lightest = self._low_weight_table(chunks.shape[1] + tr.lead)
+        rows = _void(chunks.astype(self._synd.dtype))
+        at = np.minimum(np.searchsorted(table, rows), len(table) - 1)
+        keys = lightest[at]
+        missed = np.flatnonzero(table[at] != rows)
         group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * tr.succ.shape[1]))
-        for a in range(0, rows.size, group):
-            part = rows[a : a + group]
+        for a in range(0, missed.size, group):
+            part = missed[a : a + group]
             keys[part] = self._viterbi_nonzero(chunks[part])
         return keys
 

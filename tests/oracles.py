@@ -8,8 +8,8 @@ bit-matrix transpose one bit at a time, a circuit's symplectic matrix
 conjugated row by row, one encoder's cycle state
 computed from scratch, the states on zero-weight cycles found by walking
 every memory state, the memory-state trellis decoder, the syndrome
-trellis's merged branches found state by state, the lex-least one-qubit
-error of every syndrome such an error gives, the encode-then-decode
+trellis's merged branches found state by state, the lightest, lex-least
+error of every syndrome that an error of weight at most 2 gives, the encode-then-decode
 round trip streamed over the whole window once per launch frame, the
 sampler's float route and the bit layout of frame keys and syndrome
 chunks, the shifted products of
@@ -26,6 +26,7 @@ states.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -501,22 +502,33 @@ def sample_block_bits(p: float, n: int, nframes: int, seed: int, lo: int, hi: in
     return np.concatenate([u < 2 * p / 3, (u >= p / 3) & (u < p)], axis=2).astype(np.uint8)
 
 
-def single_error_table(syndrome: Callable[[PauliOperator], tuple], n: int, nframes: int) -> dict:
-    """Syndrome -> frame-key row of the lex-least error of weight at most
-    1 that has it, over the identity and every one-qubit error of an
-    nframes window of n-qubit frames, with the syndromes `syndrome` gives."""
+def low_weight_table(syndrome: Callable[[PauliOperator], tuple], n: int, nframes: int, weight: int) -> dict:
+    """Syndrome -> frame-key row of the lightest error that has it, lex-least
+    among equal weights, over the identity and every error of weight at
+    most `weight` (1 or 2) of an nframes window of n-qubit frames, with
+    the syndromes `syndrome` gives."""
     width = n * nframes
-    best = {syndrome(PauliOperator.identity(width)): (0,) * nframes}
+    # (qubit, x, z, key row) of every one-qubit error; I < X < Y < Z, wire 1
+    # most significant within a frame
+    singles = []
     for f in range(nframes):
         for q in range(n):
-            # I < X < Y < Z, wire 1 most significant within a frame
             for kind, (x, z) in enumerate([(1, 0), (1, 1), (0, 1)], start=1):
-                i = f * n + q
-                bits = syndrome(PauliOperator(width, x << i, z << i))
                 keys = [0] * nframes
                 keys[f] = kind << (2 * (n - 1 - q))
-                best[bits] = min(best.get(bits, tuple(keys)), tuple(keys))
-    return best
+                singles.append((f * n + q, x << (f * n + q), z << (f * n + q), tuple(keys)))
+    errors = [(0, PauliOperator.identity(width), (0,) * nframes)]
+    errors += [(1, PauliOperator(width, x, z), keys) for _, x, z, keys in singles]
+    if weight >= 2:
+        for (qa, xa, za, ka), (qb, xb, zb, kb) in itertools.combinations(singles, 2):
+            if qa != qb:
+                keys = tuple(a | b for a, b in zip(ka, kb))
+                errors.append((2, PauliOperator(width, xa | xb, za | zb), keys))
+    best: dict = {}
+    for w, error, keys in errors:
+        bits = syndrome(error)
+        best[bits] = min(best.get(bits, (w, keys)), (w, keys))
+    return {bits: keys for bits, (_, keys) in best.items()}
 
 
 def roundtrip_by_launch(code: ConvolutionalCode, encoder, decoder: Realization, nframes: int) -> List[str]:

@@ -204,8 +204,10 @@ def test_the_decoding_tables_have_one_builder():
 
 def test_a_simulate_block_has_one_loop_over_response_lags():
     # the syndrome and the failure test are lookups in `_response` tables,
-    # XORed over the lags by one helper
+    # XORed over the lags by one helper; the failure test's tables are
+    # built once per process per encoder map and window
     assert _callers("_response") == [("simulate", "_code_tables"), ("simulate", "_launches")]
+    assert _callers("_launches") == [("simulate", "failure_block")]
     assert _callers("_lagged") == [("simulate", "syndrome_block"), ("simulate", "failure_block")]
 
 

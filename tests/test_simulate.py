@@ -17,10 +17,11 @@ decoding automaton of small trellises is held against the batched
 decoder on random encoders' codes and synthesized small codes, and on
 FGG against the full backward pass on every syndrome up to N = 8; the
 tests of the batched decoder run it on a copy without the automaton
-(`batched`).  The batched pass's single-error table is held against the
-lex-least one-qubit error of every syndrome by the product route
-(`oracles.single_error_table`), and its decode against the decode of a
-copy whose table is empty.  The decoding tables that every simulator of
+(`batched`).  The batched pass's low-weight table is held against the
+lightest, lex-least error of weight at most 2 of every syndrome by the
+product route (`oracles.low_weight_table`), and its decode against the
+decode of a copy whose table is empty, on every two-qubit error of GR at
+N = 10 too.  The decoding tables that every simulator of
 a code shares in one process are held read-only, built once per code
 and cap, and held against fresh builds after the cache is cleared.  The
 batch methods take and return frame keys and syndrome chunks; tests that
@@ -30,6 +31,7 @@ against the float route it replaced (`oracles.sample_block_bits`).
 """
 
 import copy
+import itertools
 import random
 
 import numpy as np
@@ -39,7 +41,7 @@ from hypothesis import strategies as st
 
 from qconvenc import PauliOperator, SymplecticMap, parse_code, synthesize_encoder
 from qconvenc.code import from_classical_polynomial
-from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, GR_CODE
+from qconvenc.library import FGG_CODE, FGG_CODE_TEXT, GR_CODE, GR_CODE_TEXT
 from qconvenc.decoder import encoded_logical_operators
 import qconvenc.simulate as simulate_module
 from qconvenc.errors import CodeValidationError, InputDataError, ParseError, QconvError, TrellisError
@@ -64,10 +66,10 @@ from oracles import (
     chunks_from_bits,
     full_viterbi_keys,
     keys_from_bits,
+    low_weight_table,
     merged_syndrome_trellis,
     per_state_pass,
     sample_block_bits,
-    single_error_table,
     syndrome_by_decoder,
 )
 
@@ -707,18 +709,19 @@ def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monk
 
 
 def table_by_syndrome(sim, nframes):
-    """The simulator's single-error table of an nframes window, as
-    syndrome -> frame-key row over the whole window."""
+    """The simulator's low-weight table of an nframes window, as syndrome
+    -> frame-key row over the whole window."""
     tr = sim._trellis
-    ids, keys = sim._single_errors(nframes)
+    table, keys = sim._low_weight_table(nframes)
     r = sim.n - sim.k
     out = {}
-    for row, i in ids.items():
+    for row, key in zip(table.tolist(), keys.tolist()):
         # the last lead launches reach no frame, and the lead frames decode
         # to the identity
-        chunks = np.frombuffer(row, dtype=np.intp).tolist() + [0] * tr.lead
+        chunks = np.frombuffer(row, dtype=sim._synd.dtype).tolist() + [0] * tr.lead
         syndrome = tuple((c >> a) & 1 for c in chunks for a in range(r))
-        out[syndrome] = (0,) * tr.lead + tuple(keys[i].tolist())
+        out[syndrome] = (0,) * tr.lead + tuple(key)
+    assert len(out) == len(table)
     return out
 
 
@@ -743,29 +746,54 @@ def test_single_error_table_matches_the_product_route(request, lead_code, which,
     assert sim._trellis.lead == (which == "lead")
     table = table_by_syndrome(sim, nframes)
     syndrome = lambda e: syndrome_by_products(sim.code, e, nframes)
-    assert table == single_error_table(syndrome, sim.n, nframes)
-    # one-qubit errors give more than one syndrome, and at most one each
-    assert 1 < len(table) <= 1 + 3 * sim.n * (nframes - sim._trellis.lead)
+    assert table == low_weight_table(syndrome, sim.n, nframes, 2)
+    # errors of weight at most 2 give more than one syndrome, and at most
+    # one each: the identity, 3 per qubit and 9 per pair of qubits
+    qubits = sim.n * (nframes - sim._trellis.lead)
+    assert 1 < len(table) <= 1 + 3 * qubits + 9 * qubits * (qubits - 1) // 2
 
 
 def test_single_error_table_keeps_the_zero_row_alone_over_the_budget(
     fgg_reference_encoder, monkeypatch
 ):
     sim = batched(Simulator(FGG_CODE, fgg_reference_encoder))
-    # 9 one-qubit errors per frame, each a row of N chunks: 9 N^2 cells
+    # 9 one-qubit errors per frame, each a row of N chunks: 9 N^2 cells;
+    # the two-qubit errors' rows fit at neither window
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 9 * 4 * 4)
-    assert len(sim._single_errors(4)[0]) > 1
-    ids, keys = sim._single_errors(5)
-    assert list(ids.values()) == [0] and not keys.any()
+    assert len(sim._low_weight_table(4)[0]) > 1
+    table, keys = sim._low_weight_table(5)
+    assert len(table) == 1 and not np.frombuffer(table[0].tobytes(), dtype=np.uint8).any()
+    assert keys.shape == (1, 5) and not keys.any()
     assert_decode_matches_full_pass(sim, sim.syndrome_block(_sample_block(0.1, 3, 5, 6, 0, 100)))
 
 
+def test_low_weight_table_holds_one_qubit_errors_alone_between_the_budgets(gr_simulator, monkeypatch):
+    # GR at N = 10: 120 one-qubit errors of 10 chunks fit, and 7,020
+    # two-qubit errors do not
+    cells = 1 << 14
+    assert 120 * 10 <= cells < 7020 * 10
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", cells)
+    syndrome = lambda e: syndrome_by_products(GR_CODE, e, 10)
+    assert table_by_syndrome(gr_simulator, 10) == low_weight_table(syndrome, 4, 10, 1)
+    errors = np.concatenate([_sample_block(p, 4, 10, 5, 0, 40) for p in (0.02, 0.1, 0.3)])
+    syndromes = gr_simulator.syndrome_block(errors)
+    est = gr_simulator.decode_block(syndromes)
+    assert (est == without_table(gr_simulator).decode_block(syndromes)).all()
+
+
 def without_table(sim):
-    """The simulator with its single-error table emptied: every syndrome,
-    the zero one too, goes through the backward pass."""
+    """The simulator with its low-weight table emptied: every syndrome,
+    the zero one too, goes through the backward pass.  The table's one
+    row holds chunk 2^(n - k), which no syndrome has."""
     out = copy.copy(sim)
-    dtype = sim._trellis.key.dtype
-    out._single_errors = lambda nframes: ({}, np.zeros((1, nframes - sim._trellis.lead), dtype=dtype))
+    r = sim.n - sim.k
+
+    def table(nframes):
+        width = nframes - sim._trellis.lead
+        row = np.full((1, width), 1 << r, dtype=sim._synd.dtype)
+        return simulate_module._void(row), np.zeros((1, width), dtype=sim._trellis.key.dtype)
+
+    out._low_weight_table = table
     return out
 
 
@@ -779,12 +807,40 @@ def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, 
     syndromes = sim.syndrome_block(errors)
     est = sim.decode_block(syndromes)
     assert (est == without_table(sim).decode_block(syndromes)).all()
-    # the table answers some nonzero syndromes, and the pass the others
+    # the table answers some nonzero syndromes, and the pass the others;
+    # on GR at N = 3 the table holds all 4^3 syndromes, so it answers all
     tr = sim._trellis
-    ids = sim._single_errors(nframes)[0]
-    chunks = syndromes.astype(np.intp)
-    hit = np.array([row in ids for row in simulate_module._row_bytes(chunks[:, : nframes - tr.lead])])
-    assert (hit & syndromes.any(axis=1)).any() and not hit.all()
+    table = set(sim._low_weight_table(nframes)[0].tolist())
+    rows = simulate_module._void(syndromes[:, : nframes - tr.lead].astype(sim._synd.dtype))
+    hit = np.array([row in table for row in rows.tolist()])
+    whole = (which, nframes) == ("gr", 3)
+    assert (hit & syndromes.any(axis=1)).any() and hit.all() == whole
+    assert (len(table) == 4**3) == whole
+
+
+def test_every_two_qubit_error_decodes_by_the_table_as_by_the_full_pass(gr_simulator, monkeypatch):
+    # all 7,020 errors of weight 2 on GR at N = 10, each the product of two
+    # one-qubit errors on distinct qubits
+    nframes, n = 10, 4
+    singles = [(q, kind << (2 * (n - 1 - q % n))) for q in range(n * nframes) for kind in (1, 2, 3)]
+    errors = np.zeros((7020, nframes), dtype=np.int64)
+    pairs = [(a, b) for a, b in itertools.combinations(singles, 2) if a[0] != b[0]]
+    assert len(pairs) == len(errors)
+    for row, ((qa, ka), (qb, kb)) in zip(errors, pairs):
+        row[qa // n] |= ka
+        row[qb // n] |= kb
+    syndromes = gr_simulator.syndrome_block(errors)
+    full = without_table(gr_simulator).decode_block(syndromes)
+
+    def fail(*args):
+        raise AssertionError("a syndrome of weight at most 2 reached the backward pass")
+
+    monkeypatch.setattr(gr_simulator, "_viterbi_nonzero", fail)
+    est = gr_simulator.decode_block(syndromes)
+    assert (est == full).all()
+    # the decoded errors weigh at most 2, and some of them 2
+    weights = simulate_module._weight(est, n).sum(axis=1)
+    assert weights.max() == 2 and (weights <= 2).all()
 
 
 @pytest.mark.parametrize("which, nframes", [("fgg", 6), ("gr", 4)])
@@ -815,9 +871,10 @@ def test_multi_point_blocks_match_per_point_runs(request, monkeypatch, which, nf
 
 def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
     # the benchmark's GR op: 2 points of 30 trials at N = 10, serially.  Both
-    # points share one sample block, whose syndromes that no one-qubit error
-    # gives fit one step call per frame: 10 calls after the 2 of the trellis
-    # build
+    # points share one sample block.  At seed 1 every syndrome is one that
+    # an error of weight at most 2 gives, so the low-weight table answers
+    # all of them and only the 2 steps of the trellis build run; at seed 3
+    # the syndromes that it lacks fit one step call per frame: 10 calls
     calls = []
     step = Simulator._step
 
@@ -828,8 +885,10 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
     simulate_module._code_tables.cache_clear()  # a fresh build
     estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
-    assert len(calls) == 12
-    assert calls[:2] == [(256, 4), (256, 4)] and len({shape for shape in calls[2:]}) == 1
+    assert calls == [(256, 4), (256, 4)]
+    calls.clear()
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=3)
+    assert len(calls) == 10 and len(set(calls)) == 1
 
 
 @pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
@@ -1149,8 +1208,8 @@ def test_equal_codes_share_one_build(fgg_reference_encoder):
     assert all(x is y for x, y in zip(shared_arrays(a), shared_arrays(b)))
     info = simulate_module._code_tables.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    # the per-window tables stay with each simulator
-    assert a._single_errors(4) is not b._single_errors(4)
+    # so are the low-weight tables of its windows
+    assert a._low_weight_table(4) is b._low_weight_table(4)
 
 
 def test_each_cap_builds_its_own_tables(fgg_reference_encoder, gr_synthesis, monkeypatch):
@@ -1168,6 +1227,25 @@ def test_each_cap_builds_its_own_tables(fgg_reference_encoder, gr_synthesis, mon
     assert (info.misses, info.currsize) == (3, 1)
     monkeypatch.undo()
     assert Simulator(FGG_CODE, fgg_reference_encoder)._trellis.tables is not None
+
+
+def test_window_and_failure_tables_are_built_once_and_read_only(gr_synthesis):
+    # a second simulator of an equal code and encoder map builds neither
+    # the low-weight table nor the failure tables of a window again
+    simulate_module._launches.cache_clear()
+    a = Simulator(parse_code(GR_CODE_TEXT), gr_synthesis.circuit)
+    b = Simulator(parse_code(GR_CODE_TEXT), gr_synthesis.circuit)
+    assert a.code is not b.code and a.smap is not b.smap
+    errors = _sample_block(0.05, 4, 6, 2, 0, 20)
+    for sim in (a, b):
+        sim.failure_block(errors)
+    info = simulate_module._launches.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    launches = simulate_module._launches(a.smap, 4, 2, 6)
+    assert a._low_weight_table(6) is b._low_weight_table(6)
+    for arr in (*a._low_weight_table(6), launches):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 @pytest.mark.parametrize("which", ["fgg", "gr"])
