@@ -292,7 +292,7 @@ def _cycle_states(
 
     The dual field dv of v and residue(v) are linear in v: each candidate's
     pair is the previous candidate's XOR that of their difference, cached
-    per difference.  Any order of candidates works; a `_solutions` walk
+    per difference.  Any order of candidates works; a `gf2.solutions` walk
     has one difference per nullspace vector.  The candidates' dv recur,
     and for each class the decision is found once: the first state of P
     with a nonzero residue r1, and the first whose nonzero residue is not
@@ -433,7 +433,7 @@ def complete_noncatastrophic(
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are drawn
-    lazily in increasing packed-vector order (`_solutions`), depth-first,
+    lazily in increasing packed-vector order (`gf2.solutions`), depth-first,
     subject to the symplectic products forced by all rows fixed so far.
     Each full completion is checked with the exact catastrophicity test,
     read from its rows alone; only the accepted one is completed to a full
@@ -482,7 +482,7 @@ def complete_noncatastrophic(
             return
         u = directions[level]
         rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
-        candidates = within_budget(_solutions([_dual(ro, w) for _, ro in rows_acc], rhs, 2 * w))
+        candidates = within_budget(gf2.solutions([_dual(ro, w) for _, ro in rows_acc], rhs, 2 * w))
         if level < len(directions) - 1:
             for v in candidates:
                 yield from leaves(rows_acc + [(u, v)], level + 1)
@@ -499,22 +499,6 @@ def complete_noncatastrophic(
                     smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
                     return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
     raise exhausted("every consistent completion is catastrophic")
-
-
-def _solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
-    """Every x with row_i . x = rhs_i, lazily, from one reduction: (x, 1) spans the kernel of
-    [rows | rhs] with the kernel of rows, and the rhs column, free exactly when the system is
-    consistent, is its last free one.  The i-th is x, 0 at the free columns, XOR the kernel vectors
-    that i's bits select; each tops out at its own free column, ascending, so the order increases."""
-    null = gf2.nullspace([r | b << ncols for r, b in zip(rows, rhs)], ncols + 1)
-    if not null or not null[-1] >> ncols:  # a 0 = 1 row
-        return
-    x = null.pop() ^ 1 << ncols
-    prefix = gf2.matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
-    yield x
-    for i in range(1, 1 << len(null)):  # from i - 1 to i, bits 0..t flip, t = i's lowest set bit
-        x ^= prefix[(i & -i).bit_length() - 1]
-        yield x
 
 
 def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:

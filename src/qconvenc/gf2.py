@@ -2,12 +2,12 @@
 
 A vector of length n is a Python int with bit i holding coordinate i
 (little-endian).  A matrix is a list of such row ints.  This keeps rank,
-solve and nullspace loops branch-light and allocation-free.
+nullspace and solution loops branch-light and allocation-free.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "parity",
@@ -15,7 +15,7 @@ __all__ = [
     "row_reduce",
     "extend",
     "residue",
-    "solve",
+    "solutions",
     "nullspace",
     "kernel",
     "invert",
@@ -70,27 +70,22 @@ def residue(reduced: List[int], pivots: List[int], v: int) -> int:
     return v
 
 
-def solve(rows: List[int], rhs: List[int], ncols: int) -> Optional[int]:
-    """One solution x of row_i . x = rhs_i, or None.
-
-    Free coordinates are set to 0, so the answer is deterministic.
-    """
-    # Gaussian elimination on the augmented system [A | b].
-    aug = [(rows[i] | (rhs[i] << ncols)) for i in range(len(rows))]
-    reduced, pivots = row_reduce(aug)
-    mask = (1 << ncols) - 1
-    x = 0
-    for piv, r in zip(pivots, reduced):
-        if piv >= ncols:
-            return None  # 0 = 1 row
-        if (r >> ncols) & 1:
-            x |= 1 << piv
-    # verify (free vars at 0 make each pivot equation hold by construction,
-    # but the cheap check guards against bookkeeping slips)
-    for row, b in zip(rows, rhs):
-        if parity(row & x) != b:
-            return None
-    return x
+def solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
+    """Every x with row_i . x = rhs_i, in increasing order, from one
+    reduction of [rows | rhs]; none when a row reduces to 0 = 1.  The
+    first, 0 at every free column, comes before the kernel is computed;
+    the i-th is it XOR the kernel vectors that i's bits select, each
+    topping out at its own free column, ascending, so the order increases."""
+    reduced, pivots = row_reduce([r | b << ncols for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return
+    x = sum((r >> ncols & 1) << piv for piv, r in zip(pivots, reduced))  # distinct pivots: an OR
+    yield x
+    null = kernel(reduced, pivots, ncols)
+    prefix = matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
+    for i in range(1, 1 << len(null)):  # from i - 1 to i, bits 0..t flip, t = i's lowest set bit
+        x ^= prefix[(i & -i).bit_length() - 1]
+        yield x
 
 
 def nullspace(rows: List[int], ncols: int) -> List[int]:

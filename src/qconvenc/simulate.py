@@ -69,13 +69,13 @@ A syndrome that some error of weight at most 2 gives needs no trellis
 Its minimum weight is the least weight of those errors, and every error
 of that weight is among them, so it decodes to the lightest of them,
 lex-least among equal weights: the zero syndrome to the identity.  The
-low-weight table of a window holds the chunk rows of the identity, of
-every one-qubit error (frame f adds c_j(e) to launch f - j) and of every
-product of two on distinct qubits, whose row is the XOR of theirs.  It
-orders them by weight and then by their frame keys, keeps the first of
-each row, and stores the distinct rows sorted, each with its error's
-frame keys; the batched pass looks every trial up in it first, with one
-binary search per block.
+low-weight table of a window holds the identity, every one-qubit error
+and every product of two on distinct qubits, as frame keys (a product's
+keys are the XOR of its factors'), and reads their chunk rows through
+the same syndrome route as a block.  It orders them by weight and then
+by their frame keys, keeps the first of each row, and stores the
+distinct rows sorted, each with its error's frame keys; the batched pass
+looks every trial up in it first, with one binary search per block.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -156,7 +156,7 @@ _INF16 = 1 << 14
 #   (each qubit's threshold tests and symbol) per trial and point;
 # - a decode group of the batched pass, (N + 1) x states backward metrics;
 # - a backward step call, branches x states gathered and added values.
-# On GR at N = 10 that is 1,724 trials per sample block (862 at each of
+# On GR at N = 10 that is 2,184 trials per sample block (1,092 at each of
 # two points), 93 per decode group and 64 per step call; on FGG at N = 20,
 # 1,456 per sample block.  A trellis whose step of one trial exceeds it is
 # refused.  The low-weight table of a window drops its two-qubit errors
@@ -386,34 +386,23 @@ def _window_table(
     nerr = width * len(codes)
     if nerr * width > cells:
         nerr = 0
-    # c_j(e) at every lag j, zero past the responses' span; frame f of an
-    # error adds c_j(e) to launch f - j
-    resp = synd[tr.lead :]
-    lagged = np.zeros((width + len(resp), len(codes)), dtype=synd.dtype)
-    lagged[: len(resp)] = resp[:, codes]
-    rows = np.zeros((1 + nerr, width), dtype=synd.dtype)
-    keys = np.zeros(rows.shape, dtype=tr.key.dtype)
+    # the frame keys of the identity and of every one-qubit error
+    keys = np.zeros((1 + nerr, width), dtype=tr.key.dtype)
     for f in range(width if nerr else 0):
-        at = slice(1 + f * len(codes), 1 + (f + 1) * len(codes))
-        rows[at, : f + 1] = lagged[f::-1].T
-        keys[at, f] = codes
+        keys[1 + f * len(codes) : 1 + (f + 1) * len(codes), f] = codes
     # every product of two one-qubit errors on distinct qubits, 9 per pair
-    # of the n N qubits, while their rows fit; the row and the keys of a
-    # product are the XOR of theirs
+    # of the n N qubits, while their rows fit; its keys are the XOR of theirs
     nq = nerr // 3
     if 0 < 9 * (nq * (nq - 1) // 2) * width <= cells:
         a, b = np.triu_indices(nq, 1)
-
-        def paired(t):  # t with the XOR of every pair of its one-qubit rows
-            one = t[1:].reshape(nq, 3, width)
-            return np.concatenate([t, (one[a, :, None] ^ one[b, None]).reshape(-1, width)])
-
-        rows, keys = paired(rows), paired(keys)
-    weight = np.repeat([0, 1, 2], [1, nerr, len(rows) - 1 - nerr])
-    # by chunk row (its bytes, as voids compare them), then by weight, then
-    # lex over the frame keys, frame 1 most significant: the first error of
-    # each row is its lightest, lex-least one
-    raw = rows.view(np.uint8)
+        one = keys[1:].reshape(nq, 3, width)
+        keys = np.concatenate([keys, (one[a, :, None] ^ one[b, None]).reshape(-1, width)])
+    weight = np.repeat([0, 1, 2], [1, nerr, len(keys) - 1 - nerr])
+    # the chunk rows by a block's syndrome route, ordered by chunk row (its
+    # bytes, as voids compare them), then by weight, then lex over the
+    # frame keys, frame 1 most significant: the first error of each row is
+    # its lightest, lex-least one
+    raw = _lagged(synd[tr.lead :], keys).view(np.uint8)
     order = np.lexsort([*keys.T[::-1], weight, *raw.T[::-1]])
     raw = raw[order]
     first = np.ones(len(raw), dtype=bool)

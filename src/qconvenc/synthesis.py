@@ -78,12 +78,12 @@ def check_consistency(partial: PartialMap) -> List[int]:
 
 
 def _solve_partner(placed: List[int], c: int, width: int) -> int:
-    """Lex-deterministic d with sp(c, d) = 1 and sp(e, d) = 0 for placed e != c."""
+    """The least packed d with sp(c, d) = 1 and sp(e, d) = 0 for placed e != c."""
     rows, rhs = [], []
     for e in placed:
         rows.append(_dual(e, width))
         rhs.append(1 if e == c else 0)
-    d = gf2.solve(rows, rhs, 2 * width)
+    d = next(gf2.solutions(rows, rhs, 2 * width), None)
     if d is None:
         raise SynthesisError("no symplectic partner exists; inputs were inconsistent")
     return d

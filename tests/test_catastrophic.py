@@ -29,7 +29,6 @@ from qconvenc.catastrophic import (
     _combinations,
     _cycle_states,
     _reads,
-    _solutions,
     complete_noncatastrophic,
     is_noncatastrophic,
     is_noncatastrophic_decoder,
@@ -371,9 +370,8 @@ def test_solutions_come_lazily_in_increasing_order(system):
     # with more equations than columns, whose dependent rows meet
     ncols, equations = system
     rows, rhs = [r for r, _ in equations], [b for _, b in equations]
-    got = list(_solutions(rows, rhs, ncols))
+    got = list(gf2.solutions(rows, rhs, ncols))
     assert got == [x for x in range(1 << ncols) if all(gf2.parity(r & x) == b for r, b in equations)]
-    assert (got == []) == (gf2.solve(rows, rhs, ncols) is None)
     event("no solution" if not got else "one solution" if len(got) == 1 else "several solutions")
 
 
@@ -391,8 +389,8 @@ WIDE_DIRECTION_POLYS = [
 def test_wide_candidate_spaces_search_up_to_the_budget(poly):
     import qconvenc.catastrophic as cat
 
-    widths, real = [], cat._solutions
-    with mock.patch.object(cat, "_solutions", lambda rows, rhs, ncols: widths.append(
+    widths, real = [], gf2.solutions
+    with mock.patch.object(cat.gf2, "solutions", lambda rows, rhs, ncols: widths.append(
         len(gf2.nullspace(rows, ncols))
     ) or real(rows, rhs, ncols)):
         with pytest.raises(CompletionSearchExhausted) as info:
@@ -657,7 +655,7 @@ def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
     # any images, any rows that vary, any candidates: every state must be
     # the one computed afresh, and one memo serves every call.  Up to 40
     # candidates from a small span, with repeats and v = 0, in an order no
-    # `_solutions` walk gives: the same difference of successive candidates
+    # `gf2.solutions` walk gives: the same difference of successive candidates
     # recurs between different pairs
     k = min(k, n - 1)
     w, reads = m + n, 2 * m + n - k

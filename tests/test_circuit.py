@@ -189,9 +189,18 @@ def test_maps_are_fed_frame_by_frame_only_by_stream():
 def test_the_unobservable_subspace_has_one_loop():
     # V's Krylov loop lives in `_unobservable`, the one reader of a kernel
     # off its functionals, and only the leaf checks of the two directions,
-    # which serve both the verdicts and the search, call it
+    # which serve both the verdicts and the search, call it; the solver
+    # reads the kernel of a linear system, no V
     assert _callers("_unobservable") == [("catastrophic", "_cycle_states"), ("catastrophic", "_decoder_cycle_state")]
-    assert _callers("kernel") == [("catastrophic", "_unobservable"), ("gf2", "nullspace")]
+    assert _callers("kernel") == [("catastrophic", "_unobservable"), ("gf2", "solutions"), ("gf2", "nullspace")]
+
+
+def test_gf2_systems_have_one_solver():
+    # the search's candidate outputs and the symplectic partners are read
+    # off one lazy solver; its first solution is the least one
+    assert _callers("solutions") == [
+        ("catastrophic", "complete_noncatastrophic"), ("catastrophic", "leaves"), ("synthesis", "_solve_partner")]
+    assert not hasattr(qconvenc.gf2, "solve") and not hasattr(qconvenc.catastrophic, "_solutions")
 
 
 def test_the_decoding_tables_have_one_builder():
@@ -203,12 +212,14 @@ def test_the_decoding_tables_have_one_builder():
 
 
 def test_a_simulate_block_has_one_loop_over_response_lags():
-    # the syndrome and the failure test are lookups in `_response` tables,
-    # XORed over the lags by one helper; the failure test's tables are
+    # the syndrome, the failure test and the low-weight table's chunk rows
+    # are lookups in `_response` tables, XORed over the lags by one
+    # helper; the failure test's tables are
     # built once per process per encoder map and window
     assert _callers("_response") == [("simulate", "_code_tables"), ("simulate", "_launches")]
     assert _callers("_launches") == [("simulate", "failure_block")]
-    assert _callers("_lagged") == [("simulate", "syndrome_block"), ("simulate", "failure_block")]
+    assert _callers("_lagged") == [
+        ("simulate", "_window_table"), ("simulate", "syndrome_block"), ("simulate", "failure_block")]
 
 
 def test_only_synthesis_builds_the_encoder_skeleton():

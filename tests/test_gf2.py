@@ -101,21 +101,16 @@ def test_residue_is_v_minus_its_span_component():
 
 
 def test_solve_finds_combination():
+    # the first of the solutions, the one `_solve_partner` takes, is the
+    # least solution, and there is none exactly when no vector solves it
     rng = random.Random(4)
     ncols = 6
     for _ in range(100):
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(1, 7))]
         rhs = [rng.getrandbits(1) for _ in rows]
-        sol = gf2.solve(rows, rhs, ncols)
-        residuals = [
-            gf2.parity(r & sol) ^ b for r, b in zip(rows, rhs)
-        ] if sol is not None else None
-        if sol is not None:
-            assert not any(residuals)
-        else:
-            # no candidate among all 2^ncols vectors satisfies the system
-            for v in range(1 << ncols):
-                assert any(gf2.parity(r & v) ^ b for r, b in zip(rows, rhs))
+        sol = next(gf2.solutions(rows, rhs, ncols), None)
+        every = [v for v in range(1 << ncols) if not any(gf2.parity(r & v) ^ b for r, b in zip(rows, rhs))]
+        assert sol == min(every, default=None)
 
 
 def test_nullspace_is_exact_kernel():

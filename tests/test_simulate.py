@@ -737,9 +737,11 @@ def table_simulator(request, lead_code, which):
     return request.getfixturevalue(f"{which}_simulator")
 
 
+# GR's N = 7 window is longer than its span of 5, so some of its pairs
+# lie more than a response span apart
 @pytest.mark.parametrize(
     "which, nframes",
-    [("fgg", 5), ("gr", 4), ("gr", 1), ("lead", 5), ("realized", 3), ("realized", 6)],
+    [("fgg", 5), ("gr", 4), ("gr", 1), ("gr", 7), ("lead", 5), ("realized", 3), ("realized", 6)],
 )
 def test_single_error_table_matches_the_product_route(request, lead_code, which, nframes):
     sim = table_simulator(request, lead_code, which)
@@ -1016,13 +1018,15 @@ def test_syndrome_off_the_trellis_raises_trellis_error(lead_code):
 
 
 @pytest.mark.parametrize("trials", [1, 1457])
-def test_one_trial_block_of_a_code_with_a_lead(lead_code, monkeypatch, trials):
+def test_one_trial_block_of_a_code_with_a_lead(lead_code, gr_simulator, monkeypatch, trials):
     # the batched pass cuts the lead off the chunks; a block of one trial
     # cuts one row, a view that counts as contiguous whatever its stride.
     # At N = 20 a sample block holds 1,456 trials, so 1,457 trials end in
-    # a block of one; a raised cap runs them all in one block
+    # a block of one; a raised cap runs them all in one block.  GR's holds
+    # 2,184 at N = 10, 1,092 at each of two points
     sim = Simulator(*lead_code)
     assert sim._trellis.lead == 1 and sim._trellis.tables is None and sim._block_size(20) == 1456
+    assert gr_simulator._block_size(10) == 2184
     counts = [r.failures for r in estimate_wers(*lead_code, [0.05], 20, trials, seed=3)]
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 22)
     assert Simulator(*lead_code)._block_size(20) > trials
