@@ -89,8 +89,10 @@ shifted metric after the frame and the chunk.  The simulator closes the
 shifted metrics under backward steps from the pinned one, and the walk
 sets under forward steps from the states at metric 0, and stores both
 transition tables; a block then decodes by one lookup per frame
-backward and one forward, all its trials at once.  The tables are built,
-by the same step, whenever both closures fit the `_BLOCK_CELLS` budget,
+backward and one forward, all its trials at once.  The tables are built
+by the same backward and forward steps as the batched pass, a walk set
+under one shifted metric and chunk being one trial of the forward step,
+whenever both closures fit the `_BLOCK_CELLS` budget,
 counted as the cells their steps touch: on FGG, 5 shifted metrics and 7
 walk sets.  The walk starts from two sets or more (the empty one and the
 pinned metric's {0}), so the shifted metrics may fill half the budget.
@@ -104,11 +106,11 @@ sample block holds the same trials at every point, each sampled per
 point and then syndromed, decoded and failure-tested in one call per
 layer, and holds a trial's Philox words and 2n N cells of sampling per
 point; the batched pass takes the block's trials that miss the
-low-weight table in groups held by their (N + 1) x states backward
-metrics; and one backward step gathers branches x states values per
-trial.  The table holds the one-qubit errors while their 3n N x N chunk
-cells fit, and the two-qubit errors while their 9 C(n N, 2) x N cells
-fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
+low-weight table in groups held by the larger of their (N + 1) x states
+backward metrics and the branches x states values of one backward step,
+which then runs once per frame.  The table holds the one-qubit errors
+while their 3n N x N chunk cells fit, and the two-qubit errors while
+their 9 C(n N, 2) x N cells fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
 calling process, one after another.
 
 The syndrome tables, trellis and automaton depend on the code alone, so
@@ -154,18 +156,19 @@ _INF16 = 1 << 14
 # trials by what each holds in the array that batch bounds:
 # - a sample block, 4 x `_trial_counters` Philox words and 2n N cells
 #   (each qubit's threshold tests and symbol) per trial and point;
-# - a decode group of the batched pass, (N + 1) x states backward metrics;
-# - a backward step call, branches x states gathered and added values.
+# - a decode group of the batched pass, the larger of its (N + 1) x states
+#   backward metrics and the branches x states values that one backward
+#   step gathers and adds, so that each frame's step is one call.
 # On GR at N = 10 that is 2,184 trials per sample block (1,092 at each of
-# two points), 93 per decode group and 64 per step call; on FGG at N = 20,
-# 1,456 per sample block.  A trellis whose step of one trial exceeds it is
-# refused.  The low-weight table of a window drops its two-qubit errors
-# when their chunk rows exceed it (on GR past N = 15), and holds only the
-# zero row when the one-qubit errors' rows do too.  It also bounds
-# each closure of the decoding automaton, at chunks x branches x states
-# cells per shifted metric and that times the shifted metrics per walk set;
-# a closure over it leaves the decoding to the batched pass.  The shifted
-# metrics get half of it, since the walk starts from two sets or more.
+# two points) and 64 per decode group; on FGG at N = 20, 1,456 per sample
+# block.  A trellis whose step of one trial exceeds it is refused.  The
+# low-weight table of a window drops its two-qubit errors when their chunk
+# rows exceed it (on GR past N = 15), and holds only the zero row when the
+# one-qubit errors' rows do too.  It also bounds each closure of the
+# decoding automaton, at chunks x branches x states cells per shifted
+# metric and that times the shifted metrics per walk set; a closure over
+# it leaves the decoding to the batched pass.  The shifted metrics get
+# half of it, since the walk starts from two sets or more.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -478,17 +481,14 @@ def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Opti
     # cells of one backward step of one vector under every chunk
     cost = nchunks * nbranches * nstates
 
-    def steps(vecs):  # vectors (V, S) -> metrics (V, C, S) one frame earlier
-        beta = np.repeat(vecs, nchunks, axis=0)
-        c = np.tile(np.arange(nchunks), len(vecs))
-        step = Simulator._step(tr, beta.T, c, _INF).T
-        return np.ascontiguousarray(step).reshape(len(vecs), nchunks, nstates)
-
-    # the closure expands the vectors in the order it finds them
+    # the closure expands the vectors in the order it finds them, and the
+    # walk tests its branches against their steps before the shift
     stepped = []
 
-    def normalized(vecs):
-        step = steps(vecs)
+    def normalized(vecs):  # vectors (V, S) -> shifted metrics (V, C, S) one frame earlier
+        beta = np.repeat(vecs, nchunks, axis=0)
+        c = np.tile(np.arange(nchunks), len(vecs))
+        step = Simulator._step(tr, beta.T, c, _INF).T.reshape(len(vecs), nchunks, nstates)
         stepped.append(step)
         # a dead vector, every state unreachable, stays all _INF
         return np.where(step < _INF, step - step.min(axis=2, keepdims=True), _INF)
@@ -501,25 +501,20 @@ def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Opti
         return None
     vecs, _, succ = bwd
     nvecs = len(vecs)
-    # every (vector after the frame, chunk, branch, state before it): the
-    # successor, and the frame's key if the branch is on an optimal path
-    # from the state, i.e. its weight plus the metric after it is the
-    # state's metric (both offset by the same minimum)
-    dst = tr.succ ^ np.arange(nchunks)[:, None, None]
-    after = vecs[:, dst]
-    ok = (after < _INF) & (tr.weight + after == np.concatenate(stepped)[:, :, None, :])
-    keyed = np.where(ok, tr.key, nokey)
-
+    # one forward step per (set, vector after the frame, chunk), the trial
+    # of the walk: its pairs are the set's states with a finite metric
+    # before the frame, the only ones with an optimal branch
+    stride = nvecs * nchunks
+    stepped = np.concatenate(stepped).reshape(stride, nstates)
+    after = np.repeat(vecs, nchunks, axis=0).T
     keys = []
 
     def walk(sets):  # walk sets (L, S) -> next walk sets (L, V * C, S)
-        cand = np.where(sets[:, None, None, None, :], keyed, nokey)
-        kmin = cand.min(axis=(3, 4))
+        bi, si = np.nonzero((sets[:, None, :] & (stepped < _INF)).reshape(-1, nstates))
+        c = np.tile(np.arange(nchunks), len(sets) * nvecs)
+        before = stepped[bi % stride, si]
+        kmin, nxt = Simulator._forward(tr, bi, si, c, np.tile(after, len(sets)), before, nokey)
         keys.append(kmin.reshape(len(sets), -1))
-        hit = (cand == kmin[..., None, None]) & (cand < nokey)
-        nxt = np.zeros((len(sets), nvecs, nchunks, nstates), dtype=bool)
-        a, v, c, j, s = np.nonzero(hit)
-        nxt[a, v, c, dst[c, j, s]] = True
         return nxt.reshape(len(sets), -1, nstates)
 
     starts = np.concatenate([np.zeros((1, nstates), dtype=bool), vecs == 0])
@@ -528,7 +523,6 @@ def _build_automaton(tr: _Trellis, nchunks: int, nokey: int, cells: int) -> Opti
     if fwd is None:
         return None
     sets, start, fnext = fwd
-    stride = nvecs * nchunks
     return _Automaton(
         back=(succ * nchunks).ravel(),
         start=np.repeat(start[1:], nchunks) * stride,
@@ -629,6 +623,26 @@ class Simulator:
             step[tr.dead] = inf
         return np.minimum(step, inf, out=step)
 
+    @staticmethod
+    def _forward(tr: _Trellis, bi, si, chunks, after, before, nokey: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward tie-break step through one frame from the pairs (bi,
+        si) of trial and state on an optimal path, at metrics `before`,
+        with each trial's chunk and the metrics (states, trials) `after`
+        the frame.  A branch is optimal when its weight plus the metric
+        after it is the one before it.  Returns the lex-least optimal key
+        each trial commits (`nokey` if none) and the mask (trials, states)
+        of the states its branches of that key reach."""
+        nstates, ntrials = after.shape
+        dst = tr.succ.T.take(si, axis=0) ^ chunks.take(bi)[:, None]
+        ok = tr.weight.T.take(si, axis=0) + after.take(dst * ntrials + bi[:, None]) == before[:, None]
+        cand = np.where(ok, tr.key.T.take(si, axis=0), nokey)
+        kmin = np.full(ntrials, nokey, dtype=cand.dtype)
+        np.minimum.at(kmin, bi, cand.min(axis=1))
+        pi, ji = np.nonzero(ok & (cand == kmin.take(bi)[:, None]))
+        nxt = np.zeros((ntrials, nstates), dtype=bool)
+        nxt[bi[pi], dst[pi, ji]] = True
+        return kmin, nxt
+
     def _block_size(self, nframes: int) -> int:
         """Trials per sample block, each holding its Philox words and two
         cells per qubit, its threshold tests and symbol."""
@@ -698,15 +712,15 @@ class Simulator:
     def _viterbi_batched(self, chunks: np.ndarray) -> np.ndarray:
         """`_viterbi` by the low-weight table, and by the backward pass and
         forward walk for the syndromes it lacks."""
-        # the table's rows are exact ML answers; the others go in groups
-        # whose backward metrics fit the budget
+        # the table's rows are exact ML answers; the others go in groups whose
+        # backward metrics and one step's gathered values fit the budget
         tr = self._trellis
         table, lightest = self._low_weight_table(chunks.shape[1] + tr.lead)
         rows = _void(chunks.astype(self._synd.dtype))
         at = np.minimum(np.searchsorted(table, rows), len(table) - 1)
         keys = lightest[at]
         missed = np.flatnonzero(table[at] != rows)
-        group = max(1, _BLOCK_CELLS // ((chunks.shape[1] + 1) * tr.succ.shape[1]))
+        group = max(1, _BLOCK_CELLS // (max(chunks.shape[1] + 1, tr.succ.shape[0]) * tr.succ.shape[1]))
         for a in range(0, missed.size, group):
             part = missed[a : a + group]
             keys[part] = self._viterbi_nonzero(chunks[part])
@@ -715,45 +729,31 @@ class Simulator:
     def _viterbi_nonzero(self, chunks: np.ndarray) -> np.ndarray:
         tr = self._trellis
         ntrials, nframes = chunks.shape
-        nbranches, nstates = tr.succ.shape
+        nstates = tr.succ.shape[1]
         dtype, inf = self._metric(nframes)
         # beta[t][s, b]: least remaining weight of trial b from state s
         # after frame t to the pinned state 0 after frame N, all trials'
-        # steps at once, at most `per_call` of them per call
+        # steps at once
         beta = np.empty((nframes + 1, nstates, ntrials), dtype=dtype)
         beta[nframes] = inf
         beta[nframes, 0] = 0
-        per_call = max(1, _BLOCK_CELLS // (nbranches * nstates))
         for t in range(nframes - 1, -1, -1):
-            for a in range(0, ntrials, per_call):
-                part = slice(a, a + per_call)
-                beta[t, :, part] = self._step(tr, beta[t + 1, :, part], chunks[part, t], inf)
+            beta[t] = self._step(tr, beta[t + 1], chunks[:, t], inf)
         best = beta[0].min(axis=0)
         if (best >= inf).any():
             raise TrellisError("no trellis path matches the syndrome")
-        # walk forward keeping every (trial, state) pair still on an optimal
-        # path, from every state at the least weight, and at each frame
-        # commit the lex-least emission available from any of them; a frame
-        # and the state before it fix the state after it, so after nu - 1
+        # walk forward from every state at the least weight; a frame and
+        # the state before it fix the state after it, so after nu - 1
         # frames one state is left per trial
         bi, si = np.nonzero((beta[0] == best).T)
         remaining = best
         keys = np.zeros((ntrials, nframes), dtype=tr.key.dtype)
-        succ, weight, key = tr.succ.T, tr.weight.T, tr.key.T
         t = 0
         # once no weight remains, every later frame is the identity, key 0
         while t < nframes and remaining.any():
-            dst = succ.take(si, axis=0) ^ chunks[bi, t][:, None]
-            after = beta[t + 1].take(dst * ntrials + bi[:, None])
-            ok = weight.take(si, axis=0) + after == remaining.take(bi)[:, None]
-            cand = np.where(ok, key.take(si, axis=0), self._nokey)
-            kmin = np.full(ntrials, self._nokey, dtype=cand.dtype)
-            np.minimum.at(kmin, bi, cand.min(axis=1))
+            kmin, nxt = self._forward(tr, bi, si, chunks[:, t], beta[t + 1], remaining.take(bi), self._nokey)
             if (kmin == self._nokey).any():
                 raise TrellisError("optimal path lost mid-trellis")
-            pi, ji = np.nonzero(cand == kmin.take(bi)[:, None])
-            nxt = np.zeros((ntrials, nstates), dtype=bool)
-            nxt[bi[pi], dst[pi, ji]] = True
             bi, si = np.nonzero(nxt)
             keys[:, t] = kmin
             remaining = remaining - _weight(kmin, self.n)

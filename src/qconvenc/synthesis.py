@@ -91,21 +91,19 @@ def _solve_partner(placed: List[int], c: int, width: int) -> int:
 
 def _complete_side(pairs: List[Tuple[int, int]], isos: List[int], width: int) -> List[Tuple[int, int]]:
     """Extend hyperbolic pairs + isotropic vectors to width hyperbolic pairs."""
-    pairs = list(pairs)
-    pending = list(isos)
-    while pending:
-        c = pending.pop(0)
-        placed = [v for ab in pairs for v in ab] + [c] + pending
-        d = _solve_partner(placed, c, width)
-        pairs.append((c, d))
+    pairs, pending = list(pairs), list(isos)
+    # each isotropic vector gets its partner first, then each complement
+    # vector, the first basis vector of the placed vectors' symplectic
+    # complement
     while len(pairs) < width:
         placed = [v for ab in pairs for v in ab]
-        comp = gf2.nullspace([_dual(e, width) for e in placed], 2 * width)
-        if not comp:
-            raise SynthesisError("symplectic complement vanished early")
-        c = comp[0]
-        d = _solve_partner(placed + [c], c, width)
-        pairs.append((c, d))
+        if not pending:
+            pending = gf2.nullspace([_dual(e, width) for e in placed], 2 * width)[:1]
+            if not pending:
+                raise SynthesisError("symplectic complement vanished early")
+        c = pending[0]
+        pairs.append((c, _solve_partner(placed + pending, c, width)))
+        pending = pending[1:]
     return pairs
 
 

@@ -211,6 +211,24 @@ def test_the_decoding_tables_have_one_builder():
     assert _callers("_code_tables") == [("simulate", "__init__")]
 
 
+def test_one_forward_tie_break_step():
+    # the automaton's walk tables and the batched pass commit a frame's
+    # key by one forward step, the one home of the commit rule
+    assert _callers("_forward") == [
+        ("simulate", "_build_automaton"), ("simulate", "walk"), ("simulate", "_viterbi_nonzero")]
+    commits = []
+    for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                commits += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "at"
+                    and getattr(node.value, "attr", None) == "minimum"
+                ]
+    assert commits == [("simulate", "_forward")]
+
+
 def test_a_simulate_block_has_one_loop_over_response_lags():
     # the syndrome, the failure test and the low-weight table's chunk rows
     # are lookups in `_response` tables, XORed over the lags by one

@@ -917,8 +917,8 @@ def test_gr_decode_block_equals_per_trial_decoding(gr_simulator):
     nonzero = np.flatnonzero(syndromes.any(axis=(1, 2)))
     assert 20 < len(nonzero) < 180
     # the trials of one decode group meet different chunks at one frame
-    nstates = gr_simulator._trellis.succ.shape[1]
-    group = simulate_module._BLOCK_CELLS // ((nframes + 1) * nstates)
+    nbranches, nstates = gr_simulator._trellis.succ.shape
+    group = simulate_module._BLOCK_CELLS // (max(nframes + 1, nbranches) * nstates)
     chunks = syndromes[nonzero[:group]] @ np.array([1, 2])
     assert group > 1 and any(len(set(chunks[:, t].tolist())) > 2 for t in range(nframes))
     syndromes = chunks_from_bits(syndromes)
@@ -1063,7 +1063,8 @@ def test_syndrome_block_matches_the_products_on_short_windows(request, lead_code
 def assert_tables_match_batched(sim, rng, ntrials=20):
     """Keys of the tables and of the batched decoder on random syndromes,
     dense and sparse, at several window lengths: equal, or both raise the
-    same error."""
+    same error.  Both walk by one forward step, so keys they agree on are
+    checked against the full pass over the memory-state trellis too."""
     r = sim.n - sim.k
     for nframes in (1, 2, 3, 6):
         syndromes = chunks_from_bits((rng.random((ntrials, nframes, r)) < rng.random()).astype(np.uint8))
@@ -1078,6 +1079,7 @@ def assert_tables_match_batched(sim, rng, ntrials=20):
             assert outcomes[0] == outcomes[1]
         else:
             assert (outcomes[0] == outcomes[1]).all()
+            assert (outcomes[0] == full_viterbi_keys(sim, syndromes)).all()
 
 
 @settings(max_examples=60, deadline=None)
