@@ -77,6 +77,18 @@ by their frame keys, keeps the first of each row, and stores the
 distinct rows sorted, each with its error's frame keys; the batched pass
 looks every trial up in it first, with one binary search per block.
 
+A syndrome s that the table lacks goes through a split lookup first
+(Dumer, Probl. Inf. Transm. 1989).  With every error of weight at most w
+in the table, it looks up s ^ row(e) for every one-qubit error e, latest
+qubit first and X < Y < Z on each, and answers e times the hit's error
+for the first e whose hit's error starts at a qubit after e's.  That is
+exact: a hit weighs w, since a lighter one times e would have put s in
+the table; the lex-least error of weight w + 1 starts as late as it can,
+with the least symbol there and then the lex-least rest; and the table
+keeps the lex-least error of weight w of each row.  A weight-v error
+changes at most v chunks per response lag, so a trial with more than
+(w + 1) L nonzero chunks, L the lags from the lead, skips the lookup.
+
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
 Theory 1995, use the same finite set of metric states to compute exact
@@ -105,12 +117,14 @@ refuses a trellis whose one step of one trial would not fit it.  A
 sample block holds the same trials at every point, each sampled per
 point and then syndromed, decoded and failure-tested in one call per
 layer, and holds a trial's Philox words and 2n N cells of sampling per
-point; the batched pass takes the block's trials that miss the
-low-weight table in groups held by the larger of their (N + 1) x states
-backward metrics and the branches x states values of one backward step,
-which then runs once per frame.  The table holds the one-qubit errors
-while their 3n N x N chunk cells fit, and the two-qubit errors while
-their 9 C(n N, 2) x N cells fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
+point; the split lookup takes the block's trials that miss the
+low-weight table in groups held by their 3n N x N chunks against every
+one-qubit error, and the batched pass those that it leaves in groups
+held by the larger of their (N + 1) x states backward metrics and the
+branches x states values of one backward step, which then runs once per
+frame.  The table holds the one-qubit errors while their 3n N x N chunk
+cells fit, and the two-qubit errors while their 9 C(n N, 2) x N cells
+fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
 calling process, one after another.
 
 The syndrome tables, trellis and automaton depend on the code alone, so
@@ -156,19 +170,21 @@ _INF16 = 1 << 14
 # trials by what each holds in the array that batch bounds:
 # - a sample block, 4 x `_trial_counters` Philox words and 2n N cells
 #   (each qubit's threshold tests and symbol) per trial and point;
+# - a lookup group of the split lookup, its row XORed with each one-qubit
+#   error's row: 3n N x N chunks;
 # - a decode group of the batched pass, the larger of its (N + 1) x states
 #   backward metrics and the branches x states values that one backward
 #   step gathers and adds, so that each frame's step is one call.
 # On GR at N = 10 that is 2,184 trials per sample block (1,092 at each of
-# two points) and 64 per decode group; on FGG at N = 20, 1,456 per sample
-# block.  A trellis whose step of one trial exceeds it is refused.  The
-# low-weight table of a window drops its two-qubit errors when their chunk
-# rows exceed it (on GR past N = 15), and holds only the zero row when the
-# one-qubit errors' rows do too.  It also bounds each closure of the
-# decoding automaton, at chunks x branches x states cells per shifted
-# metric and that times the shifted metrics per walk set; a closure over
-# it leaves the decoding to the batched pass.  The shifted metrics get
-# half of it, since the walk starts from two sets or more.
+# two points), 218 per lookup group and 64 per decode group; on FGG at
+# N = 20, 1,456 per sample block.  A trellis whose step of one trial
+# exceeds it is refused.  The low-weight table of a window drops its
+# two-qubit errors when their chunk rows exceed it (on GR past N = 15),
+# and holds only the zero row when the one-qubit errors' rows do too.  It
+# also bounds each closure of the decoding automaton, at chunks x branches
+# x states cells per shifted metric and that times the shifted metrics per
+# walk set; a closure over it leaves the decoding to the batched pass.
+# The shifted metrics get half of it: the walk starts from two sets or more.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -375,16 +391,19 @@ def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trel
 
 def _window_table(
     n: int, synd: np.ndarray, tr: _Trellis, nframes: int, cells: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The low-weight table of an nframes window of n-qubit frames with
     the syndrome tables `synd` and their trellis `tr`, over the frames it
     decodes from the lead on, read-only: the distinct chunk rows of the
     identity, of every one-qubit error while their rows fit `cells` cells
     and of every two-qubit error while theirs do too, as sorted voids of
     the chunk dtype, and for each the frame-key row of the lightest error
-    that gives it, lex-least among equal weights."""
+    that gives it, lex-least among equal weights; for the split lookup,
+    the one-qubit errors' rows, latest qubit first and X < Y < Z on each,
+    each row's first qubit (wire 1 of the lead frame is 0) and the most
+    nonzero chunks of an error one qubit heavier than the table's."""
     width = nframes - tr.lead
-    # X, Y and Z on every wire, in ascending key order: one wire per triple
+    # X, Y and Z on every wire, in ascending key order: one wire per triple, the last first
     codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
     nerr = width * len(codes)
     if nerr * width > cells:
@@ -401,19 +420,24 @@ def _window_table(
         one = keys[1:].reshape(nq, 3, width)
         keys = np.concatenate([keys, (one[a, :, None] ^ one[b, None]).reshape(-1, width)])
     weight = np.repeat([0, 1, 2], [1, nerr, len(keys) - 1 - nerr])
+    rows = _lagged(synd[tr.lead :], keys)
+    # the one-qubit rows with their frames reversed: latest qubit first
+    singles = rows[1 : 1 + nerr].reshape(-1, len(codes), width)[::-1].reshape(-1, width)
     # the chunk rows by a block's syndrome route, ordered by chunk row (its
     # bytes, as voids compare them), then by weight, then lex over the
     # frame keys, frame 1 most significant: the first error of each row is
     # its lightest, lex-least one
-    raw = _lagged(synd[tr.lead :], keys).view(np.uint8)
+    raw = rows.view(np.uint8)
     order = np.lexsort([*keys.T[::-1], weight, *raw.T[::-1]])
     raw = raw[order]
     first = np.ones(len(raw), dtype=bool)
     first[1:] = (raw[1:] != raw[:-1]).any(axis=1)
     table, keys = _void(raw[first]), keys[order[first]]
-    for arr in (table, keys):
+    symbols = (keys[..., None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    start = (symbols.reshape(len(keys), -1) != 0).argmax(axis=1)
+    for arr in (table, keys, singles, start):
         arr.setflags(write=False)
-    return table, keys
+    return table, keys, singles, start, int(weight[-1] + 1) * (len(synd) - tr.lead)
 
 
 @functools.lru_cache(maxsize=_CODES_CACHED)
@@ -562,6 +586,12 @@ def _lagged(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _lookup(table: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each void of `rows` falls in the sorted voids `table`, and whether it is there."""
+    at = np.minimum(np.searchsorted(table, rows), len(table) - 1)
+    return at, table[at] == rows
+
+
 def _checked(a, bound: int, what: str) -> np.ndarray:
     """`a` as a (trials, N) integer array of values in [0, bound)."""
     a = np.asarray(a)
@@ -584,11 +614,11 @@ class Simulator:
     bound raises `InputDataError` at construction.  The trellis decodes
     by its automaton when it has one, as FGG's does, and otherwise, as
     GR's does, by the window's low-weight table (`_low_weight_table`,
-    built on first use and shared like the trellis) and the batched
-    backward pass and forward walk for the syndromes it lacks.  The batch
-    methods take and return (trials, N) arrays of frame keys or syndrome
-    chunks; the scalar methods are their one-trial views on Pauli
-    operators and syndrome bits.
+    built on first use and shared like the trellis), its split lookup,
+    and the batched backward pass and forward walk for the syndromes
+    both lack.  The batch methods take and return (trials, N) arrays of
+    frame keys or syndrome chunks; the scalar methods are their one-trial
+    views on Pauli operators and syndrome bits.
     """
 
     def __init__(self, code: ConvolutionalCode, encoder) -> None:
@@ -648,7 +678,7 @@ class Simulator:
         cells per qubit, its threshold tests and symbol."""
         return max(1, _BLOCK_CELLS // (4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes))
 
-    def _low_weight_table(self, nframes: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _low_weight_table(self, nframes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
         """The low-weight table of an nframes window (`_window_table`),
         which every simulator of the code in the process shares."""
         return self._windows(nframes, _BLOCK_CELLS)
@@ -710,16 +740,32 @@ class Simulator:
         return keys
 
     def _viterbi_batched(self, chunks: np.ndarray) -> np.ndarray:
-        """`_viterbi` by the low-weight table, and by the backward pass and
-        forward walk for the syndromes it lacks."""
-        # the table's rows are exact ML answers; the others go in groups whose
-        # backward metrics and one step's gathered values fit the budget
+        """`_viterbi` by the low-weight table, its split lookup, and the
+        backward pass and forward walk for the syndromes both lack."""
         tr = self._trellis
-        table, lightest = self._low_weight_table(chunks.shape[1] + tr.lead)
-        rows = _void(chunks.astype(self._synd.dtype))
-        at = np.minimum(np.searchsorted(table, rows), len(table) - 1)
+        table, lightest, singles, start, most = self._low_weight_table(chunks.shape[1] + tr.lead)
+        rows = chunks.astype(self._synd.dtype)
+        at, done = _lookup(table, _void(rows))
         keys = lightest[at]
-        missed = np.flatnonzero(table[at] != rows)
+        if len(singles):
+            # the split lookup, in groups that hold their rows XORed with every one-qubit error's;
+            # error e puts symbol e % 3 + 1 on qubit[e], wire 1 of the lead frame being qubit 0
+            qubit = len(singles) // 3 - 1 - np.arange(len(singles)) // 3
+            near = np.flatnonzero(~done & (np.count_nonzero(rows, axis=1) <= most))
+            group = max(1, _BLOCK_CELLS // singles.size)
+            for a in range(0, near.size, group):
+                part = near[a : a + group]
+                at, hit = _lookup(table, _void((rows[part, None] ^ singles).reshape(-1, rows.shape[1])))
+                at = at.reshape(len(part), -1)
+                ok = hit.reshape(at.shape) & (start[at] > qubit)
+                found, e = ok.any(axis=1), ok.argmax(axis=1)
+                i, e, q = part[found], e[found], qubit[e[found]]
+                keys[i] = lightest[at[found, e]]
+                keys[i, q // self.n] |= ((e % 3 + 1) << (2 * (self.n - 1 - q % self.n))).astype(keys.dtype)
+                done[i] = True
+        # the others go in groups whose backward metrics and one step's
+        # gathered values fit the budget
+        missed = np.flatnonzero(~done)
         group = max(1, _BLOCK_CELLS // (max(chunks.shape[1] + 1, tr.succ.shape[0]) * tr.succ.shape[1]))
         for a in range(0, missed.size, group):
             part = missed[a : a + group]

@@ -504,30 +504,23 @@ def sample_block_bits(p: float, n: int, nframes: int, seed: int, lo: int, hi: in
 
 def low_weight_table(syndrome: Callable[[PauliOperator], tuple], n: int, nframes: int, weight: int) -> dict:
     """Syndrome -> frame-key row of the lightest error that has it, lex-least
-    among equal weights, over the identity and every error of weight at
-    most `weight` (1 or 2) of an nframes window of n-qubit frames, with
-    the syndromes `syndrome` gives."""
+    among equal weights, over every error of weight at most `weight` of an
+    nframes window of n-qubit frames, with the syndromes `syndrome` gives."""
     width = n * nframes
-    # (qubit, x, z, key row) of every one-qubit error; I < X < Y < Z, wire 1
-    # most significant within a frame
-    singles = []
-    for f in range(nframes):
-        for q in range(n):
-            for kind, (x, z) in enumerate([(1, 0), (1, 1), (0, 1)], start=1):
-                keys = [0] * nframes
-                keys[f] = kind << (2 * (n - 1 - q))
-                singles.append((f * n + q, x << (f * n + q), z << (f * n + q), tuple(keys)))
-    errors = [(0, PauliOperator.identity(width), (0,) * nframes)]
-    errors += [(1, PauliOperator(width, x, z), keys) for _, x, z, keys in singles]
-    if weight >= 2:
-        for (qa, xa, za, ka), (qb, xb, zb, kb) in itertools.combinations(singles, 2):
-            if qa != qb:
-                keys = tuple(a | b for a, b in zip(ka, kb))
-                errors.append((2, PauliOperator(width, xa | xb, za | zb), keys))
     best: dict = {}
-    for w, error, keys in errors:
-        bits = syndrome(error)
-        best[bits] = min(best.get(bits, (w, keys)), (w, keys))
+    for w in range(weight + 1):
+        for qubits in itertools.combinations(range(width), w):
+            # X, Y and Z on each qubit: I < X < Y < Z, wire 1 most
+            # significant within a frame
+            for kinds in itertools.product((1, 2, 3), repeat=w):
+                x = z = 0
+                keys = [0] * nframes
+                for q, kind in zip(qubits, kinds):
+                    x |= (kind != 3) << q
+                    z |= (kind != 1) << q
+                    keys[q // n] |= kind << (2 * (n - 1 - q % n))
+                bits = syndrome(PauliOperator(width, x, z))
+                best[bits] = min(best.get(bits, (w, tuple(keys))), (w, tuple(keys)))
     return {bits: keys for bits, (_, keys) in best.items()}
 
 

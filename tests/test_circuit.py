@@ -240,6 +240,22 @@ def test_a_simulate_block_has_one_loop_over_response_lags():
         ("simulate", "_window_table"), ("simulate", "syndrome_block"), ("simulate", "failure_block")]
 
 
+def test_the_low_weight_table_has_one_lookup():
+    # the block lookup and the split lookup search the sorted table by one
+    # helper, the one binary search in the package
+    assert _callers("_lookup") == [("simulate", "_viterbi_batched"), ("simulate", "_viterbi_batched")]
+    searches = []
+    for path in sorted(Path(qconvenc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                searches += [
+                    (path.stem, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "searchsorted"
+                ]
+    assert searches == [("simulate", "_lookup")]
+
+
 def test_only_synthesis_builds_the_encoder_skeleton():
     # check reads the requirement off the operators it verified
     assert _callers("build_skeleton") == [("pipeline", "synthesize_encoder")]

@@ -21,7 +21,12 @@ tests of the batched decoder run it on a copy without the automaton
 lightest, lex-least error of weight at most 2 of every syndrome by the
 product route (`oracles.low_weight_table`), and its decode against the
 decode of a copy whose table is empty, on every two-qubit error of GR at
-N = 10 too.  The decoding tables that every simulator of
+N = 10 too.  The table's split lookup is held, with the pass made to
+fail, against that full pass on every error of weight at most 3 of GR
+at N = 4 and every two-qubit error at N = 10 under a budget that holds
+only the one-qubit errors, and against the weight-3 oracle on every
+syndrome of GR at N = 3; the pass is held to decode exactly the trials
+heavier than the lookup reaches.  The decoding tables that every simulator of
 a code shares in one process are held read-only, built once per code
 and cap, and held against fresh builds after the cache is cleared.  The
 batch methods take and return frame keys and syndrome chunks; tests that
@@ -700,10 +705,7 @@ def test_fgg_decode_at_the_narrow_metric_bound(fgg_batched, past):
 
 
 def test_zero_syndrome_decodes_to_identity_without_the_trellis(fgg_batched, monkeypatch):
-    def fail(*args):
-        raise AssertionError("the backward pass ran on a zero syndrome")
-
-    monkeypatch.setattr(fgg_batched, "_viterbi_nonzero", fail)
+    no_pass(fgg_batched, monkeypatch)
     est = fgg_batched.decode_block(np.zeros((5, 7), dtype=np.intp))
     assert est.shape == (5, 7) and not est.any()
 
@@ -712,7 +714,7 @@ def table_by_syndrome(sim, nframes):
     """The simulator's low-weight table of an nframes window, as syndrome
     -> frame-key row over the whole window."""
     tr = sim._trellis
-    table, keys = sim._low_weight_table(nframes)
+    table, keys = sim._low_weight_table(nframes)[:2]
     r = sim.n - sim.k
     out = {}
     for row, key in zip(table.tolist(), keys.tolist()):
@@ -763,7 +765,7 @@ def test_single_error_table_keeps_the_zero_row_alone_over_the_budget(
     # the two-qubit errors' rows fit at neither window
     monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 9 * 4 * 4)
     assert len(sim._low_weight_table(4)[0]) > 1
-    table, keys = sim._low_weight_table(5)
+    table, keys = sim._low_weight_table(5)[:2]
     assert len(table) == 1 and not np.frombuffer(table[0].tobytes(), dtype=np.uint8).any()
     assert keys.shape == (1, 5) and not keys.any()
     assert_decode_matches_full_pass(sim, sim.syndrome_block(_sample_block(0.1, 3, 5, 6, 0, 100)))
@@ -793,13 +795,15 @@ def without_table(sim):
     def table(nframes):
         width = nframes - sim._trellis.lead
         row = np.full((1, width), 1 << r, dtype=sim._synd.dtype)
-        return simulate_module._void(row), np.zeros((1, width), dtype=sim._trellis.key.dtype)
+        keys = np.zeros((1, width), dtype=sim._trellis.key.dtype)
+        # and no one-qubit rows, so no split lookup
+        return simulate_module._void(row), keys, row[:0], np.zeros(1, dtype=np.intp), 0
 
     out._low_weight_table = table
     return out
 
 
-@pytest.mark.parametrize("which, nframes", [("gr", 3), ("gr", 10), ("lead", 6), ("realized", 5)])
+@pytest.mark.parametrize("which, nframes", [("gr", 3), ("gr", 10), ("gr", 40), ("lead", 6), ("realized", 5)])
 def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, which, nframes):
     sim = table_simulator(request, lead_code, which)
     assert sim._trellis.tables is None
@@ -820,29 +824,103 @@ def test_decode_with_the_table_equals_the_decode_without_it(request, lead_code, 
     assert (len(table) == 4**3) == whole
 
 
-def test_every_two_qubit_error_decodes_by_the_table_as_by_the_full_pass(gr_simulator, monkeypatch):
-    # all 7,020 errors of weight 2 on GR at N = 10, each the product of two
-    # one-qubit errors on distinct qubits
-    nframes, n = 10, 4
-    singles = [(q, kind << (2 * (n - 1 - q % n))) for q in range(n * nframes) for kind in (1, 2, 3)]
-    errors = np.zeros((7020, nframes), dtype=np.int64)
-    pairs = [(a, b) for a, b in itertools.combinations(singles, 2) if a[0] != b[0]]
-    assert len(pairs) == len(errors)
-    for row, ((qa, ka), (qb, kb)) in zip(errors, pairs):
-        row[qa // n] |= ka
-        row[qb // n] |= kb
-    syndromes = gr_simulator.syndrome_block(errors)
-    full = without_table(gr_simulator).decode_block(syndromes)
+def errors_of_weight(n, nframes, weight):
+    """The frame keys (errors, N) of every error of this weight on an
+    nframes window of n-qubit frames: X, Y or Z on each of `weight`
+    distinct qubits."""
+    rows = []
+    for qubits in itertools.combinations(range(n * nframes), weight):
+        for kinds in itertools.product((1, 2, 3), repeat=weight):
+            row = [0] * nframes
+            for q, kind in zip(qubits, kinds):
+                row[q // n] |= kind << (2 * (n - 1 - q % n))
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, nframes)
+
+
+def no_pass(sim, monkeypatch):
+    """Make the backward pass of `sim` fail the test if it runs."""
 
     def fail(*args):
-        raise AssertionError("a syndrome of weight at most 2 reached the backward pass")
+        raise AssertionError("a syndrome reached the backward pass")
 
-    monkeypatch.setattr(gr_simulator, "_viterbi_nonzero", fail)
+    monkeypatch.setattr(sim, "_viterbi_nonzero", fail)
+
+
+def test_every_two_qubit_error_decodes_by_the_table_as_by_the_full_pass(gr_simulator, monkeypatch):
+    # all 7,020 errors of weight 2 on GR at N = 10.  The table holds them;
+    # at 2^14 cells it holds only the one-qubit errors (their 120 rows of
+    # 10 chunks fit, the 7,020 of the pairs do not), and the split lookup
+    # answers the syndromes it lacks
+    errors = errors_of_weight(4, 10, 2)
+    assert len(errors) == 7020
+    syndromes = gr_simulator.syndrome_block(errors)
+    full = without_table(gr_simulator).decode_block(syndromes)
+    no_pass(gr_simulator, monkeypatch)
+    for cells in (simulate_module._BLOCK_CELLS, 1 << 14):
+        monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", cells)
+        stored = simulate_module._weight(gr_simulator._low_weight_table(10)[1], 4).sum(axis=1)
+        assert stored.max() == (2 if cells > 1 << 14 else 1)
+        est = gr_simulator.decode_block(syndromes)
+        assert (est == full).all()
+        # the decoded errors weigh at most 2, and some of them 2
+        weights = simulate_module._weight(est, 4).sum(axis=1)
+        assert weights.max() == 2
+
+
+def test_every_error_of_weight_at_most_3_decodes_by_the_split_lookup(gr_simulator, monkeypatch):
+    # all 16,249 errors of weight at most 3 on GR at N = 4, whose 256
+    # syndromes the full pass decodes once each; those that no error of
+    # weight at most 2 gives are answered by the split lookup
+    errors = np.concatenate([errors_of_weight(4, 4, w) for w in range(4)])
+    assert len(errors) == 1 + 48 + 1080 + 15120
+    syndromes = gr_simulator.syndrome_block(errors)
+    distinct, which = np.unique(syndromes, axis=0, return_inverse=True)
+    full = without_table(gr_simulator).decode_block(distinct)
+    no_pass(gr_simulator, monkeypatch)
     est = gr_simulator.decode_block(syndromes)
-    assert (est == full).all()
-    # the decoded errors weigh at most 2, and some of them 2
-    weights = simulate_module._weight(est, n).sum(axis=1)
-    assert weights.max() == 2 and (weights <= 2).all()
+    assert (est == full[which.ravel()]).all()
+    weights = simulate_module._weight(full, 4).sum(axis=1)
+    assert len(distinct) == 256 and weights.max() == 3
+    assert len(gr_simulator._low_weight_table(4)[0]) < 256
+
+
+def test_split_lookup_matches_the_weight_3_oracle(gr_simulator, monkeypatch):
+    # GR at N = 3: every syndrome, each lightest, lex-least error of weight
+    # at most 3 by the product route.  At 2^10 cells the table holds only
+    # the one-qubit errors (36 rows of 3 chunks), so the split lookup gives
+    # the weight-2 answers
+    oracle = low_weight_table(lambda e: syndrome_by_products(GR_CODE, e, 3), 4, 3, 3)
+    assert len(oracle) == 4**3
+    syndromes = np.array(list(oracle), dtype=np.uint8).reshape(-1, 3, 2)
+    want = np.array(list(oracle.values()))
+    assert (gr_simulator.decode_block(chunks_from_bits(syndromes)) == want).all()
+    no_pass(gr_simulator, monkeypatch)
+    monkeypatch.setattr(simulate_module, "_BLOCK_CELLS", 1 << 10)
+    assert len(gr_simulator._low_weight_table(3)[1]) < 4**3
+    assert (gr_simulator.decode_block(chunks_from_bits(syndromes)) == want).all()
+
+
+@pytest.mark.parametrize("nframes, most", [(10, 3), (40, 2)])
+def test_the_pass_decodes_only_trials_heavier_than_the_split_lookup(gr_simulator, monkeypatch, nframes, most):
+    # the table holds every error of weight at most 2 at N = 10 and at most 1
+    # at N = 40, and the split lookup one more: a trial reaches the pass
+    # exactly when its least weight is larger
+    assert int(simulate_module._weight(gr_simulator._low_weight_table(nframes)[1], 4).sum(axis=1).max()) == most - 1
+    errors = np.concatenate([_sample_block(p, 4, nframes, 4, 0, 60) for p in (0.02, 0.05)])
+    syndromes = gr_simulator.syndrome_block(errors)
+    reached = []
+    full = gr_simulator._viterbi_nonzero
+
+    def recording(chunks):
+        reached.extend(map(tuple, chunks.tolist()))
+        return full(chunks)
+
+    monkeypatch.setattr(gr_simulator, "_viterbi_nonzero", recording)
+    weights = simulate_module._weight(gr_simulator.decode_block(syndromes), 4).sum(axis=1)
+    heavy = sorted(map(tuple, syndromes[weights > most].tolist()))
+    assert heavy and sorted(reached) == heavy
+    assert (weights == most).any()
 
 
 @pytest.mark.parametrize("which, nframes", [("fgg", 6), ("gr", 4)])
@@ -875,8 +953,10 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
     # the benchmark's GR op: 2 points of 30 trials at N = 10, serially.  Both
     # points share one sample block.  At seed 1 every syndrome is one that
     # an error of weight at most 2 gives, so the low-weight table answers
-    # all of them and only the 2 steps of the trellis build run; at seed 3
-    # the syndromes that it lacks fit one step call per frame: 10 calls
+    # all of them, and at seed 3 the 2 it lacks are of weight 3, so its
+    # split lookup answers them: only the 2 steps of the trellis build run.
+    # At seed 6 one of the 2 it lacks needs weight 4 and reaches the pass,
+    # in one step call per frame: 10 calls
     calls = []
     step = Simulator._step
 
@@ -886,11 +966,13 @@ def test_gr_trellis_op_makes_one_backward_pass(gr_synthesis, monkeypatch):
 
     monkeypatch.setattr(Simulator, "_step", staticmethod(counting))
     simulate_module._code_tables.cache_clear()  # a fresh build
-    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=3)
     assert calls == [(256, 4), (256, 4)]
     calls.clear()
-    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=3)
-    assert len(calls) == 10 and len(set(calls)) == 1
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=1)
+    assert calls == []
+    estimate_wers(GR_CODE, gr_synthesis.circuit, [0.01, 0.02], 10, 30, seed=6)
+    assert calls == [(256, 1)] * 10
 
 
 @pytest.mark.parametrize("seed", [3, SEED_LIMIT - 1])
@@ -1249,7 +1331,7 @@ def test_window_and_failure_tables_are_built_once_and_read_only(gr_synthesis):
     assert (info.misses, info.hits) == (1, 1)
     launches = simulate_module._launches(a.smap, 4, 2, 6)
     assert a._low_weight_table(6) is b._low_weight_table(6)
-    for arr in (*a._low_weight_table(6), launches):
+    for arr in (*a._low_weight_table(6)[:4], launches):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
 
