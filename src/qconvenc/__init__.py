@@ -5,8 +5,6 @@ from .circuit import (
     CliffordCircuit,
     CliffordGate,
     SymplecticMap,
-    apply_circuit,
-    apply_gate,
     as_symplectic,
     circuit_from_json,
     circuit_to_json,
@@ -56,8 +54,6 @@ __all__ = [
     "CliffordGate",
     "CliffordCircuit",
     "SymplecticMap",
-    "apply_circuit",
-    "apply_gate",
     "as_symplectic",
     "circuit_from_json",
     "circuit_to_json",

@@ -29,8 +29,6 @@ __all__ = [
     "CliffordGate",
     "CliffordCircuit",
     "SymplecticMap",
-    "apply_gate",
-    "apply_circuit",
     "circuit_to_symplectic",
     "as_symplectic",
     "gram",
@@ -109,18 +107,6 @@ def _conjugate(gate: CliffordGate, cols: List[int], width: int) -> None:
         cols[dst] ^= cols[src]
 
 
-def apply_gate(gate: CliffordGate, p: PauliOperator) -> PauliOperator:
-    if max(gate.qubits) > p.width:
-        raise ValueError(f"gate {gate} exceeds pauli width {p.width}")
-    return circuit_to_symplectic(CliffordCircuit(p.width, (gate,))).apply(p)
-
-
-def apply_circuit(circuit: CliffordCircuit, p: PauliOperator) -> PauliOperator:
-    if p.width != circuit.width:
-        raise ValueError("pauli width does not match circuit width")
-    return circuit_to_symplectic(circuit).apply(p)
-
-
 def _dual(v: int, width: int) -> int:
     """Row r with parity(r & u) == sp(v, u) for every u."""
     mask = (1 << width) - 1
@@ -167,6 +153,9 @@ class SymplecticMap:
         return matmul([operator.index(v)], self.rows)[0]
 
     def apply(self, p: PauliOperator) -> PauliOperator:
+        # on packed vectors a Pauli of another width would alias X and Z bits
+        if p.width != self.width:
+            raise ValueError(f"pauli width {p.width} does not match map width {self.width}")
         return PauliOperator.from_vec(self.width, self.apply_vec(p.vec()))
 
     def inverse(self) -> "SymplecticMap":

@@ -107,7 +107,7 @@ def _text_block(lines: List[str], args: argparse.Namespace) -> List[str] | str:
 def _render_skeleton(skel: TransformationSkeleton) -> List[str]:
     lines = []
     for i, chain in enumerate(skel.chains, 1):
-        slots_in = ["I"] + [f"m[{i},{t}]" for t in range(1, chain.span)]
+        slots_in = ["I"] * (chain.lead + 1) + [f"m[{i},{t}]" for t in range(chain.lead + 1, chain.span)]
         slots_out = slots_in[1:] + ["I"]
         for t in range(chain.span):
             lines.append(

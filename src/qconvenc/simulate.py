@@ -85,9 +85,10 @@ for the first e whose hit's error starts at a qubit after e's.  That is
 exact: a hit weighs w, since a lighter one times e would have put s in
 the table; the lex-least error of weight w + 1 starts as late as it can,
 with the least symbol there and then the lex-least rest; and the table
-keeps the lex-least error of weight w of each row.  A weight-v error
-changes at most v chunks per response lag, so a trial with more than
-(w + 1) L nonzero chunks, L the lags from the lead, skips the lookup.
+keeps the lex-least error of weight w of each row.  An error's row is
+the XOR of its one-qubit rows, so a trial with more nonzero chunks than
+w + 1 times the most of a one-qubit row skips the lookup: on GR more
+than 9 at N = 4, 12 at N = 5 to 15 and 8 beyond.
 
 Small trellises decode as a finite automaton instead (Best, Burnashev,
 Lévy, Rabinovich, Fishburn, Calderbank and Costello, IEEE Trans. Inf.
@@ -111,21 +112,6 @@ pinned metric's {0}), so the shifted metrics may fill half the budget.
 A larger closure, or one that does not end, falls back to the batched
 backward pass and forward walk: on GR the pinned metric and the first of
 its 4 successors find 9 shifted metrics, over the 8 that fit.
-
-`_BLOCK_CELLS` bounds each batch by the arrays it holds per trial, and
-refuses a trellis whose one step of one trial would not fit it.  A
-sample block holds the same trials at every point, each sampled per
-point and then syndromed, decoded and failure-tested in one call per
-layer, and holds a trial's Philox words and 2n N cells of sampling per
-point; the split lookup takes the block's trials that miss the
-low-weight table in groups held by their 3n N x N chunks against every
-one-qubit error, and the batched pass those that it leaves in groups
-held by the larger of their (N + 1) x states backward metrics and the
-branches x states values of one backward step, which then runs once per
-frame.  The table holds the one-qubit errors while their 3n N x N chunk
-cells fit, and the two-qubit errors while their 9 C(n N, 2) x N cells
-fit too: on GR up to N = 15.  `estimate_wers` runs every block in the
-calling process, one after another.
 
 The syndrome tables, trellis and automaton depend on the code alone, so
 a process builds them once per code and cap (`_code_tables`, which keeps
@@ -389,19 +375,33 @@ def _code_tables(code: ConvolutionalCode, cells: int) -> Tuple[np.ndarray, _Trel
     return synd, tr, windows
 
 
-def _window_table(
-    n: int, synd: np.ndarray, tr: _Trellis, nframes: int, cells: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+class _Window(NamedTuple):
+    """The low-weight table of one window and its split lookup (`_window_table`)."""
+
+    table: np.ndarray
+    lightest: np.ndarray
+    start: np.ndarray
+    singles: np.ndarray
+    single_keys: np.ndarray
+    single_start: np.ndarray
+    most: int
+
+
+def _window_table(n: int, synd: np.ndarray, tr: _Trellis, nframes: int, cells: int) -> _Window:
     """The low-weight table of an nframes window of n-qubit frames with
     the syndrome tables `synd` and their trellis `tr`, over the frames it
-    decodes from the lead on, read-only: the distinct chunk rows of the
-    identity, of every one-qubit error while their rows fit `cells` cells
-    and of every two-qubit error while theirs do too, as sorted voids of
-    the chunk dtype, and for each the frame-key row of the lightest error
-    that gives it, lex-least among equal weights; for the split lookup,
-    the one-qubit errors' rows, latest qubit first and X < Y < Z on each,
-    each row's first qubit (wire 1 of the lead frame is 0) and the most
-    nonzero chunks of an error one qubit heavier than the table's."""
+    decodes from the lead on, read-only.  Its errors are the identity,
+    every one-qubit error while their rows fit `cells` cells and every
+    two-qubit error while theirs do too, by weight and then lex over their
+    frame keys, frame 1 most significant: the one-qubit errors follow the
+    identity, latest qubit first and X < Y < Z on each.  The record holds
+    the distinct chunk rows, as sorted voids of the chunk dtype, with the
+    frame keys and first qubit (the first symbol not I, wire 1 of the lead
+    frame being qubit 0) of each row's first error, its lightest, lex-least
+    one; copies of the one-qubit errors' chunk rows, frame keys and first
+    qubits, in that order; and the skip bound, w + 1 times the most nonzero
+    chunks of a one-qubit row, w the table's heaviest weight: no row of an
+    error of weight w + 1, the XOR of its one-qubit rows, has more."""
     width = nframes - tr.lead
     # X, Y and Z on every wire, in ascending key order: one wire per triple, the last first
     codes = np.sort(np.arange(1, 4)[:, None] << (2 * np.arange(n)), axis=None)
@@ -420,24 +420,22 @@ def _window_table(
         one = keys[1:].reshape(nq, 3, width)
         keys = np.concatenate([keys, (one[a, :, None] ^ one[b, None]).reshape(-1, width)])
     weight = np.repeat([0, 1, 2], [1, nerr, len(keys) - 1 - nerr])
+    keys = keys[np.lexsort([*keys.T[::-1], weight])]
     rows = _lagged(synd[tr.lead :], keys)
-    # the one-qubit rows with their frames reversed: latest qubit first
-    singles = rows[1 : 1 + nerr].reshape(-1, len(codes), width)[::-1].reshape(-1, width)
-    # the chunk rows by a block's syndrome route, ordered by chunk row (its
-    # bytes, as voids compare them), then by weight, then lex over the
-    # frame keys, frame 1 most significant: the first error of each row is
-    # its lightest, lex-least one
+    symbols = (keys[..., None] >> (2 * np.arange(n - 1, -1, -1, dtype=keys.dtype))) & 3
+    start = (symbols.reshape(len(keys), -1) != 0).argmax(axis=1)
+    # a stable sort by chunk row (its bytes, as voids compare them) keeps
+    # each row's errors in that order: the first is its lightest, lex-least one
     raw = rows.view(np.uint8)
-    order = np.lexsort([*keys.T[::-1], weight, *raw.T[::-1]])
+    order = np.lexsort(raw.T[::-1])
     raw = raw[order]
     first = np.ones(len(raw), dtype=bool)
     first[1:] = (raw[1:] != raw[:-1]).any(axis=1)
-    table, keys = _void(raw[first]), keys[order[first]]
-    symbols = (keys[..., None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    start = (symbols.reshape(len(keys), -1) != 0).argmax(axis=1)
-    for arr in (table, keys, singles, start):
+    order, ones = order[first], np.arange(1, 1 + nerr)
+    record = (_void(raw[first]), keys[order], start[order], rows[ones], keys[ones], start[ones])
+    for arr in record:
         arr.setflags(write=False)
-    return table, keys, singles, start, int(weight[-1] + 1) * (len(synd) - tr.lead)
+    return _Window(*record, int(weight[-1] + 1) * int(np.count_nonzero(rows[ones], axis=1).max(initial=0)))
 
 
 @functools.lru_cache(maxsize=_CODES_CACHED)
@@ -678,7 +676,7 @@ class Simulator:
         cells per qubit, its threshold tests and symbol."""
         return max(1, _BLOCK_CELLS // (4 * _trial_counters(self.n, nframes) + 2 * self.n * nframes))
 
-    def _low_weight_table(self, nframes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    def _low_weight_table(self, nframes: int) -> _Window:
         """The low-weight table of an nframes window (`_window_table`),
         which every simulator of the code in the process shares."""
         return self._windows(nframes, _BLOCK_CELLS)
@@ -743,26 +741,23 @@ class Simulator:
         """`_viterbi` by the low-weight table, its split lookup, and the
         backward pass and forward walk for the syndromes both lack."""
         tr = self._trellis
-        table, lightest, singles, start, most = self._low_weight_table(chunks.shape[1] + tr.lead)
+        window = self._low_weight_table(chunks.shape[1] + tr.lead)
+        table, lightest, start, singles, single_keys, single_start, most = window
         rows = chunks.astype(self._synd.dtype)
         at, done = _lookup(table, _void(rows))
         keys = lightest[at]
-        if len(singles):
-            # the split lookup, in groups that hold their rows XORed with every one-qubit error's;
-            # error e puts symbol e % 3 + 1 on qubit[e], wire 1 of the lead frame being qubit 0
-            qubit = len(singles) // 3 - 1 - np.arange(len(singles)) // 3
-            near = np.flatnonzero(~done & (np.count_nonzero(rows, axis=1) <= most))
-            group = max(1, _BLOCK_CELLS // singles.size)
-            for a in range(0, near.size, group):
-                part = near[a : a + group]
-                at, hit = _lookup(table, _void((rows[part, None] ^ singles).reshape(-1, rows.shape[1])))
-                at = at.reshape(len(part), -1)
-                ok = hit.reshape(at.shape) & (start[at] > qubit)
-                found, e = ok.any(axis=1), ok.argmax(axis=1)
-                i, e, q = part[found], e[found], qubit[e[found]]
-                keys[i] = lightest[at[found, e]]
-                keys[i, q // self.n] |= ((e % 3 + 1) << (2 * (self.n - 1 - q % self.n))).astype(keys.dtype)
-                done[i] = True
+        # the split lookup, in groups that hold their rows XORed with every one-qubit error's
+        near = np.flatnonzero(~done & (np.count_nonzero(rows, axis=1) <= most))
+        group = max(1, _BLOCK_CELLS // max(1, singles.size))
+        for a in range(0, near.size, group):
+            part = near[a : a + group]
+            at, hit = _lookup(table, _void((rows[part, None] ^ singles).reshape(-1, rows.shape[1])))
+            at = at.reshape(len(part), -1)
+            ok = hit.reshape(at.shape) & (start[at] > single_start)
+            found, e = ok.any(axis=1), ok.argmax(axis=1)
+            i, e = part[found], e[found]
+            keys[i] = lightest[at[found, e]] ^ single_keys[e]
+            done[i] = True
         # the others go in groups whose backward metrics and one step's
         # gathered values fit the budget
         missed = np.flatnonzero(~done)

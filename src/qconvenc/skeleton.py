@@ -68,6 +68,11 @@ class Chain:
     def span(self) -> int:
         return len(self.inputs)
 
+    @property
+    def lead(self) -> int:
+        """Leading frames that consume and emit the identity, so keep the memory at the identity."""
+        return next((t for t, (a, b) in enumerate(zip(self.inputs, self.outputs)) if a.vec() or b.vec()), self.span)
+
 
 @dataclass(frozen=True)
 class TransformationSkeleton:
@@ -85,7 +90,7 @@ class TransformationSkeleton:
     def unknowns(self) -> List[Tuple[int, int]]:
         """Unknown memory slots as (chain index, boundary t), both 1-based,
         ordered t-major then chain (g1 = chain1 t1, g2 = chain2 t1, ...)."""
-        ids = [(i, t) for i, c in enumerate(self.chains, 1) for t in range(1, c.span)]
+        ids = [(i, t) for i, c in enumerate(self.chains, 1) for t in range(c.lead + 1, c.span)]
         return sorted(ids, key=lambda slot: (slot[1], slot[0]))
 
 
@@ -267,7 +272,7 @@ def partial_rows(
     ident = PauliOperator.identity(m)
     rows: List[Tuple[PauliOperator, PauliOperator]] = []
     for i, chain in enumerate(skeleton.chains, 1):
-        for t in range(1, chain.span + 1):
+        for t in range(chain.lead + 1, chain.span + 1):
             gin = lookup.get((i, t - 1), ident)
             gout = lookup.get((i, t), ident)
             rows.append((gin.tensor(chain.inputs[t - 1]), chain.outputs[t - 1].tensor(gout)))

@@ -20,8 +20,6 @@ from qconvenc import (
     CliffordGate,
     PauliOperator,
     SymplecticMap,
-    apply_circuit,
-    apply_gate,
     circuit_from_json,
     circuit_to_json,
     circuit_to_symplectic,
@@ -55,31 +53,36 @@ def czc(a: str, b: str) -> str:
     return a2 + H_TABLE[b2]
 
 
+def gate_map(kind, qubits, width):
+    """The map of the one-gate circuit of this width."""
+    return circuit_to_symplectic(CliffordCircuit(width, (CliffordGate(kind, qubits),)))
+
+
 def test_single_qubit_gate_tables():
     for letter in "IXYZ":
-        assert apply_gate(CliffordGate("H", (1,)), P(letter)) == P(H_TABLE[letter])
-        assert apply_gate(CliffordGate("P", (1,)), P(letter)) == P(P_TABLE[letter])
+        assert gate_map("H", (1,), 1).apply(P(letter)) == P(H_TABLE[letter])
+        assert gate_map("P", (1,), 1).apply(P(letter)) == P(P_TABLE[letter])
 
 
 def test_two_qubit_gate_tables():
     for a in "IXYZ":
         for b in "IXYZ":
             pair = P(a + b)
-            assert apply_gate(CliffordGate("CNOT", (1, 2)), pair) == P(CNOT_TABLE[a + b])
-            assert apply_gate(CliffordGate("CZ", (1, 2)), pair) == P(czc(a, b))
-            assert apply_gate(CliffordGate("SWAP", (1, 2)), pair) == P(b + a)
+            assert gate_map("CNOT", (1, 2), 2).apply(pair) == P(CNOT_TABLE[a + b])
+            assert gate_map("CZ", (1, 2), 2).apply(pair) == P(czc(a, b))
+            assert gate_map("SWAP", (1, 2), 2).apply(pair) == P(b + a)
 
 
 def test_gates_act_on_named_wires_only():
     # control 3 carries X -> X spreads to target 1; wire 5 untouched
-    assert apply_gate(CliffordGate("CNOT", (3, 1)), P("IIXIY")) == P("XIXIY")
-    assert apply_gate(CliffordGate("H", (2,)), P("IXIII")) == P("IZIII")
+    assert gate_map("CNOT", (3, 1), 5).apply(P("IIXIY")) == P("XIXIY")
+    assert gate_map("H", (2,), 5).apply(P("IXIII")) == P("IZIII")
 
 
 def test_gate_wider_than_pauli_is_rejected():
     # on packed vectors qubit 3 of a width-2 Pauli would alias a Z bit
-    with pytest.raises(ValueError):
-        apply_gate(CliffordGate("H", (3,)), P("ZI"))
+    with pytest.raises(ValueError, match="pauli width 2 does not match map width 3"):
+        gate_map("H", (3,), 3).apply(P("ZI"))
 
 
 def test_double_hadamard_is_identity():
@@ -95,7 +98,7 @@ def test_apply_circuit_matches_matrix_route():
         circ = random_circuit(w, 20, rng)
         m = symplectic_by_rows(circ)
         p = PauliOperator(w, rng.getrandbits(w), rng.getrandbits(w))
-        assert apply_circuit(circ, p) == m.apply(p)
+        assert circuit_to_symplectic(circ).apply(p) == m.apply(p)
         assert m.is_symplectic()
 
 
@@ -170,8 +173,7 @@ def test_no_function_takes_the_memory_size_beside_a_map():
 def test_only_the_circuit_helpers_and_synthesis_check_multiply_out_a_circuit():
     # the encoder and decoder results keep the map they completed
     assert _callers("circuit_to_symplectic") == [
-        ("circuit", "apply_gate"), ("circuit", "apply_circuit"), ("circuit", "as_symplectic"),
-        ("synthesis", "synthesize_circuit")]
+        ("circuit", "as_symplectic"), ("synthesis", "synthesize_circuit")]
 
 
 def test_gates_are_applied_only_by_the_column_update():
@@ -378,25 +380,25 @@ def test_compose_is_sequential_application():
     c2 = random_circuit(3, 15, rng)
     m = compose(circuit_to_symplectic(c1), circuit_to_symplectic(c2))
     p = P("XZY")
-    assert m.apply(p) == apply_circuit(c2, apply_circuit(c1, p))
+    assert m.apply(p) == circuit_to_symplectic(c2).apply(circuit_to_symplectic(c1).apply(p))
 
 
 def test_reference_encoder_first_row():
     # feeding Z on the first ancilla wire emits the first-frame output XXX
     # and stores X in the memory wire
-    out = apply_circuit(FGG_ENCODER, P("IZII"))
+    out = circuit_to_symplectic(FGG_ENCODER).apply(P("IZII"))
     assert out == P("XXXX")
 
 
 def test_reference_encoder_memory_row():
     # an X already in memory flushes as the second frame XZY
-    out = apply_circuit(FGG_ENCODER, P("XIII"))
+    out = circuit_to_symplectic(FGG_ENCODER).apply(P("XIII"))
     assert out == P("XZYI")
 
 
 def test_reference_encoder_all_rows():
     for src, dst in fgg_transformation_rows():
-        assert apply_circuit(FGG_ENCODER, src) == dst
+        assert circuit_to_symplectic(FGG_ENCODER).apply(src) == dst
 
 
 def test_inverse_recovers_encoder_input():

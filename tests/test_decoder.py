@@ -299,10 +299,9 @@ def _draw_small_code(rng: random.Random) -> str:
 
 def test_decoder_census_of_random_small_codes():
     # the first 40 seeded random codes that synthesize: each decoder is
-    # non-catastrophic and round-trips over N = 12, or fails in one of the
-    # two known ways of the decoder skeleton (dependent rows, a forced
-    # boundary product).  Split by the encoder's memory: a memoryless
-    # encoder is a block code in effect
+    # non-catastrophic and round-trips over N = 12, or fails with dependent
+    # rows (none is left) or a forced boundary product.  Split by the
+    # encoder's memory: a memoryless encoder is a block code in effect
     from test_catastrophic import brute_force_noncatastrophic
 
     rng = random.Random(11)
@@ -332,15 +331,37 @@ def test_decoder_census_of_random_small_codes():
         assert brute_force_noncatastrophic(decoder.map, code.n, code.k, decoder.memory, "decoder"), code
         assert windowed_roundtrip_failures(encoder.circuit, decoder, 12) == [], code
         tally["round trip empty"] += 1
-    # every outcome is met; a decoder skeleton that mends either fault moves these counts
+    # a chain's leading identity frames keep the memory at the identity, so
+    # no row is dependent; a decoder skeleton that mends the forced boundary
+    # product moves these counts
     totals = {o: sum(t[o] for t in strata.values()) for o in outcomes}
-    assert (draws, totals) == (178, {"round trip empty": 23, "dependent rows": 12, "boundary product": 5})
+    assert (draws, totals) == (178, {"round trip empty": 35, "dependent rows": 0, "boundary product": 5})
     # all 22 memoryless encoders' decoders round-trip; of the 18 encoders
-    # with memory, only 1 decoder does
+    # with memory, 13 decoders do
     assert strata == {
         "m = 0": {"round trip empty": 22, "dependent rows": 0, "boundary product": 0},
-        "m >= 1": {"round trip empty": 1, "dependent rows": 12, "boundary product": 5},
+        "m >= 1": {"round trip empty": 13, "dependent rows": 0, "boundary product": 5},
     }
+
+
+def test_leading_identity_frames_hold_no_memory_slot():
+    # the encoder for n=2 / ZY|XZ emits the identity in the first frame of
+    # its logical Z, so the decoder chain's first row consumes and emits the
+    # identity: it holds no unknown and gives no row, and the decoder that
+    # is left round-trips like one that streams every launch
+    from test_catastrophic import brute_force_noncatastrophic
+
+    code = parse_code("n=2\nZY|XZ\n")
+    encoder = synthesize_encoder(code, max_candidates=200).circuit
+    skel = build_decoder_skeleton(encoded_logical_operators(encoder, code), code)
+    assert [c.lead for c in skel.chains] == [0, 1, 0]
+    assert (2, 1) not in skel.unknowns()
+    decoder = derive_online_decoder(code, encoder)
+    assert decoder.verdict.non_catastrophic
+    assert brute_force_noncatastrophic(decoder.map, code.n, code.k, decoder.memory, "decoder")
+    for nframes in range(1, 9):
+        assert windowed_roundtrip_failures(encoder, decoder, nframes) == []
+        assert roundtrip_by_launch(code, encoder, decoder, nframes) == []
 
 
 def test_decoder_refuses_encoders_that_do_not_realize_the_code():

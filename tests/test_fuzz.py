@@ -10,7 +10,7 @@ import io
 import json
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CATASTROPHIC_CODE_TEXT, GATE_KINDS
@@ -169,8 +169,11 @@ def test_check_exits_with_documented_code(check_inputs, code, known, width, keep
 # code; the catastrophic code's encoders never close a logical's orbit.
 # Exit 70 is accepted only for the known decoder-skeleton defect: each
 # decoder chain emits at the end of its own span, so chains of different
-# spans can force a boundary product (ROADMAP item 1, a common delay)
+# spans can force a boundary product (ROADMAP item 1, a common delay).
+# The example's decoder chain for stabilizer 1 consumes and emits the
+# identity in its first frame, which once gave a zero, dependent row
 @settings(max_examples=100, deadline=None)
+@example(code="tiny", known=True, width=0, keep=16, extra=[("CNOT", 1, 0), ("CNOT", 1, 1)], as_json=False)
 @given(
     code=st.sampled_from(["fgg", "tiny", "rate0"]),
     known=st.booleans(),

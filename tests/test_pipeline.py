@@ -8,7 +8,6 @@ from qconvenc import (
     MemoryAssignment,
     is_noncatastrophic,
     PauliOperator,
-    apply_circuit,
     parse_code,
     synthesize_encoder,
     verify_encoder,
@@ -147,7 +146,7 @@ def test_synthesized_encoder_streams_generators(fgg_synthesis):
             fed = P("ZII") if (t == 1 and a == 1) else (
                 P("IZI") if (t == 1 and a == 2) else P("III")
             )
-            out = apply_circuit(circ, mem.tensor(fed))
+            out = circuit_to_symplectic(circ).apply(mem.tensor(fed))
             emitted.append(out.part(0, 3))
             mem = out.part(3, 4)
         assert mem.is_identity()

@@ -796,8 +796,10 @@ def without_table(sim):
         width = nframes - sim._trellis.lead
         row = np.full((1, width), 1 << r, dtype=sim._synd.dtype)
         keys = np.zeros((1, width), dtype=sim._trellis.key.dtype)
-        # and no one-qubit rows, so no split lookup
-        return simulate_module._void(row), keys, row[:0], np.zeros(1, dtype=np.intp), 0
+        # and no one-qubit errors and a skip bound that every trial
+        # exceeds, so no split lookup
+        start = np.zeros(1, dtype=np.intp)
+        return simulate_module._Window(simulate_module._void(row), keys, start, row[:0], keys[:0], start[:0], -1)
 
     out._low_weight_table = table
     return out
@@ -921,6 +923,73 @@ def test_the_pass_decodes_only_trials_heavier_than_the_split_lookup(gr_simulator
     heavy = sorted(map(tuple, syndromes[weights > most].tolist()))
     assert heavy and sorted(reached) == heavy
     assert (weights == most).any()
+
+
+@pytest.mark.parametrize("which, nframes", [("gr", 4), ("gr", 10), ("fgg", 5)])
+def test_window_record_holds_the_one_qubit_errors_in_lookup_order(request, which, nframes):
+    # the one-qubit errors follow the identity in the window's one list of
+    # errors: latest qubit first, X < Y < Z on each, with their rows by the
+    # block's syndrome route and their first qubits
+    sim = request.getfixturevalue(f"{which}_simulator")
+    assert sim._trellis.lead == 0
+    window = sim._low_weight_table(nframes)
+    want = errors_of_weight(sim.n, nframes, 1).reshape(-1, 3, nframes)[::-1].reshape(-1, nframes)
+    assert window.single_keys.shape == want.shape and (window.single_keys == want).all()
+    assert (window.singles == sim.syndrome_block(want)).all()
+    assert (window.single_start == np.repeat(np.arange(sim.n * nframes)[::-1], 3)).all()
+
+
+@pytest.mark.parametrize("nframes, most", [(4, 9), (10, 12), (40, 8)])
+def test_the_skip_bound_is_one_qubit_past_the_table_times_the_widest_one_qubit_row(gr_simulator, nframes, most):
+    # the table holds weight at most 2 at N = 4 and 10 and at most 1 at
+    # N = 40; a one-qubit row has at most 3 nonzero chunks at N = 4 and 4
+    # beyond
+    window = gr_simulator._low_weight_table(nframes)
+    heaviest = simulate_module._weight(window.lightest, 4).sum(axis=1).max()
+    assert window.most == most == (heaviest + 1) * np.count_nonzero(window.singles, axis=1).max()
+
+
+def test_no_error_row_is_wider_than_its_weight_times_the_widest_one_qubit_row(gr_simulator):
+    # an error's row is the XOR of its one-qubit rows: every weight-3 error
+    # at N = 4 stays within the bound of 9, and the weight-2 errors at
+    # N = 10 reach their 2 x 4
+    rows = gr_simulator.syndrome_block(errors_of_weight(4, 4, 3))
+    assert np.count_nonzero(rows, axis=1).max() <= 9
+    rows = gr_simulator.syndrome_block(errors_of_weight(4, 10, 2))
+    assert np.count_nonzero(rows, axis=1).max() == 8
+
+
+def test_a_trial_over_the_skip_bound_reaches_the_pass_without_a_split_lookup(gr_simulator, monkeypatch):
+    # at N = 40 the table holds weight at most 1 and the bound is 2 x 4 = 8:
+    # X on wire 4 at frames 11 and 21 gives 8 nonzero chunks and goes
+    # through the split lookup, and X on wire 1 at frames 11, 21 and 31
+    # gives 9 and goes straight to the pass
+    keys = np.zeros((2, 40), dtype=np.int64)
+    keys[0, [10, 20]] = 1
+    keys[1, [10, 20, 30]] = 1 << 6
+    chunks = gr_simulator.syndrome_block(keys)
+    assert gr_simulator._low_weight_table(40).most == 8
+    assert np.count_nonzero(chunks, axis=1).tolist() == [8, 9]
+    full = without_table(gr_simulator).decode_block(chunks)
+    lookups, reached = [], []
+    lookup, backward = simulate_module._lookup, gr_simulator._viterbi_nonzero
+
+    def recording_lookup(table, rows):
+        lookups.append(len(rows))
+        return lookup(table, rows)
+
+    def recording_pass(part):
+        reached.extend(part.tolist())
+        return backward(part)
+
+    monkeypatch.setattr(simulate_module, "_lookup", recording_lookup)
+    monkeypatch.setattr(gr_simulator, "_viterbi_nonzero", recording_pass)
+    # the block lookup, then one split lookup against the 480 one-qubit errors
+    assert (gr_simulator.decode_block(chunks[:1]) == full[:1]).all()
+    assert lookups == [1, 480] and reached == []
+    lookups.clear()
+    assert (gr_simulator.decode_block(chunks[1:]) == full[1:]).all()
+    assert lookups == [1] and reached == chunks[1:].tolist()
 
 
 @pytest.mark.parametrize("which, nframes", [("fgg", 6), ("gr", 4)])
