@@ -40,50 +40,62 @@ state b of P lies in ker A, so the preimage of y_b = (I, b) is made of
 memory, ancilla Z and info parts, and L b = 0 exactly when y_b lies in the
 span of M(memory X, Z) and M(ancilla Z).  A decoder's T, A and L come
 from the images of the memory X's and Z's alone, the edges keyed by those
-states.  The completion search, in either direction, uses this: every leaf
-fixes those images (as the same XOR combinations of its rows at every
+states.  The completion search, in either direction, uses this: every
+leaf fixes those images (as the same XOR combinations of its rows at every
 leaf), so a leaf is decided without completing it to a full map, and only
-the accepted leaf is completed and synthesized.  An encoder's leaves
-under one last-level node differ only in the last direction's output v,
-which is XORed into just the images a_i whose combination uses that row.
-With a0 the first of them, a leaf's images span what base and a0 ^ v
-span, where base holds the other images and every a_i ^ a0.  So base is
-row-reduced once per node, and (I, b) lies in a leaf's span exactly when
-its residue modulo base is 0 or equals c0 ^ residue(v), c0 being that of
-a0.  Both residue(v) and v's dual memory field are linear in v, so a leaf
-gets them from the previous sibling's by XOR with those of the difference
-of the two outputs, which the node caches.  T and A, hence P, depend only
-on the images' dual memory fields, which recur across siblings and nodes,
-so one search computes P at most once per distinct value, a node reduces
-each basis state of P once, and it settles once per class of dual fields
-(below) which state decides a leaf for each value of c0 ^ residue(v).
-After the node's set-up a leaf costs a few XORs and lookups: no residue
-and no row reduction.
+the accepted leaf is completed and synthesized.
 
-Within a node, even a new dynamics need not recompute V.  A candidate v
-changes only the dual fields of the varying images, each by the same dv,
-and those fields are the rows of T's transpose for the memory inputs
-(memory X_i gives row m + i, Z_i row i) and A's functionals for the
-ancilla Z's.  So for two candidates v and v', with u the mask of the
-changed rows, T' s = T s ^ <dv ^ dv', s> u, and A' = A when no ancilla
-image varies.  If u lies in V, then T' maps V into itself, so V lies in
-V'; then u lies in V', and the same argument the other way gives V' = V.
-A node therefore computes V at its first new dynamics and tests u against
-it with one residue; when u lies in V, no later dynamics of the node
-computes V, and otherwise each new one computes its own.  V's basis is
-read off the reduced rows of its annihilator, which V alone fixes, so P,
-and every verdict, are those computed afresh.
+An encoder's last-level node is decided over its leaf indices, not leaf by
+leaf.  Its leaves differ only in the last direction's output v, and one
+reduction of the node's system gives them all: leaf i has v_i = x0 ^ (the
+XOR of the kernel vectors null[j] at the set bits j of i), in increasing
+order (`gf2.solution_space`).  v is XORed into just the images a_i whose
+combination uses that row.  With a0 the first of them, a leaf's images span
+what base and a0 ^ v span, where base holds the other images and every
+a_i ^ a0.  So base is row-reduced once per node, and (I, b) lies in a
+leaf's span exactly when its residue modulo base is 0 or equals
+residue(a0 ^ v).
+That residue and v's dual memory field dv are linear in v, so affine in i:
+their values at x0, XORed with those of the null[j] at i's bits.  T and A,
+hence P, depend only on the images' dual memory fields.  The leaves fall
+into classes of dv (below) that share P, and a class's decision is the
+first state of P with a nonzero residue r1 and the first whose nonzero
+residue is not r1.  A leaf is accepted exactly when there is no first state,
+or when its residue(a0 ^ v) is r1 and there is no second, and its outputs
+are independent.  Belonging to a class and having residue r1 are linear
+conditions on i, so each class's accepted leaves are the solutions of one
+system in i, whose least solution `gf2.solution_space` reads off.  A leaf
+with dependent outputs, whose v lies in the span of the node's outputs (an
+affine condition on i), is passed over: the least leaf of a class outside
+that condition is read off the same solution space.  The node takes its
+classes in order of their least leaf, a class's least leaf being that of
+its first distinct dv, and decides only those that start before the best
+leaf found so far.  It then records the distinct dv of the leaves it tried,
+each with its class's V and P, so that one search computes P at most once
+per dynamics.  No work runs per leaf: a node costs a few reductions, one
+decision per class and one dictionary entry per distinct dual field.
+
+Within a node, even a new dynamics need not recompute V.  A leaf changes
+only the dual fields of the varying images, each by the same dv, and those
+fields are the rows of T's transpose for the memory inputs (memory X_i
+gives row m + i, Z_i row i) and A's functionals for the ancilla Z's.  So
+for two leaves with dv and dv', with u the mask of the changed rows, T' s =
+T s ^ <dv ^ dv', s> u, and A' = A when no ancilla image varies.  If u lies
+in V, then T' maps V into itself, so V lies in V'; then u lies in V', and
+the same argument the other way gives V' = V.  A node therefore reads V at
+its first leaf's dynamics, off the memo or computed, and tests u against
+it with one residue; when u lies in V, it is every leaf's V, and otherwise
+each class computes its own.  V's basis is read off the reduced rows of its
+annihilator, which V alone fixes, so P, and every verdict, are those
+computed afresh.
 
 Nor does a shared V need a P per dynamics.  On V, T' and T differ by
 <dv ^ dv', s> u with u in V, so T restricted to V, and with it P =
 T^dim V (V), depends on dv only through its restriction to V: the
-parities <dv, b> over V's basis.  The dual fields with one restriction
-form a class, and the node computes P and its decision (r1 and the two
-deciding states, below) once per class; without a shared V each dual
-field is its own class.  A bare GR search meets 64 dual fields per node
-but 4 restrictions, as dim V = 4.  The memo still holds every dynamics
-with its own images of T, read off the node's first: T' e_j = T e_j ^ u
-where bit j of dv ^ dv' is set.
+parities <dv, b> over V's basis, affine in i too.  The dual fields with
+one restriction form a class; without a shared V each dual field is its
+own class.  A bare GR search meets 64 dual fields per node but 4
+restrictions, as dim V = 4.
 
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
@@ -93,7 +105,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import gf2
 from .circuit import CliffordCircuit, SymplecticMap, _dual, _field, _place, as_symplectic
@@ -267,100 +279,173 @@ def _periodic_part(basis: List[int], ts: List[int]) -> List[int]:
         basis = image
 
 
-def _cycle_states(
-    images: List[int], varying: Sequence[int], candidates: Iterable[int], n: int, k: int, m: int,
-    memo: dict,
-) -> Iterator[Tuple[int, Optional[Tuple[int, Tuple[int, ...]]]]]:
-    """For each candidate v, drawn when its pair is asked for: v and a state
-    on a zero-weight cycle with nonzero info part and the images of T, or
-    None, for the encoder images `images` with v XORed into those at `varying`.
+def _key(images: List[int], n: int, m: int) -> Tuple[int, ...]:
+    """The dual memory fields of an encoder's images of its memory inputs
+    X_0..X_(m-1), Z_0..Z_(m-1) and then of its ancilla inputs Z, which fix
+    T and A: coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q)
+    (sp(y, M X_q)), a functional of the outgoing memory state."""
+    w = m + n
+    return tuple([_field(_dual(y, w), w, n, m) for y in images])
 
-    `images` are the encoder's images of its memory inputs X_0..X_(m-1),
-    Z_0..Z_(m-1) and then of its ancilla inputs Z; the rest of the map is
-    not read (see the module docstring).  `memo` maps the images' dual
-    memory fields, which fix T and A, to the images of T and a basis of P.
-    Once a dynamics new to `memo` shows that its V holds u, the pull rows
-    that the varying images change, the node's later dynamics share that
-    V and fall into classes by their restriction to it; P, a memo entry's
-    basis, and the decision below are found once per class.
 
-    The images are row-reduced once, as base: the fixed images and a_i ^ a0
-    for the varying a_i, a0 the first of them.  A candidate's images span
-    what base and a0 ^ v span, so the state b of P has nonzero info part
-    exactly when the residue of (I, b) modulo base, cached per b, is
-    neither 0 nor c0 ^ residue(v), c0 being the residue of a0.
+def _subspaces(key: Tuple[int, ...], stable: Optional[List[int]], m: int) -> Tuple[List[int], List[int]]:
+    """V and a basis of P for the dynamics `key`, V given as `stable` when
+    it is known: T's transpose, the pull rows, is the memory Z's fields
+    then the X's, and A's functionals are the ancilla Z's fields."""
+    pull = list(key[m:2 * m] + key[:m])
+    stable = _unobservable(pull, list(key[2 * m:]), m) if stable is None else stable
+    return stable, _periodic_part(stable, gf2.transpose(pull, 2 * m))
 
-    The dual field dv of v and residue(v) are linear in v: each candidate's
-    pair is the previous candidate's XOR that of their difference, cached
-    per difference.  Any order of candidates works; a `gf2.solutions` walk
-    has one difference per nullspace vector.  The candidates' dv recur,
-    and for each class the decision is found once: the first state of P
-    with a nonzero residue r1, and the first whose nonzero residue is not
-    r1.  The first decides the leaf unless c0 ^ residue(v) is r1, and then
-    the second does; either is returned with its own dv's images of T.
+
+def _decision(basis: List[int], base: Tuple[List[int], List[int]], placed: dict, n: int, m: int
+              ) -> Tuple[int, Optional[int], Optional[int]]:
+    """The decision of P against the reduced span `base`: r1, the first
+    state b1 of P whose (I, b1) has the nonzero residue r1, and the first
+    b2 whose nonzero residue is not r1 (None when there is none).  `placed`
+    caches the residues of the states."""
+    for b in basis:
+        if b not in placed:
+            placed[b] = gf2.residue(*base, _place(b, m, n, m + n))
+    marked = [(placed[b], b) for b in basis if placed[b]]
+    r1, b1 = marked[0] if marked else (0, None)
+    return r1, b1, next((b for r, b in marked if r != r1), None)
+
+
+def _affine(vals: Sequence[int], i: int) -> int:
+    """vals[0] XOR the vals[1 + j] at the set bits j of i: the value at leaf
+    index i of a quantity affine in the leaf's output."""
+    return vals[0] ^ gf2.matmul([i], vals[1:])[0]
+
+
+def _firsts(bound: int, vals: Sequence[int], more: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """Each distinct `_affine(vals, i)` over i < bound with its least i, in
+    increasing i, and `_affine(more, i)` at that i.  A least i sets only
+    bits j whose vals[1 + j] is independent of the earlier ones, and any
+    such i is a least one; doubling the list at each such j keeps it in
+    increasing i, and no j with 2^j >= bound adds an i below the bound."""
+    reduced: List[int] = []
+    pivots: List[int] = []
+    firsts = [(0, vals[0], more[0])]
+    for j, val in enumerate(vals[1:]):
+        if 1 << j >= bound:
+            break
+        if gf2.extend(reduced, pivots, [val]):
+            firsts += [(i | 1 << j, x ^ val, y ^ more[1 + j]) for i, x, y in firsts]
+    return [first for first in firsts if first[0] < bound]
+
+
+def _least_independent(rows: List[int], rhs: List[int], ncols: int, marker: List[int]) -> Optional[int]:
+    """The least leaf index i with row_j . i = rhs_j whose outputs are
+    independent, `_affine(marker, i)` nonzero (`_independent`), or None.
+    The solutions are s0 ^ (the null[j] at t's bits) in increasing t; if
+    the marker is 0 at s0, it changes first at the first null[j] that
+    changes it, as no t below 2^j sets bit j or a later one."""
+    space = gf2.solution_space(rows, rhs, ncols)
+    if space is None:
+        return None
+    s0, null = space
+    if _affine(marker, s0):
+        return s0
+    return next((s0 ^ y for y in null if gf2.matmul([y], marker[1:])[0]), None)
+
+
+def _encoder_node(images: List[int], varying: Sequence[int], x0: int, null: List[int], outputs: List[int],
+                  bound: int, n: int, k: int, m: int, memo: dict) -> Optional[int]:
+    """The least leaf index i below `bound` that an encoder's last-level
+    node accepts, or None.  Leaf i has the output v_i = x0 ^ (the null[j]
+    at the set bits j of i), XORed into the images at `varying` of
+    `images`, the node's images of its memory X's, Z's and ancilla Z's at
+    v = 0; the rest of the map is not read (see the module docstring).  It
+    is accepted when it has no state on a zero-weight cycle with nonzero
+    info part and its outputs, the node's `outputs` and v_i (if an image
+    varies), are independent, which `_independent` reads once a leaf
+    passes the first test.  `memo` holds V and P per dynamics, and the
+    node adds those of the leaves it tried, up to the accepted one or
+    below `bound`.  A dynamics is keyed by the dual fields no leaf
+    changes, with those at `varying` taken relative to the first, and then
+    by that first one; so one memo serves one `varying`.
+
+    base is the fixed images and a_i ^ a0 for the varying a_i, a0 the first
+    of them, row-reduced: a leaf's images span what base and a0 ^ v span,
+    so the module docstring's test reads residues modulo base, and
+    c0 ^ residue(v) = residue(a0 ^ v).
     """
     w = m + n
-    # coordinate X_q (Z_q) of a preimage of y is sp(y, M Z_q) (sp(y, M X_q)):
-    # as functionals of the outgoing memory state these are dual images
-    duals = [_field(_dual(v, w), w, n, m) for v in images]
-    # the varying images a_i ^ v differ from a0 ^ v by a_i ^ a0 (0 for a0 itself)
+    duals = _key(images, n, m)
     a0 = images[varying[0]] if varying else 0
     base = gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
-    c0 = gf2.residue(*base, a0)
-    node: dict = {}  # dual field of v -> the decision of the candidates with that field
-    classes: dict = {}  # class of dual fields -> P and its decision, as states
-    placed: dict = {}  # state b -> residue of (I, b) modulo base
-    steps: dict = {}  # difference d of two candidates -> dual field and residue of d
-    last, dv, res = 0, 0, c0  # the previous candidate, its dual field and c0 ^ its residue
+    # dv and c0 ^ residue(v) = residue(a0 ^ v) of each leaf, affine in i:
+    # at x0, then per null[j]; v enters no image when none varies
+    outs = [x0, *null] if varying else [0] * (1 + len(null))
+    dvs = [_field(_dual(v, w), w, n, m) for v in outs]
+    res: List[int] = []  # read once a class needs it
+
+    def key(dv: int) -> Tuple[int, ...]:
+        fields = list(duals)
+        for i in varying:
+            fields[i] ^= dv
+        return tuple(fields)
+
+    d0 = duals[varying[0]] if varying else 0
+    known = memo.setdefault(key(d0), {})  # the fields at varying relative to the first
+
+    def equal(vals: List[int], value: int, nbits: int) -> Tuple[List[int], List[int]]:
+        # the system in i of _affine(vals, i) == value, one row per bit
+        return gf2.transpose(vals[1:], nbits), [(value ^ vals[0]) >> t & 1 for t in range(nbits)]
+
     # dv enters pull row m + i for a varying memory X_i and row i for Z_i:
     # T changes by a rank-1 term with image u, and A does not unless an
-    # ancilla image varies.  If u lies in the V of one dynamics of the node,
-    # that V is every one's, and P depends on dv only through its
-    # restriction to V (see the module docstring)
+    # ancilla image varies.  If u lies in the V of one leaf, that V is
+    # every leaf's, and P depends on dv only through its restriction to V
+    # (see the module docstring)
+    first = known.get(d0 ^ dvs[0]) or _subspaces(key(dvs[0]), None, m)
+    stable = first[0]
     u = sum(1 << (i + m if i < m else i - m) for i in varying if i < 2 * m)
-    shares = all(i < 2 * m for i in varying)
-    stable = None  # the node's V, once a new dynamics showed it holds u
-    for v in candidates:
-        d = v ^ last
-        if d not in steps:
-            steps[d] = (_field(_dual(d, w), w, n, m), gf2.residue(*base, d)) if varying else (0, 0)
-        ddv, dres = steps[d]
-        last, dv, res = v, dv ^ ddv, res ^ dres
-        if dv not in node:
-            fields = list(duals)
-            for i in varying:
-                fields[i] ^= dv
-            key = tuple(fields)
-            entry = memo.get(key)
-            if not node:  # T's images at the node's first dynamics; a later one's differ by u
-                dv0, ts0 = dv, entry[0] if entry else tuple(gf2.transpose(key[m:2 * m] + key[:m], 2 * m))
-            ts = entry[0] if entry else tuple(t ^ u if (dv ^ dv0) >> j & 1 else t for j, t in enumerate(ts0))
-            if entry is None and stable is None:
-                fresh = _unobservable(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), m)
-                if shares and not gf2.residue(fresh, [b.bit_length() - 1 for b in fresh], u):
-                    stable = fresh
-            # a class per restriction of dv to the shared V, else per dv
-            cls = dv if stable is None else tuple(gf2.parity(dv & b) for b in stable)
-            if cls not in classes:
-                basis = entry[1] if entry else _periodic_part(fresh, ts)
-                for b in basis:
-                    if b not in placed:
-                        placed[b] = gf2.residue(*base, _place(b, m, n, w))
-                marked = [(placed[b], b) for b in basis if placed[b]]
-                r1, b1 = marked[0] if marked else (0, None)
-                classes[cls] = basis, r1, b1, next((b for r, b in marked if r != r1), None)
-            basis, r1, b1, b2 = classes[cls]
-            memo.setdefault(key, (ts, basis))
-            node[dv] = r1, None if b1 is None else (b1, ts), None if b2 is None else (b2, ts)
-        r1, hit, other = node[dv]
-        # L b != 0 exactly when (I, b) has no preimage in span(memory, ancilla Z),
-        # that is when its residue modulo base is neither 0 nor c0 ^ residue(v)
-        yield v, hit if r1 != res else other
+    shared = all(i < 2 * m for i in varying) and not gf2.residue(stable, [b.bit_length() - 1 for b in stable], u)
+    # a class per restriction of dv to the shared V, as its parities with
+    # V's basis, else per dv
+    width = len(stable) if shared else 2 * m
+    cls = gf2.matmul(dvs, gf2.transpose(stable, 2 * m)) if shared else dvs
+    classes: dict = {}  # class -> V and P
+    placed: dict = {}  # state b -> residue of (I, b) modulo base
+    marker: List[int] = []  # the independence marker, read once a leaf passes the cycle test
+    best, found = bound, False
+    # the distinct dv in order of their least leaf; a class's least leaf is
+    # that of its first dv
+    firsts = _firsts(bound, dvs, cls)
+    for least, dv, c in firsts:
+        if least >= best:
+            break
+        if c in classes:
+            continue
+        classes[c] = first if not least else known.get(d0 ^ dv) or _subspaces(key(dv), stable if shared else None, m)
+        r1, b1, b2 = _decision(classes[c][1], base, placed, n, m)
+        if b2 is not None:  # b1 or b2 rejects every leaf of the class
+            continue
+        marker = marker or _independent(outputs, varying, [x0, *null])
+        if b1 is None and _affine(marker, least):  # the class's least leaf is accepted
+            i = least
+        else:
+            rows, rhs = equal(cls, c, width)
+            if b1 is not None:  # b1 rejects the leaves whose c0 ^ residue(v) is not r1
+                res = res or [gf2.residue(*base, v) for v in [a0 ^ outs[0], *outs[1:]]]
+                more = equal(res, r1, 2 * w)
+                rows, rhs = rows + more[0], rhs + more[1]
+            i = _least_independent(rows, rhs, len(null), marker)
+        if i is not None and i < best:
+            best, found = i, True
+    cut = best + 1 if found else bound
+    for least, dv, c in firsts:
+        if least >= cut:
+            break
+        known.setdefault(d0 ^ dv, classes[c])
+    return best if found else None
 
 
 def _decoder_cycle_state(images: List[int], n: int, k: int, m: int, memo: dict) -> Optional[Tuple[int, List[int]]]:
-    """As `_cycle_states` for one candidate, for a decoder's images of its memory inputs
-    X_0..X_(m-1), Z_0..Z_(m-1); `memo` maps T and A to a basis of P."""
+    """For a decoder's images of its memory inputs X_0..X_(m-1),
+    Z_0..Z_(m-1): a state on a zero-weight cycle with nonzero info part and
+    the images of T, or None; `memo` maps T and A to a basis of P."""
     w = m + n
     ts = [_field(r, w, n, m) for r in images]  # image layout (syndrome, info, memory)
     xs = tuple(r & ((1 << (n - k)) - 1) for r in images)
@@ -373,14 +458,19 @@ def _decoder_cycle_state(images: List[int], n: int, k: int, m: int, memo: dict) 
     return None
 
 
-def _leaf_states(direction: str, images: List[int], varying: Sequence[int], candidates: Iterable[int],
-                 n: int, k: int, m: int, memo: dict) -> Iterator[Tuple[int, Optional[Tuple[int, List[int]]]]]:
-    """`_cycle_states` for an encoder's images (`_reads`); for a decoder's,
-    each candidate v decided on its own, with v XORed into those at `varying`."""
-    if direction == "encoder":
-        return _cycle_states(images, varying, candidates, n, k, m, memo)
-    return ((v, _decoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m, memo))
-            for v in candidates)
+def _decoder_node(images: List[int], varying: Sequence[int], x0: int, null: List[int], outputs: List[int],
+                  bound: int, n: int, k: int, m: int, memo: dict) -> Optional[int]:
+    """As `_encoder_node`, for a decoder's images of its memory X's and Z's,
+    each leaf decided on its own in turn."""
+    outs = [x0, *null]
+    marker: List[int] = []
+    for i in range(bound):
+        v = _affine(outs, i)
+        if _decoder_cycle_state([y ^ v if j in varying else y for j, y in enumerate(images)], n, k, m, memo) is None:
+            marker = marker or _independent(outputs, varying, outs)
+            if _affine(marker, i):
+                return i
+    return None
 
 
 def _memory(smap: SymplecticMap, n: int) -> int:
@@ -394,7 +484,14 @@ def _verdict(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction
     smap = as_symplectic(c)
     m = _memory(smap, n)
     images = [smap.rows[i] for i in _reads(n, k, m, direction)]
-    _, found = next(_leaf_states(direction, images, (), [0], n, k, m, {}))
+    if direction == "encoder":
+        # the map's own images span what it reads: a state of P with nonzero
+        # residue modulo them has nonzero info part
+        key = _key(images, n, m)
+        b = _decision(_subspaces(key, None, m)[1], gf2.row_reduce(images), {}, n, m)[1]
+        found = None if b is None else (b, gf2.transpose(list(key[m:2 * m] + key[:m]), 2 * m))
+    else:
+        found = _decoder_cycle_state(images, n, k, m, {})
     if found is None:
         return CatastrophicityVerdict(True, direction)
     b, ts = found
@@ -438,11 +535,14 @@ def complete_noncatastrophic(
     Each full completion is checked with the exact catastrophicity test,
     read from its rows alone; only the accepted one is completed to a full
     map and synthesized, and one whose outputs are dependent, which no map
-    extends, is passed over.  An encoder's leaves under a last-level node
-    are checked together, with P memoized per search, and V and P shared
-    within a node when the node allows it (see the module docstring), and
-    `max_candidates` leaf checks are the search's only limit.
+    extends, is passed over.  An encoder's last-level node is decided over
+    its leaf indices, with P memoized per search (see the module
+    docstring); a decoder's leaves are decided one by one.  Drawing a
+    candidate at any level once `max_candidates` leaves are tried, the
+    search's only limit, ends the search; a budget below 1 is refused.
     """
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be at least 1")
     check_consistency(p)
     w = p.width
     m = w - n
@@ -462,43 +562,61 @@ def complete_noncatastrophic(
     # output v, which enters the images whose combination uses that row
     last = len(span) + len(directions) - 1
     varying = [i for i, c in enumerate(coeffs) if directions and (c >> last) & 1]
+    decide = _encoder_node if direction == "encoder" else _decoder_node
     memo: dict = {}  # one per search: the last-level nodes share their dynamics
     tried = 0
+    over = f"no non-catastrophic completion within {max_candidates} candidates"
 
     def exhausted(message: str) -> CompletionSearchExhausted:
-        return CompletionSearchExhausted(message, tried=tried, budget=max_candidates, dynamics=len(memo))
+        # an encoder's memo holds a dict of dynamics per part no leaf changes
+        dynamics = sum(map(len, memo.values())) if direction == "encoder" else len(memo)
+        return CompletionSearchExhausted(message, tried=tried, budget=max_candidates, dynamics=dynamics)
 
-    def within_budget(candidates: Iterator[int]) -> Iterator[int]:
-        for v in candidates:
-            if tried >= max_candidates:
-                raise exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
-            yield v
-
-    def leaves(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[List[Tuple[int, int]], int, Iterator]]:
+    def nodes(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[list, int, Optional[tuple]]]:
         # per last-level node: its rows, the last direction u and its leaves'
-        # (v, state) pairs; with no free direction the rows are the one leaf, u = 0
+        # outputs as `gf2.solution_space` gives them; with no free direction
+        # the rows are the one leaf, u = 0
         if level == len(directions):
-            yield rows_acc, 0, _leaf_states(direction, _leaf_images(coeffs, rows_acc), (), [0], n, k, m, memo)
+            yield rows_acc, 0, (0, [])
             return
         u = directions[level]
-        rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc]
-        candidates = within_budget(gf2.solutions([_dual(ro, w) for _, ro in rows_acc], rhs, 2 * w))
-        if level < len(directions) - 1:
-            for v in candidates:
-                yield from leaves(rows_acc + [(u, v)], level + 1)
-        else:  # decided together, each drawn only after the budget check
-            yield rows_acc, u, _leaf_states(direction, _leaf_images(coeffs, rows_acc), varying, candidates,
-                                               n, k, m, memo)
+        system = [_dual(ro, w) for _, ro in rows_acc], [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc], 2 * w
+        if level == len(directions) - 1:
+            yield rows_acc, u, gf2.solution_space(*system)
+            return
+        for v in gf2.solutions(*system):
+            if tried >= max_candidates:
+                raise exhausted(over)
+            yield from nodes(rows_acc + [(u, v)], level + 1)
 
-    for node, u, states in leaves(list(p.rows), 0):
-        for v, found in states:
-            tried += 1
-            if found is None:
-                rows = node + [(u, v)] if u else node
-                if gf2.rank([out for _, out in rows]) == len(rows):
-                    smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
-                    return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
+    for node, u, space in nodes(list(p.rows), 0):
+        if space is None:
+            continue
+        x0, null = space
+        count, left = 1 << len(null), max_candidates - tried
+        i = decide(_leaf_images(coeffs, node), varying, x0, null, [out for _, out in node], min(count, left),
+                   n, k, m, memo)
+        if i is not None:
+            rows = node + [(u, _affine([x0, *null], i))] if u else node
+            smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
+            return smap, synthesize_circuit(smap), CatastrophicityVerdict(True, direction)
+        tried += min(count, left)
+        if count > left:  # the budget ends inside the node
+            raise exhausted(over)
     raise exhausted("every consistent completion is catastrophic")
+
+
+def _independent(outputs: List[int], varying: Sequence[int], outs: List[int]) -> List[int]:
+    """The affine marker (`_affine`) of a node's leaves whose outputs are
+    independent: the node's `outputs` and, when an image varies, the leaf's
+    own v = `_affine(outs, i)`.  None are when the node's outputs are
+    dependent, all are when they are not and no image varies (the lone
+    leaf of a search with no free direction), and otherwise those whose v
+    has a nonzero residue modulo the node's outputs."""
+    reduced, pivots = gf2.row_reduce(outputs)
+    if len(reduced) < len(outputs):
+        return [0] * len(outs)
+    return [gf2.residue(reduced, pivots, v) for v in outs] if varying else [1] + [0] * (len(outs) - 1)
 
 
 def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:

@@ -15,6 +15,7 @@ __all__ = [
     "row_reduce",
     "extend",
     "residue",
+    "solution_space",
     "solutions",
     "nullspace",
     "kernel",
@@ -70,16 +71,34 @@ def residue(reduced: List[int], pivots: List[int], v: int) -> int:
     return v
 
 
-def solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
-    """Every x with row_i . x = rhs_i, in increasing order, from one
-    reduction of [rows | rhs]; none when a row reduces to 0 = 1.  The
-    first, 0 at every free column, comes before the kernel is computed;
-    the i-th is it XOR the kernel vectors that i's bits select, each
-    topping out at its own free column, ascending, so the order increases."""
+def _particular(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, List[int], List[int]]]:
+    """The least x with row_i . x = rhs_i, 0 at every free column, with the
+    reduction of [rows | rhs] it was read off; None when a row reduces to
+    0 = 1."""
     reduced, pivots = row_reduce([r | b << ncols for r, b in zip(rows, rhs)])
     if ncols in pivots:
+        return None
+    return sum((r >> ncols & 1) << piv for piv, r in zip(pivots, reduced)), reduced, pivots  # distinct pivots: an OR
+
+
+def solution_space(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, List[int]]]:
+    """The x with row_i . x = rhs_i, from one reduction of [rows | rhs], as
+    (x0, null), or None when there is none.  x0 is the least, and null is
+    the kernel, each vector topping out at its own free column, ascending;
+    so the i-th solution in increasing order is x0 XOR the null[j] at the
+    set bits j of i."""
+    found = _particular(rows, rhs, ncols)
+    return None if found is None else (found[0], kernel(found[1], found[2], ncols))
+
+
+def solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
+    """Every x with row_i . x = rhs_i, in increasing order, as
+    `solution_space` orders them; none when there is none.  The first
+    comes before the kernel is computed."""
+    found = _particular(rows, rhs, ncols)
+    if found is None:
         return
-    x = sum((r >> ncols & 1) << piv for piv, r in zip(pivots, reduced))  # distinct pivots: an OR
+    x, reduced, pivots = found
     yield x
     null = kernel(reduced, pivots, ncols)
     prefix = matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]

@@ -6,7 +6,8 @@ one fresh reduction, the syndrome read off the streamed online decoder,
 the commutant of an assignment that bounds the zero-weight cycles, a
 bit-matrix transpose one bit at a time, a circuit's symplectic matrix
 conjugated row by row, one encoder's cycle state
-computed from scratch, the states on zero-weight cycles found by walking
+computed from scratch, the encoder completion search with every leaf
+decided on its own, the states on zero-weight cycles found by walking
 every memory state, the memory-state trellis decoder, the syndrome
 trellis's merged branches found state by state, the lightest, lex-least
 error of every syndrome that an error of weight at most 2 gives, the encode-then-decode
@@ -45,6 +46,7 @@ from qconvenc.skeleton import (
     build_skeleton,
     skeleton_commutation_matrix,
 )
+from qconvenc.synthesis import PartialMap
 
 
 def in_span(rows: List[int], v: int) -> bool:
@@ -131,7 +133,7 @@ def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[T
     """The leaf check of one encoder, everything computed afresh: from its
     images of the memory X's, memory Z's and ancilla Z's, a memory state on
     a zero-weight cycle with nonzero info part and the images of T, or None.
-    The completion search shares this work between sibling leaves."""
+    The completion search decides a node's leaves together instead."""
     w = m + n
     duals = [_field(_dual(v, w), w, n, m) for v in images]
     pull = duals[m:2 * m] + duals[:m]
@@ -142,6 +144,62 @@ def encoder_cycle_state(images: List[int], n: int, k: int, m: int) -> Optional[T
         if gf2.residue(reduced, pivots, _place(b, m, n, w)):
             return b, ts
     return None
+
+
+def encoder_search_by_leaves(
+    partial: PartialMap, n: int, k: int, max_candidates: int
+) -> Tuple[object, int, int]:
+    """The encoder completion search with every leaf decided on its own.
+
+    The free memory directions (X's, then Z's, outside the span of the
+    partial map's inputs) get their outputs depth-first, each level's
+    candidates in `gf2.solutions` order.  A leaf's images are read off a
+    fresh reduction of its rows, and `encoder_cycle_state` decides it.  A
+    leaf is accepted when no cycle state is found and its outputs are
+    independent.  Drawing a candidate at any level once `max_candidates`
+    leaves are tried ends the search, and the lone leaf of a search with
+    no free direction is tried without a draw.  Returns the accepted rows
+    or the exhaustion message, the leaves tried, and the number of
+    distinct dynamics (T, A), as the dual memory fields of the read
+    images, over the tried leaves."""
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be at least 1")
+    w = partial.width
+    m = w - n
+    directions: List[int] = []
+    for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
+        if not in_span([ri for ri, _ in partial.rows] + directions, u):
+            directions.append(u)
+    reads = [1 << i for i in [*range(m), *range(w, w + m + n - k)]]  # memory X's, Z's, ancilla Z's
+    tried, keys = 0, set()
+
+    class Exhausted(Exception):
+        pass
+
+    def walk(rows):
+        nonlocal tried
+        if len(rows) == len(partial.rows) + len(directions):
+            tried += 1
+            reduced, pivots = gf2.row_reduce([ri | ro << (2 * w) for ri, ro in rows])
+            images = [gf2.residue(reduced, pivots, t) >> (2 * w) for t in reads]
+            keys.add(tuple(_field(_dual(y, w), w, n, m) for y in images))
+            independent = gf2.rank([ro for _, ro in rows]) == len(rows)
+            return rows if independent and encoder_cycle_state(images, n, k, m) is None else None
+        u = directions[len(rows) - len(partial.rows)]
+        rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows]
+        for v in gf2.solutions([_dual(ro, w) for _, ro in rows], rhs, 2 * w):
+            if tried >= max_candidates:
+                raise Exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
+            found = walk(rows + [(u, v)])
+            if found:
+                return found
+        return None
+
+    try:
+        outcome = walk(list(partial.rows)) or "every consistent completion is catastrophic"
+    except Exhausted as exc:
+        outcome = str(exc)
+    return outcome, tried, len(keys)
 
 
 def periodic_states(smap: SymplecticMap, n: int, k: int, m: int, direction: str) -> List[int]:

@@ -6,6 +6,7 @@ over every (memory state, valid frame input) pair and decides by
 reachability, so the two routes share no code.
 """
 
+import itertools
 import random
 from unittest import mock
 
@@ -27,7 +28,6 @@ from qconvenc import (
 from qconvenc.catastrophic import (
     ENUM_CAP,
     _combinations,
-    _cycle_states,
     _reads,
     complete_noncatastrophic,
     is_noncatastrophic,
@@ -37,7 +37,7 @@ from qconvenc.catastrophic import (
 )
 from qconvenc.circuit import _dual, _field, _place
 from qconvenc.cli import main
-from qconvenc.errors import CodeValidationError, CompletionSearchExhausted, InputDataError, ParseError
+from qconvenc.errors import CodeValidationError, CompletionSearchExhausted, InputDataError, ParseError, QconvError
 from qconvenc.library import (
     FGG_CODE,
     FGG_CODE_TEXT,
@@ -53,10 +53,17 @@ from qconvenc.skeleton import (
     partial_rows,
     skeleton_commutation_matrix,
 )
-from qconvenc.synthesis import PartialMap, complete_to_symplectic
+from qconvenc.synthesis import PartialMap, check_consistency, complete_to_symplectic
 
 from conftest import CATASTROPHIC_CODE_TEXT, SMALL_GENERATORS, random_circuit, random_symplectic
-from oracles import admissible_cycle_states, encoder_cycle_state, in_span, periodic_states, transpose
+from oracles import (
+    admissible_cycle_states,
+    encoder_cycle_state,
+    encoder_search_by_leaves,
+    in_span,
+    periodic_states,
+    transpose,
+)
 
 P = PauliOperator.from_string
 
@@ -372,6 +379,12 @@ def test_solutions_come_lazily_in_increasing_order(system):
     rows, rhs = [r for r, _ in equations], [b for _, b in equations]
     got = list(gf2.solutions(rows, rhs, ncols))
     assert got == [x for x in range(1 << ncols) if all(gf2.parity(r & x) == b for r, b in equations)]
+    # and a node reads its i-th leaf off the solution space by i's bits
+    space = gf2.solution_space(rows, rhs, ncols)
+    assert (space is None) == (not got)
+    if space:
+        x0, null = space
+        assert [x0 ^ gf2.matmul([i], null)[0] for i in range(1 << len(null))] == got
     event("no solution" if not got else "one solution" if len(got) == 1 else "several solutions")
 
 
@@ -468,52 +481,45 @@ def _random_rows(rng: random.Random, direction: str):
 
 
 def _recorded_leaves(direction, search):
-    """Every leaf of the completion search in `direction` that `search()`
-    runs, as its rows with the state its check returned, and the search's
-    outcome (what `search` returns, or the exhaustion error).  Leaves are
-    recorded as `_leaf_states` decides them; the rows of each node come
-    from its `_leaf_images` call."""
+    """Every leaf the completion search in `direction` that `search()` runs
+    tried, as its rows with whether the search accepted it, and the
+    search's outcome (what `search` returns, or the exhaustion error).  A
+    node's leaves are read off its decision, the least leaf below its
+    bound that it accepts: the leaves before that one are rejected, and
+    all of them below the bound when there is none.  The rows of each node
+    come from its `_leaf_images` call."""
     import qconvenc.catastrophic as cat
 
     leaves, node = [], []
-    real_images, real_states = cat._leaf_images, cat._leaf_states
+    real_images, real_decide = cat._leaf_images, getattr(cat, f"_{direction}_node")
 
     def images(coeffs, rows):
         node[:] = rows
         return real_images(coeffs, rows)
 
-    def states(d, images, varying, candidates, n, k, m, memo):
-        assert d == direction
+    def decide(images, varying, x0, null, outputs, bound, n, k, m, memo):
+        accepted = real_decide(images, varying, x0, null, outputs, bound, n, k, m, memo)
         rows, w = list(node), m + n
+        outputs = [0]
         if varying:
             # a last-level node: its leaves add a row for the last direction,
-            # the first canonical memory X or Z outside the node's inputs
+            # the first canonical memory X or Z outside the node's inputs,
+            # with the outputs the symplectic products allow, in order
             inputs = [ri for ri, _ in rows]
             memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
             u = next(d for d in memory if not in_span(inputs, d))
-        for v, found in real_states(d, images, varying, candidates, n, k, m, memo):
-            leaves.append((rows + [(u, v)] if varying else rows, found))
-            yield v, found
+            rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows]
+            outputs = list(itertools.islice(gf2.solutions([_dual(ro, w) for _, ro in rows], rhs, 2 * w), bound))
+        for i in range(bound if accepted is None else accepted + 1):
+            leaves.append((rows + [(u, outputs[i])] if varying else rows, i == accepted))
+        return accepted
 
-    with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, "_leaf_states", states):
+    with mock.patch.object(cat, "_leaf_images", images), mock.patch.object(cat, f"_{direction}_node", decide):
         try:
             outcome = search()
         except CompletionSearchExhausted as exc:
             outcome = exc
     return leaves, outcome
-
-
-def _assert_leaves_match_one_leaf_checks(code, leaves):
-    n, k = code.n, code.k
-    m = assign_memory(skeleton_commutation_matrix(build_skeleton(code))).m
-    reads = [1 << i for i in _reads(n, k, m, "encoder")]
-    for rows, found in leaves:
-        # the images the leaf check reads, combined afresh from the leaf's rows
-        coeffs = _combinations([ri for ri, _ in rows], reads, m + n)
-        want = encoder_cycle_state(gf2.matmul(coeffs, [ro for _, ro in rows]), n, k, m)
-        assert (found is None) == (want is None)
-        if found is not None:
-            assert found[0] == want[0] and list(found[1]) == list(want[1])
 
 
 # small codes whose canonical assignment leaves memory directions free, so
@@ -545,9 +551,11 @@ def _leaf_case(direction, source):
     *[pytest.param("decoder", seed, id=f"decoder-{seed}") for seed in DECODER_SEEDS],
 ])
 def test_leaf_check_matches_full_completion(direction, source):
-    # the leaf check reads only the rows a leaf fixes; a full completion of
-    # those rows must give the same verdict and witness state: inverted,
-    # for an encoder, and by `is_noncatastrophic_decoder` for a decoder
+    # the search decides a leaf by the rows it fixes; the one-map verdict of
+    # a full completion of those rows must accept exactly the leaves the
+    # search accepts.  That verdict's witness state is the one read off the
+    # inverse, for an encoder, and its answer the brute-force one for a
+    # decoder
     search, n, k, m = _leaf_case(direction, source)
     leaves, outcome = _recorded_leaves(direction, search)
     if source == "gr":
@@ -555,28 +563,28 @@ def test_leaf_check_matches_full_completion(direction, source):
     else:
         assert outcome.non_catastrophic and len(leaves) > 1
     rejected = dependent = 0
-    for rows, found in leaves:
+    for rows, accepted in leaves:
         if gf2.rank([ro for _, ro in rows]) < len(rows):
+            assert not accepted
             dependent += 1  # no map extends the rows, and the search passes over them
             continue
         smap = complete_to_symplectic(PartialMap(m + n, tuple(rows)))
         if direction == "encoder":
+            verdict = is_noncatastrophic(smap, n, k)
             want = _cycle_state_of_inverse(smap.inverse(), n, k, m)
+            assert verdict.non_catastrophic == (want is None)
+            if want is not None:
+                assert (verdict.seed.b, list(verdict.seed.ts)) == (want[0], list(want[1]))
         else:
-            seed = is_noncatastrophic_decoder(smap, n, k).seed
-            want = None if seed is None else (seed.b, seed.ts)
-            assert (want is None) == brute_force_noncatastrophic(smap, n, k, m, "decoder")
-        assert (found is None) == (want is None)
-        if found is not None:
-            assert found[0] == want[0] and list(found[1]) == list(want[1])
-            rejected += 1
+            verdict = is_noncatastrophic_decoder(smap, n, k)
+            assert verdict.non_catastrophic == brute_force_noncatastrophic(smap, n, k, m, "decoder")
+        assert accepted == verdict.non_catastrophic
+        rejected += not accepted
     # every leaf but an accepted last one is catastrophic, or extends to no map
     accepted = 0 if source == "gr" else 1
     assert len(leaves) - accepted == rejected + dependent > 0
     if direction == "encoder":
         assert dependent == 0  # the skeleton's ancilla Z inputs keep the outputs independent
-        # and deciding siblings together changes no leaf's state
-        _assert_leaves_match_one_leaf_checks(parse_code(source) if source != "gr" else GR_CODE, leaves)
 
 
 def test_search_completes_rows_whose_accepted_leaf_has_dependent_outputs():
@@ -634,62 +642,136 @@ def test_decoder_search_passes_a_catastrophic_first_completion():
 
 
 @settings(max_examples=300, deadline=None)
-@given(SMALL_GENERATORS)
-def test_sibling_leaves_match_one_leaf_checks_on_small_codes(drawn):
+@given(SMALL_GENERATORS, st.integers(1, 60))
+def test_sibling_leaves_match_one_leaf_checks_on_small_codes(drawn, budget):
+    # the search decides a node's leaves together; the oracle walks them
+    # one at a time, with the same budget
     n, lines = drawn
     try:
-        code = parse_code(f"n={n}\n" + "".join(line + "\n" for line in lines))
-    except (ParseError, CodeValidationError):
+        partial, n, k = _encoder_partial(parse_code(f"n={n}\n" + "".join(line + "\n" for line in lines)))
+        check_consistency(partial)
+    except (QconvError, ValueError):  # refused before any search
         return
-    try:
-        leaves, _ = _recorded_leaves("encoder", lambda: synthesize_encoder(code, max_candidates=200))
-    except InputDataError:  # dependent last frames: refused before any search
-        return
-    event("one leaf" if len(leaves) == 1 else "several leaves")
-    _assert_leaves_match_one_leaf_checks(code, leaves)
+    event(_assert_search_matches_the_oracle(partial, n, k, budget).split(" within")[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_a_node_matches_one_leaf_checks_on_any_affine_space(n, k, m, rnd):
+    # any images, any rows that vary, any affine space of outputs (its
+    # vectors may be dependent, so outputs repeat) and any outputs of the
+    # node's rows, dependent or not: the node's answer is the first leaf
+    # below its bound, in index order, that the one-leaf check accepts and
+    # whose outputs, with its own if an image varies, are independent.  It
+    # records the dynamics of exactly the leaves up to that one, or below
+    # the bound, each with its V and P computed afresh, and one memo serves
+    # every node of the same varying rows, also nodes that share images
+    # and so dynamics
+    import qconvenc.catastrophic as cat
+
+    k = min(k, n - 1)
+    w, reads = m + n, 2 * m + n - k
+    varying = sorted(rnd.sample(range(reads), rnd.randint(0, reads)))
+    memo, images = {}, None
+    for _ in range(3):
+        if images is None or rnd.random() < 0.5:
+            images = [rnd.getrandbits(2 * w) for _ in range(reads)]
+        x0, null = rnd.getrandbits(2 * w), [rnd.getrandbits(2 * w) for _ in range(rnd.randint(0, 5))]
+        outputs = [rnd.getrandbits(2 * w) for _ in range(rnd.randint(0, 3))]
+        bound = rnd.randint(0, 1 << len(null))
+        before = _dynamics(memo, varying)
+        got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo)
+        want, keys = None, set()
+        for i in range(bound):
+            v = x0 ^ gf2.matmul([i], null)[0]
+            leaf = [y ^ v if j in varying else y for j, y in enumerate(images)]
+            keys.add(tuple(_field(_dual(y, w), w, n, m) for y in leaf))
+            rows = outputs + [v] * bool(varying)
+            if encoder_cycle_state(leaf, n, k, m) is None and gf2.rank(rows) == len(rows):
+                want = i
+                break
+        event("accepted" if want is not None else "none accepted")
+        event("a dynamics met before" if keys & set(before) else "no dynamics met before")
+        assert got == want
+        after = _dynamics(memo, varying)
+        assert set(after) == set(before) | keys
+        for key in keys:
+            pull, funcs = list(key[m:2 * m] + key[:m]), list(key[2 * m:])
+            stable = cat._unobservable(pull, funcs, m)
+            assert after[key] == (stable, cat._periodic_part(stable, gf2.transpose(pull, 2 * m)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
-    # any images, any rows that vary, any candidates: every state must be
-    # the one computed afresh, and one memo serves every call.  Up to 40
-    # candidates from a small span, with repeats and v = 0, in an order no
-    # `gf2.solutions` walk gives: the same difference of successive candidates
-    # recurs between different pairs
+    # any images, any rows that vary, any candidates, each decided as a
+    # node of one leaf: every verdict must be the one-leaf check's, every
+    # dynamics' V and P the ones computed afresh, and one memo serves every
+    # call of the same varying rows.  Up to 40 candidates from a small span,
+    # with repeats and v = 0, in an order no `gf2.solutions` walk gives
+    import qconvenc.catastrophic as cat
+
     k = min(k, n - 1)
     w, reads = m + n, 2 * m + n - k
-    memo = {}
     for _ in range(3):
         images = [rnd.getrandbits(2 * w) for _ in range(reads)]
         varying = sorted(rnd.sample(range(reads), rnd.randint(0, reads)))
         pool = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 4))])
         candidates = [rnd.choice(pool) for _ in range(rnd.randint(0, 39))]
         candidates.insert(rnd.randint(0, len(candidates)), 0)
-        for v, found in _cycle_states(images, varying, candidates, n, k, m, memo):
-            want = encoder_cycle_state([y ^ v if i in varying else y for i, y in enumerate(images)], n, k, m)
-            assert (found is None) == (want is None)
-            if found is not None:
-                assert found[0] == want[0] and list(found[1]) == list(want[1])
+        memo = {}
+        for v in candidates:
+            got = cat._encoder_node(images, varying, v, [], [], 1, n, k, m, memo)
+            leaf = [y ^ v if i in varying else y for i, y in enumerate(images)]
+            rows = [v] * bool(varying)
+            want = encoder_cycle_state(leaf, n, k, m) is None and gf2.rank(rows) == len(rows)
+            event("accepted" if want else "rejected")
+            assert (got == 0) == want and got in (0, None)
+            key = tuple(_field(_dual(y, w), w, n, m) for y in leaf)
+            pull, funcs = list(key[m:2 * m] + key[:m]), list(key[2 * m:])
+            stable = cat._unobservable(pull, funcs, m)
+            assert _dynamics(memo, varying)[key] == (stable, cat._periodic_part(stable, gf2.transpose(pull, 2 * m)))
 
 
 def test_cycle_states_answer_every_candidate_in_its_turn():
-    # repeats and v = 0 included: one pair per candidate, in the order drawn
+    # repeats and v = 0 included: at every bound, the node answers with the
+    # first leaf below it that the one-leaf check accepts and whose outputs
+    # are independent, and records the dynamics of the leaves up to it
+    import qconvenc.catastrophic as cat
+
     rnd = random.Random(7)
     n, k, m = 3, 1, 2
     w = m + n
     images = [rnd.getrandbits(2 * w) for _ in range(2 * m + n - k)]
-    pool = gf2.span([rnd.getrandbits(2 * w) for _ in range(3)])
-    candidates = [rnd.choice(pool) for _ in range(60)] + [0, 0]
+    null = [rnd.getrandbits(2 * w) for _ in range(3)]
+    null += [null[0] ^ null[1], 0]
+    x0 = null[2]
+    leaves = [x0 ^ gf2.matmul([i], null)[0] for i in range(1 << len(null))]
+    assert 0 in leaves and len(set(leaves)) < len(leaves)
+    seen = set()
     for varying in ([], [0, 2, 5]):
-        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, {})] == candidates
+        for outputs in ([], [null[0]]):
+            states = [[y ^ v if j in varying else y for j, y in enumerate(images)] for v in leaves]
+            accepted = [encoder_cycle_state(leaf, n, k, m) is None
+                        and gf2.rank(outputs + [v] * bool(varying)) == len(outputs) + bool(varying)
+                        for v, leaf in zip(leaves, states)]
+            seen.update(accepted)
+            for bound in range(len(leaves) + 1):
+                memo = {}
+                got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo)
+                want = next((i for i in range(bound) if accepted[i]), None)
+                assert got == want
+                tried = states[:bound if want is None else want + 1]
+                assert set(_dynamics(memo, varying)) == {
+                    tuple(_field(_dual(y, w), w, n, m) for y in leaf) for leaf in tried}
+    assert seen == {True, False}
 
 
 def test_gr_leaves_match_one_leaf_checks_past_the_first_nodes():
     # 3,000 leaves reach 24 last-level nodes; the first 400 cover only 4
-    leaves, outcome = _recorded_leaves("encoder", lambda: synthesize_encoder(GR_CODE, max_candidates=3000))
-    assert isinstance(outcome, CompletionSearchExhausted) and len(leaves) == 3000
-    _assert_leaves_match_one_leaf_checks(GR_CODE, leaves)
+    for budget in (400, 3000):
+        outcome = _assert_search_matches_the_oracle(*_encoder_partial(GR_CODE), budget)
+        assert outcome == f"no non-catastrophic completion within {budget} candidates"
 
 
 @settings(max_examples=200, deadline=None)
@@ -714,14 +796,34 @@ def test_periodic_part_matches_walking_every_state(m, n, k, direction, rnd):
     assert sorted(gf2.span(bases[0])) == periodic_states(smap, n, k, m, direction)
 
 
+def _dynamics(memo, varying):
+    """An encoder search's memo as the dynamics it holds, keyed by the dual
+    fields of the read images, to V and P: the memo keys them by the
+    fields no leaf changes, those at `varying` relative to the first, and
+    then by that first one."""
+    return {tuple(f ^ first if i in varying else f for i, f in enumerate(fixed)): parts
+            for fixed, known in memo.items() for first, parts in known.items()}
+
+
+def _every_leaf(images, varying, x0, null, n, k, m):
+    """The dynamics that an encoder node whose leaves all have dependent
+    outputs records, with V and P: it tries every leaf."""
+    import qconvenc.catastrophic as cat
+
+    memo = {}
+    assert cat._encoder_node(images, varying, x0, null, [0], 1 << len(null), n, k, m, memo) is None
+    return _dynamics(memo, varying)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.sampled_from(["A = 0", "any A", "ancilla varies"]),
     st.randoms(use_true_random=False),
 )
 def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(m, n, k, mode, rnd):
-    # a node computes V at its first new dynamics and, when u lies in that
-    # V, only P at the others: every P must be the one computed afresh
+    # a node computes V at its first leaf's dynamics and, when u lies in
+    # that V, only P at the others: every V and P must be the one computed
+    # afresh
     import qconvenc.catastrophic as cat
 
     k = min(k, n - 1)
@@ -733,12 +835,13 @@ def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(
     varying = sorted(rnd.sample(range(2 * m), rnd.randint(1, 2 * m)))
     if mode == "ancilla varies":
         varying = sorted({*varying, rnd.randrange(2 * m, reads)})
-    candidates = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 4))])
-    memo, computed = {}, []
+    x0, null = rnd.getrandbits(2 * w), [rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 4))]
+    computed = []
     real = cat._unobservable
     with mock.patch.object(cat, "_unobservable", lambda *a: computed.append(a) or real(*a)):
-        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, memo)] == candidates
-    dynamics = [(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), ts, basis) for key, (ts, basis) in memo.items()]
+        memo = _every_leaf(images, varying, x0, null, n, k, m)
+    dynamics = [(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), stable, basis)
+                for key, (stable, basis) in memo.items()]
     pull, funcs = dynamics[0][:2]
     if mode == "ancilla varies":
         outcome = "an ancilla image varies"
@@ -748,9 +851,9 @@ def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(
         outcome = "u in V_ref" if u in gf2.span(real(pull, funcs, m)) else "u not in V_ref"
     event(outcome)
     assert len(computed) == (1 if outcome == "u in V_ref" else len(dynamics))
-    for pull, funcs, ts, basis in dynamics:
-        assert list(ts) == gf2.transpose(pull, 2 * m)
-        assert basis == cat._periodic_part(real(pull, funcs, m), list(ts))
+    for pull, funcs, stable, basis in dynamics:
+        assert stable == real(pull, funcs, m)
+        assert basis == cat._periodic_part(stable, gf2.transpose(pull, 2 * m))
 
 
 @settings(max_examples=300, deadline=None)
@@ -760,7 +863,7 @@ def test_shared_unobservable_subspace_gives_each_dynamics_its_own_periodic_part(
 )
 def test_a_node_computes_one_periodic_part_per_restriction_to_its_shared_subspace(m, n, k, mode, rnd):
     # when u lies in V, dual fields with one restriction to V give one P:
-    # as many P's as restrictions among the candidates, else one per dynamics
+    # as many P's as restrictions among the leaves, else one per dynamics
     import qconvenc.catastrophic as cat
 
     k = min(k, n - 1)
@@ -784,11 +887,11 @@ def test_a_node_computes_one_periodic_part_per_restriction_to_its_shared_subspac
             swapped = f >> m | (f & ((1 << m) - 1)) << m  # the memory part whose dual field is f
             images[i] = images[i] & ~_place((1 << 2 * m) - 1, m, n, w) | _place(swapped, m, n, w)
             assert _field(_dual(images[i], w), w, n, m) == f
-    candidates = gf2.span([rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 5))])
-    memo, periodic = {}, []
+    x0, null = rnd.getrandbits(2 * w), [rnd.getrandbits(2 * w) for _ in range(rnd.randint(1, 5))]
+    periodic = []
     real = cat._periodic_part
     with mock.patch.object(cat, "_periodic_part", lambda *a: periodic.append(a) or real(*a)):
-        assert [v for v, _ in _cycle_states(images, varying, candidates, n, k, m, memo)] == candidates
+        memo = _every_leaf(images, varying, x0, null, n, k, m)
     key = next(iter(memo))
     v_ref = gf2.span(cat._unobservable(list(key[m:2 * m] + key[:m]), list(key[2 * m:]), m))
     if mode == "ancilla varies" or u not in v_ref:
@@ -796,67 +899,124 @@ def test_a_node_computes_one_periodic_part_per_restriction_to_its_shared_subspac
         event("V not shared")
         assert len(periodic) == len(memo)
         return
-    # a candidate's dual field, restricted to V as its values on every state of V
-    fields = {_field(_dual(v, w), w, n, m) for v in candidates}
+    # a leaf's dual field, restricted to V as its values on every state of V
+    fields = {_field(_dual(x0 ^ gf2.matmul([i], null)[0], w), w, n, m) for i in range(1 << len(null))}
     restrictions = {tuple(gf2.parity(dv & s) for s in v_ref) for dv in fields}
     event("fewer classes than dynamics" if len(restrictions) < len(memo) else "one dynamics per class")
     assert len(memo) == len(fields) and len(periodic) == len(restrictions)
+
+
+def _counted_search(search):
+    """The calls that `search()` makes of the GF(2) kernels and of the
+    node's steps, by name, with what it returned or raised."""
+    import qconvenc.catastrophic as cat
+
+    calls = dict.fromkeys(["row_reduce", "extend", "nodes", "residue", "placed", "V", "P", "transpose"], 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with mock.patch.object(gf2, "row_reduce", counted("row_reduce", gf2.row_reduce)), \
+            mock.patch.object(gf2, "extend", counted("extend", gf2.extend)), \
+            mock.patch.object(gf2, "residue", counted("residue", gf2.residue)), \
+            mock.patch.object(cat, "_place", counted("placed", cat._place)), \
+            mock.patch.object(cat, "_encoder_node", counted("nodes", cat._encoder_node)), \
+            mock.patch.object(cat, "_unobservable", counted("V", cat._unobservable)), \
+            mock.patch.object(cat, "_periodic_part", counted("P", cat._periodic_part)), \
+            mock.patch.object(gf2, "transpose", counted("transpose", gf2.transpose)):
+        try:
+            outcome = search()
+        except CompletionSearchExhausted as exc:
+            outcome = exc
+    return calls, outcome
 
 
 def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
     # operation counts, not timings: a leaf adds no row reduction and no
     # residue, a last-level node a few, a new (T, A) the ones of its
     # periodic part, a newly placed state of P one residue
-    import qconvenc.catastrophic as cat
-
     counts = []
     for budget in (400, 800):
-        calls = dict.fromkeys(["row_reduce", "extend", "nodes", "residue", "placed", "V", "P", "transpose"], 0)
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        with mock.patch.object(gf2, "row_reduce", counted("row_reduce", gf2.row_reduce)), \
-                mock.patch.object(gf2, "extend", counted("extend", gf2.extend)), \
-                mock.patch.object(gf2, "residue", counted("residue", gf2.residue)), \
-                mock.patch.object(cat, "_place", counted("placed", cat._place)), \
-                mock.patch.object(cat, "_cycle_states", counted("nodes", cat._cycle_states)), \
-                mock.patch.object(cat, "_unobservable", counted("V", cat._unobservable)), \
-                mock.patch.object(cat, "_periodic_part", counted("P", cat._periodic_part)), \
-                mock.patch.object(gf2, "transpose", counted("transpose", gf2.transpose)):
-            with pytest.raises(CompletionSearchExhausted) as info:
-                synthesize_encoder(GR_CODE, max_candidates=budget)
-        counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.value.dynamics,
+        calls, info = _counted_search(lambda: synthesize_encoder(GR_CODE, max_candidates=budget))
+        counts.append((calls["row_reduce"], calls["extend"], calls["nodes"], info.dynamics,
                        calls["residue"], calls["placed"], calls["V"], calls["P"], calls["transpose"]))
     (r1, e1, n1, d1, s1, p1, v1, q1, t1), (r2, e2, n2, d2, s2, p2, v2, q2, t2) = counts
     assert (n1, d1, n2, d2) == (4, 64, 7, 128)
-    # a node computes V once, at its first new dynamics, and shares it with
-    # the others: one per dynamics made 64 and 128
+    # a node computes V at its first dynamics unless the memo holds it, and
+    # shares it with the others: one per dynamics made 64 and 128
     assert (v1, v2) == (1, 2)
     # and P once per restriction of the dual fields to that V (4 of them
-    # on GR, where dim V = 4), the images of T by XOR past the node's first
-    # dynamics: one P and one transpose per dynamics made 64 and 128 each
-    assert (q1, q2) == (4, 8) and (t1, t2) == (1, 2)
-    # a node's residues are c0's and one per distinct difference of
-    # successive candidates, at most 2 + 2w (w = 10 on GR); one residue per
-    # leaf made 434 and 849 calls
-    assert s1 <= 100 and s2 <= 160
-    assert s2 - s1 <= 22 * (n2 - n1) + (p2 - p1)
-    # the counts of deciding a node's leaves against one reduced span, one
-    # V and one P per class, and of one reduction per candidate walk, as
-    # bounds (one row reduction per leaf made 564 and 1,101 row_reduce
-    # calls, one V per dynamics 421 and 814 extend calls, one P per
-    # dynamics and two reductions per walk 89 and 162 row_reduce and 106
-    # and 184 extend calls)
+    # on GR, where dim V = 4) that the memo lacks: one P per dynamics made
+    # 64 and 128.  A node transposes its class map, and each new P its T
+    assert (q1, q2) == (4, 8) and (t1, t2) == (n1 + q1, n2 + q2)
+    # residues: the 14 read images' combinations once per search, and per
+    # node u's against V, besides the newly placed states of P.  Every
+    # class rejects all its leaves, so no node reads the residues of its
+    # outputs, nor their independence.  One residue per leaf made 434 and
+    # 849 calls
+    assert (p1, p2) == (16, 28)
+    assert (s1, s2) == (14 + n1 + p1, 14 + n2 + p2)
+    # the counts of deciding a node over its leaf indices against one
+    # reduced span, one V and one P per class, and of one reduction per
+    # candidate system, as bounds (one row reduction per leaf made 564 and
+    # 1,101 row_reduce calls, one V per dynamics 421 and 814 extend calls)
     assert r1 <= 22 and r2 <= 32
-    assert e1 <= 39 and e2 <= 54
+    assert e1 <= 64 and e2 <= 101
     # the 400 more leaves of the larger budget cost only their nodes and
-    # dynamics; past the row reductions, extend runs only in V's loop
-    assert r2 - r1 <= 3 * (n2 - n1) + 2 * (d2 - d1)
-    assert e2 - e1 <= r2 - r1 + 7 * (v2 - v1)
+    # classes; past the row reductions, extend runs in V's loop and in
+    # the pivot scan of a node's 7 kernel vectors
+    assert r2 - r1 <= 3 * (n2 - n1) + (q2 - q1)
+    assert e2 - e1 <= r2 - r1 + 7 * (n2 - n1) + 7 * (v2 - v1)
+
+
+# a hand-built encoder row set (n = 9, k = 8, m = 2) with one free
+# direction, memory X_0, so one last-level node of 2^18 leaves: memory
+# qubit 1 carries its X and Z to itself and two physical Z's, so P holds
+# states whose (I, b) no single leaf output brings into the span, and
+# every leaf is catastrophic
+_W = 11
+BIG_NODE_ROWS = PartialMap(_W, (
+    (1 << (_W + 2), 1 << (_W + 4)),  # ancilla Z -> a physical Z
+    (1 << _W, 1 << (_W + 9) | 1 << (_W + 1)),  # memory Z_0 -> Z_0 out, a physical Z
+    (1 << 1, 1 << 10 | 1 << (_W + 2)),  # memory X_1 -> X_1 out, a physical Z
+    (1 << (_W + 1), 1 << (_W + 10) | 1 << (_W + 3)),  # memory Z_1 -> Z_1 out, a physical Z
+))
+
+
+def test_a_node_costs_its_classes_not_its_leaves():
+    # two budgets that end 2^10 and 2^16 leaves into the one node: the same
+    # outcome as the leaf-by-leaf oracle, the same kernel calls, bounded by
+    # the node's classes and dynamics, and the same peak memory
+    import tracemalloc
+
+    runs = []
+    for budget in (1 << 10, 1 << 16):
+        assert _assert_search_matches_the_oracle(BIG_NODE_ROWS, 9, 8, budget) == \
+            f"no non-catastrophic completion within {budget} candidates"
+        calls, info = _counted_search(lambda: complete_noncatastrophic(BIG_NODE_ROWS, 9, 8, max_candidates=budget))
+        assert (info.tried, info.dynamics) == (budget, 4)
+        tracemalloc.start()
+        with pytest.raises(CompletionSearchExhausted):
+            complete_noncatastrophic(BIG_NODE_ROWS, 9, 8, max_candidates=budget)
+        runs.append((calls, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.stop()
+    (calls1, peak1), (calls2, peak2) = runs
+    # the scan for a node's distinct dual fields stops at the kernel vector
+    # 2^j >= bound, so it extends 6 more times at 2^16 than at 2^10; no
+    # other count depends on the budget
+    assert calls2 == {**calls1, "extend": calls1["extend"] + 6}
+    # one node, whose 4 dynamics have 4 restrictions to its shared V: one V
+    # and a P per class, each rejecting all its leaves.  Its residues are
+    # the 5 read images' combinations, u's against V and the placed states
+    # of P; its row reductions a few per search and node and those of P's
+    # loops
+    assert (calls1["nodes"], calls1["V"], calls1["P"]) == (1, 1, 4)
+    assert calls1["residue"] == 5 + 1 + calls1["placed"]
+    assert calls1["row_reduce"] <= 5 + 2 * calls1["P"]
+    assert abs(peak2 - peak1) <= peak1 / 10
 
 
 # the circuit files `synthesize --out` writes, as the width line and the
@@ -914,3 +1074,88 @@ def test_exhausted_search_reports_its_count():
         synthesize_encoder(GR_CODE, max_candidates=50)
     assert (info.value.tried, info.value.budget) == (50, 50)
     assert "within 50 candidates" in str(info.value)
+
+
+# -- the search against the leaf-by-leaf oracle -------------------------------
+
+
+def _encoder_partial(code):
+    """The encoder rows the search completes for `code`, with n and k."""
+    skel = build_skeleton(code)
+    asg = assign_memory(skeleton_commutation_matrix(skel))
+    return PartialMap.from_operators(partial_rows(skel, asg)), code.n, code.k
+
+
+def _library_search(partial, n, k, budget):
+    """The library search in the oracle's terms: the completed map, or the
+    exhaustion message with `tried` and `dynamics`."""
+    try:
+        return complete_noncatastrophic(partial, n, k, max_candidates=budget)[0], None, None
+    except CompletionSearchExhausted as exc:
+        assert exc.budget == budget
+        return str(exc), exc.tried, exc.dynamics
+
+
+def _assert_search_matches_the_oracle(partial, n, k, budget):
+    """The search and `encoder_search_by_leaves` agree on the accepted rows,
+    the leaves tried, the dynamics met and the message.  The library does
+    not report an accepting search's count, so that count is checked at
+    the budget one below it, where both must exhaust."""
+    want, tried, dynamics = encoder_search_by_leaves(partial, n, k, budget)
+    got = _library_search(partial, n, k, budget)
+    if isinstance(want, str):
+        assert got == (want, tried, dynamics)
+        return want
+    smap = got[0]
+    assert isinstance(smap, SymplecticMap) and all(smap.apply_vec(u) == v for u, v in want)
+    if tried > 1:
+        below = encoder_search_by_leaves(partial, n, k, tried - 1)
+        assert below[:2] == (f"no non-catastrophic completion within {tried - 1} candidates", tried - 1)
+        assert _library_search(partial, n, k, tried - 1) == below
+    return "accepted"
+
+
+@pytest.mark.parametrize("text", [*FREE_DIRECTION_CODES, *[f"n=4\npoly: {p}\n" for p in WIDE_DIRECTION_POLYS]])
+def test_small_and_wide_searches_match_the_oracle_search(text):
+    _assert_search_matches_the_oracle(*_encoder_partial(parse_code(text)), 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 100))
+def test_random_row_set_searches_match_the_oracle_search(rnd, budget):
+    partial, n, k, m = _random_rows(rnd, "encoder")
+    event(_assert_search_matches_the_oracle(partial, n, k, budget).split(" within")[0])
+
+
+@pytest.mark.parametrize("budget, message, tried, dynamics", [
+    # the first last-level node of a bare GR search has 128 leaves and 64
+    # dynamics, and the second starts with dynamics the first met
+    (127, "no non-catastrophic completion within 127 candidates", 127, 64),
+    (128, "no non-catastrophic completion within 128 candidates", 128, 64),
+    (129, "no non-catastrophic completion within 129 candidates", 129, 64),
+])
+def test_gr_exhaustion_at_the_end_of_its_first_node(budget, message, tried, dynamics):
+    assert _library_search(*_encoder_partial(GR_CODE), budget) == (message, tried, dynamics)
+
+
+@pytest.mark.parametrize("budget, message", [
+    (47, "no non-catastrophic completion within 47 candidates"),
+    (48, "every consistent completion is catastrophic"),
+    (49, "every consistent completion is catastrophic"),
+])
+def test_a_catastrophic_row_set_exhausts_by_budget_only_before_its_last_leaf(budget, message):
+    # every one of the 48 leaves of these rows (24 last-level nodes of 2) is
+    # catastrophic: a budget of 48 tries them all and draws no other
+    partial, n, k, m = _random_rows(random.Random(825), "encoder")
+    assert (n, k, m) == (2, 1, 2)
+    assert _library_search(partial, n, k, budget) == (message, min(budget, 48), 24)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_below_one_is_refused(budget):
+    # the budget is checked before the search, so a search with no free
+    # direction (FGG), whose lone leaf is tried without a draw, refuses it
+    # as GR does
+    for code in (FGG_CODE, GR_CODE):
+        with pytest.raises(ValueError, match="max_candidates must be at least 1"):
+            synthesize_encoder(code, max_candidates=budget)
