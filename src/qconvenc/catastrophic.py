@@ -97,6 +97,16 @@ one restriction form a class; without a shared V each dual field is its
 own class.  A bare GR search meets 64 dual fields per node but 4
 restrictions, as dim V = 4.
 
+The search carries its GF(2) systems.  A level's system, sp(input, u) =
+sp(output, v) over the rows fixed so far, is its parent's plus one row: the
+rows' dual outputs, tagged with their row index above bit 2w, are reduced
+once and each level extends a copy.  Its rhs is fixed by the inputs: one
+bit vector per level, a reduced row's rhs the parity of its tags ANDed with
+it.  A node's base rows are fixed combinations of its rows, each reduced in
+by the level that fixes the last row it uses.  The reduced echelon form
+with lowest-bit pivots is unique for a row space, and no tag holds a pivot
+below bit 2w, so every solution, kernel and residue is a fresh reduction's.
+
 `zero_weight_graph` still enumerates the whole diagram, for display; no
 verdict uses it.
 """
@@ -192,7 +202,7 @@ def zero_weight_graph(
     c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction: str = "encoder"
 ) -> ZeroWeightGraph:
     smap = as_symplectic(c)
-    m = _memory(smap, n)
+    m = _memory(smap.width, n, k)
     if m > ENUM_CAP:
         raise ValueError(f"memory {m} exceeds the enumeration cap {ENUM_CAP}")
     if direction == "encoder":
@@ -340,7 +350,7 @@ def _least_independent(rows: List[int], rhs: List[int], ncols: int, marker: List
     The solutions are s0 ^ (the null[j] at t's bits) in increasing t; if
     the marker is 0 at s0, it changes first at the first null[j] that
     changes it, as no t below 2^j sets bit j or a later one."""
-    space = gf2.solution_space(rows, rhs, ncols)
+    space = gf2.solution_space(*gf2.row_reduce([r | b << ncols for r, b in zip(rows, rhs)]), 1, ncols)
     if space is None:
         return None
     s0, null = space
@@ -350,7 +360,7 @@ def _least_independent(rows: List[int], rhs: List[int], ncols: int, marker: List
 
 
 def _encoder_node(images: List[int], varying: Sequence[int], x0: int, null: List[int], outputs: List[int],
-                  bound: int, n: int, k: int, m: int, memo: dict) -> Optional[int]:
+                  bound: int, n: int, k: int, m: int, memo: dict, base: Tuple[List[int], List[int]]) -> Optional[int]:
     """The least leaf index i below `bound` that an encoder's last-level
     node accepts, or None.  Leaf i has the output v_i = x0 ^ (the null[j]
     at the set bits j of i), XORed into the images at `varying` of
@@ -366,14 +376,13 @@ def _encoder_node(images: List[int], varying: Sequence[int], x0: int, null: List
     by that first one; so one memo serves one `varying`.
 
     base is the fixed images and a_i ^ a0 for the varying a_i, a0 the first
-    of them, row-reduced: a leaf's images span what base and a0 ^ v span,
-    so the module docstring's test reads residues modulo base, and
-    c0 ^ residue(v) = residue(a0 ^ v).
+    of them, row-reduced (the search carries it): a leaf's images span what
+    base and a0 ^ v span, so the module docstring's test reads residues
+    modulo base, and c0 ^ residue(v) = residue(a0 ^ v).
     """
     w = m + n
     duals = _key(images, n, m)
     a0 = images[varying[0]] if varying else 0
-    base = gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
     # dv and c0 ^ residue(v) = residue(a0 ^ v) of each leaf, affine in i:
     # at x0, then per null[j]; v enters no image when none varies
     outs = [x0, *null] if varying else [0] * (1 + len(null))
@@ -473,16 +482,18 @@ def _decoder_node(images: List[int], varying: Sequence[int], x0: int, null: List
     return None
 
 
-def _memory(smap: SymplecticMap, n: int) -> int:
-    """The memory size m of a map on n-qubit frames: its width less the frame."""
-    if smap.width < n:
-        raise ValueError(f"circuit width {smap.width} is narrower than one frame of {n}")
-    return smap.width - n
+def _memory(width: int, n: int, k: int) -> int:
+    """The memory size m, width - n, of a map or rows on n-qubit frames with k info wires."""
+    if not 0 <= k <= n:
+        raise ValueError(f"k = {k} info wires do not fit in a frame of {n}")
+    if width < n:
+        raise ValueError(f"circuit width {width} is narrower than one frame of {n}")
+    return width - n
 
 
 def _verdict(c: Union[CliffordCircuit, SymplecticMap], n: int, k: int, direction: str) -> CatastrophicityVerdict:
     smap = as_symplectic(c)
-    m = _memory(smap, n)
+    m = _memory(smap.width, n, k)
     images = [smap.rows[i] for i in _reads(n, k, m, direction)]
     if direction == "encoder":
         # the map's own images span what it reads: a state of P with nonzero
@@ -530,8 +541,9 @@ def complete_noncatastrophic(
 
     Candidate inputs are the canonical memory X's (then Z's) that are
     independent of p's input rows; candidate outputs for each are drawn
-    lazily in increasing packed-vector order (`gf2.solutions`), depth-first,
-    subject to the symplectic products forced by all rows fixed so far.
+    lazily in increasing packed-vector order, depth-first, subject to the
+    symplectic products forced by all rows fixed so far, each level's
+    system an extension of its parent's (see the module docstring).
     Each full completion is checked with the exact catastrophicity test,
     read from its rows alone; only the accepted one is completed to a full
     map and synthesized, and one whose outputs are dependent, which no map
@@ -539,30 +551,41 @@ def complete_noncatastrophic(
     its leaf indices, with P memoized per search (see the module
     docstring); a decoder's leaves are decided one by one.  Drawing a
     candidate at any level once `max_candidates` leaves are tried, the
-    search's only limit, ends the search; a budget below 1 is refused.
+    search's only limit, ends the search; a budget below 1 is refused, as
+    are a k outside 0..n and rows narrower than a frame.
     """
     if max_candidates < 1:
         raise ValueError("max_candidates must be at least 1")
-    check_consistency(p)
     w = p.width
-    m = w - n
-
-    span = [row[0] for row in p.rows]
-    directions: List[int] = []
-    inputs = gf2.row_reduce(span)
-    # memory X_q then Z_q on input wire q, as packed width-w vectors
-    for u in [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]:
-        if gf2.extend(*inputs, [u]):
-            directions.append(u)
-    # every leaf has the inputs span + directions, which hold every memory
-    # basis vector, so the inputs its check reads are the same XOR
-    # combinations of its rows at every leaf
-    coeffs = _combinations(span + directions, [1 << i for i in _reads(n, k, m, direction)], w)
+    m = _memory(w, n, k)
+    check_consistency(p)
+    span, outs, low = [ri for ri, _ in p.rows], [ro for _, ro in p.rows], (1 << 2 * w) - 1
+    memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]  # X_q then Z_q on wire q
+    # the inputs tagged with their row index above bit 2w: a memory vector
+    # is a direction when its row in a copy keeps a bit below 2w.  With the
+    # directions, they hold every memory basis vector, so the inputs a
+    # leaf's check reads are the same XOR combinations of its rows, read
+    # off residues, at every leaf
+    inputs = gf2.row_reduce([ri | 1 << (2 * w + j) for j, ri in enumerate(span)])
+    trial = gf2.extend(*map(list, inputs), [u | 1 << (2 * w + len(span) + q) for q, u in enumerate(memory)])
+    directions = [u for u, t in zip(memory, trial) if t & low]
+    gf2.extend(*inputs, [u | 1 << (2 * w + len(span) + j) for j, u in enumerate(directions)])
+    coeffs = [gf2.residue(*inputs, 1 << i) for i in _reads(n, k, m, direction)]
+    if any(c & low for c in coeffs):
+        raise MapConsistencyError("the rows leave an ancilla Z input unmapped")
+    coeffs = [c >> (2 * w) for c in coeffs]
     # the leaves under one last-level node differ only in the last row's
     # output v, which enters the images whose combination uses that row
     last = len(span) + len(directions) - 1
     varying = [i for i, c in enumerate(coeffs) if directions and (c >> last) & 1]
-    decide = _encoder_node if direction == "encoder" else _decoder_node
+    # each level's rhs (its bits past the level's rows meet no tag), and an
+    # encoder node's base rows (`_encoder_node`) as combinations of its
+    # rows, each joined to the carried base at the level of its last row
+    rhs = [sum(gf2.parity(ri & du) << j for j, ri in enumerate(span + directions))
+           for du in (_dual(u, w) for u in directions)]
+    masks = [c ^ coeffs[varying[0]] if i in varying else c for i, c in enumerate(coeffs)]
+    joins = [[c for c in masks if c.bit_length() == j + 1] if direction == "encoder" else [] for j in range(last + 1)]
+    decide = _encoder_node if direction == "encoder" else lambda *args: _decoder_node(*args[:-1])
     memo: dict = {}  # one per search: the last-level nodes share their dynamics
     tried = 0
     over = f"no non-catastrophic completion within {max_candidates} candidates"
@@ -572,30 +595,38 @@ def complete_noncatastrophic(
         dynamics = sum(map(len, memo.values())) if direction == "encoder" else len(memo)
         return CompletionSearchExhausted(message, tried=tried, budget=max_candidates, dynamics=dynamics)
 
-    def nodes(rows_acc: List[Tuple[int, int]], level: int) -> Iterator[Tuple[list, int, Optional[tuple]]]:
-        # per last-level node: its rows, the last direction u and its leaves'
-        # outputs as `gf2.solution_space` gives them; with no free direction
-        # the rows are the one leaf, u = 0
+    def grown(reduction: tuple, rows: List[int]) -> tuple:
+        # a copy, as the parent's solutions are still read off its own
+        reduced, pivots = list(reduction[0]), list(reduction[1])
+        gf2.extend(reduced, pivots, rows)
+        return reduced, pivots
+
+    def nodes(rows: List[Tuple[int, int]], system: tuple, base: tuple) -> Iterator[tuple]:
+        # per last-level node: its rows, the last direction u, its leaves'
+        # outputs as `gf2.solution_space` gives them and its base; with no
+        # free direction the rows are the one leaf, u = 0
+        level = len(rows) - len(span)
         if level == len(directions):
-            yield rows_acc, 0, (0, [])
+            yield rows, 0, (0, []), base
             return
         u = directions[level]
-        system = [_dual(ro, w) for _, ro in rows_acc], [gf2.parity(u & _dual(ri, w)) for ri, _ in rows_acc], 2 * w
         if level == len(directions) - 1:
-            yield rows_acc, u, gf2.solution_space(*system)
+            yield rows, u, gf2.solution_space(*system, rhs[level], 2 * w), base
             return
-        for v in gf2.solutions(*system):
+        for v in gf2.solutions(*system, rhs[level], 2 * w):
             if tried >= max_candidates:
                 raise exhausted(over)
-            yield from nodes(rows_acc + [(u, v)], level + 1)
+            yield from nodes(rows + [(u, v)], grown(system, [_dual(v, w) | 1 << (2 * w + len(rows))]),
+                             grown(base, gf2.matmul(joins[len(rows)], [ro for _, ro in rows] + [v])))
 
-    for node, u, space in nodes(list(p.rows), 0):
+    root = gf2.row_reduce([_dual(ro, w) | 1 << (2 * w + j) for j, ro in enumerate(outs)])
+    for node, u, space, base in nodes(list(p.rows), root, gf2.row_reduce(gf2.matmul(sum(joins[:len(span)], []), outs))):
         if space is None:
             continue
         x0, null = space
         count, left = 1 << len(null), max_candidates - tried
         i = decide(_leaf_images(coeffs, node), varying, x0, null, [out for _, out in node], min(count, left),
-                   n, k, m, memo)
+                   n, k, m, memo, base)
         if i is not None:
             rows = node + [(u, _affine([x0, *null], i))] if u else node
             smap = complete_to_symplectic(PartialMap(w, tuple(rows)))
@@ -623,18 +654,4 @@ def _leaf_images(coeffs: List[int], rows: List[Tuple[int, int]]) -> List[int]:
     """The images a leaf check reads, from the rows of a leaf, or of a
     last-level node with the last direction's output taken as 0."""
     return gf2.matmul(coeffs, [out for _, out in rows] + [0])
-
-
-def _combinations(inputs: List[int], targets: List[int], w: int) -> List[int]:
-    """For each target, the bitmask of the (independent) inputs whose XOR it
-    is, so that a map's image of it is the XOR of those rows' outputs."""
-    tagged = [u | (1 << (2 * w + i)) for i, u in enumerate(inputs)]
-    reduced, pivots = gf2.row_reduce(tagged)
-    out = []
-    for t in targets:
-        r = gf2.residue(reduced, pivots, t)
-        if r & ((1 << (2 * w)) - 1):
-            raise MapConsistencyError("the rows leave an ancilla Z input unmapped")
-        out.append(r >> (2 * w))
-    return out
 

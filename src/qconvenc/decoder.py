@@ -55,7 +55,7 @@ def encoded_logical_operators(
     pair per info position."""
     smap = as_symplectic(c)
     n, k = code.n, code.k
-    _memory(smap, n)  # refuses a map narrower than one frame
+    _memory(smap.width, n, k)  # refuses a map narrower than one frame
     # the info block sits after the ancilla block
     return tuple(
         tuple(_propagate(smap, n, PauliOperator.single(n, wire, kind)) for kind in "XZ")

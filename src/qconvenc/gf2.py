@@ -17,7 +17,6 @@ __all__ = [
     "residue",
     "solution_space",
     "solutions",
-    "nullspace",
     "kernel",
     "invert",
     "matmul",
@@ -71,34 +70,39 @@ def residue(reduced: List[int], pivots: List[int], v: int) -> int:
     return v
 
 
-def _particular(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, List[int], List[int]]]:
-    """The least x with row_i . x = rhs_i, 0 at every free column, with the
-    reduction of [rows | rhs] it was read off; None when a row reduces to
-    0 = 1."""
-    reduced, pivots = row_reduce([r | b << ncols for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    return sum((r >> ncols & 1) << piv for piv, r in zip(pivots, reduced)), reduced, pivots  # distinct pivots: an OR
+def _least(reduced: List[int], pivots: List[int], rhs: int, ncols: int) -> Optional[int]:
+    """The least x (0 at every free column) of the system whose rows, with
+    tag bits above column ncols, were reduced to `reduced`, `pivots`; None
+    when a row reduces to 0 = 1.  A reduced row's right-hand side is the
+    parity of its tag bits ANDed with `rhs`: rhs = 1 for rows [row | rhs_i
+    << ncols], and the bit vector of the rhs_j for rows tagged by their
+    index j at bit ncols + j, which `extend` can grow a row at a time."""
+    x = 0
+    for piv, r in zip(pivots, reduced):
+        if parity(r >> ncols & rhs):
+            if piv >= ncols:  # a row with no bit below ncols
+                return None
+            x |= 1 << piv  # distinct pivots: an OR
+    return x
 
 
-def solution_space(rows: List[int], rhs: List[int], ncols: int) -> Optional[Tuple[int, List[int]]]:
-    """The x with row_i . x = rhs_i, from one reduction of [rows | rhs], as
-    (x0, null), or None when there is none.  x0 is the least, and null is
-    the kernel, each vector topping out at its own free column, ascending;
-    so the i-th solution in increasing order is x0 XOR the null[j] at the
-    set bits j of i."""
-    found = _particular(rows, rhs, ncols)
-    return None if found is None else (found[0], kernel(found[1], found[2], ncols))
+def solution_space(reduced: List[int], pivots: List[int], rhs: int, ncols: int) -> Optional[Tuple[int, List[int]]]:
+    """The solutions of a reduced tagged system (`_least`) as (x0, null), or
+    None when there is none.  x0 is the least, and null is the kernel, each
+    vector topping out at its own free column, ascending; so the i-th
+    solution in increasing order is x0 XOR the null[j] at the set bits j of
+    i.  The reduced form is unique, so any reduction gives the same."""
+    x = _least(reduced, pivots, rhs, ncols)
+    return None if x is None else (x, kernel(reduced, pivots, ncols))
 
 
-def solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
-    """Every x with row_i . x = rhs_i, in increasing order, as
+def solutions(reduced: List[int], pivots: List[int], rhs: int, ncols: int) -> Iterator[int]:
+    """Every solution of a reduced tagged system, in increasing order, as
     `solution_space` orders them; none when there is none.  The first
     comes before the kernel is computed."""
-    found = _particular(rows, rhs, ncols)
-    if found is None:
+    x = _least(reduced, pivots, rhs, ncols)
+    if x is None:
         return
-    x, reduced, pivots = found
     yield x
     null = kernel(reduced, pivots, ncols)
     prefix = matmul([(2 << t) - 1 for t in range(len(null))], null)  # XOR of null[:t + 1]
@@ -107,14 +111,10 @@ def solutions(rows: List[int], rhs: List[int], ncols: int) -> Iterator[int]:
         yield x
 
 
-def nullspace(rows: List[int], ncols: int) -> List[int]:
-    """Basis of {x : row . x = 0 for every row}, deterministic order."""
-    return kernel(*row_reduce(rows), ncols)
-
-
 def kernel(reduced: List[int], pivots: List[int], ncols: int) -> List[int]:
-    """`nullspace` read off a `row_reduce` result: one basis vector per
-    free column, with the pivot bits that cancel it."""
+    """Basis of {x : row . x = 0 for every row}, read off a `row_reduce`
+    result: one vector per free column below ncols, with the pivot bits
+    that cancel it."""
     pivot_set = set(pivots)
     basis: List[int] = []
     for free in range(ncols):

@@ -77,33 +77,36 @@ def check_consistency(partial: PartialMap) -> List[int]:
     return gin
 
 
-def _solve_partner(placed: List[int], c: int, width: int) -> int:
-    """The least packed d with sp(c, d) = 1 and sp(e, d) = 0 for placed e != c."""
-    rows, rhs = [], []
-    for e in placed:
-        rows.append(_dual(e, width))
-        rhs.append(1 if e == c else 0)
-    d = next(gf2.solutions(rows, rhs, 2 * width), None)
-    if d is None:
-        raise SynthesisError("no symplectic partner exists; inputs were inconsistent")
-    return d
-
-
 def _complete_side(pairs: List[Tuple[int, int]], isos: List[int], width: int) -> List[Tuple[int, int]]:
-    """Extend hyperbolic pairs + isotropic vectors to width hyperbolic pairs."""
-    pairs, pending = list(pairs), list(isos)
-    # each isotropic vector gets its partner first, then each complement
-    # vector, the first basis vector of the placed vectors' symplectic
-    # complement
+    """Extend hyperbolic pairs + isotropic vectors to width hyperbolic pairs.
+
+    Each isotropic vector, then each complement vector (the first kernel
+    vector of the placed vectors' duals), gets as partner the least d with
+    sp(c, d) = 1 and sp(e, d) = 0 for the other placed and pending e.  One
+    reduction carries the duals, each tagged with its index above bit 2
+    width, and grows by each new vector; d solves it with right-hand side
+    1 at c's tag alone (`gf2.solutions`)."""
+    vecs = [v for ab in pairs for v in ab] + list(isos)
+    pairs, pending = list(pairs), list(range(len(vecs) - len(isos), len(vecs)))
+    system = gf2.row_reduce([_dual(e, width) | 1 << (2 * width + j) for j, e in enumerate(vecs)])
+
+    def place(v: int) -> None:
+        vecs.append(v)
+        gf2.extend(*system, [_dual(v, width) | 1 << (2 * width + len(vecs) - 1)])
+
     while len(pairs) < width:
-        placed = [v for ab in pairs for v in ab]
         if not pending:
-            pending = gf2.nullspace([_dual(e, width) for e in placed], 2 * width)[:1]
-            if not pending:
+            null = gf2.kernel(*system, 2 * width)
+            if not null:
                 raise SynthesisError("symplectic complement vanished early")
-        c = pending[0]
-        pairs.append((c, _solve_partner(placed + pending, c, width)))
-        pending = pending[1:]
+            place(null[0])
+            pending = [len(vecs) - 1]
+        j = pending.pop(0)
+        d = next(gf2.solutions(*system, 1 << j, 2 * width), None)
+        if d is None:
+            raise SynthesisError("no symplectic partner exists; inputs were inconsistent")
+        pairs.append((vecs[j], d))
+        place(d)
     return pairs
 
 

@@ -1,9 +1,10 @@
 """Reference routes and display helpers that only the tests use.
 
 Each function here recomputes something the library computes another
-way, or renders a value for a test to compare: membership in a span by
-one fresh reduction, the syndrome read off the streamed online decoder,
-the commutant of an assignment that bounds the zero-weight cycles, a
+way, or renders a value for a test to compare: membership in a span, a
+nullspace, a linear system, an encoder node's base and a side's
+symplectic partners, each by fresh reductions, the syndrome read off the
+streamed online decoder, the commutant of an assignment that bounds the zero-weight cycles, a
 bit-matrix transpose one bit at a time, a circuit's symplectic matrix
 conjugated row by row, one encoder's cycle state
 computed from scratch, the encoder completion search with every leaf
@@ -52,6 +53,51 @@ from qconvenc.synthesis import PartialMap
 def in_span(rows: List[int], v: int) -> bool:
     """Whether v lies in the GF(2) span of `rows`, by one fresh reduction."""
     return gf2.residue(*gf2.row_reduce(rows), v) == 0
+
+
+def nullspace(rows: List[int], ncols: int) -> List[int]:
+    """Basis of {x : row . x = 0 for every row}, by one fresh reduction."""
+    return gf2.kernel(*gf2.row_reduce(rows), ncols)
+
+
+def fresh_base(images: List[int], varying: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """An encoder node's base reduced afresh, which the completion search
+    carries instead: the fixed images and a_i ^ a0 for the varying a_i, a0
+    the first of them."""
+    a0 = images[varying[0]] if varying else 0
+    return gf2.row_reduce([y ^ a0 if i in varying else y for i, y in enumerate(images)])
+
+
+def fresh_system(rows: List[int], rhs: List[int], ncols: int) -> Tuple[List[int], List[int], int, int]:
+    """The system row_i . x = rhs_i reduced afresh, as the arguments the
+    `gf2` solvers take: [row_i | rhs_i << ncols] reduced, and rhs mask 1."""
+    return (*gf2.row_reduce([r | b << ncols for r, b in zip(rows, rhs)]), 1, ncols)
+
+
+def complete_side_by_fresh_systems(
+    pairs: List[Tuple[int, int]], isos: List[int], width: int
+) -> Optional[List[Tuple[int, int]]]:
+    """`synthesis._complete_side` with every system reduced afresh: each
+    isotropic vector, then each complement vector (the first basis vector
+    of the placed vectors' symplectic complement), gets as partner the
+    least d with sp(c, d) = 1 and sp(e, d) = 0 for the other placed and
+    pending e.  None when a system has no solution or the complement
+    vanishes early."""
+    pairs, pending = list(pairs), list(isos)
+    while len(pairs) < width:
+        placed = [v for ab in pairs for v in ab]
+        if not pending:
+            pending = nullspace([_dual(e, width) for e in placed], 2 * width)[:1]
+            if not pending:
+                return None
+        c = pending[0]
+        rows = [_dual(e, width) for e in placed + pending]
+        d = next(gf2.solutions(*fresh_system(rows, [int(e == c) for e in placed + pending], 2 * width)), None)
+        if d is None:
+            return None
+        pairs.append((c, d))
+        pending = pending[1:]
+    return pairs
 
 
 def syndrome_by_decoder(
@@ -105,7 +151,7 @@ def admissible_cycle_states(
     if m == 0:
         return []
     duals = [_dual(op.vec(), m) for op in assignment.operators]
-    basis = gf2.nullspace(duals, 2 * m)
+    basis = nullspace(duals, 2 * m)
     return [PauliOperator.from_vec(m, v) for v in basis]
 
 
@@ -187,7 +233,7 @@ def encoder_search_by_leaves(
             return rows if independent and encoder_cycle_state(images, n, k, m) is None else None
         u = directions[len(rows) - len(partial.rows)]
         rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows]
-        for v in gf2.solutions([_dual(ro, w) for _, ro in rows], rhs, 2 * w):
+        for v in gf2.solutions(*fresh_system([_dual(ro, w) for _, ro in rows], rhs, 2 * w)):
             if tried >= max_candidates:
                 raise Exhausted(f"no non-catastrophic completion within {max_candidates} candidates")
             found = walk(rows + [(u, v)])

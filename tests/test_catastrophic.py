@@ -27,7 +27,6 @@ from qconvenc import (
 )
 from qconvenc.catastrophic import (
     ENUM_CAP,
-    _combinations,
     _reads,
     complete_noncatastrophic,
     is_noncatastrophic,
@@ -60,7 +59,10 @@ from oracles import (
     admissible_cycle_states,
     encoder_cycle_state,
     encoder_search_by_leaves,
+    fresh_base,
+    fresh_system,
     in_span,
+    nullspace,
     periodic_states,
     transpose,
 )
@@ -271,6 +273,25 @@ def test_a_map_narrower_than_a_frame_is_refused_once():
             check(narrow, 3, 1)
 
 
+def test_a_k_outside_the_frame_and_rows_narrower_than_it_are_refused():
+    # the verdicts, the graph and the search share one check: k info wires
+    # fit in the n-qubit frame, and a map, or the rows of one, is at least
+    # a frame wide
+    for check in (is_noncatastrophic, is_noncatastrophic_decoder, zero_weight_graph):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=f"^k = {k} info wires do not fit in a frame of 3$"):
+                check(FGG_ENCODER, 3, k)
+        for k in (0, 3):  # the ends of the range are kept
+            check(FGG_ENCODER, 3, k)
+    with pytest.raises(ValueError, match="^circuit width 2 is narrower than one frame of 3$"):
+        complete_noncatastrophic(PartialMap(2, ((1, 1),)), 3, 1)
+    partial, n, k = _encoder_partial(FGG_CODE)
+    for k in (-1, n + 1):
+        for direction in ("encoder", "decoder"):
+            with pytest.raises(ValueError, match=f"^k = {k} info wires do not fit in a frame of {n}$"):
+                complete_noncatastrophic(partial, n, k, direction)
+
+
 def test_completion_returns_the_map_it_completed():
     skel = build_skeleton(FGG_CODE)
     asg = assign_memory(skeleton_commutation_matrix(skel))
@@ -377,15 +398,40 @@ def test_solutions_come_lazily_in_increasing_order(system):
     # with more equations than columns, whose dependent rows meet
     ncols, equations = system
     rows, rhs = [r for r, _ in equations], [b for _, b in equations]
-    got = list(gf2.solutions(rows, rhs, ncols))
+    got = list(gf2.solutions(*fresh_system(rows, rhs, ncols)))
     assert got == [x for x in range(1 << ncols) if all(gf2.parity(r & x) == b for r, b in equations)]
     # and a node reads its i-th leaf off the solution space by i's bits
-    space = gf2.solution_space(rows, rhs, ncols)
+    space = gf2.solution_space(*fresh_system(rows, rhs, ncols))
     assert (space is None) == (not got)
     if space:
         x0, null = space
         assert [x0 ^ gf2.matmul([i], null)[0] for i in range(1 << len(null))] == got
     event("no solution" if not got else "one solution" if len(got) == 1 else "several solutions")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda ncols: st.tuples(
+    st.just(ncols), st.lists(st.tuples(st.integers(0, (1 << ncols) - 1), st.integers(0, 1)), max_size=12)
+)))
+def test_a_carried_reduction_solves_as_a_fresh_one(system):
+    # the search's level systems grow by a row at a time: each row tagged
+    # with its index above ncols and reduced in by `extend`, the rhs one
+    # bit vector, also over rows not yet added.  After every row the
+    # solution space and the stream are those of a fresh reduction, also
+    # past a dependent row, an inconsistent rhs or more rows than columns
+    ncols, equations = system
+    reduced, pivots = [], []
+    rhs = sum(b << j for j, (_, b) in enumerate(equations))
+    for j, (row, _) in enumerate(equations):
+        dependent = not gf2.extend(reduced, pivots, [row | 1 << (ncols + j)])[0] & ((1 << ncols) - 1)
+        fresh = fresh_system([r for r, _ in equations[:j + 1]], [b for _, b in equations[:j + 1]], ncols)
+        space = gf2.solution_space(reduced, pivots, rhs, ncols)
+        assert space == gf2.solution_space(*fresh)
+        assert list(gf2.solutions(reduced, pivots, rhs, ncols)) == list(gf2.solutions(*fresh))
+        event("dependent row" if dependent else "independent row")
+        event("inconsistent" if space is None else "consistent")
+    if len(equations) > ncols:
+        event("more rows than columns")
 
 
 # generated n = 4 CSS codes (the `poly:` rows) whose search meets a
@@ -402,10 +448,12 @@ WIDE_DIRECTION_POLYS = [
 def test_wide_candidate_spaces_search_up_to_the_budget(poly):
     import qconvenc.catastrophic as cat
 
+    # a level above the last streams its candidate outputs off the
+    # reduction it carries; their number is 2^(its kernel's size)
     widths, real = [], gf2.solutions
-    with mock.patch.object(cat.gf2, "solutions", lambda rows, rhs, ncols: widths.append(
-        len(gf2.nullspace(rows, ncols))
-    ) or real(rows, rhs, ncols)):
+    with mock.patch.object(cat.gf2, "solutions", lambda reduced, pivots, rhs, ncols: widths.append(
+        len(gf2.kernel(reduced, pivots, ncols))
+    ) or real(reduced, pivots, rhs, ncols)):
         with pytest.raises(CompletionSearchExhausted) as info:
             synthesize_encoder(parse_code(f"n=4\npoly: {poly}\n"), max_candidates=50)
     assert max(widths) == 18
@@ -454,7 +502,7 @@ def _cycle_state_of_inverse(inv: SymplecticMap, n: int, k: int, m: int):
     for _ in range(2 * m - 1):
         frontier = gf2.matmul(frontier, pull)
         funcs = funcs + frontier
-    basis = gf2.nullspace(funcs, 2 * m)
+    basis = nullspace(funcs, 2 * m)
     while True:
         image = gf2.row_reduce(gf2.matmul(basis, ts))[0]
         if len(image) == len(basis):
@@ -497,8 +545,8 @@ def _recorded_leaves(direction, search):
         node[:] = rows
         return real_images(coeffs, rows)
 
-    def decide(images, varying, x0, null, outputs, bound, n, k, m, memo):
-        accepted = real_decide(images, varying, x0, null, outputs, bound, n, k, m, memo)
+    def decide(images, varying, x0, null, outputs, bound, n, k, m, memo, *base):
+        accepted = real_decide(images, varying, x0, null, outputs, bound, n, k, m, memo, *base)
         rows, w = list(node), m + n
         outputs = [0]
         if varying:
@@ -509,7 +557,8 @@ def _recorded_leaves(direction, search):
             memory = [1 << q for q in range(m)] + [1 << (w + q) for q in range(m)]
             u = next(d for d in memory if not in_span(inputs, d))
             rhs = [gf2.parity(u & _dual(ri, w)) for ri, _ in rows]
-            outputs = list(itertools.islice(gf2.solutions([_dual(ro, w) for _, ro in rows], rhs, 2 * w), bound))
+            system = fresh_system([_dual(ro, w) for _, ro in rows], rhs, 2 * w)
+            outputs = list(itertools.islice(gf2.solutions(*system), bound))
         for i in range(bound if accepted is None else accepted + 1):
             leaves.append((rows + [(u, outputs[i])] if varying else rows, i == accepted))
         return accepted
@@ -680,7 +729,7 @@ def test_a_node_matches_one_leaf_checks_on_any_affine_space(n, k, m, rnd):
         outputs = [rnd.getrandbits(2 * w) for _ in range(rnd.randint(0, 3))]
         bound = rnd.randint(0, 1 << len(null))
         before = _dynamics(memo, varying)
-        got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo)
+        got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo, fresh_base(images, varying))
         want, keys = None, set()
         for i in range(bound):
             v = x0 ^ gf2.matmul([i], null)[0]
@@ -721,7 +770,7 @@ def test_cycle_states_match_one_leaf_checks_on_any_images(n, k, m, rnd):
         candidates.insert(rnd.randint(0, len(candidates)), 0)
         memo = {}
         for v in candidates:
-            got = cat._encoder_node(images, varying, v, [], [], 1, n, k, m, memo)
+            got = cat._encoder_node(images, varying, v, [], [], 1, n, k, m, memo, fresh_base(images, varying))
             leaf = [y ^ v if i in varying else y for i, y in enumerate(images)]
             rows = [v] * bool(varying)
             want = encoder_cycle_state(leaf, n, k, m) is None and gf2.rank(rows) == len(rows)
@@ -758,7 +807,8 @@ def test_cycle_states_answer_every_candidate_in_its_turn():
             seen.update(accepted)
             for bound in range(len(leaves) + 1):
                 memo = {}
-                got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo)
+                got = cat._encoder_node(images, varying, x0, null, outputs, bound, n, k, m, memo,
+                                        fresh_base(images, varying))
                 want = next((i for i in range(bound) if accepted[i]), None)
                 assert got == want
                 tried = states[:bound if want is None else want + 1]
@@ -811,7 +861,8 @@ def _every_leaf(images, varying, x0, null, n, k, m):
     import qconvenc.catastrophic as cat
 
     memo = {}
-    assert cat._encoder_node(images, varying, x0, null, [0], 1 << len(null), n, k, m, memo) is None
+    assert cat._encoder_node(images, varying, x0, null, [0], 1 << len(null), n, k, m, memo,
+                             fresh_base(images, varying)) is None
     return _dynamics(memo, varying)
 
 
@@ -881,7 +932,7 @@ def test_a_node_computes_one_periodic_part_per_restriction_to_its_shared_subspac
         ts, orbit = gf2.transpose(fields[m:2 * m] + fields[:m], 2 * m), [u]
         for _ in range(2 * m):
             orbit += gf2.matmul(orbit[-1:], ts)
-        vanishing = gf2.nullspace(orbit, 2 * m)
+        vanishing = nullspace(orbit, 2 * m)
         for i in range(2 * m, reads):
             f = vanishing[i % len(vanishing)] if vanishing else 0
             swapped = f >> m | (f & ((1 << m) - 1)) << m  # the memory part whose dual field is f
@@ -960,16 +1011,22 @@ def test_search_reductions_grow_with_nodes_and_dynamics_not_leaves():
     assert (p1, p2) == (16, 28)
     assert (s1, s2) == (14 + n1 + p1, 14 + n2 + p2)
     # the counts of deciding a node over its leaf indices against one
-    # reduced span, one V and one P per class, and of one reduction per
-    # candidate system, as bounds (one row reduction per leaf made 564 and
-    # 1,101 row_reduce calls, one V per dynamics 421 and 814 extend calls)
-    assert r1 <= 22 and r2 <= 32
+    # reduced span, one V and one P per class, and of carrying the level
+    # systems and the node bases, each reduced once per search and
+    # extended by a row per level.  Pinned: 5 before the search (the last
+    # frames' rank, the assignment's check and inverse, the consistency
+    # check's 2 ranks), the search's 3 (its inputs, root level and root
+    # base) and those of P's loops (one row reduction per candidate system
+    # made 22 and 32, one per leaf 564 and 1,101; one V per dynamics made
+    # 421 and 814 extend calls)
+    assert (r1, r2) == (12, 16) == (8 + q1, 8 + q2)
     assert e1 <= 64 and e2 <= 101
     # the 400 more leaves of the larger budget cost only their nodes and
-    # classes; past the row reductions, extend runs in V's loop and in
-    # the pivot scan of a node's 7 kernel vectors
+    # classes; past the row reductions, extend runs in V's loop, in the
+    # pivot scan of a node's 7 kernel vectors, and once for its level
+    # system and once for its base
     assert r2 - r1 <= 3 * (n2 - n1) + (q2 - q1)
-    assert e2 - e1 <= r2 - r1 + 7 * (n2 - n1) + 7 * (v2 - v1)
+    assert e2 - e1 <= r2 - r1 + 9 * (n2 - n1) + 7 * (v2 - v1)
 
 
 # a hand-built encoder row set (n = 9, k = 8, m = 2) with one free
@@ -1159,3 +1216,72 @@ def test_a_budget_below_one_is_refused(budget):
     for code in (FGG_CODE, GR_CODE):
         with pytest.raises(ValueError, match="max_candidates must be at least 1"):
             synthesize_encoder(code, max_candidates=budget)
+
+
+def _assert_carried_bases_are_fresh(search, rnd):
+    """Run `search()`, checking at every last-level node that the base the
+    search carried into it reduces as a fresh `row_reduce` of the node's
+    fixed images and a_i ^ a0 does: the same residues, of the images, the
+    outputs, the leaves' outputs and random vectors, and the same reduced
+    rows.  Returns the outputs of each node checked, in order."""
+    import qconvenc.catastrophic as cat
+
+    real, checked = cat._encoder_node, []
+
+    def decide(images, varying, x0, null, outputs, bound, n, k, m, memo, base):
+        fresh = fresh_base(images, varying)
+        probes = images + outputs + [x0, *null] + [rnd.getrandbits(2 * (m + n)) for _ in range(8)]
+        assert [gf2.residue(*base, v) for v in probes] == [gf2.residue(*fresh, v) for v in probes]
+        assert sorted(zip(base[1], base[0])) == sorted(zip(fresh[1], fresh[0]))
+        checked.append(tuple(outputs))
+        return real(images, varying, x0, null, outputs, bound, n, k, m, memo, base)
+
+    with mock.patch.object(cat, "_encoder_node", decide):
+        try:
+            search()
+        except CompletionSearchExhausted:
+            pass
+    return checked
+
+
+@pytest.mark.parametrize("text, budget, nodes", [
+    # the 7 nodes of a bare GR search at budget 800 are siblings, and the
+    # wide searches' 16 nodes at 2,000 have parents at two levels
+    ("GR", 800, 7), *[(f"n=4\npoly: {p}\n", 2000, 16) for p in WIDE_DIRECTION_POLYS]])
+def test_searches_carry_fresh_bases_into_sibling_nodes(text, budget, nodes):
+    partial, n, k = _encoder_partial(GR_CODE if text == "GR" else parse_code(text))
+    search = lambda: complete_noncatastrophic(partial, n, k, max_candidates=budget)
+    assert len(_assert_carried_bases_are_fresh(search, random.Random(7))) == nodes
+
+
+def _sparse_rows(rng: random.Random):
+    """A consistent encoder row set of a random map with at most two rows
+    past its ancilla Z's, so that its search has several free directions:
+    n <= 3, 1 <= m <= 3; with n and k."""
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    k, w = rng.randint(0, n - 1), m + n
+    smap = random_symplectic(w, rng)
+    inputs = [1 << (w + m + a) for a in range(n - k)]
+    for u in [rng.getrandbits(2 * w) for _ in range(rng.randint(0, 2))]:
+        if not in_span(inputs, u):
+            inputs.append(u)
+    return PartialMap(w, tuple((u, smap.apply_vec(u)) for u in inputs)), n, k
+
+
+@pytest.mark.parametrize("seed", [9, 186, 271, 295])
+def test_sparse_searches_carry_fresh_bases_across_parents(seed):
+    # seeds of `_sparse_rows` whose searches at budget 300 open nodes under
+    # more than one parent, so that a base is carried down a new branch
+    partial, n, k = _sparse_rows(random.Random(seed))
+    search = lambda: complete_noncatastrophic(partial, n, k, max_candidates=300)
+    outputs = _assert_carried_bases_are_fresh(search, random.Random(seed))
+    assert len({node[:-1] for node in outputs}) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 100))
+def test_random_row_set_searches_carry_fresh_bases(rnd, budget):
+    partial, n, k, m = _random_rows(rnd, "encoder")
+    nodes = len(_assert_carried_bases_are_fresh(
+        lambda: complete_noncatastrophic(partial, n, k, max_candidates=budget), rnd))
+    event("several nodes" if nodes > 1 else f"{nodes} node(s)")

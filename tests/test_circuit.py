@@ -192,26 +192,32 @@ def test_the_unobservable_subspace_has_one_loop():
     # V's Krylov loop lives in `_unobservable`, the one reader of a kernel
     # off its functionals, and only the leaf checks of the two directions
     # call it: the V and P of an encoder dynamics, for the verdicts and the
-    # search's nodes, and the decoder's check; the solver reads the kernel
-    # of a linear system, no V
+    # search's nodes, and the decoder's check; the solvers read the kernel
+    # of a linear system, no V, and the partner systems the complement off
+    # the kernel of theirs
     assert _callers("_unobservable") == [("catastrophic", "_subspaces"), ("catastrophic", "_decoder_cycle_state")]
     assert _callers("_periodic_part") == [("catastrophic", "_subspaces"), ("catastrophic", "_decoder_cycle_state")]
     assert _callers("kernel") == [
-        ("catastrophic", "_unobservable"), ("gf2", "solution_space"), ("gf2", "solutions"), ("gf2", "nullspace")]
+        ("catastrophic", "_unobservable"), ("gf2", "solution_space"), ("gf2", "solutions"),
+        ("synthesis", "_complete_side")]
 
 
 def test_gf2_systems_have_one_solver():
     # the search's candidate outputs, a node's accepted leaf indices and
-    # the symplectic partners are read off one reduction of a system: its
-    # solution space, or the lazy stream of its solutions in the same
-    # order, whose first is the least one
-    assert _callers("_particular") == [("gf2", "solution_space"), ("gf2", "solutions")]
+    # the symplectic partners are read off a reduction of a system, the
+    # search's levels and the partners' off one they carry: its solution
+    # space, or the lazy stream of its solutions in the same order, whose
+    # first is the least one
+    assert _callers("_least") == [("gf2", "solution_space"), ("gf2", "solutions")]
     assert _callers("solution_space") == [
         ("catastrophic", "_least_independent"), ("catastrophic", "complete_noncatastrophic"),
         ("catastrophic", "nodes")]
     assert _callers("solutions") == [
-        ("catastrophic", "complete_noncatastrophic"), ("catastrophic", "nodes"), ("synthesis", "_solve_partner")]
+        ("catastrophic", "complete_noncatastrophic"), ("catastrophic", "nodes"), ("synthesis", "_complete_side")]
     assert not hasattr(qconvenc.gf2, "solve") and not hasattr(qconvenc.catastrophic, "_solutions")
+    # and no solver that reduces a system afresh is left without a caller
+    assert not hasattr(qconvenc.gf2, "_particular") and not hasattr(qconvenc.gf2, "nullspace")
+    assert not hasattr(qconvenc.synthesis, "_solve_partner")
 
 
 def test_the_decoding_tables_have_one_builder():

@@ -6,7 +6,7 @@ import pytest
 
 from qconvenc import gf2
 
-from oracles import in_span
+from oracles import fresh_system, in_span, nullspace
 
 
 def bits(v, n):
@@ -101,14 +101,15 @@ def test_residue_is_v_minus_its_span_component():
 
 
 def test_solve_finds_combination():
-    # the first of the solutions, the one `_solve_partner` takes, is the
-    # least solution, and there is none exactly when no vector solves it
+    # the first of the solutions, the one `_complete_side` takes for a
+    # partner, is the least solution, and there is none exactly when no
+    # vector solves it
     rng = random.Random(4)
     ncols = 6
     for _ in range(100):
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(1, 7))]
         rhs = [rng.getrandbits(1) for _ in rows]
-        sol = next(gf2.solutions(rows, rhs, ncols), None)
+        sol = next(gf2.solutions(*fresh_system(rows, rhs, ncols)), None)
         every = [v for v in range(1 << ncols) if not any(gf2.parity(r & v) ^ b for r, b in zip(rows, rhs))]
         assert sol == min(every, default=None)
 
@@ -118,7 +119,7 @@ def test_nullspace_is_exact_kernel():
     ncols = 6
     for _ in range(30):
         rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 5))]
-        basis = gf2.nullspace(rows, ncols)
+        basis = nullspace(rows, ncols)
         kernel = {v for v in range(1 << ncols) if all(gf2.parity(r & v) == 0 for r in rows)}
         span = {0}
         for b in basis:
@@ -140,8 +141,8 @@ def test_kernel_of_an_extended_reduction_is_the_nullspace_basis():
             gf2.extend(reduced, pivots, new)
             rows += new
         assert all(piv == (r & -r).bit_length() - 1 for piv, r in zip(pivots, reduced))
-        assert gf2.kernel(reduced, pivots, ncols) == gf2.nullspace(rows, ncols)
-        assert gf2.kernel(reduced, pivots, ncols) == gf2.nullspace(reduced, ncols)
+        assert gf2.kernel(reduced, pivots, ncols) == nullspace(rows, ncols)
+        assert gf2.kernel(reduced, pivots, ncols) == nullspace(reduced, ncols)
 
 
 def test_invert_round_trip():

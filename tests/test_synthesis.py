@@ -13,10 +13,12 @@ from qconvenc import (
     circuit_to_symplectic,
     circuit_to_text,
 )
+from qconvenc.circuit import gram
 from qconvenc.errors import MapConsistencyError, SynthesisError
 from qconvenc.library import FGG_ENCODER
 from qconvenc.synthesis import (
     PartialMap,
+    _complete_side,
     check_consistency,
     complete_to_symplectic,
     gate_count_bound,
@@ -24,7 +26,7 @@ from qconvenc.synthesis import (
 )
 
 from conftest import random_symplectic
-from oracles import fgg_transformation_rows
+from oracles import complete_side_by_fresh_systems, fgg_transformation_rows
 
 P = PauliOperator.from_string
 
@@ -149,6 +151,26 @@ def test_random_partial_maps_complete_and_verify():
             assert completed.apply(src) == dst
             assert circuit_to_symplectic(circ).apply(src) == dst
         done += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+def test_a_side_completes_as_with_fresh_systems(rnd, w):
+    # the partner systems carried by one reduction give the partners and
+    # complement vectors that a fresh reduction of each system gives: from
+    # a random symplectic basis, some of its hyperbolic pairs (rows q and
+    # w + q) and, of other q, one row each as the isotropic vectors
+    rows = random_symplectic(w, rnd).rows
+    order = rnd.sample(range(w), w)
+    npairs = rnd.randint(0, w)
+    nisos = rnd.randint(0, w - npairs)
+    pairs = [(rows[q], rows[w + q]) for q in order[:npairs]]
+    isos = [rows[q + rnd.choice((0, w))] for q in order[npairs:npairs + nisos]]
+    got = _complete_side(pairs, isos, w)
+    assert got == complete_side_by_fresh_systems(pairs, isos, w)
+    assert got[:npairs] == pairs and [c for c, _ in got[npairs:npairs + nisos]] == isos
+    basis = [v for pair in got for v in pair]
+    assert gram(basis, w) == [1 << (j ^ 1) for j in range(2 * w)]  # each pair hyperbolic, the rest orthogonal
 
 
 def test_completion_rejects_dependent_contradiction():
